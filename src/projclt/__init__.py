@@ -76,7 +76,6 @@ from .sources import (
     moment_summary,
     rademacher,
     sample_block,
-    sample_vector,
     standardize_population,
     two_point,
     uniform,

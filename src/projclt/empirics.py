@@ -12,16 +12,17 @@ independent and exchangeable bounds:
 For both, the conditional second-moment errors E_ij have closed forms in
 the current state x, checked here against direct enumeration over the
 randomization (the replacement law, or all ordered index pairs).  On top
-of that sit Monte Carlo estimates of the error statistics feeding the
-abstract bound, and the end-to-end check that the measured discrepancy
-|E g(S) - E g(Z~)| stays below the assembled bound.
+of that sit the error statistics feeding the abstract bound (state
+averages of E_ij, and the exact third-moment sum), and the end-to-end
+check that the measured discrepancy |E g(S) - E g(Z~)| stays below the
+assembled bound.
 
 Monte Carlo loops follow the splittable seeding contract of
-:mod:`projclt.sources`: state t of a run uses the stream keyed by
-``seed XOR t``; bulk estimation uses fixed-size blocks (a block starting
-at index i uses ``seed XOR i``), per-block partial sums are combined
-with exact float summation, and results are therefore independent of how
-blocks are scheduled across workers.
+:mod:`projclt.sources`: every state is drawn by ``sample_block`` in
+fixed-size blocks (a block starting at index i uses the stream keyed by
+(seed, i)), per-block partial sums are combined with exact float
+summation, and results are therefore independent of how blocks are
+scheduled across workers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,7 +45,6 @@ from .sources import (
     IndependentModel,
     Model,
     sample_block,
-    sample_vector,
 )
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
 
@@ -52,15 +52,10 @@ RESAMPLING = "resampling"
 TRANSPOSITION = "transposition"
 PAIR_KINDS = (RESAMPLING, TRANSPOSITION)
 
-# Test hook: scales the shrinkage constant used by the linearity check so a
-# deliberately wrong constant is caught by the diagnostics.
-_LINEARITY_LAMBDA_SCALE = 1.0
-
-# Fixed Monte Carlo block size; part of the determinism contract.
+# Fixed Monte Carlo block sizes; part of the determinism contract.  Pair
+# statistics work on float64 states, so their blocks are smaller.
 _BLOCK = 8192
-
-# Inner sub-sample size for third-moment expectations of continuous laws.
-_THIRD_SUBSAMPLES = 128
+_STATE_BLOCK = 256
 
 
 class Estimate(NamedTuple):
@@ -72,7 +67,8 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class PairStats:
-    """Measured error statistics of a simulated exchangeable pair."""
+    """Error statistics of an exchangeable pair: E_ij state averages with
+    their standard errors, and the exact third-moment sum (se 0)."""
 
     lambda_stein: float
     sum_abs_eij: Estimate
@@ -81,8 +77,10 @@ class PairStats:
     samples: int
 
     def eij_stats(self) -> bounds_mod.EijStats:
+        """Upper confidence values, estimate + 3 se: the margin verify uses."""
         return bounds_mod.EijStats(
-            sum_abs=self.sum_abs_eij.value, sqrt_sum_sq=self.sqrt_sum_sq_eij.value
+            sum_abs=self.sum_abs_eij.value + 3.0 * self.sum_abs_eij.se,
+            sqrt_sum_sq=self.sqrt_sum_sq_eij.value + 3.0 * self.sqrt_sum_sq_eij.se,
         )
 
 
@@ -220,18 +218,20 @@ def conditional_linearity_check(
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    lam = stein_lambda(pair_kind, ds.n) * _LINEARITY_LAMBDA_SCALE
+    lam = stein_lambda(pair_kind, ds.n)
     worst = 0.0
-    for t in range(trials):
-        x = sample_vector(model, seed ^ t, n=ds.n)
-        s = project(x, ds)
-        cond = conditional_mean_enumerated(x, ds, model, pair_kind)
-        worst = max(worst, float(np.max(np.abs(cond + lam * s))))
+    for block in _state_blocks(model, ds.n, trials, seed):
+        for x in block:
+            cond = conditional_mean_enumerated(x, ds, model, pair_kind)
+            worst = max(worst, float(np.max(np.abs(cond + lam * project(x, ds)))))
     return worst
 
 
 def eij_closed_form(x, ds: DirectionSet, pair_kind: str) -> np.ndarray:
     """The conditional second-moment error matrix E_ij(x) in closed form.
+
+    ``x`` is one state (n,) or a block of states (m, n); the result is
+    (k, k) or (m, k, k) accordingly.
 
     Resampling (orthonormal rows):
         E_ij = (1/n) sum_r theta_i^r theta_j^r (x_r^2 - 1).
@@ -242,30 +242,29 @@ def eij_closed_form(x, ds: DirectionSet, pair_kind: str) -> np.ndarray:
                             - 2 T_ij W + 2 S^i S^j ].
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ds.n,):
-        raise InvalidInputError(f"state has shape {x.shape}, directions need ({ds.n},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != ds.n:
+        raise InvalidInputError(f"states have shape {x.shape}, directions need (..., {ds.n})")
+    if pair_kind not in PAIR_KINDS:
+        raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+    if ds.kind not in ORTHONORMAL_KINDS:
+        raise InvalidInputError(f"the {pair_kind} closed form assumes orthonormal rows")
     theta = ds.vectors
     n = ds.n
+    outer = theta[:, None, :] * theta[None, :, :]
+    x2 = x * x
     if pair_kind == RESAMPLING:
-        if ds.kind not in ORTHONORMAL_KINDS:
-            raise InvalidInputError("the resampling closed form assumes orthonormal rows")
-        return (theta * (x * x - 1.0)) @ theta.T / n
-    if pair_kind == TRANSPOSITION:
-        if ds.kind not in ORTHONORMAL_KINDS or not ds.is_centered():
-            raise InvalidInputError(
-                "the transposition closed form assumes centered orthonormal rows"
-            )
-        w = float(x.sum())
-        s = theta @ x
-        x2 = x * x
-        v = (theta * x2) @ theta.T
-        t = (theta * x) @ theta.T
-        eye = np.eye(ds.k)
-        e = n * (v - eye) - 2.0 * w * t + 2.0 * np.outer(s, s)
-        e += eye * float(np.sum(x2 - 1.0))
-        e *= 2.0 / (n * (n - 1))
-        return e
-    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+        return np.einsum("...r,ijr->...ij", x2 - 1.0, outer) / n
+    if not ds.is_centered():
+        raise InvalidInputError("the transposition closed form assumes centered rows")
+    s = x @ theta.T
+    v = np.einsum("...r,ijr->...ij", x2, outer)
+    t = np.einsum("...r,ijr->...ij", x, outer)
+    ss = np.einsum("...i,...j->...ij", s, s)
+    eye = np.eye(ds.k)
+    e = n * (v - eye) - 2.0 * x.sum(axis=-1)[..., None, None] * t + 2.0 * ss
+    e += eye * np.sum(x2 - 1.0, axis=-1)[..., None, None]
+    e *= 2.0 / (n * (n - 1))
+    return e
 
 
 def eij_enumerated(x, ds: DirectionSet, model: Model, pair_kind: str) -> np.ndarray:
@@ -302,25 +301,43 @@ def eij_enumerated(x, ds: DirectionSet, model: Model, pair_kind: str) -> np.ndar
 # --------------------------------------------------------------------------
 # Pair statistics
 
-def _third_moment_weights(model: Model, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """w_l = E |X*_l - x_l|^3: exact over finite supports, sub-sampled for
-    continuous replacement laws."""
-    n = x.size
-    if isinstance(model, IIDModel) and model.support is not None:
-        vals, probs = model.support
-        return np.abs(vals[None, :] - x[:, None]) ** 3 @ probs
-    if isinstance(model, IIDModel):
-        draws = model.sampler(rng, _THIRD_SUBSAMPLES)
-        return np.mean(np.abs(draws[None, :] - x[:, None]) ** 3, axis=1)
-    w = np.empty(n)
-    for r, law in enumerate(model.coords):
-        if law.support is not None:
-            vals, probs = law.support
-            w[r] = float(probs @ np.abs(vals - x[r]) ** 3)
-        else:
-            draws = law.sampler(rng, _THIRD_SUBSAMPLES)
-            w[r] = float(np.mean(np.abs(draws - x[r]) ** 3))
-    return w
+def _state_blocks(model: Model, n: int, samples: int, seed: int):
+    """States 0..samples-1 as float64 blocks of at most _STATE_BLOCK rows."""
+    for start in range(0, samples, _STATE_BLOCK):
+        yield sample_block(model, seed, start, min(_STATE_BLOCK, samples - start), n=n)
+
+
+def _mean_abs3_diff(v: np.ndarray) -> float:
+    """Mean of |v_r - v_s|^3 over ordered pairs r != s, summed in row chunks
+    so no n x n array is formed."""
+    n = v.size
+    total = math.fsum(
+        float(np.sum(np.abs(v[lo:lo + _STATE_BLOCK, None] - v[None, :]) ** 3))
+        for lo in range(0, n, _STATE_BLOCK)
+    )
+    return total / (n * (n - 1))
+
+
+def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
+    """Exact sum_i E|S'^i - S^i|^3 over the state and the pair randomization.
+
+    Resampling: (1/n) sum_r (sum_i |theta_i^r|^3) E|X*_r - X_r|^3, with the
+    last factor from :func:`projclt.sources.diff_abs3`.
+    Transposition: D3 sum_i sum_{r != s} |theta_i^r - theta_i^s|^3 / (n(n-1)),
+    D3 the mean of |a - b|^3 over ordered distinct population pairs.
+    """
+    theta = ds.vectors
+    n = ds.n
+    if pair_kind == RESAMPLING:
+        _require_independent(model)
+        weights = np.sum(np.abs(theta) ** 3, axis=0)
+        if isinstance(model, IndependentModel):
+            return float(weights @ [sources.diff_abs3(c) for c in model.coords]) / n
+        return float(weights.sum()) * sources.diff_abs3(model) / n
+    if pair_kind == TRANSPOSITION:
+        _require_exchangeable(model)
+        return _mean_abs3_diff(model.population) * sum(_mean_abs3_diff(row) for row in theta)
+    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
 
 
 def _estimate(samples: np.ndarray) -> Estimate:
@@ -332,51 +349,27 @@ def _estimate(samples: np.ndarray) -> Estimate:
 def pair_stats(
     ds: DirectionSet, model: Model, pair_kind: str, samples: int, seed: int
 ) -> PairStats:
-    """Monte Carlo estimates of the abstract bound's error statistics.
+    """Estimates of the abstract bound's error statistics.
 
-    Per sampled state x, E_ij(x) comes from the closed form (it is a
-    function of the state), so sum_ij E|E_ij| and E sqrt(sum E_ij^2) are
-    plain state averages; the third-moment sum additionally averages over
-    the pair randomization (enumerated or sub-sampled).
+    E_ij(x) is a function of the state (closed form), so sum_ij E|E_ij| and
+    E sqrt(sum E_ij^2) are averages over states drawn in fixed-size
+    blocks; the third-moment sum is exact, with standard error 0.
     """
     if samples < 100:
         raise InvalidInputError(f"pair statistics need at least 100 samples, got {samples}")
-    if pair_kind == RESAMPLING:
-        _require_independent(model)
-    else:
-        _require_exchangeable(model)
-    n = ds.n
-    lam = stein_lambda(pair_kind, n)
-    abs_sum = np.empty(samples)
-    sq_sqrt = np.empty(samples)
-    third = np.empty(samples)
-    if pair_kind == TRANSPOSITION:
-        dtheta = ds.vectors[:, :, None] - ds.vectors[:, None, :]
-        abs_dtheta3 = np.abs(dtheta) ** 3
-        abs_dtheta3_sum = abs_dtheta3.sum(axis=0)
-    for t in range(samples):
-        rng = sources.stream(seed ^ t)
-        if isinstance(model, ExchangeableModel):
-            x = rng.permutation(model.population)
-        elif isinstance(model, IndependentModel):
-            x = np.array([c.sampler(rng, 1)[0] for c in model.coords])
-        else:
-            x = np.asarray(model.sampler(rng, n), dtype=np.float64)
+    if sources.model_dim(model) not in (None, ds.n):
+        raise InvalidInputError("model dimension does not match the direction set")
+    third = third_moment_sum(ds, model, pair_kind)
+    abs_sum, sq_sqrt = [], []
+    for x in _state_blocks(model, ds.n, samples, seed):
         e = eij_closed_form(x, ds, pair_kind)
-        abs_sum[t] = float(np.abs(e).sum())
-        sq_sqrt[t] = float(np.sqrt(np.sum(e * e)))
-        if pair_kind == RESAMPLING:
-            w = _third_moment_weights(model, x, rng)
-            abs_theta3 = np.abs(ds.vectors) ** 3
-            third[t] = float(abs_theta3.sum(axis=0) @ w) / n
-        else:
-            dx3 = np.abs(x[None, :] - x[:, None]) ** 3
-            third[t] = float(np.sum(abs_dtheta3_sum * dx3)) / (n * (n - 1))
+        abs_sum.append(np.abs(e).sum(axis=(1, 2)))
+        sq_sqrt.append(np.sqrt(np.sum(e * e, axis=(1, 2))))
     return PairStats(
-        lambda_stein=lam,
-        sum_abs_eij=_estimate(abs_sum),
-        sqrt_sum_sq_eij=_estimate(sq_sqrt),
-        sum_third=_estimate(third),
+        lambda_stein=stein_lambda(pair_kind, ds.n),
+        sum_abs_eij=_estimate(np.concatenate(abs_sum)),
+        sqrt_sum_sq_eij=_estimate(np.concatenate(sq_sqrt)),
+        sum_third=Estimate(value=third, se=0.0),
         samples=samples,
     )
 
@@ -518,8 +511,8 @@ def compute_bound(
     seed: int = 0,
 ) -> bounds_mod.BoundReport:
     """Evaluate the selected bound for a resolved (directions, model, g)
-    triple.  The abstract bound measures its error statistics by
-    simulating the pair matching the model."""
+    triple.  The abstract bound takes its error statistics from the pair
+    matching the model, the sampled ones at their upper 3-se values."""
     norms = norm_summary(ds)
     m = sources.moment_summary(model)
     k = ds.k
@@ -546,9 +539,8 @@ def compute_bound(
         report = bounds_mod.bound_abstract(
             stats.lambda_stein, stats.eij_stats(), stats.sum_third.value, g, k
         )
-        report.inputs_echo["n"] = ds.n
-        report.inputs_echo["pair_kind"] = pair_kind
-        return report
+        return replace(report, inputs_echo={**report.inputs_echo, "n": ds.n,
+                                            "pair_kind": pair_kind})
     raise InvalidInputError(f"unknown theorem {theorem!r}")
 
 

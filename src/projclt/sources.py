@@ -13,11 +13,11 @@ Catalog laws ship closed-form third/fourth moments; Monte Carlo is used
 only as a cross-check, never to feed a bound.  User-supplied laws must
 declare their moments explicitly.
 
-Seeding is splittable and counter-based: draw i of a run uses the stream
-keyed by ``seed XOR i`` (Philox), so results do not depend on how an
-index range is partitioned across workers.  Bulk sampling works on
-blocks of consecutive indices; a block starting at index i consumes the
-stream keyed by ``seed XOR i``.
+Seeding is splittable and counter-based: every state vector is drawn by
+:func:`sample_block`, and a block starting at sample index i consumes the
+Philox stream keyed by the pair (seed, i), so distinct (seed, i) pairs
+never share a stream and results do not depend on how fixed-size blocks
+are distributed across workers.
 """
 
 from __future__ import annotations
@@ -31,13 +31,19 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 
-_KEY_MASK = (1 << 128) - 1
+SEED_LIMIT = 1 << 64
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
-def stream(seed: int) -> np.random.Generator:
-    """Counter-based generator for one sampling stream."""
-    return np.random.Generator(np.random.Philox(key=seed & _KEY_MASK))
+def stream(seed: int, index: int = 0) -> np.random.Generator:
+    """Counter-based generator for one sampling stream.
+
+    The 128-bit Philox key is ``(seed << 64) | index``, so two streams
+    coincide only when both seed and index do (Salmon et al. 2011).
+    """
+    if not (0 <= seed < SEED_LIMIT and 0 <= index < SEED_LIMIT):
+        raise InvalidInputError(f"stream seed and index must lie in [0, 2^64), got {seed}, {index}")
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
 
 
 def derived_seed(seed: int, tag: int) -> int:
@@ -82,6 +88,8 @@ class IIDModel:
 
     ``support`` carries (values, probabilities) for finitely supported
     laws; exact conditional expectations enumerate it directly.
+    ``diff_abs3`` is E|X - X'|^3 for an independent copy X'; finitely
+    supported laws need not declare it.
     """
 
     name: str
@@ -89,6 +97,7 @@ class IIDModel:
     abs3: Optional[float]
     fourth: Optional[float]
     support: Optional[tuple[np.ndarray, np.ndarray]] = None
+    diff_abs3: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +172,10 @@ def _sample_uniform(rng, size, dtype=np.float64):
 
 
 def uniform() -> IIDModel:
-    """Uniform on [-sqrt(3), sqrt(3)]: E|X|^3 = 3 sqrt(3)/4, EX^4 = 9/5."""
-    return IIDModel("uniform", _sample_uniform, abs3=3.0 * _SQRT3 / 4.0, fourth=9.0 / 5.0)
+    """Uniform on [-sqrt(3), sqrt(3)]: E|X|^3 = 3 sqrt(3)/4, EX^4 = 9/5, and
+    E|X - X'|^3 = (2 sqrt(3))^3/10, since X - X' is triangular."""
+    return IIDModel("uniform", _sample_uniform, abs3=3.0 * _SQRT3 / 4.0, fourth=9.0 / 5.0,
+                    diff_abs3=12.0 * _SQRT3 / 5.0)
 
 
 def two_point(p: float = 0.2) -> IIDModel:
@@ -196,9 +207,10 @@ def _sample_exponential(rng, size, dtype=np.float64):
 
 
 def centered_exponential() -> IIDModel:
-    """Exp(1) minus its mean: E|X|^3 = 12/e - 2, EX^4 = 9."""
+    """Exp(1) minus its mean: E|X|^3 = 12/e - 2, EX^4 = 9, and
+    E|X - X'|^3 = 3! = 6, since X - X' is standard Laplace."""
     return IIDModel(
-        "exponential", _sample_exponential, abs3=12.0 / math.e - 2.0, fourth=9.0
+        "exponential", _sample_exponential, abs3=12.0 / math.e - 2.0, fourth=9.0, diff_abs3=6.0
     )
 
 
@@ -210,10 +222,10 @@ CATALOG: dict[str, Callable[[], IIDModel]] = {
 }
 
 
-def user_model(name, sampler, abs3=None, fourth=None, support=None) -> IIDModel:
+def user_model(name, sampler, abs3=None, fourth=None, support=None, diff_abs3=None) -> IIDModel:
     """Wrap a user-supplied standardized sampler; moments must be declared
     before the model can feed a bound."""
-    return IIDModel(name, sampler, abs3=abs3, fourth=fourth, support=support)
+    return IIDModel(name, sampler, abs3=abs3, fourth=fourth, support=support, diff_abs3=diff_abs3)
 
 
 # --------------------------------------------------------------------------
@@ -229,6 +241,17 @@ def iid_moments(model: IIDModel) -> MomentSummary:
     return MomentSummary(
         abs3=model.abs3, fourth=model.fourth, abs3_max=model.abs3, fourth_max=model.fourth
     )
+
+
+def diff_abs3(model: IIDModel) -> float:
+    """E|X - X'|^3 for independent copies X, X' of a scalar law: enumerated
+    over a finite support, declared otherwise."""
+    if model.support is not None:
+        vals, probs = model.support
+        return float(probs @ np.abs(vals[:, None] - vals[None, :]) ** 3 @ probs)
+    if model.diff_abs3 is None:
+        raise MissingMomentsError(f"model {model.name!r} does not declare diff_abs3 = E|X - X'|^3")
+    return model.diff_abs3
 
 
 def independent_moments(model: IndependentModel) -> MomentSummary:
@@ -309,23 +332,6 @@ def _resolve_n(model: Model, n: Optional[int]) -> int:
     return n
 
 
-def sample_vector(model: Model, seed: int, n: Optional[int] = None) -> np.ndarray:
-    """One draw of the n-dimensional random vector; deterministic given seed.
-
-    Draw i of a run should be requested with ``seed XOR i``.
-    """
-    n = _resolve_n(model, n)
-    rng = stream(seed)
-    if isinstance(model, ExchangeableModel):
-        return rng.permutation(model.population)
-    if isinstance(model, IndependentModel):
-        out = np.empty(n)
-        for j, coord in enumerate(model.coords):
-            out[j] = coord.sampler(rng, 1)[0]
-        return out
-    return np.asarray(model.sampler(rng, n), dtype=np.float64)
-
-
 def sample_block(
     model: Model,
     seed: int,
@@ -336,14 +342,14 @@ def sample_block(
 ) -> np.ndarray:
     """(count, n) matrix of draws for sample indices start..start+count-1.
 
-    The block consumes the stream keyed by ``seed XOR start``; callers
-    that fix their block boundaries therefore get identical totals no
-    matter how blocks are distributed across workers.
+    The block consumes the stream keyed by (seed, start); callers that
+    fix their block boundaries therefore get identical totals no matter
+    how blocks are distributed across workers.
     """
     n = _resolve_n(model, n)
     if count < 1:
         raise InvalidInputError("block count must be positive")
-    rng = stream(seed ^ start)
+    rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
         tile = np.tile(model.population.astype(dtype), (count, 1))
         return rng.permuted(tile, axis=1)

@@ -38,7 +38,7 @@ from projclt.sources import (
     exchangeable_moments,
     iid_moments,
     rademacher,
-    sample_vector,
+    sample_block,
     standardize_population,
     two_point,
     uniform,
@@ -167,9 +167,8 @@ def test_criterion_04_eij_oracle():
     model = two_point(0.2)
     ds_r = random_orthonormal(8, 3, seed=4)
     worst_r = 0.0
-    for t in range(states):
-        x = sample_vector(model, seed=11 ^ t, n=8)
-        closed = eij_closed_form(x, ds_r, RESAMPLING)
+    xs = sample_block(model, seed=11, start=0, count=states, n=8)
+    for x, closed in zip(xs, eij_closed_form(xs, ds_r, RESAMPLING)):
         brute = brute_eij_resampling(x, ds_r.vectors, model.support)
         worst_r = max(worst_r, float(np.max(np.abs(closed - brute))))
     assert worst_r <= 1e-12, f"resampling gap {worst_r:.3e}"
@@ -178,9 +177,8 @@ def test_criterion_04_eij_oracle():
     em = ExchangeableModel(pop)
     ds_t = random_orthonormal(6, 3, seed=5, centered=True)
     worst_t = 0.0
-    for t in range(states):
-        x = sample_vector(em, seed=13 ^ t)
-        closed = eij_closed_form(x, ds_t, TRANSPOSITION)
+    xs = sample_block(em, seed=13, start=0, count=states)
+    for x, closed in zip(xs, eij_closed_form(xs, ds_t, TRANSPOSITION)):
         brute = brute_eij_transposition(x, ds_t.vectors)
         worst_t = max(worst_t, float(np.max(np.abs(closed - brute))))
     assert worst_t <= 1e-12, f"transposition gap {worst_t:.3e}"

@@ -107,6 +107,22 @@ class TestExitCodes:
         assert main(["moments", str(path)]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_user_model_kind_is_two(self, tmp_path):
+        path = write_config(tmp_path, {"model": {"kind": "user"}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "projclt", "bound", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "unknown model kind 'user'" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_is_two(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, {"seed": seed})
+        assert main(["bound", str(path)]) == 2
+        assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        assert main(["bound", str(write_config(tmp_path, name="ok.json")), "--seed", str(seed)]) == 2
+
     def test_empty_scan_values_is_two(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["scan", str(path), "--axis", "n", "--values", ""]) == 2
@@ -208,7 +224,8 @@ class TestCheckCommand:
         assert main(["check", str(path)]) == 0
 
     def test_tampered_lambda_fails(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(empirics, "_LINEARITY_LAMBDA_SCALE", 1.01)
+        exact = empirics.stein_lambda
+        monkeypatch.setattr(empirics, "stein_lambda", lambda kind, n: 1.01 * exact(kind, n))
         path = write_config(tmp_path)
         assert main(["check", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out

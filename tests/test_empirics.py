@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from projclt.bounds import UNIT_CONSTANTS
+from projclt import sources
+from projclt.bounds import UNIT_CONSTANTS, EijStats, bound_abstract
 from projclt.directions import (
     DirectionSet,
     LINEARLY_INDEPENDENT,
@@ -16,6 +17,7 @@ from projclt.empirics import (
     TRANSPOSITION,
     VerificationTask,
     conditional_linearity_check,
+    compute_bound,
     conditional_mean_enumerated,
     eij_closed_form,
     eij_enumerated,
@@ -24,18 +26,22 @@ from projclt.empirics import (
     project,
     resample_pair,
     stein_lambda,
+    third_moment_sum,
     transpose_pair,
     verify_bound,
 )
-from projclt.errors import InvalidInputError, WrongPairKindError
+from projclt.errors import InvalidInputError, MissingMomentsError, WrongPairKindError
 from projclt.sources import (
     ExchangeableModel,
+    IndependentModel,
+    centered_exponential,
     iid_moments,
     rademacher,
-    sample_vector,
+    sample_block,
     standardize_population,
     two_point,
     uniform,
+    user_model,
 )
 from projclt.testfuncs import GaussianSpec, TestFunction, cosine_testfn
 
@@ -46,6 +52,11 @@ def unit_cosine(k):
 
 def ramp_model(n):
     return ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
+
+
+def one_state(model, seed, n=None):
+    """One state: the first row of a one-state block."""
+    return sample_block(model, seed, 0, 1, n=n)[0]
 
 
 def ks_statistic(x, y):
@@ -86,7 +97,7 @@ class TestResamplePair:
     def test_update_formula(self):
         ds = random_orthonormal(12, 3, seed=0)
         model = uniform()
-        x = sample_vector(model, seed=5, n=12)
+        x = one_state(model, seed=5, n=12)
         draw = resample_pair(x, ds, model, seed=17)
         manual = x.copy()
         manual[draw.index] = draw.replacement
@@ -97,7 +108,7 @@ class TestResamplePair:
         # two-point law: sooner or later the replacement equals the old value
         ds = hypercube_directions(8, 2)
         model = two_point(0.5)
-        x = sample_vector(model, seed=1, n=8)
+        x = one_state(model, seed=1, n=8)
         hits = 0
         for seed in range(50):
             draw = resample_pair(x, ds, model, seed=seed)
@@ -114,7 +125,7 @@ class TestResamplePair:
     def test_deterministic(self):
         ds = hypercube_directions(8, 2)
         model = uniform()
-        x = sample_vector(model, seed=3, n=8)
+        x = one_state(model, seed=3, n=8)
         a = resample_pair(x, ds, model, seed=9)
         b = resample_pair(x, ds, model, seed=9)
         assert a.index == b.index and a.replacement == b.replacement
@@ -125,7 +136,7 @@ class TestTransposePair:
         pop = np.array([-1.0, -1.0, 1.0, 1.0])
         model = ExchangeableModel(pop)
         ds = hypercube_directions(4, 2, centered=True)
-        x = sample_vector(model, seed=0)
+        x = one_state(model, seed=0)
         hits = 0
         for seed in range(60):
             draw = transpose_pair(x, ds, model, seed=seed)
@@ -138,7 +149,7 @@ class TestTransposePair:
         n = 10
         model = ramp_model(n)
         ds = random_orthonormal(n, 2, seed=4, centered=True)
-        x = sample_vector(model, seed=2)
+        x = one_state(model, seed=2)
         draw = transpose_pair(x, ds, model, seed=11)
         swapped = x.copy()
         swapped[[draw.index_i, draw.index_j]] = swapped[[draw.index_j, draw.index_i]]
@@ -161,11 +172,10 @@ class TestTransposePair:
         ds = hypercube_directions(n, 2, centered=True)
         u = np.empty(draws)
         v = np.empty(draws)
-        for t in range(draws):
-            x = sample_vector(model, seed=7 ^ t)
-            draw = transpose_pair(x, ds, model, seed=(7 ^ t) + 10_000_019)
-            u[t] = draw.s[0] + 2.0 * draw.s_prime[0]
-            v[t] = draw.s_prime[0] + 2.0 * draw.s[0]
+        for t, x in enumerate(sample_block(model, seed=7, start=0, count=draws)):
+            pair = transpose_pair(x, ds, model, seed=10_000_019 + t)
+            u[t] = pair.s[0] + 2.0 * pair.s_prime[0]
+            v[t] = pair.s_prime[0] + 2.0 * pair.s[0]
         # classical alpha = 0.01 critical value for two samples of this size
         critical = 1.63 * math.sqrt(2.0 / draws)
         assert ks_statistic(u, v) <= critical
@@ -208,14 +218,14 @@ class TestConditionalLinearity:
 class TestEijClosedForm:
     def test_sign_states_make_resampling_errors_vanish(self):
         ds = hypercube_directions(16, 3)
-        x = sample_vector(rademacher(), seed=4, n=16)
+        x = one_state(rademacher(), seed=4, n=16)
         np.testing.assert_array_equal(eij_closed_form(x, ds, RESAMPLING), np.zeros((3, 3)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_resampling_matches_enumeration(self, seed):
         ds = random_orthonormal(8, 3, seed=100 + seed)
         model = two_point(0.2)
-        x = sample_vector(model, seed=seed, n=8)
+        x = one_state(model, seed=seed, n=8)
         closed = eij_closed_form(x, ds, RESAMPLING)
         enum = eij_enumerated(x, ds, model, RESAMPLING)
         assert np.max(np.abs(closed - enum)) <= 1e-12
@@ -225,10 +235,25 @@ class TestEijClosedForm:
         n = 6
         ds = random_orthonormal(n, 3, seed=200 + seed, centered=True)
         model = ramp_model(n)
-        x = sample_vector(model, seed=seed)
+        x = one_state(model, seed=seed)
         closed = eij_closed_form(x, ds, TRANSPOSITION)
         enum = eij_enumerated(x, ds, model, TRANSPOSITION)
         assert np.max(np.abs(closed - enum)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "pair_kind,model,ds",
+        [
+            (RESAMPLING, two_point(0.2), random_orthonormal(8, 3, seed=7)),
+            (TRANSPOSITION, ramp_model(6), random_orthonormal(6, 3, seed=8, centered=True)),
+        ],
+    )
+    def test_block_input_matches_per_state_calls(self, pair_kind, model, ds):
+        block = sample_block(model, seed=3, start=0, count=40, n=ds.n)
+        batched = eij_closed_form(block, ds, pair_kind)
+        assert batched.shape == (40, ds.k, ds.k)
+        for x, e in zip(block, batched):
+            np.testing.assert_allclose(e, eij_closed_form(x, ds, pair_kind), rtol=0, atol=1e-15)
+            assert np.max(np.abs(e - eij_enumerated(x, ds, model, pair_kind))) <= 1e-12
 
     def test_requires_orthonormal_rows(self):
         ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
@@ -274,6 +299,76 @@ class TestPairStats:
         ds = hypercube_directions(8, 1)
         with pytest.raises(InvalidInputError):
             pair_stats(ds, rademacher(), RESAMPLING, samples=50, seed=0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            uniform(),
+            centered_exponential(),
+            two_point(0.2),
+            IndependentModel(
+                coords=(uniform(), rademacher(), centered_exponential(), two_point(0.2)) * 8
+            ),
+        ],
+        ids=["uniform", "exponential", "two_point", "mixed"],
+    )
+    def test_exact_resampling_third_moment_calibrates(self, model):
+        # Per state x the statistic is (1/n) sum_r (sum_i |theta_i^r|^3) E|X*_r - x_r|^3,
+        # its inner expectation sub-sampled over independent replacement draws.
+        n, states, copies = 32, 4000, 16
+        ds = random_orthonormal(n, 2, seed=21)
+        weights = np.sum(np.abs(ds.vectors) ** 3, axis=0)
+        x = sample_block(model, seed=1, start=0, count=states, n=n)
+        x_star = sample_block(model, seed=2, start=0, count=states * copies, n=n)
+        w = np.mean(np.abs(x_star.reshape(states, copies, n) - x[:, None, :]) ** 3, axis=1)
+        per_state = w @ weights / n
+        se = per_state.std(ddof=1) / math.sqrt(states)
+        exact = third_moment_sum(ds, model, RESAMPLING)
+        assert abs(per_state.mean() - exact) <= 4 * se
+
+    def test_exact_transposition_third_moment_calibrates(self):
+        # Per state x the statistic is sum_{r,s} A_rs |x_r - x_s|^3 / (n(n-1)),
+        # A_rs = sum_i |theta_i^r - theta_i^s|^3.
+        n, states = 24, 4000
+        ds = random_orthonormal(n, 2, seed=22, centered=True)
+        model = ramp_model(n)
+        a = np.sum(np.abs(ds.vectors[:, :, None] - ds.vectors[:, None, :]) ** 3, axis=0)
+        x = sample_block(model, seed=3, start=0, count=states)
+        per_state = np.einsum("rs,mrs->m", a, np.abs(x[:, :, None] - x[:, None, :]) ** 3)
+        per_state /= n * (n - 1)
+        se = per_state.std(ddof=1) / math.sqrt(states)
+        exact = third_moment_sum(ds, model, TRANSPOSITION)
+        assert abs(per_state.mean() - exact) <= 4 * se
+
+    def test_transposition_third_moment_matches_full_matrix_formula(self):
+        # n above the row-chunk size, so the chunked sums cross a chunk boundary
+        n = 300
+        ds = random_orthonormal(n, 2, seed=23, centered=True)
+        pop = ramp_model(n).population
+        d3 = np.sum(np.abs(pop[:, None] - pop[None, :]) ** 3) / (n * (n - 1))
+        dtheta3 = np.sum(np.abs(ds.vectors[:, :, None] - ds.vectors[:, None, :]) ** 3)
+        exact = third_moment_sum(ds, ramp_model(n), TRANSPOSITION)
+        assert exact == pytest.approx(d3 * dtheta3 / (n * (n - 1)), rel=1e-12)
+
+    def test_continuous_law_without_diff_abs3_is_rejected(self):
+        law = user_model("custom", uniform().sampler, abs3=1.3, fourth=1.8)
+        with pytest.raises(MissingMomentsError):
+            pair_stats(hypercube_directions(8, 1), law, RESAMPLING, samples=100, seed=0)
+
+    def test_abstract_fourth_term_carries_three_se(self):
+        ds = random_orthonormal(64, 2, seed=12)
+        model, g = uniform(), unit_cosine(2)
+        stats = pair_stats(ds, model, RESAMPLING, samples=300, seed=sources.derived_seed(4, 2))
+        assert stats.sum_abs_eij.se > 0 and stats.sum_third.se == 0.0
+        report = compute_bound("abstract", ds, model, g, pair_samples=300, seed=4)
+        lam = stats.lambda_stein
+        upper_abs = stats.sum_abs_eij.value + 3 * stats.sum_abs_eij.se
+        upper_sq = stats.sqrt_sum_sq_eij.value + 3 * stats.sqrt_sum_sq_eij.se
+        expected = min(g.g1 / (2 * lam) * upper_abs,
+                       math.sqrt(2) * g.grad_sup / (2 * lam) * upper_sq)
+        assert report.term_fourth == pytest.approx(expected, rel=1e-14)
+        point = EijStats(stats.sum_abs_eij.value, stats.sqrt_sum_sq_eij.value)
+        assert report.term_fourth > bound_abstract(lam, point, stats.sum_third.value, g, 2).term_fourth
 
 
 class TestEstimateDiscrepancy:
@@ -388,6 +483,7 @@ class TestVerifyBound:
         ds = hypercube_directions(16, 2)
         clean = conditional_linearity_check(ds, rademacher(), RESAMPLING, 50, seed=0)
         assert clean <= 1e-10
-        monkeypatch.setattr(emp, "_LINEARITY_LAMBDA_SCALE", 1.01)
+        exact = emp.stein_lambda
+        monkeypatch.setattr(emp, "stein_lambda", lambda kind, n: 1.01 * exact(kind, n))
         tampered = emp.conditional_linearity_check(ds, rademacher(), RESAMPLING, 50, seed=0)
         assert tampered > 1e-6

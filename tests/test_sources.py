@@ -13,6 +13,7 @@ from projclt.sources import (
     IndependentModel,
     MomentSummary,
     centered_exponential,
+    diff_abs3,
     exchangeable_moments,
     iid_moments,
     independent_moments,
@@ -20,7 +21,6 @@ from projclt.sources import (
     moment_summary,
     rademacher,
     sample_block,
-    sample_vector,
     standardize_population,
     stream,
     two_point,
@@ -54,11 +54,13 @@ class TestCatalogMoments:
     def test_rademacher(self):
         m = iid_moments(rademacher())
         assert m.abs3 == 1.0 and m.fourth == 1.0
+        assert diff_abs3(rademacher()) == 4.0
 
     def test_uniform_closed_forms(self):
         m = iid_moments(uniform())
         assert m.fourth == pytest.approx(9.0 / 5.0, abs=1e-15)
         assert m.abs3 == pytest.approx(3.0 * SQRT3 / 4.0, abs=1e-15)
+        assert diff_abs3(uniform()) == pytest.approx((2.0 * SQRT3) ** 3 / 10.0, abs=1e-14)
 
     def test_uniform_against_quadrature_oracle(self):
         # direct numeric integration of |x|^3 and x^4 over [-sqrt(3), sqrt(3)]
@@ -69,6 +71,10 @@ class TestCatalogMoments:
         m = iid_moments(uniform())
         assert m.abs3 == pytest.approx(abs3, abs=1e-9)
         assert m.fourth == pytest.approx(fourth, abs=1e-9)
+        # X - X' has the triangular density (2 sqrt(3) - |d|) / 12 on [-2 sqrt(3), 2 sqrt(3)]
+        ds = np.linspace(-2.0 * SQRT3, 2.0 * SQRT3, 2_000_001)
+        diff3 = np.trapezoid(np.abs(ds) ** 3 * (2.0 * SQRT3 - np.abs(ds)) / 12.0, ds)
+        assert diff_abs3(uniform()) == pytest.approx(diff3, abs=1e-9)
 
     def test_two_point_values(self):
         model = two_point(0.2)
@@ -76,13 +82,15 @@ class TestCatalogMoments:
         np.testing.assert_allclose(sorted(vals), [-0.5, 2.0], atol=1e-15)
         assert float(vals @ probs) == pytest.approx(0.0, abs=1e-15)
         assert float(vals**2 @ probs) == pytest.approx(1.0, abs=1e-15)
+        assert diff_abs3(model) == pytest.approx(2 * 0.2 * 0.8 * 2.5**3, rel=1e-14)
 
     def test_two_point_against_monte_carlo_oracle(self):
         model = two_point(0.2)
         draws = model.sampler(stream(1234), 10_000_000)
         m = iid_moments(model)
-        for power, declared in [(3, m.abs3), (4, m.fourth)]:
-            vals = np.abs(draws) ** power
+        pairs = np.abs(draws[::2] - draws[1::2]) ** 3
+        for vals, declared in [(np.abs(draws) ** 3, m.abs3), (draws**4, m.fourth),
+                               (pairs, diff_abs3(model))]:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - declared) <= 4 * se
 
@@ -95,9 +103,10 @@ class TestCatalogMoments:
         model = centered_exponential()
         draws = model.sampler(stream(77), 2_000_000)
         m = iid_moments(model)
-        vals = np.abs(draws) ** 3
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - m.abs3) <= 4 * se
+        pairs = np.abs(draws[::2] - draws[1::2]) ** 3
+        for vals, declared in [(np.abs(draws) ** 3, m.abs3), (pairs, diff_abs3(model))]:
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - declared) <= 4 * se
 
     @pytest.mark.parametrize("factory", [rademacher, uniform, two_point, centered_exponential])
     def test_standardization_at_one_million_samples(self, factory):
@@ -121,6 +130,8 @@ class TestMomentSummaryInvariants:
         model = user_model("custom", lambda rng, size, dtype=np.float64: rng.standard_normal(size))
         with pytest.raises(MissingMomentsError):
             iid_moments(model)
+        with pytest.raises(MissingMomentsError):
+            diff_abs3(model)
 
     def test_independent_moments_take_worst_coordinate(self):
         model = IndependentModel(coords=(rademacher(), uniform()))
@@ -185,25 +196,39 @@ class TestExchangeableMoments:
 
 class TestSampling:
     def test_rademacher_support(self):
-        x = sample_vector(rademacher(), seed=3, n=64)
+        x = sample_block(rademacher(), seed=3, start=0, count=1, n=64)
         assert set(np.unique(x)) <= {-1.0, 1.0}
 
     def test_exchangeable_samples_are_permutations(self):
         pop = np.array([-1.0, -1.0, 1.0, 1.0])
         model = ExchangeableModel(pop)
-        for t in range(10):
-            x = sample_vector(model, seed=9 ^ t)
+        for start in range(10):
+            x = sample_block(model, seed=9, start=start, count=1)[0]
             assert sorted(x) == sorted(pop)
 
     def test_fixed_seed_reproduces(self):
         model = uniform()
         np.testing.assert_array_equal(
-            sample_vector(model, seed=5, n=32), sample_vector(model, seed=5, n=32)
+            sample_block(model, seed=5, start=0, count=1, n=32),
+            sample_block(model, seed=5, start=0, count=1, n=32),
         )
 
     def test_iid_needs_length(self):
         with pytest.raises(InvalidInputError):
-            sample_vector(rademacher(), seed=0)
+            sample_block(rademacher(), seed=0, start=0, count=1)
+
+    @pytest.mark.parametrize("model", [uniform(), ExchangeableModel(np.tile([-1.0, 1.0], 4))],
+                             ids=["uniform", "exchangeable"])
+    def test_streams_keyed_by_seed_and_index_do_not_collide(self, model):
+        # seed XOR index keys made these two blocks identical
+        a = sample_block(model, seed=0, start=8192, count=4, n=8)
+        b = sample_block(model, seed=8192, start=0, count=4, n=8)
+        assert not np.array_equal(a, b)
+
+    def test_stream_rejects_seeds_outside_the_key_range(self):
+        for seed, index in [(-1, 0), (2**64, 0), (0, 2**64)]:
+            with pytest.raises(InvalidInputError):
+                stream(seed, index)
 
     def test_block_shape_and_determinism(self):
         model = uniform()
@@ -232,7 +257,7 @@ class TestSampling:
     def test_model_dimension_mismatch_rejected(self):
         pop = standardize_population(np.arange(1.0, 7.0))
         with pytest.raises(InvalidInputError):
-            sample_vector(ExchangeableModel(pop), seed=0, n=5)
+            sample_block(ExchangeableModel(pop), seed=0, start=0, count=1, n=5)
 
 
 class TestPopulations:
