@@ -76,6 +76,7 @@ from .sources import (
     moment_summary,
     rademacher,
     sample_block,
+    sample_tiles,
     standardize_population,
     two_point,
     uniform,

@@ -159,6 +159,14 @@ class ExperimentConfig:
                 val = dirs.get(key)
                 if not isinstance(val, int) or val < 1:
                     raise ConfigError(f"directions.{key} must be a positive integer")
+        if dkind == "random":
+            dseed = dirs.get("seed", 0)
+            if not isinstance(dseed, int) or dseed < 0:
+                raise ConfigError(f"directions.seed must be a non-negative integer, got {dseed!r}")
+        if not isinstance(self.pair_samples, int) or self.pair_samples < 1:
+            raise ConfigError(
+                f"pair_samples must be a positive integer, got {self.pair_samples!r}"
+            )
         mkind = self.model.get("kind")
         if mkind not in (*sources.CATALOG, "independent", "exchangeable"):
             raise ConfigError(f"unknown model kind {mkind!r}")
@@ -201,7 +209,7 @@ def build_directions(cfg: ExperimentConfig) -> DirectionSet:
         if kind == "random":
             return random_orthonormal(
                 spec["n"], spec["k"],
-                seed=int(spec.get("seed", 0)),
+                seed=spec.get("seed", 0),
                 centered=bool(spec.get("centered", False)),
             )
         path = spec.get("path")

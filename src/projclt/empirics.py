@@ -18,17 +18,17 @@ check that the measured discrepancy |E g(S) - E g(Z~)| stays below the
 assembled bound.
 
 Monte Carlo loops follow the splittable seeding contract of
-:mod:`projclt.sources`: every state is drawn by ``sample_block`` in
-fixed-size blocks (a block starting at index i uses the stream keyed by
-(seed, i)), per-block partial sums are combined with exact float
-summation, and results are therefore independent of how blocks are
-scheduled across workers.
+:mod:`projclt.sources`: every state is drawn in fixed-size blocks (a
+block starting at index i uses the stream keyed by (seed, i)), per-block
+partial results are merged in block order, and results are therefore
+independent of how blocks are scheduled across workers.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -45,6 +45,7 @@ from .sources import (
     IndependentModel,
     Model,
     sample_block,
+    sample_tiles,
 )
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
 
@@ -206,13 +207,36 @@ def conditional_mean_enumerated(
     raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
 
 
+def conditional_mean_closed_form(
+    x, ds: DirectionSet, model: Model, pair_kind: str
+) -> np.ndarray:
+    """E[S' - S | x] from its exact linear form in x.
+
+    ``x`` is one state (n,) or a block of states (m, n); the result is
+    (k,) or (m, k) accordingly.  With mu_r = E X*_r and W = sum_r x_r:
+
+      resampling:    theta (mu - x) / n,
+      transposition: 2 (W theta 1 - n S) / (n (n-1)).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    theta = ds.vectors
+    n = ds.n
+    if pair_kind == RESAMPLING:
+        _require_independent(model)
+        return (_replacement_means(model, n) - x) @ theta.T / n
+    if pair_kind == TRANSPOSITION:
+        w = x.sum(axis=-1)[..., None]
+        return 2.0 * (w * theta.sum(axis=1) - n * (x @ theta.T)) / (n * (n - 1))
+    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+
+
 def conditional_linearity_check(
     ds: DirectionSet, model: Model, pair_kind: str, trials: int, seed: int
 ) -> float:
     """Worst residual max_i |E[dS^i | x] + lambda S^i| over sampled states.
 
-    The conditional mean is computed exactly (enumeration, or declared
-    first moments for continuous replacement laws), so the residual is
+    The conditional mean is exact (its linear form, with declared first
+    moments for continuous replacement laws), so the residual is
     floating-point noise when the shrinkage identity holds; a non-centered
     direction set under transposition yields a macroscopic residual.
     """
@@ -220,10 +244,9 @@ def conditional_linearity_check(
         raise InvalidInputError("need at least one trial")
     lam = stein_lambda(pair_kind, ds.n)
     worst = 0.0
-    for block in _state_blocks(model, ds.n, trials, seed):
-        for x in block:
-            cond = conditional_mean_enumerated(x, ds, model, pair_kind)
-            worst = max(worst, float(np.max(np.abs(cond + lam * project(x, ds)))))
+    for x in _state_blocks(model, ds.n, trials, seed):
+        cond = conditional_mean_closed_form(x, ds, model, pair_kind)
+        worst = max(worst, float(np.max(np.abs(cond + lam * (x @ ds.vectors.T)))))
     return worst
 
 
@@ -379,7 +402,8 @@ def pair_stats(
 
 @dataclass(frozen=True)
 class DiscrepancyEstimate:
-    """|mean g(S) - E g(Z~)| with a three-standard-error confidence margin."""
+    """|mean g(S) - E g(Z~)| with a three-standard-error confidence margin,
+    and the number of sample blocks and of workers that drew them."""
 
     discrepancy: float
     ci_halfwidth: float
@@ -387,6 +411,26 @@ class DiscrepancyEstimate:
     se: float
     gaussian: Expectation
     samples: int
+    blocks: int
+    workers: int
+
+
+class _Moments(NamedTuple):
+    """Count, mean and sum of squared deviations of a run of values."""
+
+    count: int
+    mean: float
+    m2: float
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        """Pairwise update of Chan, Golub & LeVeque (1983)."""
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return _Moments(
+            count=count,
+            mean=self.mean + delta * other.count / count,
+            m2=self.m2 + other.m2 + delta * delta * self.count * other.count / count,
+        )
 
 
 def estimate_discrepancy(
@@ -402,10 +446,12 @@ def estimate_discrepancy(
 
     Draws are generated in fixed-size blocks (single precision; the
     statistical error at any usable sample count dominates the rounding
-    by several orders of magnitude), projected with one matrix product
-    per block, and accumulated in double precision with exact summation
-    of the per-block partials, so the result does not depend on worker
-    count or block order.
+    by several orders of magnitude).  Each block is drawn, projected and
+    dropped in cache-sized tiles; the projection is a float32 einsum
+    rather than a BLAS product, whose own threads contend with the
+    workers.  Each block reduces to (count, mean, M2) of g in double
+    precision, and the blocks are merged in block order, so the result
+    does not depend on worker count or scheduling.
     """
     if samples < 1000:
         raise InvalidInputError(f"discrepancy estimation needs >= 1000 samples, got {samples}")
@@ -414,29 +460,32 @@ def estimate_discrepancy(
     n = ds.n
     if sources.model_dim(model) not in (None, n):
         raise InvalidInputError("model dimension does not match the direction set")
-    theta_t = np.ascontiguousarray(ds.vectors.T, dtype=np.float32)
+    theta = np.ascontiguousarray(ds.vectors, dtype=np.float32)
     starts = list(range(0, samples, _BLOCK))
 
-    def run_block(start: int) -> tuple[float, float]:
+    def run_block(start: int) -> _Moments:
         count = min(_BLOCK, samples - start)
-        x = sample_block(model, seed, start, count, n=n, dtype=np.float32)
-        s = (x @ theta_t).astype(np.float64)
-        vals = g.evaluate(s)
-        return float(vals.sum()), float(np.dot(vals, vals))
+        tiles = sample_tiles(model, seed, start, count, n=n, dtype=np.float32)
+        s = np.concatenate([np.einsum("rn,kn->rk", x, theta) for x in tiles])
+        vals = g.evaluate(s.astype(np.float64))
+        mean = float(vals.mean())
+        dev = vals - mean
+        return _Moments(count=count, mean=mean, m2=float(np.dot(dev, dev)))
 
     if workers is None:
         workers = min(2, os.cpu_count() or 1)
-    if workers > 1 and len(starts) > 1:
+    workers = max(1, min(workers, len(starts)))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_block, starts))
     else:
         partials = [run_block(s) for s in starts]
 
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    se = math.sqrt(var / samples)
+    total = partials[0]
+    for part in partials[1:]:
+        total = total.merge(part)
+    mean = total.mean
+    se = math.sqrt(total.m2 / (samples - 1) / samples)
     gauss = gaussian_expectation(
         g, gaussian_spec, method="auto", seed=sources.derived_seed(seed, 1)
     )
@@ -447,6 +496,8 @@ def estimate_discrepancy(
         se=se,
         gaussian=gauss,
         samples=samples,
+        blocks=len(starts),
+        workers=workers,
     )
 
 
@@ -493,11 +544,16 @@ class VerificationReport:
         object.__setattr__(self, "passed", ok)
 
 
-def _stage(name: str, fn):
+def _stage(name: str, fn, seconds: dict):
+    """Run one verification stage, naming it in any error and recording its
+    wall time in ``seconds``."""
+    start = time.perf_counter()
     try:
         return fn()
     except ProjcltError as exc:
         raise type(exc)(f"stage {name!r}: {exc}") from exc
+    finally:
+        seconds[name] = time.perf_counter() - start
 
 
 def compute_bound(
@@ -556,8 +612,10 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
     """Estimate the discrepancy, evaluate the selected bound, and compare.
 
     The run passes when the measured discrepancy does not exceed the
-    (optionally rescaled) bound plus the confidence margin.
+    (optionally rescaled) bound plus the confidence margin.  The metadata
+    records how the discrepancy was sampled and how long each stage took.
     """
+    seconds: dict = {}
     report = _stage(
         "bound",
         lambda: compute_bound(
@@ -565,13 +623,15 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
             constants=task.constants, pair_kind=task.pair_kind,
             pair_samples=task.pair_samples, seed=task.seed,
         ),
+        seconds,
     )
-    spec = _stage("gaussian", lambda: gaussian_spec_for(task.theorem, task.ds))
+    spec = _stage("gaussian", lambda: gaussian_spec_for(task.theorem, task.ds), seconds)
     disc = _stage(
         "discrepancy",
         lambda: estimate_discrepancy(
             task.ds, task.model, task.g, spec, task.samples, task.seed, workers=task.workers
         ),
+        seconds,
     )
     bound_total = report.total * task.bound_scale
     metadata = {
@@ -584,6 +644,11 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
         "gaussian_method": disc.gaussian.method,
         "bound_scale": task.bound_scale,
         "digest": task.digest,
+        "workers": disc.workers,
+        "blocks": disc.blocks,
+        "tile_rows": sources.TILE_ROWS,
+        "stage_seconds": seconds,
+        "samples_per_s": task.samples / seconds["discrepancy"],
     }
     return VerificationReport(
         theorem=task.theorem,

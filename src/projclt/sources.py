@@ -14,10 +14,11 @@ only as a cross-check, never to feed a bound.  User-supplied laws must
 declare their moments explicitly.
 
 Seeding is splittable and counter-based: every state vector is drawn by
-:func:`sample_block`, and a block starting at sample index i consumes the
+:func:`sample_tiles` (whole blocks by its single-tile case
+:func:`sample_block`), and a block starting at sample index i consumes the
 Philox stream keyed by the pair (seed, i), so distinct (seed, i) pairs
 never share a stream and results do not depend on how fixed-size blocks
-are distributed across workers.
+are distributed across workers or how they are cut into tiles.
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 
 SEED_LIMIT = 1 << 64
+# Rows per sampling tile: 1 MB of float32 at n = 4096, so a tile stays in L2
+# while it is projected.  A multiple of 32, which sample_tiles relies on.
+TILE_ROWS = 64
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
@@ -332,6 +336,47 @@ def _resolve_n(model: Model, n: Optional[int]) -> int:
     return n
 
 
+def sample_tiles(
+    model: Model,
+    seed: int,
+    start: int,
+    count: int,
+    n: Optional[int] = None,
+    dtype=np.float64,
+    rows: int = TILE_ROWS,
+) -> Iterator[np.ndarray]:
+    """The rows of the block for sample indices start..start+count-1, in
+    order, as (<= rows, n) tiles.
+
+    The block consumes the stream keyed by (seed, start) strictly in order,
+    so the tiles concatenate to the same draws for every tile height;
+    callers that fix their block boundaries therefore get identical totals
+    no matter how blocks are distributed across workers.  Independent
+    coordinates are drawn column by column and come as one tile.
+    """
+    n = _resolve_n(model, n)
+    if count < 1:
+        raise InvalidInputError("block count must be positive")
+    if rows < count and (rows < 1 or rows % 32):
+        # Rademacher draws whole uint32 words; a tile must end on one.
+        raise InvalidInputError(f"tile height must be a positive multiple of 32, got {rows}")
+    rng = stream(seed, start)
+    if isinstance(model, IndependentModel):
+        cols = np.empty((n, count), dtype=dtype)
+        for j, coord in enumerate(model.coords):
+            cols[j] = coord.sampler(rng, count, dtype)
+        yield cols.T
+        return
+    pop = model.population.astype(dtype) if isinstance(model, ExchangeableModel) else None
+    for lo in range(0, count, rows):
+        m = min(rows, count - lo)
+        if pop is None:
+            yield model.sampler(rng, (m, n), dtype)
+        else:
+            tile = np.tile(pop, (m, 1))
+            yield rng.permuted(tile, axis=1, out=tile)
+
+
 def sample_block(
     model: Model,
     seed: int,
@@ -340,25 +385,9 @@ def sample_block(
     n: Optional[int] = None,
     dtype=np.float64,
 ) -> np.ndarray:
-    """(count, n) matrix of draws for sample indices start..start+count-1.
-
-    The block consumes the stream keyed by (seed, start); callers that
-    fix their block boundaries therefore get identical totals no matter
-    how blocks are distributed across workers.
-    """
-    n = _resolve_n(model, n)
-    if count < 1:
-        raise InvalidInputError("block count must be positive")
-    rng = stream(seed, start)
-    if isinstance(model, ExchangeableModel):
-        tile = np.tile(model.population.astype(dtype), (count, 1))
-        return rng.permuted(tile, axis=1)
-    if isinstance(model, IndependentModel):
-        out = np.empty((count, n), dtype=dtype)
-        for j, coord in enumerate(model.coords):
-            out[:, j] = coord.sampler(rng, count, dtype)
-        return out
-    return model.sampler(rng, (count, n), dtype)
+    """(count, n) matrix of draws for sample indices start..start+count-1:
+    :func:`sample_tiles` as a single tile."""
+    return next(sample_tiles(model, seed, start, count, n=n, dtype=dtype, rows=count))
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,17 @@ import pytest
 from projclt import empirics
 from projclt.cli import ExperimentConfig, main
 from projclt.errors import ConfigError
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_projclt(*args):
+    """``python -m projclt ARGS`` in a fresh interpreter that imports this
+    checkout's package, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "projclt", *args],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -109,10 +122,7 @@ class TestExitCodes:
 
     def test_user_model_kind_is_two(self, tmp_path):
         path = write_config(tmp_path, {"model": {"kind": "user"}})
-        proc = subprocess.run(
-            [sys.executable, "-m", "projclt", "bound", str(path)],
-            capture_output=True, text=True,
-        )
+        proc = run_projclt("bound", str(path))
         assert proc.returncode == 2
         assert "unknown model kind 'user'" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -122,6 +132,17 @@ class TestExitCodes:
         assert main(["bound", str(path)]) == 2
         assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
         assert main(["bound", str(write_config(tmp_path, name="ok.json")), "--seed", str(seed)]) == 2
+
+    def test_non_integer_pair_samples_is_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"theorem": "abstract", "pair_samples": "abc"})
+        assert main(["bound", str(path)]) == 2
+        assert "pair_samples must be a positive integer" in capsys.readouterr().err
+
+    def test_non_integer_direction_seed_is_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"directions": {"kind": "random", "n": 16, "k": 2,
+                                                      "seed": "x"}})
+        assert main(["bound", str(path)]) == 2
+        assert "directions.seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_empty_scan_values_is_two(self, tmp_path):
         path = write_config(tmp_path)
@@ -275,9 +296,6 @@ class TestReproducibility:
 
     def test_console_entry_point(self, tmp_path):
         path = write_config(tmp_path, {"output": None})
-        proc = subprocess.run(
-            [sys.executable, "-m", "projclt", "moments", str(path)],
-            capture_output=True, text=True,
-        )
+        proc = run_projclt("moments", str(path))
         assert proc.returncode == 0
         assert proc.stdout.startswith("# schema=1")

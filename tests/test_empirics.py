@@ -16,8 +16,10 @@ from projclt.empirics import (
     RESAMPLING,
     TRANSPOSITION,
     VerificationTask,
+    _Moments,
     conditional_linearity_check,
     compute_bound,
+    conditional_mean_closed_form,
     conditional_mean_enumerated,
     eij_closed_form,
     eij_enumerated,
@@ -32,6 +34,7 @@ from projclt.empirics import (
 )
 from projclt.errors import InvalidInputError, MissingMomentsError, WrongPairKindError
 from projclt.sources import (
+    TILE_ROWS,
     ExchangeableModel,
     IndependentModel,
     centered_exponential,
@@ -204,11 +207,35 @@ class TestConditionalLinearity:
         rows = np.array([[1.0, 0.0, 0.0]])
         ds = DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
         x = np.array([1.0, 2.0, 3.0])
-        cond = conditional_mean_enumerated(x, ds, None, TRANSPOSITION)
         lam = stein_lambda(TRANSPOSITION, 3)
-        resid = float(np.max(np.abs(cond + lam * project(x, ds))))
-        assert resid == pytest.approx(2.0 * 1.0 * 6.0 / (3 * 2), abs=1e-12)
-        assert resid > 1e-2
+        for conditional_mean in (conditional_mean_enumerated, conditional_mean_closed_form):
+            cond = conditional_mean(x, ds, None, TRANSPOSITION)
+            resid = float(np.max(np.abs(cond + lam * project(x, ds))))
+            assert resid == pytest.approx(2.0 * 1.0 * 6.0 / (3 * 2), abs=1e-12)
+            assert resid > 1e-2
+
+    @pytest.mark.parametrize(
+        "pair_kind, model, ds",
+        [
+            (RESAMPLING, two_point(0.3), random_orthonormal(7, 3, seed=1)),
+            (RESAMPLING, IndependentModel(coords=(rademacher(), uniform(), two_point(0.2)) * 2),
+             random_orthonormal(6, 2, seed=2)),
+            (TRANSPOSITION, ramp_model(6), random_orthonormal(6, 2, seed=3, centered=True)),
+            (TRANSPOSITION, ramp_model(7), random_orthonormal(7, 3, seed=4)),
+        ],
+        ids=["resampling-two-point", "resampling-independent", "transposition-centered",
+             "transposition-non-centered"],
+    )
+    def test_closed_form_matches_enumeration(self, pair_kind, model, ds):
+        # generic states: sum_r x_r != 0 exercises every term of both forms
+        states = np.random.default_rng(17).standard_normal((40, ds.n))
+        closed = conditional_mean_closed_form(states, ds, model, pair_kind)
+        enum = np.array([conditional_mean_enumerated(x, ds, model, pair_kind) for x in states])
+        assert closed.shape == (40, ds.k)
+        np.testing.assert_allclose(closed, enum, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            conditional_mean_closed_form(states[3], ds, model, pair_kind), closed[3],
+            rtol=0, atol=1e-15)
 
     def test_lambda_values(self):
         assert stein_lambda(RESAMPLING, 100) == 0.01
@@ -381,6 +408,46 @@ class TestEstimateDiscrepancy:
         assert one.mean_g == two.mean_g
         assert one.discrepancy == two.discrepancy
 
+    def test_partial_last_block_and_tile_across_worker_counts(self):
+        # 1000 = 15 full tiles + 40 rows: the last block and its last tile are partial
+        ds = random_orthonormal(48, 2, seed=6)
+        g = unit_cosine(2)
+        spec = GaussianSpec.identity(2)
+        samples = 8192 + 1000
+        assert 1000 % TILE_ROWS
+        one = estimate_discrepancy(ds, uniform(), g, spec, samples, seed=4, workers=1)
+        two = estimate_discrepancy(ds, uniform(), g, spec, samples, seed=4, workers=2)
+        assert (one.mean_g, one.se, one.discrepancy, one.ci_halfwidth) == (
+            two.mean_g, two.se, two.discrepancy, two.ci_halfwidth)
+        assert (one.blocks, one.workers, two.blocks, two.workers) == (2, 1, 2, 2)
+
+    def test_block_moments_merge_to_those_of_the_concatenation(self):
+        rng = np.random.default_rng(0)
+        parts = [rng.standard_normal(m) + shift for m, shift in [(5, 0.0), (7, 1e3), (3, -2.0)]]
+
+        def moments(v):
+            return _Moments(count=v.size, mean=float(v.mean()), m2=float(np.sum((v - v.mean()) ** 2)))
+
+        merged = moments(parts[0]).merge(moments(parts[1])).merge(moments(parts[2]))
+        whole = moments(np.concatenate(parts))
+        assert merged.count == whole.count == 15
+        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
+        assert merged.m2 == pytest.approx(whole.m2, rel=1e-13)
+
+    def test_nearly_constant_function_keeps_its_standard_error(self):
+        # g = cos(<a, S>) with |a|_2 = 1e-4 stays within 1e-7 of 1; the
+        # one-pass formula (sum g^2 - N mean^2) / (N - 1) cancels to se = 0 here
+        ds = random_orthonormal(32, 2, seed=4)
+        g = cosine_testfn(np.full(2, 1e-4 / math.sqrt(2)))
+        samples = 20_000
+        est = estimate_discrepancy(ds, uniform(), g, GaussianSpec.identity(2), samples, seed=8)
+        blocks =[sample_block(uniform(), 8, lo, min(8192, samples - lo), n=32, dtype=np.float32)
+                  for lo in range(0, samples, 8192)]
+        x = np.concatenate(blocks).astype(np.float64)
+        vals = g.evaluate(x @ ds.vectors.T)
+        assert est.se > 0
+        assert est.se == pytest.approx(vals.std(ddof=1) / math.sqrt(samples), rel=1e-3)
+
     def test_large_n_is_close_to_gaussian(self):
         ds = hypercube_directions(4096, 1)
         g = cosine_testfn([1.0])
@@ -423,6 +490,22 @@ class TestVerifyBound:
         assert rep.passed
         assert rep.bound_total > 0
         assert rep.metadata["gaussian_method"] == "closed-form"
+
+    def test_metadata_explains_the_sampling(self):
+        task = VerificationTask(
+            ds=hypercube_directions(64, 2),
+            model=rademacher(),
+            g=unit_cosine(2),
+            theorem="T1",
+            samples=20_000,
+            seed=2,
+            workers=2,
+        )
+        meta = verify_bound(task).metadata
+        assert (meta["workers"], meta["blocks"], meta["tile_rows"]) == (2, 3, TILE_ROWS)
+        assert set(meta["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
+        assert meta["samples_per_s"] == pytest.approx(
+            20_000 / meta["stage_seconds"]["discrepancy"])
 
     def test_negative_control(self):
         task = VerificationTask(

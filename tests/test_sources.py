@@ -19,8 +19,10 @@ from projclt.sources import (
     independent_moments,
     load_population,
     moment_summary,
+    TILE_ROWS,
     rademacher,
     sample_block,
+    sample_tiles,
     standardize_population,
     stream,
     two_point,
@@ -258,6 +260,51 @@ class TestSampling:
         pop = standardize_population(np.arange(1.0, 7.0))
         with pytest.raises(InvalidInputError):
             sample_block(ExchangeableModel(pop), seed=0, start=0, count=1, n=5)
+
+
+def whole_block_reference(model, seed, start, count, n, dtype):
+    """The block drawn in one piece, law by law, without tiles."""
+    rng = stream(seed, start)
+    if isinstance(model, ExchangeableModel):
+        return rng.permuted(np.tile(model.population.astype(dtype), (count, 1)), axis=1)
+    if isinstance(model, IndependentModel):
+        out = np.empty((count, n), dtype=dtype)
+        for j, coord in enumerate(model.coords):
+            out[:, j] = coord.sampler(rng, count, dtype)
+        return out
+    return model.sampler(rng, (count, n), dtype)
+
+
+def tile_test_model(kind, n):
+    if kind == "independent":
+        laws = (rademacher(), uniform(), two_point(0.3), centered_exponential())
+        return IndependentModel(coords=tuple(laws[j % len(laws)] for j in range(n)))
+    if kind == "exchangeable":
+        return ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
+    return {"rademacher": rademacher, "uniform": uniform, "two_point": two_point,
+            "exponential": centered_exponential}[kind]()
+
+
+class TestTiles:
+    @pytest.mark.parametrize("kind", ["rademacher", "uniform", "two_point", "exponential",
+                                      "independent", "exchangeable"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [7, 24, 33])
+    def test_tiles_concatenate_to_the_whole_block(self, kind, dtype, n):
+        model = tile_test_model(kind, n)
+        count = 2 * TILE_ROWS + 22
+        ref = whole_block_reference(model, 13, 8192, count, n, dtype)
+        tiles = list(sample_tiles(model, 13, 8192, count, n=n, dtype=dtype))
+        assert all(t.dtype == dtype and t.shape[1] == n for t in tiles)
+        if kind != "independent":
+            assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
+        np.testing.assert_array_equal(np.concatenate(tiles), ref)
+        np.testing.assert_array_equal(sample_block(model, 13, 8192, count, n=n, dtype=dtype), ref)
+
+    @pytest.mark.parametrize("rows", [0, 48])
+    def test_tile_height_must_be_a_multiple_of_32(self, rows):
+        with pytest.raises(InvalidInputError, match="multiple of 32"):
+            next(sample_tiles(rademacher(), 0, 0, 100, n=5, rows=rows))
 
 
 class TestPopulations:
