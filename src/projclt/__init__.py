@@ -8,12 +8,8 @@ from .bounds import (
     BoundReport,
     EijStats,
     ExchangeableConstants,
+    bound,
     bound_abstract,
-    bound_exch,
-    bound_exch_linind,
-    bound_iid,
-    bound_indep,
-    bound_linind,
 )
 from .directions import (
     CENTERED_ORTHONORMAL,

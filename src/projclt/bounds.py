@@ -1,29 +1,27 @@
 """Explicit Gaussian-approximation error bounds for rank-k projections.
 
-Six bound assemblies are provided.  Writing N4 = sum_i ||theta_i||_4^2,
+The paper proves one bound for independent coordinates and one for
+exchangeable coordinates; the i.i.d. bound is the independent one with
+identical laws, and linearly independent (rather than orthonormal) unit
+directions add the largest Gram eigenvalue lam, with the Gram matrix as
+the comparison covariance.  :data:`THEOREMS` is the README's theorem
+table: per theorem, the model families it admits, whether it needs
+orthonormal or centered rows, and whether lam comes from the Gram matrix
+(otherwise lam = 1 and the comparison Gaussian is standard).
+:func:`bound` assembles T1-T5 from it.  Writing N4 = sum_i ||theta_i||_4^2,
 N3 = sum_i ||theta_i||_3^3, L4 = (sum_i ||theta_i||_4)^2, and using the
-test-function seminorms of :mod:`projclt.testfuncs`:
+seminorms of :mod:`projclt.testfuncs`, with G1 = g1 and G2 = g2 when
+lam = 1, G1 = grad_sup and G2 = hess_op_sup (k g2 when unknown) when lam
+comes from the Gram matrix:
 
-  T1 (i.i.d., orthonormal directions)
-      sqrt(k)/2 * grad_sup * sqrt(EX^4 - 1) * N4
-      + 4/3 * k^2 * g2 * E|X|^3 * N3
-
-  T2 (independent, orthonormal) -- T1 with worst-coordinate moments.
-
-  T3 (independent, linearly independent unit directions)
+  independent (T1-T3; worst-coordinate moments)
       1/2 * sqrt(lam k) * grad_sup * sqrt(max EX^4 - 1) * N4
-      + 4/3 * lam * k^2 * hess_op_sup * max E|X|^3 * N3,
-      lam the largest eigenvalue of the Gram matrix; the comparison
-      Gaussian has the Gram matrix as covariance.
+      + 4/3 * lam * k^2 * G2 * max E|X|^3 * N3
 
-  T4 (exchangeable, centered orthonormal directions; constants a, b, c)
-      a * k * g1 * (sqrt|E X1X2X3X4| + sqrt|E (X1^2-1)(X2^2-1)|)
-      + b * g1 * sqrt(EX^4) * L4
-      + c * k^2 * g2 * E|X|^3 * N3
-
-  T5 (exchangeable, linearly independent centered directions)
-      T4 with sqrt(lam) on the first two terms and lam on the third,
-      grad_sup replacing g1 and hess_op_sup replacing g2.
+  exchangeable (T4, T5; constants a, b, c)
+      a * k * sqrt(lam) * G1 * (sqrt|E X1X2X3X4| + sqrt|E (X1^2-1)(X2^2-1)|)
+      + b * sqrt(lam) * G1 * sqrt(EX^4) * L4
+      + c * k^2 * lam * G2 * E|X|^3 * N3
 
   abstract (any exchangeable pair satisfying the linearity and
   conditional-second-moment hypotheses with constant lam and errors E_ij)
@@ -48,10 +46,28 @@ from typing import NamedTuple, Optional
 
 from .directions import ORTHONORMAL_KINDS, GramData, NormSummary
 from .errors import InvalidInputError, InvalidMomentsError
-from .sources import MomentSummary
+from .sources import EXCHANGEABLE, IID, INDEPENDENT, MomentSummary
 from .testfuncs import TestFunction
 
-THEOREMS = ("T1", "T2", "T3", "T4", "T5", "abstract")
+
+class Theorem(NamedTuple):
+    """What one theorem assumes of its inputs, and where its lam comes from."""
+
+    families: tuple[str, ...]  # model families admitted (sources.IID, ...)
+    orthonormal: bool = False  # rows must be orthonormal
+    centered: bool = False  # rows must sum to zero
+    gram: bool = False  # lam and the comparison covariance from the Gram matrix
+    pair: bool = False  # fed by exchangeable-pair statistics, not by moments
+
+
+THEOREMS = {
+    "T1": Theorem((IID,), orthonormal=True),
+    "T2": Theorem((IID, INDEPENDENT), orthonormal=True),
+    "T3": Theorem((IID, INDEPENDENT), gram=True),
+    "T4": Theorem((EXCHANGEABLE,), orthonormal=True, centered=True),
+    "T5": Theorem((EXCHANGEABLE,), centered=True, gram=True),
+    "abstract": Theorem((IID, INDEPENDENT, EXCHANGEABLE), pair=True),
+}
 
 MIN_BRANCH_ABS = "sum-abs"
 MIN_BRANCH_SQ = "sqrt-sum-sq"
@@ -113,37 +129,17 @@ def _report(theorem, term_fourth, term_third, term_mixed, echo, min_branch=None)
     )
 
 
-def _check_k(k: int, norms: NormSummary) -> None:
-    if k < 1:
-        raise InvalidInputError(f"need at least one direction, got k={k}")
-    if k != norms.k:
-        raise InvalidInputError(f"k={k} does not match norm summary (k={norms.k})")
-
-
-def _require_orthonormal(norms: NormSummary) -> None:
-    if norms.kind not in ORTHONORMAL_KINDS:
+def theorem_spec(theorem: str, family: Optional[str] = None) -> Theorem:
+    """The table row of ``theorem``, checking that it admits a model of
+    ``family`` when one is given."""
+    row = THEOREMS.get(theorem) if isinstance(theorem, str) else None
+    if row is None:
+        raise InvalidInputError(f"unknown theorem {theorem!r}; choose from {list(THEOREMS)}")
+    if family is not None and family not in row.families:
         raise InvalidInputError(
-            f"this bound requires orthonormal directions, got kind={norms.kind!r}"
+            f"{theorem} needs a model of family {' or '.join(row.families)}, got {family}"
         )
-
-
-def _require_centered(norms: NormSummary) -> None:
-    if not norms.centered:
-        raise InvalidInputError("this bound requires directions whose rows sum to zero")
-
-
-def _sqrt_excess_fourth(fourth: float) -> float:
-    if fourth < 1.0 - 1e-12:
-        raise InvalidMomentsError(f"EX^4 = {fourth} < 1 contradicts EX^2 = 1")
-    return math.sqrt(max(fourth - 1.0, 0.0))
-
-
-def _hess_or_fallback(f: TestFunction, k: int, echo: dict) -> float:
-    # Hilbert-Schmidt estimate ||H||_op <= k * g2 when no operator sup is known.
-    if f.hess_op_sup is not None:
-        return f.hess_op_sup
-    echo["hess_fallback"] = True
-    return k * f.g2
+    return row
 
 
 def _echo(theorem, norms, m, g, **extra) -> dict:
@@ -173,105 +169,66 @@ def _echo(theorem, norms, m, g, **extra) -> dict:
     return echo
 
 
-def bound_iid(k: int, norms: NormSummary, m: MomentSummary, g: TestFunction) -> BoundReport:
-    """Bound for i.i.d. coordinates projected onto orthonormal directions."""
-    _check_k(k, norms)
-    _require_orthonormal(norms)
-    term_fourth = (
-        0.5 * math.sqrt(k) * g.grad_sup * _sqrt_excess_fourth(m.fourth) * norms.sum_l4_sq
-    )
-    term_third = (4.0 / 3.0) * k * k * g.g2 * m.abs3 * norms.sum_l3_cubed
-    return _report("T1", term_fourth, term_third, 0.0, _echo("T1", norms, m, g))
-
-
-def bound_indep(k: int, norms: NormSummary, m: MomentSummary, g: TestFunction) -> BoundReport:
-    """As ``bound_iid`` with worst-coordinate moments (independent, not
-    necessarily identical, coordinates)."""
-    _check_k(k, norms)
-    _require_orthonormal(norms)
-    term_fourth = (
-        0.5 * math.sqrt(k) * g.grad_sup * _sqrt_excess_fourth(m.fourth_max) * norms.sum_l4_sq
-    )
-    term_third = (4.0 / 3.0) * k * k * g.g2 * m.abs3_max * norms.sum_l3_cubed
-    return _report("T2", term_fourth, term_third, 0.0, _echo("T2", norms, m, g))
-
-
-def bound_linind(
-    k: int, norms: NormSummary, gramdata: GramData, m: MomentSummary, f: TestFunction
+def bound(
+    theorem: str,
+    k: int,
+    norms: NormSummary,
+    m: MomentSummary,
+    g: TestFunction,
+    gramdata: Optional[GramData] = None,
+    constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
 ) -> BoundReport:
-    """Bound for linearly independent unit directions; the comparison
-    Gaussian carries the Gram matrix as covariance."""
-    _check_k(k, norms)
-    if gramdata.C.shape != (k, k):
-        raise InvalidInputError("Gram matrix does not match k")
-    if max(abs(gramdata.C[i, i] - 1.0) for i in range(k)) > 1e-10:
-        raise InvalidInputError("directions must have unit norm (Gram diagonal != 1)")
-    lam = gramdata.lambda_max
-    echo = _echo("T3", norms, m, f)
-    echo["lambda"] = lam
-    hess = _hess_or_fallback(f, k, echo)
-    term_fourth = (
-        0.5 * math.sqrt(lam * k) * f.grad_sup
-        * _sqrt_excess_fourth(m.fourth_max) * norms.sum_l4_sq
-    )
-    term_third = (4.0 / 3.0) * lam * k * k * hess * m.abs3_max * norms.sum_l3_cubed
-    return _report("T3", term_fourth, term_third, 0.0, echo)
+    """Assemble T1-T5 from the theorem's row of :data:`THEOREMS`.
 
-
-def _require_mixed(m: MomentSummary) -> tuple[float, float]:
+    A row with the Gram flag takes lam = lambda_max of ``gramdata`` (which
+    it requires), hess_op_sup for g2 and, in the exchangeable family,
+    grad_sup for g1; a row without it takes lam = 1, g1 and g2.  The
+    independent family reads the worst-coordinate moments.
+    """
+    row = theorem_spec(theorem)
+    if row.pair:
+        raise InvalidInputError(f"{theorem} is fed by pair statistics; use bound_abstract")
+    if k < 1 or k != norms.k:
+        raise InvalidInputError(f"need k >= 1 matching the norm summary (k={norms.k}), got k={k}")
+    if row.orthonormal and norms.kind not in ORTHONORMAL_KINDS:
+        raise InvalidInputError(f"{theorem} requires orthonormal directions, got {norms.kind!r}")
+    if row.centered and not norms.centered:
+        raise InvalidInputError(f"{theorem} requires directions whose rows sum to zero")
+    exchangeable = EXCHANGEABLE in row.families
+    extra = {"constants": (constants.a, constants.b, constants.c)} if exchangeable else {}
+    echo = _echo(theorem, norms, m, g, **extra)
+    lam, grad, hess = 1.0, g.g1, g.g2
+    if row.gram:
+        if gramdata is None or gramdata.C.shape != (k, k):
+            raise InvalidInputError("Gram matrix does not match k")
+        if max(abs(gramdata.C[i, i] - 1.0) for i in range(k)) > 1e-10:
+            raise InvalidInputError("directions must have unit norm (Gram diagonal != 1)")
+        lam = echo["lambda"] = gramdata.lambda_max
+        grad, hess = g.grad_sup, g.hess_op_sup
+        if hess is None:
+            # Hilbert-Schmidt estimate ||H||_op <= k * g2 when no operator sup is known.
+            hess, echo["hess_fallback"] = k * g.g2, True
+    if not exchangeable:
+        if m.fourth_max < 1.0 - 1e-12:
+            raise InvalidMomentsError(f"EX^4 = {m.fourth_max} < 1 contradicts EX^2 = 1")
+        term_fourth = (
+            0.5 * math.sqrt(lam * k) * g.grad_sup
+            * math.sqrt(max(m.fourth_max - 1.0, 0.0)) * norms.sum_l4_sq
+        )
+        term_third = (4.0 / 3.0) * lam * k * k * hess * m.abs3_max * norms.sum_l3_cubed
+        return _report(theorem, term_fourth, term_third, 0.0, echo)
     if m.mixed_4 is None or m.mixed_var is None:
         raise InvalidMomentsError(
             "exchangeable bounds need the mixed moments E X1X2X3X4 and E (X1^2-1)(X2^2-1)"
         )
-    return m.mixed_4, m.mixed_var
-
-
-def bound_exch(
-    k: int,
-    norms: NormSummary,
-    m: MomentSummary,
-    g: TestFunction,
-    constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
-) -> BoundReport:
-    """Bound for a finite exchangeable sequence projected onto centered
-    orthonormal directions (rows summing to zero)."""
-    _check_k(k, norms)
-    _require_orthonormal(norms)
-    _require_centered(norms)
-    mixed_4, mixed_var = _require_mixed(m)
-    echo = _echo("T4", norms, m, g, constants=(constants.a, constants.b, constants.c))
-    term_mixed = constants.a * k * g.g1 * (math.sqrt(abs(mixed_4)) + math.sqrt(abs(mixed_var)))
-    term_fourth = constants.b * g.g1 * math.sqrt(m.fourth) * norms.sum_l4_all_sq
-    term_third = constants.c * k * k * g.g2 * m.abs3 * norms.sum_l3_cubed
-    return _report("T4", term_fourth, term_third, term_mixed, echo)
-
-
-def bound_exch_linind(
-    k: int,
-    norms: NormSummary,
-    gramdata: GramData,
-    m: MomentSummary,
-    g: TestFunction,
-    constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
-) -> BoundReport:
-    """Exchangeable bound for linearly independent centered directions."""
-    _check_k(k, norms)
-    _require_centered(norms)
-    if gramdata.C.shape != (k, k):
-        raise InvalidInputError("Gram matrix does not match k")
-    mixed_4, mixed_var = _require_mixed(m)
-    lam = gramdata.lambda_max
-    echo = _echo("T5", norms, m, g, constants=(constants.a, constants.b, constants.c))
-    echo["lambda"] = lam
-    hess = _hess_or_fallback(g, k, echo)
     sqrt_lam = math.sqrt(lam)
     term_mixed = (
-        constants.a * k * sqrt_lam * g.grad_sup
-        * (math.sqrt(abs(mixed_4)) + math.sqrt(abs(mixed_var)))
+        constants.a * k * sqrt_lam * grad
+        * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
     )
-    term_fourth = constants.b * sqrt_lam * g.grad_sup * math.sqrt(m.fourth) * norms.sum_l4_all_sq
+    term_fourth = constants.b * sqrt_lam * grad * math.sqrt(m.fourth) * norms.sum_l4_all_sq
     term_third = constants.c * k * k * lam * hess * m.abs3 * norms.sum_l3_cubed
-    return _report("T5", term_fourth, term_third, term_mixed, echo)
+    return _report(theorem, term_fourth, term_third, term_mixed, echo)
 
 
 def bound_abstract(

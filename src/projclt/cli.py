@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -66,7 +65,18 @@ def _csv(header: str, rows: list[list]) -> str:
 # --------------------------------------------------------------------------
 # Configuration
 
-_THEOREMS = set(bounds_mod.THEOREMS)
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -141,9 +151,8 @@ class ExperimentConfig:
 
     def theorems(self) -> list[str]:
         names = self.theorem if isinstance(self.theorem, list) else [self.theorem]
-        for name in names:
-            if name not in _THEOREMS:
-                raise ConfigError(f"unknown theorem {name!r}; choose from {sorted(_THEOREMS)}")
+        if not names:
+            raise ConfigError("theorem must be a name or a non-empty list of names")
         return names
 
     def validate(self) -> None:
@@ -168,16 +177,16 @@ class ExperimentConfig:
                 f"pair_samples must be a positive integer, got {self.pair_samples!r}"
             )
         mkind = self.model.get("kind")
-        if mkind not in (*sources.CATALOG, "independent", "exchangeable"):
+        families = (sources.INDEPENDENT, sources.EXCHANGEABLE)
+        if mkind not in (*sources.CATALOG, *families):
             raise ConfigError(f"unknown model kind {mkind!r}")
-        exchangeable = mkind == "exchangeable"
-        centered = bool(dirs.get("centered", False))
+        family = mkind if mkind in families else sources.IID
         for name in names:
-            if name in ("T4", "T5") and not exchangeable:
-                raise ConfigError(f"{name} needs an exchangeable model, got {mkind!r}")
-            if name in ("T1", "T2", "T3") and exchangeable:
-                raise ConfigError(f"{name} needs independent coordinates, got an exchangeable model")
-            if name in ("T4", "T5") and dkind != "file" and not centered:
+            try:
+                row = bounds_mod.theorem_spec(name, family)
+            except ProjcltError as exc:
+                raise ConfigError(str(exc)) from exc
+            if row.centered and dkind != "file" and not dirs.get("centered", False):
                 raise ConfigError(f"{name} needs centered directions (directions.centered=true)")
         tf = self.test_function
         if tf.get("kind") not in ("cosine", "bump"):
@@ -187,9 +196,9 @@ class ExperimentConfig:
         base = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS
         try:
             return bounds_mod.ExchangeableConstants(
-                a=float(self.constants.get("a", base.a)),
-                b=float(self.constants.get("b", base.b)),
-                c=float(self.constants.get("c", base.c)),
+                a=_number(self.constants.get("a", base.a), "constants.a"),
+                b=_number(self.constants.get("b", base.b), "constants.b"),
+                c=_number(self.constants.get("c", base.c), "constants.c"),
             )
         except ProjcltError as exc:
             raise ConfigError(str(exc)) from exc
@@ -225,27 +234,29 @@ def build_directions(cfg: ExperimentConfig) -> DirectionSet:
         raise ConfigError(f"directions: {exc}") from exc
 
 
+def _catalog_law(spec: dict, where: str) -> sources.IIDModel:
+    if spec["kind"] == "two_point" and "p" in spec:
+        return sources.two_point(_number(spec["p"], f"{where}.p"))
+    return sources.CATALOG[spec["kind"]]()
+
+
 def build_model(cfg: ExperimentConfig, n: int) -> sources.Model:
     spec = cfg.model
     kind = spec["kind"]
     try:
         if kind in sources.CATALOG:
-            if kind == "two_point" and "p" in spec:
-                return sources.two_point(float(spec["p"]))
-            return sources.CATALOG[kind]()
+            return _catalog_law(spec, "model")
         if kind == "independent":
             pattern = spec.get("pattern")
             if not isinstance(pattern, list) or not pattern:
                 raise ConfigError("independent model needs a non-empty 'pattern' list")
             coords = []
             for entry in pattern:
-                mk = entry.get("kind")
-                if mk not in sources.CATALOG:
-                    raise ConfigError(f"independent pattern entries must be catalog laws, got {mk!r}")
-                if mk == "two_point" and "p" in entry:
-                    coords.append(sources.two_point(float(entry["p"])))
-                else:
-                    coords.append(sources.CATALOG[mk]())
+                if not isinstance(entry, dict) or entry.get("kind") not in sources.CATALOG:
+                    raise ConfigError(
+                        f"independent pattern entries must be catalog law objects, got {entry!r}"
+                    )
+                coords.append(_catalog_law(entry, "model.pattern"))
             tiled = [coords[i % len(coords)] for i in range(n)]
             return sources.IndependentModel(coords=tuple(tiled))
         if kind == "exchangeable":
@@ -264,7 +275,7 @@ def _population(spec: dict, n: int) -> np.ndarray:
             "exchangeable model needs exactly one of population, population_file, family"
         )
     if "population" in spec:
-        pop = sources.standardize_population(spec["population"])
+        pop = sources.standardize_population(_numbers(spec["population"], "model.population"))
     elif "population_file" in spec:
         try:
             pop = sources.load_population(spec["population_file"])
@@ -295,13 +306,13 @@ def build_test_function(cfg: ExperimentConfig, k: int) -> TestFunction:
                     raise ConfigError(f"unknown cosine direction token {a!r}")
                 vec = np.full(k, 1.0 / math.sqrt(k))
             else:
-                vec = np.asarray(a, dtype=np.float64)
+                vec = _numbers(a, "test_function.a")
                 if vec.shape != (k,):
                     raise ConfigError(
                         f"cosine direction has length {vec.size}, directions have k={k}"
                     )
-            return cosine_testfn(vec, phase=float(spec.get("phase", 0.0)))
-        return bump_testfn(float(spec.get("radius", 2.0)), k)
+            return cosine_testfn(vec, phase=_number(spec.get("phase", 0.0), "test_function.phase"))
+        return bump_testfn(_number(spec.get("radius", 2.0), "test_function.radius"), k)
     except ConfigError:
         raise
     except ProjcltError as exc:
@@ -453,11 +464,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     ds = build_directions(cfg)
     model = build_model(cfg, ds.n)
 
-    if isinstance(model, sources.ExchangeableModel):
-        pair_kind = empirics.TRANSPOSITION
-    else:
-        pair_kind = empirics.RESAMPLING
-
+    pair_kind = empirics.default_pair(model)
     resid = empirics.conditional_linearity_check(ds, model, pair_kind, trials=200, seed=cfg.seed)
     record("linearity", resid <= 1e-10, f"max residual {resid:.3e}, pair={pair_kind}")
 
@@ -484,13 +491,13 @@ def cmd_check(cfg: ExperimentConfig) -> int:
             else sources.standardize_population(np.arange(1.0, 7.0))
         )
         fast = sources.exchangeable_moments(small)
-        brute = _enumerated_mixed(small.population)
+        brute = sources.mixed_moments_enumerated(small)
         err = max(abs(fast.mixed_4 - brute[0]), abs(fast.mixed_var - brute[1]))
         record("moments", err <= 1e-12, f"mixed-moment enumeration gap {err:.3e}")
     else:
         law = model if isinstance(model, sources.IIDModel) else model.coords[0]
         m = sources.iid_moments(law)
-        draws = law.sampler(sources.stream(cfg.seed), 200_000)
+        draws = sources.sample_block(law, cfg.seed, 0, 200_000, n=1)[:, 0]
         est3 = float(np.mean(np.abs(draws) ** 3))
         se3 = float(np.std(np.abs(draws) ** 3, ddof=1) / math.sqrt(draws.size))
         est4 = float(np.mean(draws**4))
@@ -501,22 +508,6 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     text = "\n".join(lines) + "\n"
     _emit(text, cfg.output)
     return 1 if failed else 0
-
-
-def _enumerated_mixed(pop: np.ndarray) -> tuple[float, float]:
-    """O(n^4) enumeration of the two mixed moments over ordered distinct tuples."""
-    n = pop.size
-    total4 = math.fsum(
-        pop[i] * pop[j] * pop[k] * pop[l]
-        for i, j, k, l in itertools.permutations(range(n), 4)
-    )
-    mixed_4 = total4 / (n * (n - 1) * (n - 2) * (n - 3))
-    total_var = math.fsum(
-        (pop[i] ** 2 - 1.0) * (pop[j] ** 2 - 1.0)
-        for i, j in itertools.permutations(range(n), 2)
-    )
-    mixed_var = total_var / (n * (n - 1))
-    return mixed_4, mixed_var
 
 
 # --------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from . import sources
 from .directions import ORTHONORMAL_KINDS, DirectionSet, gram, norm_summary
 from .errors import InvalidInputError, ProjcltError, WrongPairKindError
 from .sources import (
-    ExchangeableModel,
     IIDModel,
     IndependentModel,
     Model,
@@ -85,6 +84,12 @@ class PairStats:
         )
 
 
+def default_pair(model: Model) -> str:
+    """The pair that matches the model: transposition for exchangeable
+    coordinates, coordinate resampling otherwise."""
+    return TRANSPOSITION if sources.family(model) == sources.EXCHANGEABLE else RESAMPLING
+
+
 def stein_lambda(pair_kind: str, n: int) -> float:
     """Shrinkage constant of the conditional-mean identity for each pair."""
     if pair_kind == RESAMPLING:
@@ -119,7 +124,7 @@ class TransposePairDraw(NamedTuple):
 
 
 def _require_independent(model: Model) -> None:
-    if not isinstance(model, (IIDModel, IndependentModel)):
+    if sources.family(model) == sources.EXCHANGEABLE:
         raise WrongPairKindError(
             "coordinate resampling needs independent coordinates; use the "
             "transposition pair for exchangeable models"
@@ -127,7 +132,7 @@ def _require_independent(model: Model) -> None:
 
 
 def _require_exchangeable(model: Model) -> None:
-    if not isinstance(model, ExchangeableModel):
+    if sources.family(model) != sources.EXCHANGEABLE:
         raise WrongPairKindError("the transposition pair needs an exchangeable model")
 
 
@@ -569,41 +574,26 @@ def compute_bound(
     """Evaluate the selected bound for a resolved (directions, model, g)
     triple.  The abstract bound takes its error statistics from the pair
     matching the model, the sampled ones at their upper 3-se values."""
+    row = bounds_mod.theorem_spec(theorem, sources.family(model))
     norms = norm_summary(ds)
     m = sources.moment_summary(model)
-    k = ds.k
-    if theorem == "T1":
-        if not isinstance(model, IIDModel):
-            raise InvalidInputError("T1 needs an i.i.d. model")
-        return bounds_mod.bound_iid(k, norms, m, g)
-    if theorem == "T2":
-        if not isinstance(model, (IIDModel, IndependentModel)):
-            raise InvalidInputError("T2 needs independent coordinates")
-        return bounds_mod.bound_indep(k, norms, m, g)
-    if theorem == "T3":
-        if not isinstance(model, (IIDModel, IndependentModel)):
-            raise InvalidInputError("T3 needs independent coordinates")
-        return bounds_mod.bound_linind(k, norms, gram(ds), m, g)
-    if theorem == "T4":
-        return bounds_mod.bound_exch(k, norms, m, g, constants)
-    if theorem == "T5":
-        return bounds_mod.bound_exch_linind(k, norms, gram(ds), m, g, constants)
-    if theorem == "abstract":
-        if pair_kind is None:
-            pair_kind = TRANSPOSITION if isinstance(model, ExchangeableModel) else RESAMPLING
-        stats = pair_stats(ds, model, pair_kind, pair_samples, sources.derived_seed(seed, 2))
-        report = bounds_mod.bound_abstract(
-            stats.lambda_stein, stats.eij_stats(), stats.sum_third.value, g, k
-        )
-        return replace(report, inputs_echo={**report.inputs_echo, "n": ds.n,
-                                            "pair_kind": pair_kind})
-    raise InvalidInputError(f"unknown theorem {theorem!r}")
+    if not row.pair:
+        gramdata = gram(ds) if row.gram else None
+        return bounds_mod.bound(theorem, ds.k, norms, m, g, gramdata, constants)
+    if pair_kind is None:
+        pair_kind = default_pair(model)
+    stats = pair_stats(ds, model, pair_kind, pair_samples, sources.derived_seed(seed, 2))
+    report = bounds_mod.bound_abstract(
+        stats.lambda_stein, stats.eij_stats(), stats.sum_third.value, g, ds.k
+    )
+    return replace(report, inputs_echo={**report.inputs_echo, "n": ds.n,
+                                        "pair_kind": pair_kind})
 
 
 def gaussian_spec_for(theorem: str, ds: DirectionSet) -> GaussianSpec:
-    """Identity covariance for the orthonormal bounds, the Gram matrix for
-    the linearly independent ones."""
-    if theorem in ("T3", "T5"):
+    """The Gram matrix as covariance for the theorems that take lam from
+    it, the identity otherwise."""
+    if bounds_mod.theorem_spec(theorem).gram:
         return GaussianSpec.from_gram(gram(ds))
     return GaussianSpec.identity(ds.k)
 

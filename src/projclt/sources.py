@@ -23,6 +23,7 @@ are distributed across workers or how they are cut into tiles.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -130,7 +131,7 @@ class ExchangeableModel:
         if pop.ndim != 1 or pop.size < 2:
             raise InvalidInputError("population must hold at least two values")
         n = pop.size
-        if abs(pop.sum()) > 1e-12 or abs(float(pop @ pop) - n) > 1e-12:
+        if not (abs(pop.sum()) <= 1e-12 and abs(float(pop @ pop) - n) <= 1e-12):
             raise InvalidInputError(
                 "population must be standardized: sum a_r = 0 and sum a_r^2 = n "
                 "(use standardize_population)"
@@ -144,6 +145,18 @@ class ExchangeableModel:
 
 
 Model = Union[IIDModel, IndependentModel, ExchangeableModel]
+
+# Model families, the unit in which a theorem states which models it admits.
+IID, INDEPENDENT, EXCHANGEABLE = "iid", "independent", "exchangeable"
+
+
+def family(model: Model) -> str:
+    """The family of a model, one of IID, INDEPENDENT, EXCHANGEABLE."""
+    if isinstance(model, IndependentModel):
+        return INDEPENDENT
+    if isinstance(model, ExchangeableModel):
+        return EXCHANGEABLE
+    return IID
 
 
 # --------------------------------------------------------------------------
@@ -301,6 +314,22 @@ def exchangeable_moments(model: ExchangeableModel) -> MomentSummary:
     )
 
 
+def mixed_moments_enumerated(model: ExchangeableModel) -> tuple[float, float]:
+    """(E X1X2X3X4, E (X1^2-1)(X2^2-1)) by O(n^4) enumeration over ordered
+    distinct index tuples: the reference for :func:`exchangeable_moments`."""
+    pop = model.population
+    n = model.n
+    total4 = math.fsum(
+        pop[i] * pop[j] * pop[k] * pop[l]
+        for i, j, k, l in itertools.permutations(range(n), 4)
+    )
+    total_var = math.fsum(
+        (pop[i] ** 2 - 1.0) * (pop[j] ** 2 - 1.0)
+        for i, j in itertools.permutations(range(n), 2)
+    )
+    return total4 / (n * (n - 1) * (n - 2) * (n - 3)), total_var / (n * (n - 1))
+
+
 def moment_summary(model: Model) -> MomentSummary:
     if isinstance(model, IIDModel):
         return iid_moments(model)
@@ -316,11 +345,7 @@ def moment_summary(model: Model) -> MomentSummary:
 
 def model_dim(model: Model) -> Optional[int]:
     """Intrinsic vector length, or None for a scalar i.i.d. law."""
-    if isinstance(model, IndependentModel):
-        return model.n
-    if isinstance(model, ExchangeableModel):
-        return model.n
-    return None
+    return None if family(model) == IID else model.n
 
 
 def _resolve_n(model: Model, n: Optional[int]) -> int:
@@ -401,8 +426,8 @@ def standardize_population(values, warn_tol: Optional[float] = None) -> np.ndarr
     input was not meant to be standardized.
     """
     raw = np.asarray(values, dtype=np.float64)
-    if raw.ndim != 1 or raw.size < 2:
-        raise InvalidInputError("population must hold at least two values")
+    if raw.ndim != 1 or raw.size < 2 or not np.all(np.isfinite(raw)):
+        raise InvalidInputError("population must hold at least two finite values")
     centered = raw - raw.mean()
     scale = math.sqrt(float(centered @ centered) / raw.size)
     if scale == 0.0:

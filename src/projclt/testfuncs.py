@@ -73,8 +73,9 @@ def cosine_testfn(a, phase: float = 0.0) -> TestFunction:
     g1 = max|a_i|, grad_sup = |a|_2, g2 = max|a_i|^2, hess_op_sup = |a|_2^2.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0 or not np.any(a != 0.0):
-        raise InvalidInputError("cosine direction must be a nonzero vector")
+    if (a.ndim != 1 or a.size == 0 or not np.any(a != 0.0)
+            or not (np.isfinite(a).all() and math.isfinite(phase))):
+        raise InvalidInputError("cosine needs a nonzero finite direction and a finite phase")
     a = a.copy()
     a.flags.writeable = False
     amax = float(np.max(np.abs(a)))
@@ -119,8 +120,8 @@ def bump_testfn(radius: float, k: int) -> TestFunction:
     g2 = hess_op_sup, via the radial/tangential Hessian eigenvalues
     phi''(s) and phi'(s)/s.
     """
-    if radius <= 0:
-        raise InvalidInputError("bump radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise InvalidInputError("bump radius must be positive and finite")
     if k < 1:
         raise InvalidInputError("bump dimension must be >= 1")
     r2 = radius * radius

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from projclt.bounds import EijStats, UNIT_CONSTANTS, bound_abstract, bound_indep
+from projclt.bounds import EijStats, UNIT_CONSTANTS, bound, bound_abstract
 from projclt.cli import main
 from projclt.directions import (
     hypercube_directions,
@@ -200,7 +200,7 @@ def test_criterion_05_assembly_identity():
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
         via_abstract = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
-        direct = bound_indep(k, ns, m, g)
+        direct = bound("T2", k, ns, m, g)
         assert abs(via_abstract.term_fourth - direct.term_fourth) <= 1e-12
         assert abs(via_abstract.term_third - direct.term_third) <= 1e-12
         assert abs(via_abstract.total - direct.total) <= 1e-12

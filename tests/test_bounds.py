@@ -11,12 +11,8 @@ from projclt.bounds import (
     UNIT_CONSTANTS,
     EijStats,
     ExchangeableConstants,
+    bound,
     bound_abstract,
-    bound_exch,
-    bound_exch_linind,
-    bound_iid,
-    bound_indep,
-    bound_linind,
 )
 from projclt.directions import (
     CENTERED_ORTHONORMAL,
@@ -58,7 +54,7 @@ def equicorrelated_set(k, n, beta, centered=False, seed=0):
 class TestIIDBound:
     def test_rademacher_kills_fourth_term(self):
         ds = hypercube_directions(64, 2)
-        rep = bound_iid(2, norm_summary(ds), iid_moments(rademacher()), unit_cosine(2))
+        rep = bound("T1", 2, norm_summary(ds), iid_moments(rademacher()), unit_cosine(2))
         assert rep.term_fourth == 0.0
         assert rep.total == rep.term_third
 
@@ -70,26 +66,26 @@ class TestIIDBound:
         ns = norm_summary(ds)
         ns = replace(ns, kind="orthonormal")
         g = cosine_testfn([1.0])
-        rep = bound_iid(1, ns, iid_moments(rademacher()), g)
+        rep = bound("T1", 1, ns, iid_moments(rademacher()), g)
         assert rep.total == pytest.approx(4.0 / 30.0, abs=1e-15)
 
     def test_doubling_n_scales_by_inverse_sqrt_two(self):
         g = unit_cosine(2)
         m = iid_moments(uniform())
-        rep1 = bound_iid(2, norm_summary(hypercube_directions(256, 2)), m, g)
-        rep2 = bound_iid(2, norm_summary(hypercube_directions(512, 2)), m, g)
+        rep1 = bound("T1", 2, norm_summary(hypercube_directions(256, 2)), m, g)
+        rep2 = bound("T1", 2, norm_summary(hypercube_directions(512, 2)), m, g)
         assert rep2.term_fourth / rep1.term_fourth == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert rep2.term_third / rep1.term_third == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_total_is_exact_sum_of_terms(self):
         ds = hypercube_directions(64, 3)
-        rep = bound_iid(3, norm_summary(ds), iid_moments(uniform()), unit_cosine(3))
+        rep = bound("T1", 3, norm_summary(ds), iid_moments(uniform()), unit_cosine(3))
         assert rep.total == rep.term_fourth + rep.term_third + rep.term_mixed
 
     def test_requires_orthonormal_kind(self):
         ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
         with pytest.raises(InvalidInputError):
-            bound_iid(2, norm_summary(ds), iid_moments(uniform()), unit_cosine(2))
+            bound("T1", 2, norm_summary(ds), iid_moments(uniform()), unit_cosine(2))
 
 
 class TestIndependentBound:
@@ -98,14 +94,14 @@ class TestIndependentBound:
         ns = norm_summary(ds)
         g = unit_cosine(3)
         m = iid_moments(uniform())
-        assert bound_indep(3, ns, m, g).total == bound_iid(3, ns, m, g).total
+        assert bound("T2", 3, ns, m, g).total == bound("T1", 3, ns, m, g).total
 
     def test_mixed_laws_use_worst_coordinate(self):
         ds = hypercube_directions(64, 2)
         ns = norm_summary(ds)
         g = unit_cosine(2)
         m = MomentSummary(abs3=1.0, fourth=1.0, abs3_max=3 * SQRT3 / 4, fourth_max=9 / 5)
-        rep = bound_indep(2, ns, m, g)
+        rep = bound("T2", 2, ns, m, g)
         expected_fourth = 0.5 * math.sqrt(2) * g.grad_sup * math.sqrt(9 / 5 - 1) * ns.sum_l4_sq
         expected_third = (4 / 3) * 4 * g.g2 * (3 * SQRT3 / 4) * ns.sum_l3_cubed
         assert rep.term_fourth == pytest.approx(expected_fourth, rel=1e-14)
@@ -114,12 +110,12 @@ class TestIndependentBound:
     def test_zero_directions_rejected(self):
         ds = hypercube_directions(16, 1)
         with pytest.raises(InvalidInputError):
-            bound_indep(0, norm_summary(ds), iid_moments(uniform()), cosine_testfn([1.0]))
+            bound("T2", 0, norm_summary(ds), iid_moments(uniform()), cosine_testfn([1.0]))
 
     def test_k_mismatch_rejected(self):
         ds = hypercube_directions(16, 2)
         with pytest.raises(InvalidInputError):
-            bound_indep(3, norm_summary(ds), iid_moments(uniform()), unit_cosine(3))
+            bound("T2", 3, norm_summary(ds), iid_moments(uniform()), unit_cosine(3))
 
 
 class TestLinIndBound:
@@ -132,8 +128,8 @@ class TestLinIndBound:
             kind=g.kind, dimension=g.dimension, evaluate=g.evaluate,
             g1=g.g1, g2=g.g2, grad_sup=g.grad_sup, hess_op_sup=None, params=g.params,
         )
-        rep3 = bound_linind(3, ns, gram(ds), m, no_hess)
-        rep2 = bound_indep(3, ns, m, g)
+        rep3 = bound("T3", 3, ns, m, no_hess, gram(ds))
+        rep2 = bound("T2", 3, ns, m, g)
         assert rep3.inputs_echo.get("hess_fallback") is True
         assert rep3.term_fourth == pytest.approx(rep2.term_fourth, rel=1e-10)
         assert rep3.term_third >= rep2.term_third  # k*g2 >= g2
@@ -143,7 +139,7 @@ class TestLinIndBound:
         ns = norm_summary(ds)
         m = iid_moments(uniform())
         g = unit_cosine(2)
-        rep = bound_linind(2, ns, gram(ds), m, g)
+        rep = bound("T3", 2, ns, m, g, gram(ds))
         lam = gram(ds).lambda_max
         expect_fourth = 0.5 * math.sqrt(lam * 2) * g.grad_sup * math.sqrt(0.8) * ns.sum_l4_sq
         expect_third = (4 / 3) * lam * 4 * g.hess_op_sup * m.abs3_max * ns.sum_l3_cubed
@@ -159,8 +155,8 @@ class TestLinIndBound:
         hi = equicorrelated_set(k, n, beta=0.8, seed=3)
         gd_lo, gd_hi = gram(lo), gram(hi)
         assert gd_hi.lambda_max / gd_lo.lambda_max == pytest.approx(4.0, rel=1e-9)
-        rep_lo = bound_linind(k, norm_summary(lo), gd_lo, m, g)
-        rep_hi = bound_linind(k, norm_summary(hi), gd_hi, m, g)
+        rep_lo = bound("T3", k, norm_summary(lo), m, g, gd_lo)
+        rep_hi = bound("T3", k, norm_summary(hi), m, g, gd_hi)
         ratio_fourth = (rep_hi.term_fourth / rep_lo.term_fourth)
         ratio_third = (rep_hi.term_third / rep_lo.term_third)
         norm_ratio_4 = norm_summary(hi).sum_l4_sq / norm_summary(lo).sum_l4_sq
@@ -182,7 +178,7 @@ class TestExchangeableBound:
         pop = np.tile([-1.0, 1.0], 4)
         m = exchangeable_moments(ExchangeableModel(pop))
         assert m.mixed_var == 0.0
-        rep = bound_exch(2, norm_summary(ds), m, unit_cosine(2), UNIT_CONSTANTS)
+        rep = bound("T4", 2, norm_summary(ds), m, unit_cosine(2), constants=UNIT_CONSTANTS)
         expect_mixed = 2 * unit_cosine(2).g1 * math.sqrt(abs(m.mixed_4))
         assert rep.term_mixed == pytest.approx(expect_mixed, rel=1e-14)
 
@@ -192,14 +188,14 @@ class TestExchangeableBound:
             abs3=m.abs3, fourth=m.fourth, abs3_max=m.abs3_max, fourth_max=m.fourth_max,
             mixed_4=0.0, mixed_var=0.0,
         )
-        rep = bound_exch(2, ns, m0, g, UNIT_CONSTANTS)
+        rep = bound("T4", 2, ns, m0, g, constants=UNIT_CONSTANTS)
         assert rep.term_mixed == 0.0
         assert rep.term_fourth > 0.0 and rep.term_third > 0.0
 
     def test_doubling_constants_doubles_total(self):
         ds, ns, m, g = self.setup_inputs()
-        rep1 = bound_exch(2, ns, m, g, ExchangeableConstants(1.0, 1.0, 1.0))
-        rep2 = bound_exch(2, ns, m, g, ExchangeableConstants(2.0, 2.0, 2.0))
+        rep1 = bound("T4", 2, ns, m, g, constants=ExchangeableConstants(1.0, 1.0, 1.0))
+        rep2 = bound("T4", 2, ns, m, g, constants=ExchangeableConstants(2.0, 2.0, 2.0))
         assert rep2.total == pytest.approx(2.0 * rep1.total, rel=1e-14)
 
     def test_non_centered_rejected(self):
@@ -207,12 +203,12 @@ class TestExchangeableBound:
         pop = standardize_population(np.arange(1.0, 17.0))
         m = exchangeable_moments(ExchangeableModel(pop))
         with pytest.raises(InvalidInputError):
-            bound_exch(2, norm_summary(ds), m, unit_cosine(2))
+            bound("T4", 2, norm_summary(ds), m, unit_cosine(2))
 
     def test_missing_mixed_moments_rejected(self):
         ds, ns, _, g = self.setup_inputs()
         with pytest.raises(InvalidMomentsError):
-            bound_exch(2, ns, iid_moments(uniform()), g)
+            bound("T4", 2, ns, iid_moments(uniform()), g)
 
     def test_default_constants_documented_values(self):
         c = DEFAULT_EXCHANGEABLE_CONSTANTS
@@ -227,7 +223,7 @@ class TestExchangeableLinIndBound:
         pop = standardize_population(np.arange(1.0, n + 1.0))
         m = exchangeable_moments(ExchangeableModel(pop))
         g = unit_cosine(k)
-        rep5 = bound_exch_linind(k, ns, gram(ds), m, g, UNIT_CONSTANTS)
+        rep5 = bound("T5", k, ns, m, g, gram(ds), UNIT_CONSTANTS)
         # same assembly with g1 -> grad_sup and g2 -> hess_op_sup at lam = 1
         expect_mixed = k * g.grad_sup * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
         expect_fourth = g.grad_sup * math.sqrt(m.fourth) * ns.sum_l4_all_sq
@@ -250,7 +246,7 @@ class TestExchangeableLinIndBound:
         pop = standardize_population(np.arange(1.0, n + 1.0))
         m = exchangeable_moments(ExchangeableModel(pop))
         g = unit_cosine(k)
-        rep = bound_exch_linind(k, ns, gd, m, g, UNIT_CONSTANTS)
+        rep = bound("T5", k, ns, m, g, gd, UNIT_CONSTANTS)
         lam = gd.lambda_max
         expect_mixed = (
             k * math.sqrt(lam) * g.grad_sup
@@ -259,6 +255,15 @@ class TestExchangeableLinIndBound:
         expect_third = k * k * lam * g.hess_op_sup * m.abs3 * ns.sum_l3_cubed
         assert rep.term_mixed == pytest.approx(expect_mixed, rel=1e-12)
         assert rep.term_third == pytest.approx(expect_third, rel=1e-12)
+
+
+class TestTheoremTable:
+    @pytest.mark.parametrize("theorem", ["abstract", "T3", "T7"])
+    def test_rows_bound_cannot_assemble_are_rejected(self, theorem):
+        # abstract needs pair statistics, T3 without a Gram matrix has no lambda
+        ds = hypercube_directions(16, 2)
+        with pytest.raises(InvalidInputError):
+            bound(theorem, 2, norm_summary(ds), iid_moments(uniform()), unit_cosine(2))
 
 
 class TestAbstractBound:
@@ -277,7 +282,7 @@ class TestAbstractBound:
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
         rep_abs = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
-        rep_ind = bound_indep(k, ns, m, g)
+        rep_ind = bound("T2", k, ns, m, g)
         assert rep_abs.min_branch == "sqrt-sum-sq"
         assert rep_abs.term_fourth == pytest.approx(rep_ind.term_fourth, abs=1e-12)
         assert rep_abs.term_third == pytest.approx(rep_ind.term_third, abs=1e-12)
@@ -318,7 +323,7 @@ class TestMonotonicity:
             abs3=abs3 + bump_a, fourth=fourth + bump_f,
             abs3_max=abs3 + bump_a, fourth_max=fourth + bump_f,
         )
-        assert bound_indep(2, ns, m_hi, g).total >= bound_indep(2, ns, m_lo, g).total - 1e-15
+        assert bound("T2", 2, ns, m_hi, g).total >= bound("T2", 2, ns, m_lo, g).total - 1e-15
 
     @given(st.integers(4, 9), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -333,8 +338,8 @@ class TestMonotonicity:
         m_large = replace(norm_summary(ds_small), n=16)
         g = unit_cosine(k)
         # larger n gives smaller norm sums, hence a smaller bound
-        big = bound_exch(k, replace(m_small, centered=True), m, g, UNIT_CONSTANTS)
-        small = bound_exch(k, replace(m_large, centered=True), m, g, UNIT_CONSTANTS)
+        big = bound("T4", k, replace(m_small, centered=True), m, g, constants=UNIT_CONSTANTS)
+        small = bound("T4", k, replace(m_large, centered=True), m, g, constants=UNIT_CONSTANTS)
         assert big.total >= small.total - 1e-15
 
     def test_bit_for_bit_reproducibility(self):
@@ -342,7 +347,7 @@ class TestMonotonicity:
         ns = norm_summary(ds)
         m = iid_moments(uniform())
         g = unit_cosine(2)
-        a = bound_indep(2, ns, m, g)
-        b = bound_indep(2, ns, m, g)
+        a = bound("T2", 2, ns, m, g)
+        b = bound("T2", 2, ns, m, g)
         assert a.total == b.total
         assert a.term_fourth == b.term_fourth

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projclt import empirics
+from projclt import empirics, sources
+from projclt.bounds import THEOREMS
 from projclt.cli import ExperimentConfig, main
 from projclt.errors import ConfigError
 
@@ -143,6 +144,59 @@ class TestExitCodes:
                                                       "seed": "x"}})
         assert main(["bound", str(path)]) == 2
         assert "directions.seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem,family", [
+        (theorem, family)
+        for theorem, row in THEOREMS.items()
+        for family in (sources.IID, sources.INDEPENDENT, sources.EXCHANGEABLE)
+        if family not in row.families
+    ])
+    def test_theorem_with_model_family_it_does_not_admit_is_two(
+        self, tmp_path, capsys, theorem, family
+    ):
+        model = {
+            sources.IID: {"kind": "uniform"},
+            sources.INDEPENDENT: {"kind": "independent", "pattern": [{"kind": "uniform"}]},
+            sources.EXCHANGEABLE: {"kind": "exchangeable", "family": "ramp"},
+        }[family]
+        path = write_config(tmp_path, {
+            "theorem": theorem, "model": model,
+            "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True},
+        })
+        assert main(["bound", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert theorem in err and family in err
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"model": {"kind": "two_point", "p": "abc"}}, "model.p must be a number"),
+        ({"model": {"kind": "independent", "pattern": [{"kind": "two_point", "p": "abc"}]}},
+         "model.pattern.p must be a number"),
+        ({"model": {"kind": "independent", "pattern": ["rademacher"]}},
+         "pattern entries must be catalog law objects"),
+        ({"theorem": "T4", "model": {"kind": "exchangeable", "population": ["a", "b"]},
+          "directions": {"kind": "hypercube", "n": 2, "k": 1, "centered": True}},
+         "model.population must be a list of numbers"),
+        ({"theorem": "T4", "model": {"kind": "exchangeable", "population": [1, 2, None, 4]},
+          "directions": {"kind": "hypercube", "n": 4, "k": 2, "centered": True}},
+         "at least two finite values"),
+        ({"theorem": "T4", "constants": {"a": "x"},
+          "model": {"kind": "exchangeable", "family": "ramp"},
+          "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True}},
+         "constants.a must be a number"),
+        ({"test_function": {"kind": "cosine", "a": "ones-normalized", "phase": "x"}},
+         "test_function.phase must be a number"),
+        ({"test_function": {"kind": "cosine", "a": [1, "x"]}}, "test_function.a must be a list"),
+        ({"test_function": {"kind": "cosine", "a": "ones-normalized", "phase": math.nan}},
+         "finite phase"),
+        ({"test_function": {"kind": "bump", "radius": math.nan}}, "positive and finite"),
+        ({"test_function": {"kind": "bump", "radius": "x"}},
+         "test_function.radius must be a number"),
+        ({"theorem": []}, "non-empty list"),
+    ])
+    def test_malformed_config_value_is_two(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, overrides)
+        assert main(["bound", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_empty_scan_values_is_two(self, tmp_path):
         path = write_config(tmp_path)

@@ -18,6 +18,7 @@ from projclt.sources import (
     iid_moments,
     independent_moments,
     load_population,
+    mixed_moments_enumerated,
     moment_summary,
     TILE_ROWS,
     rademacher,
@@ -160,6 +161,13 @@ class TestExchangeableMoments:
         m = exchangeable_moments(ExchangeableModel(pop))
         assert m.mixed_4 == pytest.approx(enumerated_mixed_4(pop), abs=1e-13)
         assert m.mixed_var == pytest.approx(enumerated_mixed_var(pop), abs=1e-13)
+
+    def test_library_enumeration_matches_reference(self):
+        pop = standardize_population([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0])
+        m4, mvar = mixed_moments_enumerated(ExchangeableModel(pop))
+        assert m4 == enumerated_mixed_4(pop) and mvar == enumerated_mixed_var(pop)
+        m = exchangeable_moments(ExchangeableModel(pop))
+        assert (m.mixed_4, m.mixed_var) == pytest.approx((m4, mvar), abs=1e-13)
 
     @given(st.lists(st.floats(-5, 5), min_size=4, max_size=8), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
