@@ -11,6 +11,10 @@ moments  print the moment constants of the configured model
 
 The experiment configuration is a single JSON file; ``--seed``,
 ``--samples``, ``--output`` and ``--theorem`` override individual fields.
+``verify`` and ``scan`` take ``--workers N`` (N >= 1; wall time only) and
+``--trace``, which writes one JSON object per run or scan cell to stderr:
+theorem, n, k, pass/fail and the report metadata (stage seconds,
+samples/s, workers, blocks, tile rows, Gaussian-side method and error).
 All CSV output starts with a ``# schema=1`` line and renders floats at 17
 significant digits, so identical configurations reproduce byte-identical
 files.  Exit codes: 0 success/pass, 1 bound or invariant violation, 2
@@ -383,11 +387,19 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _trace(rep: empirics.VerificationReport) -> None:
+    record = {"theorem": rep.theorem, "n": rep.n, "k": rep.k, "passed": rep.passed,
+              **rep.metadata}
+    print(json.dumps(record), file=sys.stderr)
+
+
 def cmd_verify(cfg: ExperimentConfig, bound_scale: float = 1.0,
-               workers: Optional[int] = None) -> int:
+               workers: Optional[int] = None, trace: bool = False) -> int:
     theorem = cfg.theorems()[0]
     task = build_task(cfg, theorem, bound_scale=bound_scale, workers=workers)
     rep = empirics.verify_bound(task)
+    if trace:
+        _trace(rep)
     _emit(_csv(VERIFY_COLUMNS, [_verify_row(rep)]), cfg.output)
     return 0 if rep.passed else 1
 
@@ -413,7 +425,7 @@ def _scan_config(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConf
 
 
 def cmd_scan(cfg: ExperimentConfig, axis: str, values: list[int],
-             workers: Optional[int] = None) -> int:
+             workers: Optional[int] = None, trace: bool = False) -> int:
     if axis not in ("n", "k"):
         raise ConfigError(f"scan axis must be 'n' or 'k', got {axis!r}")
     if not values:
@@ -426,6 +438,8 @@ def cmd_scan(cfg: ExperimentConfig, axis: str, values: list[int],
         cell = _scan_config(cfg, axis, value)
         task = build_task(cell, cell.theorems()[0], workers=workers)
         rep = empirics.verify_bound(task)
+        if trace:
+            _trace(rep)
         all_pass &= rep.passed
         br = rep.bound_report
         rows.append(
@@ -551,6 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theorem", type=str, default=None)
         if name in ("verify", "scan"):
             p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--trace", action="store_true",
+                           help="write one JSON object per run or scan cell to stderr")
         if name == "verify":
             p.add_argument(
                 "--shrink-bound", type=float, default=1.0,
@@ -568,16 +584,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _apply_overrides(ExperimentConfig.from_file(args.config), args)
+        workers = getattr(args, "workers", None)
+        if workers is not None and workers < 1:
+            raise ConfigError(f"--workers must be a positive integer, got {workers}")
         if args.command == "bound":
             return cmd_bound(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, bound_scale=args.shrink_bound, workers=args.workers)
+            return cmd_verify(cfg, bound_scale=args.shrink_bound, workers=workers,
+                              trace=args.trace)
         if args.command == "scan":
             try:
                 values = [int(tok) for tok in args.values.split(",") if tok.strip()]
             except ValueError as exc:
                 raise ConfigError(f"scan values must be integers: {args.values!r}") from exc
-            return cmd_scan(cfg, args.axis, values, workers=args.workers)
+            return cmd_scan(cfg, args.axis, values, workers=workers, trace=args.trace)
         if args.command == "check":
             return cmd_check(cfg)
         if args.command == "moments":

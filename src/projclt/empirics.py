@@ -479,7 +479,9 @@ def estimate_discrepancy(
 
     if workers is None:
         workers = min(2, os.cpu_count() or 1)
-    workers = max(1, min(workers, len(starts)))
+    if workers < 1:
+        raise InvalidInputError(f"workers must be a positive integer, got {workers}")
+    workers = min(workers, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_block, starts))
@@ -575,11 +577,11 @@ def compute_bound(
     triple.  The abstract bound takes its error statistics from the pair
     matching the model, the sampled ones at their upper 3-se values."""
     row = bounds_mod.theorem_spec(theorem, sources.family(model))
-    norms = norm_summary(ds)
-    m = sources.moment_summary(model)
     if not row.pair:
         gramdata = gram(ds) if row.gram else None
-        return bounds_mod.bound(theorem, ds.k, norms, m, g, gramdata, constants)
+        return bounds_mod.bound(
+            theorem, ds.k, norm_summary(ds), sources.moment_summary(model), g, gramdata, constants
+        )
     if pair_kind is None:
         pair_kind = default_pair(model)
     stats = pair_stats(ds, model, pair_kind, pair_samples, sources.derived_seed(seed, 2))

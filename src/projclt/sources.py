@@ -19,6 +19,15 @@ Seeding is splittable and counter-based: every state vector is drawn by
 Philox stream keyed by the pair (seed, i), so distinct (seed, i) pairs
 never share a stream and results do not depend on how fixed-size blocks
 are distributed across workers or how they are cut into tiles.
+
+Catalog samplers take ``(rng, size, dtype)``.  In single precision (the
+Monte Carlo path) they read the stream's 64-bit words directly, low
+32-bit half first: uniform and two-point draws are bit-identical to
+numpy's float32 fill, and the centered exponential is the inverse CDF of
+one 32-bit word.  Double precision keeps numpy's fills.  Rademacher
+draws map each stream byte to eight signs through a lookup table.  An
+independent model draws its coordinates law by law, LAW_CHUNK
+coordinates per sampler call.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ SEED_LIMIT = 1 << 64
 # Rows per sampling tile: 1 MB of float32 at n = 4096, so a tile stays in L2
 # while it is projected.  A multiple of 32, which sample_tiles relies on.
 TILE_ROWS = 64
+# Coordinates per sampler call for independent models; fixed, so that the
+# draws do not depend on the tile height.
+LAW_CHUNK = 16
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
@@ -162,14 +174,35 @@ def family(model: Model) -> str:
 # --------------------------------------------------------------------------
 # Catalog laws
 
+def _words32(rng, size) -> np.ndarray:
+    """One 32-bit word per draw: the 64-bit stream outputs split low half
+    first (a little-endian view), the same words that
+    ``rng.random(size, dtype=np.float32)`` consumes; an odd count leaves
+    the last high half unused."""
+    count = int(np.prod(size))
+    return rng.bit_generator.random_raw((count + 1) // 2).view(np.uint32)[:count]
+
+
+def _top24(rng, size) -> np.ndarray:
+    """The 24-bit integers k with ``rng.random(size, dtype=np.float32)`` =
+    k * 2^-24, as int32."""
+    words = _words32(rng, size)
+    words >>= 8
+    return words.view(np.int32)
+
+
+# Byte -> its 8 bits as -1.0/+1.0, most significant first (np.unpackbits order).
+_BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
+_RADEMACHER_TABLES = {np.dtype(d): _BYTE_SIGNS.astype(d) for d in (np.float32, np.float64)}
+
+
 def _sample_rademacher(rng, size, dtype=np.float64):
     total = int(np.prod(size))
-    raw = rng.bytes((total + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=total)
-    out = bits.astype(dtype)
-    out *= 2.0
-    out -= 1.0
-    return out.reshape(size)
+    raw = np.frombuffer(rng.bytes((total + 7) // 8), dtype=np.uint8)
+    table = _RADEMACHER_TABLES.get(np.dtype(dtype))
+    if table is None:
+        table = _BYTE_SIGNS.astype(dtype)
+    return np.take(table, raw, axis=0).reshape(-1)[:total].reshape(size)
 
 
 def rademacher() -> IIDModel:
@@ -182,8 +215,13 @@ _SQRT3 = math.sqrt(3.0)
 
 
 def _sample_uniform(rng, size, dtype=np.float64):
-    out = rng.random(size, dtype=dtype)
-    out *= 2.0 * _SQRT3
+    if np.dtype(dtype) == np.float32:
+        # k * (2 sqrt(3) 2^-24) rounds exactly as (k 2^-24) * 2 sqrt(3) does.
+        scale = np.float32(2.0 * _SQRT3) * np.float32(2.0**-24)
+        out = np.multiply(_top24(rng, size), scale, dtype=np.float32).reshape(size)
+    else:
+        out = rng.random(size, dtype=dtype)
+        out *= 2.0 * _SQRT3
     out -= _SQRT3
     return out
 
@@ -202,10 +240,22 @@ def two_point(p: float = 0.2) -> IIDModel:
     q = 1.0 - p
     hi = math.sqrt(q / p)
     lo = -math.sqrt(p / q)
+    # u = k 2^-24 < float32(p) exactly when the integer k < ceil(float32(p) 2^24).
+    threshold = math.ceil(float(np.float32(p)) * 2.0**24)
+    lo_bits = int(np.float32(lo).view(np.int32))
+    flip_bits = lo_bits ^ int(np.float32(hi).view(np.int32))
 
     def sample(rng, size, dtype=np.float64):
-        u = rng.random(size, dtype=dtype)
-        return np.where(u < p, dtype(hi), dtype(lo))
+        if np.dtype(dtype) != np.float32:
+            return np.where(rng.random(size, dtype=dtype) < p, dtype(hi), dtype(lo))
+        # Exact bitwise select: k - threshold < 0 becomes an all-ones mask
+        # that turns the bits of lo into those of hi.
+        bits = _top24(rng, size)
+        bits -= threshold
+        bits >>= 31
+        bits &= flip_bits
+        bits ^= lo_bits
+        return bits.view(np.float32).reshape(size)
 
     support = (np.array([lo, hi]), np.array([q, p]))
     return IIDModel(
@@ -218,9 +268,16 @@ def two_point(p: float = 0.2) -> IIDModel:
 
 
 def _sample_exponential(rng, size, dtype=np.float64):
-    out = rng.standard_exponential(size, dtype=dtype)
-    out -= 1.0
-    return out
+    if np.dtype(dtype) != np.float32:
+        out = rng.standard_exponential(size, dtype=dtype)
+        out -= 1.0
+        return out
+    # Inverse CDF at (w + 1/2) 2^-32: the largest draw is 33 ln 2 - 1 ~ 21.9.
+    u = np.multiply(_words32(rng, size), np.float32(2.0**-32), dtype=np.float32)
+    u += np.float32(2.0**-33)
+    np.log(u, out=u)
+    np.subtract(-1.0, u, out=u)
+    return u.reshape(size)
 
 
 def centered_exponential() -> IIDModel:
@@ -377,19 +434,27 @@ def sample_tiles(
     so the tiles concatenate to the same draws for every tile height;
     callers that fix their block boundaries therefore get identical totals
     no matter how blocks are distributed across workers.  Independent
-    coordinates are drawn column by column and come as one tile.
+    coordinates come as one tile: they are grouped by law object (laws in
+    order of first appearance, coordinates in index order) and each group
+    is drawn as (LAW_CHUNK, count) calls into an (n, count) column buffer.
     """
     n = _resolve_n(model, n)
     if count < 1:
         raise InvalidInputError("block count must be positive")
     if rows < count and (rows < 1 or rows % 32):
-        # Rademacher draws whole uint32 words; a tile must end on one.
+        # A tile must end on a whole stream word: Rademacher draws take 32
+        # bits a word, single-precision draws one 64-bit word per two.
         raise InvalidInputError(f"tile height must be a positive multiple of 32, got {rows}")
     rng = stream(seed, start)
     if isinstance(model, IndependentModel):
+        groups: dict[int, tuple[IIDModel, list[int]]] = {}
+        for j, law in enumerate(model.coords):
+            groups.setdefault(id(law), (law, []))[1].append(j)
         cols = np.empty((n, count), dtype=dtype)
-        for j, coord in enumerate(model.coords):
-            cols[j] = coord.sampler(rng, count, dtype)
+        for law, index in groups.values():
+            for lo in range(0, len(index), LAW_CHUNK):
+                chunk = index[lo:lo + LAW_CHUNK]
+                cols[chunk] = law.sampler(rng, (len(chunk), count), dtype)
         yield cols.T
         return
     pop = model.population.astype(dtype) if isinstance(model, ExchangeableModel) else None

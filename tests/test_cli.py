@@ -198,6 +198,14 @@ class TestExitCodes:
         assert main(["bound", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["verify"], ["scan", "--axis", "n", "--values", "16"]])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_two(self, tmp_path, capsys, command, workers):
+        path = write_config(tmp_path, {"output": str(tmp_path / "out.csv")})
+        assert main([command[0], str(path), *command[1:], "--workers", workers]) == 2
+        assert f"--workers must be a positive integer, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_empty_scan_values_is_two(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["scan", str(path), "--axis", "n", "--values", ""]) == 2
@@ -250,6 +258,19 @@ class TestBoundCommand:
         assert main(["bound", str(path)]) == 0
         (row,) = read_rows(out)
         assert float(row["term_mixed"]) > 0
+
+    def test_abstract_on_a_population_too_small_for_mixed_moments(self, tmp_path):
+        # T4/T5 need mixed fourth moments (n >= 4); the abstract bound does not
+        out = tmp_path / "bound.csv"
+        path = write_config(tmp_path, {
+            "theorem": "abstract",
+            "model": {"kind": "exchangeable", "population": [1, 2, 4]},
+            "directions": {"kind": "random", "n": 3, "k": 1, "centered": True},
+            "output": str(out),
+        })
+        assert main(["bound", str(path)]) == 0
+        (row,) = read_rows(out)
+        assert row["theorem"] == "abstract" and float(row["total"]) > 0
 
 
 class TestScanCommand:
@@ -347,6 +368,32 @@ class TestReproducibility:
         main(["verify", str(path), "--seed", "99", "--output", str(out1)])
         main(["verify", str(path), "--seed", "99", "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_trace_writes_json_to_stderr_and_leaves_the_csv(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        path = write_config(tmp_path)
+        assert main(["verify", str(path), "--output", str(out1)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["verify", str(path), "--output", str(out2), "--trace", "--workers", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert (record["theorem"], record["n"], record["k"], record["passed"]) == ("T2", 64, 2, True)
+        assert (record["workers"], record["blocks"], record["tile_rows"]) == (2, 3, sources.TILE_ROWS)
+        assert set(record["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
+        assert record["samples_per_s"] > 0
+        assert record["gaussian_method"] == "closed-form" and record["gaussian_error"] == 0.0
+
+    def test_scan_trace_has_one_object_per_cell(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        path = write_config(tmp_path, {"samples": 5_000})
+        args = ["scan", str(path), "--axis", "n", "--values", "16,64"]
+        assert main([*args, "--output", str(out1)]) == 0
+        capsys.readouterr()
+        assert main([*args, "--output", str(out2), "--trace"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [r["n"] for r in records] == [16, 64]
 
     def test_console_entry_point(self, tmp_path):
         path = write_config(tmp_path, {"output": None})

@@ -382,6 +382,15 @@ class TestPairStats:
         with pytest.raises(MissingMomentsError):
             pair_stats(hypercube_directions(8, 1), law, RESAMPLING, samples=100, seed=0)
 
+    def test_abstract_bound_needs_no_moments_it_does_not_use(self):
+        # abs3/fourth feed T1-T5 only; the abstract route needs diff_abs3
+        law = user_model("custom", uniform().sampler, diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
+        with pytest.raises(MissingMomentsError):
+            compute_bound("T2", hypercube_directions(16, 1), law, unit_cosine(1))
+        report = compute_bound("abstract", hypercube_directions(16, 1), law, unit_cosine(1),
+                               pair_samples=200, seed=1)
+        assert report.total > 0 and report.inputs_echo["pair_kind"] == RESAMPLING
+
     def test_abstract_fourth_term_carries_three_se(self):
         ds = random_orthonormal(64, 2, seed=12)
         model, g = uniform(), unit_cosine(2)
@@ -420,6 +429,12 @@ class TestEstimateDiscrepancy:
         assert (one.mean_g, one.se, one.discrepancy, one.ci_halfwidth) == (
             two.mean_g, two.se, two.discrepancy, two.ci_halfwidth)
         assert (one.blocks, one.workers, two.blocks, two.workers) == (2, 1, 2, 2)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(InvalidInputError, match="workers must be a positive integer"):
+            estimate_discrepancy(hypercube_directions(16, 2), rademacher(), unit_cosine(2),
+                                 GaussianSpec.identity(2), 2000, seed=0, workers=workers)
 
     def test_block_moments_merge_to_those_of_the_concatenation(self):
         rng = np.random.default_rng(0)

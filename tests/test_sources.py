@@ -11,6 +11,7 @@ from projclt.sources import (
     ExchangeableModel,
     IIDModel,
     IndependentModel,
+    LAW_CHUNK,
     MomentSummary,
     centered_exponential,
     diff_abs3,
@@ -118,6 +119,76 @@ class TestCatalogMoments:
         for stat, target in [(draws, 0.0), (draws**2, 1.0)]:
             se = stat.std(ddof=1) / math.sqrt(stat.size)
             assert abs(stat.mean() - target) <= 4 * se + 1e-12
+
+
+def rademacher_reference(rng, size, dtype):
+    """Unpack the stream's bytes bit by bit, convert, then map {0, 1} to {-1, 1}."""
+    total = int(np.prod(size))
+    bits = np.unpackbits(np.frombuffer(rng.bytes((total + 7) // 8), dtype=np.uint8), count=total)
+    out = bits.astype(dtype)
+    out *= 2.0
+    out -= 1.0
+    return out.reshape(size)
+
+
+def uniform_reference(rng, size, dtype):
+    out = rng.random(size, dtype=dtype)
+    out *= 2.0 * SQRT3
+    out -= SQRT3
+    return out
+
+
+def two_point_reference(p):
+    hi, lo = math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p))
+    return lambda rng, size, dtype: np.where(rng.random(size, dtype=dtype) < p, dtype(hi), dtype(lo))
+
+
+class _FixedWords:
+    """Stands in for a generator whose stream is one repeated 64-bit word."""
+
+    def __init__(self, word):
+        self.bit_generator = self
+        self.word = word
+
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+class TestSamplerFormulas:
+    @pytest.mark.parametrize("law,reference", [
+        (rademacher(), rademacher_reference),
+        (uniform(), uniform_reference),
+        *[(two_point(p), two_point_reference(p)) for p in (0.2, 0.5, 0.01, 1.0 / 3.0, 0.7, 0.9999)],
+    ], ids=lambda v: getattr(v, "name", ""))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, 7, 1000, 1001, (3, 5), (64, 33)])
+    def test_bit_identical_to_the_numpy_formulas(self, law, reference, dtype, size):
+        got = law.sampler(stream(9, 3), size, dtype)
+        want = reference(stream(9, 3), size, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_float32_exponential_moments(self):
+        model = centered_exponential()
+        x = model.sampler(stream(2024), 1_000_000, np.float32).astype(np.float64)
+        m = iid_moments(model)
+        for vals, declared in [(x, 0.0), (x * x, 1.0), (np.abs(x) ** 3, m.abs3), (x**4, m.fourth)]:
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - declared) <= 4 * se
+
+    def test_float32_exponential_follows_the_exp1_cdf(self):
+        x = np.sort(centered_exponential().sampler(stream(2025), 1_000_000, np.float32))
+        cdf = -np.expm1(-(x.astype(np.float64) + 1.0))
+        ranks = np.arange(1, x.size + 1) / x.size
+        ks = max(float(np.max(ranks - cdf)), float(np.max(cdf - (ranks - 1.0 / x.size))))
+        assert ks <= 1.95 / math.sqrt(x.size)  # the 0.1 % Kolmogorov quantile
+        assert x.max() <= 33.0 * math.log(2.0) - 1.0 + 1e-5
+
+    def test_float32_exponential_extremes(self):
+        sample = centered_exponential().sampler
+        top = sample(_FixedWords(0), 4, np.float32)
+        np.testing.assert_allclose(top, 33.0 * math.log(2.0) - 1.0, rtol=1e-6)
+        assert np.all(sample(_FixedWords(2**64 - 1), 4, np.float32) == np.float32(-1.0))
 
 
 class TestMomentSummaryInvariants:
@@ -271,14 +342,20 @@ class TestSampling:
 
 
 def whole_block_reference(model, seed, start, count, n, dtype):
-    """The block drawn in one piece, law by law, without tiles."""
+    """The block drawn in one piece, without tiles.  Independent models go
+    law object by law object, in order of first appearance, each law's
+    coordinates in index order and LAW_CHUNK of them per sampler call."""
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
         return rng.permuted(np.tile(model.population.astype(dtype), (count, 1)), axis=1)
     if isinstance(model, IndependentModel):
         out = np.empty((count, n), dtype=dtype)
-        for j, coord in enumerate(model.coords):
-            out[:, j] = coord.sampler(rng, count, dtype)
+        laws = list({id(c): c for c in model.coords}.values())
+        for law in laws:
+            index = [j for j, c in enumerate(model.coords) if c is law]
+            for lo in range(0, len(index), LAW_CHUNK):
+                chunk = index[lo:lo + LAW_CHUNK]
+                out[:, chunk] = law.sampler(rng, (len(chunk), count), dtype).T
         return out
     return model.sampler(rng, (count, n), dtype)
 
@@ -308,6 +385,27 @@ class TestTiles:
             assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
         np.testing.assert_array_equal(np.concatenate(tiles), ref)
         np.testing.assert_array_equal(sample_block(model, 13, 8192, count, n=n, dtype=dtype), ref)
+
+    def test_independent_laws_are_drawn_in_fixed_chunks(self):
+        # 47 rademacher, 47 two_point(0.3) and 45 exponential coordinates, so
+        # each law takes three chunks; coordinate 5 holds a second
+        # two_point(0.3) object, which is a law of its own
+        laws = (rademacher(), two_point(0.3), centered_exponential())
+        coords = [laws[j % 3] for j in range(140)]
+        coords[5] = two_point(0.3)
+        model = IndependentModel(coords=tuple(coords))
+        ref = whole_block_reference(model, 21, 0, 250, 140, np.float32)
+        np.testing.assert_array_equal(sample_block(model, 21, 0, 250, dtype=np.float32), ref)
+        tiles = list(sample_tiles(model, 21, 0, 250, dtype=np.float32, rows=32))
+        assert len(tiles) == 1
+        np.testing.assert_array_equal(tiles[0], ref)
+
+    def test_one_law_block_is_its_chunk_draws(self):
+        model = IndependentModel(coords=(uniform(),) * LAW_CHUNK)
+        block = sample_block(model, 4, 64, 100, dtype=np.float32)
+        np.testing.assert_array_equal(
+            block.T, uniform().sampler(stream(4, 64), (LAW_CHUNK, 100), np.float32)
+        )
 
     @pytest.mark.parametrize("rows", [0, 48])
     def test_tile_height_must_be_a_multiple_of_32(self, rows):
