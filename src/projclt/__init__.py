@@ -42,10 +42,7 @@ from .empirics import (
     eij_enumerated,
     estimate_discrepancy,
     pair_stats,
-    project,
-    resample_pair,
     stein_lambda,
-    transpose_pair,
     verify_bound,
 )
 from .errors import (

@@ -509,15 +509,18 @@ def cmd_check(cfg: ExperimentConfig) -> int:
         err = max(abs(fast.mixed_4 - brute[0]), abs(fast.mixed_var - brute[1]))
         record("moments", err <= 1e-12, f"mixed-moment enumeration gap {err:.3e}")
     else:
-        law = model if isinstance(model, sources.IIDModel) else model.coords[0]
-        m = sources.iid_moments(law)
-        draws = sources.sample_block(law, cfg.seed, 0, 200_000, n=1)[:, 0]
-        est3 = float(np.mean(np.abs(draws) ** 3))
-        se3 = float(np.std(np.abs(draws) ** 3, ddof=1) / math.sqrt(draws.size))
-        est4 = float(np.mean(draws**4))
-        se4 = float(np.std(draws**4, ddof=1) / math.sqrt(draws.size))
-        ok = abs(est3 - m.abs3) <= 5 * se3 + 1e-9 and abs(est4 - m.fourth) <= 5 * se4 + 1e-9
-        record("moments", ok, f"abs3 {est3:.5f} vs {m.abs3:.5f}, fourth {est4:.5f} vs {m.fourth:.5f}")
+        # Every distinct law of an independent pattern, in order of first appearance.
+        coords = model.coords if isinstance(model, sources.IndependentModel) else (model,)
+        for law in {c.name: c for c in coords}.values():
+            m = sources.iid_moments(law)
+            draws = sources.sample_block(law, cfg.seed, 0, 200_000, n=1)[:, 0]
+            est3 = float(np.mean(np.abs(draws) ** 3))
+            se3 = float(np.std(np.abs(draws) ** 3, ddof=1) / math.sqrt(draws.size))
+            est4 = float(np.mean(draws**4))
+            se4 = float(np.std(draws**4, ddof=1) / math.sqrt(draws.size))
+            ok = abs(est3 - m.abs3) <= 5 * se3 + 1e-9 and abs(est4 - m.fourth) <= 5 * se4 + 1e-9
+            record(f"moments {law.name}", ok,
+                   f"abs3 {est3:.5f} vs {m.abs3:.5f}, fourth {est4:.5f} vs {m.fourth:.5f}")
 
     text = "\n".join(lines) + "\n"
     _emit(text, cfg.output)

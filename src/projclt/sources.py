@@ -14,11 +14,12 @@ only as a cross-check, never to feed a bound.  User-supplied laws must
 declare their moments explicitly.
 
 Seeding is splittable and counter-based: every state vector is drawn by
-:func:`sample_tiles` (whole blocks by its single-tile case
+:func:`sample_tiles` (whole blocks are its tiles concatenated, by
 :func:`sample_block`), and a block starting at sample index i consumes the
 Philox stream keyed by the pair (seed, i), so distinct (seed, i) pairs
 never share a stream and results do not depend on how fixed-size blocks
-are distributed across workers or how they are cut into tiles.
+are distributed across workers.  Tiles are TILE_ROWS high, a height that
+is part of this contract.
 
 Catalog samplers take ``(rng, size, dtype)``.  In single precision (the
 Monte Carlo path) they read the stream's 64-bit words directly, low
@@ -27,7 +28,11 @@ numpy's float32 fill, and the centered exponential is the inverse CDF of
 one 32-bit word.  Double precision keeps numpy's fills.  Rademacher
 draws map each stream byte to eight signs through a lookup table.  An
 independent model draws its coordinates law by law, LAW_CHUNK
-coordinates per sampler call.
+coordinates per sampler call.  An exchangeable model draws each
+permutation, in either precision, by sorting one 64-bit stream word per
+coordinate with the coordinate index packed into its low bits; a row whose
+words tie in their high bits is redrawn, so every permutation is exactly
+uniform.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ from .errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 
 SEED_LIMIT = 1 << 64
 # Rows per sampling tile: 1 MB of float32 at n = 4096, so a tile stays in L2
-# while it is projected.  A multiple of 32, which sample_tiles relies on.
+# while it is projected.  Part of the determinism contract (exchangeable
+# tiles redraw tied rows tile by tile), and a multiple of 32, so that every
+# tile ends on a whole stream word.
 TILE_ROWS = 64
 # Coordinates per sampler call for independent models; fixed, so that the
 # draws do not depend on the tile height.
@@ -143,7 +150,11 @@ class ExchangeableModel:
         if pop.ndim != 1 or pop.size < 2:
             raise InvalidInputError("population must hold at least two values")
         n = pop.size
-        if not (abs(pop.sum()) <= 1e-12 and abs(float(pop @ pop) - n) <= 1e-12):
+        # Both sums run over n terms of total size up to n, so each is off by
+        # up to about n * eps relative (Higham's gamma_n), once where
+        # standardize_population scaled the values and once here.
+        tol = 2.0 * n * n * np.finfo(np.float64).eps
+        if not (abs(pop.sum()) <= tol and abs(float(pop @ pop) - n) <= tol):
             raise InvalidInputError(
                 "population must be standardized: sum a_r = 0 and sum a_r^2 = n "
                 "(use standardize_population)"
@@ -418,6 +429,52 @@ def _resolve_n(model: Model, n: Optional[int]) -> int:
     return n
 
 
+def _sorted_keys(rng, rows: int, n: int, low: np.uint64, index: np.ndarray) -> np.ndarray:
+    """(rows, n) sort keys: one stream word per coordinate with its low bits
+    replaced by the coordinate index, each row sorted."""
+    keys = rng.bit_generator.random_raw((rows, n))
+    keys &= ~low
+    keys |= index
+    keys.sort(axis=1)
+    return keys
+
+
+def _tied_rows(keys: np.ndarray, low: np.uint64) -> np.ndarray:
+    """Rows of sorted keys in which two neighbours share their high bits."""
+    return np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) <= low, axis=1))
+
+
+def _permutations(rng, rows: int, n: int) -> np.ndarray:
+    """(rows, n) int64 rows, each a uniformly random permutation of 0..n-1.
+
+    Sorting the keys orders the coordinates by the high bits of their
+    words (Knuth, TAOCP vol. 2, 3.4.2); the index in the low bits makes
+    every key distinct, so the sorted low bits are the permutation.  A row
+    whose high bits tie is redrawn whole from the next words of the stream,
+    tied rows in row order, until no row ties: every row is then exactly
+    uniform.
+    """
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    index = np.arange(n, dtype=np.uint64)
+    keys = _sorted_keys(rng, rows, n, low, index)
+    tied = _tied_rows(keys, low)
+    while tied.size:
+        redrawn = _sorted_keys(rng, tied.size, n, low, index)
+        keys[tied] = redrawn
+        tied = tied[_tied_rows(redrawn, low)]
+    keys &= low
+    return keys.view(np.int64)
+
+
+def _block_stream(model: Model, seed: int, start: int, count: int, n: Optional[int]):
+    """The vector length and the stream of the block for sample indices
+    start..start+count-1."""
+    n = _resolve_n(model, n)
+    if count < 1:
+        raise InvalidInputError("block count must be positive")
+    return n, stream(seed, start)
+
+
 def sample_tiles(
     model: Model,
     seed: int,
@@ -425,27 +482,20 @@ def sample_tiles(
     count: int,
     n: Optional[int] = None,
     dtype=np.float64,
-    rows: int = TILE_ROWS,
 ) -> Iterator[np.ndarray]:
     """The rows of the block for sample indices start..start+count-1, in
-    order, as (<= rows, n) tiles.
+    order, as (TILE_ROWS, n) tiles, the last one possibly shorter.
 
     The block consumes the stream keyed by (seed, start) strictly in order,
-    so the tiles concatenate to the same draws for every tile height;
-    callers that fix their block boundaries therefore get identical totals
+    tile after tile.  The tile height is part of the determinism contract:
+    an exchangeable tile redraws its tied rows before the next tile starts.
+    Callers that fix their block boundaries therefore get identical totals
     no matter how blocks are distributed across workers.  Independent
     coordinates come as one tile: they are grouped by law object (laws in
     order of first appearance, coordinates in index order) and each group
     is drawn as (LAW_CHUNK, count) calls into an (n, count) column buffer.
     """
-    n = _resolve_n(model, n)
-    if count < 1:
-        raise InvalidInputError("block count must be positive")
-    if rows < count and (rows < 1 or rows % 32):
-        # A tile must end on a whole stream word: Rademacher draws take 32
-        # bits a word, single-precision draws one 64-bit word per two.
-        raise InvalidInputError(f"tile height must be a positive multiple of 32, got {rows}")
-    rng = stream(seed, start)
+    n, rng = _block_stream(model, seed, start, count, n)
     if isinstance(model, IndependentModel):
         groups: dict[int, tuple[IIDModel, list[int]]] = {}
         for j, law in enumerate(model.coords):
@@ -458,13 +508,12 @@ def sample_tiles(
         yield cols.T
         return
     pop = model.population.astype(dtype) if isinstance(model, ExchangeableModel) else None
-    for lo in range(0, count, rows):
-        m = min(rows, count - lo)
+    for lo in range(0, count, TILE_ROWS):
+        m = min(TILE_ROWS, count - lo)
         if pop is None:
             yield model.sampler(rng, (m, n), dtype)
         else:
-            tile = np.tile(pop, (m, 1))
-            yield rng.permuted(tile, axis=1, out=tile)
+            yield np.take(pop, _permutations(rng, m, n))
 
 
 def sample_block(
@@ -476,8 +525,17 @@ def sample_block(
     dtype=np.float64,
 ) -> np.ndarray:
     """(count, n) matrix of draws for sample indices start..start+count-1:
-    :func:`sample_tiles` as a single tile."""
-    return next(sample_tiles(model, seed, start, count, n=n, dtype=dtype, rows=count))
+    the tiles of :func:`sample_tiles`, concatenated.
+
+    An i.i.d. law draws the block in one sampler call: every tile ends on a
+    whole stream word, so that call reads the words the tiles read, in the
+    same order, without a copy.
+    """
+    if family(model) == IID:
+        n, rng = _block_stream(model, seed, start, count, n)
+        return model.sampler(rng, (count, n), dtype)
+    tiles = list(sample_tiles(model, seed, start, count, n=n, dtype=dtype))
+    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -318,6 +319,24 @@ class TestCheckCommand:
             },
         )
         assert main(["check", str(path)]) == 0
+
+    def independent_config(self, tmp_path):
+        pattern = [{"kind": "rademacher"}, {"kind": "exponential"}]
+        return write_config(tmp_path, {"model": {"kind": "independent", "pattern": pattern}})
+
+    def test_independent_pattern_checks_every_law(self, tmp_path, capsys):
+        assert main(["check", str(self.independent_config(tmp_path))]) == 0
+        out = capsys.readouterr().out
+        assert "check moments rademacher: ok" in out
+        assert "check moments exponential: ok" in out
+
+    def test_wrong_moment_on_the_second_law_fails(self, tmp_path, monkeypatch, capsys):
+        wrong = dataclasses.replace(sources.centered_exponential(), abs3=3.0)  # 12/e - 2 ~ 2.41
+        monkeypatch.setitem(sources.CATALOG, "exponential", lambda: wrong)
+        assert main(["check", str(self.independent_config(tmp_path))]) == 1
+        out = capsys.readouterr().out
+        assert "check moments rademacher: ok" in out
+        assert "check moments exponential: FAIL" in out
 
     def test_tampered_lambda_fails(self, tmp_path, monkeypatch, capsys):
         exact = empirics.stein_lambda

@@ -20,16 +20,12 @@ from projclt.empirics import (
     conditional_linearity_check,
     compute_bound,
     conditional_mean_closed_form,
-    conditional_mean_enumerated,
     eij_closed_form,
     eij_enumerated,
     estimate_discrepancy,
     pair_stats,
-    project,
-    resample_pair,
     stein_lambda,
     third_moment_sum,
-    transpose_pair,
     verify_bound,
 )
 from projclt.errors import InvalidInputError, MissingMomentsError, WrongPairKindError
@@ -47,6 +43,8 @@ from projclt.sources import (
     user_model,
 )
 from projclt.testfuncs import GaussianSpec, TestFunction, cosine_testfn
+
+from pair_reference import conditional_mean_enumerated, project, resample_pair, transpose_pair
 
 
 def unit_cosine(k):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projclt import sources
 from projclt.errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 from projclt.sources import (
     ExchangeableModel,
@@ -341,13 +342,24 @@ class TestSampling:
             sample_block(ExchangeableModel(pop), seed=0, start=0, count=1, n=5)
 
 
+def sort_key_permutations(words):
+    """The permutations that the stream words of tie-free rows stand for:
+    each row orders its coordinates by the high bits of their words."""
+    shift = np.uint64((words.shape[1] - 1).bit_length())
+    high = words >> shift
+    assert np.all(np.diff(np.sort(high, axis=1), axis=1) > 0), "a row ties"
+    return np.argsort(high, axis=1)
+
+
 def whole_block_reference(model, seed, start, count, n, dtype):
-    """The block drawn in one piece, without tiles.  Independent models go
-    law object by law object, in order of first appearance, each law's
-    coordinates in index order and LAW_CHUNK of them per sampler call."""
+    """The block drawn in one piece, without tiles.  Exchangeable rows take
+    one stream word per coordinate and sort by their high bits.  Independent
+    models go law object by law object, in order of first appearance, each
+    law's coordinates in index order and LAW_CHUNK of them per sampler call."""
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
-        return rng.permuted(np.tile(model.population.astype(dtype), (count, 1)), axis=1)
+        words = rng.bit_generator.random_raw((count, n))
+        return model.population.astype(dtype)[sort_key_permutations(words)]
     if isinstance(model, IndependentModel):
         out = np.empty((count, n), dtype=dtype)
         laws = list({id(c): c for c in model.coords}.values())
@@ -396,7 +408,7 @@ class TestTiles:
         model = IndependentModel(coords=tuple(coords))
         ref = whole_block_reference(model, 21, 0, 250, 140, np.float32)
         np.testing.assert_array_equal(sample_block(model, 21, 0, 250, dtype=np.float32), ref)
-        tiles = list(sample_tiles(model, 21, 0, 250, dtype=np.float32, rows=32))
+        tiles = list(sample_tiles(model, 21, 0, 250, dtype=np.float32))
         assert len(tiles) == 1
         np.testing.assert_array_equal(tiles[0], ref)
 
@@ -407,10 +419,60 @@ class TestTiles:
             block.T, uniform().sampler(stream(4, 64), (LAW_CHUNK, 100), np.float32)
         )
 
-    @pytest.mark.parametrize("rows", [0, 48])
-    def test_tile_height_must_be_a_multiple_of_32(self, rows):
-        with pytest.raises(InvalidInputError, match="multiple of 32"):
-            next(sample_tiles(rademacher(), 0, 0, 100, n=5, rows=rows))
+
+class _ScriptedWords:
+    """Stands in for a generator: random_raw hands out the given word arrays
+    in order, checking that each request has the shape of the next one."""
+
+    def __init__(self, *draws):
+        self.bit_generator = self
+        self.draws = list(draws)
+
+    def random_raw(self, size):
+        words = self.draws.pop(0)
+        assert words.shape == size
+        return words.copy()
+
+
+class TestPermutationSampler:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_permutations_of_five_are_equally_likely(self, dtype):
+        n, count = 5, 120 * 500
+        pop = standardize_population(np.arange(1.0, n + 1.0))
+        block = sample_block(ExchangeableModel(pop), 41, 0, count, dtype=dtype)
+        perms = np.searchsorted(pop.astype(dtype), block)  # pop is increasing
+        assert np.all(np.sort(perms, axis=1) == np.arange(n))
+        codes = perms @ (n ** np.arange(n))
+        counts = np.array([np.count_nonzero(codes == np.dot(p, n ** np.arange(n)))
+                           for p in itertools.permutations(range(n))])
+        assert counts.sum() == count
+        expected = count / 120
+        chi2 = float(np.sum((counts - expected) ** 2) / expected)
+        assert chi2 <= 172.4  # the 0.1 % upper quantile of chi^2 with 119 dof
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 1000])
+    def test_float32_block_is_the_cast_float64_block(self, n):
+        model = ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
+        single = sample_block(model, 6, 8192, 3 * TILE_ROWS + 5, dtype=np.float32)
+        double = sample_block(model, 6, 8192, 3 * TILE_ROWS + 5, dtype=np.float64)
+        np.testing.assert_array_equal(single, double.astype(np.float32))
+
+    def test_tied_rows_are_redrawn_from_the_next_words(self, monkeypatch):
+        n = 6  # three index bits
+        pop = standardize_population(np.arange(1.0, n + 1.0))
+        first = stream(3).bit_generator.random_raw((4, n))
+        first[1, 5] = first[1, 2] ^ np.uint64(0b101)  # indices 2 and 5 tie in their high bits
+        first[3] = first[3, 0]  # one word throughout: ties everywhere
+        first[2, 5] = first[2, 1] ^ np.uint64(0b1000)  # differs in the lowest high bit
+        second = stream(4).bit_generator.random_raw((2, n))  # for rows 1 and 3
+        second[1, 0] = second[1, 3]  # row 3 ties again
+        third = stream(5).bit_generator.random_raw((1, n))
+        script = _ScriptedWords(first, second, third)
+        monkeypatch.setattr(sources, "stream", lambda seed, index: script)
+        (tile,) = sample_tiles(ExchangeableModel(pop), 0, 0, 4)
+        assert script.draws == []
+        kept = np.vstack([first[0], second[0], first[2], third[0]])
+        np.testing.assert_array_equal(tile, pop[sort_key_permutations(kept)])
 
 
 class TestPopulations:
@@ -426,6 +488,18 @@ class TestPopulations:
     def test_exchangeable_model_requires_standardized(self):
         with pytest.raises(InvalidInputError):
             ExchangeableModel(np.array([1.0, 2.0, 3.0, 4.0]))
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_large_ramp_is_accepted(self, n):
+        # the sum of squares misses n by 1.8e-12 at n = 4096
+        ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
+
+    @pytest.mark.parametrize("n", [2, 4096, 8192])
+    def test_slightly_off_population_is_rejected(self, n):
+        pop = standardize_population(np.arange(1.0, n + 1.0))
+        for off in (pop + 1e-9, pop * (1.0 + 1e-9)):
+            with pytest.raises(InvalidInputError, match="standardized"):
+                ExchangeableModel(off)
 
     def test_load_population_warns_on_adjustment(self, tmp_path):
         path = tmp_path / "pop.txt"
