@@ -17,16 +17,12 @@ from .directions import (
     ORTHONORMAL,
     DirectionSet,
     GramData,
-    GramSchmidtResult,
     NormSummary,
     gram,
-    gram_schmidt,
     hypercube_directions,
     lp_norm,
     norm_summary,
     random_orthonormal,
-    sphere_mean_l3_cubed,
-    sphere_mean_l4_sq_bound,
 )
 from .empirics import (
     RESAMPLING,

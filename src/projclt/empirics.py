@@ -260,14 +260,37 @@ def _state_blocks(model: Model, n: int, samples: int, seed: int):
 
 
 def _mean_abs3_diff(v: np.ndarray) -> float:
-    """Mean of |v_r - v_s|^3 over ordered pairs r != s, summed in row chunks
-    so no n x n array is formed."""
+    """Mean of |v_r - v_s|^3 over ordered pairs r != s, in O(n log n).
+
+    With v sorted and centered, s its 0-based position and
+    P_m,s = sum_{r<s} v_r^m exclusive prefix sums,
+
+      sum_{r<s} (v_s - v_r)^3 = sum_s [ s v_s^3 - 3 v_s^2 P_1,s + 3 v_s P_2,s - P_3,s ],
+
+    and sum_s P_3,s = sum_s (n-1-s) v_s^3 folds the first and last terms
+    into one weight 2s - n + 1.  Centering keeps the cancellation bounded:
+    by Jensen the result is at least (n/2) sum |v_r|^3, while the weighted
+    cube sum is at most (n-1) sum |v_r|^3 in size and, by Chebyshev's sum
+    inequality, so are sum v_s^2 |P_1,s| and sum |v_s| P_2,s.  The terms
+    therefore cancel by a factor of at most 14, and the relative error is
+    O(n eps).  One sort, two cumulative sums and three dot products: O(n
+    log n) time and O(n) memory.  A constant vector gives exactly 0.
+    """
     n = v.size
-    total = math.fsum(
-        float(np.sum(np.abs(v[lo:lo + _STATE_BLOCK, None] - v[None, :]) ** 3))
-        for lo in range(0, n, _STATE_BLOCK)
-    )
-    return total / (n * (n - 1))
+    v = np.sort(v)
+    if v[0] == v[-1]:
+        return 0.0
+    # A rounding error in the mean shifts every entry alike, which the sum
+    # of differences does not see.
+    v = v - v.mean()
+    v2 = v * v
+    p1 = np.zeros(n)
+    p2 = np.zeros(n)
+    np.cumsum(v[:-1], out=p1[1:])
+    np.cumsum(v2[:-1], out=p2[1:])
+    weights = 2.0 * np.arange(n) - (n - 1)
+    total = float(weights @ (v2 * v)) - 3.0 * float(v2 @ p1) + 3.0 * float(v @ p2)
+    return 2.0 * total / (n * (n - 1))
 
 
 def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
@@ -276,7 +299,10 @@ def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
     Resampling: (1/n) sum_r (sum_i |theta_i^r|^3) E|X*_r - X_r|^3, with the
     last factor from :func:`projclt.sources.diff_abs3`.
     Transposition: D3 sum_i sum_{r != s} |theta_i^r - theta_i^s|^3 / (n(n-1)),
-    D3 the mean of |a - b|^3 over ordered distinct population pairs.
+    D3 the mean of |a - b|^3 over ordered distinct population pairs.  Each
+    pair mean comes from sorted prefix sums (:func:`_mean_abs3_diff`), so
+    the transposition sum costs O(k n log n) time and O(n) memory, with a
+    relative error of O(n eps).
     """
     theta = ds.vectors
     n = ds.n

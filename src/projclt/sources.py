@@ -27,12 +27,11 @@ Monte Carlo path) they read the stream's 64-bit words directly, low
 numpy's float32 fill, and the centered exponential is the inverse CDF of
 one 32-bit word.  Double precision keeps numpy's fills.  Rademacher
 draws map each stream byte to eight signs through a lookup table.  An
-independent model draws its coordinates law by law, LAW_CHUNK
-coordinates per sampler call.  An exchangeable model draws each
-permutation, in either precision, by sorting one 64-bit stream word per
-coordinate with the coordinate index packed into its low bits; a row whose
-words tie in their high bits is redrawn, so every permutation is exactly
-uniform.
+independent model draws law by law, LAW_ROWS rows per sampler call.  An
+exchangeable model draws each permutation, in either precision, by
+sorting one 64-bit stream word per coordinate with the coordinate index
+packed into its low bits; a row whose words tie in their high bits is
+redrawn, so every permutation is exactly uniform.
 """
 
 from __future__ import annotations
@@ -53,9 +52,13 @@ SEED_LIMIT = 1 << 64
 # tiles redraw tied rows tile by tile), and a multiple of 32, so that every
 # tile ends on a whole stream word.
 TILE_ROWS = 64
-# Coordinates per sampler call for independent models; fixed, so that the
-# draws do not depend on the tile height.
-LAW_CHUNK = 16
+# Rows per sampler call for independent models, which draw law by law and
+# hand the rows out as TILE_ROWS tiles.  One call per law and 64-row tile
+# made a two-worker verify of a three-law pattern at n = 1024 about 40 %
+# slower than one draw of the whole block; 256-row calls are not slower,
+# and their (n, LAW_ROWS) float32 buffer is 4 MB at n = 4096.  Part of the
+# determinism contract.
+LAW_ROWS = 4 * TILE_ROWS
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
@@ -185,12 +188,17 @@ def family(model: Model) -> str:
 # --------------------------------------------------------------------------
 # Catalog laws
 
+def _size(size) -> int:
+    """The number of draws in a sampler ``size``: an int or a shape tuple."""
+    return math.prod(size) if isinstance(size, tuple) else int(size)
+
+
 def _words32(rng, size) -> np.ndarray:
     """One 32-bit word per draw: the 64-bit stream outputs split low half
     first (a little-endian view), the same words that
     ``rng.random(size, dtype=np.float32)`` consumes; an odd count leaves
     the last high half unused."""
-    count = int(np.prod(size))
+    count = _size(size)
     return rng.bit_generator.random_raw((count + 1) // 2).view(np.uint32)[:count]
 
 
@@ -208,7 +216,7 @@ _RADEMACHER_TABLES = {np.dtype(d): _BYTE_SIGNS.astype(d) for d in (np.float32, n
 
 
 def _sample_rademacher(rng, size, dtype=np.float64):
-    total = int(np.prod(size))
+    total = _size(size)
     raw = np.frombuffer(rng.bytes((total + 7) // 8), dtype=np.uint8)
     table = _RADEMACHER_TABLES.get(np.dtype(dtype))
     if table is None:
@@ -223,13 +231,13 @@ def rademacher() -> IIDModel:
 
 
 _SQRT3 = math.sqrt(3.0)
+# k * (2 sqrt(3) 2^-24) rounds exactly as (k 2^-24) * 2 sqrt(3) does.
+_UNIFORM_SCALE32 = np.float32(2.0 * _SQRT3) * np.float32(2.0**-24)
 
 
 def _sample_uniform(rng, size, dtype=np.float64):
     if np.dtype(dtype) == np.float32:
-        # k * (2 sqrt(3) 2^-24) rounds exactly as (k 2^-24) * 2 sqrt(3) does.
-        scale = np.float32(2.0 * _SQRT3) * np.float32(2.0**-24)
-        out = np.multiply(_top24(rng, size), scale, dtype=np.float32).reshape(size)
+        out = np.multiply(_top24(rng, size), _UNIFORM_SCALE32, dtype=np.float32).reshape(size)
     else:
         out = rng.random(size, dtype=dtype)
         out *= 2.0 * _SQRT3
@@ -490,22 +498,25 @@ def sample_tiles(
     tile after tile.  The tile height is part of the determinism contract:
     an exchangeable tile redraws its tied rows before the next tile starts.
     Callers that fix their block boundaries therefore get identical totals
-    no matter how blocks are distributed across workers.  Independent
-    coordinates come as one tile: they are grouped by law object (laws in
-    order of first appearance, coordinates in index order) and each group
-    is drawn as (LAW_CHUNK, count) calls into an (n, count) column buffer.
+    no matter how blocks are distributed across workers.  An independent
+    model groups its coordinates by law object (laws in order of first
+    appearance, coordinates in index order), draws each group LAW_ROWS
+    rows per sampler call into an (n, LAW_ROWS) column buffer, and hands
+    the buffer out as tiles.
     """
     n, rng = _block_stream(model, seed, start, count, n)
     if isinstance(model, IndependentModel):
-        groups: dict[int, tuple[IIDModel, list[int]]] = {}
+        by_law: dict[int, tuple[IIDModel, list[int]]] = {}
         for j, law in enumerate(model.coords):
-            groups.setdefault(id(law), (law, []))[1].append(j)
-        cols = np.empty((n, count), dtype=dtype)
-        for law, index in groups.values():
-            for lo in range(0, len(index), LAW_CHUNK):
-                chunk = index[lo:lo + LAW_CHUNK]
-                cols[chunk] = law.sampler(rng, (len(chunk), count), dtype)
-        yield cols.T
+            by_law.setdefault(id(law), (law, []))[1].append(j)
+        groups = [(law, np.array(index)) for law, index in by_law.values()]
+        for lo in range(0, count, LAW_ROWS):
+            m = min(LAW_ROWS, count - lo)
+            cols = np.empty((n, m), dtype=dtype)
+            for law, index in groups:
+                cols[index] = law.sampler(rng, (index.size, m), dtype)
+            for t in range(0, m, TILE_ROWS):
+                yield cols[:, t:t + TILE_ROWS].T
         return
     pop = model.population.astype(dtype) if isinstance(model, ExchangeableModel) else None
     for lo in range(0, count, TILE_ROWS):
@@ -556,9 +567,11 @@ def standardize_population(values, warn_tol: Optional[float] = None) -> np.ndarr
     if scale == 0.0:
         raise InvalidInputError("population is constant; cannot standardize")
     out = centered / scale
-    # One exact re-normalization pass kills accumulated rounding.
+    # One re-normalization pass kills accumulated rounding.  Its sum of
+    # squares is exactly rounded (fsum): a dot product of many equal terms
+    # can miss n by tens of ulps.
     out = out - out.mean()
-    out *= math.sqrt(out.size / float(out @ out))
+    out *= math.sqrt(out.size / math.fsum(out * out))
     if warn_tol is not None:
         shift = float(np.max(np.abs(out - raw)))
         if shift > warn_tol:

@@ -1,10 +1,11 @@
 """Reference constructions of the two exchangeable pairs, for the tests.
 
-Single pair draws and the enumerated conditional mean E[S' - S | x] check
-the library's closed forms in :mod:`projclt.empirics`; the library itself
-never draws single pairs.
+Single pair draws, the enumerated conditional mean E[S' - S | x] and the
+pairwise third-moment mean check the library's closed forms in
+:mod:`projclt.empirics`; the library itself never draws single pairs.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -97,3 +98,15 @@ def conditional_mean_enumerated(
         dtheta = theta[:, :, None] - theta[:, None, :]
         return np.einsum("irs,rs->i", dtheta, dx) / (n * (n - 1))
     raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+
+
+def mean_abs3_diff_pairs(v: np.ndarray) -> float:
+    """Mean of |v_r - v_s|^3 over ordered pairs r != s, summed over all n^2
+    pairs in 256-row chunks, so no n x n array is formed."""
+    v = np.asarray(v, dtype=np.float64)
+    n = v.size
+    total = math.fsum(
+        float(np.sum(np.abs(v[lo:lo + 256, None] - v[None, :]) ** 3))
+        for lo in range(0, n, 256)
+    )
+    return total / (n * (n - 1))

@@ -20,8 +20,6 @@ from projclt.directions import (
     lp_norm,
     norm_summary,
     random_orthonormal,
-    sphere_mean_l3_cubed,
-    sphere_mean_l4_sq_bound,
 )
 from projclt.empirics import (
     RESAMPLING,
@@ -45,6 +43,7 @@ from projclt.sources import (
 )
 from projclt.testfuncs import GaussianSpec, cosine_testfn, gaussian_expectation
 
+from direction_reference import sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
 
 # One (num, name, status, seconds) entry per criterion; the conftest
 # terminal-summary hook renders these after the run, outside capture.

@@ -11,19 +11,18 @@ from projclt.directions import (
     ORTHONORMAL,
     DirectionSet,
     gram,
-    gram_schmidt,
     hypercube_directions,
     lp_norm,
     norm_summary,
     random_orthonormal,
-    sphere_mean_l3_cubed,
-    sphere_mean_l4_sq_bound,
 )
 from projclt.errors import (
     InvalidInputError,
     LinearDependenceError,
     UnsupportedDimensionError,
 )
+
+from direction_reference import gram_schmidt, sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
 
 
 def lambda_max_oracle(c):

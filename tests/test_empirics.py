@@ -16,6 +16,7 @@ from projclt.empirics import (
     RESAMPLING,
     TRANSPOSITION,
     VerificationTask,
+    _mean_abs3_diff,
     _Moments,
     conditional_linearity_check,
     compute_bound,
@@ -44,7 +45,13 @@ from projclt.sources import (
 )
 from projclt.testfuncs import GaussianSpec, TestFunction, cosine_testfn
 
-from pair_reference import conditional_mean_enumerated, project, resample_pair, transpose_pair
+from pair_reference import (
+    conditional_mean_enumerated,
+    mean_abs3_diff_pairs,
+    project,
+    resample_pair,
+    transpose_pair,
+)
 
 
 def unit_cosine(k):
@@ -366,7 +373,8 @@ class TestPairStats:
         assert abs(per_state.mean() - exact) <= 4 * se
 
     def test_transposition_third_moment_matches_full_matrix_formula(self):
-        # n above the row-chunk size, so the chunked sums cross a chunk boundary
+        # the direct double sums over all n^2 pairs, at an n large enough for
+        # rounding in the sorted prefix sums to show
         n = 300
         ds = random_orthonormal(n, 2, seed=23, centered=True)
         pop = ramp_model(n).population
@@ -403,6 +411,28 @@ class TestPairStats:
         assert report.term_fourth == pytest.approx(expected, rel=1e-14)
         point = EijStats(stats.sum_abs_eij.value, stats.sqrt_sum_sq_eij.value)
         assert report.term_fourth > bound_abstract(lam, point, stats.sum_third.value, g, 2).term_fourth
+
+
+def abs3_kernel_cases():
+    rng = np.random.default_rng(31)
+    cases = {f"normal-{n}": rng.standard_normal(n) for n in (2, 3, 300)}
+    cases["ramp-300"] = ramp_model(300).population
+    cases["hypercube-row"] = hypercube_directions(256, 2, centered=True).vectors[1]
+    cases["alternating"] = np.tile([-1.0, 1.0], 150)
+    cases["offset"] = 1000.0 + 1e-3 * rng.standard_normal(300)
+    cases["cauchy"] = rng.standard_cauchy(300)
+    return cases
+
+
+class TestMeanAbs3Diff:
+    @pytest.mark.parametrize("name", sorted(abs3_kernel_cases()))
+    def test_matches_the_sum_over_all_pairs(self, name):
+        v = abs3_kernel_cases()[name]
+        assert _mean_abs3_diff(v) == pytest.approx(mean_abs3_diff_pairs(v), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 300])
+    def test_constant_vector_gives_zero(self, n):
+        assert _mean_abs3_diff(np.full(n, 0.1)) == 0.0
 
 
 class TestEstimateDiscrepancy:

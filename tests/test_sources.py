@@ -12,7 +12,6 @@ from projclt.sources import (
     ExchangeableModel,
     IIDModel,
     IndependentModel,
-    LAW_CHUNK,
     MomentSummary,
     centered_exponential,
     diff_abs3,
@@ -22,6 +21,7 @@ from projclt.sources import (
     load_population,
     mixed_moments_enumerated,
     moment_summary,
+    LAW_ROWS,
     TILE_ROWS,
     rademacher,
     sample_block,
@@ -352,10 +352,11 @@ def sort_key_permutations(words):
 
 
 def whole_block_reference(model, seed, start, count, n, dtype):
-    """The block drawn in one piece, without tiles.  Exchangeable rows take
+    """The block drawn into one (count, n) array.  Exchangeable rows take
     one stream word per coordinate and sort by their high bits.  Independent
-    models go law object by law object, in order of first appearance, each
-    law's coordinates in index order and LAW_CHUNK of them per sampler call."""
+    models go LAW_ROWS rows at a time and, within those rows, law object by
+    law object in order of first appearance, one sampler call per law for
+    all of its coordinates in index order."""
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
         words = rng.bit_generator.random_raw((count, n))
@@ -363,11 +364,11 @@ def whole_block_reference(model, seed, start, count, n, dtype):
     if isinstance(model, IndependentModel):
         out = np.empty((count, n), dtype=dtype)
         laws = list({id(c): c for c in model.coords}.values())
-        for law in laws:
-            index = [j for j, c in enumerate(model.coords) if c is law]
-            for lo in range(0, len(index), LAW_CHUNK):
-                chunk = index[lo:lo + LAW_CHUNK]
-                out[:, chunk] = law.sampler(rng, (len(chunk), count), dtype).T
+        for lo in range(0, count, LAW_ROWS):
+            rows = slice(lo, min(lo + LAW_ROWS, count))
+            for law in laws:
+                index = [j for j, c in enumerate(model.coords) if c is law]
+                out[rows, index] = law.sampler(rng, (len(index), rows.stop - lo), dtype).T
         return out
     return model.sampler(rng, (count, n), dtype)
 
@@ -393,31 +394,33 @@ class TestTiles:
         ref = whole_block_reference(model, 13, 8192, count, n, dtype)
         tiles = list(sample_tiles(model, 13, 8192, count, n=n, dtype=dtype))
         assert all(t.dtype == dtype and t.shape[1] == n for t in tiles)
-        if kind != "independent":
-            assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
+        assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
         np.testing.assert_array_equal(np.concatenate(tiles), ref)
         np.testing.assert_array_equal(sample_block(model, 13, 8192, count, n=n, dtype=dtype), ref)
 
-    def test_independent_laws_are_drawn_in_fixed_chunks(self):
-        # 47 rademacher, 47 two_point(0.3) and 45 exponential coordinates, so
-        # each law takes three chunks; coordinate 5 holds a second
-        # two_point(0.3) object, which is a law of its own
+    def test_independent_laws_are_drawn_in_fixed_row_pieces(self):
+        # 47 rademacher, 47 two_point(0.3) and 45 exponential coordinates;
+        # coordinate 5 holds a second two_point(0.3) object, which is a law
+        # of its own; 300 rows take a full LAW_ROWS piece and a short one
         laws = (rademacher(), two_point(0.3), centered_exponential())
         coords = [laws[j % 3] for j in range(140)]
         coords[5] = two_point(0.3)
         model = IndependentModel(coords=tuple(coords))
-        ref = whole_block_reference(model, 21, 0, 250, 140, np.float32)
-        np.testing.assert_array_equal(sample_block(model, 21, 0, 250, dtype=np.float32), ref)
-        tiles = list(sample_tiles(model, 21, 0, 250, dtype=np.float32))
-        assert len(tiles) == 1
-        np.testing.assert_array_equal(tiles[0], ref)
+        count = LAW_ROWS + 44
+        ref = whole_block_reference(model, 21, 0, count, 140, np.float32)
+        np.testing.assert_array_equal(sample_block(model, 21, 0, count, dtype=np.float32), ref)
+        tiles = list(sample_tiles(model, 21, 0, count, dtype=np.float32))
+        full = LAW_ROWS // TILE_ROWS
+        assert [t.shape for t in tiles] == [(TILE_ROWS, 140)] * full + [(44, 140)]
+        np.testing.assert_array_equal(np.concatenate(tiles), ref)
 
-    def test_one_law_block_is_its_chunk_draws(self):
-        model = IndependentModel(coords=(uniform(),) * LAW_CHUNK)
-        block = sample_block(model, 4, 64, 100, dtype=np.float32)
-        np.testing.assert_array_equal(
-            block.T, uniform().sampler(stream(4, 64), (LAW_CHUNK, 100), np.float32)
-        )
+    def test_one_law_piece_is_one_sampler_call(self):
+        model = IndependentModel(coords=(uniform(),) * 16)
+        block = sample_block(model, 4, 64, LAW_ROWS + 100, dtype=np.float32)
+        rng = stream(4, 64)
+        first = uniform().sampler(rng, (16, LAW_ROWS), np.float32)
+        rest = uniform().sampler(rng, (16, 100), np.float32)
+        np.testing.assert_array_equal(block, np.concatenate([first.T, rest.T]))
 
 
 class _ScriptedWords:
@@ -480,6 +483,15 @@ class TestPopulations:
         pop = standardize_population(np.random.default_rng(3).standard_normal(100) * 7 + 2)
         assert abs(pop.sum()) <= 1e-12
         assert abs(pop @ pop - 100) <= 1e-12
+
+    def test_two_valued_sum_of_squares_is_within_a_few_ulps(self):
+        # a dot product of many equal squares misses n by tens of ulps here
+        for n in range(2, 4000):
+            for m in {1, max(1, n // 3)}:
+                raw = np.zeros(n)
+                raw[:m] = 1.0
+                pop = standardize_population(raw)
+                assert abs(math.fsum(pop * pop) - n) <= 8 * np.spacing(float(n)), (n, m)
 
     def test_constant_population_rejected(self):
         with pytest.raises(InvalidInputError):
