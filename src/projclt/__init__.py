@@ -28,16 +28,14 @@ from .empirics import (
     RESAMPLING,
     TRANSPOSITION,
     DiscrepancyEstimate,
-    Estimate,
-    PairStats,
     VerificationReport,
     VerificationTask,
     compute_bound,
     conditional_linearity_check,
     eij_closed_form,
     eij_enumerated,
+    eij_second_moments,
     estimate_discrepancy,
-    pair_stats,
     stein_lambda,
     verify_bound,
 )

@@ -107,9 +107,11 @@ UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
 class EijStats(NamedTuple):
     """Conditional-second-moment error statistics feeding the abstract bound.
 
-    ``sum_abs`` estimates sum_ij E|E_ij|; ``sqrt_sum_sq`` estimates
-    E (sum_ij E_ij^2)^(1/2).  Either may be ``inf`` when unknown, which
-    simply removes that branch of the min.
+    ``sum_abs`` is an upper bound on sum_ij E|E_ij|; ``sqrt_sum_sq`` is an
+    upper bound on E (sum_ij E_ij^2)^(1/2).  :func:`projclt.empirics.compute_bound`
+    passes the Jensen envelopes sum_ij sqrt(E E_ij^2) and
+    sqrt(sum_ij E E_ij^2) of the exact second moments.  Either may be
+    ``inf`` when unknown, which simply removes that branch of the min.
     """
 
     sum_abs: float
@@ -238,10 +240,11 @@ def bound_abstract(
     g: TestFunction,
     k: int,
 ) -> BoundReport:
-    """Abstract exchangeable-pair bound from measured (or enveloped)
-    error statistics.
+    """Abstract exchangeable-pair bound from upper bounds on its error
+    statistics.
 
-    ``third_stats`` is sum_i E|X'_i - X_i|^3.  The report records which
+    ``third_stats`` is sum_i E|X'_i - X_i|^3.  With exact or enveloped
+    inputs the result is a proved inequality.  The report records which
     branch of the min was taken.
     """
     if lambda_stein <= 0:

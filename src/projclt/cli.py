@@ -14,7 +14,8 @@ The experiment configuration is a single JSON file; ``--seed``,
 ``verify`` and ``scan`` take ``--workers N`` (N >= 1; wall time only) and
 ``--trace``, which writes one JSON object per run or scan cell to stderr:
 theorem, n, k, pass/fail and the report metadata (stage seconds,
-samples/s, workers, blocks, tile rows, Gaussian-side method and error).
+samples/s, workers, blocks, tile rows, Gaussian-side method and error,
+and the dominant bound term).
 All CSV output starts with a ``# schema=1`` line and renders floats at 17
 significant digits, so identical configurations reproduce byte-identical
 files.  Exit codes: 0 success/pass, 1 bound or invariant violation, 2
@@ -24,6 +25,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -122,6 +124,9 @@ class ExperimentConfig:
         pair = raw.get("pair")
         if pair is not None and pair not in empirics.PAIR_KINDS:
             raise ConfigError(f"pair must be one of {empirics.PAIR_KINDS}, got {pair!r}")
+        # pair_samples changes no output (the abstract bound samples no
+        # state).  It stays a validated key so that configs that set it
+        # still load and keep their digests.
         pair_samples = raw.get("pair_samples", 2000)
         digest = hashlib.sha256(
             json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
@@ -337,7 +342,6 @@ def build_task(cfg: ExperimentConfig, theorem: str, bound_scale: float = 1.0,
         seed=cfg.seed,
         constants=cfg.exchangeable_constants(),
         pair_kind=cfg.pair,
-        pair_samples=cfg.pair_samples,
         bound_scale=bound_scale,
         digest=cfg.digest,
         workers=workers,
@@ -379,8 +383,7 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     for theorem in cfg.theorems():
         report = empirics.compute_bound(
             theorem, ds, model, g,
-            constants=cfg.exchangeable_constants(),
-            pair_kind=cfg.pair, pair_samples=cfg.pair_samples, seed=cfg.seed,
+            constants=cfg.exchangeable_constants(), pair_kind=cfg.pair,
         )
         rows.append(_bound_row(report))
     _emit(_csv(BOUND_COLUMNS, rows), cfg.output)
@@ -547,7 +550,11 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser can parse
+    any number of argument lists, and building one costs about a
+    millisecond."""
     parser = argparse.ArgumentParser(
         prog="projclt",
         description="Gaussian-approximation error bounds for projections, with Monte Carlo verification",

@@ -12,10 +12,12 @@ exchangeable bounds:
 For both, the conditional second-moment errors E_ij have closed forms in
 the current state x, checked here against direct enumeration over the
 randomization (the replacement law, or all ordered index pairs).  On top
-of that sit the error statistics feeding the abstract bound (state
-averages of E_ij, and the exact third-moment sum), and the end-to-end
-check that the measured discrepancy |E g(S) - E g(Z~)| stays below the
-assembled bound.
+of that sit the error statistics feeding the abstract bound, all exact:
+the second moments E E_ij^2 over the state, whose Jensen envelopes bound
+sum_ij E|E_ij| and E sqrt(sum_ij E_ij^2), and the third-moment sum.  So
+the abstract bound is a proved inequality and draws no state.  Last comes
+the end-to-end check that the measured discrepancy |E g(S) - E g(Z~)|
+stays below the assembled bound.
 
 Monte Carlo loops follow the splittable seeding contract of
 :mod:`projclt.sources`: every state is drawn in fixed-size blocks (a
@@ -26,6 +28,7 @@ independent of how blocks are scheduled across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -38,7 +41,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import sources
 from .directions import ORTHONORMAL_KINDS, DirectionSet, gram, norm_summary
-from .errors import InvalidInputError, ProjcltError, WrongPairKindError
+from .errors import InvalidInputError, InvalidMomentsError, ProjcltError, WrongPairKindError
 from .sources import (
     IIDModel,
     IndependentModel,
@@ -52,36 +55,10 @@ RESAMPLING = "resampling"
 TRANSPOSITION = "transposition"
 PAIR_KINDS = (RESAMPLING, TRANSPOSITION)
 
-# Fixed Monte Carlo block sizes; part of the determinism contract.  Pair
-# statistics work on float64 states, so their blocks are smaller.
+# Fixed Monte Carlo block sizes; part of the determinism contract.  The
+# linearity check works on float64 states, so its blocks are smaller.
 _BLOCK = 8192
 _STATE_BLOCK = 256
-
-
-class Estimate(NamedTuple):
-    """A Monte Carlo estimate with its standard error."""
-
-    value: float
-    se: float
-
-
-@dataclass(frozen=True)
-class PairStats:
-    """Error statistics of an exchangeable pair: E_ij state averages with
-    their standard errors, and the exact third-moment sum (se 0)."""
-
-    lambda_stein: float
-    sum_abs_eij: Estimate
-    sqrt_sum_sq_eij: Estimate
-    sum_third: Estimate
-    samples: int
-
-    def eij_stats(self) -> bounds_mod.EijStats:
-        """Upper confidence values, estimate + 3 se: the margin verify uses."""
-        return bounds_mod.EijStats(
-            sum_abs=self.sum_abs_eij.value + 3.0 * self.sum_abs_eij.se,
-            sqrt_sum_sq=self.sqrt_sum_sq_eij.value + 3.0 * self.sqrt_sum_sq_eij.se,
-        )
 
 
 def default_pair(model: Model) -> str:
@@ -116,6 +93,15 @@ def _require_exchangeable(model: Model) -> None:
 
 def _coord_law(model: Model, index: int) -> IIDModel:
     return model.coords[index] if isinstance(model, IndependentModel) else model
+
+
+def _per_coordinate(model: IndependentModel, moment) -> np.ndarray:
+    """``moment(law)`` for every coordinate, evaluated once per law object."""
+    by_law: dict = {}
+    for law in model.coords:
+        if id(law) not in by_law:
+            by_law[id(law)] = moment(law)
+    return np.array([by_law[id(law)] for law in model.coords])
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +296,7 @@ def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
         _require_independent(model)
         weights = np.sum(np.abs(theta) ** 3, axis=0)
         if isinstance(model, IndependentModel):
-            return float(weights @ [sources.diff_abs3(c) for c in model.coords]) / n
+            return float(weights @ _per_coordinate(model, sources.diff_abs3)) / n
         return float(weights.sum()) * sources.diff_abs3(model) / n
     if pair_kind == TRANSPOSITION:
         _require_exchangeable(model)
@@ -318,38 +304,134 @@ def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
     raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
 
 
-def _estimate(samples: np.ndarray) -> Estimate:
-    m = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(samples.size)) if samples.size > 1 else 0.0
-    return Estimate(value=m, se=se)
+@functools.cache
+def _set_partitions(m: int) -> tuple:
+    """Every set partition of range(m), as tuples of blocks."""
+    if m == 0:
+        return ((),)
+    out = []
+    for part in _set_partitions(m - 1):
+        for b in range(len(part)):
+            out.append(part[:b] + (part[b] + (m - 1,),) + part[b + 1:])
+        out.append(part + ((m - 1,),))
+    return tuple(out)
 
 
-def pair_stats(
-    ds: DirectionSet, model: Model, pair_kind: str, samples: int, seed: int
-) -> PairStats:
-    """Estimates of the abstract bound's error statistics.
+# E_ij^2 / c^2 = n^2 U^2 + 4 n U S^i S^j + 4 (S^i S^j)^2 with U = sum_r theta_i^r
+# theta_j^r y_r.  Per term: the power of n, the coefficient, and one slot per
+# summation index, (power of theta_i, power of theta_j, power of x, power of y).
+_UY, _IX, _JX = (1, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0)
+_TRANSPOSITION_TERMS = ((2, 1.0, (_UY, _UY)), (1, 4.0, (_UY, _IX, _JX)),
+                        (0, 4.0, (_IX, _IX, _JX, _JX)))
+# Factor tables: theta^p (theta^q)^T at 3p + q for p, q <= 2, then a block of
+# ones; sum x^a y^b at 3a + b for a <= 4, b <= 2, then 1.  Padding blocks
+# index the ones.
+_THETA_ONE, _POP_ONE = 9, 15
 
-    E_ij(x) is a function of the state (closed form), so sum_ij E|E_ij| and
-    E sqrt(sum E_ij^2) are averages over states drawn in fixed-size
-    blocks; the third-moment sum is exact, with standard error 0.
+
+@functools.cache
+def _coincidence_table() -> tuple:
+    """One row per term of E_ij^2 and set partition pi of its slots (which
+    summation indices coincide): the term's power of n and coefficient,
+    |pi|, and per block of pi the table index of its direction factor and
+    of its population factor.  Also the Moebius matrix of the partition
+    lattice, mu[pi, sigma] for every sigma coarser than pi, which turns
+    sums over unrestricted indices into sums over distinct ones (Rota
+    1964): mu = prod over the blocks C of sigma of (-1)^(c-1) (c-1)!, c the
+    number of blocks of pi that C merges.
     """
-    if samples < 100:
-        raise InvalidInputError(f"pair statistics need at least 100 samples, got {samples}")
+    rows, theta_index, pop_index = [], [], []
+    count = sum(len(_set_partitions(len(slots))) for _, _, slots in _TRANSPOSITION_TERMS)
+    mobius = np.zeros((count, count))
+    for n_power, coef, slots in _TRANSPOSITION_TERMS:
+        parts = _set_partitions(len(slots))
+        first = len(rows)
+        where = {frozenset(map(frozenset, part)): first + i for i, part in enumerate(parts)}
+        for part in parts:
+            for sigma in _set_partitions(len(part)):
+                merged = frozenset(frozenset(s for b in c for s in part[b]) for c in sigma)
+                mobius[len(rows), where[merged]] = math.prod(
+                    (-1) ** (len(c) - 1) * math.factorial(len(c) - 1) for c in sigma)
+            exps = [tuple(map(sum, zip(*(slots[s] for s in b)))) for b in part]
+            pad = 4 - len(part)  # no term has more than four slots
+            theta_index.append([3 * e[0] + e[1] for e in exps] + [_THETA_ONE] * pad)
+            pop_index.append([3 * e[2] + e[3] for e in exps] + [_POP_ONE] * pad)
+            rows.append((n_power, coef, len(part)))
+    n_power, coef, size = np.array(rows).T
+    return n_power, coef, size.astype(int), np.array(theta_index), np.array(pop_index), mobius
+
+
+def _transposition_second_moments(theta: np.ndarray, pop: np.ndarray) -> np.ndarray:
+    """E E_ij^2 over a uniform permutation x of a standardized population.
+
+    With W = sum x_r = 0, sum (x_r^2 - 1) = 0 and y = x^2 - 1, the closed
+    form of :func:`eij_closed_form` reduces to E_ij = c [n U + 2 S^i S^j],
+    c = 2/(n(n-1)).  Each term of E_ij^2 is a sum over index tuples.
+    Grouped by which indices coincide (a set partition pi), it is a
+    distinct-index sum over the directions, of (k, k) products theta^p
+    (theta^q)^T, times a distinct-index sum over the population, of sums of
+    x^a y^b, divided by (n)_|pi|, the number of ordered |pi|-tuples of
+    distinct positions.  Both distinct-index sums come from the
+    unrestricted ones by Moebius inversion (:func:`_coincidence_table`).  A
+    partition with more than n blocks has no such tuple and adds nothing.
+    """
+    n = pop.size
+    k = theta.shape[0]
+    x2 = pop * pop
+    y = x2 - 1.0
+    ones = np.ones_like(pop)
+    powers = np.stack([np.ones_like(theta), theta, theta * theta]).reshape(3 * k, n)
+    products = (powers @ powers.T).reshape(3, k, 3, k).transpose(0, 2, 1, 3).reshape(9, k, k)
+    theta_table = np.concatenate([products, np.ones((1, k, k))])
+    sums = np.stack([ones, pop, x2, x2 * pop, x2 * x2]) @ np.stack([ones, y, y * y]).T
+    pop_table = np.append(sums.ravel(), 1.0)
+    n_power, coef, size, theta_index, pop_index, mobius = _coincidence_table()
+    directions = mobius @ theta_table[theta_index].prod(axis=1).reshape(size.size, k * k)
+    population = mobius @ pop_table[pop_index].prod(axis=1)
+    falling = np.array([math.prod(range(n - b + 1, n + 1)) for b in size], dtype=float)
+    weight = coef * float(n) ** n_power * np.divide(
+        population, falling, out=np.zeros_like(population), where=falling > 0)
+    c = 2.0 / (n * (n - 1))
+    # Rounding may leave an entry a hair below zero.
+    return np.maximum(c * c * (weight @ directions).reshape(k, k), 0.0)
+
+
+def eij_second_moments(ds: DirectionSet, model: Model, pair_kind: str) -> np.ndarray:
+    """The exact (k, k) matrix E E_ij^2 over the state, for the pair's
+    closed form (:func:`eij_closed_form`).
+
+    Resampling, independent coordinates: (1/n^2) sum_r (theta_i^r
+    theta_j^r)^2 (EX_r^4 - 1), with each law's fourth moment enumerated
+    over a finite support and declared otherwise; it is exactly 0 for
+    Rademacher coordinates.  Transposition: see
+    :func:`_transposition_second_moments`, O(k^2 n) time.
+
+    By Jensen, sum_ij sqrt(E E_ij^2) >= sum_ij E|E_ij| and
+    sqrt(sum_ij E E_ij^2) >= E sqrt(sum_ij E_ij^2): the two statistics of
+    the abstract bound, bounded without sampling a state.
+    """
+    if pair_kind not in PAIR_KINDS:
+        raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+    if ds.kind not in ORTHONORMAL_KINDS:
+        raise InvalidInputError(f"the {pair_kind} closed form assumes orthonormal rows")
     if sources.model_dim(model) not in (None, ds.n):
         raise InvalidInputError("model dimension does not match the direction set")
-    third = third_moment_sum(ds, model, pair_kind)
-    abs_sum, sq_sqrt = [], []
-    for x in _state_blocks(model, ds.n, samples, seed):
-        e = eij_closed_form(x, ds, pair_kind)
-        abs_sum.append(np.abs(e).sum(axis=(1, 2)))
-        sq_sqrt.append(np.sqrt(np.sum(e * e, axis=(1, 2))))
-    return PairStats(
-        lambda_stein=stein_lambda(pair_kind, ds.n),
-        sum_abs_eij=_estimate(np.concatenate(abs_sum)),
-        sqrt_sum_sq_eij=_estimate(np.concatenate(sq_sqrt)),
-        sum_third=Estimate(value=third, se=0.0),
-        samples=samples,
-    )
+    theta = ds.vectors
+    n = ds.n
+    if pair_kind == RESAMPLING:
+        _require_independent(model)
+        if isinstance(model, IndependentModel):
+            fourth = _per_coordinate(model, sources.fourth_moment)
+        else:
+            fourth = sources.fourth_moment(model)
+        if np.min(fourth) < 1.0 - 1e-9:
+            raise InvalidMomentsError(f"EX^4 = {np.min(fourth)} < 1 contradicts EX^2 = 1")
+        t2 = theta * theta
+        return (t2 * np.maximum(fourth - 1.0, 0.0)) @ t2.T / (n * n)
+    _require_exchangeable(model)
+    if not ds.is_centered():
+        raise InvalidInputError("the transposition closed form assumes centered rows")
+    return _transposition_second_moments(theta, model.population)
 
 
 # --------------------------------------------------------------------------
@@ -473,7 +555,6 @@ class VerificationTask:
     seed: int
     constants: bounds_mod.ExchangeableConstants = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS
     pair_kind: Optional[str] = None
-    pair_samples: int = 2000
     bound_scale: float = 1.0
     digest: str = ""
     workers: Optional[int] = None
@@ -520,12 +601,11 @@ def compute_bound(
     g: TestFunction,
     constants: bounds_mod.ExchangeableConstants = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS,
     pair_kind: Optional[str] = None,
-    pair_samples: int = 2000,
-    seed: int = 0,
 ) -> bounds_mod.BoundReport:
     """Evaluate the selected bound for a resolved (directions, model, g)
     triple.  The abstract bound takes its error statistics from the pair
-    matching the model, the sampled ones at their upper 3-se values."""
+    matching the model: the Jensen envelopes of the exact E E_ij^2
+    (:func:`eij_second_moments`) and the exact third-moment sum."""
     row = bounds_mod.theorem_spec(theorem, sources.family(model))
     if not row.pair:
         gramdata = gram(ds) if row.gram else None
@@ -534,9 +614,12 @@ def compute_bound(
         )
     if pair_kind is None:
         pair_kind = default_pair(model)
-    stats = pair_stats(ds, model, pair_kind, pair_samples, sources.derived_seed(seed, 2))
+    second = eij_second_moments(ds, model, pair_kind)
+    eij = bounds_mod.EijStats(
+        sum_abs=float(np.sqrt(second).sum()), sqrt_sum_sq=math.sqrt(float(second.sum()))
+    )
     report = bounds_mod.bound_abstract(
-        stats.lambda_stein, stats.eij_stats(), stats.sum_third.value, g, ds.k
+        stein_lambda(pair_kind, ds.n), eij, third_moment_sum(ds, model, pair_kind), g, ds.k
     )
     return replace(report, inputs_echo={**report.inputs_echo, "n": ds.n,
                                         "pair_kind": pair_kind})
@@ -555,7 +638,8 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
 
     The run passes when the measured discrepancy does not exceed the
     (optionally rescaled) bound plus the confidence margin.  The metadata
-    records how the discrepancy was sampled and how long each stage took.
+    records how the discrepancy was sampled, how long each stage took, and
+    the largest of the bound's three terms.
     """
     seconds: dict = {}
     report = _stage(
@@ -563,7 +647,6 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
         lambda: compute_bound(
             task.theorem, task.ds, task.model, task.g,
             constants=task.constants, pair_kind=task.pair_kind,
-            pair_samples=task.pair_samples, seed=task.seed,
         ),
         seconds,
     )
@@ -576,6 +659,7 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
         seconds,
     )
     bound_total = report.total * task.bound_scale
+    terms = {name: getattr(report, name) for name in ("term_fourth", "term_third", "term_mixed")}
     metadata = {
         "seed": task.seed,
         "samples": task.samples,
@@ -591,6 +675,7 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
         "tile_rows": sources.TILE_ROWS,
         "stage_seconds": seconds,
         "samples_per_s": task.samples / seconds["discrepancy"],
+        "dominant_term": max(terms, key=terms.get),
     }
     return VerificationReport(
         theorem=task.theorem,

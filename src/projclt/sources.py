@@ -347,6 +347,17 @@ def diff_abs3(model: IIDModel) -> float:
     return model.diff_abs3
 
 
+def fourth_moment(model: IIDModel) -> float:
+    """EX^4 of a scalar law: enumerated over a finite support, declared
+    otherwise."""
+    if model.support is not None:
+        vals, probs = model.support
+        return float(probs @ vals**4)
+    if model.fourth is None:
+        raise MissingMomentsError(f"model {model.name!r} does not declare fourth = EX^4")
+    return model.fourth
+
+
 def independent_moments(model: IndependentModel) -> MomentSummary:
     per = [iid_moments(c) for c in model.coords]
     return MomentSummary(

@@ -274,6 +274,19 @@ class TestBoundCommand:
         assert row["theorem"] == "abstract" and float(row["total"]) > 0
 
 
+    def test_abstract_bound_ignores_pair_samples_and_seed(self, tmp_path):
+        # the abstract bound is exact: no pair state is drawn
+        outputs = []
+        for i, extra in enumerate([{"pair_samples": 100, "seed": 1},
+                                   {"pair_samples": 5000, "seed": 2}]):
+            out = tmp_path / f"abstract{i}.csv"
+            path = write_config(tmp_path, {"theorem": "abstract", "model": {"kind": "uniform"},
+                                           "output": str(out), **extra}, name=f"c{i}.json")
+            assert main(["bound", str(path)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestScanCommand:
     def test_hypercube_bound_ratios_halve(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -402,6 +415,19 @@ class TestReproducibility:
         assert set(record["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
         assert record["samples_per_s"] > 0
         assert record["gaussian_method"] == "closed-form" and record["gaussian_error"] == 0.0
+
+    def test_trace_names_the_dominant_bound_term(self, tmp_path, capsys):
+        bound_out, out1, out2 = tmp_path / "bound.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+        path = write_config(tmp_path, {"model": {"kind": "uniform"}, "samples": 5_000})
+        assert main(["bound", str(path), "--output", str(bound_out)]) == 0
+        (row,) = read_rows(bound_out)
+        terms = {name: float(row[name]) for name in ("term_fourth", "term_third", "term_mixed")}
+        assert main(["verify", str(path), "--output", str(out1)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path), "--output", str(out2), "--trace"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        record = json.loads(capsys.readouterr().err)
+        assert record["dominant_term"] == max(terms, key=terms.get)
 
     def test_scan_trace_has_one_object_per_cell(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,10 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from projclt import sources
-from projclt.bounds import UNIT_CONSTANTS, EijStats, bound_abstract
+from projclt.bounds import UNIT_CONSTANTS
 from projclt.directions import (
     DirectionSet,
     LINEARLY_INDEPENDENT,
@@ -23,8 +23,8 @@ from projclt.empirics import (
     conditional_mean_closed_form,
     eij_closed_form,
     eij_enumerated,
+    eij_second_moments,
     estimate_discrepancy,
-    pair_stats,
     stein_lambda,
     third_moment_sum,
     verify_bound,
@@ -293,44 +293,34 @@ class TestEijClosedForm:
             eij_closed_form(np.zeros(2), ds, RESAMPLING)
 
 
-class TestPairStats:
+class TestPairStatistics:
     def test_sign_model_gives_exactly_zero_error_terms(self):
         ds = hypercube_directions(64, 2)
-        stats = pair_stats(ds, rademacher(), RESAMPLING, samples=150, seed=0)
-        assert stats.sum_abs_eij.value == 0.0
-        assert stats.sqrt_sum_sq_eij.value == 0.0
-        assert stats.lambda_stein == 1.0 / 64
+        second = eij_second_moments(ds, rademacher(), RESAMPLING)
+        np.testing.assert_array_equal(second, np.zeros((2, 2)))
 
     def test_resampling_envelopes(self):
-        # measured statistics stay below the analytic envelopes
+        # the exact statistics stay below the analytic envelopes
         n = 128
         rows = np.full((1, n), 1.0 / math.sqrt(n))
         ds = DirectionSet(rows, kind="orthonormal")
         model = uniform()
         m = iid_moments(model)
         ns = norm_summary(ds)
-        stats = pair_stats(ds, model, RESAMPLING, samples=600, seed=5)
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
-        assert stats.sqrt_sum_sq_eij.value <= env_sq + 3 * stats.sqrt_sum_sq_eij.se
+        assert math.sqrt(eij_second_moments(ds, model, RESAMPLING).sum()) <= env_sq * (1 + 1e-12)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
-        assert stats.sum_third.value <= env_third + 3 * stats.sum_third.se
+        assert third_moment_sum(ds, model, RESAMPLING) <= env_third
 
     def test_transposition_third_moment_envelope(self):
         n, k = 32, 2
         ds = hypercube_directions(n, k, centered=True)
         model = ramp_model(n)
-        ns = norm_summary(ds)
         abs3 = float(np.mean(np.abs(model.population) ** 3))
-        stats = pair_stats(ds, model, TRANSPOSITION, samples=400, seed=9)
         l1 = np.sum(np.abs(ds.vectors), axis=1)
         l3 = np.sum(np.abs(ds.vectors) ** 3, axis=1)
         env = (8.0 * abs3 / (n * (n - 1))) * float(np.sum(2 * n * l3 + 6 * l1))
-        assert stats.sum_third.value <= env + 3 * stats.sum_third.se
-
-    def test_sample_floor(self):
-        ds = hypercube_directions(8, 1)
-        with pytest.raises(InvalidInputError):
-            pair_stats(ds, rademacher(), RESAMPLING, samples=50, seed=0)
+        assert third_moment_sum(ds, model, TRANSPOSITION) <= env
 
     @pytest.mark.parametrize(
         "model",
@@ -385,32 +375,93 @@ class TestPairStats:
 
     def test_continuous_law_without_diff_abs3_is_rejected(self):
         law = user_model("custom", uniform().sampler, abs3=1.3, fourth=1.8)
-        with pytest.raises(MissingMomentsError):
-            pair_stats(hypercube_directions(8, 1), law, RESAMPLING, samples=100, seed=0)
+        with pytest.raises(MissingMomentsError, match="diff_abs3"):
+            compute_bound("abstract", hypercube_directions(8, 1), law, unit_cosine(1))
+
+    def test_continuous_law_without_fourth_is_rejected(self):
+        law = user_model("custom", uniform().sampler, abs3=1.3,
+                         diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
+        with pytest.raises(MissingMomentsError, match="fourth"):
+            eij_second_moments(hypercube_directions(8, 1), law, RESAMPLING)
 
     def test_abstract_bound_needs_no_moments_it_does_not_use(self):
-        # abs3/fourth feed T1-T5 only; the abstract route needs diff_abs3
-        law = user_model("custom", uniform().sampler, diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
+        # abs3 feeds T1-T5 only; the abstract route needs diff_abs3 and fourth
+        law = user_model("custom", uniform().sampler, fourth=9.0 / 5.0,
+                         diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
         with pytest.raises(MissingMomentsError):
             compute_bound("T2", hypercube_directions(16, 1), law, unit_cosine(1))
-        report = compute_bound("abstract", hypercube_directions(16, 1), law, unit_cosine(1),
-                               pair_samples=200, seed=1)
+        report = compute_bound("abstract", hypercube_directions(16, 1), law, unit_cosine(1))
         assert report.total > 0 and report.inputs_echo["pair_kind"] == RESAMPLING
 
-    def test_abstract_fourth_term_carries_three_se(self):
+    def test_abstract_fourth_term_is_the_min_of_the_exact_envelopes(self):
         ds = random_orthonormal(64, 2, seed=12)
         model, g = uniform(), unit_cosine(2)
-        stats = pair_stats(ds, model, RESAMPLING, samples=300, seed=sources.derived_seed(4, 2))
-        assert stats.sum_abs_eij.se > 0 and stats.sum_third.se == 0.0
-        report = compute_bound("abstract", ds, model, g, pair_samples=300, seed=4)
-        lam = stats.lambda_stein
-        upper_abs = stats.sum_abs_eij.value + 3 * stats.sum_abs_eij.se
-        upper_sq = stats.sqrt_sum_sq_eij.value + 3 * stats.sqrt_sum_sq_eij.se
-        expected = min(g.g1 / (2 * lam) * upper_abs,
-                       math.sqrt(2) * g.grad_sup / (2 * lam) * upper_sq)
+        second = eij_second_moments(ds, model, RESAMPLING)
+        report = compute_bound("abstract", ds, model, g)
+        lam = stein_lambda(RESAMPLING, 64)
+        expected = min(g.g1 / (2 * lam) * float(np.sqrt(second).sum()),
+                       math.sqrt(2) * g.grad_sup / (2 * lam) * math.sqrt(float(second.sum())))
         assert report.term_fourth == pytest.approx(expected, rel=1e-14)
-        point = EijStats(stats.sum_abs_eij.value, stats.sqrt_sum_sq_eij.value)
-        assert report.term_fourth > bound_abstract(lam, point, stats.sum_third.value, g, 2).term_fourth
+        assert report.term_third == pytest.approx(
+            2 * 2 * g.g2 / (6 * lam) * third_moment_sum(ds, model, RESAMPLING), rel=1e-14)
+
+
+def repeated_population(n):
+    """A standardized population in which one value occurs n - 2 times."""
+    return standardize_population(np.r_[np.zeros(n - 2), [1.0, 3.0]])
+
+
+class TestEijSecondMoments:
+    # n = 3 has no four distinct positions: those partitions add nothing
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("population", [ramp_model, lambda n: ExchangeableModel(
+        repeated_population(n))], ids=["ramp", "repeated"])
+    def test_transposition_matches_enumeration(self, n, population):
+        model = population(n)
+        ds = random_orthonormal(n, min(n - 1, 3), seed=30 + n, centered=True)
+        perms = np.array(list(itertools.permutations(range(n))))
+        e = eij_closed_form(model.population[perms], ds, TRANSPOSITION)
+        exact = eij_second_moments(ds, model, TRANSPOSITION)
+        np.testing.assert_allclose(exact, np.mean(e * e, axis=0), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_resampling_matches_enumeration(self, n):
+        laws = (two_point(0.3), rademacher())
+        model = IndependentModel(coords=tuple(laws[r % 2] for r in range(n)))
+        ds = random_orthonormal(n, 2, seed=40 + n)
+        states = np.array(list(itertools.product(*(c.support[0] for c in model.coords))))
+        probs = np.prod(list(itertools.product(*(c.support[1] for c in model.coords))), axis=1)
+        e = eij_closed_form(states, ds, RESAMPLING)
+        exact = eij_second_moments(ds, model, RESAMPLING)
+        np.testing.assert_allclose(exact, np.einsum("m,mij->ij", probs, e * e),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "model,pair_kind,centered",
+        [
+            (uniform(), RESAMPLING, False),
+            (centered_exponential(), RESAMPLING, False),
+            (IndependentModel(coords=(uniform(), rademacher(), centered_exponential(),
+                                      two_point(0.2)) * 8), RESAMPLING, False),
+            (ramp_model(32), TRANSPOSITION, True),
+            (ExchangeableModel(np.tile([-1.0, 1.0], 16)), TRANSPOSITION, True),
+        ],
+        ids=["uniform", "exponential", "mixed", "ramp", "alternating"],
+    )
+    def test_matches_sampled_means(self, model, pair_kind, centered):
+        n, states = 32, 20_000
+        ds = random_orthonormal(n, 2, seed=50, centered=centered)
+        e = eij_closed_form(sample_block(model, seed=6, start=0, count=states, n=n), ds, pair_kind)
+        sq = e * e
+        se = sq.std(axis=0, ddof=1) / math.sqrt(states)
+        exact = eij_second_moments(ds, model, pair_kind)
+        assert np.all(np.abs(sq.mean(axis=0) - exact) <= 4 * se)
+
+    def test_wrong_model_family_is_rejected(self):
+        with pytest.raises(WrongPairKindError):
+            eij_second_moments(hypercube_directions(8, 2, centered=True), uniform(), TRANSPOSITION)
+        with pytest.raises(WrongPairKindError):
+            eij_second_moments(hypercube_directions(8, 2), ramp_model(8), RESAMPLING)
 
 
 def abs3_kernel_cases():
@@ -585,7 +636,6 @@ class TestVerifyBound:
             theorem="abstract",
             samples=20_000,
             seed=6,
-            pair_samples=400,
         )
         rep = verify_bound(task)
         assert rep.passed
