@@ -95,15 +95,6 @@ def _coord_law(model: Model, index: int) -> IIDModel:
     return model.coords[index] if isinstance(model, IndependentModel) else model
 
 
-def _per_coordinate(model: IndependentModel, moment) -> np.ndarray:
-    """``moment(law)`` for every coordinate, evaluated once per law object."""
-    by_law: dict = {}
-    for law in model.coords:
-        if id(law) not in by_law:
-            by_law[id(law)] = moment(law)
-    return np.array([by_law[id(law)] for law in model.coords])
-
-
 # --------------------------------------------------------------------------
 # Exact conditional expectations
 
@@ -296,7 +287,7 @@ def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
         _require_independent(model)
         weights = np.sum(np.abs(theta) ** 3, axis=0)
         if isinstance(model, IndependentModel):
-            return float(weights @ _per_coordinate(model, sources.diff_abs3)) / n
+            return float(weights @ [sources.diff_abs3(c) for c in model.coords]) / n
         return float(weights.sum()) * sources.diff_abs3(model) / n
     if pair_kind == TRANSPOSITION:
         _require_exchangeable(model)
@@ -421,7 +412,7 @@ def eij_second_moments(ds: DirectionSet, model: Model, pair_kind: str) -> np.nda
     if pair_kind == RESAMPLING:
         _require_independent(model)
         if isinstance(model, IndependentModel):
-            fourth = _per_coordinate(model, sources.fourth_moment)
+            fourth = np.array([sources.fourth_moment(c) for c in model.coords])
         else:
             fourth = sources.fourth_moment(model)
         if np.min(fourth) < 1.0 - 1e-9:

@@ -29,7 +29,12 @@ from projclt.empirics import (
     third_moment_sum,
     verify_bound,
 )
-from projclt.errors import InvalidInputError, MissingMomentsError, WrongPairKindError
+from projclt.errors import (
+    InvalidInputError,
+    InvalidMomentsError,
+    MissingMomentsError,
+    WrongPairKindError,
+)
 from projclt.sources import (
     TILE_ROWS,
     ExchangeableModel,
@@ -462,6 +467,20 @@ class TestEijSecondMoments:
             eij_second_moments(hypercube_directions(8, 2, centered=True), uniform(), TRANSPOSITION)
         with pytest.raises(WrongPairKindError):
             eij_second_moments(hypercube_directions(8, 2), ramp_model(8), RESAMPLING)
+
+    def test_declared_fourth_moment_below_one_is_rejected(self):
+        law = user_model("custom", uniform().sampler, fourth=0.5)
+        with pytest.raises(InvalidMomentsError, match="EX\\^4"):
+            eij_second_moments(hypercube_directions(8, 2), law, RESAMPLING)
+
+    def test_linearly_independent_rows_are_rejected(self):
+        ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
+        with pytest.raises(InvalidInputError, match="orthonormal"):
+            eij_second_moments(ds, uniform(), RESAMPLING)
+
+    def test_uncentered_rows_are_rejected_for_transposition(self):
+        with pytest.raises(InvalidInputError, match="centered"):
+            eij_second_moments(hypercube_directions(8, 2), ramp_model(8), TRANSPOSITION)
 
 
 def abs3_kernel_cases():
