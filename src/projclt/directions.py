@@ -130,21 +130,32 @@ class DirectionSet:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "DirectionSet":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise InvalidInputError("direction text must start with a '# n=.. k=.. kind=..' header")
-        m = re.match(r"#\s*n=(\d+)\s+k=(\d+)\s+kind=(\S+)", lines[0])
+    def from_csv(cls, text: str, source: str = "direction text") -> "DirectionSet":
+        """Parse the ``to_csv`` format; errors name ``source`` and the line."""
+        lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        header = lines[0][1] if lines else ""
+        if not header.startswith("#"):
+            raise InvalidInputError(f"{source} must start with a '# n=.. k=.. kind=..' header")
+        m = re.match(r"#\s*n=(\d+)\s+k=(\d+)\s+kind=(\S+)", header)
         if m is None:
-            raise InvalidInputError(f"malformed direction header: {lines[0]!r}")
+            raise InvalidInputError(f"{source}: malformed direction header: {header!r}")
         n, k, kind = int(m.group(1)), int(m.group(2)), m.group(3)
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-        vecs = np.array(rows, dtype=np.float64)
-        if vecs.shape != (k, n):
-            raise InvalidInputError(
-                f"direction data shape {vecs.shape} does not match header (k={k}, n={n})"
-            )
-        return cls(vectors=vecs, kind=kind)
+        rows = []
+        for lineno, line in lines[1:]:
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise InvalidInputError(
+                    f"{source}, line {lineno}: entries must be decimal numbers"
+                ) from None
+            if len(row) != n:
+                raise InvalidInputError(
+                    f"{source}, line {lineno}: {len(row)} entries, the header says n={n}"
+                )
+            rows.append(row)
+        if len(rows) != k:
+            raise InvalidInputError(f"{source}: {len(rows)} direction rows, the header says k={k}")
+        return cls(vectors=np.array(rows, dtype=np.float64), kind=kind)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -153,7 +164,7 @@ class DirectionSet:
     @classmethod
     def load(cls, path) -> "DirectionSet":
         with open(path) as fh:
-            return cls.from_csv(fh.read())
+            return cls.from_csv(fh.read(), source=f"direction file {path!r}")
 
 
 @dataclass(frozen=True)

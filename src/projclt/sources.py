@@ -29,15 +29,19 @@ one 32-bit word.  Double precision keeps numpy's fills.  Rademacher
 draws map each stream byte to eight signs through a lookup table.  An
 independent model draws law by law, LAW_ROWS rows per sampler call.  An
 exchangeable model draws each permutation, in either precision, by
-sorting one 64-bit stream word per coordinate with the coordinate index
-packed into its low bits; a row whose words tie in their high bits is
-redrawn, so every permutation is exactly uniform.
+sorting 64-bit keys that hold one 32-bit half-word of the stream in their
+high half and the coordinate index in their low half; a row in which two
+half-words tie is redrawn, so every permutation is exactly uniform.  With
+32 random bits per coordinate a row ties with probability about
+1 - exp(-n(n-1)/2^33), so sampling refuses populations larger than
+MAX_PERMUTATION_N.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
@@ -59,6 +63,11 @@ TILE_ROWS = 64
 # and their (n, LAW_ROWS) float32 buffer is 4 MB at n = 4096.  Part of the
 # determinism contract.
 LAW_ROWS = 4 * TILE_ROWS
+# Largest population an exchangeable model samples: at n = 2^16 a row of
+# 32-bit keys ties with probability 0.39, and with 0.86 at 2^17.
+MAX_PERMUTATION_N = 1 << 16
+# Index of the half of a uint64 that holds its high 32 bits, in a uint32 view.
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
@@ -448,40 +457,43 @@ def _resolve_n(model: Model, n: Optional[int]) -> int:
     return n
 
 
-def _sorted_keys(rng, rows: int, n: int, low: np.uint64, index: np.ndarray) -> np.ndarray:
-    """(rows, n) sort keys: one stream word per coordinate with its low bits
-    replaced by the coordinate index, each row sorted."""
-    keys = rng.bit_generator.random_raw((rows, n))
-    keys &= ~low
-    keys |= index
+def _sorted_keys(rng, rows: int, n: int) -> np.ndarray:
+    """(rows, n) uint64 sort keys, each row sorted.  Before the sort, key j
+    of a row holds the row's j-th 32-bit stream half-word (low half of
+    each word first) in its high half and j in its low half; a row reads
+    ceil(n/2) words."""
+    keys = np.empty((rows, n), dtype=np.uint64)
+    halves = keys.view(np.uint32)
+    words = rng.bit_generator.random_raw((rows, (n + 1) // 2))
+    halves[:, _HIGH_HALF::2] = words.view(np.uint32)[:, :n]
+    halves[:, 1 - _HIGH_HALF::2] = np.arange(n, dtype=np.uint32)
     keys.sort(axis=1)
     return keys
 
 
-def _tied_rows(keys: np.ndarray, low: np.uint64) -> np.ndarray:
-    """Rows of sorted keys in which two neighbours share their high bits."""
-    return np.flatnonzero(np.any((keys[:, 1:] ^ keys[:, :-1]) <= low, axis=1))
+def _tied_rows(keys: np.ndarray) -> np.ndarray:
+    """Rows of sorted keys in which two neighbours share their high half."""
+    high = keys.view(np.uint32)[:, _HIGH_HALF::2]
+    return np.flatnonzero((high[:, 1:] == high[:, :-1]).any(axis=1))
 
 
 def _permutations(rng, rows: int, n: int) -> np.ndarray:
     """(rows, n) int64 rows, each a uniformly random permutation of 0..n-1.
 
-    Sorting the keys orders the coordinates by the high bits of their
-    words (Knuth, TAOCP vol. 2, 3.4.2); the index in the low bits makes
-    every key distinct, so the sorted low bits are the permutation.  A row
-    whose high bits tie is redrawn whole from the next words of the stream,
+    Sorting the keys orders the coordinates by their half-words (Knuth,
+    TAOCP vol. 2, 3.4.2); the index in the low half makes every key
+    distinct, so the sorted low halves are the permutation.  A row whose
+    half-words tie is redrawn whole from the next words of the stream,
     tied rows in row order, until no row ties: every row is then exactly
     uniform.
     """
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    index = np.arange(n, dtype=np.uint64)
-    keys = _sorted_keys(rng, rows, n, low, index)
-    tied = _tied_rows(keys, low)
+    keys = _sorted_keys(rng, rows, n)
+    tied = _tied_rows(keys)
     while tied.size:
-        redrawn = _sorted_keys(rng, tied.size, n, low, index)
+        redrawn = _sorted_keys(rng, tied.size, n)
         keys[tied] = redrawn
-        tied = tied[_tied_rows(redrawn, low)]
-    keys &= low
+        tied = tied[_tied_rows(redrawn)]
+    keys &= np.uint64(0xFFFFFFFF)
     return keys.view(np.int64)
 
 
@@ -491,6 +503,11 @@ def _block_stream(model: Model, seed: int, start: int, count: int, n: Optional[i
     n = _resolve_n(model, n)
     if count < 1:
         raise InvalidInputError("block count must be positive")
+    if family(model) == EXCHANGEABLE and n > MAX_PERMUTATION_N:
+        raise InvalidInputError(
+            f"exchangeable sampling supports populations of at most {MAX_PERMUTATION_N} "
+            f"values, got {n}"
+        )
     return n, stream(seed, start)
 
 
@@ -597,10 +614,15 @@ def load_population(path) -> np.ndarray:
     """Population from a text file of one decimal per line, standardized."""
     values = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             tok = line.strip()
             if tok and not tok.startswith("#"):
-                values.append(float(tok))
+                try:
+                    values.append(float(tok))
+                except ValueError:
+                    raise InvalidInputError(
+                        f"population file {path!r}, line {lineno}: {tok!r} is not a number"
+                    ) from None
     if len(values) < 2:
         raise InvalidInputError(f"population file {path!r} holds fewer than two values")
     return standardize_population(values, warn_tol=1e-6)

@@ -13,7 +13,10 @@ The cosine family has all four in closed form together with an exact
 Gaussian expectation, which removes one estimation error source from
 verification runs.  A compactly supported radial bump is provided for
 strict compact-support requirements; its seminorms are maximized
-numerically on a refined radial grid.
+numerically on a refined radial grid.  Its Gaussian expectation is exact
+under identity covariance, where |Z|^2 is chi-squared; under a Gram
+covariance it takes tensor Gauss-Hermite quadrature (k <= 4) or Monte
+Carlo.
 """
 
 from __future__ import annotations
@@ -220,6 +223,35 @@ _QUAD_MAX_DIM = 4
 _QUAD_CHUNK = 1 << 20
 
 
+def _bump_identity_value(radius: float, k: int) -> float:
+    """E (1 - |Z|^2/r^2)_+^3 for Z ~ N(0, I_k), in closed form.
+
+    With a = k/2 and x = r^2/2, |Z|^2/2 is Gamma(a), so E is
+    x^a/Gamma(a) int_0^1 (1-u)^3 u^(a-1) e^(-xu) du.  Expanding
+    e^(-xu) = e^(-x) e^(x(1-u)) gives the series of positive terms
+
+      E = sum_{j>=0} x^(a+j) e^(-x) (j+1)(j+2)(j+3) / Gamma(a+j+4),
+
+    summed in log space, so it neither cancels nor underflows.  Term j is
+    (j+1)(j+2)(j+3)/x^3 times a Poisson(x) mass at a+j+3, so terms more
+    than 40 standard deviations past the peak weigh under e^-800 of it.
+    When the chi-squared mass lies that far inside the support, the
+    positive part changes nothing and E is the polynomial
+    E (1 - |Z|^2/r^2)^3 = 1 - 3k/r^2 + 3k(k+2)/r^4 - k(k+2)(k+4)/r^6.
+    """
+    a = k / 2.0
+    x = radius * radius / 2.0
+    half = 40.0 * math.sqrt(x) + 40.0
+    if x - a - 3.0 > half:
+        r2 = radius * radius
+        return 1.0 - 3.0 * k / r2 * (1.0 - (k + 2) / r2 * (1.0 - (k + 4) / (3.0 * r2)))
+    j = np.arange(int(max(x - a - 3.0, 0.0) + half) + 1, dtype=np.float64)
+    log_terms = (a + j) * math.log(x) - x + np.log((j + 1.0) * (j + 2.0) * (j + 3.0))
+    log_terms -= [math.lgamma(v) for v in a + j + 4.0]
+    top = float(log_terms.max())
+    return math.exp(top) * float(np.exp(log_terms - top).sum())
+
+
 def _gauss_hermite_value(g: TestFunction, root: np.ndarray, nodes: int) -> float:
     """Tensor-product Gauss-Hermite integral of g against N(0, root@root.T)."""
     k = g.dimension
@@ -250,8 +282,10 @@ def gaussian_expectation(
 ) -> Expectation:
     """E g(Z~) for Z~ ~ N(0, C), with an absolute error estimate.
 
-    ``closed-form`` is exact and available for the cosine family only:
-    E cos(<a, Z~> + phase) = cos(phase) exp(-a^T C a / 2).  ``quadrature``
+    ``closed-form`` is exact for the cosine family,
+    E cos(<a, Z~> + phase) = cos(phase) exp(-a^T C a / 2), and for a
+    :func:`bump_testfn` bump when C is exactly the identity (a chi-squared
+    series, any k); ``auto`` picks it for both.  ``quadrature``
     is tensor-product Gauss-Hermite after factoring C through its
     symmetric square root (k <= 4).  ``monte-carlo`` returns the sample
     mean with error set to three standard errors.
@@ -260,8 +294,10 @@ def gaussian_expectation(
         raise InvalidInputError(
             f"test function is {g.dimension}-dimensional, covariance is {spec.dimension}"
         )
+    identity_bump = (g.kind == BUMP and "radius" in g.params
+                     and np.array_equal(spec.covariance, np.eye(g.dimension)))
     if method == AUTO:
-        if g.kind == COSINE:
+        if g.kind == COSINE or identity_bump:
             method = CLOSED_FORM
         elif g.dimension <= _QUAD_MAX_DIM:
             method = QUADRATURE
@@ -269,9 +305,13 @@ def gaussian_expectation(
             method = MONTE_CARLO
 
     if method == CLOSED_FORM:
+        if identity_bump:
+            return Expectation(_bump_identity_value(g.params["radius"], g.dimension), 0.0,
+                               CLOSED_FORM)
         if g.kind != COSINE:
             raise UnsupportedMethodError(
-                f"closed-form Gaussian expectation only exists for cosines, not {g.kind!r}"
+                "closed-form Gaussian expectation exists for cosines and for the radial "
+                f"bump under identity covariance, not {g.kind!r} with this covariance"
             )
         a = g.params["a"]
         phase = g.params["phase"]

@@ -199,6 +199,43 @@ class TestExitCodes:
         assert main(["bound", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,message", [
+        ("np.float64(0.5)", "line 3: entries must be decimal numbers"),
+        ("0.5,0.0", "line 3: 3 entries, the header says n=2"),
+    ])
+    def test_malformed_direction_file_is_two(self, tmp_path, capsys, entry, message):
+        dirs = tmp_path / "dirs.txt"
+        dirs.write_text(f"# n=2 k=2 kind=orthonormal\n1.0,0.0\n{entry},0.5\n")
+        path = write_config(tmp_path, {"directions": {"kind": "file", "path": str(dirs)}})
+        assert main(["bound", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(dirs)) in err and message in err
+
+    def test_malformed_population_file_is_two(self, tmp_path, capsys):
+        pop = tmp_path / "pop.txt"
+        pop.write_text("# values\n1.0\nabc\n3.0\n")
+        path = write_config(tmp_path, {
+            "theorem": "T4",
+            "model": {"kind": "exchangeable", "population_file": str(pop)},
+            "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True},
+        })
+        assert main(["bound", str(path)]) == 2
+        assert f"population file {str(pop)!r}, line 3: 'abc' is not a number" in (
+            capsys.readouterr().err)
+
+    def test_exchangeable_sampling_above_the_permutation_limit_is_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "theorem": "T4",
+            "model": {"kind": "exchangeable", "family": "ramp"},
+            "directions": {"kind": "random", "n": sources.MAX_PERMUTATION_N + 1, "k": 2,
+                           "centered": True},
+            "samples": 1000,
+            "output": str(tmp_path / "out.csv"),
+        })
+        assert main(["bound", str(path)]) == 0  # the bound draws nothing
+        assert main(["verify", str(path)]) == 2
+        assert "at most 65536 values, got 65537" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["verify"], ["scan", "--axis", "n", "--values", "16"]])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_two(self, tmp_path, capsys, command, workers):

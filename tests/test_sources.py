@@ -342,25 +342,39 @@ class TestSampling:
             sample_block(ExchangeableModel(pop), seed=0, start=0, count=1, n=5)
 
 
-def sort_key_permutations(words):
-    """The permutations that the stream words of tie-free rows stand for:
-    each row orders its coordinates by the high bits of their words."""
-    shift = np.uint64((words.shape[1] - 1).bit_length())
-    high = words >> shift
-    assert np.all(np.diff(np.sort(high, axis=1), axis=1) > 0), "a row ties"
-    return np.argsort(high, axis=1)
+def half_words(words, n):
+    """The first n 32-bit halves of each row of 64-bit stream words, low
+    half of each word first."""
+    low = (words & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    high = (words >> np.uint64(32)).astype(np.uint32)
+    return np.stack([low, high], axis=2).reshape(words.shape[0], -1)[:, :n]
+
+
+def stream_words(halves):
+    """Rows of 32-bit halves packed back into 64-bit words, low half first;
+    the inverse of half_words for even row lengths."""
+    pairs = halves.astype(np.uint64).reshape(halves.shape[0], -1, 2)
+    return pairs[:, :, 0] | (pairs[:, :, 1] << np.uint64(32))
+
+
+def sort_key_permutations(halves):
+    """The permutations that tie-free rows of 32-bit half-words stand for:
+    each row orders its coordinates by their half-words."""
+    assert np.all(np.diff(np.sort(halves, axis=1), axis=1) > 0), "a row ties"
+    return np.argsort(halves, axis=1)
 
 
 def whole_block_reference(model, seed, start, count, n, dtype):
     """The block drawn into one (count, n) array.  Exchangeable rows take
-    one stream word per coordinate and sort by their high bits.  Independent
+    ceil(n/2) stream words, one 32-bit half per coordinate, and sort by
+    those halves.  Independent
     models go LAW_ROWS rows at a time and, within those rows, law object by
     law object in order of first appearance, one sampler call per law for
     all of its coordinates in index order."""
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
-        words = rng.bit_generator.random_raw((count, n))
-        return model.population.astype(dtype)[sort_key_permutations(words)]
+        words = rng.bit_generator.random_raw((count, (n + 1) // 2))
+        return model.population.astype(dtype)[sort_key_permutations(half_words(words, n))]
     if isinstance(model, IndependentModel):
         out = np.empty((count, n), dtype=dtype)
         laws = list({id(c): c for c in model.coords}.values())
@@ -461,21 +475,34 @@ class TestPermutationSampler:
         np.testing.assert_array_equal(single, double.astype(np.float32))
 
     def test_tied_rows_are_redrawn_from_the_next_words(self, monkeypatch):
-        n = 6  # three index bits
+        n = 6  # three stream words per row
         pop = standardize_population(np.arange(1.0, n + 1.0))
-        first = stream(3).bit_generator.random_raw((4, n))
-        first[1, 5] = first[1, 2] ^ np.uint64(0b101)  # indices 2 and 5 tie in their high bits
-        first[3] = first[3, 0]  # one word throughout: ties everywhere
-        first[2, 5] = first[2, 1] ^ np.uint64(0b1000)  # differs in the lowest high bit
-        second = stream(4).bit_generator.random_raw((2, n))  # for rows 1 and 3
+        first = half_words(stream(3).bit_generator.random_raw((4, 3)), n)
+        first[1, 5] = first[1, 2]  # indices 2 and 5 tie
+        first[3] = first[3, 0]  # one half-word throughout: ties everywhere
+        first[2, 5] = first[2, 1] ^ np.uint32(1)  # differs in the lowest bit only
+        second = half_words(stream(4).bit_generator.random_raw((2, 3)), n)  # rows 1 and 3
         second[1, 0] = second[1, 3]  # row 3 ties again
-        third = stream(5).bit_generator.random_raw((1, n))
-        script = _ScriptedWords(first, second, third)
+        third = half_words(stream(5).bit_generator.random_raw((1, 3)), n)
+        script = _ScriptedWords(*map(stream_words, (first, second, third)))
         monkeypatch.setattr(sources, "stream", lambda seed, index: script)
         (tile,) = sample_tiles(ExchangeableModel(pop), 0, 0, 4)
         assert script.draws == []
         kept = np.vstack([first[0], second[0], first[2], third[0]])
         np.testing.assert_array_equal(tile, pop[sort_key_permutations(kept)])
+
+    def test_populations_above_the_limit_are_refused_before_drawing(self, monkeypatch):
+        limit = sources.MAX_PERMUTATION_N
+        assert limit == 65_536
+        pop = standardize_population(np.arange(1.0, limit + 1.0))
+        (row,) = sample_block(ExchangeableModel(pop), 2, 0, 1)
+        np.testing.assert_array_equal(np.sort(row), pop)
+        model = ExchangeableModel(standardize_population(np.arange(1.0, limit + 2.0)))
+        monkeypatch.setattr(sources, "stream", lambda seed, index: _ScriptedWords())
+        with pytest.raises(InvalidInputError, match="at most 65536 values, got 65537"):
+            sample_block(model, 0, 0, 1)
+        with pytest.raises(InvalidInputError, match="at most 65536"):
+            next(sample_tiles(model, 0, 0, TILE_ROWS))
 
 
 class TestPopulations:
