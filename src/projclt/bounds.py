@@ -95,8 +95,8 @@ class ExchangeableConstants:
     c: float = 16.0 / 3.0
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
-            raise InvalidInputError("exchangeable constants must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.a, self.b, self.c)):
+            raise InvalidInputError("exchangeable constants must be finite and positive")
 
 
 DEFAULT_EXCHANGEABLE_CONSTANTS = ExchangeableConstants()

@@ -31,6 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -78,6 +79,23 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
+def _is_count(value) -> bool:
+    """An integer, and not a boolean (JSON true is a Python int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _open_path(action, path, name: str, what: str):
+    """action(path) for a config path, with a bad path as a configuration error."""
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"{name} must be a non-empty path string, got {path!r}")
+    try:
+        return action(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot open {what} {path!r}: {exc.strerror}") from exc
+
+
 def _numbers(value, name: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
@@ -116,7 +134,7 @@ class ExperimentConfig:
             if key not in raw or not isinstance(raw[key], dict):
                 raise ConfigError(f"configuration needs a {key!r} object")
         samples = raw.get("samples", 100_000)
-        if not isinstance(samples, int) or samples < 1:
+        if not _is_count(samples) or samples < 1:
             raise ConfigError(f"samples must be a positive integer, got {samples!r}")
         constants = raw.get("constants", {})
         if not isinstance(constants, dict):
@@ -150,10 +168,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"configuration file not found: {path}") from exc
+            raw = json.loads(_open_path(lambda p: Path(p).read_text(), path, "config",
+                                        "configuration file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
@@ -166,7 +182,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         names = self.theorems()
-        if not isinstance(self.seed, int) or not 0 <= self.seed < sources.SEED_LIMIT:
+        if not _is_count(self.seed) or not 0 <= self.seed < sources.SEED_LIMIT:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         dirs = self.directions
         dkind = dirs.get("kind")
@@ -175,16 +191,18 @@ class ExperimentConfig:
         if dkind != "file":
             for key in ("n", "k"):
                 val = dirs.get(key)
-                if not isinstance(val, int) or val < 1:
+                if not _is_count(val) or val < 1:
                     raise ConfigError(f"directions.{key} must be a positive integer")
         if dkind == "random":
             dseed = dirs.get("seed", 0)
-            if not isinstance(dseed, int) or dseed < 0:
+            if not _is_count(dseed) or dseed < 0:
                 raise ConfigError(f"directions.seed must be a non-negative integer, got {dseed!r}")
-        if not isinstance(self.pair_samples, int) or self.pair_samples < 1:
+        if not _is_count(self.pair_samples) or self.pair_samples < 1:
             raise ConfigError(
                 f"pair_samples must be a positive integer, got {self.pair_samples!r}"
             )
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path string, got {self.output!r}")
         mkind = self.model.get("kind")
         families = (sources.INDEPENDENT, sources.EXCHANGEABLE)
         if mkind not in (*sources.CATALOG, *families):
@@ -230,13 +248,8 @@ def build_directions(cfg: ExperimentConfig) -> DirectionSet:
                 seed=spec.get("seed", 0),
                 centered=bool(spec.get("centered", False)),
             )
-        path = spec.get("path")
-        if not path:
-            raise ConfigError("directions.kind=file needs a 'path'")
-        try:
-            return DirectionSet.load(path)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"direction file not found: {path}") from exc
+        return _open_path(DirectionSet.load, spec.get("path"), "directions.path",
+                          "direction file")
     except ConfigError:
         raise
     except ProjcltError as exc:
@@ -286,10 +299,8 @@ def _population(spec: dict, n: int) -> np.ndarray:
     if "population" in spec:
         pop = sources.standardize_population(_numbers(spec["population"], "model.population"))
     elif "population_file" in spec:
-        try:
-            pop = sources.load_population(spec["population_file"])
-        except FileNotFoundError as exc:
-            raise ConfigError(f"population file not found: {spec['population_file']}") from exc
+        pop = _open_path(sources.load_population, spec["population_file"],
+                         "model.population_file", "population file")
     else:
         family = spec["family"]
         if family == "ramp":
@@ -353,8 +364,7 @@ def build_task(cfg: ExperimentConfig, theorem: str, bound_scale: float = 1.0,
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        _open_path(lambda path: Path(path).write_text(text), output, "output", "output file")
     else:
         sys.stdout.write(text)
 

@@ -516,9 +516,7 @@ def estimate_discrepancy(
         total = total.merge(part)
     mean = total.mean
     se = math.sqrt(total.m2 / (samples - 1) / samples)
-    gauss = gaussian_expectation(
-        g, gaussian_spec, method="auto", seed=sources.derived_seed(seed, 1)
-    )
+    gauss = gaussian_expectation(g, gaussian_spec)
     return DiscrepancyEstimate(
         discrepancy=abs(mean - gauss.value),
         ci_halfwidth=3.0 * se + gauss.error,

@@ -13,10 +13,11 @@ The cosine family has all four in closed form together with an exact
 Gaussian expectation, which removes one estimation error source from
 verification runs.  A compactly supported radial bump is provided for
 strict compact-support requirements; its seminorms are maximized
-numerically on a refined radial grid.  Its Gaussian expectation is exact
-under identity covariance, where |Z|^2 is chi-squared; under a Gram
-covariance it takes tensor Gauss-Hermite quadrature (k <= 4) or Monte
-Carlo.
+numerically on a refined radial grid.  Both have their Gaussian
+expectation in closed form under any covariance: the cosine through the
+characteristic function, and the bump through a chi-squared series,
+since |Z|^2 under a covariance C is a mixture of chi-squared laws scaled
+by the smallest eigenvalue of C.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedMethodError
-from .sources import stream
 
 COSINE = "cosine"
 BUMP = "bump"
@@ -199,15 +199,9 @@ class GaussianSpec:
     def from_gram(cls, gramdata) -> "GaussianSpec":
         return cls(covariance=np.array(gramdata.C))
 
-    def sqrt(self) -> np.ndarray:
-        """Symmetric square root of the covariance."""
-        w, u = np.linalg.eigh(self.covariance)
-        w = np.clip(w, 0.0, None)
-        return (u * np.sqrt(w)) @ u.T
-
 
 class Expectation(NamedTuple):
-    """A Gaussian expectation with an absolute error estimate."""
+    """A Gaussian expectation with a proved absolute error bound."""
 
     value: float
     error: float
@@ -215,129 +209,121 @@ class Expectation(NamedTuple):
 
 
 CLOSED_FORM = "closed-form"
-QUADRATURE = "quadrature"
-MONTE_CARLO = "monte-carlo"
-AUTO = "auto"
 
-_QUAD_MAX_DIM = 4
-_QUAD_CHUNK = 1 << 20
+# The chi-squared mixture of a bump under a general covariance stops at the
+# first power of two of terms that leaves under _MIXTURE_TAIL of its weight,
+# or at _MIXTURE_TERMS terms.
+_MIXTURE_TERMS = 4096
+_MIXTURE_TAIL = 1e-15
+# Covariance eigenvalues at or below this fraction of the largest count as 0.
+_NULL_EIGENVALUE = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
-def _bump_identity_value(radius: float, k: int) -> float:
-    """E (1 - |Z|^2/r^2)_+^3 for Z ~ N(0, I_k), in closed form.
+def _bump_chi2_value(radius: float, k: int, weights: np.ndarray) -> float:
+    """sum_j w_j E (1 - |W_j|^2/r^2)_+^3 for W_j ~ N(0, I_(k+2j)), in closed form.
 
-    With a = k/2 and x = r^2/2, |Z|^2/2 is Gamma(a), so E is
-    x^a/Gamma(a) int_0^1 (1-u)^3 u^(a-1) e^(-xu) du.  Expanding
+    With a = k/2 and x = r^2/2, |W_0|^2/2 is Gamma(a), so for one weight
+    E is x^a/Gamma(a) int_0^1 (1-u)^3 u^(a-1) e^(-xu) du.  Expanding
     e^(-xu) = e^(-x) e^(x(1-u)) gives the series of positive terms
 
-      E = sum_{j>=0} x^(a+j) e^(-x) (j+1)(j+2)(j+3) / Gamma(a+j+4),
+      E = sum_{i>=0} x^(a+i) e^(-x) (i+1)(i+2)(i+3) / Gamma(a+i+4).
 
-    summed in log space, so it neither cancels nor underflows.  Term j is
-    (j+1)(j+2)(j+3)/x^3 times a Poisson(x) mass at a+j+3, so terms more
-    than 40 standard deviations past the peak weigh under e^-800 of it.
-    When the chi-squared mass lies that far inside the support, the
-    positive part changes nothing and E is the polynomial
-    E (1 - |Z|^2/r^2)^3 = 1 - 3k/r^2 + 3k(k+2)/r^4 - k(k+2)(k+4)/r^6.
+    W_j adds j to a, so the mixture, grouped by n = i + j, is the same
+    series with w_n = sum_j w_j (n-j+1)(n-j+2)(n-j+3) for the cubic.  It is
+    summed in log space, so it neither cancels nor underflows.  For weights
+    summing to at most 1, term n is at most (n+1)(n+2)(n+3)/x^3 times a
+    Poisson(x) mass at a+n+3, so terms more than 40 standard deviations
+    past the peak weigh under e^-800 of it.  When the chi-squared mass of
+    every W_j lies that far inside the support, the positive part changes
+    nothing and dimension d takes the polynomial
+    E (1 - |W|^2/r^2)^3 = 1 - 3d/r^2 + 3d(d+2)/r^4 - d(d+2)(d+4)/r^6.
     """
     a = k / 2.0
     x = radius * radius / 2.0
     half = 40.0 * math.sqrt(x) + 40.0
-    if x - a - 3.0 > half:
+    if x - (a + weights.size - 1) - 3.0 > half:
         r2 = radius * radius
-        return 1.0 - 3.0 * k / r2 * (1.0 - (k + 2) / r2 * (1.0 - (k + 4) / (3.0 * r2)))
-    j = np.arange(int(max(x - a - 3.0, 0.0) + half) + 1, dtype=np.float64)
-    log_terms = (a + j) * math.log(x) - x + np.log((j + 1.0) * (j + 2.0) * (j + 3.0))
-    log_terms -= [math.lgamma(v) for v in a + j + 4.0]
+        d = k + 2.0 * np.arange(weights.size)
+        return float(weights @ (1.0 - 3.0 * d / r2 * (
+            1.0 - (d + 2) / r2 * (1.0 - (d + 4) / (3.0 * r2)))))
+    n = np.arange(int(max(x - a - 3.0, 0.0) + half) + 1, dtype=np.float64)
+    cubic = np.convolve(weights, (n + 1.0) * (n + 2.0) * (n + 3.0))[: n.size]
+    log_terms = (a + n) * math.log(x) - x + np.log(cubic)
+    log_terms -= [math.lgamma(v) for v in a + n + 4.0]
     top = float(log_terms.max())
     return math.exp(top) * float(np.exp(log_terms - top).sum())
 
 
-def _gauss_hermite_value(g: TestFunction, root: np.ndarray, nodes: int) -> float:
-    """Tensor-product Gauss-Hermite integral of g against N(0, root@root.T)."""
-    k = g.dimension
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    grids = np.meshgrid(*([x] * k), indexing="ij")
-    pts = np.stack([grid.ravel() for grid in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * k), indexing="ij")
-    weights = np.ones(pts.shape[0])
-    for grid in wgrids:
-        weights *= grid.ravel()
-    scale = math.pi ** (-k / 2.0)
-    transform = math.sqrt(2.0) * root.T
-    total = 0.0
-    for lo in range(0, pts.shape[0], _QUAD_CHUNK):
-        chunk = pts[lo : lo + _QUAD_CHUNK]
-        vals = g.evaluate(chunk @ transform)
-        total += float(np.dot(weights[lo : lo + _QUAD_CHUNK], vals))
-    return scale * total
+def _chi2_mixture_weights(lam: np.ndarray) -> np.ndarray:
+    """Weights c_j with sum_i lam_i chi^2_1 = sum_j c_j beta chi^2_(k+2j) in law.
+
+    Here lam is sorted, beta = lam[0] > 0 and k = lam.size (Ruben 1962).
+    With rho_i = 1 - beta/lam_i and v = 1/(1 - 2 beta t), the moment
+    generating function prod_i (1 - 2 lam_i t)^(-1/2) is
+    c_0 v^(k/2) prod_i (1 - rho_i v)^(-1/2), c_0 = prod_i (beta/lam_i)^(1/2),
+    and v^(k/2+j) is that of beta chi^2_(k+2j).  Every factor
+    (1 - rho v)^(-1/2) = sum_j C(2j, j) (rho/4)^j v^j has positive
+    coefficients, so the c_j are positive and sum to 1.  Equal eigenvalues
+    give c = [1] exactly.
+    """
+    beta = float(lam[0])
+    rho = 1.0 - beta / lam[lam > beta]
+    c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
+    terms = 32
+    while True:
+        terms *= 2
+        steps = np.arange(1.0, terms)
+        c = np.array([c0])
+        for p in rho:
+            series = np.cumprod(np.concatenate(([1.0], (2.0 * steps - 1.0) / (2.0 * steps) * p)))
+            c = np.convolve(c, series)[:terms]
+        if 1.0 - math.fsum(c) <= _MIXTURE_TAIL or terms >= _MIXTURE_TERMS:
+            return c
 
 
-def gaussian_expectation(
-    g: TestFunction,
-    spec: GaussianSpec,
-    method: str = AUTO,
-    budget: int = 200_000,
-    seed: int = 0,
-    nodes: int = 64,
-) -> Expectation:
-    """E g(Z~) for Z~ ~ N(0, C), with an absolute error estimate.
+def gaussian_expectation(g: TestFunction, spec: GaussianSpec) -> Expectation:
+    """E g(Z~) for Z~ ~ N(0, C) in closed form, with a proved absolute error bound.
 
-    ``closed-form`` is exact for the cosine family,
-    E cos(<a, Z~> + phase) = cos(phase) exp(-a^T C a / 2), and for a
-    :func:`bump_testfn` bump when C is exactly the identity (a chi-squared
-    series, any k); ``auto`` picks it for both.  ``quadrature``
-    is tensor-product Gauss-Hermite after factoring C through its
-    symmetric square root (k <= 4).  ``monte-carlo`` returns the sample
-    mean with error set to three standard errors.
+    For the cosine family E cos(<a, Z~> + phase) = cos(phase) exp(-a^T C a / 2),
+    with error 0.  For a :func:`bump_testfn` bump of radius r, with beta the
+    smallest eigenvalue of C and c_j the weights of
+    :func:`_chi2_mixture_weights`, E g(Z~) = sum_j c_j B(r/sqrt(beta), k+2j),
+    where B(s, d) is the bump's value under I_d (:func:`_bump_chi2_value`).
+    Under a multiple of the identity that is its one term, with error 0.
+    Otherwise the sum stops at J terms.  B falls as d grows, so the
+    unsummed weight m adds between 0 and m B(r/sqrt(beta), k+2J): the value
+    takes half of that, and the error the other half plus a rounding
+    allowance for the weights.  Eigenvalues at or below 1e-12 of the
+    largest are dropped; with s their sum, that moves E|Z~|^2 by s and the
+    value by at most 3s/r^2, which the error also carries.
     """
     if g.dimension != spec.dimension:
         raise InvalidInputError(
             f"test function is {g.dimension}-dimensional, covariance is {spec.dimension}"
         )
-    identity_bump = (g.kind == BUMP and "radius" in g.params
-                     and np.array_equal(spec.covariance, np.eye(g.dimension)))
-    if method == AUTO:
-        if g.kind == COSINE or identity_bump:
-            method = CLOSED_FORM
-        elif g.dimension <= _QUAD_MAX_DIM:
-            method = QUADRATURE
-        else:
-            method = MONTE_CARLO
-
-    if method == CLOSED_FORM:
-        if identity_bump:
-            return Expectation(_bump_identity_value(g.params["radius"], g.dimension), 0.0,
-                               CLOSED_FORM)
-        if g.kind != COSINE:
-            raise UnsupportedMethodError(
-                "closed-form Gaussian expectation exists for cosines and for the radial "
-                f"bump under identity covariance, not {g.kind!r} with this covariance"
-            )
+    if g.kind == COSINE:
         a = g.params["a"]
-        phase = g.params["phase"]
         quad = float(a @ spec.covariance @ a)
-        return Expectation(math.cos(phase) * math.exp(-quad / 2.0), 0.0, CLOSED_FORM)
-
-    if method == QUADRATURE:
-        if g.dimension > _QUAD_MAX_DIM:
-            raise InvalidInputError(
-                f"quadrature supports dimension <= {_QUAD_MAX_DIM}, got {g.dimension}"
-            )
-        if nodes < 40:
-            raise InvalidInputError(f"quadrature needs at least 40 nodes per axis, got {nodes}")
-        root = spec.sqrt()
-        hi = _gauss_hermite_value(g, root, nodes)
-        lo = _gauss_hermite_value(g, root, nodes - 8)
-        return Expectation(hi, abs(hi - lo) + 1e-14, QUADRATURE)
-
-    if method == MONTE_CARLO:
-        if budget < 100:
-            raise InvalidInputError(f"Monte Carlo budget too small: {budget}")
-        rng = stream(seed)
-        root = spec.sqrt()
-        vals = g.evaluate(rng.standard_normal((budget, g.dimension)) @ root.T)
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(budget))
-        return Expectation(mean, 3.0 * se, MONTE_CARLO)
-
-    raise UnsupportedMethodError(f"unknown Gaussian expectation method {method!r}")
+        return Expectation(math.cos(g.params["phase"]) * math.exp(-quad / 2.0), 0.0,
+                           CLOSED_FORM)
+    if g.kind != BUMP or "radius" not in g.params:
+        raise UnsupportedMethodError(
+            "Gaussian expectations exist for cosines and for bumps with a radius, "
+            f"not for {g.kind!r} with parameters {sorted(g.params)}"
+        )
+    radius = g.params["radius"]
+    lam = np.linalg.eigvalsh(spec.covariance)
+    null = lam <= _NULL_EIGENVALUE * lam[-1]
+    dropped = 3.0 * float(np.clip(lam[null], 0.0, None).sum()) / (radius * radius)
+    lam = lam[~null]
+    if not lam.size:
+        return Expectation(1.0, dropped, CLOSED_FORM)
+    c = _chi2_mixture_weights(lam)
+    scaled = radius / math.sqrt(lam[0])
+    value = _bump_chi2_value(scaled, lam.size, c)
+    mass = max(1.0 - math.fsum(c), 0.0)
+    tail = _bump_chi2_value(scaled, lam.size + 2 * c.size, np.array([mass])) if mass else 0.0
+    # A weight is off by at most (k + 2)(J + 1) + |log c_0| ulps, with J >= 64.
+    rounding = 16 * lam.size * c.size * _EPS * (value + tail) if c.size > 1 else 0.0
+    return Expectation(value + tail / 2.0, tail / 2.0 + rounding + dropped, CLOSED_FORM)

@@ -248,6 +248,67 @@ class TestExitCodes:
         path = write_config(tmp_path)
         assert main(["scan", str(path), "--axis", "n", "--values", ""]) == 2
 
+    @staticmethod
+    def _path_config(key, value):
+        exchangeable = {
+            "theorem": "T4",
+            "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True},
+        }
+        return {
+            "output": {"output": value},
+            "directions.path": {"directions": {"kind": "file", "path": value}},
+            "model.population_file": {
+                **exchangeable, "model": {"kind": "exchangeable", "population_file": value}},
+        }[key]
+
+    @pytest.mark.parametrize("key", ["output", "directions.path", "model.population_file"])
+    @pytest.mark.parametrize("value", [9, 1])
+    def test_integer_path_is_two(self, tmp_path, key, value):
+        proc = run_projclt("bound", str(write_config(tmp_path, self._path_config(key, value))))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"{key} must be" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key", ["output", "directions.path", "model.population_file"])
+    def test_directory_path_is_two(self, tmp_path, capsys, key):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        path = write_config(tmp_path, self._path_config(key, str(folder)))
+        assert main(["bound", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(folder)) in err and "Is a directory" in err
+
+    def test_directory_config_is_two(self, tmp_path, capsys):
+        assert main(["bound", str(tmp_path)]) == 2
+        assert repr(str(tmp_path)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,value", [
+        ("a", math.nan), ("b", math.inf), ("c", -math.inf),
+    ])
+    def test_non_finite_exchangeable_constant_is_two(self, tmp_path, capsys, name, value):
+        path = write_config(tmp_path, {
+            "theorem": "T4", "constants": {name: value},
+            "model": {"kind": "exchangeable", "family": "ramp"},
+            "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True},
+        })
+        assert main(["bound", str(path)]) == 2
+        assert "constants must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"samples": True}, "samples must be a positive integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": False}, "seed must be an integer"),
+        ({"directions": {"kind": "hypercube", "n": True, "k": 1}},
+         "directions.n must be a positive integer"),
+        ({"directions": {"kind": "hypercube", "n": 64, "k": True}},
+         "directions.k must be a positive integer"),
+        ({"directions": {"kind": "random", "n": 16, "k": 2, "seed": True}},
+         "directions.seed must be a non-negative integer"),
+        ({"pair_samples": True}, "pair_samples must be a positive integer"),
+    ])
+    def test_boolean_for_an_integer_is_two(self, tmp_path, capsys, overrides, message):
+        assert main(["bound", str(write_config(tmp_path, overrides))]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBoundCommand:
     def test_hand_value_row(self, tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from projclt import empirics
 from projclt.bounds import UNIT_CONSTANTS
 from projclt.directions import (
     DirectionSet,
@@ -48,7 +49,7 @@ from projclt.sources import (
     uniform,
     user_model,
 )
-from projclt.testfuncs import GaussianSpec, TestFunction, cosine_testfn
+from projclt.testfuncs import Expectation, GaussianSpec, TestFunction, cosine_testfn
 
 from pair_reference import (
     conditional_mean_enumerated,
@@ -569,7 +570,9 @@ class TestEstimateDiscrepancy:
         )
         assert est.discrepancy <= est.ci_halfwidth + 2e-4
 
-    def test_constant_function_has_zero_discrepancy(self):
+    def test_constant_function_has_zero_discrepancy(self, monkeypatch):
+        monkeypatch.setattr(empirics, "gaussian_expectation",
+                            lambda g, spec: Expectation(3.7, 0.0, "closed-form"))
         const = TestFunction(
             kind="bump", dimension=2,
             evaluate=lambda pts: np.full(np.asarray(pts).shape[0], 3.7),

@@ -1,12 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaussian_reference import (
+    bump_identity_value,
+    gauss_hermite_expectation,
+    polar_bump_reference,
+    spherical_bump_reference,
+)
 from projclt.directions import DirectionSet, LINEARLY_INDEPENDENT, gram
 from projclt.errors import InvalidInputError, UnsupportedMethodError
 from projclt.testfuncs import (
     GaussianSpec,
+    TestFunction,
     bump_testfn,
     cosine_testfn,
     gaussian_expectation,
@@ -49,11 +60,6 @@ def fd_hessian(evaluate, x, h=FD_STEP_HESS):
 
 # Two unit rows with inner product 1/2: a Gram covariance that is not the identity.
 GRAM_2 = np.array([[1.0, 0.5], [0.5, 1.0]])
-
-# Cells where the 64- against 56-node difference that quadrature reports as its
-# error is smaller than its actual error on the bump (whose third derivative
-# jumps at the edge of its support).
-QUADRATURE_UNDERSTATES = {(1, 0.5), (1, 5.0)}
 
 
 class TestCosineSeminorms:
@@ -168,11 +174,6 @@ class TestGaussianSpec:
         with pytest.raises(InvalidInputError):
             GaussianSpec(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_sqrt_squares_back(self):
-        c = np.array([[2.0, 0.3], [0.3, 1.0]])
-        root = GaussianSpec(c).sqrt()
-        np.testing.assert_allclose(root @ root, c, atol=1e-12)
-
 
 def random_cov(rng, k):
     q, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -200,44 +201,32 @@ class TestGaussianExpectation:
         if not np.any(a):
             a[0] = 1.0
         g = cosine_testfn(a, phase=float(rng.uniform(-1, 1)))
-        spec = GaussianSpec(random_cov(rng, k))
-        closed = gaussian_expectation(g, spec, method="closed-form")
-        quad = gaussian_expectation(g, spec, method="quadrature")
-        assert quad.value == pytest.approx(closed.value, abs=1e-10)
+        cov = random_cov(rng, k)
+        closed = gaussian_expectation(g, GaussianSpec(cov))
+        assert closed.method == "closed-form" and closed.error == 0.0
+        assert closed.value == pytest.approx(gauss_hermite_expectation(g, cov), abs=1e-10)
 
-    def test_monte_carlo_within_reported_error(self):
-        g = cosine_testfn([0.7, -0.2])
-        spec = GaussianSpec.identity(2)
-        closed = gaussian_expectation(g, spec)
-        mc = gaussian_expectation(g, spec, method="monte-carlo", budget=200_000, seed=8)
-        assert abs(mc.value - closed.value) <= 1.5 * mc.error  # error is 3 SE
-
-    def test_quadrature_error_estimate_is_tight_for_cosines(self):
-        g = cosine_testfn([0.5, 0.5])
-        quad = gaussian_expectation(g, GaussianSpec.identity(2), method="quadrature")
-        assert quad.error <= 1e-12
-
-    def test_closed_form_for_bump_rejected(self):
+    def test_bump_under_a_gram_covariance_matches_the_polar_reference(self):
         g = bump_testfn(radius=1.0, k=2)
-        with pytest.raises(UnsupportedMethodError):
-            gaussian_expectation(g, GaussianSpec(GRAM_2), method="closed-form")
+        res = gaussian_expectation(g, GaussianSpec(GRAM_2))
+        ref = polar_bump_reference(1.0, GRAM_2)
+        assert res.value == pytest.approx(ref, rel=1e-11)
+        assert abs(res.value - ref) <= res.error
 
-    def test_quadrature_dimension_limit(self):
-        g = cosine_testfn(np.ones(5))
-        with pytest.raises(InvalidInputError):
-            gaussian_expectation(g, GaussianSpec.identity(5), method="quadrature")
+    @pytest.mark.parametrize("g", [
+        TestFunction(kind="bump", dimension=2, evaluate=lambda pts: np.ones(len(pts)),
+                     g1=0.0, g2=0.0, grad_sup=0.0, hess_op_sup=0.0),
+        TestFunction(kind="gaussian", dimension=2, evaluate=lambda pts: np.ones(len(pts)),
+                     g1=0.0, g2=0.0, grad_sup=0.0, hess_op_sup=0.0, params={"radius": 1.0}),
+    ], ids=["bump-without-radius", "other-kind"])
+    def test_other_test_functions_rejected(self, g):
+        with pytest.raises(UnsupportedMethodError):
+            gaussian_expectation(g, GaussianSpec.identity(2))
 
     def test_dimension_mismatch_rejected(self):
         g = cosine_testfn([1.0, 0.0])
         with pytest.raises(InvalidInputError):
             gaussian_expectation(g, GaussianSpec.identity(3))
-
-    def test_method_agreement_for_bump(self):
-        g = bump_testfn(radius=2.0, k=2)
-        spec = GaussianSpec.identity(2)
-        quad = gaussian_expectation(g, spec, method="quadrature")
-        mc = gaussian_expectation(g, spec, method="monte-carlo", budget=400_000, seed=3)
-        assert abs(quad.value - mc.value) <= mc.error + quad.error
 
 
 def radial_bump_reference(radius, k, nodes=400):
@@ -258,30 +247,90 @@ class TestBumpClosedForm:
         assert res.method == "closed-form" and res.error == 0.0
         assert res.value == pytest.approx(radial_bump_reference(radius, k), rel=1e-11)
 
-    @pytest.mark.parametrize("k,radius", [
-        pytest.param(k, r, marks=pytest.mark.xfail(
-            strict=True, reason="the node-difference error estimate of quadrature is too small"))
-        if (k, r) in QUADRATURE_UNDERSTATES else (k, r)
-        # k = 4 is left out: its 64^4-point grid peaks near 1.8 GB resident.
-        for k in range(1, 4) for r in (0.5, 2.0, 5.0)
-    ])
-    def test_within_the_quadrature_error_estimate(self, k, radius):
-        g = bump_testfn(radius, k)
-        spec = GaussianSpec.identity(k)
-        closed = gaussian_expectation(g, spec)
-        quad = gaussian_expectation(g, spec, method="quadrature")
-        assert abs(closed.value - quad.value) <= quad.error
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("radius", [0.05, 0.5, 2.0, 5.0, 20.0, 100.0])
+    def test_bit_identical_to_the_identity_series(self, k, radius):
+        res = gaussian_expectation(bump_testfn(radius, k), GaussianSpec.identity(k))
+        assert res.value == bump_identity_value(radius, k) and res.error == 0.0
 
     @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
     def test_within_three_standard_errors_of_monte_carlo_in_five_dimensions(self, radius):
-        g = bump_testfn(radius, 5)
-        spec = GaussianSpec.identity(5)
-        closed = gaussian_expectation(g, spec)
-        mc = gaussian_expectation(g, spec, method="monte-carlo", seed=5)
-        assert closed.method == "closed-form"
-        assert abs(closed.value - mc.value) <= mc.error  # error is 3 se
+        res = gaussian_expectation(bump_testfn(radius, 5), GaussianSpec.identity(5))
+        mean, se = monte_carlo_bump(radius, np.eye(5), seed=5)
+        assert res.method == "closed-form"
+        assert abs(res.value - mean) <= 3.0 * se
 
-    def test_auto_keeps_quadrature_under_a_gram_covariance(self):
-        res = gaussian_expectation(bump_testfn(2.0, 2), GaussianSpec(GRAM_2))
-        assert res.method == "quadrature"
 
+def monte_carlo_bump(radius, covariance, seed, samples=400_000):
+    """Sample mean and standard error of the bump under N(0, covariance)."""
+    z = np.random.default_rng(seed).multivariate_normal(
+        np.zeros(len(covariance)), covariance, size=samples)
+    vals = bump_testfn(radius, len(covariance)).evaluate(z)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+class TestBumpUnderACovariance:
+    @pytest.mark.parametrize("trial", range(4))
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
+    def test_matches_the_polar_reference_in_two_dimensions(self, trial, radius):
+        cov = GRAM_2 if trial == 0 else random_cov(np.random.default_rng(100 + trial), 2)
+        res = gaussian_expectation(bump_testfn(radius, 2), GaussianSpec(cov))
+        ref = polar_bump_reference(radius, cov)
+        assert res.method == "closed-form"
+        assert res.value == pytest.approx(ref, rel=1e-11)
+        assert abs(res.value - ref) <= res.error
+
+    @pytest.mark.parametrize("trial", range(3))
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
+    def test_matches_the_spherical_reference_in_three_dimensions(self, trial, radius):
+        cov = random_cov(np.random.default_rng(200 + trial), 3)
+        res = gaussian_expectation(bump_testfn(radius, 3), GaussianSpec(cov))
+        ref = spherical_bump_reference(radius, cov)
+        assert res.value == pytest.approx(ref, rel=1e-11)
+        assert abs(res.value - ref) <= res.error
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
+    def test_within_three_standard_errors_of_monte_carlo(self, k, radius):
+        cov = random_cov(np.random.default_rng(300 + k), k)
+        res = gaussian_expectation(bump_testfn(radius, k), GaussianSpec(cov))
+        mean, se = monte_carlo_bump(radius, cov, seed=k)
+        assert abs(res.value - mean) <= 3.0 * se + res.error
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_closed_form_under_any_covariance(self, k):
+        cov = GRAM_2 if k == 2 else random_cov(np.random.default_rng(k), k)
+        res = gaussian_expectation(bump_testfn(2.0, k), GaussianSpec(cov))
+        assert res.method == "closed-form" and res.error < 1e-10
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
+    def test_nearly_singular_covariance_has_an_honest_error(self, radius):
+        # beta/lambda_max = 5e-4: the 4096-term cap leaves 0.043 of the weight unsummed.
+        cov = np.diag([1e-3, 2.0 - 1e-3])
+        res = gaussian_expectation(bump_testfn(radius, 2), GaussianSpec(cov))
+        ref = polar_bump_reference(radius, cov, nodes=800, angles=4096)
+        assert abs(res.value - ref) <= res.error
+
+    def test_singular_covariance_drops_the_null_direction(self):
+        res = gaussian_expectation(bump_testfn(2.0, 2), GaussianSpec(np.diag([0.0, 1.0])))
+        assert res.value == bump_identity_value(2.0, 1) and res.error == 0.0
+        zero = gaussian_expectation(bump_testfn(2.0, 2), GaussianSpec(np.zeros((2, 2))))
+        assert zero.value == 1.0 and zero.error == 0.0
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_four_dimensional_call_stays_small(self):
+        # Resident-set peak (VmHWM, in kB) of a fresh interpreter making one
+        # k = 4 call.  Not ru_maxrss: Linux carries the parent's peak across
+        # fork and exec into it, so under a large test run it reads that.
+        script = (
+            "import re, numpy as np\n"
+            "from projclt.testfuncs import GaussianSpec, bump_testfn, gaussian_expectation\n"
+            "cov = np.full((4, 4), 0.5) + 0.5 * np.eye(4)\n"
+            "gaussian_expectation(bump_testfn(2.0, 4), GaussianSpec(cov))\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert int(proc.stdout) < 200 * 1024
