@@ -14,8 +14,8 @@ The experiment configuration is a single JSON file; ``--seed``,
 ``verify`` and ``scan`` take ``--workers N`` (N >= 1; wall time only) and
 ``--trace``, which writes one JSON object per run or scan cell to stderr:
 theorem, n, k, pass/fail and the report metadata (stage seconds,
-samples/s, workers, blocks, tile rows, Gaussian-side method and error,
-and the dominant bound term).
+samples/s, workers, blocks, tile rows, the stream generator,
+Gaussian-side method and error, and the dominant bound term).
 All CSV output starts with a ``# schema=1`` line and renders floats at 17
 significant digits, so identical configurations reproduce byte-identical
 files.  Exit codes: 0 success/pass, 1 bound or invariant violation, 2

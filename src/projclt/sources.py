@@ -13,27 +13,29 @@ Catalog laws ship closed-form third/fourth moments; Monte Carlo is used
 only as a cross-check, never to feed a bound.  User-supplied laws must
 declare their moments explicitly.
 
-Seeding is splittable and counter-based: every state vector is drawn by
-:func:`sample_tiles` (whole blocks are its tiles concatenated, by
-:func:`sample_block`), and a block starting at sample index i consumes the
-Philox stream keyed by the pair (seed, i), so distinct (seed, i) pairs
-never share a stream and results do not depend on how fixed-size blocks
-are distributed across workers.  Tiles are TILE_ROWS high, a height that
-is part of this contract.
+Seeding is splittable: every state vector is drawn by :func:`sample_tiles`
+(whole blocks are its tiles concatenated, by :func:`sample_block`), and a
+block starting at sample index i consumes the stream of the pair
+(seed, i): an SFC64 generator whose state is set directly from the pair
+(:func:`stream`, which proves that the stretches of stream two distinct
+blocks read share no state).  Results therefore do not depend on how
+fixed-size blocks are distributed across workers.  Tiles are TILE_ROWS
+high, a height that is part of this contract.
 
 Catalog samplers take ``(rng, size, dtype)``.  In single precision (the
 Monte Carlo path) they read the stream's 64-bit words directly, low
 32-bit half first: uniform and two-point draws are bit-identical to
 numpy's float32 fill, and the centered exponential is the inverse CDF of
 one 32-bit word.  Double precision keeps numpy's fills.  Rademacher
-draws map each stream byte to eight signs through a lookup table.  An
-independent model draws law by law, LAW_ROWS rows per sampler call.  An
-exchangeable model draws each permutation, in either precision, by
-sorting 64-bit keys that hold one 32-bit half-word of the stream in their
-high half and the coordinate index in their low half; a row in which two
-half-words tie is redrawn, so every permutation is exactly uniform.  With
-32 random bits per coordinate a row ties with probability about
-1 - exp(-n(n-1)/2^33), so sampling refuses populations larger than
+draws, in either precision, take one bit each from the stream's words,
+least significant bit first, eight at a time through a byte lookup
+table.  An independent model draws law by law, LAW_ROWS rows per sampler
+call.  An exchangeable model draws each permutation, in either precision,
+by sorting 64-bit keys that hold one 32-bit half-word of the stream in
+their high half and the coordinate index in their low half; a row in
+which two half-words tie is redrawn, so every permutation is exactly
+uniform.  With 32 random bits per coordinate a row ties with probability
+about 1 - exp(-n(n-1)/2^33), so sampling refuses populations larger than
 MAX_PERMUTATION_N.
 """
 
@@ -53,8 +55,8 @@ from .errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 SEED_LIMIT = 1 << 64
 # Rows per sampling tile: 1 MB of float32 at n = 4096, so a tile stays in L2
 # while it is projected.  Part of the determinism contract (exchangeable
-# tiles redraw tied rows tile by tile), and a multiple of 32, so that every
-# tile ends on a whole stream word.
+# tiles redraw tied rows tile by tile), and a multiple of 64, so that every
+# tile ends on a whole stream word (a Rademacher draw reads one bit).
 TILE_ROWS = 64
 # Rows per sampler call for independent models, which draw law by law and
 # hand the rows out as TILE_ROWS tiles.  One call per law and 64-row tile
@@ -69,22 +71,70 @@ MAX_PERMUTATION_N = 1 << 16
 # Index of the half of a uint64 that holds its high 32 bits, in a uint32 view.
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0
 _GOLDEN64 = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+# The generator behind every sampling stream; the third word of every
+# stream's starting state (an odd constant), the counter every stream starts
+# from, and the number of outputs discarded after the state is set, as
+# numpy's own SFC64 seeding discards them.
+STREAM = "sfc64"
+_STREAM_WORD = _GOLDEN64
+_COUNTER_START = 1
+_STREAM_DISCARD = 12
+
+
+def _fmix64(k: int) -> int:
+    """The MurmurHash3 64-bit finalizer: xor-shifts and multiplications by
+    odd constants, each invertible modulo 2^64, so a bijection on 64 bits."""
+    k ^= k >> 33
+    k = (k * 0xFF51AFD7ED558CCD) & _MASK64
+    k ^= k >> 33
+    k = (k * 0xC4CEB9FE1A85EC53) & _MASK64
+    return k ^ (k >> 33)
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based generator for one sampling stream.
+    """The generator of one sampling stream: SFC64 (Doty-Humphrey's small
+    fast counting generator) started from a state set directly from
+    (seed, index).
 
-    The 128-bit Philox key is ``(seed << 64) | index``, so two streams
-    coincide only when both seed and index do (Salmon et al. 2011).
+    The 256-bit state (s0, s1, s2, s3) starts at (fmix64(seed),
+    fmix64(index), an odd constant, 1), and the first 12 outputs are
+    discarded.  No two streams ever pass through a common state within
+    2^64 steps:
+
+    * One SFC64 step outputs t = s0 + s1 + s3 and moves to
+      (s1 ^ (s1 >> 11), 9 s2, rotl(s2, 24) + t, s3 + 1), all modulo 2^64.
+      It is a bijection on the state: the new words give back s3, then s1
+      (a right xor-shift is invertible), s2 (9 is odd), and last
+      s0 = t - s1 - s3 with t = (new s2) - rotl(s2, 24).
+    * Every step adds 1 to the counter s3, and every stream starts from the
+      same s3.  So if two streams are in one state after u and v steps,
+      with u, v < 2^64, then u = v, and undoing those u steps shows that
+      they started from one state.
+    * fmix64 is a bijection on 64 bits, so (seed, index) -> (s0, s1) is
+      injective, and distinct (seed, index) pairs start from distinct
+      states.
+
+    A block reads far fewer than 2^64 words, so the stretches of stream that
+    two distinct blocks read share no state.
     """
     if not (0 <= seed < SEED_LIMIT and 0 <= index < SEED_LIMIT):
         raise InvalidInputError(f"stream seed and index must lie in [0, 2^64), got {seed}, {index}")
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+    bits = np.random.SFC64(0)
+    bits.state = {
+        "bit_generator": "SFC64",
+        "state": {"state": np.array([_fmix64(seed), _fmix64(index), _STREAM_WORD, _COUNTER_START],
+                                    dtype=np.uint64)},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits.random_raw(_STREAM_DISCARD)
+    return np.random.Generator(bits)
 
 
 def derived_seed(seed: int, tag: int) -> int:
     """Decorrelated child seed for an auxiliary purpose within one run."""
-    return (seed * _GOLDEN64 + 0x632BE59BD9B4E019 * (tag + 1)) & ((1 << 64) - 1)
+    return (seed * _GOLDEN64 + 0x632BE59BD9B4E019 * (tag + 1)) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -219,14 +269,17 @@ def _top24(rng, size) -> np.ndarray:
     return words.view(np.int32)
 
 
-# Byte -> its 8 bits as -1.0/+1.0, most significant first (np.unpackbits order).
-_BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
+# Byte -> its 8 bits as -1.0/+1.0, least significant first, so that a run of
+# little-endian stream words gives draw j from bit j mod 64 of word j // 64.
+_BYTE_SIGNS = 2.0 * np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") - 1.0
 _RADEMACHER_TABLES = {np.dtype(d): _BYTE_SIGNS.astype(d) for d in (np.float32, np.float64)}
 
 
 def _sample_rademacher(rng, size, dtype=np.float64):
     total = _size(size)
-    raw = np.frombuffer(rng.bytes((total + 7) // 8), dtype=np.uint8)
+    words = rng.bit_generator.random_raw((total + 63) // 64)
+    raw = words.astype("<u8", copy=False).view(np.uint8)
     table = _RADEMACHER_TABLES.get(np.dtype(dtype))
     if table is None:
         table = _BYTE_SIGNS.astype(dtype)

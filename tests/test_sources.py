@@ -122,11 +122,124 @@ class TestCatalogMoments:
             assert abs(stat.mean() - target) <= 4 * se + 1e-12
 
 
+MASK64 = (1 << 64) - 1
+INV9 = pow(9, -1, 1 << 64)
+
+
+def fmix64_reference(k):
+    """The MurmurHash3 64-bit finalizer."""
+    for mult in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        k ^= k >> 33
+        k = (k * mult) & MASK64
+    return k ^ (k >> 33)
+
+
+def rotl(x, r):
+    return ((x << r) | (x >> (64 - r))) & MASK64
+
+
+def sfc64_step(state):
+    """One SFC64 step on a state tuple: (next state, output)."""
+    a, b, c, d = state
+    out = (a + b + d) & MASK64
+    return (b ^ (b >> 11), (9 * c) & MASK64, (rotl(c, 24) + out) & MASK64, (d + 1) & MASK64), out
+
+
+def sfc64_unstep(state):
+    """The state one SFC64 step before ``state``."""
+    a, b, c, d = state
+    d = (d - 1) & MASK64
+    prev_b = a
+    for _ in range(6):  # x = a ^ (x >> 11) is exact after ceil(64 / 11) rounds
+        prev_b = a ^ (prev_b >> 11)
+    prev_c = (b * INV9) & MASK64
+    out = (c - rotl(prev_c, 24)) & MASK64
+    return ((out - prev_b - d) & MASK64, prev_b, prev_c, d)
+
+
+def generator_state(rng):
+    return tuple(int(w) for w in rng.bit_generator.state["state"]["state"])
+
+
+# Pairs of (seed, index) keys that simple key maps confuse: swapped seed and
+# index, a seed and its neighbour, an index and its neighbour.
+ADVERSARIAL_PAIRS = [
+    ((0, 8192), (8192, 0)),
+    ((12345, 678), (678, 12345)),
+    ((7, 0), (8, 0)),
+    ((7, 8192), (7, 8193)),
+    ((2**64 - 1, 0), (0, 2**64 - 1)),
+]
+
+
+class TestStream:
+    def test_known_answers(self):
+        # The first words of three streams, so that a change of the stream
+        # cannot pass silently.
+        for key, words in [
+            ((0, 0), [0xD94D111F0250108B, 0x0B46C9C6CCCE4E71, 0xC34886B589625FC3]),
+            ((1, 8192), [0x480FEBD5BB5B5540, 0x0BDDF946127A67FC, 0x7DD456ADBF634E3F]),
+            ((2**64 - 1, 2**64 - 1), [0x5868C75CC3EF666D, 0x9E671F5B2CBE3386,
+                                      0x49BC0815F37628E5]),
+        ]:
+            assert stream(*key).bit_generator.random_raw(3).tolist() == words
+
+    def test_words_follow_the_documented_state_map(self):
+        # The state (fmix64(seed), fmix64(index), odd constant, 1), then 12
+        # discarded outputs; the constant is read back from stream(0, 0).
+        state = generator_state(stream(0, 0))
+        for _ in range(12):
+            state = sfc64_unstep(state)
+        constant = state[2]
+        assert constant % 2 == 1
+        seed, index = 2024, 3 * 8192
+        state = (fmix64_reference(seed), fmix64_reference(index), constant, 1)
+        want = []
+        for _ in range(12 + 5):
+            state, out = sfc64_step(state)
+            want.append(out)
+        assert stream(seed, index).bit_generator.random_raw(5).tolist() == want[12:]
+
+    def test_reference_step_inverts(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            state = tuple(int(w) for w in rng.integers(0, 2**64, 4, dtype=np.uint64))
+            assert sfc64_unstep(sfc64_step(state)[0]) == state
+
+    @pytest.mark.parametrize("pair", ADVERSARIAL_PAIRS, ids=str)
+    def test_distinct_keys_start_apart_in_lockstep(self, pair):
+        # The non-collision proof in the stream docstring: equal counters and
+        # distinct states, and the 12 discarded steps undo to the state map.
+        states = [generator_state(stream(*key)) for key in pair]
+        assert states[0][3] == states[1][3] == 13
+        assert states[0] != states[1]
+        starts = []
+        for state, (seed, index) in zip(states, pair):
+            for _ in range(12):
+                state = sfc64_unstep(state)
+            assert state[:2] == (fmix64_reference(seed), fmix64_reference(index))
+            assert state[3] == 1
+            starts.append(state)
+        assert starts[0][2] == starts[1][2] and starts[0][:2] != starts[1][:2]
+
+    @pytest.mark.parametrize("pair", ADVERSARIAL_PAIRS, ids=str)
+    def test_streams_of_adversarial_keys_look_independent(self, pair):
+        count = 1 << 20
+        a, b = (stream(*key).bit_generator.random_raw(count) for key in pair)
+        u, v = ((w >> np.uint64(11)) * 2.0**-53 for w in (a, b))
+        assert abs(np.corrcoef(u, v)[0, 1]) < 5.0 / math.sqrt(count)
+        bits = 64 * count
+        ones = int(np.bitwise_count(a ^ b).sum())
+        assert abs(ones / bits - 0.5) < 5.0 * 0.5 / math.sqrt(bits)
+
+
 def rademacher_reference(rng, size, dtype):
-    """Unpack the stream's bytes bit by bit, convert, then map {0, 1} to {-1, 1}."""
+    """Unpack the stream's 64-bit words bit by bit, least significant bit
+    first, convert, then map {0, 1} to {-1, 1}."""
     total = int(np.prod(size))
-    bits = np.unpackbits(np.frombuffer(rng.bytes((total + 7) // 8), dtype=np.uint8), count=total)
-    out = bits.astype(dtype)
+    words = rng.bit_generator.random_raw((total + 63) // 64)
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    out = bits.reshape(-1)[:total].astype(dtype)
     out *= 2.0
     out -= 1.0
     return out.reshape(size)

@@ -317,6 +317,14 @@ class TestBumpUnderACovariance:
         zero = gaussian_expectation(bump_testfn(2.0, 2), GaussianSpec(np.zeros((2, 2))))
         assert zero.value == 1.0 and zero.error == 0.0
 
+    def test_a_tiny_eigenvalue_is_dropped_when_that_costs_less(self):
+        # Kept, the 1e-4 eigenvalue leaves the 4096-term series 0.245 short;
+        # dropped, it moves the value by at most 3e-4/r^2 = 7.5e-5.
+        cov = np.diag([1e-4, 1.0, 1.0, 1.0, 1.0, 1.0])
+        res = gaussian_expectation(bump_testfn(2.0, 6), GaussianSpec(cov))
+        assert res.error < 1e-4
+        assert abs(res.value - bump_identity_value(2.0, 5)) <= res.error + 7.5e-5
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
     def test_four_dimensional_call_stays_small(self):
         # Resident-set peak (VmHWM, in kB) of a fresh interpreter making one
