@@ -20,7 +20,6 @@ from .directions import (
     NormSummary,
     gram,
     hypercube_directions,
-    lp_norm,
     norm_summary,
     random_orthonormal,
 )
@@ -32,8 +31,6 @@ from .empirics import (
     VerificationTask,
     compute_bound,
     conditional_linearity_check,
-    eij_closed_form,
-    eij_enumerated,
     eij_second_moments,
     estimate_discrepancy,
     stein_lambda,

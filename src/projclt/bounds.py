@@ -11,8 +11,8 @@ orthonormal or centered rows, and whether lam comes from the Gram matrix
 :func:`bound` assembles T1-T5 from it.  Writing N4 = sum_i ||theta_i||_4^2,
 N3 = sum_i ||theta_i||_3^3, L4 = (sum_i ||theta_i||_4)^2, and using the
 seminorms of :mod:`projclt.testfuncs`, with G1 = g1 and G2 = g2 when
-lam = 1, G1 = grad_sup and G2 = hess_op_sup (k g2 when unknown) when lam
-comes from the Gram matrix:
+lam = 1, G1 = grad_sup and G2 = hess_op_sup when lam comes from the Gram
+matrix:
 
   independent (T1-T3; worst-coordinate moments)
       1/2 * sqrt(lam k) * grad_sup * sqrt(max EX^4 - 1) * N4
@@ -207,9 +207,6 @@ def bound(
             raise InvalidInputError("directions must have unit norm (Gram diagonal != 1)")
         lam = echo["lambda"] = gramdata.lambda_max
         grad, hess = g.grad_sup, g.hess_op_sup
-        if hess is None:
-            # Hilbert-Schmidt estimate ||H||_op <= k * g2 when no operator sup is known.
-            hess, echo["hess_fallback"] = k * g.g2, True
     if not exchangeable:
         if m.fourth_max < 1.0 - 1e-12:
             raise InvalidMomentsError(f"EX^4 = {m.fourth_max} < 1 contradicts EX^2 = 1")

@@ -37,26 +37,6 @@ KINDS = (ORTHONORMAL, LINEARLY_INDEPENDENT, CENTERED_ORTHONORMAL)
 ORTHONORMAL_KINDS = (ORTHONORMAL, CENTERED_ORTHONORMAL)
 
 
-def lp_norm(v, p: float) -> float:
-    """l_p norm (sum_i |v_i|^p)^(1/p) of a non-empty real vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError("lp_norm expects a non-empty 1-d vector")
-    if p < 1:
-        raise InvalidInputError(f"lp_norm requires p >= 1, got {p}")
-    a = np.abs(v)
-    if p == 1:
-        return float(a.sum())
-    if p == 2:
-        return float(np.sqrt(np.dot(v, v)))
-    if p == 3:
-        return float(np.cbrt(np.sum(a * a * a)))
-    if p == 4:
-        s = np.dot(v * v, v * v)
-        return float(np.sqrt(np.sqrt(s)))
-    return float(np.sum(a**p) ** (1.0 / p))
-
-
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
     """k unit rows theta_1..theta_k in R^n, validated on construction.

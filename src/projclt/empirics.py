@@ -9,10 +9,9 @@ exchangeable bounds:
   exchangeable vector; the shrinkage constant is 2/(n-1) and requires
   every direction row to sum to zero.
 
-For both, the conditional second-moment errors E_ij have closed forms in
-the current state x, checked here against direct enumeration over the
-randomization (the replacement law, or all ordered index pairs).  On top
-of that sit the error statistics feeding the abstract bound, all exact:
+For both, the conditional mean E[S' - S | x] and the conditional
+second-moment errors E_ij have closed forms in the current state x.  On
+them rest the error statistics feeding the abstract bound, all exact:
 the second moments E E_ij^2 over the state, whose Jensen envelopes bound
 sum_ij E|E_ij| and E sqrt(sum_ij E_ij^2), and the third-moment sum.  So
 the abstract bound is a proved inequality and draws no state.  Last comes
@@ -43,7 +42,6 @@ from . import sources
 from .directions import ORTHONORMAL_KINDS, DirectionSet, gram, norm_summary
 from .errors import InvalidInputError, InvalidMomentsError, ProjcltError, WrongPairKindError
 from .sources import (
-    IIDModel,
     IndependentModel,
     Model,
     sample_block,
@@ -55,10 +53,8 @@ RESAMPLING = "resampling"
 TRANSPOSITION = "transposition"
 PAIR_KINDS = (RESAMPLING, TRANSPOSITION)
 
-# Fixed Monte Carlo block sizes; part of the determinism contract.  The
-# linearity check works on float64 states, so its blocks are smaller.
+# Fixed Monte Carlo block size; part of the determinism contract.
 _BLOCK = 8192
-_STATE_BLOCK = 256
 
 
 def default_pair(model: Model) -> str:
@@ -89,10 +85,6 @@ def _require_independent(model: Model) -> None:
 def _require_exchangeable(model: Model) -> None:
     if sources.family(model) != sources.EXCHANGEABLE:
         raise WrongPairKindError("the transposition pair needs an exchangeable model")
-
-
-def _coord_law(model: Model, index: int) -> IIDModel:
-    return model.coords[index] if isinstance(model, IndependentModel) else model
 
 
 # --------------------------------------------------------------------------
@@ -150,91 +142,15 @@ def conditional_linearity_check(
         raise InvalidInputError("need at least one trial")
     lam = stein_lambda(pair_kind, ds.n)
     worst = 0.0
-    for x in _state_blocks(model, ds.n, trials, seed):
+    for start in range(0, trials, _BLOCK):
+        x = sample_block(model, seed, start, min(_BLOCK, trials - start), n=ds.n)
         cond = conditional_mean_closed_form(x, ds, model, pair_kind)
         worst = max(worst, float(np.max(np.abs(cond + lam * (x @ ds.vectors.T)))))
     return worst
 
 
-def eij_closed_form(x, ds: DirectionSet, pair_kind: str) -> np.ndarray:
-    """The conditional second-moment error matrix E_ij(x) in closed form.
-
-    ``x`` is one state (n,) or a block of states (m, n); the result is
-    (k, k) or (m, k, k) accordingly.
-
-    Resampling (orthonormal rows):
-        E_ij = (1/n) sum_r theta_i^r theta_j^r (x_r^2 - 1).
-
-    Transposition (centered orthonormal rows), with W = sum x_r,
-    V_ij = sum_r theta_i^r theta_j^r x_r^2, T_ij = sum_r theta_i^r theta_j^r x_r:
-        E_ij = 2/(n(n-1)) [ delta_ij sum_r (x_r^2 - 1) + n (V_ij - delta_ij)
-                            - 2 T_ij W + 2 S^i S^j ].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != ds.n:
-        raise InvalidInputError(f"states have shape {x.shape}, directions need (..., {ds.n})")
-    if pair_kind not in PAIR_KINDS:
-        raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
-    if ds.kind not in ORTHONORMAL_KINDS:
-        raise InvalidInputError(f"the {pair_kind} closed form assumes orthonormal rows")
-    theta = ds.vectors
-    n = ds.n
-    outer = theta[:, None, :] * theta[None, :, :]
-    x2 = x * x
-    if pair_kind == RESAMPLING:
-        return np.einsum("...r,ijr->...ij", x2 - 1.0, outer) / n
-    if not ds.is_centered():
-        raise InvalidInputError("the transposition closed form assumes centered rows")
-    s = x @ theta.T
-    v = np.einsum("...r,ijr->...ij", x2, outer)
-    t = np.einsum("...r,ijr->...ij", x, outer)
-    ss = np.einsum("...i,...j->...ij", s, s)
-    eye = np.eye(ds.k)
-    e = n * (v - eye) - 2.0 * x.sum(axis=-1)[..., None, None] * t + 2.0 * ss
-    e += eye * np.sum(x2 - 1.0, axis=-1)[..., None, None]
-    e *= 2.0 / (n * (n - 1))
-    return e
-
-
-def eij_enumerated(x, ds: DirectionSet, model: Model, pair_kind: str) -> np.ndarray:
-    """E[dS^i dS^j | x] - 2 lambda delta_ij by direct enumeration.
-
-    The resampling route needs the per-coordinate replacement second
-    moments; finite supports are enumerated, continuous laws use the
-    declared standardization (E X* = 0, E X*^2 = 1).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    theta = ds.vectors
-    n = ds.n
-    lam = stein_lambda(pair_kind, n)
-    if pair_kind == RESAMPLING:
-        _require_independent(model)
-        w = np.empty(n)
-        for r in range(n):
-            law = _coord_law(model, r)
-            if law.support is not None:
-                vals, probs = law.support
-                w[r] = float(probs @ (vals - x[r]) ** 2)
-            else:
-                w[r] = 1.0 + x[r] * x[r]
-        cond = (theta * w) @ theta.T / n
-        return cond - 2.0 * lam * np.eye(ds.k)
-    if pair_kind == TRANSPOSITION:
-        dx2 = (x[None, :] - x[:, None]) ** 2
-        dtheta = theta[:, :, None] - theta[:, None, :]
-        cond = np.einsum("irs,jrs,rs->ij", dtheta, dtheta, dx2) / (n * (n - 1))
-        return cond - 2.0 * lam * np.eye(ds.k)
-    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
-
-
 # --------------------------------------------------------------------------
 # Pair statistics
-
-def _state_blocks(model: Model, n: int, samples: int, seed: int):
-    """States 0..samples-1 as float64 blocks of at most _STATE_BLOCK rows."""
-    for start in range(0, samples, _STATE_BLOCK):
-        yield sample_block(model, seed, start, min(_STATE_BLOCK, samples - start), n=n)
-
 
 def _mean_abs3_diff(v: np.ndarray) -> float:
     """Mean of |v_r - v_s|^3 over ordered pairs r != s, in O(n log n).
@@ -355,16 +271,23 @@ def _coincidence_table() -> tuple:
 def _transposition_second_moments(theta: np.ndarray, pop: np.ndarray) -> np.ndarray:
     """E E_ij^2 over a uniform permutation x of a standardized population.
 
-    With W = sum x_r = 0, sum (x_r^2 - 1) = 0 and y = x^2 - 1, the closed
-    form of :func:`eij_closed_form` reduces to E_ij = c [n U + 2 S^i S^j],
-    c = 2/(n(n-1)).  Each term of E_ij^2 is a sum over index tuples.
-    Grouped by which indices coincide (a set partition pi), it is a
-    distinct-index sum over the directions, of (k, k) products theta^p
-    (theta^q)^T, times a distinct-index sum over the population, of sums of
-    x^a y^b, divided by (n)_|pi|, the number of ordered |pi|-tuples of
-    distinct positions.  Both distinct-index sums come from the
-    unrestricted ones by Moebius inversion (:func:`_coincidence_table`).  A
-    partition with more than n blocks has no such tuple and adds nothing.
+    For centered orthonormal rows, with W = sum_r x_r, T_ij = sum_r
+    theta_i^r theta_j^r x_r and V_ij = sum_r theta_i^r theta_j^r x_r^2,
+    the pair's error is
+
+      E_ij = c [ delta_ij sum_r (x_r^2 - 1) + n (V_ij - delta_ij)
+                 - 2 T_ij W + 2 S^i S^j ],     c = 2/(n(n-1)).
+
+    With W = 0, sum (x_r^2 - 1) = 0 and y = x^2 - 1 this reduces to
+    E_ij = c [n U + 2 S^i S^j], U = sum_r theta_i^r theta_j^r y_r.  Each
+    term of E_ij^2 is a sum over index tuples.  Grouped by which indices
+    coincide (a set partition pi), it is a distinct-index sum over the
+    directions, of (k, k) products theta^p (theta^q)^T, times a
+    distinct-index sum over the population, of sums of x^a y^b, divided by
+    (n)_|pi|, the number of ordered |pi|-tuples of distinct positions.
+    Both distinct-index sums come from the unrestricted ones by Moebius
+    inversion (:func:`_coincidence_table`).  A partition with more than n
+    blocks has no such tuple and adds nothing.
     """
     n = pop.size
     k = theta.shape[0]
@@ -388,10 +311,12 @@ def _transposition_second_moments(theta: np.ndarray, pop: np.ndarray) -> np.ndar
 
 
 def eij_second_moments(ds: DirectionSet, model: Model, pair_kind: str) -> np.ndarray:
-    """The exact (k, k) matrix E E_ij^2 over the state, for the pair's
-    closed form (:func:`eij_closed_form`).
+    """The exact (k, k) matrix E E_ij^2 over the state of the pair's
+    conditional second-moment error E_ij = E[dS^i dS^j | x] - 2 lambda
+    delta_ij, for orthonormal rows.
 
-    Resampling, independent coordinates: (1/n^2) sum_r (theta_i^r
+    Resampling, independent coordinates: E_ij = (1/n) sum_r theta_i^r
+    theta_j^r (x_r^2 - 1), so E E_ij^2 = (1/n^2) sum_r (theta_i^r
     theta_j^r)^2 (EX_r^4 - 1), with each law's fourth moment enumerated
     over a finite support and declared otherwise; it is exactly 0 for
     Rademacher coordinates.  Transposition: see
@@ -498,7 +423,7 @@ def estimate_discrepancy(
 
     def run_block(start: int) -> _Moments:
         count = min(_BLOCK, samples - start)
-        tiles = sample_tiles(model, seed, start, count, n=n, dtype=np.float32)
+        tiles = sample_tiles(model, seed, start, count, n=n)
         s = np.concatenate([np.einsum("rn,kn->rk", x, theta) for x in tiles])
         vals = g.evaluate(s.astype(np.float64))
         mean = float(vals.mean())

@@ -22,26 +22,23 @@ blocks read share no state).  Results therefore do not depend on how
 fixed-size blocks are distributed across workers.  Tiles are TILE_ROWS
 high, a height that is part of this contract.
 
-Catalog samplers take ``(rng, size, dtype)``.  In single precision (the
-Monte Carlo path) they read the stream's 64-bit words directly, low
-32-bit half first: uniform and two-point draws are bit-identical to
-numpy's float32 fill, and the centered exponential is the inverse CDF of
-one 32-bit word.  Double precision keeps numpy's fills.  Rademacher
-draws, in either precision, take one bit each from the stream's words,
-least significant bit first, eight at a time through a byte lookup
-table.  An independent model draws law by law, LAW_ROWS rows per sampler
-call.  An exchangeable model draws each permutation, in either precision,
-by sorting 64-bit keys that hold one 32-bit half-word of the stream in
-their high half and the coordinate index in their low half; a row in
-which two half-words tie is redrawn, so every permutation is exactly
-uniform.  With 32 random bits per coordinate a row ties with probability
-about 1 - exp(-n(n-1)/2^33), so sampling refuses populations larger than
-MAX_PERMUTATION_N.
+Every draw is float32.  Catalog samplers take ``(rng, size)`` and read
+the stream's 64-bit words directly, low 32-bit half first: uniform and
+two-point draws are bit-identical to numpy's float32 fill, and the
+centered exponential is the inverse CDF of one 32-bit word.  Rademacher
+draws take one bit each from the stream's words, least significant bit
+first, eight at a time through a byte lookup table.  An independent
+model draws law by law, LAW_ROWS rows per sampler call.  An exchangeable
+model draws each permutation by sorting 64-bit keys that hold one 32-bit
+half-word of the stream in their high half and the coordinate index in
+their low half; a row in which two half-words tie is redrawn, so every
+permutation is exactly uniform.  With 32 random bits per coordinate a row
+ties with probability about 1 - exp(-n(n-1)/2^33), so sampling refuses
+populations larger than MAX_PERMUTATION_N.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import warnings
@@ -165,7 +162,7 @@ class MomentSummary:
             raise InvalidMomentsError("mixed_4 and mixed_var must be supplied together")
 
 
-Sampler = Callable[[np.random.Generator, object, type], np.ndarray]
+Sampler = Callable[[np.random.Generator, object], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,19 +268,15 @@ def _top24(rng, size) -> np.ndarray:
 
 # Byte -> its 8 bits as -1.0/+1.0, least significant first, so that a run of
 # little-endian stream words gives draw j from bit j mod 64 of word j // 64.
-_BYTE_SIGNS = 2.0 * np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") - 1.0
-_RADEMACHER_TABLES = {np.dtype(d): _BYTE_SIGNS.astype(d) for d in (np.float32, np.float64)}
+_BYTE_SIGNS = (2.0 * np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") - 1.0).astype(np.float32)
 
 
-def _sample_rademacher(rng, size, dtype=np.float64):
+def _sample_rademacher(rng, size):
     total = _size(size)
     words = rng.bit_generator.random_raw((total + 63) // 64)
     raw = words.astype("<u8", copy=False).view(np.uint8)
-    table = _RADEMACHER_TABLES.get(np.dtype(dtype))
-    if table is None:
-        table = _BYTE_SIGNS.astype(dtype)
-    return np.take(table, raw, axis=0).reshape(-1)[:total].reshape(size)
+    return np.take(_BYTE_SIGNS, raw, axis=0).reshape(-1)[:total].reshape(size)
 
 
 def rademacher() -> IIDModel:
@@ -297,12 +290,8 @@ _SQRT3 = math.sqrt(3.0)
 _UNIFORM_SCALE32 = np.float32(2.0 * _SQRT3) * np.float32(2.0**-24)
 
 
-def _sample_uniform(rng, size, dtype=np.float64):
-    if np.dtype(dtype) == np.float32:
-        out = np.multiply(_top24(rng, size), _UNIFORM_SCALE32, dtype=np.float32).reshape(size)
-    else:
-        out = rng.random(size, dtype=dtype)
-        out *= 2.0 * _SQRT3
+def _sample_uniform(rng, size):
+    out = np.multiply(_top24(rng, size), _UNIFORM_SCALE32, dtype=np.float32).reshape(size)
     out -= _SQRT3
     return out
 
@@ -326,9 +315,7 @@ def two_point(p: float = 0.2) -> IIDModel:
     lo_bits = int(np.float32(lo).view(np.int32))
     flip_bits = lo_bits ^ int(np.float32(hi).view(np.int32))
 
-    def sample(rng, size, dtype=np.float64):
-        if np.dtype(dtype) != np.float32:
-            return np.where(rng.random(size, dtype=dtype) < p, dtype(hi), dtype(lo))
+    def sample(rng, size):
         # Exact bitwise select: k - threshold < 0 becomes an all-ones mask
         # that turns the bits of lo into those of hi.
         bits = _top24(rng, size)
@@ -348,11 +335,7 @@ def two_point(p: float = 0.2) -> IIDModel:
     )
 
 
-def _sample_exponential(rng, size, dtype=np.float64):
-    if np.dtype(dtype) != np.float32:
-        out = rng.standard_exponential(size, dtype=dtype)
-        out -= 1.0
-        return out
+def _sample_exponential(rng, size):
     # Inverse CDF at (w + 1/2) 2^-32: the largest draw is 33 ln 2 - 1 ~ 21.9.
     u = np.multiply(_words32(rng, size), np.float32(2.0**-32), dtype=np.float32)
     u += np.float32(2.0**-33)
@@ -379,7 +362,10 @@ CATALOG: dict[str, Callable[[], IIDModel]] = {
 
 def user_model(name, sampler, abs3=None, fourth=None, support=None, diff_abs3=None) -> IIDModel:
     """Wrap a user-supplied standardized sampler; moments must be declared
-    before the model can feed a bound."""
+    before the model can feed a bound.
+
+    ``sampler(rng, size)`` draws ``size`` (an int or a shape tuple) values
+    from the generator ``rng`` and returns them as float32."""
     return IIDModel(name, sampler, abs3=abs3, fourth=fourth, support=support, diff_abs3=diff_abs3)
 
 
@@ -461,22 +447,6 @@ def exchangeable_moments(model: ExchangeableModel) -> MomentSummary:
         mixed_4=mixed_4,
         mixed_var=mixed_var,
     )
-
-
-def mixed_moments_enumerated(model: ExchangeableModel) -> tuple[float, float]:
-    """(E X1X2X3X4, E (X1^2-1)(X2^2-1)) by O(n^4) enumeration over ordered
-    distinct index tuples: the reference for :func:`exchangeable_moments`."""
-    pop = model.population
-    n = model.n
-    total4 = math.fsum(
-        pop[i] * pop[j] * pop[k] * pop[l]
-        for i, j, k, l in itertools.permutations(range(n), 4)
-    )
-    total_var = math.fsum(
-        (pop[i] ** 2 - 1.0) * (pop[j] ** 2 - 1.0)
-        for i, j in itertools.permutations(range(n), 2)
-    )
-    return total4 / (n * (n - 1) * (n - 2) * (n - 3)), total_var / (n * (n - 1))
 
 
 def moment_summary(model: Model) -> MomentSummary:
@@ -570,10 +540,9 @@ def sample_tiles(
     start: int,
     count: int,
     n: Optional[int] = None,
-    dtype=np.float64,
 ) -> Iterator[np.ndarray]:
-    """The rows of the block for sample indices start..start+count-1, in
-    order, as (TILE_ROWS, n) tiles, the last one possibly shorter.
+    """The float32 rows of the block for sample indices start..start+count-1,
+    in order, as (TILE_ROWS, n) tiles, the last one possibly shorter.
 
     The block consumes the stream keyed by (seed, start) strictly in order,
     tile after tile.  The tile height is part of the determinism contract:
@@ -593,17 +562,17 @@ def sample_tiles(
         groups = [(law, np.array(index)) for law, index in by_law.values()]
         for lo in range(0, count, LAW_ROWS):
             m = min(LAW_ROWS, count - lo)
-            cols = np.empty((n, m), dtype=dtype)
+            cols = np.empty((n, m), dtype=np.float32)
             for law, index in groups:
-                cols[index] = law.sampler(rng, (index.size, m), dtype)
+                cols[index] = law.sampler(rng, (index.size, m))
             for t in range(0, m, TILE_ROWS):
                 yield cols[:, t:t + TILE_ROWS].T
         return
-    pop = model.population.astype(dtype) if isinstance(model, ExchangeableModel) else None
+    pop = model.population.astype(np.float32) if isinstance(model, ExchangeableModel) else None
     for lo in range(0, count, TILE_ROWS):
         m = min(TILE_ROWS, count - lo)
         if pop is None:
-            yield model.sampler(rng, (m, n), dtype)
+            yield model.sampler(rng, (m, n))
         else:
             yield np.take(pop, _permutations(rng, m, n))
 
@@ -614,10 +583,9 @@ def sample_block(
     start: int,
     count: int,
     n: Optional[int] = None,
-    dtype=np.float64,
 ) -> np.ndarray:
-    """(count, n) matrix of draws for sample indices start..start+count-1:
-    the tiles of :func:`sample_tiles`, concatenated.
+    """(count, n) float32 matrix of draws for sample indices
+    start..start+count-1: the tiles of :func:`sample_tiles`, concatenated.
 
     An i.i.d. law draws the block in one sampler call: every tile ends on a
     whole stream word, so that call reads the words the tiles read, in the
@@ -625,8 +593,8 @@ def sample_block(
     """
     if family(model) == IID:
         n, rng = _block_stream(model, seed, start, count, n)
-        return model.sampler(rng, (count, n), dtype)
-    tiles = list(sample_tiles(model, seed, start, count, n=n, dtype=dtype))
+        return model.sampler(rng, (count, n))
+    tiles = list(sample_tiles(model, seed, start, count, n=n))
     return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
 
 

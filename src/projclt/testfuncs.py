@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class TestFunction:
     g1: float
     g2: float
     grad_sup: float
-    hess_op_sup: Optional[float]
+    hess_op_sup: float
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -63,11 +63,10 @@ class TestFunction:
             raise InvalidInputError("seminorms must be non-negative")
         if self.grad_sup < self.g1 - _SEMINORM_TOL:
             raise InvalidInputError("gradient length sup cannot be below g1")
-        if self.hess_op_sup is not None:
-            if self.hess_op_sup < self.g2 - _SEMINORM_TOL:
-                raise InvalidInputError("Hessian operator sup cannot be below g2")
-            if self.hess_op_sup > self.dimension * self.g2 + _SEMINORM_TOL:
-                raise InvalidInputError("Hessian operator sup exceeds the k*g2 estimate")
+        if self.hess_op_sup < self.g2 - _SEMINORM_TOL:
+            raise InvalidInputError("Hessian operator sup cannot be below g2")
+        if self.hess_op_sup > self.dimension * self.g2 + _SEMINORM_TOL:
+            raise InvalidInputError("Hessian operator sup exceeds the k*g2 estimate")
 
 
 def cosine_testfn(a, phase: float = 0.0) -> TestFunction:

@@ -1,8 +1,9 @@
 """Reference facts about direction sets, for the tests.
 
 Gram-Schmidt with its triangular change of basis checks the Gram
-matrices of :mod:`projclt.directions`, and the sphere moments check the
-norm sums of random orthonormal frames against their expectations.
+matrices of :mod:`projclt.directions`, a row-by-row l_p norm checks its
+norm sums, and the sphere moments check the norm sums of random
+orthonormal frames against their expectations.
 """
 
 import math
@@ -12,6 +13,26 @@ import numpy as np
 
 from projclt.directions import VALIDATION_TOL, DirectionSet
 from projclt.errors import InvalidInputError, LinearDependenceError
+
+
+def lp_norm(v, p: float) -> float:
+    """l_p norm (sum_i |v_i|^p)^(1/p) of a non-empty real vector."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise InvalidInputError("lp_norm expects a non-empty 1-d vector")
+    if p < 1:
+        raise InvalidInputError(f"lp_norm requires p >= 1, got {p}")
+    a = np.abs(v)
+    if p == 1:
+        return float(a.sum())
+    if p == 2:
+        return float(np.sqrt(np.dot(v, v)))
+    if p == 3:
+        return float(np.cbrt(np.sum(a * a * a)))
+    if p == 4:
+        s = np.dot(v * v, v * v)
+        return float(np.sqrt(np.sqrt(s)))
+    return float(np.sum(a**p) ** (1.0 / p))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,10 @@
 """Reference constructions of the two exchangeable pairs, for the tests.
 
-Single pair draws, the enumerated conditional mean E[S' - S | x] and the
-pairwise third-moment mean check the library's closed forms in
-:mod:`projclt.empirics`; the library itself never draws single pairs.
+Single pair draws, the conditional mean E[S' - S | x] and error matrix
+E_ij(x) enumerated over the pair randomization, the closed form of E_ij
+per state, and the pairwise third-moment mean check the library's exact
+statistics in :mod:`projclt.empirics`; the library itself never draws
+single pairs and never evaluates E_ij at a state.
 """
 
 import math
@@ -11,17 +13,23 @@ from typing import NamedTuple
 import numpy as np
 
 from projclt import sources
-from projclt.directions import DirectionSet
+from projclt.directions import ORTHONORMAL_KINDS, DirectionSet
 from projclt.empirics import (
+    PAIR_KINDS,
     RESAMPLING,
     TRANSPOSITION,
-    _coord_law,
     _replacement_means,
     _require_exchangeable,
     _require_independent,
+    stein_lambda,
 )
 from projclt.errors import InvalidInputError
-from projclt.sources import Model
+from projclt.sources import IIDModel, IndependentModel, Model
+
+
+def coord_law(model: Model, index: int) -> IIDModel:
+    """The scalar law of coordinate ``index`` of an i.i.d. or independent model."""
+    return model.coords[index] if isinstance(model, IndependentModel) else model
 
 
 def project(x: np.ndarray, ds: DirectionSet) -> np.ndarray:
@@ -53,7 +61,7 @@ def resample_pair(x, ds: DirectionSet, model: Model, seed: int) -> ResamplePairD
     s = project(x, ds)
     rng = sources.stream(seed)
     index = int(rng.integers(ds.n))
-    replacement = float(_coord_law(model, index).sampler(rng, 1)[0])
+    replacement = float(coord_law(model, index).sampler(rng, 1)[0])
     s_prime = s + ds.vectors[:, index] * (replacement - x[index])
     return ResamplePairDraw(s=s, s_prime=s_prime, index=index, replacement=replacement)
 
@@ -97,6 +105,77 @@ def conditional_mean_enumerated(
         dx = x[None, :] - x[:, None]
         dtheta = theta[:, :, None] - theta[:, None, :]
         return np.einsum("irs,rs->i", dtheta, dx) / (n * (n - 1))
+    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+
+
+def eij_closed_form(x, ds: DirectionSet, pair_kind: str) -> np.ndarray:
+    """The conditional second-moment error matrix E_ij(x) in closed form.
+
+    ``x`` is one state (n,) or a block of states (m, n); the result is
+    (k, k) or (m, k, k) accordingly.
+
+    Resampling (orthonormal rows):
+        E_ij = (1/n) sum_r theta_i^r theta_j^r (x_r^2 - 1).
+
+    Transposition (centered orthonormal rows), with W = sum x_r,
+    V_ij = sum_r theta_i^r theta_j^r x_r^2, T_ij = sum_r theta_i^r theta_j^r x_r:
+        E_ij = 2/(n(n-1)) [ delta_ij sum_r (x_r^2 - 1) + n (V_ij - delta_ij)
+                            - 2 T_ij W + 2 S^i S^j ].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != ds.n:
+        raise InvalidInputError(f"states have shape {x.shape}, directions need (..., {ds.n})")
+    if pair_kind not in PAIR_KINDS:
+        raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+    if ds.kind not in ORTHONORMAL_KINDS:
+        raise InvalidInputError(f"the {pair_kind} closed form assumes orthonormal rows")
+    theta = ds.vectors
+    n = ds.n
+    outer = theta[:, None, :] * theta[None, :, :]
+    x2 = x * x
+    if pair_kind == RESAMPLING:
+        return np.einsum("...r,ijr->...ij", x2 - 1.0, outer) / n
+    if not ds.is_centered():
+        raise InvalidInputError("the transposition closed form assumes centered rows")
+    s = x @ theta.T
+    v = np.einsum("...r,ijr->...ij", x2, outer)
+    t = np.einsum("...r,ijr->...ij", x, outer)
+    ss = np.einsum("...i,...j->...ij", s, s)
+    eye = np.eye(ds.k)
+    e = n * (v - eye) - 2.0 * x.sum(axis=-1)[..., None, None] * t + 2.0 * ss
+    e += eye * np.sum(x2 - 1.0, axis=-1)[..., None, None]
+    e *= 2.0 / (n * (n - 1))
+    return e
+
+
+def eij_enumerated(x, ds: DirectionSet, model: Model, pair_kind: str) -> np.ndarray:
+    """E[dS^i dS^j | x] - 2 lambda delta_ij by direct enumeration.
+
+    The resampling route needs the per-coordinate replacement second
+    moments; finite supports are enumerated, continuous laws use the
+    declared standardization (E X* = 0, E X*^2 = 1).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    theta = ds.vectors
+    n = ds.n
+    lam = stein_lambda(pair_kind, n)
+    if pair_kind == RESAMPLING:
+        _require_independent(model)
+        w = np.empty(n)
+        for r in range(n):
+            law = coord_law(model, r)
+            if law.support is not None:
+                vals, probs = law.support
+                w[r] = float(probs @ (vals - x[r]) ** 2)
+            else:
+                w[r] = 1.0 + x[r] * x[r]
+        cond = (theta * w) @ theta.T / n
+        return cond - 2.0 * lam * np.eye(ds.k)
+    if pair_kind == TRANSPOSITION:
+        dx2 = (x[None, :] - x[:, None]) ** 2
+        dtheta = theta[:, :, None] - theta[:, None, :]
+        cond = np.einsum("irs,jrs,rs->ij", dtheta, dtheta, dx2) / (n * (n - 1))
+        return cond - 2.0 * lam * np.eye(ds.k)
     raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
 
 

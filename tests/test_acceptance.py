@@ -17,7 +17,6 @@ from projclt.bounds import EijStats, UNIT_CONSTANTS, bound, bound_abstract
 from projclt.cli import main
 from projclt.directions import (
     hypercube_directions,
-    lp_norm,
     norm_summary,
     random_orthonormal,
 )
@@ -26,7 +25,6 @@ from projclt.empirics import (
     TRANSPOSITION,
     VerificationTask,
     conditional_linearity_check,
-    eij_closed_form,
     stein_lambda,
     verify_bound,
 )
@@ -43,8 +41,9 @@ from projclt.sources import (
 )
 from projclt.testfuncs import GaussianSpec, cosine_testfn, gaussian_expectation
 
-from direction_reference import sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
+from direction_reference import lp_norm, sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
 from gaussian_reference import gauss_hermite_expectation
+from pair_reference import eij_closed_form
 
 # One (num, name, status, seconds) entry per criterion; the conftest
 # terminal-summary hook renders these after the run, outside capture.

@@ -34,7 +34,7 @@ from projclt.sources import (
     standardize_population,
     uniform,
 )
-from projclt.testfuncs import TestFunction, cosine_testfn
+from projclt.testfuncs import cosine_testfn
 
 SQRT3 = math.sqrt(3.0)
 
@@ -119,20 +119,25 @@ class TestIndependentBound:
 
 
 class TestLinIndBound:
-    def test_orthonormal_with_fallback_dominates_indep(self):
-        ds = hypercube_directions(64, 3)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_orthonormal_third_term_uses_the_hessian_sup(self, k):
+        # with lambda = 1 only G2 = hess_op_sup separates T3 from T2, and
+        # g2 <= hess_op_sup <= k g2 places T3's third term between T2's and k times it
+        ds = hypercube_directions(64, k)
         ns = norm_summary(ds)
         m = iid_moments(uniform())
-        g = unit_cosine(3)
-        no_hess = TestFunction(
-            kind=g.kind, dimension=g.dimension, evaluate=g.evaluate,
-            g1=g.g1, g2=g.g2, grad_sup=g.grad_sup, hess_op_sup=None, params=g.params,
-        )
-        rep3 = bound("T3", 3, ns, m, no_hess, gram(ds))
-        rep2 = bound("T2", 3, ns, m, g)
-        assert rep3.inputs_echo.get("hess_fallback") is True
-        assert rep3.term_fourth == pytest.approx(rep2.term_fourth, rel=1e-10)
-        assert rep3.term_third >= rep2.term_third  # k*g2 >= g2
+        a = np.arange(1.0, k + 1.0)
+        g = cosine_testfn(a / np.linalg.norm(a))  # hess_op_sup = 1 < k g2 once k > 1
+        ceiling = replace(g, hess_op_sup=k * g.g2)
+        rep2 = bound("T2", k, ns, m, g)
+        rep3 = bound("T3", k, ns, m, g, gram(ds))
+        rep3_ceiling = bound("T3", k, ns, m, ceiling, gram(ds))
+        assert "hess_fallback" not in rep3.inputs_echo
+        assert rep3.inputs_echo["hess_op_sup"] == g.hess_op_sup
+        assert rep3.term_third / rep2.term_third == pytest.approx(g.hess_op_sup / g.g2, rel=1e-12)
+        assert rep3_ceiling.term_third / rep2.term_third == pytest.approx(k, rel=1e-12)
+        assert rep2.term_third <= rep3.term_third <= rep3_ceiling.term_third
+        assert (rep3.term_third < rep3_ceiling.term_third) == (k > 1)
 
     def test_lambda_one_matches_hand_assembly(self):
         ds = hypercube_directions(64, 2)

@@ -101,6 +101,30 @@ class TestExitCodes:
         )
         assert main(["verify", str(path), "--shrink-bound", "1e-6"]) == 1
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-1", "-inf", "1e400"])
+    def test_shrink_bound_outside_zero_to_infinity_is_two(self, tmp_path, capsys, factor):
+        # at the default 1.0 this config passes; nan once failed and inf always
+        # passed; 1e400 overflows to inf when parsed
+        path = write_config(tmp_path, {"output": str(tmp_path / "out.csv")})
+        assert main(["verify", str(path), f"--shrink-bound={factor}"]) == 2
+        assert "--shrink-bound must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("factor, code", [("0", 1), ("-0.0", 1), ("1e300", 0)])
+    def test_shrink_bound_at_the_ends_of_its_range_runs(self, tmp_path, factor, code):
+        # the negative control's config: a zero bound flags its discrepancy,
+        # a huge one passes it
+        path = write_config(
+            tmp_path,
+            {
+                "directions": {"kind": "hypercube", "n": 16, "k": 2},
+                "samples": 400_000,
+                "output": str(tmp_path / "out.csv"),
+            },
+        )
+        assert main(["verify", str(path), "--shrink-bound", factor]) == code
+        assert len(read_rows(tmp_path / "out.csv")) == 1
+
     def test_missing_config_is_two(self, capsys):
         assert main(["verify", "/definitely/not/here.json"]) == 2
         assert "not found" in capsys.readouterr().err
@@ -413,12 +437,18 @@ class TestScanCommand:
         assert main(["scan", str(path), "--axis", "k", "--values", "1,2"]) == 2
 
 
+def check_names(out):
+    """The check names of ``check`` output lines 'check NAME: ok (...)'."""
+    return [line[len("check "):line.index(": ")] for line in out.splitlines()]
+
+
 class TestCheckCommand:
     def test_default_config_passes(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["check", str(path)]) == 0
         out = capsys.readouterr().out
-        assert out.count(": ok") == 3
+        assert out.count(": ok") == 2
+        assert check_names(out) == ["linearity", "moments rademacher"]
 
     def test_exchangeable_config_passes(self, tmp_path, capsys):
         path = write_config(
@@ -430,6 +460,16 @@ class TestCheckCommand:
             },
         )
         assert main(["check", str(path)]) == 0
+        assert check_names(capsys.readouterr().out) == ["linearity"]
+
+    @pytest.mark.parametrize("kind, name", [
+        ("rademacher", "rademacher"), ("uniform", "uniform"),
+        ("two_point", "two_point(0.2)"), ("exponential", "exponential"),
+    ])
+    def test_iid_config_checks_its_own_law(self, tmp_path, capsys, kind, name):
+        path = write_config(tmp_path, {"model": {"kind": kind}})
+        assert main(["check", str(path)]) == 0
+        assert check_names(capsys.readouterr().out) == ["linearity", f"moments {name}"]
 
     def independent_config(self, tmp_path):
         pattern = [{"kind": "rademacher"}, {"kind": "exponential"}]
@@ -440,6 +480,7 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "check moments rademacher: ok" in out
         assert "check moments exponential: ok" in out
+        assert check_names(out) == ["linearity", "moments rademacher", "moments exponential"]
 
     def test_wrong_moment_on_the_second_law_fails(self, tmp_path, monkeypatch, capsys):
         wrong = dataclasses.replace(sources.centered_exponential(), abs3=3.0)  # 12/e - 2 ~ 2.41

@@ -12,7 +12,6 @@ from projclt.directions import (
     DirectionSet,
     gram,
     hypercube_directions,
-    lp_norm,
     norm_summary,
     random_orthonormal,
 )
@@ -22,7 +21,12 @@ from projclt.errors import (
     UnsupportedDimensionError,
 )
 
-from direction_reference import gram_schmidt, sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
+from direction_reference import (
+    gram_schmidt,
+    lp_norm,
+    sphere_mean_l3_cubed,
+    sphere_mean_l4_sq_bound,
+)
 
 
 def lambda_max_oracle(c):

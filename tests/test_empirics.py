@@ -22,8 +22,6 @@ from projclt.empirics import (
     conditional_linearity_check,
     compute_bound,
     conditional_mean_closed_form,
-    eij_closed_form,
-    eij_enumerated,
     eij_second_moments,
     estimate_discrepancy,
     stein_lambda,
@@ -53,6 +51,8 @@ from projclt.testfuncs import Expectation, GaussianSpec, TestFunction, cosine_te
 
 from pair_reference import (
     conditional_mean_enumerated,
+    eij_closed_form,
+    eij_enumerated,
     mean_abs3_diff_pairs,
     project,
     resample_pair,
@@ -212,6 +212,26 @@ class TestConditionalLinearity:
         resid = conditional_linearity_check(ds, ramp_model(n), TRANSPOSITION, trials=100, seed=1)
         assert resid <= 1e-10
 
+    @pytest.mark.parametrize("model", [
+        rademacher(), uniform(), two_point(0.3), centered_exponential(),
+        IndependentModel(coords=tuple(
+            (rademacher(), uniform(), two_point(0.2), centered_exponential())[j % 4]
+            for j in range(33))),
+    ], ids=["rademacher", "uniform", "two_point", "exponential", "independent"])
+    def test_resampling_holds_on_float32_states_of_every_law(self, model):
+        ds = random_orthonormal(33, 3, seed=5)
+        resid = conditional_linearity_check(ds, model, RESAMPLING, trials=300, seed=4)
+        assert resid <= 1e-10
+
+    @pytest.mark.parametrize("values", [
+        np.arange(1.0, 34.0), np.arange(33) % 2, np.random.default_rng(9).lognormal(size=33),
+    ], ids=["ramp", "alternating", "lognormal"])
+    def test_transposition_holds_on_float32_states_of_every_population(self, values):
+        ds = random_orthonormal(33, 3, seed=6, centered=True)
+        model = ExchangeableModel(standardize_population(values))
+        resid = conditional_linearity_check(ds, model, TRANSPOSITION, trials=300, seed=4)
+        assert resid <= 1e-10
+
     def test_non_centered_counterexample(self):
         # at a generic (non-zero-sum) state, a non-centered direction breaks
         # the shrinkage identity by 2 (sum_r theta^r) (sum_r x_r) / (n(n-1))
@@ -267,6 +287,19 @@ class TestEijClosedForm:
         closed = eij_closed_form(x, ds, RESAMPLING)
         enum = eij_enumerated(x, ds, model, RESAMPLING)
         assert np.max(np.abs(closed - enum)) <= 1e-12
+
+    @pytest.mark.parametrize("model", [
+        rademacher(), uniform(), centered_exponential(),
+        IndependentModel(coords=(rademacher(), uniform(), two_point(0.7), centered_exponential()) * 2),
+    ], ids=["rademacher", "uniform", "exponential", "independent"])
+    def test_resampling_matches_enumeration_for_every_law(self, model):
+        # finite supports are enumerated; continuous laws use E(X* - x)^2 = 1 + x^2
+        ds = random_orthonormal(8, 3, seed=31)
+        for seed in range(5):
+            x = one_state(model, seed=seed, n=8)
+            closed = eij_closed_form(x, ds, RESAMPLING)
+            enum = eij_enumerated(x, ds, model, RESAMPLING)
+            assert np.max(np.abs(closed - enum)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_transposition_matches_enumeration(self, seed):
@@ -555,7 +588,7 @@ class TestEstimateDiscrepancy:
         g = cosine_testfn(np.full(2, 1e-4 / math.sqrt(2)))
         samples = 20_000
         est = estimate_discrepancy(ds, uniform(), g, GaussianSpec.identity(2), samples, seed=8)
-        blocks =[sample_block(uniform(), 8, lo, min(8192, samples - lo), n=32, dtype=np.float32)
+        blocks =[sample_block(uniform(), 8, lo, min(8192, samples - lo), n=32)
                   for lo in range(0, samples, 8192)]
         x = np.concatenate(blocks).astype(np.float64)
         vals = g.evaluate(x @ ds.vectors.T)

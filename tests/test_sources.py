@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -19,7 +20,6 @@ from projclt.sources import (
     iid_moments,
     independent_moments,
     load_population,
-    mixed_moments_enumerated,
     moment_summary,
     LAW_ROWS,
     TILE_ROWS,
@@ -233,20 +233,20 @@ class TestStream:
         assert abs(ones / bits - 0.5) < 5.0 * 0.5 / math.sqrt(bits)
 
 
-def rademacher_reference(rng, size, dtype):
+def rademacher_reference(rng, size):
     """Unpack the stream's 64-bit words bit by bit, least significant bit
-    first, convert, then map {0, 1} to {-1, 1}."""
+    first, convert to float32, then map {0, 1} to {-1, 1}."""
     total = int(np.prod(size))
     words = rng.bit_generator.random_raw((total + 63) // 64)
     bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    out = bits.reshape(-1)[:total].astype(dtype)
+    out = bits.reshape(-1)[:total].astype(np.float32)
     out *= 2.0
     out -= 1.0
     return out.reshape(size)
 
 
-def uniform_reference(rng, size, dtype):
-    out = rng.random(size, dtype=dtype)
+def uniform_reference(rng, size):
+    out = rng.random(size, dtype=np.float32)
     out *= 2.0 * SQRT3
     out -= SQRT3
     return out
@@ -254,7 +254,8 @@ def uniform_reference(rng, size, dtype):
 
 def two_point_reference(p):
     hi, lo = math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p))
-    return lambda rng, size, dtype: np.where(rng.random(size, dtype=dtype) < p, dtype(hi), dtype(lo))
+    return lambda rng, size: np.where(rng.random(size, dtype=np.float32) < p,
+                                      np.float32(hi), np.float32(lo))
 
 
 class _FixedWords:
@@ -274,24 +275,23 @@ class TestSamplerFormulas:
         (uniform(), uniform_reference),
         *[(two_point(p), two_point_reference(p)) for p in (0.2, 0.5, 0.01, 1.0 / 3.0, 0.7, 0.9999)],
     ], ids=lambda v: getattr(v, "name", ""))
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("size", [1, 7, 1000, 1001, (3, 5), (64, 33)])
-    def test_bit_identical_to_the_numpy_formulas(self, law, reference, dtype, size):
-        got = law.sampler(stream(9, 3), size, dtype)
-        want = reference(stream(9, 3), size, dtype)
-        assert got.dtype == want.dtype and got.shape == want.shape
+    def test_bit_identical_to_the_numpy_formulas(self, law, reference, size):
+        got = law.sampler(stream(9, 3), size)
+        want = reference(stream(9, 3), size)
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
     def test_float32_exponential_moments(self):
         model = centered_exponential()
-        x = model.sampler(stream(2024), 1_000_000, np.float32).astype(np.float64)
+        x = model.sampler(stream(2024), 1_000_000).astype(np.float64)
         m = iid_moments(model)
         for vals, declared in [(x, 0.0), (x * x, 1.0), (np.abs(x) ** 3, m.abs3), (x**4, m.fourth)]:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - declared) <= 4 * se
 
     def test_float32_exponential_follows_the_exp1_cdf(self):
-        x = np.sort(centered_exponential().sampler(stream(2025), 1_000_000, np.float32))
+        x = np.sort(centered_exponential().sampler(stream(2025), 1_000_000))
         cdf = -np.expm1(-(x.astype(np.float64) + 1.0))
         ranks = np.arange(1, x.size + 1) / x.size
         ks = max(float(np.max(ranks - cdf)), float(np.max(cdf - (ranks - 1.0 / x.size))))
@@ -300,9 +300,54 @@ class TestSamplerFormulas:
 
     def test_float32_exponential_extremes(self):
         sample = centered_exponential().sampler
-        top = sample(_FixedWords(0), 4, np.float32)
+        top = sample(_FixedWords(0), 4)
         np.testing.assert_allclose(top, 33.0 * math.log(2.0) - 1.0, rtol=1e-6)
-        assert np.all(sample(_FixedWords(2**64 - 1), 4, np.float32) == np.float32(-1.0))
+        assert np.all(sample(_FixedWords(2**64 - 1), 4) == np.float32(-1.0))
+
+
+CATALOG_LAWS = [rademacher(), uniform(),
+                *[two_point(p) for p in (0.2, 0.5, 0.01, 1.0 / 3.0, 0.7, 0.9999)],
+                centered_exponential()]
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_draws(name):
+    """1,000,000 float32 draws of the catalog law ``name``, as float64."""
+    law = next(law for law in CATALOG_LAWS if law.name == name)
+    x = law.sampler(stream(77, 0), 1_000_000)
+    assert x.dtype == np.float32
+    return x.astype(np.float64)
+
+
+class TestFloat32Draws:
+    """Every catalog law draws float32 only, so its statistics are pinned
+    here on the float32 values themselves."""
+
+    @pytest.mark.parametrize("law", CATALOG_LAWS, ids=lambda law: law.name)
+    @pytest.mark.parametrize("moment", ["mean", "second", "abs3", "fourth"])
+    def test_draws_have_the_declared_moments(self, law, moment):
+        x = catalog_draws(law.name)
+        m = iid_moments(law)
+        vals, declared = {
+            "mean": (x, 0.0),
+            "second": (x * x, 1.0),
+            "abs3": (np.abs(x) ** 3, m.abs3),
+            "fourth": (x**4, m.fourth),
+        }[moment]
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - declared) <= 5 * se + 1e-9
+
+    @pytest.mark.parametrize("law", CATALOG_LAWS, ids=lambda law: law.name)
+    def test_draws_lie_in_the_support(self, law):
+        x = catalog_draws(law.name)
+        if law.support is not None:
+            vals, _ = law.support
+            assert set(np.unique(x)) == set(vals.astype(np.float32).astype(np.float64))
+        elif law.name == "uniform":
+            assert np.all(np.abs(x) <= float(np.float32(SQRT3)))
+            assert x.min() < -SQRT3 + 1e-4 and x.max() > SQRT3 - 1e-4
+        else:
+            assert np.all(np.isfinite(x)) and x.min() >= -1.0
 
 
 class TestMomentSummaryInvariants:
@@ -315,7 +360,7 @@ class TestMomentSummaryInvariants:
             MomentSummary(abs3=1.0, fourth=1.0, abs3_max=1.0, fourth_max=1.0, mixed_4=0.1)
 
     def test_user_model_without_moments_is_rejected(self):
-        model = user_model("custom", lambda rng, size, dtype=np.float64: rng.standard_normal(size))
+        model = user_model("custom", lambda rng, size: rng.standard_normal(size, dtype=np.float32))
         with pytest.raises(MissingMomentsError):
             iid_moments(model)
         with pytest.raises(MissingMomentsError):
@@ -347,12 +392,11 @@ class TestExchangeableMoments:
         assert m.mixed_4 == pytest.approx(enumerated_mixed_4(pop), abs=1e-13)
         assert m.mixed_var == pytest.approx(enumerated_mixed_var(pop), abs=1e-13)
 
-    def test_library_enumeration_matches_reference(self):
+    def test_irregular_population_against_enumeration(self):
         pop = standardize_population([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0])
-        m4, mvar = mixed_moments_enumerated(ExchangeableModel(pop))
-        assert m4 == enumerated_mixed_4(pop) and mvar == enumerated_mixed_var(pop)
         m = exchangeable_moments(ExchangeableModel(pop))
-        assert (m.mixed_4, m.mixed_var) == pytest.approx((m4, mvar), abs=1e-13)
+        want = (enumerated_mixed_4(pop), enumerated_mixed_var(pop))
+        assert (m.mixed_4, m.mixed_var) == pytest.approx(want, abs=1e-13)
 
     @given(st.lists(st.floats(-5, 5), min_size=4, max_size=8), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -433,7 +477,7 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
     def test_block_dtype(self):
-        x = sample_block(rademacher(), seed=1, start=0, count=8, n=24, dtype=np.float32)
+        x = sample_block(rademacher(), seed=1, start=0, count=8, n=24)
         assert x.dtype == np.float32
         assert set(np.unique(x)) <= {np.float32(-1.0), np.float32(1.0)}
 
@@ -477,7 +521,7 @@ def sort_key_permutations(halves):
     return np.argsort(halves, axis=1)
 
 
-def whole_block_reference(model, seed, start, count, n, dtype):
+def whole_block_reference(model, seed, start, count, n):
     """The block drawn into one (count, n) array.  Exchangeable rows take
     ceil(n/2) stream words, one 32-bit half per coordinate, and sort by
     those halves.  Independent
@@ -487,17 +531,17 @@ def whole_block_reference(model, seed, start, count, n, dtype):
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
         words = rng.bit_generator.random_raw((count, (n + 1) // 2))
-        return model.population.astype(dtype)[sort_key_permutations(half_words(words, n))]
+        return model.population.astype(np.float32)[sort_key_permutations(half_words(words, n))]
     if isinstance(model, IndependentModel):
-        out = np.empty((count, n), dtype=dtype)
+        out = np.empty((count, n), dtype=np.float32)
         laws = list({id(c): c for c in model.coords}.values())
         for lo in range(0, count, LAW_ROWS):
             rows = slice(lo, min(lo + LAW_ROWS, count))
             for law in laws:
                 index = [j for j, c in enumerate(model.coords) if c is law]
-                out[rows, index] = law.sampler(rng, (len(index), rows.stop - lo), dtype).T
+                out[rows, index] = law.sampler(rng, (len(index), rows.stop - lo)).T
         return out
-    return model.sampler(rng, (count, n), dtype)
+    return model.sampler(rng, (count, n))
 
 
 def tile_test_model(kind, n):
@@ -513,17 +557,16 @@ def tile_test_model(kind, n):
 class TestTiles:
     @pytest.mark.parametrize("kind", ["rademacher", "uniform", "two_point", "exponential",
                                       "independent", "exchangeable"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [7, 24, 33])
-    def test_tiles_concatenate_to_the_whole_block(self, kind, dtype, n):
+    def test_tiles_concatenate_to_the_whole_block(self, kind, n):
         model = tile_test_model(kind, n)
         count = 2 * TILE_ROWS + 22
-        ref = whole_block_reference(model, 13, 8192, count, n, dtype)
-        tiles = list(sample_tiles(model, 13, 8192, count, n=n, dtype=dtype))
-        assert all(t.dtype == dtype and t.shape[1] == n for t in tiles)
+        ref = whole_block_reference(model, 13, 8192, count, n)
+        tiles = list(sample_tiles(model, 13, 8192, count, n=n))
+        assert all(t.dtype == np.float32 and t.shape[1] == n for t in tiles)
         assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
         np.testing.assert_array_equal(np.concatenate(tiles), ref)
-        np.testing.assert_array_equal(sample_block(model, 13, 8192, count, n=n, dtype=dtype), ref)
+        np.testing.assert_array_equal(sample_block(model, 13, 8192, count, n=n), ref)
 
     def test_independent_laws_are_drawn_in_fixed_row_pieces(self):
         # 47 rademacher, 47 two_point(0.3) and 45 exponential coordinates;
@@ -534,19 +577,19 @@ class TestTiles:
         coords[5] = two_point(0.3)
         model = IndependentModel(coords=tuple(coords))
         count = LAW_ROWS + 44
-        ref = whole_block_reference(model, 21, 0, count, 140, np.float32)
-        np.testing.assert_array_equal(sample_block(model, 21, 0, count, dtype=np.float32), ref)
-        tiles = list(sample_tiles(model, 21, 0, count, dtype=np.float32))
+        ref = whole_block_reference(model, 21, 0, count, 140)
+        np.testing.assert_array_equal(sample_block(model, 21, 0, count), ref)
+        tiles = list(sample_tiles(model, 21, 0, count))
         full = LAW_ROWS // TILE_ROWS
         assert [t.shape for t in tiles] == [(TILE_ROWS, 140)] * full + [(44, 140)]
         np.testing.assert_array_equal(np.concatenate(tiles), ref)
 
     def test_one_law_piece_is_one_sampler_call(self):
         model = IndependentModel(coords=(uniform(),) * 16)
-        block = sample_block(model, 4, 64, LAW_ROWS + 100, dtype=np.float32)
+        block = sample_block(model, 4, 64, LAW_ROWS + 100)
         rng = stream(4, 64)
-        first = uniform().sampler(rng, (16, LAW_ROWS), np.float32)
-        rest = uniform().sampler(rng, (16, 100), np.float32)
+        first = uniform().sampler(rng, (16, LAW_ROWS))
+        rest = uniform().sampler(rng, (16, 100))
         np.testing.assert_array_equal(block, np.concatenate([first.T, rest.T]))
 
 
@@ -565,12 +608,11 @@ class _ScriptedWords:
 
 
 class TestPermutationSampler:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_all_permutations_of_five_are_equally_likely(self, dtype):
+    def test_all_permutations_of_five_are_equally_likely(self):
         n, count = 5, 120 * 500
         pop = standardize_population(np.arange(1.0, n + 1.0))
-        block = sample_block(ExchangeableModel(pop), 41, 0, count, dtype=dtype)
-        perms = np.searchsorted(pop.astype(dtype), block)  # pop is increasing
+        block = sample_block(ExchangeableModel(pop), 41, 0, count)
+        perms = np.searchsorted(pop.astype(np.float32), block)  # pop is increasing
         assert np.all(np.sort(perms, axis=1) == np.arange(n))
         codes = perms @ (n ** np.arange(n))
         counts = np.array([np.count_nonzero(codes == np.dot(p, n ** np.arange(n)))
@@ -580,12 +622,15 @@ class TestPermutationSampler:
         chi2 = float(np.sum((counts - expected) ** 2) / expected)
         assert chi2 <= 172.4  # the 0.1 % upper quantile of chi^2 with 119 dof
 
+    @pytest.mark.parametrize("values", ["distinct", "repeated"])
     @pytest.mark.parametrize("n", [2, 5, 64, 1000])
-    def test_float32_block_is_the_cast_float64_block(self, n):
-        model = ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
-        single = sample_block(model, 6, 8192, 3 * TILE_ROWS + 5, dtype=np.float32)
-        double = sample_block(model, 6, 8192, 3 * TILE_ROWS + 5, dtype=np.float64)
-        np.testing.assert_array_equal(single, double.astype(np.float32))
+    def test_rows_are_permutations_of_the_float32_population(self, n, values):
+        base = np.arange(1.0, n + 1.0) if values == "distinct" else np.arange(n) % 3
+        pop = standardize_population(base)
+        block = sample_block(ExchangeableModel(pop), 6, 8192, 3 * TILE_ROWS + 5)
+        assert block.dtype == np.float32 and block.shape == (3 * TILE_ROWS + 5, n)
+        want = np.sort(pop.astype(np.float32))
+        np.testing.assert_array_equal(np.sort(block, axis=1), np.broadcast_to(want, block.shape))
 
     def test_tied_rows_are_redrawn_from_the_next_words(self, monkeypatch):
         n = 6  # three stream words per row
@@ -602,14 +647,14 @@ class TestPermutationSampler:
         (tile,) = sample_tiles(ExchangeableModel(pop), 0, 0, 4)
         assert script.draws == []
         kept = np.vstack([first[0], second[0], first[2], third[0]])
-        np.testing.assert_array_equal(tile, pop[sort_key_permutations(kept)])
+        np.testing.assert_array_equal(tile, pop.astype(np.float32)[sort_key_permutations(kept)])
 
     def test_populations_above_the_limit_are_refused_before_drawing(self, monkeypatch):
         limit = sources.MAX_PERMUTATION_N
         assert limit == 65_536
         pop = standardize_population(np.arange(1.0, limit + 1.0))
         (row,) = sample_block(ExchangeableModel(pop), 2, 0, 1)
-        np.testing.assert_array_equal(np.sort(row), pop)
+        np.testing.assert_array_equal(np.sort(row), pop.astype(np.float32))
         model = ExchangeableModel(standardize_population(np.arange(1.0, limit + 2.0)))
         monkeypatch.setattr(sources, "stream", lambda seed, index: _ScriptedWords())
         with pytest.raises(InvalidInputError, match="at most 65536 values, got 65537"):
