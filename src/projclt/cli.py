@@ -9,8 +9,9 @@ scan     sweep n or k, emitting one verification row (with the bound
 check    run the invariant diagnostics of the configured directions and model
 moments  print the moment constants of the configured model
 
-The experiment configuration is a single JSON file; ``--seed``,
-``--samples``, ``--output`` and ``--theorem`` override individual fields.
+The experiment configuration is a single JSON file; a command takes only
+the overrides it reads: ``--output`` (all), ``--theorem`` (bound, verify,
+scan), ``--seed`` (verify, scan, check) and ``--samples`` (verify, scan).
 ``verify`` and ``scan`` take ``--workers N`` (N >= 1; wall time only) and
 ``--trace``, which writes one JSON object per run or scan cell to stderr:
 theorem, n, k, pass/fail and the report metadata (stage seconds,
@@ -520,15 +521,9 @@ def cmd_check(cfg: ExperimentConfig) -> int:
 # Entry point
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
-        updates["samples"] = args.samples
-    if getattr(args, "output", None) is not None:
-        updates["output"] = args.output
-    if getattr(args, "theorem", None) is not None:
-        updates["theorem"] = args.theorem
+    # Each command's parser defines only the overrides the command reads.
+    updates = {key: getattr(args, key) for key in ("seed", "samples", "output", "theorem")
+               if getattr(args, key, None) is not None}
     if not updates:
         return cfg
     cfg = replace(cfg, **updates)
@@ -546,19 +541,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gaussian-approximation error bounds for projections, with Monte Carlo verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("bound", "evaluate the configured bound(s)"),
-        ("verify", "compare the Monte Carlo discrepancy against the bound"),
-        ("scan", "sweep n or k and verify each cell"),
-        ("check", "run invariant diagnostics"),
-        ("moments", "print the moment constants of the configured model"),
+    sampled = ("seed", "samples", "theorem")
+    for name, overrides, help_text in [
+        ("bound", ("theorem",), "evaluate the configured bound(s)"),
+        ("verify", sampled, "compare the Monte Carlo discrepancy against the bound"),
+        ("scan", sampled, "sweep n or k and verify each cell"),
+        ("check", ("seed",), "run invariant diagnostics"),
+        ("moments", (), "print the moment constants of the configured model"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the JSON experiment configuration")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
+        for key in overrides:
+            p.add_argument(f"--{key}", type=str if key == "theorem" else int, default=None)
         p.add_argument("--output", type=str, default=None)
-        p.add_argument("--theorem", type=str, default=None)
         if name in ("verify", "scan"):
             p.add_argument("--workers", type=int, default=None)
             p.add_argument("--trace", action="store_true",

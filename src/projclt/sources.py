@@ -29,12 +29,12 @@ centered exponential is the inverse CDF of one 32-bit word.  Rademacher
 draws take one bit each from the stream's words, least significant bit
 first, eight at a time through a byte lookup table.  An independent
 model draws law by law, LAW_ROWS rows per sampler call.  An exchangeable
-model draws each permutation by sorting 64-bit keys that hold one 32-bit
-half-word of the stream in their high half and the coordinate index in
-their low half; a row in which two half-words tie is redrawn, so every
-permutation is exactly uniform.  With 32 random bits per coordinate a row
-ties with probability about 1 - exp(-n(n-1)/2^33), so sampling refuses
-populations larger than MAX_PERMUTATION_N.
+model sorts 64-bit keys: a 32-bit stream half-word high, the float32 bits
+of a population value low.  A row in which two half-words tie is redrawn,
+so every permutation is exactly uniform and the sorted low halves are the
+row of draws.  With 32 random bits per coordinate a row ties with
+probability about 1 - exp(-n(n-1)/2^33), so sampling refuses populations
+larger than MAX_PERMUTATION_N.
 """
 
 from __future__ import annotations
@@ -480,16 +480,16 @@ def _resolve_n(model: Model, n: Optional[int]) -> int:
     return n
 
 
-def _sorted_keys(rng, rows: int, n: int) -> np.ndarray:
+def _sorted_keys(rng, pop: np.ndarray, rows: int) -> np.ndarray:
     """(rows, n) uint64 sort keys, each row sorted.  Before the sort, key j
     of a row holds the row's j-th 32-bit stream half-word (low half of
-    each word first) in its high half and j in its low half; a row reads
-    ceil(n/2) words."""
-    keys = np.empty((rows, n), dtype=np.uint64)
+    each word first) in its high half and the bits of the float32 value
+    pop[j] in its low half; a row reads ceil(n/2) words."""
+    keys = np.empty((rows, pop.size), dtype=np.uint64)
     halves = keys.view(np.uint32)
-    words = rng.bit_generator.random_raw((rows, (n + 1) // 2))
-    halves[:, _HIGH_HALF::2] = words.view(np.uint32)[:, :n]
-    halves[:, 1 - _HIGH_HALF::2] = np.arange(n, dtype=np.uint32)
+    words = rng.bit_generator.random_raw((rows, (pop.size + 1) // 2))
+    halves[:, _HIGH_HALF::2] = words.view(np.uint32)[:, :pop.size]
+    halves[:, 1 - _HIGH_HALF::2] = pop.view(np.uint32)
     keys.sort(axis=1)
     return keys
 
@@ -500,24 +500,23 @@ def _tied_rows(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero((high[:, 1:] == high[:, :-1]).any(axis=1))
 
 
-def _permutations(rng, rows: int, n: int) -> np.ndarray:
-    """(rows, n) int64 rows, each a uniformly random permutation of 0..n-1.
+def _permuted_rows(rng, pop: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, n) float32 rows, each the float32 population ``pop`` in a
+    uniformly random order.
 
     Sorting the keys orders the coordinates by their half-words (Knuth,
-    TAOCP vol. 2, 3.4.2); the index in the low half makes every key
-    distinct, so the sorted low halves are the permutation.  A row whose
-    half-words tie is redrawn whole from the next words of the stream,
-    tied rows in row order, until no row ties: every row is then exactly
-    uniform.
+    TAOCP vol. 2, 3.4.2).  A row whose half-words tie is redrawn whole
+    from the next words of the stream, tied rows in row order, until no
+    row ties: every row is then exactly uniform, and its order is fixed by
+    the high halves alone, so the sorted low halves are the drawn row.
     """
-    keys = _sorted_keys(rng, rows, n)
+    keys = _sorted_keys(rng, pop, rows)
     tied = _tied_rows(keys)
     while tied.size:
-        redrawn = _sorted_keys(rng, tied.size, n)
+        redrawn = _sorted_keys(rng, pop, tied.size)
         keys[tied] = redrawn
         tied = tied[_tied_rows(redrawn)]
-    keys &= np.uint64(0xFFFFFFFF)
-    return keys.view(np.int64)
+    return np.ascontiguousarray(keys.view(np.float32)[:, 1 - _HIGH_HALF::2])
 
 
 def _block_stream(model: Model, seed: int, start: int, count: int, n: Optional[int]):
@@ -574,7 +573,7 @@ def sample_tiles(
         if pop is None:
             yield model.sampler(rng, (m, n))
         else:
-            yield np.take(pop, _permutations(rng, m, n))
+            yield _permuted_rows(rng, pop, m)
 
 
 def sample_block(

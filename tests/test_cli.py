@@ -157,7 +157,19 @@ class TestExitCodes:
         path = write_config(tmp_path, {"seed": seed})
         assert main(["bound", str(path)]) == 2
         assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
-        assert main(["bound", str(write_config(tmp_path, name="ok.json")), "--seed", str(seed)]) == 2
+        assert main(["verify", str(write_config(tmp_path, name="ok.json")), "--seed", str(seed)]) == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        ("bound", "--seed"), ("bound", "--samples"),
+        ("check", "--samples"), ("check", "--theorem"),
+        ("moments", "--seed"), ("moments", "--samples"), ("moments", "--theorem"),
+    ])
+    def test_override_the_command_does_not_read_is_two(self, tmp_path, capsys, command, flag):
+        value = "T3" if flag == "--theorem" else "5"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(write_config(tmp_path)), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_non_integer_pair_samples_is_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {"theorem": "abstract", "pair_samples": "abc"})
@@ -523,6 +535,45 @@ class TestMomentsCommand:
         (row,) = read_rows(out)
         assert float(row["mixed_4"]) == 1.0
         assert float(row["mixed_var"]) == 0.0
+
+
+class TestOverrides:
+    def test_bound_theorem(self, tmp_path):
+        out = tmp_path / "b.csv"
+        path = write_config(tmp_path, {"output": str(out)})
+        assert main(["bound", str(path), "--theorem", "T3"]) == 0
+        assert [row["theorem"] for row in read_rows(out)] == ["T3"]
+
+    def test_bound_output(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["bound", str(write_config(tmp_path)), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert [row["theorem"] for row in read_rows(out)] == ["T2"]
+
+    def test_check_seed(self, tmp_path, capsys):
+        # the uniform law's sampled moments move with the seed
+        uniform = {"model": {"kind": "uniform"}}
+        assert main(["check", str(write_config(tmp_path, uniform)), "--seed", "5"]) == 0
+        overridden = capsys.readouterr().out
+        path = write_config(tmp_path, {**uniform, "seed": 5}, name="s5.json")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == overridden
+        assert main(["check", str(write_config(tmp_path, uniform))]) == 0
+        assert capsys.readouterr().out != overridden
+
+    def test_check_output(self, tmp_path, capsys):
+        out = tmp_path / "check.txt"
+        assert main(["check", str(write_config(tmp_path)), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert check_names(out.read_text()) == ["linearity", "moments rademacher"]
+
+    def test_moments_output(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        path = write_config(tmp_path, {"model": {"kind": "uniform"}})
+        assert main(["moments", str(path), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        (row,) = read_rows(out)
+        assert row["model"] == "uniform"
 
 
 class TestReproducibility:

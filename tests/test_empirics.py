@@ -47,7 +47,7 @@ from projclt.sources import (
     uniform,
     user_model,
 )
-from projclt.testfuncs import Expectation, GaussianSpec, TestFunction, cosine_testfn
+from projclt.testfuncs import Expectation, GaussianSpec, TestFunction, bump_testfn, cosine_testfn
 
 from pair_reference import (
     conditional_mean_enumerated,
@@ -561,6 +561,38 @@ class TestEstimateDiscrepancy:
         assert (one.mean_g, one.se, one.discrepancy, one.ci_halfwidth) == (
             two.mean_g, two.se, two.discrepancy, two.ci_halfwidth)
         assert (one.blocks, one.workers, two.blocks, two.workers) == (2, 1, 2, 2)
+
+    @pytest.mark.parametrize("family", ["iid", "independent", "exchangeable"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])  # k = 1 may take BLAS's gemv path
+    def test_projection_is_bitwise_equal_across_worker_counts(self, family, k):
+        # two full blocks and a 100-row block, whose last tile is short; the
+        # independent pattern's tiles are transposed views of its law buffer
+        n = 257
+        model = {
+            "iid": uniform(),
+            "independent": IndependentModel(
+                coords=tuple((uniform(), centered_exponential())[j % 2] for j in range(n))),
+            "exchangeable": ramp_model(n),
+        }[family]
+        ds = random_orthonormal(n, k, seed=k)
+        runs = [estimate_discrepancy(ds, model, unit_cosine(k), GaussianSpec.identity(k),
+                                     2 * 8192 + 100, seed=9, workers=workers)
+                for workers in (1, 2, 3)]
+        assert [run.workers for run in runs] == [1, 2, 3]
+        assert len({(run.mean_g.hex(), run.se.hex()) for run in runs}) == 1
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("kind", ["cosine", "bump"])
+    @pytest.mark.parametrize("family", ["iid", "exchangeable"])
+    def test_projection_matches_a_float64_projection(self, family, kind, n):
+        ds = random_orthonormal(n, 3, seed=2)
+        model = uniform() if family == "iid" else ramp_model(n)
+        g = unit_cosine(3) if kind == "cosine" else bump_testfn(2.0, 3)
+        est = estimate_discrepancy(ds, model, g, GaussianSpec.identity(3), 8192, seed=5)
+        block = sample_block(model, 5, 0, 8192, n=n)
+        # float64 in row chunks, to keep a float64 copy of the block out of memory
+        s = np.concatenate([x.astype(np.float64) @ ds.vectors.T for x in np.split(block, 8)])
+        assert abs(est.mean_g - g.evaluate(s).mean()) <= 1e-6
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_are_rejected(self, workers):

@@ -550,13 +550,15 @@ def tile_test_model(kind, n):
         return IndependentModel(coords=tuple(laws[j % len(laws)] for j in range(n)))
     if kind == "exchangeable":
         return ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
+    if kind == "exchangeable-repeated":
+        return ExchangeableModel(standardize_population(np.arange(n) % 3))
     return {"rademacher": rademacher, "uniform": uniform, "two_point": two_point,
             "exponential": centered_exponential}[kind]()
 
 
 class TestTiles:
     @pytest.mark.parametrize("kind", ["rademacher", "uniform", "two_point", "exponential",
-                                      "independent", "exchangeable"])
+                                      "independent", "exchangeable", "exchangeable-repeated"])
     @pytest.mark.parametrize("n", [7, 24, 33])
     def test_tiles_concatenate_to_the_whole_block(self, kind, n):
         model = tile_test_model(kind, n)
