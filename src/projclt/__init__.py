@@ -4,7 +4,6 @@ against simulated data."""
 
 from .bounds import (
     DEFAULT_EXCHANGEABLE_CONSTANTS,
-    UNIT_CONSTANTS,
     BoundReport,
     EijStats,
     ExchangeableConstants,

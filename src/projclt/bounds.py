@@ -101,8 +101,6 @@ class ExchangeableConstants:
 
 DEFAULT_EXCHANGEABLE_CONSTANTS = ExchangeableConstants()
 
-UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
-
 
 class EijStats(NamedTuple):
     """Conditional-second-moment error statistics feeding the abstract bound.

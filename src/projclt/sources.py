@@ -519,20 +519,6 @@ def _permuted_rows(rng, pop: np.ndarray, rows: int) -> np.ndarray:
     return np.ascontiguousarray(keys.view(np.float32)[:, 1 - _HIGH_HALF::2])
 
 
-def _block_stream(model: Model, seed: int, start: int, count: int, n: Optional[int]):
-    """The vector length and the stream of the block for sample indices
-    start..start+count-1."""
-    n = _resolve_n(model, n)
-    if count < 1:
-        raise InvalidInputError("block count must be positive")
-    if family(model) == EXCHANGEABLE and n > MAX_PERMUTATION_N:
-        raise InvalidInputError(
-            f"exchangeable sampling supports populations of at most {MAX_PERMUTATION_N} "
-            f"values, got {n}"
-        )
-    return n, stream(seed, start)
-
-
 def sample_tiles(
     model: Model,
     seed: int,
@@ -553,7 +539,15 @@ def sample_tiles(
     rows per sampler call into an (n, LAW_ROWS) column buffer, and hands
     the buffer out as tiles.
     """
-    n, rng = _block_stream(model, seed, start, count, n)
+    n = _resolve_n(model, n)
+    if count < 1:
+        raise InvalidInputError("block count must be positive")
+    if family(model) == EXCHANGEABLE and n > MAX_PERMUTATION_N:
+        raise InvalidInputError(
+            f"exchangeable sampling supports populations of at most {MAX_PERMUTATION_N} "
+            f"values, got {n}"
+        )
+    rng = stream(seed, start)
     if isinstance(model, IndependentModel):
         by_law: dict[int, tuple[IIDModel, list[int]]] = {}
         for j, law in enumerate(model.coords):
@@ -586,13 +580,12 @@ def sample_block(
     """(count, n) float32 matrix of draws for sample indices
     start..start+count-1: the tiles of :func:`sample_tiles`, concatenated.
 
-    An i.i.d. law draws the block in one sampler call: every tile ends on a
-    whole stream word, so that call reads the words the tiles read, in the
-    same order, without a copy.
+    Every family draws through the tiles.  An i.i.d. tile ends on a whole
+    stream word, so an i.i.d. block holds the draws of one sampler call on
+    the same stream, in row order: a (count, 1) block and a
+    (count / 64, 64) block hold the same draws, the second in 64 times
+    fewer tiles.
     """
-    if family(model) == IID:
-        n, rng = _block_stream(model, seed, start, count, n)
-        return model.sampler(rng, (count, n))
     tiles = list(sample_tiles(model, seed, start, count, n=n))
     return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
 

@@ -12,8 +12,8 @@ seminorms of g:
 The cosine family has all four in closed form together with an exact
 Gaussian expectation, which removes one estimation error source from
 verification runs.  A compactly supported radial bump is provided for
-strict compact-support requirements; its seminorms are maximized
-numerically on a refined radial grid.  Both have their Gaussian
+strict compact-support requirements; its four seminorms are exact
+closed forms in the radius.  Both have their Gaussian
 expectation in closed form under any covariance: the cosine through the
 characteristic function, and the bump through a chi-squared series,
 since |Z|^2 under a covariance C is a mixture of chi-squared laws scaled
@@ -34,6 +34,7 @@ COSINE = "cosine"
 BUMP = "bump"
 
 _SEMINORM_TOL = 1e-9
+_MIN_RADIUS, _MAX_RADIUS = 1e-150, 1e150
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,54 +100,33 @@ def cosine_testfn(a, phase: float = 0.0) -> TestFunction:
     )
 
 
-def _refined_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 points: int = 4001, passes: int = 2) -> float:
-    """max |f| on [lo, hi] by a dense grid with refinement around the argmax."""
-    best = 0.0
-    for _ in range(passes + 1):
-        xs = np.linspace(lo, hi, points)
-        vals = np.abs(f(xs))
-        j = int(np.argmax(vals))
-        best = max(best, float(vals[j]))
-        lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, points - 1)]
-    return best
-
-
 def bump_testfn(radius: float, k: int) -> TestFunction:
     """Radial C^2 bump g(x) = (1 - |x|^2/r^2)^3 on |x| <= r, zero outside.
 
     The profile phi(s) = (1 - s^2/r^2)^3 vanishes to second order at the
-    support boundary, so g has two continuous derivatives everywhere.
-    Seminorms are maximized numerically over the radius; for a radial
-    function the axis-aligned extrema realize both g1 = grad_sup and
-    g2 = hess_op_sup, via the radial/tangential Hessian eigenvalues
-    phi''(s) and phi'(s)/s.
+    support boundary, so g has two continuous derivatives everywhere.  Its
+    seminorms are exact.  With u = s^2/r^2 on [0, 1]:
+
+      phi'(s)/s = -(6/r^2) (1 - u)^2          largest in size, 6/r^2, at s = 0
+      phi''(s)  =  (6/r^2) (1 - u)(5u - 1)    largest in size, 6/r^2, at s = 0
+      |phi'(s)| =  (6/r) sqrt(u) (1 - u)^2    largest at u = 1/5: 96/(25 sqrt(5) r)
+
+    The gradient has length |phi'(s)| and, on an axis, one nonzero
+    coordinate.  The Hessian has eigenvalues phi''(s) along x and phi'(s)/s
+    across it, and is -(6/r^2) I at 0.  So for every k
+    g1 = grad_sup = 96/(25 sqrt(5) r) and g2 = hess_op_sup = 6/r^2.  The
+    radius must lie in [1e-150, 1e150], where r^2 and 6/r^2 are finite and
+    nonzero with room to spare for the products the bounds take of them.
     """
-    if not 0.0 < radius < math.inf:
-        raise InvalidInputError("bump radius must be positive and finite")
+    if not _MIN_RADIUS <= radius <= _MAX_RADIUS:
+        raise InvalidInputError(
+            f"bump radius must be positive and finite, within [{_MIN_RADIUS:g}, "
+            f"{_MAX_RADIUS:g}], got {radius!r}")
     if k < 1:
         raise InvalidInputError("bump dimension must be >= 1")
     r2 = radius * radius
-
-    def dphi(s):
-        u = np.clip(s * s / r2, 0.0, 1.0)
-        return -(6.0 * s / r2) * (1.0 - u) ** 2
-
-    def dphi_over_s(s):
-        u = np.clip(s * s / r2, 0.0, 1.0)
-        return -(6.0 / r2) * (1.0 - u) ** 2
-
-    def d2phi(s):
-        u = np.clip(s * s / r2, 0.0, 1.0)
-        return (6.0 / r2) * (1.0 - u) * (5.0 * u - 1.0)
-
-    grad_sup = _refined_max(dphi, 0.0, radius)
-    if k == 1:
-        hess = _refined_max(d2phi, 0.0, radius)
-    else:
-        hess = _refined_max(
-            lambda s: np.maximum(np.abs(d2phi(s)), np.abs(dphi_over_s(s))), 0.0, radius
-        )
+    grad_sup = 96.0 / (25.0 * math.sqrt(5.0) * radius)
+    hess = 6.0 / r2
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)

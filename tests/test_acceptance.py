@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from projclt.bounds import EijStats, UNIT_CONSTANTS, bound, bound_abstract
+from projclt.bounds import EijStats, ExchangeableConstants, bound, bound_abstract
 from projclt.cli import main
 from projclt.directions import (
     hypercube_directions,
@@ -44,6 +44,9 @@ from projclt.testfuncs import GaussianSpec, cosine_testfn, gaussian_expectation
 from direction_reference import lp_norm, sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
 from gaussian_reference import gauss_hermite_expectation
 from pair_reference import eij_closed_form
+
+# a = b = c = 1: T4/T5 with unit constants, for tests that compare terms.
+UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
 
 # One (num, name, status, seconds) entry per criterion; the conftest
 # terminal-summary hook renders these after the run, outside capture.

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from projclt.bounds import (
     DEFAULT_EXCHANGEABLE_CONSTANTS,
-    UNIT_CONSTANTS,
     EijStats,
     ExchangeableConstants,
     bound,
@@ -37,6 +36,8 @@ from projclt.sources import (
 from projclt.testfuncs import cosine_testfn
 
 SQRT3 = math.sqrt(3.0)
+# a = b = c = 1: T4/T5 with unit constants, for tests that compare terms.
+UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
 
 
 def unit_cosine(k):

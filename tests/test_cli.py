@@ -125,6 +125,26 @@ class TestExitCodes:
         assert main(["verify", str(path), "--shrink-bound", factor]) == code
         assert len(read_rows(tmp_path / "out.csv")) == 1
 
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    @pytest.mark.parametrize("radius", [1e-200, 1e-160, 1e160])
+    def test_bump_radius_outside_its_range_is_two(self, tmp_path, capsys, command, radius):
+        # r^2 underflows to 0 at 1e-200, 6/r^2 overflows at 1e-160 and r^2 at 1e160
+        path = write_config(tmp_path, {"test_function": {"kind": "bump", "radius": radius},
+                                       "output": str(tmp_path / "out.csv")})
+        assert main([command, str(path)]) == 2
+        assert "bump radius must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    @pytest.mark.parametrize("radius", [1e-150, 1e150])
+    def test_bump_radius_at_the_ends_of_its_range_runs(self, tmp_path, command, radius):
+        path = write_config(tmp_path, {"test_function": {"kind": "bump", "radius": radius},
+                                       "output": str(tmp_path / "out.csv")})
+        assert main([command, str(path)]) == 0
+        (row,) = read_rows(tmp_path / "out.csv")
+        # T2 on Rademacher draws is all third-order term
+        assert 0.0 < float(row["term_third" if command == "bound" else "bound"]) < math.inf
+
     def test_missing_config_is_two(self, capsys):
         assert main(["verify", "/definitely/not/here.json"]) == 2
         assert "not found" in capsys.readouterr().err

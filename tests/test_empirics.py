@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from projclt import empirics
-from projclt.bounds import UNIT_CONSTANTS
+from projclt.bounds import ExchangeableConstants
 from projclt.directions import (
     DirectionSet,
     LINEARLY_INDEPENDENT,
@@ -58,6 +58,9 @@ from pair_reference import (
     resample_pair,
     transpose_pair,
 )
+
+# a = b = c = 1: T4/T5 with unit constants, for tests that compare terms.
+UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
 
 
 def unit_cosine(k):

@@ -121,14 +121,18 @@ class TestBump:
         assert vals[1] == 0.0
         assert vals[2] == 0.0
 
-    def test_univariate_g1_matches_calculus_oracle(self):
-        # max of |6x (1-x^2)^2| on [0, 1] sits at x = 1/sqrt(5)
-        g = bump_testfn(radius=1.0, k=1)
-        xs = np.linspace(0.0, 1.0, 2_000_001)
-        oracle = np.max(6.0 * xs * (1.0 - xs * xs) ** 2)
-        assert g.g1 == pytest.approx(oracle, abs=1e-9)
-        x_star = 1.0 / math.sqrt(5.0)
-        assert g.g1 == pytest.approx(6.0 * x_star * (1.0 - x_star**2) ** 2, abs=1e-9)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("radius", [1e-150, 1e-3, 0.37, 1.0, 2.5, 3.0, 1e3, 1e150])
+    def test_seminorms_are_the_calculus_closed_forms(self, radius, k):
+        g = bump_testfn(radius, k)
+        assert g.g1 == g.grad_sup == 96.0 / (25.0 * math.sqrt(5.0) * radius)
+        assert g.g2 == g.hess_op_sup == 6.0 / (radius * radius)
+        # |phi'(s)| = (6/r) u (1 - u^2)^2 with u = s/r peaks at u = 1/sqrt(5)
+        u = np.linspace(0.0, 1.0, 100_001)
+        slope = 6.0 / radius * u * (1.0 - u * u) ** 2
+        assert g.g1 * (1.0 - 1e-9) <= slope.max() <= g.g1 * (1.0 + 4e-16)
+        u_star = 1.0 / math.sqrt(5.0)
+        assert 6.0 / radius * u_star * (1.0 - u_star**2) ** 2 == pytest.approx(g.g1, rel=1e-15)
 
     def test_seminorm_dominance(self):
         for k in (1, 2, 3):
@@ -142,13 +146,23 @@ class TestBump:
         g = bump_testfn(radius=2.0, k=2)
         assert g.hess_op_sup == pytest.approx(6.0 / 4.0, rel=1e-9)
 
-    def test_finite_difference_gradient_below_sup(self):
-        g = bump_testfn(radius=1.0, k=2)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            x = rng.uniform(-1, 1, size=2)
-            grad = fd_gradient(g.evaluate, x)
-            assert np.linalg.norm(grad) <= g.grad_sup + 1e-6
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_finite_difference_derivatives_stay_below_the_sups(self, k):
+        # Random points out to 1.1 r, plus the two points where the sups are reached.
+        g = bump_testfn(radius=1.0, k=k)
+        rng = np.random.default_rng(k)
+        axis = np.eye(k)[0]
+        directions = rng.standard_normal((100, k))
+        points = directions / np.linalg.norm(directions, axis=1)[:, None]
+        points *= rng.uniform(0.0, 1.1, size=(100, 1))
+        grads, hessians = [], []
+        for x in [axis / math.sqrt(5.0), np.zeros(k), *points]:
+            grads.append(float(np.linalg.norm(fd_gradient(g.evaluate, x))))
+            hessians.append(float(np.max(np.abs(np.linalg.eigvalsh(fd_hessian(g.evaluate, x))))))
+        assert max(grads) <= g.grad_sup + 1e-6
+        assert max(hessians) <= g.hess_op_sup + 1e-5
+        assert grads[0] == pytest.approx(g.grad_sup, abs=1e-6)
+        assert hessians[1] == pytest.approx(g.hess_op_sup, abs=1e-5)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(InvalidInputError):
