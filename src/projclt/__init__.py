@@ -29,9 +29,10 @@ from .empirics import (
     VerificationReport,
     VerificationTask,
     compute_bound,
-    conditional_linearity_check,
     eij_second_moments,
     estimate_discrepancy,
+    linearity_residual,
+    pair_for,
     stein_lambda,
     verify_bound,
 )
@@ -44,7 +45,6 @@ from .errors import (
     ProjcltError,
     UnsupportedDimensionError,
     UnsupportedMethodError,
-    WrongPairKindError,
 )
 from .sources import (
     ExchangeableModel,

@@ -242,12 +242,13 @@ def bound_abstract(
     inputs the result is a proved inequality.  The report records which
     branch of the min was taken.
     """
-    if lambda_stein <= 0:
+    # Written so that NaN fails each comparison.
+    if not lambda_stein > 0:
         raise InvalidInputError(f"the linearity constant must be positive, got {lambda_stein}")
     if k < 1:
         raise InvalidInputError(f"need k >= 1, got {k}")
-    if min(eij_stats.sum_abs, eij_stats.sqrt_sum_sq, third_stats) < 0:
-        raise InvalidInputError("error statistics must be non-negative")
+    if not all(v >= 0 for v in (eij_stats.sum_abs, eij_stats.sqrt_sum_sq, third_stats)):
+        raise InvalidInputError("error statistics must be non-negative (inf allowed, not NaN)")
     branch_abs = g.g1 / (2.0 * lambda_stein) * eij_stats.sum_abs
     branch_sq = math.sqrt(k) * g.grad_sup / (2.0 * lambda_stein) * eij_stats.sqrt_sum_sq
     if branch_abs <= branch_sq:

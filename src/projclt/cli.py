@@ -6,7 +6,9 @@ bound    evaluate the selected bound(s), one CSV row per theorem
 verify   Monte Carlo discrepancy vs. bound; exit 0 on pass, 1 on violation
 scan     sweep n or k, emitting one verification row (with the bound
          decomposition) per value
-check    run the invariant diagnostics of the configured directions and model
+check    run the invariant diagnostics of the configured directions and model:
+         the pair's linearity residual in closed form, and for i.i.d. and
+         independent models the moments of each law's draws
 moments  print the moment constants of the configured model
 
 The experiment configuration is a single JSON file; a command takes only
@@ -74,6 +76,9 @@ def _csv(header: str, rows: list[list]) -> str:
 # Configuration
 
 def _number(value, name: str) -> float:
+    # JSON true is a Python int, and float(True) is 1.0.
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -98,6 +103,8 @@ def _open_path(action, path, name: str, what: str):
 
 
 def _numbers(value, name: str) -> np.ndarray:
+    if not isinstance(value, list) or any(isinstance(v, bool) for v in value):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     try:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -140,12 +147,9 @@ class ExperimentConfig:
         constants = raw.get("constants", {})
         if not isinstance(constants, dict):
             raise ConfigError("constants must be an object with keys a, b, c")
-        pair = raw.get("pair")
-        if pair is not None and pair not in empirics.PAIR_KINDS:
-            raise ConfigError(f"pair must be one of {empirics.PAIR_KINDS}, got {pair!r}")
-        # pair_samples changes no output (the abstract bound samples no
-        # state).  It stays a validated key so that configs that set it
-        # still load and keep their digests.
+        # pair and pair_samples change no output: the model fixes the pair,
+        # and the abstract bound samples no state.  They stay validated keys
+        # so that configs that set them still load and keep their digests.
         pair_samples = raw.get("pair_samples", 2000)
         digest = hashlib.sha256(
             json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
@@ -158,7 +162,7 @@ class ExperimentConfig:
             samples=samples,
             seed=raw.get("seed", 0),
             constants=constants,
-            pair=pair,
+            pair=raw.get("pair"),
             pair_samples=pair_samples,
             output=raw.get("output"),
             digest=digest,
@@ -194,6 +198,9 @@ class ExperimentConfig:
                 val = dirs.get(key)
                 if not _is_count(val) or val < 1:
                     raise ConfigError(f"directions.{key} must be a positive integer")
+        if not isinstance(dirs.get("centered", False), bool):
+            raise ConfigError(
+                f"directions.centered must be true or false, got {dirs['centered']!r}")
         if dkind == "random":
             dseed = dirs.get("seed", 0)
             if not _is_count(dseed) or dseed < 0:
@@ -209,6 +216,10 @@ class ExperimentConfig:
         if mkind not in (*sources.CATALOG, *families):
             raise ConfigError(f"unknown model kind {mkind!r}")
         family = mkind if mkind in families else sources.IID
+        pair = empirics.pair_for(family)
+        if self.pair not in (None, pair):
+            raise ConfigError(f"pair must be {pair!r}, the pair of a model of family "
+                              f"{family}, got {self.pair!r}")
         for name in names:
             try:
                 row = bounds_mod.theorem_spec(name, family)
@@ -241,13 +252,13 @@ def build_directions(cfg: ExperimentConfig) -> DirectionSet:
     try:
         if kind == "hypercube":
             return hypercube_directions(
-                spec["n"], spec["k"], centered=bool(spec.get("centered", False))
+                spec["n"], spec["k"], centered=spec.get("centered", False)
             )
         if kind == "random":
             return random_orthonormal(
                 spec["n"], spec["k"],
                 seed=spec.get("seed", 0),
-                centered=bool(spec.get("centered", False)),
+                centered=spec.get("centered", False),
             )
         return _open_path(DirectionSet.load, spec.get("path"), "directions.path",
                           "direction file")
@@ -353,7 +364,6 @@ def build_task(cfg: ExperimentConfig, theorem: str, bound_scale: float = 1.0,
         samples=cfg.samples,
         seed=cfg.seed,
         constants=cfg.exchangeable_constants(),
-        pair_kind=cfg.pair,
         bound_scale=bound_scale,
         digest=cfg.digest,
         workers=workers,
@@ -393,8 +403,7 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     rows = []
     for theorem in cfg.theorems():
         report = empirics.compute_bound(
-            theorem, ds, model, g,
-            constants=cfg.exchangeable_constants(), pair_kind=cfg.pair,
+            theorem, ds, model, g, constants=cfg.exchangeable_constants()
         )
         rows.append(_bound_row(report))
     _emit(_csv(BOUND_COLUMNS, rows), cfg.output)
@@ -480,7 +489,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
 
 def cmd_check(cfg: ExperimentConfig) -> int:
     """Invariant diagnostics for the configured directions and model: the
-    shrinkage identity of the matching pair on sampled states and, for
+    residual of the pair's shrinkage identity, in closed form, and, for
     i.i.d. and independent models, the third and fourth moments of each
     law's draws against the declared values."""
     lines = []
@@ -494,9 +503,9 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     ds = build_directions(cfg)
     model = build_model(cfg, ds.n)
 
-    pair_kind = empirics.default_pair(model)
-    resid = empirics.conditional_linearity_check(ds, model, pair_kind, trials=200, seed=cfg.seed)
-    record("linearity", resid <= 1e-10, f"max residual {resid:.3e}, pair={pair_kind}")
+    resid = empirics.linearity_residual(ds, model)
+    record("linearity", resid <= 1e-10,
+           f"max residual {resid:.3e}, pair={empirics.pair_for(sources.family(model))}")
 
     if not isinstance(model, sources.ExchangeableModel):
         # Every distinct law of an independent pattern, in order of first appearance.

@@ -1,22 +1,24 @@
 """Exchangeable-pair statistics and Monte Carlo bound verification.
 
-Two pair constructions match the mechanisms behind the independent and
-exchangeable bounds:
+The model's family fixes the pair, one per theorem of the paper:
 
-* coordinate resampling -- replace one uniformly chosen coordinate by an
-  independent copy; the conditional-mean shrinkage constant is 1/n;
-* transposition -- swap two uniformly chosen coordinates of an
-  exchangeable vector; the shrinkage constant is 2/(n-1) and requires
-  every direction row to sum to zero.
+* independent coordinates (i.i.d. included) take coordinate resampling --
+  replace one uniformly chosen coordinate by an independent copy; the
+  conditional-mean shrinkage constant is 1/n;
+* exchangeable coordinates take the transposition -- swap two uniformly
+  chosen coordinates; the shrinkage constant is 2/(n-1), and the
+  linearity identity needs every direction row to sum to zero.
 
 For both, the conditional mean E[S' - S | x] and the conditional
-second-moment errors E_ij have closed forms in the current state x.  On
-them rest the error statistics feeding the abstract bound, all exact:
-the second moments E E_ij^2 over the state, whose Jensen envelopes bound
-sum_ij E|E_ij| and E sqrt(sum_ij E_ij^2), and the third-moment sum.  So
-the abstract bound is a proved inequality and draws no state.  Last comes
-the end-to-end check that the measured discrepancy |E g(S) - E g(Z~)|
-stays below the assembled bound.
+second-moment errors E_ij have closed forms in the current state x.  The
+linearity residual E[S' - S | x] + lambda S turns out not to depend on x,
+so it is checked in closed form too.  On the closed forms rest the error
+statistics feeding the abstract bound, all exact: the second moments
+E E_ij^2 over the state, whose Jensen envelopes bound sum_ij E|E_ij| and
+E sqrt(sum_ij E_ij^2), and the third-moment sum.  So the abstract bound
+is a proved inequality and draws no state.  Last comes the end-to-end
+check that the measured discrepancy |E g(S) - E g(Z~)| stays below the
+assembled bound.
 
 Monte Carlo loops follow the splittable seeding contract of
 :mod:`projclt.sources`: every state is drawn in fixed-size blocks (a
@@ -33,58 +35,38 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import sources
 from .directions import ORTHONORMAL_KINDS, DirectionSet, gram, norm_summary
-from .errors import InvalidInputError, InvalidMomentsError, ProjcltError, WrongPairKindError
-from .sources import (
-    IndependentModel,
-    Model,
-    sample_block,
-    sample_tiles,
-)
+from .errors import InvalidInputError, InvalidMomentsError, ProjcltError
+from .sources import ExchangeableModel, IndependentModel, Model, sample_tiles
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
 
 RESAMPLING = "resampling"
 TRANSPOSITION = "transposition"
-PAIR_KINDS = (RESAMPLING, TRANSPOSITION)
 
 # Fixed Monte Carlo block size; part of the determinism contract.
 _BLOCK = 8192
 
 
-def default_pair(model: Model) -> str:
-    """The pair that matches the model: transposition for exchangeable
-    coordinates, coordinate resampling otherwise."""
-    return TRANSPOSITION if sources.family(model) == sources.EXCHANGEABLE else RESAMPLING
+def pair_for(family: str) -> str:
+    """The pair of a model family (:func:`projclt.sources.family`):
+    transposition for exchangeable coordinates, coordinate resampling
+    otherwise."""
+    return TRANSPOSITION if family == sources.EXCHANGEABLE else RESAMPLING
 
 
-def stein_lambda(pair_kind: str, n: int) -> float:
-    """Shrinkage constant of the conditional-mean identity for each pair."""
-    if pair_kind == RESAMPLING:
+def stein_lambda(model: Model, n: int) -> float:
+    """Shrinkage constant of the conditional-mean identity for the model's pair."""
+    if not isinstance(model, ExchangeableModel):
         return 1.0 / n
-    if pair_kind == TRANSPOSITION:
-        if n < 2:
-            raise InvalidInputError("transposition needs n >= 2")
-        return 2.0 / (n - 1)
-    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
-
-
-def _require_independent(model: Model) -> None:
-    if sources.family(model) == sources.EXCHANGEABLE:
-        raise WrongPairKindError(
-            "coordinate resampling needs independent coordinates; use the "
-            "transposition pair for exchangeable models"
-        )
-
-
-def _require_exchangeable(model: Model) -> None:
-    if sources.family(model) != sources.EXCHANGEABLE:
-        raise WrongPairKindError("the transposition pair needs an exchangeable model")
+    if n < 2:
+        raise InvalidInputError("transposition needs n >= 2")
+    return 2.0 / (n - 1)
 
 
 # --------------------------------------------------------------------------
@@ -105,48 +87,28 @@ def _replacement_means(model: Model, n: int) -> np.ndarray:
     return np.full(n, mu)
 
 
-def conditional_mean_closed_form(
-    x, ds: DirectionSet, model: Model, pair_kind: str
-) -> np.ndarray:
-    """E[S' - S | x] from its exact linear form in x.
+def linearity_residual(ds: DirectionSet, model: Model) -> float:
+    """max_i |E[S'^i - S^i | x] + lambda S^i| for the model's pair.  It is
+    the same at every state x, so no state is drawn.
 
-    ``x`` is one state (n,) or a block of states (m, n); the result is
-    (k,) or (m, k) accordingly.  With mu_r = E X*_r and W = sum_r x_r:
-
-      resampling:    theta (mu - x) / n,
-      transposition: 2 (W theta 1 - n S) / (n (n-1)).
+    Resampling: E[S' - S | x] = theta (mu - x) / n with mu_r = E X*_r and
+    lambda = 1/n, so the sum is theta mu / n.  Transposition, with
+    W = sum_r x_r: E[S' - S | x] = 2 (W theta 1 - n S) / (n (n-1)) and
+    lambda = 2/(n-1), so the sum is 2 W theta 1 / (n (n-1)), where W is the
+    population sum for every permutation x.  Either way the sum is
+    lambda E[S], which is 0 for every standardized model whatever the rows
+    sum to, so what is left is the rounding of the declared means.
     """
-    x = np.asarray(x, dtype=np.float64)
     theta = ds.vectors
     n = ds.n
-    if pair_kind == RESAMPLING:
-        _require_independent(model)
-        return (_replacement_means(model, n) - x) @ theta.T / n
-    if pair_kind == TRANSPOSITION:
-        w = x.sum(axis=-1)[..., None]
-        return 2.0 * (w * theta.sum(axis=1) - n * (x @ theta.T)) / (n * (n - 1))
-    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
-
-
-def conditional_linearity_check(
-    ds: DirectionSet, model: Model, pair_kind: str, trials: int, seed: int
-) -> float:
-    """Worst residual max_i |E[dS^i | x] + lambda S^i| over sampled states.
-
-    The conditional mean is exact (its linear form, with declared first
-    moments for continuous replacement laws), so the residual is
-    floating-point noise when the shrinkage identity holds; a non-centered
-    direction set under transposition yields a macroscopic residual.
-    """
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
-    lam = stein_lambda(pair_kind, ds.n)
-    worst = 0.0
-    for start in range(0, trials, _BLOCK):
-        x = sample_block(model, seed, start, min(_BLOCK, trials - start), n=ds.n)
-        cond = conditional_mean_closed_form(x, ds, model, pair_kind)
-        worst = max(worst, float(np.max(np.abs(cond + lam * (x @ ds.vectors.T)))))
-    return worst
+    if sources.model_dim(model) not in (None, n):
+        raise InvalidInputError("model dimension does not match the direction set")
+    lam = stein_lambda(model, n)
+    if isinstance(model, ExchangeableModel):
+        mean_s = math.fsum(model.population) / n * theta.sum(axis=1)
+    else:
+        mean_s = theta @ _replacement_means(model, n)
+    return lam * float(np.max(np.abs(mean_s)))
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +148,7 @@ def _mean_abs3_diff(v: np.ndarray) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
-def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
+def third_moment_sum(ds: DirectionSet, model: Model) -> float:
     """Exact sum_i E|S'^i - S^i|^3 over the state and the pair randomization.
 
     Resampling: (1/n) sum_r (sum_i |theta_i^r|^3) E|X*_r - X_r|^3, with the
@@ -198,17 +160,12 @@ def third_moment_sum(ds: DirectionSet, model: Model, pair_kind: str) -> float:
     relative error of O(n eps).
     """
     theta = ds.vectors
-    n = ds.n
-    if pair_kind == RESAMPLING:
-        _require_independent(model)
-        weights = np.sum(np.abs(theta) ** 3, axis=0)
-        if isinstance(model, IndependentModel):
-            return float(weights @ [sources.diff_abs3(c) for c in model.coords]) / n
-        return float(weights.sum()) * sources.diff_abs3(model) / n
-    if pair_kind == TRANSPOSITION:
-        _require_exchangeable(model)
+    if isinstance(model, ExchangeableModel):
         return _mean_abs3_diff(model.population) * sum(_mean_abs3_diff(row) for row in theta)
-    raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
+    weights = np.sum(np.abs(theta) ** 3, axis=0)
+    if isinstance(model, IndependentModel):
+        return float(weights @ [sources.diff_abs3(c) for c in model.coords]) / ds.n
+    return float(weights.sum()) * sources.diff_abs3(model) / ds.n
 
 
 @functools.cache
@@ -310,7 +267,7 @@ def _transposition_second_moments(theta: np.ndarray, pop: np.ndarray) -> np.ndar
     return np.maximum(c * c * (weight @ directions).reshape(k, k), 0.0)
 
 
-def eij_second_moments(ds: DirectionSet, model: Model, pair_kind: str) -> np.ndarray:
+def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
     """The exact (k, k) matrix E E_ij^2 over the state of the pair's
     conditional second-moment error E_ij = E[dS^i dS^j | x] - 2 lambda
     delta_ij, for orthonormal rows.
@@ -326,28 +283,24 @@ def eij_second_moments(ds: DirectionSet, model: Model, pair_kind: str) -> np.nda
     sqrt(sum_ij E E_ij^2) >= E sqrt(sum_ij E_ij^2): the two statistics of
     the abstract bound, bounded without sampling a state.
     """
-    if pair_kind not in PAIR_KINDS:
-        raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
     if ds.kind not in ORTHONORMAL_KINDS:
-        raise InvalidInputError(f"the {pair_kind} closed form assumes orthonormal rows")
+        raise InvalidInputError("the E E_ij^2 closed form assumes orthonormal rows")
     if sources.model_dim(model) not in (None, ds.n):
         raise InvalidInputError("model dimension does not match the direction set")
     theta = ds.vectors
     n = ds.n
-    if pair_kind == RESAMPLING:
-        _require_independent(model)
-        if isinstance(model, IndependentModel):
-            fourth = np.array([sources.fourth_moment(c) for c in model.coords])
-        else:
-            fourth = sources.fourth_moment(model)
-        if np.min(fourth) < 1.0 - 1e-9:
-            raise InvalidMomentsError(f"EX^4 = {np.min(fourth)} < 1 contradicts EX^2 = 1")
-        t2 = theta * theta
-        return (t2 * np.maximum(fourth - 1.0, 0.0)) @ t2.T / (n * n)
-    _require_exchangeable(model)
-    if not ds.is_centered():
-        raise InvalidInputError("the transposition closed form assumes centered rows")
-    return _transposition_second_moments(theta, model.population)
+    if isinstance(model, ExchangeableModel):
+        if not ds.is_centered():
+            raise InvalidInputError("the transposition closed form assumes centered rows")
+        return _transposition_second_moments(theta, model.population)
+    if isinstance(model, IndependentModel):
+        fourth = np.array([sources.fourth_moment(c) for c in model.coords])
+    else:
+        fourth = sources.fourth_moment(model)
+    if np.min(fourth) < 1.0 - 1e-9:
+        raise InvalidMomentsError(f"EX^4 = {np.min(fourth)} < 1 contradicts EX^2 = 1")
+    t2 = theta * theta
+    return (t2 * np.maximum(fourth - 1.0, 0.0)) @ t2.T / (n * n)
 
 
 # --------------------------------------------------------------------------
@@ -390,15 +343,15 @@ def estimate_discrepancy(
     ds: DirectionSet,
     model: Model,
     g: TestFunction,
-    gaussian: Union[GaussianSpec, Expectation],
+    gaussian: Expectation,
     samples: int,
     seed: int,
     workers: Optional[int] = None,
 ) -> DiscrepancyEstimate:
     """Monte Carlo estimate of |E g(S) - E g(Z~)|.
 
-    ``gaussian`` is the Gaussian side: the covariance of Z~, or E g(Z~)
-    already computed by :func:`gaussian_expectation`.
+    ``gaussian`` is the Gaussian side, E g(Z~) as computed by
+    :func:`gaussian_expectation`.
 
     Draws are generated in fixed-size blocks (single precision; the
     statistical error at any usable sample count dominates the rounding
@@ -416,8 +369,6 @@ def estimate_discrepancy(
     n = ds.n
     if sources.model_dim(model) not in (None, n):
         raise InvalidInputError("model dimension does not match the direction set")
-    if isinstance(gaussian, GaussianSpec):
-        gaussian = gaussian_expectation(g, gaussian)
     theta = np.ascontiguousarray(ds.vectors.T, dtype=np.float32)
     starts = list(range(0, samples, _BLOCK))
 
@@ -472,7 +423,6 @@ class VerificationTask:
     samples: int
     seed: int
     constants: bounds_mod.ExchangeableConstants = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS
-    pair_kind: Optional[str] = None
     bound_scale: float = 1.0
     digest: str = ""
     workers: Optional[int] = None
@@ -518,7 +468,6 @@ def compute_bound(
     model: Model,
     g: TestFunction,
     constants: bounds_mod.ExchangeableConstants = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS,
-    pair_kind: Optional[str] = None,
 ) -> bounds_mod.BoundReport:
     """Evaluate the selected bound for a resolved (directions, model, g)
     triple.  The abstract bound takes its error statistics from the pair
@@ -530,17 +479,15 @@ def compute_bound(
         return bounds_mod.bound(
             theorem, ds.k, norm_summary(ds), sources.moment_summary(model), g, gramdata, constants
         )
-    if pair_kind is None:
-        pair_kind = default_pair(model)
-    second = eij_second_moments(ds, model, pair_kind)
+    second = eij_second_moments(ds, model)
     eij = bounds_mod.EijStats(
         sum_abs=float(np.sqrt(second).sum()), sqrt_sum_sq=math.sqrt(float(second.sum()))
     )
     report = bounds_mod.bound_abstract(
-        stein_lambda(pair_kind, ds.n), eij, third_moment_sum(ds, model, pair_kind), g, ds.k
+        stein_lambda(model, ds.n), eij, third_moment_sum(ds, model), g, ds.k
     )
     return replace(report, inputs_echo={**report.inputs_echo, "n": ds.n,
-                                        "pair_kind": pair_kind})
+                                        "pair": pair_for(sources.family(model))})
 
 
 def gaussian_spec_for(theorem: str, ds: DirectionSet) -> GaussianSpec:
@@ -564,8 +511,7 @@ def verify_bound(task: VerificationTask) -> VerificationReport:
     report = _stage(
         "bound",
         lambda: compute_bound(
-            task.theorem, task.ds, task.model, task.g,
-            constants=task.constants, pair_kind=task.pair_kind,
+            task.theorem, task.ds, task.model, task.g, constants=task.constants
         ),
         seconds,
     )

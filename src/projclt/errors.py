@@ -25,10 +25,6 @@ class MissingMomentsError(InvalidInputError):
     """A model does not declare the moment constants a bound needs."""
 
 
-class WrongPairKindError(InvalidInputError):
-    """Model and exchangeable-pair construction do not match."""
-
-
 class UnsupportedMethodError(InvalidInputError):
     """Requested evaluation method does not apply to this input."""
 

@@ -33,7 +33,9 @@ from .errors import InvalidInputError, UnsupportedMethodError
 COSINE = "cosine"
 BUMP = "bump"
 
-_SEMINORM_TOL = 1e-9
+# The seminorm chain may fail by rounding, a few ulps relative (the
+# cosine's norms are rounded); 8 ulps covers it with room to spare.
+_SEMINORM_RTOL = 8 * float(np.finfo(np.float64).eps)
 _MIN_RADIUS, _MAX_RADIUS = 1e-150, 1e150
 
 
@@ -60,13 +62,15 @@ class TestFunction:
     def __post_init__(self):
         if self.dimension < 1:
             raise InvalidInputError("test function dimension must be >= 1")
-        if min(self.g1, self.g2, self.grad_sup) < 0:
-            raise InvalidInputError("seminorms must be non-negative")
-        if self.grad_sup < self.g1 - _SEMINORM_TOL:
+        seminorms = (self.g1, self.g2, self.grad_sup, self.hess_op_sup)
+        if not all(math.isfinite(v) and v >= 0 for v in seminorms):
+            raise InvalidInputError(f"seminorms must be finite and non-negative, got {seminorms}")
+        lo, hi = 1.0 - _SEMINORM_RTOL, 1.0 + _SEMINORM_RTOL
+        if self.grad_sup < lo * self.g1:
             raise InvalidInputError("gradient length sup cannot be below g1")
-        if self.hess_op_sup < self.g2 - _SEMINORM_TOL:
+        if self.hess_op_sup < lo * self.g2:
             raise InvalidInputError("Hessian operator sup cannot be below g2")
-        if self.hess_op_sup > self.dimension * self.g2 + _SEMINORM_TOL:
+        if self.hess_op_sup > hi * self.dimension * self.g2:
             raise InvalidInputError("Hessian operator sup exceeds the k*g2 estimate")
 
 

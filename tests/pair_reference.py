@@ -14,22 +14,28 @@ import numpy as np
 
 from projclt import sources
 from projclt.directions import ORTHONORMAL_KINDS, DirectionSet
-from projclt.empirics import (
-    PAIR_KINDS,
-    RESAMPLING,
-    TRANSPOSITION,
-    _replacement_means,
-    _require_exchangeable,
-    _require_independent,
-    stein_lambda,
-)
+from projclt.empirics import RESAMPLING, TRANSPOSITION
 from projclt.errors import InvalidInputError
-from projclt.sources import IIDModel, IndependentModel, Model
+from projclt.sources import ExchangeableModel, IIDModel, IndependentModel, Model
+
+PAIR_KINDS = (RESAMPLING, TRANSPOSITION)
+
+
+def require_family(model: Model, pair_kind: str) -> None:
+    """Refuse a model whose family does not take ``pair_kind``: resampling
+    needs independent coordinates, the transposition exchangeable ones."""
+    if isinstance(model, ExchangeableModel) != (pair_kind == TRANSPOSITION):
+        raise InvalidInputError(f"the {pair_kind} pair does not apply to this model")
 
 
 def coord_law(model: Model, index: int) -> IIDModel:
     """The scalar law of coordinate ``index`` of an i.i.d. or independent model."""
     return model.coords[index] if isinstance(model, IndependentModel) else model
+
+
+def pair_lambda(pair_kind: str, n: int) -> float:
+    """The shrinkage constant of each pair: 1/n and 2/(n-1)."""
+    return 1.0 / n if pair_kind == RESAMPLING else 2.0 / (n - 1)
 
 
 def project(x: np.ndarray, ds: DirectionSet) -> np.ndarray:
@@ -56,7 +62,7 @@ class TransposePairDraw(NamedTuple):
 
 def resample_pair(x, ds: DirectionSet, model: Model, seed: int) -> ResamplePairDraw:
     """One draw of the coordinate-resampling pair from state x."""
-    _require_independent(model)
+    require_family(model, RESAMPLING)
     x = np.asarray(x, dtype=np.float64)
     s = project(x, ds)
     rng = sources.stream(seed)
@@ -68,7 +74,7 @@ def resample_pair(x, ds: DirectionSet, model: Model, seed: int) -> ResamplePairD
 
 def transpose_pair(x, ds: DirectionSet, model: Model, seed: int) -> TransposePairDraw:
     """One draw of the transposition pair from state x."""
-    _require_exchangeable(model)
+    require_family(model, TRANSPOSITION)
     if not ds.is_centered():
         raise InvalidInputError(
             "the transposition pair needs centered directions (rows summing to zero); "
@@ -91,14 +97,17 @@ def conditional_mean_enumerated(
 ) -> np.ndarray:
     """E[S' - S | x], computed by enumerating the pair randomization.
 
-    Resampling averages over the replaced index (and the replacement
-    law); transposition averages over all n(n-1) ordered index pairs.
+    Resampling averages over the replaced index and the replacement law,
+    whose support is enumerated (a law without one has mean 0);
+    transposition averages over all n(n-1) ordered index pairs.
     """
     x = np.asarray(x, dtype=np.float64)
     n = ds.n
     if pair_kind == RESAMPLING:
-        _require_independent(model)
-        mu = _replacement_means(model, n)
+        require_family(model, RESAMPLING)
+        laws = [coord_law(model, r) for r in range(n)]
+        mu = np.array([math.fsum(v * p for v, p in zip(*law.support))
+                       if law.support is not None else 0.0 for law in laws])
         return ds.vectors @ (mu - x) / n
     if pair_kind == TRANSPOSITION:
         theta = ds.vectors
@@ -158,9 +167,9 @@ def eij_enumerated(x, ds: DirectionSet, model: Model, pair_kind: str) -> np.ndar
     x = np.asarray(x, dtype=np.float64)
     theta = ds.vectors
     n = ds.n
-    lam = stein_lambda(pair_kind, n)
+    lam = pair_lambda(pair_kind, n)
     if pair_kind == RESAMPLING:
-        _require_independent(model)
+        require_family(model, RESAMPLING)
         w = np.empty(n)
         for r in range(n):
             law = coord_law(model, r)

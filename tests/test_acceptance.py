@@ -24,7 +24,7 @@ from projclt.empirics import (
     RESAMPLING,
     TRANSPOSITION,
     VerificationTask,
-    conditional_linearity_check,
+    linearity_residual,
     stein_lambda,
     verify_bound,
 )
@@ -43,7 +43,7 @@ from projclt.testfuncs import GaussianSpec, cosine_testfn, gaussian_expectation
 
 from direction_reference import lp_norm, sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
 from gaussian_reference import gauss_hermite_expectation
-from pair_reference import eij_closed_form
+from pair_reference import conditional_mean_enumerated, eij_closed_form
 
 # a = b = c = 1: T4/T5 with unit constants, for tests that compare terms.
 UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
@@ -119,10 +119,16 @@ def test_criterion_03_pair_linearity():
         ),
     ]
     for pair_kind, ds, model in cases:
-        lam = stein_lambda(pair_kind, ds.n)
-        assert lam in (1.0 / ds.n, 2.0 / (ds.n - 1))
-        resid = conditional_linearity_check(ds, model, pair_kind, trials=trials, seed=7)
-        assert resid <= 1e-10, f"{pair_kind} at n={ds.n}: residual {resid:.3e}"
+        lam = stein_lambda(model, ds.n)
+        assert lam == (1.0 / ds.n if pair_kind == RESAMPLING else 2.0 / (ds.n - 1))
+        resid = linearity_residual(ds, model)
+        assert resid <= 1e-15, f"{pair_kind} at n={ds.n}: residual {resid:.3e}"
+        # The identity at sampled states, from the pair enumerated at each.
+        states = sample_block(model, 7, 0, trials, n=ds.n).astype(np.float64)
+        for x in states:
+            cond = conditional_mean_enumerated(x, ds, model, pair_kind)
+            sampled = float(np.max(np.abs(cond + lam * (ds.vectors @ x))))
+            assert sampled <= 1e-10, f"{pair_kind} at n={ds.n}: residual {sampled:.3e}"
 
 
 def brute_eij_resampling(x, theta, support):

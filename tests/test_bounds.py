@@ -309,9 +309,23 @@ class TestAbstractBound:
         capped = bound_abstract(0.1, EijStats(math.inf, 0.3), 0.2, g, 2)
         assert inflated.total <= capped.total + 1e-15
 
-    def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(InvalidInputError):
-            bound_abstract(0.0, EijStats(1.0, 1.0), 1.0, unit_cosine(2), 2)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_lambda_rejected(self, lam):
+        with pytest.raises(InvalidInputError, match="linearity constant"):
+            bound_abstract(lam, EijStats(1.0, 1.0), 1.0, unit_cosine(2), 2)
+
+    @pytest.mark.parametrize("eij,third", [
+        (EijStats(math.nan, math.nan), 1.0), (EijStats(math.nan, 1.0), 1.0),
+        (EijStats(1.0, math.nan), 1.0), (EijStats(1.0, 1.0), math.nan),
+        (EijStats(-1.0, 1.0), 1.0), (EijStats(1.0, 1.0), -1e-300),
+    ])
+    def test_nan_or_negative_statistic_rejected(self, eij, third):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            bound_abstract(0.5, eij, third, unit_cosine(2), 2)
+
+    def test_infinite_statistics_are_allowed(self):
+        rep = bound_abstract(0.5, EijStats(math.inf, math.inf), math.inf, unit_cosine(2), 2)
+        assert rep.total == math.inf
 
 
 class TestMonotonicity:

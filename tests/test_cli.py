@@ -249,6 +249,39 @@ class TestExitCodes:
         ({"test_function": {"kind": "bump", "radius": "x"}},
          "test_function.radius must be a number"),
         ({"theorem": []}, "non-empty list"),
+        # JSON booleans are not numbers, nor strings booleans
+        ({"test_function": {"kind": "bump", "radius": True}},
+         "test_function.radius must be a number"),
+        ({"test_function": {"kind": "cosine", "a": "ones-normalized", "phase": False}},
+         "test_function.phase must be a number"),
+        ({"test_function": {"kind": "cosine", "a": [True, 0.5]}},
+         "test_function.a must be a list of numbers"),
+        ({"test_function": {"kind": "cosine", "a": 0.5}},
+         "test_function.a must be a list of numbers"),
+        ({"model": {"kind": "two_point", "p": True}}, "model.p must be a number"),
+        ({"theorem": "T4", "model": {"kind": "exchangeable", "population": [True, False, 0, 1]},
+          "directions": {"kind": "hypercube", "n": 4, "k": 2, "centered": True}},
+         "model.population must be a list of numbers"),
+        ({"theorem": "T4", "constants": {"a": True},
+          "model": {"kind": "exchangeable", "family": "ramp"},
+          "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True}},
+         "constants.a must be a number"),
+        ({"theorem": "T4", "model": {"kind": "exchangeable", "family": "ramp"},
+          "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": "false"}},
+         "directions.centered must be true or false"),
+        ({"directions": {"kind": "random", "n": 16, "k": 2, "centered": 1}},
+         "directions.centered must be true or false"),
+        # the model's family fixes the pair
+        ({"theorem": "abstract", "pair": "transposition"},
+         "pair must be 'resampling', the pair of a model of family iid"),
+        ({"pair": "transposition"}, "pair must be 'resampling'"),
+        ({"model": {"kind": "independent", "pattern": [{"kind": "uniform"}]},
+          "pair": "transposition"}, "pair must be 'resampling'"),
+        ({"theorem": "T4", "model": {"kind": "exchangeable", "family": "ramp"},
+          "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True},
+          "pair": "resampling"},
+         "pair must be 'transposition', the pair of a model of family exchangeable"),
+        ({"pair": "swap"}, "pair must be 'resampling'"),
     ])
     def test_malformed_config_value_is_two(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, overrides)
@@ -522,12 +555,38 @@ class TestCheckCommand:
         assert "check moments rademacher: ok" in out
         assert "check moments exponential: FAIL" in out
 
-    def test_tampered_lambda_fails(self, tmp_path, monkeypatch, capsys):
-        exact = empirics.stein_lambda
-        monkeypatch.setattr(empirics, "stein_lambda", lambda kind, n: 1.01 * exact(kind, n))
-        path = write_config(tmp_path)
-        assert main(["check", str(path)]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_law_with_a_nonzero_mean_fails_linearity(self, tmp_path, monkeypatch, capsys):
+        shifted = dataclasses.replace(
+            sources.rademacher(), support=(np.array([-1.0, 1.0]), np.array([0.25, 0.75])))
+        monkeypatch.setitem(sources.CATALOG, "rademacher", lambda: shifted)
+        assert main(["check", str(write_config(tmp_path))]) == 1
+        assert "check linearity: FAIL" in capsys.readouterr().out
+
+    def skewed_config(self, tmp_path, centered):
+        """The standardized population [0, ..., 0, 1, 5] with random rows."""
+        return write_config(tmp_path, {
+            "theorem": "abstract",
+            "model": {"kind": "exchangeable", "population": [0] * 14 + [1, 5]},
+            "directions": {"kind": "random", "n": 16, "k": 3, "centered": centered},
+        })
+
+    @pytest.mark.parametrize("centered", [True, False])
+    def test_skewed_population_passes_with_any_rows(self, tmp_path, capsys, centered):
+        # its float32 sum is not 0; the closed-form residual sums it in float64
+        assert main(["check", str(self.skewed_config(tmp_path, centered))]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("check linearity: ok (max residual ")
+        assert line.endswith(", pair=transposition)")
+        assert float(line.split("max residual ")[1].split(",")[0]) <= 1e-15
+
+    def test_exchangeable_check_draws_no_state(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was drawn")
+
+        for module, name in [(empirics, "sample_tiles"), (empirics, "sample_block"),
+                             (sources, "sample_tiles"), (sources, "sample_block")]:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+        assert main(["check", str(self.skewed_config(tmp_path, False))]) == 0
 
 
 class TestMomentsCommand:

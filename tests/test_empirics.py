@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from projclt import empirics
 from projclt.bounds import ExchangeableConstants
 from projclt.directions import (
     DirectionSet,
@@ -19,21 +18,15 @@ from projclt.empirics import (
     VerificationTask,
     _mean_abs3_diff,
     _Moments,
-    conditional_linearity_check,
     compute_bound,
-    conditional_mean_closed_form,
     eij_second_moments,
     estimate_discrepancy,
+    linearity_residual,
     stein_lambda,
     third_moment_sum,
     verify_bound,
 )
-from projclt.errors import (
-    InvalidInputError,
-    InvalidMomentsError,
-    MissingMomentsError,
-    WrongPairKindError,
-)
+from projclt.errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 from projclt.sources import (
     TILE_ROWS,
     ExchangeableModel,
@@ -47,7 +40,14 @@ from projclt.sources import (
     uniform,
     user_model,
 )
-from projclt.testfuncs import Expectation, GaussianSpec, TestFunction, bump_testfn, cosine_testfn
+from projclt.testfuncs import (
+    Expectation,
+    GaussianSpec,
+    TestFunction,
+    bump_testfn,
+    cosine_testfn,
+    gaussian_expectation,
+)
 
 from pair_reference import (
     conditional_mean_enumerated,
@@ -136,7 +136,7 @@ class TestResamplePair:
 
     def test_exchangeable_model_rejected(self):
         ds = hypercube_directions(8, 2)
-        with pytest.raises(WrongPairKindError):
+        with pytest.raises(InvalidInputError):
             resample_pair(np.zeros(8), ds, ramp_model(8), seed=0)
 
     def test_deterministic(self):
@@ -179,7 +179,7 @@ class TestTransposePair:
 
     def test_independent_model_rejected(self):
         ds = hypercube_directions(8, 2, centered=True)
-        with pytest.raises(WrongPairKindError):
+        with pytest.raises(InvalidInputError):
             transpose_pair(np.zeros(8), ds, uniform(), seed=0)
 
     def test_pair_is_exchangeable(self):
@@ -198,42 +198,48 @@ class TestTransposePair:
         assert ks_statistic(u, v) <= critical
 
 
+def skewed_model(n):
+    """The standardized population [0, ..., 0, 1, 5], whose float32 sum is
+    not 0."""
+    return ExchangeableModel(standardize_population(np.r_[np.zeros(n - 2), [1.0, 5.0]]))
+
+
+def shifted_law():
+    """A two-point law of mean 1/2: it breaks the shrinkage identity."""
+    return user_model("shifted", rademacher().sampler, abs3=0.5, fourth=0.5,
+                      support=(np.array([0.0, 1.0]), np.array([0.5, 0.5])))
+
+
+EVERY_LAW = [
+    rademacher(), uniform(), two_point(0.3), centered_exponential(),
+    IndependentModel(coords=tuple(
+        (rademacher(), uniform(), two_point(0.2), centered_exponential())[j % 4]
+        for j in range(33))),
+]
+LAW_IDS = ["rademacher", "uniform", "two_point", "exponential", "independent"]
+
+
 class TestConditionalLinearity:
     def test_resampling_small_sign_model_is_exact(self):
-        ds = hypercube_directions(4, 2)
-        resid = conditional_linearity_check(ds, rademacher(), RESAMPLING, trials=100, seed=0)
-        assert resid == 0.0
+        assert linearity_residual(hypercube_directions(4, 2), rademacher()) == 0.0
 
-    def test_resampling_continuous_model(self):
-        ds = random_orthonormal(100, 3, seed=2)
-        resid = conditional_linearity_check(ds, uniform(), RESAMPLING, trials=100, seed=0)
-        assert resid <= 1e-10
+    @pytest.mark.parametrize("centered", [True, False])
+    @pytest.mark.parametrize("model", EVERY_LAW, ids=LAW_IDS)
+    def test_resampling_residual_is_rounding_for_every_law(self, model, centered):
+        ds = random_orthonormal(33, 3, seed=5, centered=centered)
+        assert linearity_residual(ds, model) <= 1e-15
 
-    @pytest.mark.parametrize("n", [5, 50])
-    def test_transposition(self, n):
-        ds = random_orthonormal(n, 2, seed=3, centered=True)
-        resid = conditional_linearity_check(ds, ramp_model(n), TRANSPOSITION, trials=100, seed=1)
-        assert resid <= 1e-10
-
-    @pytest.mark.parametrize("model", [
-        rademacher(), uniform(), two_point(0.3), centered_exponential(),
-        IndependentModel(coords=tuple(
-            (rademacher(), uniform(), two_point(0.2), centered_exponential())[j % 4]
-            for j in range(33))),
-    ], ids=["rademacher", "uniform", "two_point", "exponential", "independent"])
-    def test_resampling_holds_on_float32_states_of_every_law(self, model):
-        ds = random_orthonormal(33, 3, seed=5)
-        resid = conditional_linearity_check(ds, model, RESAMPLING, trials=300, seed=4)
-        assert resid <= 1e-10
-
+    @pytest.mark.parametrize("centered", [True, False])
     @pytest.mark.parametrize("values", [
         np.arange(1.0, 34.0), np.arange(33) % 2, np.random.default_rng(9).lognormal(size=33),
-    ], ids=["ramp", "alternating", "lognormal"])
-    def test_transposition_holds_on_float32_states_of_every_population(self, values):
-        ds = random_orthonormal(33, 3, seed=6, centered=True)
+        np.r_[np.zeros(31), [1.0, 5.0]],
+    ], ids=["ramp", "alternating", "lognormal", "skewed"])
+    def test_transposition_residual_is_rounding_for_every_population(self, values, centered):
+        # W = sum_r x_r is the population sum at every state, so rows that do
+        # not sum to zero leave the identity exact too
+        ds = random_orthonormal(33, 3, seed=6, centered=centered)
         model = ExchangeableModel(standardize_population(values))
-        resid = conditional_linearity_check(ds, model, TRANSPOSITION, trials=300, seed=4)
-        assert resid <= 1e-10
+        assert linearity_residual(ds, model) <= 1e-15
 
     def test_non_centered_counterexample(self):
         # at a generic (non-zero-sum) state, a non-centered direction breaks
@@ -241,39 +247,47 @@ class TestConditionalLinearity:
         rows = np.array([[1.0, 0.0, 0.0]])
         ds = DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
         x = np.array([1.0, 2.0, 3.0])
-        lam = stein_lambda(TRANSPOSITION, 3)
-        for conditional_mean in (conditional_mean_enumerated, conditional_mean_closed_form):
-            cond = conditional_mean(x, ds, None, TRANSPOSITION)
-            resid = float(np.max(np.abs(cond + lam * project(x, ds))))
-            assert resid == pytest.approx(2.0 * 1.0 * 6.0 / (3 * 2), abs=1e-12)
-            assert resid > 1e-2
+        cond = conditional_mean_enumerated(x, ds, None, TRANSPOSITION)
+        resid = float(np.max(np.abs(cond + 2.0 / (3 - 1) * project(x, ds))))
+        assert resid == pytest.approx(2.0 * 1.0 * 6.0 / (3 * 2), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "pair_kind, model, ds",
+        "model, ds",
         [
-            (RESAMPLING, two_point(0.3), random_orthonormal(7, 3, seed=1)),
-            (RESAMPLING, IndependentModel(coords=(rademacher(), uniform(), two_point(0.2)) * 2),
+            (two_point(0.3), random_orthonormal(7, 3, seed=1)),
+            (IndependentModel(coords=(rademacher(), uniform(), two_point(0.2)) * 2),
              random_orthonormal(6, 2, seed=2)),
-            (TRANSPOSITION, ramp_model(6), random_orthonormal(6, 2, seed=3, centered=True)),
-            (TRANSPOSITION, ramp_model(7), random_orthonormal(7, 3, seed=4)),
+            (shifted_law(), random_orthonormal(7, 3, seed=5)),
+            (IndependentModel(coords=(shifted_law(), uniform()) * 3),
+             random_orthonormal(6, 2, seed=6)),
+            (ramp_model(6), random_orthonormal(6, 2, seed=3, centered=True)),
+            (ramp_model(7), random_orthonormal(7, 3, seed=4)),
+            (skewed_model(16), random_orthonormal(16, 3, seed=0)),
         ],
-        ids=["resampling-two-point", "resampling-independent", "transposition-centered",
-             "transposition-non-centered"],
+        ids=["resampling-two-point", "resampling-independent", "resampling-shifted",
+             "resampling-shifted-independent", "transposition-centered",
+             "transposition-non-centered", "transposition-skewed"],
     )
-    def test_closed_form_matches_enumeration(self, pair_kind, model, ds):
-        # generic states: sum_r x_r != 0 exercises every term of both forms
-        states = np.random.default_rng(17).standard_normal((40, ds.n))
-        closed = conditional_mean_closed_form(states, ds, model, pair_kind)
-        enum = np.array([conditional_mean_enumerated(x, ds, model, pair_kind) for x in states])
-        assert closed.shape == (40, ds.k)
-        np.testing.assert_allclose(closed, enum, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            conditional_mean_closed_form(states[3], ds, model, pair_kind), closed[3],
-            rtol=0, atol=1e-15)
+    def test_closed_form_matches_enumeration(self, model, ds):
+        # Random float64 states: permutations of the population under the
+        # transposition, generic vectors under resampling (whose residual
+        # does not depend on x either).
+        rng = np.random.default_rng(17)
+        if isinstance(model, ExchangeableModel):
+            pair, states = TRANSPOSITION, rng.permuted(np.tile(model.population, (40, 1)), axis=1)
+        else:
+            pair, states = RESAMPLING, rng.standard_normal((40, ds.n))
+        lam = stein_lambda(model, ds.n)
+        for x in states:
+            cond = conditional_mean_enumerated(x, ds, model, pair)
+            resid = float(np.max(np.abs(cond + lam * project(x, ds))))
+            assert abs(linearity_residual(ds, model) - resid) <= 1e-12
 
     def test_lambda_values(self):
-        assert stein_lambda(RESAMPLING, 100) == 0.01
-        assert stein_lambda(TRANSPOSITION, 5) == 0.5
+        assert stein_lambda(uniform(), 100) == 0.01
+        assert stein_lambda(ramp_model(5), 5) == 0.5
+        with pytest.raises(InvalidInputError, match="n >= 2"):
+            stein_lambda(ramp_model(2), 1)
 
 
 class TestEijClosedForm:
@@ -338,7 +352,7 @@ class TestEijClosedForm:
 class TestPairStatistics:
     def test_sign_model_gives_exactly_zero_error_terms(self):
         ds = hypercube_directions(64, 2)
-        second = eij_second_moments(ds, rademacher(), RESAMPLING)
+        second = eij_second_moments(ds, rademacher())
         np.testing.assert_array_equal(second, np.zeros((2, 2)))
 
     def test_resampling_envelopes(self):
@@ -350,9 +364,9 @@ class TestPairStatistics:
         m = iid_moments(model)
         ns = norm_summary(ds)
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
-        assert math.sqrt(eij_second_moments(ds, model, RESAMPLING).sum()) <= env_sq * (1 + 1e-12)
+        assert math.sqrt(eij_second_moments(ds, model).sum()) <= env_sq * (1 + 1e-12)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
-        assert third_moment_sum(ds, model, RESAMPLING) <= env_third
+        assert third_moment_sum(ds, model) <= env_third
 
     def test_transposition_third_moment_envelope(self):
         n, k = 32, 2
@@ -362,7 +376,7 @@ class TestPairStatistics:
         l1 = np.sum(np.abs(ds.vectors), axis=1)
         l3 = np.sum(np.abs(ds.vectors) ** 3, axis=1)
         env = (8.0 * abs3 / (n * (n - 1))) * float(np.sum(2 * n * l3 + 6 * l1))
-        assert third_moment_sum(ds, model, TRANSPOSITION) <= env
+        assert third_moment_sum(ds, model) <= env
 
     @pytest.mark.parametrize(
         "model",
@@ -387,7 +401,7 @@ class TestPairStatistics:
         w = np.mean(np.abs(x_star.reshape(states, copies, n) - x[:, None, :]) ** 3, axis=1)
         per_state = w @ weights / n
         se = per_state.std(ddof=1) / math.sqrt(states)
-        exact = third_moment_sum(ds, model, RESAMPLING)
+        exact = third_moment_sum(ds, model)
         assert abs(per_state.mean() - exact) <= 4 * se
 
     def test_exact_transposition_third_moment_calibrates(self):
@@ -401,7 +415,7 @@ class TestPairStatistics:
         per_state = np.einsum("rs,mrs->m", a, np.abs(x[:, :, None] - x[:, None, :]) ** 3)
         per_state /= n * (n - 1)
         se = per_state.std(ddof=1) / math.sqrt(states)
-        exact = third_moment_sum(ds, model, TRANSPOSITION)
+        exact = third_moment_sum(ds, model)
         assert abs(per_state.mean() - exact) <= 4 * se
 
     def test_transposition_third_moment_matches_full_matrix_formula(self):
@@ -412,7 +426,7 @@ class TestPairStatistics:
         pop = ramp_model(n).population
         d3 = np.sum(np.abs(pop[:, None] - pop[None, :]) ** 3) / (n * (n - 1))
         dtheta3 = np.sum(np.abs(ds.vectors[:, :, None] - ds.vectors[:, None, :]) ** 3)
-        exact = third_moment_sum(ds, ramp_model(n), TRANSPOSITION)
+        exact = third_moment_sum(ds, ramp_model(n))
         assert exact == pytest.approx(d3 * dtheta3 / (n * (n - 1)), rel=1e-12)
 
     def test_continuous_law_without_diff_abs3_is_rejected(self):
@@ -424,7 +438,7 @@ class TestPairStatistics:
         law = user_model("custom", uniform().sampler, abs3=1.3,
                          diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
         with pytest.raises(MissingMomentsError, match="fourth"):
-            eij_second_moments(hypercube_directions(8, 1), law, RESAMPLING)
+            eij_second_moments(hypercube_directions(8, 1), law)
 
     def test_abstract_bound_needs_no_moments_it_does_not_use(self):
         # abs3 feeds T1-T5 only; the abstract route needs diff_abs3 and fourth
@@ -433,19 +447,19 @@ class TestPairStatistics:
         with pytest.raises(MissingMomentsError):
             compute_bound("T2", hypercube_directions(16, 1), law, unit_cosine(1))
         report = compute_bound("abstract", hypercube_directions(16, 1), law, unit_cosine(1))
-        assert report.total > 0 and report.inputs_echo["pair_kind"] == RESAMPLING
+        assert report.total > 0 and report.inputs_echo["pair"] == RESAMPLING
 
     def test_abstract_fourth_term_is_the_min_of_the_exact_envelopes(self):
         ds = random_orthonormal(64, 2, seed=12)
         model, g = uniform(), unit_cosine(2)
-        second = eij_second_moments(ds, model, RESAMPLING)
+        second = eij_second_moments(ds, model)
         report = compute_bound("abstract", ds, model, g)
-        lam = stein_lambda(RESAMPLING, 64)
+        lam = stein_lambda(model, 64)
         expected = min(g.g1 / (2 * lam) * float(np.sqrt(second).sum()),
                        math.sqrt(2) * g.grad_sup / (2 * lam) * math.sqrt(float(second.sum())))
         assert report.term_fourth == pytest.approx(expected, rel=1e-14)
         assert report.term_third == pytest.approx(
-            2 * 2 * g.g2 / (6 * lam) * third_moment_sum(ds, model, RESAMPLING), rel=1e-14)
+            2 * 2 * g.g2 / (6 * lam) * third_moment_sum(ds, model), rel=1e-14)
 
 
 def repeated_population(n):
@@ -463,7 +477,7 @@ class TestEijSecondMoments:
         ds = random_orthonormal(n, min(n - 1, 3), seed=30 + n, centered=True)
         perms = np.array(list(itertools.permutations(range(n))))
         e = eij_closed_form(model.population[perms], ds, TRANSPOSITION)
-        exact = eij_second_moments(ds, model, TRANSPOSITION)
+        exact = eij_second_moments(ds, model)
         np.testing.assert_allclose(exact, np.mean(e * e, axis=0), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [3, 6, 10])
@@ -474,7 +488,7 @@ class TestEijSecondMoments:
         states = np.array(list(itertools.product(*(c.support[0] for c in model.coords))))
         probs = np.prod(list(itertools.product(*(c.support[1] for c in model.coords))), axis=1)
         e = eij_closed_form(states, ds, RESAMPLING)
-        exact = eij_second_moments(ds, model, RESAMPLING)
+        exact = eij_second_moments(ds, model)
         np.testing.assert_allclose(exact, np.einsum("m,mij->ij", probs, e * e),
                                    rtol=1e-12, atol=0)
 
@@ -496,28 +510,22 @@ class TestEijSecondMoments:
         e = eij_closed_form(sample_block(model, seed=6, start=0, count=states, n=n), ds, pair_kind)
         sq = e * e
         se = sq.std(axis=0, ddof=1) / math.sqrt(states)
-        exact = eij_second_moments(ds, model, pair_kind)
+        exact = eij_second_moments(ds, model)
         assert np.all(np.abs(sq.mean(axis=0) - exact) <= 4 * se)
-
-    def test_wrong_model_family_is_rejected(self):
-        with pytest.raises(WrongPairKindError):
-            eij_second_moments(hypercube_directions(8, 2, centered=True), uniform(), TRANSPOSITION)
-        with pytest.raises(WrongPairKindError):
-            eij_second_moments(hypercube_directions(8, 2), ramp_model(8), RESAMPLING)
 
     def test_declared_fourth_moment_below_one_is_rejected(self):
         law = user_model("custom", uniform().sampler, fourth=0.5)
         with pytest.raises(InvalidMomentsError, match="EX\\^4"):
-            eij_second_moments(hypercube_directions(8, 2), law, RESAMPLING)
+            eij_second_moments(hypercube_directions(8, 2), law)
 
     def test_linearly_independent_rows_are_rejected(self):
         ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
         with pytest.raises(InvalidInputError, match="orthonormal"):
-            eij_second_moments(ds, uniform(), RESAMPLING)
+            eij_second_moments(ds, uniform())
 
     def test_uncentered_rows_are_rejected_for_transposition(self):
         with pytest.raises(InvalidInputError, match="centered"):
-            eij_second_moments(hypercube_directions(8, 2), ramp_model(8), TRANSPOSITION)
+            eij_second_moments(hypercube_directions(8, 2), ramp_model(8))
 
 
 def abs3_kernel_cases():
@@ -546,9 +554,9 @@ class TestEstimateDiscrepancy:
     def test_deterministic_across_worker_counts(self):
         ds = hypercube_directions(64, 2)
         g = unit_cosine(2)
-        spec = GaussianSpec.identity(2)
-        one = estimate_discrepancy(ds, rademacher(), g, spec, 20_000, seed=3, workers=1)
-        two = estimate_discrepancy(ds, rademacher(), g, spec, 20_000, seed=3, workers=2)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(2))
+        one = estimate_discrepancy(ds, rademacher(), g, gauss, 20_000, seed=3, workers=1)
+        two = estimate_discrepancy(ds, rademacher(), g, gauss, 20_000, seed=3, workers=2)
         assert one.mean_g == two.mean_g
         assert one.discrepancy == two.discrepancy
 
@@ -556,11 +564,11 @@ class TestEstimateDiscrepancy:
         # 1000 = 15 full tiles + 40 rows: the last block and its last tile are partial
         ds = random_orthonormal(48, 2, seed=6)
         g = unit_cosine(2)
-        spec = GaussianSpec.identity(2)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(2))
         samples = 8192 + 1000
         assert 1000 % TILE_ROWS
-        one = estimate_discrepancy(ds, uniform(), g, spec, samples, seed=4, workers=1)
-        two = estimate_discrepancy(ds, uniform(), g, spec, samples, seed=4, workers=2)
+        one = estimate_discrepancy(ds, uniform(), g, gauss, samples, seed=4, workers=1)
+        two = estimate_discrepancy(ds, uniform(), g, gauss, samples, seed=4, workers=2)
         assert (one.mean_g, one.se, one.discrepancy, one.ci_halfwidth) == (
             two.mean_g, two.se, two.discrepancy, two.ci_halfwidth)
         assert (one.blocks, one.workers, two.blocks, two.workers) == (2, 1, 2, 2)
@@ -578,8 +586,9 @@ class TestEstimateDiscrepancy:
             "exchangeable": ramp_model(n),
         }[family]
         ds = random_orthonormal(n, k, seed=k)
-        runs = [estimate_discrepancy(ds, model, unit_cosine(k), GaussianSpec.identity(k),
-                                     2 * 8192 + 100, seed=9, workers=workers)
+        g = unit_cosine(k)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(k))
+        runs = [estimate_discrepancy(ds, model, g, gauss, 2 * 8192 + 100, seed=9, workers=workers)
                 for workers in (1, 2, 3)]
         assert [run.workers for run in runs] == [1, 2, 3]
         assert len({(run.mean_g.hex(), run.se.hex()) for run in runs}) == 1
@@ -591,7 +600,8 @@ class TestEstimateDiscrepancy:
         ds = random_orthonormal(n, 3, seed=2)
         model = uniform() if family == "iid" else ramp_model(n)
         g = unit_cosine(3) if kind == "cosine" else bump_testfn(2.0, 3)
-        est = estimate_discrepancy(ds, model, g, GaussianSpec.identity(3), 8192, seed=5)
+        est = estimate_discrepancy(ds, model, g, gaussian_expectation(g, GaussianSpec.identity(3)),
+                                   8192, seed=5)
         block = sample_block(model, 5, 0, 8192, n=n)
         # float64 in row chunks, to keep a float64 copy of the block out of memory
         s = np.concatenate([x.astype(np.float64) @ ds.vectors.T for x in np.split(block, 8)])
@@ -600,8 +610,10 @@ class TestEstimateDiscrepancy:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_are_rejected(self, workers):
         with pytest.raises(InvalidInputError, match="workers must be a positive integer"):
-            estimate_discrepancy(hypercube_directions(16, 2), rademacher(), unit_cosine(2),
-                                 GaussianSpec.identity(2), 2000, seed=0, workers=workers)
+            g = unit_cosine(2)
+            estimate_discrepancy(hypercube_directions(16, 2), rademacher(), g,
+                                 gaussian_expectation(g, GaussianSpec.identity(2)), 2000,
+                                 seed=0, workers=workers)
 
     def test_block_moments_merge_to_those_of_the_concatenation(self):
         rng = np.random.default_rng(0)
@@ -622,7 +634,8 @@ class TestEstimateDiscrepancy:
         ds = random_orthonormal(32, 2, seed=4)
         g = cosine_testfn(np.full(2, 1e-4 / math.sqrt(2)))
         samples = 20_000
-        est = estimate_discrepancy(ds, uniform(), g, GaussianSpec.identity(2), samples, seed=8)
+        est = estimate_discrepancy(ds, uniform(), g, gaussian_expectation(g, GaussianSpec.identity(2)),
+                                   samples, seed=8)
         blocks =[sample_block(uniform(), 8, lo, min(8192, samples - lo), n=32)
                   for lo in range(0, samples, 8192)]
         x = np.concatenate(blocks).astype(np.float64)
@@ -634,13 +647,11 @@ class TestEstimateDiscrepancy:
         ds = hypercube_directions(4096, 1)
         g = cosine_testfn([1.0])
         est = estimate_discrepancy(
-            ds, rademacher(), g, GaussianSpec.identity(1), 200_000, seed=1
+            ds, rademacher(), g, gaussian_expectation(g, GaussianSpec.identity(1)), 200_000, seed=1
         )
         assert est.discrepancy <= est.ci_halfwidth + 2e-4
 
-    def test_constant_function_has_zero_discrepancy(self, monkeypatch):
-        monkeypatch.setattr(empirics, "gaussian_expectation",
-                            lambda g, spec: Expectation(3.7, 0.0, "closed-form"))
+    def test_constant_function_has_zero_discrepancy(self):
         const = TestFunction(
             kind="bump", dimension=2,
             evaluate=lambda pts: np.full(np.asarray(pts).shape[0], 3.7),
@@ -648,15 +659,16 @@ class TestEstimateDiscrepancy:
         )
         ds = hypercube_directions(16, 2)
         est = estimate_discrepancy(
-            ds, rademacher(), const, GaussianSpec.identity(2), 65_536, seed=0
+            ds, rademacher(), const, Expectation(3.7, 0.0, "closed-form"), 65_536, seed=0
         )
         assert est.discrepancy <= 5e-15
 
     def test_sample_floor(self):
         ds = hypercube_directions(16, 2)
+        g = unit_cosine(2)
         with pytest.raises(InvalidInputError):
             estimate_discrepancy(
-                ds, rademacher(), unit_cosine(2), GaussianSpec.identity(2), 500, seed=0
+                ds, rademacher(), g, gaussian_expectation(g, GaussianSpec.identity(2)), 500, seed=0
             )
 
 
@@ -742,14 +754,3 @@ class TestVerifyBound:
         )
         with pytest.raises(InvalidInputError, match="stage 'bound'"):
             verify_bound(task)
-
-    def test_lambda_tamper_hook_is_detected(self, monkeypatch):
-        from projclt import empirics as emp
-
-        ds = hypercube_directions(16, 2)
-        clean = conditional_linearity_check(ds, rademacher(), RESAMPLING, 50, seed=0)
-        assert clean <= 1e-10
-        exact = emp.stein_lambda
-        monkeypatch.setattr(emp, "stein_lambda", lambda kind, n: 1.01 * exact(kind, n))
-        tampered = emp.conditional_linearity_check(ds, rademacher(), RESAMPLING, 50, seed=0)
-        assert tampered > 1e-6

@@ -112,6 +112,49 @@ class TestCosineSeminorms:
             assert g.g2 <= g.hess_op_sup <= k * g.g2 + 1e-12
 
 
+class TestSeminormCheck:
+    @staticmethod
+    def make(g1, g2, grad_sup, hess_op_sup, k=2):
+        return TestFunction(kind="x", dimension=k, evaluate=None, g1=g1, g2=g2,
+                            grad_sup=grad_sup, hess_op_sup=hess_op_sup)
+
+    @pytest.mark.parametrize("seminorms", [
+        (5e-10, 1e-10, 0.0, 0.0),  # a chain broken below any absolute tolerance
+        (1e-300, 1e-300, 0.99e-300, 1e-300),
+        (1.0, 1.0, 1.0 - 1e-14, 1.0),
+        (1.0, 1.0, 1.0, 1.0 - 1e-14),
+        (1.0, 1.0, 1.0, 2.0 + 1e-14),
+    ])
+    def test_a_broken_chain_is_rejected(self, seminorms):
+        with pytest.raises(InvalidInputError):
+            self.make(*seminorms)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_or_negative_seminorms_are_rejected(self, slot, bad):
+        seminorms = [1.0, 1.0, 1.0, 1.0]
+        seminorms[slot] = bad
+        with pytest.raises(InvalidInputError, match="finite and non-negative"):
+            self.make(*seminorms)
+
+    def test_the_zero_function_is_accepted(self):
+        self.make(0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cosines_with_random_directions_are_accepted(self, k):
+        # rounded norms put hess_op_sup up to about 2 ulps above k g2
+        rng = np.random.default_rng(k)
+        for scale in 10.0 ** rng.uniform(-100, 100, size=500):
+            for a in (rng.standard_normal(k), np.full(k, rng.uniform(-1, 1)),
+                      rng.choice([-1.0, 1.0], k)):
+                cosine_testfn(a * scale)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("radius", [1e-150, 1e150])
+    def test_bumps_at_the_ends_of_the_radius_range_are_accepted(self, radius, k):
+        bump_testfn(radius, k)
+
+
 class TestBump:
     def test_values_at_center_and_outside(self):
         g = bump_testfn(radius=1.5, k=2)
