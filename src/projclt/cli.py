@@ -14,6 +14,10 @@ moments  print the moment constants of the configured model
 The experiment configuration is a single JSON file; a command takes only
 the overrides it reads: ``--output`` (all), ``--theorem`` (bound, verify,
 scan), ``--seed`` (verify, scan, check) and ``--samples`` (verify, scan).
+:meth:`ExperimentConfig.from_file` merges them in, then builds and checks
+the whole experiment in one pass, so every command refuses the same
+configurations.  ``bound`` takes a list of theorems, ``verify`` and
+``scan`` one.
 ``verify`` and ``scan`` take ``--workers N`` (N >= 1; wall time only) and
 ``--trace``, which writes one JSON object per run or scan cell to stderr:
 theorem, n, k, pass/fail and the report metadata (stage seconds,
@@ -28,12 +32,13 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -111,195 +116,171 @@ def _numbers(value, name: str) -> np.ndarray:
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description plus its canonical digest."""
+@contextlib.contextmanager
+def _config_errors(where: str = ""):
+    """Re-raise a library error inside the block as a configuration error
+    about ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ProjcltError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
 
-    model: dict
-    directions: dict
-    test_function: dict
-    theorem: object  # str or list[str]
+
+@dataclass(frozen=True, eq=False)
+class ExperimentConfig:
+    """One experiment, built and checked in a single pass.
+
+    ``raw`` is the effective JSON object: the file's, with any override
+    but ``output`` merged in, and ``digest`` fingerprints it.  ``ds``,
+    ``model``, ``g`` and ``constants`` are built from it once; ``theorem``
+    is a name, or a list of names for ``bound``.
+    """
+
+    raw: dict
+    ds: DirectionSet
+    model: sources.Model
+    g: TestFunction
+    theorem: object
     samples: int
     seed: int
-    constants: dict
-    pair: Optional[str]
-    pair_samples: int
+    constants: bounds_mod.ExchangeableConstants
     output: Optional[str]
     digest: str
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, output: Optional[str] = None,
+                  **overrides) -> "ExperimentConfig":
+        """The experiment of ``raw`` with ``overrides`` (top-level keys; None
+        keeps the object's value) merged in.  ``output`` replaces the output
+        path without entering the digest."""
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        known = {
-            "model", "directions", "test_function", "theorem", "samples",
-            "seed", "constants", "pair", "pair_samples", "output",
-        }
-        unknown = set(raw) - known
+        raw = {**raw, **{key: v for key, v in overrides.items() if v is not None}}
+        unknown = set(raw) - {"model", "directions", "test_function", "theorem", "samples",
+                              "seed", "constants", "pair", "pair_samples", "output"}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         for key in ("model", "directions", "test_function"):
-            if key not in raw or not isinstance(raw[key], dict):
+            if not isinstance(raw.get(key), dict):
                 raise ConfigError(f"configuration needs a {key!r} object")
+        theorem = raw.get("theorem", "T2")
+        names = theorem if isinstance(theorem, list) else [theorem]
+        if not names:
+            raise ConfigError("theorem must be a name or a non-empty list of names")
         samples = raw.get("samples", 100_000)
         if not _is_count(samples) or samples < 1:
             raise ConfigError(f"samples must be a positive integer, got {samples!r}")
-        constants = raw.get("constants", {})
-        if not isinstance(constants, dict):
-            raise ConfigError("constants must be an object with keys a, b, c")
+        seed = raw.get("seed", 0)
+        if not _is_count(seed) or not 0 <= seed < sources.SEED_LIMIT:
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         # pair and pair_samples change no output: the model fixes the pair,
-        # and the abstract bound samples no state.  They stay validated keys
+        # and the abstract bound samples no state.  They stay checked keys
         # so that configs that set them still load and keep their digests.
         pair_samples = raw.get("pair_samples", 2000)
+        if not _is_count(pair_samples) or pair_samples < 1:
+            raise ConfigError(f"pair_samples must be a positive integer, got {pair_samples!r}")
+        output = raw.get("output") if output is None else output
+        if output is not None and not isinstance(output, str):
+            raise ConfigError(f"output must be a path string, got {output!r}")
+        constants = _constants(raw.get("constants", {}))
+
+        ds = build_directions(raw["directions"])
+        model = build_model(raw["model"], ds.n)
+        family = sources.family(model)
+        pair = empirics.pair_for(family)
+        if raw.get("pair") not in (None, pair):
+            raise ConfigError(f"pair must be {pair!r}, the pair of a model of family "
+                              f"{family}, got {raw['pair']!r}")
+        for name in names:
+            with _config_errors():
+                row = bounds_mod.theorem_spec(name, family)
+            if row.centered and not ds.is_centered():
+                raise ConfigError(f"{name} needs centered directions, rows that sum to zero "
+                                  "(directions.centered=true)")
+        g = build_test_function(raw["test_function"], ds.k)
         digest = hashlib.sha256(
             json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()[:12]
-        cfg = cls(
-            model=raw["model"],
-            directions=raw["directions"],
-            test_function=raw["test_function"],
-            theorem=raw.get("theorem", "T2"),
-            samples=samples,
-            seed=raw.get("seed", 0),
-            constants=constants,
-            pair=raw.get("pair"),
-            pair_samples=pair_samples,
-            output=raw.get("output"),
-            digest=digest,
-        )
-        cfg.validate()
-        return cfg
+        return cls(raw=raw, ds=ds, model=model, g=g, theorem=theorem, samples=samples,
+                   seed=seed, constants=constants, output=output, digest=digest)
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
+    def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         try:
             raw = json.loads(_open_path(lambda p: Path(p).read_text(), path, "config",
                                         "configuration file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
-
-    def theorems(self) -> list[str]:
-        names = self.theorem if isinstance(self.theorem, list) else [self.theorem]
-        if not names:
-            raise ConfigError("theorem must be a name or a non-empty list of names")
-        return names
-
-    def validate(self) -> None:
-        names = self.theorems()
-        if not _is_count(self.seed) or not 0 <= self.seed < sources.SEED_LIMIT:
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        dirs = self.directions
-        dkind = dirs.get("kind")
-        if dkind not in ("hypercube", "random", "file"):
-            raise ConfigError(f"directions.kind must be hypercube|random|file, got {dkind!r}")
-        if dkind != "file":
-            for key in ("n", "k"):
-                val = dirs.get(key)
-                if not _is_count(val) or val < 1:
-                    raise ConfigError(f"directions.{key} must be a positive integer")
-        if not isinstance(dirs.get("centered", False), bool):
-            raise ConfigError(
-                f"directions.centered must be true or false, got {dirs['centered']!r}")
-        if dkind == "random":
-            dseed = dirs.get("seed", 0)
-            if not _is_count(dseed) or dseed < 0:
-                raise ConfigError(f"directions.seed must be a non-negative integer, got {dseed!r}")
-        if not _is_count(self.pair_samples) or self.pair_samples < 1:
-            raise ConfigError(
-                f"pair_samples must be a positive integer, got {self.pair_samples!r}"
-            )
-        if self.output is not None and not isinstance(self.output, str):
-            raise ConfigError(f"output must be a path string, got {self.output!r}")
-        mkind = self.model.get("kind")
-        families = (sources.INDEPENDENT, sources.EXCHANGEABLE)
-        if mkind not in (*sources.CATALOG, *families):
-            raise ConfigError(f"unknown model kind {mkind!r}")
-        family = mkind if mkind in families else sources.IID
-        pair = empirics.pair_for(family)
-        if self.pair not in (None, pair):
-            raise ConfigError(f"pair must be {pair!r}, the pair of a model of family "
-                              f"{family}, got {self.pair!r}")
-        for name in names:
-            try:
-                row = bounds_mod.theorem_spec(name, family)
-            except ProjcltError as exc:
-                raise ConfigError(str(exc)) from exc
-            if row.centered and dkind != "file" and not dirs.get("centered", False):
-                raise ConfigError(f"{name} needs centered directions (directions.centered=true)")
-        tf = self.test_function
-        if tf.get("kind") not in ("cosine", "bump"):
-            raise ConfigError(f"test_function.kind must be cosine|bump, got {tf.get('kind')!r}")
-
-    def exchangeable_constants(self) -> bounds_mod.ExchangeableConstants:
-        base = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS
-        try:
-            return bounds_mod.ExchangeableConstants(
-                a=_number(self.constants.get("a", base.a), "constants.a"),
-                b=_number(self.constants.get("b", base.b), "constants.b"),
-                c=_number(self.constants.get("c", base.c), "constants.c"),
-            )
-        except ProjcltError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls.from_dict(raw, **overrides)
 
 
 # --------------------------------------------------------------------------
-# Builders
+# Builders: each checks its own part of the configuration
 
-def build_directions(cfg: ExperimentConfig) -> DirectionSet:
-    spec = cfg.directions
-    kind = spec["kind"]
-    try:
+def _constants(spec) -> bounds_mod.ExchangeableConstants:
+    if not isinstance(spec, dict):
+        raise ConfigError("constants must be an object with keys a, b, c")
+    base = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS
+    with _config_errors():
+        return bounds_mod.ExchangeableConstants(
+            **{key: _number(spec.get(key, getattr(base, key)), f"constants.{key}")
+               for key in ("a", "b", "c")})
+
+
+def build_directions(spec: dict) -> DirectionSet:
+    kind = spec.get("kind")
+    if kind not in ("hypercube", "random", "file"):
+        raise ConfigError(f"directions.kind must be hypercube|random|file, got {kind!r}")
+    centered = spec.get("centered", False)
+    if not isinstance(centered, bool):
+        raise ConfigError(f"directions.centered must be true or false, got {centered!r}")
+    if kind != "file":
+        for key in ("n", "k"):
+            if not _is_count(spec.get(key)) or spec[key] < 1:
+                raise ConfigError(f"directions.{key} must be a positive integer")
+    seed = spec.get("seed", 0)
+    if kind == "random" and (not _is_count(seed) or seed < 0):
+        raise ConfigError(f"directions.seed must be a non-negative integer, got {seed!r}")
+    with _config_errors("directions: "):
         if kind == "hypercube":
-            return hypercube_directions(
-                spec["n"], spec["k"], centered=spec.get("centered", False)
-            )
+            return hypercube_directions(spec["n"], spec["k"], centered=centered)
         if kind == "random":
-            return random_orthonormal(
-                spec["n"], spec["k"],
-                seed=spec.get("seed", 0),
-                centered=spec.get("centered", False),
-            )
+            return random_orthonormal(spec["n"], spec["k"], seed=seed, centered=centered)
         return _open_path(DirectionSet.load, spec.get("path"), "directions.path",
                           "direction file")
-    except ConfigError:
-        raise
-    except ProjcltError as exc:
-        raise ConfigError(f"directions: {exc}") from exc
 
 
-def _catalog_law(spec: dict, where: str) -> sources.IIDModel:
-    if spec["kind"] == "two_point" and "p" in spec:
+def _catalog_law(spec, where: str) -> Optional[sources.IIDModel]:
+    """The law of a catalog law object, or None if ``spec`` is not one."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in sources.CATALOG:
+        return None
+    if kind == "two_point" and "p" in spec:
         return sources.two_point(_number(spec["p"], f"{where}.p"))
-    return sources.CATALOG[spec["kind"]]()
+    return sources.CATALOG[kind]()
 
 
-def build_model(cfg: ExperimentConfig, n: int) -> sources.Model:
-    spec = cfg.model
-    kind = spec["kind"]
-    try:
-        if kind in sources.CATALOG:
-            return _catalog_law(spec, "model")
-        if kind == "independent":
+def build_model(spec: dict, n: int) -> sources.Model:
+    kind = spec.get("kind")
+    with _config_errors("model: "):
+        law = _catalog_law(spec, "model")
+        if law is not None:
+            return law
+        if kind == sources.INDEPENDENT:
             pattern = spec.get("pattern")
             if not isinstance(pattern, list) or not pattern:
                 raise ConfigError("independent model needs a non-empty 'pattern' list")
-            coords = []
-            for entry in pattern:
-                if not isinstance(entry, dict) or entry.get("kind") not in sources.CATALOG:
-                    raise ConfigError(
-                        f"independent pattern entries must be catalog law objects, got {entry!r}"
-                    )
-                coords.append(_catalog_law(entry, "model.pattern"))
+            coords = [_catalog_law(entry, "model.pattern") for entry in pattern]
+            if None in coords:
+                raise ConfigError("independent pattern entries must be catalog law objects, "
+                                  f"got {pattern[coords.index(None)]!r}")
             tiled = [coords[i % len(coords)] for i in range(n)]
             return sources.IndependentModel(coords=tuple(tiled))
-        if kind == "exchangeable":
+        if kind == sources.EXCHANGEABLE:
             return sources.ExchangeableModel(population=_population(spec, n))
-        raise ConfigError(f"model kind {kind!r} cannot be built from configuration")
-    except ConfigError:
-        raise
-    except ProjcltError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def _population(spec: dict, n: int) -> np.ndarray:
@@ -328,46 +309,35 @@ def _population(spec: dict, n: int) -> np.ndarray:
     return pop
 
 
-def build_test_function(cfg: ExperimentConfig, k: int) -> TestFunction:
-    spec = cfg.test_function
-    try:
-        if spec["kind"] == "cosine":
-            a = spec.get("a", "ones-normalized")
-            if isinstance(a, str):
-                if a != "ones-normalized":
-                    raise ConfigError(f"unknown cosine direction token {a!r}")
-                vec = np.full(k, 1.0 / math.sqrt(k))
-            else:
-                vec = _numbers(a, "test_function.a")
-                if vec.shape != (k,):
-                    raise ConfigError(
-                        f"cosine direction has length {vec.size}, directions have k={k}"
-                    )
-            return cosine_testfn(vec, phase=_number(spec.get("phase", 0.0), "test_function.phase"))
-        return bump_testfn(_number(spec.get("radius", 2.0), "test_function.radius"), k)
-    except ConfigError:
-        raise
-    except ProjcltError as exc:
-        raise ConfigError(f"test_function: {exc}") from exc
+def build_test_function(spec: dict, k: int) -> TestFunction:
+    kind = spec.get("kind")
+    if kind not in ("cosine", "bump"):
+        raise ConfigError(f"test_function.kind must be cosine|bump, got {kind!r}")
+    with _config_errors("test_function: "):
+        if kind == "bump":
+            return bump_testfn(_number(spec.get("radius", 2.0), "test_function.radius"), k)
+        a = spec.get("a", "ones-normalized")
+        if isinstance(a, str):
+            if a != "ones-normalized":
+                raise ConfigError(f"unknown cosine direction token {a!r}")
+            vec = np.full(k, 1.0 / math.sqrt(k))
+        else:
+            vec = _numbers(a, "test_function.a")
+            if vec.shape != (k,):
+                raise ConfigError(
+                    f"cosine direction has length {vec.size}, directions have k={k}"
+                )
+        return cosine_testfn(vec, phase=_number(spec.get("phase", 0.0), "test_function.phase"))
 
 
-def build_task(cfg: ExperimentConfig, theorem: str, bound_scale: float = 1.0,
+def build_task(cfg: ExperimentConfig, bound_scale: float = 1.0,
                workers: Optional[int] = None) -> empirics.VerificationTask:
-    ds = build_directions(cfg)
-    model = build_model(cfg, ds.n)
-    g = build_test_function(cfg, ds.k)
+    if not isinstance(cfg.theorem, str):
+        raise ConfigError(f"verify and scan take one theorem, got {cfg.theorem!r}")
     return empirics.VerificationTask(
-        ds=ds,
-        model=model,
-        g=g,
-        theorem=theorem,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        constants=cfg.exchangeable_constants(),
-        bound_scale=bound_scale,
-        digest=cfg.digest,
-        workers=workers,
-    )
+        ds=cfg.ds, model=cfg.model, g=cfg.g, theorem=cfg.theorem, samples=cfg.samples,
+        seed=cfg.seed, constants=cfg.constants, bound_scale=bound_scale, digest=cfg.digest,
+        workers=workers)
 
 
 # --------------------------------------------------------------------------
@@ -397,14 +367,10 @@ def _verify_row(rep: empirics.VerificationReport) -> list:
 
 
 def cmd_bound(cfg: ExperimentConfig) -> int:
-    ds = build_directions(cfg)
-    model = build_model(cfg, ds.n)
-    g = build_test_function(cfg, ds.k)
     rows = []
-    for theorem in cfg.theorems():
-        report = empirics.compute_bound(
-            theorem, ds, model, g, constants=cfg.exchangeable_constants()
-        )
+    for theorem in cfg.theorem if isinstance(cfg.theorem, list) else [cfg.theorem]:
+        report = empirics.compute_bound(theorem, cfg.ds, cfg.model, cfg.g,
+                                        constants=cfg.constants)
         rows.append(_bound_row(report))
     _emit(_csv(BOUND_COLUMNS, rows), cfg.output)
     return 0
@@ -418,49 +384,30 @@ def _trace(rep: empirics.VerificationReport) -> None:
 
 def cmd_verify(cfg: ExperimentConfig, bound_scale: float = 1.0,
                workers: Optional[int] = None, trace: bool = False) -> int:
-    theorem = cfg.theorems()[0]
-    task = build_task(cfg, theorem, bound_scale=bound_scale, workers=workers)
-    rep = empirics.verify_bound(task)
+    rep = empirics.verify_bound(build_task(cfg, bound_scale=bound_scale, workers=workers))
     if trace:
         _trace(rep)
     _emit(_csv(VERIFY_COLUMNS, [_verify_row(rep)]), cfg.output)
     return 0 if rep.passed else 1
 
 
-def _scan_config(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig:
-    dirs = dict(cfg.directions)
-    dirs[axis] = value
-    if dirs.get("kind") == "file":
-        raise ConfigError("scan cannot vary file-based directions")
-    raw = {
-        "model": cfg.model,
-        "directions": dirs,
-        "test_function": cfg.test_function,
-        "theorem": cfg.theorems()[0],
-        "samples": cfg.samples,
-        "seed": sources.derived_seed(cfg.seed, value) & 0x7FFFFFFFFFFFFFFF,
-        "constants": cfg.constants,
-        "pair_samples": cfg.pair_samples,
-    }
-    if cfg.pair is not None:
-        raw["pair"] = cfg.pair
-    return ExperimentConfig.from_dict(raw)
-
-
 def cmd_scan(cfg: ExperimentConfig, axis: str, values: list[int],
              workers: Optional[int] = None, trace: bool = False) -> int:
-    if axis not in ("n", "k"):
-        raise ConfigError(f"scan axis must be 'n' or 'k', got {axis!r}")
     if not values:
         raise ConfigError("scan needs a non-empty list of axis values")
-    if axis == "k" and not isinstance(cfg.test_function.get("a", "ones-normalized"), str):
+    directions = cfg.raw["directions"]
+    if directions["kind"] == "file":
+        raise ConfigError("scan cannot vary file-based directions")
+    if axis == "k" and not isinstance(cfg.raw["test_function"].get("a", "ones-normalized"), str):
         raise ConfigError("scanning k needs an adaptive cosine direction (a='ones-normalized')")
     rows = []
     all_pass = True
     for value in values:
-        cell = _scan_config(cfg, axis, value)
-        task = build_task(cell, cell.theorems()[0], workers=workers)
-        rep = empirics.verify_bound(task)
+        # Each cell is the configuration with the axis value and a seed of its own.
+        cell = ExperimentConfig.from_dict(
+            cfg.raw, directions={**directions, axis: value},
+            seed=sources.derived_seed(cfg.seed, value) & 0x7FFFFFFFFFFFFFFF)
+        rep = empirics.verify_bound(build_task(cell, workers=workers))
         if trace:
             _trace(rep)
         all_pass &= rep.passed
@@ -475,14 +422,9 @@ def cmd_scan(cfg: ExperimentConfig, axis: str, values: list[int],
 
 
 def cmd_moments(cfg: ExperimentConfig) -> int:
-    ds_spec = cfg.directions
-    n = ds_spec.get("n")
-    if n is None:
-        n = build_directions(cfg).n
-    model = build_model(cfg, n)
-    m = sources.moment_summary(model)
-    name = cfg.model.get("kind")
-    row = [name, m.abs3, m.fourth, m.abs3_max, m.fourth_max, m.mixed_4, m.mixed_var]
+    m = sources.moment_summary(cfg.model)
+    row = [cfg.raw["model"]["kind"], m.abs3, m.fourth, m.abs3_max, m.fourth_max, m.mixed_4,
+           m.mixed_var]
     _emit(_csv(MOMENTS_COLUMNS, [row]), cfg.output)
     return 0
 
@@ -500,10 +442,8 @@ def cmd_check(cfg: ExperimentConfig) -> int:
         failed |= not ok
         lines.append(f"check {name}: {'ok' if ok else 'FAIL'} ({detail})")
 
-    ds = build_directions(cfg)
-    model = build_model(cfg, ds.n)
-
-    resid = empirics.linearity_residual(ds, model)
+    model = cfg.model
+    resid = empirics.linearity_residual(cfg.ds, model)
     record("linearity", resid <= 1e-10,
            f"max residual {resid:.3e}, pair={empirics.pair_for(sources.family(model))}")
 
@@ -530,17 +470,6 @@ def cmd_check(cfg: ExperimentConfig) -> int:
 
 # --------------------------------------------------------------------------
 # Entry point
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    # Each command's parser defines only the overrides the command reads.
-    updates = {key: getattr(args, key) for key in ("seed", "samples", "output", "theorem")
-               if getattr(args, key, None) is not None}
-    if not updates:
-        return cfg
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
-
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
@@ -585,15 +514,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(ExperimentConfig.from_file(args.config), args)
+        # Each command's parser defines only the overrides the command reads.
+        cfg = ExperimentConfig.from_file(args.config, **{
+            key: getattr(args, key, None) for key in ("seed", "samples", "theorem", "output")})
         workers = getattr(args, "workers", None)
         if workers is not None and workers < 1:
             raise ConfigError(f"--workers must be a positive integer, got {workers}")
         shrink = getattr(args, "shrink_bound", 1.0)
         if not (math.isfinite(shrink) and shrink >= 0.0):
             raise ConfigError(f"--shrink-bound must be a finite number >= 0, got {shrink}")
-        if args.command == "bound":
-            return cmd_bound(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, bound_scale=args.shrink_bound, workers=workers,
                               trace=args.trace)
@@ -603,11 +532,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"scan values must be integers: {args.values!r}") from exc
             return cmd_scan(cfg, args.axis, values, workers=workers, trace=args.trace)
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "moments":
-            return cmd_moments(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"bound": cmd_bound, "check": cmd_check, "moments": cmd_moments}[args.command](cfg)
     except ProjcltError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

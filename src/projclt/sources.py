@@ -603,8 +603,12 @@ def standardize_population(values, warn_tol: Optional[float] = None) -> np.ndarr
     raw = np.asarray(values, dtype=np.float64)
     if raw.ndim != 1 or raw.size < 2 or not np.all(np.isfinite(raw)):
         raise InvalidInputError("population must hold at least two finite values")
-    centered = raw - raw.mean()
-    scale = math.sqrt(float(centered @ centered) / raw.size)
+    # Overflow is reported below, as a non-finite scale, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = raw - raw.mean()
+        scale = math.sqrt(float(centered @ centered) / raw.size)
+    if not math.isfinite(scale):
+        raise InvalidInputError("population values are too large: their squares overflow")
     if scale == 0.0:
         raise InvalidInputError("population is constant; cannot standardize")
     out = centered / scale

@@ -68,6 +68,8 @@ class TestFunction:
         lo, hi = 1.0 - _SEMINORM_RTOL, 1.0 + _SEMINORM_RTOL
         if self.grad_sup < lo * self.g1:
             raise InvalidInputError("gradient length sup cannot be below g1")
+        if self.grad_sup > hi * math.sqrt(self.dimension) * self.g1:
+            raise InvalidInputError("gradient length sup exceeds the sqrt(k)*g1 estimate")
         if self.hess_op_sup < lo * self.g2:
             raise InvalidInputError("Hessian operator sup cannot be below g2")
         if self.hess_op_sup > hi * self.dimension * self.g2:

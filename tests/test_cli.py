@@ -282,11 +282,48 @@ class TestExitCodes:
           "pair": "resampling"},
          "pair must be 'transposition', the pair of a model of family exchangeable"),
         ({"pair": "swap"}, "pair must be 'resampling'"),
+        # a kind that is not a string names no law
+        ({"model": {"kind": ["rademacher"]}}, "unknown model kind ['rademacher']"),
+        ({"model": {"kind": "independent", "pattern": [{"kind": ["uniform"]}]}},
+         "pattern entries must be catalog law objects"),
     ])
     def test_malformed_config_value_is_two(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, overrides)
         assert main(["bound", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "moments", "bound", "verify"])
+    @pytest.mark.parametrize("overrides,message", [
+        ({"test_function": {"kind": "bump", "radius": 0}}, "bump radius must be positive"),
+        ({"test_function": {"kind": "sine"}}, "test_function.kind must be cosine|bump"),
+        ({"test_function": {"kind": "cosine", "a": [1.0, 0.0, 0.0]}},
+         "cosine direction has length 3"),
+        ({"constants": {"a": -1}}, "constants must be finite and positive"),
+        ({"constants": {"b": "x"}}, "constants.b must be a number"),
+        ({"constants": [1, 2, 3]}, "constants must be an object"),
+        ({"model": {"kind": "exchangeable", "population": [1e200, -1e200, 3e200, 0]},
+          "directions": {"kind": "hypercube", "n": 4, "k": 2, "centered": True},
+          "theorem": "T4"}, "population values are too large"),
+    ])
+    def test_every_command_checks_the_whole_config(self, tmp_path, capsys, command,
+                                                   overrides, message):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, {**overrides, "output": str(out)})
+        assert main([command, str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["scan", "--axis", "n", "--values", "16"]])
+    @pytest.mark.parametrize("theorem", [["T2", "T1"], ["T2"]])
+    def test_theorem_list_is_two_for_a_verification(self, tmp_path, capsys, command, theorem):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, {"theorem": theorem, "output": str(out)})
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert "verify and scan take one theorem" in capsys.readouterr().err
+        assert not out.exists()
+        # a --theorem override names the one theorem
+        assert main([command[0], str(path), *command[1:], "--theorem", "T1"]) == 0
+        assert [row["theorem"] for row in read_rows(out)] == ["T1"]
 
     @pytest.mark.parametrize("entry,message", [
         ("np.float64(0.5)", "line 3: entries must be decimal numbers"),
@@ -664,11 +701,59 @@ class TestReproducibility:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_seed_override_changes_digest_not_determinism(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        base, out1, out2 = tmp_path / "base.csv", tmp_path / "a.csv", tmp_path / "b.csv"
         path = write_config(tmp_path)
-        main(["verify", str(path), "--seed", "99", "--output", str(out1)])
-        main(["verify", str(path), "--seed", "99", "--output", str(out2)])
+        assert main(["verify", str(path), "--output", str(base)]) == 0
+        assert main(["verify", str(path), "--seed", "99", "--output", str(out1)]) == 0
+        assert main(["verify", str(path), "--seed", "99", "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        (row,), (overridden,) = read_rows(base), read_rows(out1)
+        assert overridden["digest"] != row["digest"]
+        assert overridden["estimate"] != row["estimate"]
+
+    @staticmethod
+    def verify_row(path, *flags, output):
+        assert main(["verify", str(path), *flags, "--output", str(output)]) == 0
+        (row,) = read_rows(output)
+        return row
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "99", "seed"), ("--samples", "30000", "samples"), ("--theorem", "T3", "theorem"),
+    ])
+    def test_an_override_is_the_config_with_the_value_merged_in(self, tmp_path, flag, value, key):
+        path = write_config(tmp_path)
+        base = self.verify_row(path, output=tmp_path / "base.csv")
+        overridden = self.verify_row(path, flag, value, output=tmp_path / "a.csv")
+        assert overridden["digest"] != base["digest"]
+        # the same run, digest included, as a file that sets the value itself
+        merged = write_config(tmp_path, {key: value if key == "theorem" else int(value)},
+                              name="merged.json")
+        assert self.verify_row(merged, output=tmp_path / "merged.csv") == overridden
+
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "11"), ("--samples", "20000"), ("--theorem", "T2"), ("--workers", "2"),
+        ("--seed", "11", "--samples", "20000", "--theorem", "T2", "--workers", "1"),
+    ])
+    def test_an_override_equal_to_the_file_value_keeps_the_digest(self, tmp_path, flags):
+        path = write_config(tmp_path, {"output": str(tmp_path / "file.csv")})
+        base = self.verify_row(path, output=tmp_path / "base.csv")
+        assert self.verify_row(path, *flags, output=tmp_path / "a.csv") == base
+        # an --output override does not count either: the file sets its own output
+        assert main(["verify", str(path), *flags]) == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "base.csv").read_bytes()
+
+    def test_a_scan_cell_is_the_config_with_its_axis_value_and_seed(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        path = write_config(tmp_path, {"samples": 5_000})
+        assert main(["scan", str(path), "--axis", "n", "--values", "16,64",
+                     "--output", str(out)]) == 0
+        for value, row in zip((16, 64), read_rows(out)):
+            cell = write_config(tmp_path, {
+                "samples": 5_000, "directions": {"kind": "hypercube", "n": value, "k": 2},
+                "seed": sources.derived_seed(11, value) & 0x7FFFFFFFFFFFFFFF,
+            }, name=f"cell{value}.json")
+            alone = self.verify_row(cell, output=tmp_path / f"cell{value}.csv")
+            assert {key: row[key] for key in alone} == alone
 
     def test_trace_writes_json_to_stderr_and_leaves_the_csv(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -684,6 +684,23 @@ class TestPopulations:
         with pytest.raises(InvalidInputError):
             standardize_population([2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("values", [
+        [1e200, -1e200, 3e200, 0.0],
+        [1e154, -1e154, 0.0],  # the squares overflow, the values do not
+        [1.7e308, 1.7e308, -1.7e308, -1.7e308],  # so does the sum
+    ])
+    def test_population_whose_squares_overflow_is_rejected(self, values):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="too large"):
+                standardize_population(values)
+
+    def test_large_population_below_the_overflow_is_standardized(self):
+        pop = standardize_population([1e153, -1e153, 0.0])
+        assert list(pop) == [math.sqrt(1.5), -math.sqrt(1.5), 0.0]
+
     def test_exchangeable_model_requires_standardized(self):
         with pytest.raises(InvalidInputError):
             ExchangeableModel(np.array([1.0, 2.0, 3.0, 4.0]))

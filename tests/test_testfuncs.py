@@ -124,6 +124,8 @@ class TestSeminormCheck:
         (1.0, 1.0, 1.0 - 1e-14, 1.0),
         (1.0, 1.0, 1.0, 1.0 - 1e-14),
         (1.0, 1.0, 1.0, 2.0 + 1e-14),
+        (1.0, 1.0, 100.0, 1.0),  # grad_sup far above sqrt(k) g1
+        (1.0, 1.0, math.sqrt(2.0) * (1.0 + 1e-14), 1.0),
     ])
     def test_a_broken_chain_is_rejected(self, seminorms):
         with pytest.raises(InvalidInputError):
@@ -136,6 +138,12 @@ class TestSeminormCheck:
         seminorms[slot] = bad
         with pytest.raises(InvalidInputError, match="finite and non-negative"):
             self.make(*seminorms)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 64, 1000])
+    def test_the_ones_normalized_cosine_is_accepted(self, k):
+        # the equality case grad_sup = sqrt(k) g1 of the upper half of the chain
+        g = cosine_testfn(np.full(k, 1.0 / math.sqrt(k)))
+        assert g.grad_sup == pytest.approx(math.sqrt(k) * g.g1, rel=1e-15)
 
     def test_the_zero_function_is_accepted(self):
         self.make(0.0, 0.0, 0.0, 0.0)
