@@ -27,7 +27,6 @@ from .empirics import (
     TRANSPOSITION,
     DiscrepancyEstimate,
     VerificationReport,
-    VerificationTask,
     compute_bound,
     eij_second_moments,
     estimate_discrepancy,

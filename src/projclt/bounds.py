@@ -41,10 +41,10 @@ third-moment term, and a mixed-moment term (zero outside T4/T5), with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .directions import ORTHONORMAL_KINDS, GramData, NormSummary
+from .directions import ORTHONORMAL_KINDS, GramData, NormSummary, gram_diagonal_tol
 from .errors import InvalidInputError, InvalidMomentsError
 from .sources import EXCHANGEABLE, IID, INDEPENDENT, MomentSummary
 from .testfuncs import TestFunction
@@ -75,15 +75,23 @@ MIN_BRANCH_SQ = "sqrt-sum-sq"
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """One evaluated bound with its term decomposition and input echo."""
+    """One evaluated bound at its n, k and lam: lam is the largest Gram
+    eigenvalue (T3, T5) or the pair's constant (abstract), None where
+    lam = 1, and :func:`bound_abstract` leaves n None.  ``total`` sums the
+    three terms in field order."""
 
     theorem: str
+    n: Optional[int]
+    k: int
+    lam: Optional[float]
     term_fourth: float
     term_third: float
     term_mixed: float
-    total: float
-    inputs_echo: dict = field(default_factory=dict)
     min_branch: Optional[str] = None
+
+    @property
+    def total(self) -> float:
+        return self.term_fourth + self.term_third + self.term_mixed
 
 
 @dataclass(frozen=True)
@@ -116,19 +124,6 @@ class EijStats(NamedTuple):
     sqrt_sum_sq: float
 
 
-def _report(theorem, term_fourth, term_third, term_mixed, echo, min_branch=None) -> BoundReport:
-    total = term_fourth + term_third + term_mixed
-    return BoundReport(
-        theorem=theorem,
-        term_fourth=term_fourth,
-        term_third=term_third,
-        term_mixed=term_mixed,
-        total=total,
-        inputs_echo=echo,
-        min_branch=min_branch,
-    )
-
-
 def theorem_spec(theorem: str, family: Optional[str] = None) -> Theorem:
     """The table row of ``theorem``, checking that it admits a model of
     ``family`` when one is given."""
@@ -140,33 +135,6 @@ def theorem_spec(theorem: str, family: Optional[str] = None) -> Theorem:
             f"{theorem} needs a model of family {' or '.join(row.families)}, got {family}"
         )
     return row
-
-
-def _echo(theorem, norms, m, g, **extra) -> dict:
-    echo = {
-        "theorem": theorem,
-        "n": norms.n if norms is not None else None,
-        "k": g.dimension,
-        "lambda": None,
-        "g1": g.g1,
-        "g2": g.g2,
-        "grad_sup": g.grad_sup,
-        "hess_op_sup": g.hess_op_sup,
-    }
-    if norms is not None:
-        echo.update(
-            sum_l4_sq=norms.sum_l4_sq,
-            sum_l3_cubed=norms.sum_l3_cubed,
-            sum_l4_all_sq=norms.sum_l4_all_sq,
-            kind=norms.kind,
-        )
-    if m is not None:
-        echo.update(
-            abs3=m.abs3, fourth=m.fourth, abs3_max=m.abs3_max, fourth_max=m.fourth_max,
-            mixed_4=m.mixed_4, mixed_var=m.mixed_var,
-        )
-    echo.update(extra)
-    return echo
 
 
 def bound(
@@ -194,18 +162,15 @@ def bound(
         raise InvalidInputError(f"{theorem} requires orthonormal directions, got {norms.kind!r}")
     if row.centered and not norms.centered:
         raise InvalidInputError(f"{theorem} requires directions whose rows sum to zero")
-    exchangeable = EXCHANGEABLE in row.families
-    extra = {"constants": (constants.a, constants.b, constants.c)} if exchangeable else {}
-    echo = _echo(theorem, norms, m, g, **extra)
     lam, grad, hess = 1.0, g.g1, g.g2
     if row.gram:
         if gramdata is None or gramdata.C.shape != (k, k):
             raise InvalidInputError("Gram matrix does not match k")
-        if max(abs(gramdata.C[i, i] - 1.0) for i in range(k)) > 1e-10:
+        if max(abs(gramdata.C[i, i] - 1.0) for i in range(k)) > gram_diagonal_tol(norms.n):
             raise InvalidInputError("directions must have unit norm (Gram diagonal != 1)")
-        lam = echo["lambda"] = gramdata.lambda_max
+        lam = gramdata.lambda_max
         grad, hess = g.grad_sup, g.hess_op_sup
-    if not exchangeable:
+    if EXCHANGEABLE not in row.families:
         if m.fourth_max < 1.0 - 1e-12:
             raise InvalidMomentsError(f"EX^4 = {m.fourth_max} < 1 contradicts EX^2 = 1")
         term_fourth = (
@@ -213,19 +178,21 @@ def bound(
             * math.sqrt(max(m.fourth_max - 1.0, 0.0)) * norms.sum_l4_sq
         )
         term_third = (4.0 / 3.0) * lam * k * k * hess * m.abs3_max * norms.sum_l3_cubed
-        return _report(theorem, term_fourth, term_third, 0.0, echo)
-    if m.mixed_4 is None or m.mixed_var is None:
-        raise InvalidMomentsError(
-            "exchangeable bounds need the mixed moments E X1X2X3X4 and E (X1^2-1)(X2^2-1)"
+        term_mixed = 0.0
+    else:
+        if m.mixed_4 is None or m.mixed_var is None:
+            raise InvalidMomentsError(
+                "exchangeable bounds need the mixed moments E X1X2X3X4 and E (X1^2-1)(X2^2-1)"
+            )
+        sqrt_lam = math.sqrt(lam)
+        term_mixed = (
+            constants.a * k * sqrt_lam * grad
+            * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
         )
-    sqrt_lam = math.sqrt(lam)
-    term_mixed = (
-        constants.a * k * sqrt_lam * grad
-        * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
-    )
-    term_fourth = constants.b * sqrt_lam * grad * math.sqrt(m.fourth) * norms.sum_l4_all_sq
-    term_third = constants.c * k * k * lam * hess * m.abs3 * norms.sum_l3_cubed
-    return _report(theorem, term_fourth, term_third, term_mixed, echo)
+        term_fourth = constants.b * sqrt_lam * grad * math.sqrt(m.fourth) * norms.sum_l4_all_sq
+        term_third = constants.c * k * k * lam * hess * m.abs3 * norms.sum_l3_cubed
+    return BoundReport(theorem, norms.n, k, lam if row.gram else None,
+                       term_fourth, term_third, term_mixed)
 
 
 def bound_abstract(
@@ -256,10 +223,5 @@ def bound_abstract(
     else:
         term_fourth, min_branch = branch_sq, MIN_BRANCH_SQ
     term_third = k * k * g.g2 / (6.0 * lambda_stein) * third_stats
-    echo = _echo("abstract", None, None, g,
-                 sum_abs_eij=eij_stats.sum_abs,
-                 sqrt_sum_sq_eij=eij_stats.sqrt_sum_sq,
-                 sum_third=third_stats)
-    echo["lambda"] = lambda_stein
-    echo["k"] = k
-    return _report("abstract", term_fourth, term_third, 0.0, echo, min_branch=min_branch)
+    return BoundReport("abstract", None, k, lambda_stein, term_fourth, term_third, 0.0,
+                       min_branch)

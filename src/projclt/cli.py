@@ -219,9 +219,19 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 # Builders: each checks its own part of the configuration
 
+def _check_keys(spec: dict, read: tuple, where: str) -> None:
+    """Refuse the keys of the object ``spec`` at ``where`` outside ``read``."""
+    unknown = [f"{where}.{key}" for key in spec if key not in read]
+    if unknown:
+        kind = f" of kind {spec['kind']}" if "kind" in read else ""
+        raise ConfigError(f"unknown configuration key {', '.join(unknown)} "
+                          f"({where}{kind} reads {', '.join(read)})")
+
+
 def _constants(spec) -> bounds_mod.ExchangeableConstants:
     if not isinstance(spec, dict):
         raise ConfigError("constants must be an object with keys a, b, c")
+    _check_keys(spec, ("a", "b", "c"), "constants")
     base = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS
     with _config_errors():
         return bounds_mod.ExchangeableConstants(
@@ -233,6 +243,9 @@ def build_directions(spec: dict) -> DirectionSet:
     kind = spec.get("kind")
     if kind not in ("hypercube", "random", "file"):
         raise ConfigError(f"directions.kind must be hypercube|random|file, got {kind!r}")
+    _check_keys(spec, {"hypercube": ("kind", "n", "k", "centered"),
+                       "random": ("kind", "n", "k", "centered", "seed"),
+                       "file": ("kind", "path")}[kind], "directions")
     centered = spec.get("centered", False)
     if not isinstance(centered, bool):
         raise ConfigError(f"directions.centered must be true or false, got {centered!r}")
@@ -257,6 +270,7 @@ def _catalog_law(spec, where: str) -> Optional[sources.IIDModel]:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in sources.CATALOG:
         return None
+    _check_keys(spec, ("kind", "p") if kind == "two_point" else ("kind",), where)
     if kind == "two_point" and "p" in spec:
         return sources.two_point(_number(spec["p"], f"{where}.p"))
     return sources.CATALOG[kind]()
@@ -269,6 +283,7 @@ def build_model(spec: dict, n: int) -> sources.Model:
         if law is not None:
             return law
         if kind == sources.INDEPENDENT:
+            _check_keys(spec, ("kind", "pattern"), "model")
             pattern = spec.get("pattern")
             if not isinstance(pattern, list) or not pattern:
                 raise ConfigError("independent model needs a non-empty 'pattern' list")
@@ -284,6 +299,7 @@ def build_model(spec: dict, n: int) -> sources.Model:
 
 
 def _population(spec: dict, n: int) -> np.ndarray:
+    _check_keys(spec, ("kind", "population", "population_file", "family"), "model")
     given = sum(key in spec for key in ("population", "population_file", "family"))
     if given != 1:
         raise ConfigError(
@@ -313,6 +329,8 @@ def build_test_function(spec: dict, k: int) -> TestFunction:
     kind = spec.get("kind")
     if kind not in ("cosine", "bump"):
         raise ConfigError(f"test_function.kind must be cosine|bump, got {kind!r}")
+    _check_keys(spec, ("kind", "radius") if kind == "bump" else ("kind", "a", "phase"),
+                "test_function")
     with _config_errors("test_function: "):
         if kind == "bump":
             return bump_testfn(_number(spec.get("radius", 2.0), "test_function.radius"), k)
@@ -330,16 +348,6 @@ def build_test_function(spec: dict, k: int) -> TestFunction:
         return cosine_testfn(vec, phase=_number(spec.get("phase", 0.0), "test_function.phase"))
 
 
-def build_task(cfg: ExperimentConfig, bound_scale: float = 1.0,
-               workers: Optional[int] = None) -> empirics.VerificationTask:
-    if not isinstance(cfg.theorem, str):
-        raise ConfigError(f"verify and scan take one theorem, got {cfg.theorem!r}")
-    return empirics.VerificationTask(
-        ds=cfg.ds, model=cfg.model, g=cfg.g, theorem=cfg.theorem, samples=cfg.samples,
-        seed=cfg.seed, constants=cfg.constants, bound_scale=bound_scale, digest=cfg.digest,
-        workers=workers)
-
-
 # --------------------------------------------------------------------------
 # Commands
 
@@ -351,9 +359,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _bound_row(report: bounds_mod.BoundReport) -> list:
-    echo = report.inputs_echo
     return [
-        report.theorem, echo.get("n"), echo.get("k"), echo.get("lambda"),
+        report.theorem, report.n, report.k, report.lam,
         report.term_fourth, report.term_third, report.term_mixed, report.total,
         report.min_branch or "",
     ]
@@ -382,9 +389,18 @@ def _trace(rep: empirics.VerificationReport) -> None:
     print(json.dumps(record), file=sys.stderr)
 
 
+def _verify(cfg: ExperimentConfig, workers: Optional[int],
+            bound_scale: float = 1.0) -> empirics.VerificationReport:
+    if not isinstance(cfg.theorem, str):
+        raise ConfigError(f"verify and scan take one theorem, got {cfg.theorem!r}")
+    return empirics.verify_bound(
+        cfg.theorem, cfg.ds, cfg.model, cfg.g, samples=cfg.samples, seed=cfg.seed,
+        constants=cfg.constants, bound_scale=bound_scale, digest=cfg.digest, workers=workers)
+
+
 def cmd_verify(cfg: ExperimentConfig, bound_scale: float = 1.0,
                workers: Optional[int] = None, trace: bool = False) -> int:
-    rep = empirics.verify_bound(build_task(cfg, bound_scale=bound_scale, workers=workers))
+    rep = _verify(cfg, workers, bound_scale)
     if trace:
         _trace(rep)
     _emit(_csv(VERIFY_COLUMNS, [_verify_row(rep)]), cfg.output)
@@ -407,15 +423,14 @@ def cmd_scan(cfg: ExperimentConfig, axis: str, values: list[int],
         cell = ExperimentConfig.from_dict(
             cfg.raw, directions={**directions, axis: value},
             seed=sources.derived_seed(cfg.seed, value) & 0x7FFFFFFFFFFFFFFF)
-        rep = empirics.verify_bound(build_task(cell, workers=workers))
+        rep = _verify(cell, workers)
         if trace:
             _trace(rep)
         all_pass &= rep.passed
         br = rep.bound_report
         rows.append(
             _verify_row(rep)
-            + [br.inputs_echo.get("lambda"), br.term_fourth, br.term_third,
-               br.term_mixed, br.min_branch or ""]
+            + [br.lam, br.term_fourth, br.term_third, br.term_mixed, br.min_branch or ""]
         )
     _emit(_csv(SCAN_COLUMNS, rows), cfg.output)
     return 0 if all_pass else 1
@@ -448,9 +463,9 @@ def cmd_check(cfg: ExperimentConfig) -> int:
            f"max residual {resid:.3e}, pair={empirics.pair_for(sources.family(model))}")
 
     if not isinstance(model, sources.ExchangeableModel):
-        # Every distinct law of an independent pattern, in order of first appearance.
-        coords = model.coords if isinstance(model, sources.IndependentModel) else (model,)
-        for law in {c.name: c for c in coords}.values():
+        # Every law of an independent pattern, one per name, in order of first appearance.
+        laws = model.laws if isinstance(model, sources.IndependentModel) else (model,)
+        for law in {law.name: law for law in laws}.values():
             m = sources.iid_moments(law)
             # 200,000 draws as 3,125 rows of 64: the stream words of 200,000 rows of
             # one, in the same order, in 64 times fewer tiles.

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import sources
+from .bounds import DEFAULT_EXCHANGEABLE_CONSTANTS, ExchangeableConstants
 from .directions import ORTHONORMAL_KINDS, DirectionSet, gram, norm_summary
 from .errors import InvalidInputError, InvalidMomentsError, ProjcltError
 from .sources import ExchangeableModel, IndependentModel, Model, sample_tiles
@@ -72,19 +73,10 @@ def stein_lambda(model: Model, n: int) -> float:
 # --------------------------------------------------------------------------
 # Exact conditional expectations
 
-def _replacement_means(model: Model, n: int) -> np.ndarray:
-    """E X*_l per coordinate: enumerated over finite supports, declared 0
+def _law_mean(law) -> float:
+    """E X of a scalar law: enumerated over a finite support, declared 0
     otherwise (every model is standardized)."""
-    if isinstance(model, IndependentModel):
-        return np.array(
-            [
-                float(c.support[0] @ c.support[1]) if c.support is not None else 0.0
-                for c in model.coords
-            ]
-        )
-    law = model
-    mu = float(law.support[0] @ law.support[1]) if law.support is not None else 0.0
-    return np.full(n, mu)
+    return float(law.support[0] @ law.support[1]) if law.support is not None else 0.0
 
 
 def linearity_residual(ds: DirectionSet, model: Model) -> float:
@@ -106,8 +98,10 @@ def linearity_residual(ds: DirectionSet, model: Model) -> float:
     lam = stein_lambda(model, n)
     if isinstance(model, ExchangeableModel):
         mean_s = math.fsum(model.population) / n * theta.sum(axis=1)
+    elif isinstance(model, IndependentModel):
+        mean_s = theta @ model.per_coordinate(_law_mean)
     else:
-        mean_s = theta @ _replacement_means(model, n)
+        mean_s = theta @ np.full(n, _law_mean(model))
     return lam * float(np.max(np.abs(mean_s)))
 
 
@@ -164,7 +158,7 @@ def third_moment_sum(ds: DirectionSet, model: Model) -> float:
         return _mean_abs3_diff(model.population) * sum(_mean_abs3_diff(row) for row in theta)
     weights = np.sum(np.abs(theta) ** 3, axis=0)
     if isinstance(model, IndependentModel):
-        return float(weights @ [sources.diff_abs3(c) for c in model.coords]) / ds.n
+        return float(weights @ model.per_coordinate(sources.diff_abs3)) / ds.n
     return float(weights.sum()) * sources.diff_abs3(model) / ds.n
 
 
@@ -274,8 +268,9 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
 
     Resampling, independent coordinates: E_ij = (1/n) sum_r theta_i^r
     theta_j^r (x_r^2 - 1), so E E_ij^2 = (1/n^2) sum_r (theta_i^r
-    theta_j^r)^2 (EX_r^4 - 1), with each law's fourth moment enumerated
-    over a finite support and declared otherwise; it is exactly 0 for
+    theta_j^r)^2 (EX_r^4 - 1), with each law's fourth moment declared where
+    given, else enumerated over a finite support
+    (:func:`projclt.sources.fourth_moment`); it is exactly 0 for
     Rademacher coordinates.  Transposition: see
     :func:`_transposition_second_moments`, O(k^2 n) time.
 
@@ -294,7 +289,7 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
             raise InvalidInputError("the transposition closed form assumes centered rows")
         return _transposition_second_moments(theta, model.population)
     if isinstance(model, IndependentModel):
-        fourth = np.array([sources.fourth_moment(c) for c in model.coords])
+        fourth = model.per_coordinate(sources.fourth_moment)
     else:
         fourth = sources.fourth_moment(model)
     if np.min(fourth) < 1.0 - 1e-9:
@@ -413,25 +408,8 @@ def estimate_discrepancy(
 # End-to-end verification
 
 @dataclass(frozen=True)
-class VerificationTask:
-    """Everything one verification run needs, already resolved."""
-
-    ds: DirectionSet
-    model: Model
-    g: TestFunction
-    theorem: str
-    samples: int
-    seed: int
-    constants: bounds_mod.ExchangeableConstants = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS
-    bound_scale: float = 1.0
-    digest: str = ""
-    workers: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification run; ``passed`` is recomputed from the
-    other fields on construction."""
+    """Outcome of one verification run."""
 
     theorem: str
     n: int
@@ -443,11 +421,11 @@ class VerificationReport:
     bound_report: bounds_mod.BoundReport
     digest: str = ""
     metadata: dict = field(default_factory=dict)
-    passed: bool = False
 
-    def __post_init__(self):
-        ok = self.discrepancy_estimate <= self.bound_total + self.ci_halfwidth
-        object.__setattr__(self, "passed", ok)
+    @property
+    def passed(self) -> bool:
+        """The measured discrepancy is at most the bound plus the margin."""
+        return self.discrepancy_estimate <= self.bound_total + self.ci_halfwidth
 
 
 def _stage(name: str, fn, seconds: dict):
@@ -467,7 +445,7 @@ def compute_bound(
     ds: DirectionSet,
     model: Model,
     g: TestFunction,
-    constants: bounds_mod.ExchangeableConstants = bounds_mod.DEFAULT_EXCHANGEABLE_CONSTANTS,
+    constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
 ) -> bounds_mod.BoundReport:
     """Evaluate the selected bound for a resolved (directions, model, g)
     triple.  The abstract bound takes its error statistics from the pair
@@ -486,8 +464,7 @@ def compute_bound(
     report = bounds_mod.bound_abstract(
         stein_lambda(model, ds.n), eij, third_moment_sum(ds, model), g, ds.k
     )
-    return replace(report, inputs_echo={**report.inputs_echo, "n": ds.n,
-                                        "pair": pair_for(sources.family(model))})
+    return replace(report, n=ds.n)
 
 
 def gaussian_spec_for(theorem: str, ds: DirectionSet) -> GaussianSpec:
@@ -498,64 +475,57 @@ def gaussian_spec_for(theorem: str, ds: DirectionSet) -> GaussianSpec:
     return GaussianSpec.identity(ds.k)
 
 
-def verify_bound(task: VerificationTask) -> VerificationReport:
+def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, *,
+                 samples: int, seed: int,
+                 constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
+                 bound_scale: float = 1.0, digest: str = "",
+                 workers: Optional[int] = None) -> VerificationReport:
     """Estimate the discrepancy, evaluate the selected bound, and compare.
 
-    The run passes when the measured discrepancy does not exceed the
-    (optionally rescaled) bound plus the confidence margin.  The metadata
+    The run passes when the measured discrepancy does not exceed the bound,
+    times ``bound_scale``, plus the confidence margin.  The metadata
     records how the discrepancy was sampled, how long each stage took, and
     the largest of the bound's three terms.  The Gaussian stage builds the
     covariance and computes E g(Z~); the discrepancy stage only samples.
     """
     seconds: dict = {}
-    report = _stage(
-        "bound",
-        lambda: compute_bound(
-            task.theorem, task.ds, task.model, task.g, constants=task.constants
-        ),
-        seconds,
-    )
-    gauss = _stage(
-        "gaussian",
-        lambda: gaussian_expectation(task.g, gaussian_spec_for(task.theorem, task.ds)),
-        seconds,
-    )
+    report = _stage("bound", lambda: compute_bound(theorem, ds, model, g, constants=constants),
+                    seconds)
+    gauss = _stage("gaussian", lambda: gaussian_expectation(g, gaussian_spec_for(theorem, ds)),
+                   seconds)
     disc = _stage(
         "discrepancy",
-        lambda: estimate_discrepancy(
-            task.ds, task.model, task.g, gauss, task.samples, task.seed, workers=task.workers
-        ),
+        lambda: estimate_discrepancy(ds, model, g, gauss, samples, seed, workers=workers),
         seconds,
     )
-    bound_total = report.total * task.bound_scale
     terms = {name: getattr(report, name) for name in ("term_fourth", "term_third", "term_mixed")}
     metadata = {
-        "seed": task.seed,
-        "samples": task.samples,
+        "seed": seed,
+        "samples": samples,
         "mean_g": disc.mean_g,
         "se": disc.se,
         "gaussian_value": disc.gaussian.value,
         "gaussian_error": disc.gaussian.error,
         "gaussian_method": disc.gaussian.method,
-        "bound_scale": task.bound_scale,
-        "digest": task.digest,
+        "bound_scale": bound_scale,
+        "digest": digest,
         "workers": disc.workers,
         "blocks": disc.blocks,
         "tile_rows": sources.TILE_ROWS,
         "stream": sources.STREAM,
         "stage_seconds": seconds,
-        "samples_per_s": task.samples / seconds["discrepancy"],
+        "samples_per_s": samples / seconds["discrepancy"],
         "dominant_term": max(terms, key=terms.get),
     }
     return VerificationReport(
-        theorem=task.theorem,
-        n=task.ds.n,
-        k=task.ds.k,
-        samples=task.samples,
+        theorem=theorem,
+        n=ds.n,
+        k=ds.k,
+        samples=samples,
         discrepancy_estimate=disc.discrepancy,
         ci_halfwidth=disc.ci_halfwidth,
-        bound_total=bound_total,
+        bound_total=report.total * bound_scale,
         bound_report=report,
-        digest=task.digest,
+        digest=digest,
         metadata=metadata,
     )

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -172,7 +172,9 @@ class IIDModel:
     ``support`` carries (values, probabilities) for finitely supported
     laws; exact conditional expectations enumerate it directly.
     ``diff_abs3`` is E|X - X'|^3 for an independent copy X'; finitely
-    supported laws need not declare it.
+    supported laws need not declare it.  A constant is read as declared
+    where given, else enumerated over the support, so a declaration that
+    the support contradicts by more than 1e-12 relative is refused.
     """
 
     name: str
@@ -182,20 +184,52 @@ class IIDModel:
     support: Optional[tuple[np.ndarray, np.ndarray]] = None
     diff_abs3: Optional[float] = None
 
+    def __post_init__(self):
+        for name, enumerate_ in _ENUMERATED.items():
+            declared = getattr(self, name)
+            if self.support is not None and declared is not None:
+                value = enumerate_(*self.support)
+                if not abs(declared - value) <= 1e-12 * abs(value):
+                    raise InvalidMomentsError(f"model {self.name!r} declares {name} = "
+                                              f"{declared!r}, but its support gives {value!r}")
+
+
+# The declarable constants of a scalar law, summed over a finite support.
+_ENUMERATED = {
+    "abs3": lambda vals, probs: float(probs @ np.abs(vals) ** 3),
+    "fourth": lambda vals, probs: float(probs @ vals**4),
+    "diff_abs3": lambda vals, probs: float(probs @ np.abs(vals[:, None] - vals) ** 3 @ probs),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class IndependentModel:
-    """Independent coordinates, one scalar law each."""
+    """Independent coordinates, one scalar law each.  ``laws`` holds the
+    distinct law objects (by identity, in order of first appearance) and
+    ``law_index`` the position in ``laws`` of each coordinate's law."""
 
     coords: tuple[IIDModel, ...]
+    laws: tuple[IIDModel, ...] = field(init=False)
+    law_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if len(self.coords) < 1:
             raise InvalidInputError("independent model needs at least one coordinate")
+        # IIDModel compares and hashes by identity (eq=False).
+        laws = tuple(dict.fromkeys(self.coords))
+        position = {law: j for j, law in enumerate(laws)}
+        index = np.fromiter(map(position.__getitem__, self.coords), dtype=np.intp)
+        index.flags.writeable = False
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "law_index", index)
 
     @property
     def n(self) -> int:
         return len(self.coords)
+
+    def per_coordinate(self, constant: Callable[[IIDModel], float]) -> np.ndarray:
+        """``constant(law)`` for each coordinate, evaluated once per law."""
+        return np.array([constant(law) for law in self.laws])[self.law_index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,29 +419,26 @@ def iid_moments(model: IIDModel) -> MomentSummary:
 
 
 def diff_abs3(model: IIDModel) -> float:
-    """E|X - X'|^3 for independent copies X, X' of a scalar law: enumerated
-    over a finite support, declared otherwise."""
-    if model.support is not None:
-        vals, probs = model.support
-        return float(probs @ np.abs(vals[:, None] - vals[None, :]) ** 3 @ probs)
-    if model.diff_abs3 is None:
-        raise MissingMomentsError(f"model {model.name!r} does not declare diff_abs3 = E|X - X'|^3")
-    return model.diff_abs3
+    """E|X - X'|^3 for independent copies X, X' of a scalar law: declared
+    where given, else enumerated over a finite support."""
+    return _constant(model, "diff_abs3", "E|X - X'|^3")
 
 
 def fourth_moment(model: IIDModel) -> float:
-    """EX^4 of a scalar law: enumerated over a finite support, declared
-    otherwise."""
-    if model.support is not None:
-        vals, probs = model.support
-        return float(probs @ vals**4)
-    if model.fourth is None:
-        raise MissingMomentsError(f"model {model.name!r} does not declare fourth = EX^4")
-    return model.fourth
+    """EX^4 of a scalar law: declared where given, else enumerated over a
+    finite support."""
+    return _constant(model, "fourth", "EX^4")
+
+
+def _constant(model: IIDModel, name: str, formula: str) -> float:
+    declared = getattr(model, name)
+    if declared is None and model.support is None:
+        raise MissingMomentsError(f"model {model.name!r} does not declare {name} = {formula}")
+    return declared if declared is not None else _ENUMERATED[name](*model.support)
 
 
 def independent_moments(model: IndependentModel) -> MomentSummary:
-    per = [iid_moments(c) for c in model.coords]
+    per = [iid_moments(law) for law in model.laws]  # the first is the first coordinate's
     return MomentSummary(
         abs3=per[0].abs3,
         fourth=per[0].fourth,
@@ -549,10 +580,7 @@ def sample_tiles(
         )
     rng = stream(seed, start)
     if isinstance(model, IndependentModel):
-        by_law: dict[int, tuple[IIDModel, list[int]]] = {}
-        for j, law in enumerate(model.coords):
-            by_law.setdefault(id(law), (law, []))[1].append(j)
-        groups = [(law, np.array(index)) for law, index in by_law.values()]
+        groups = [(law, np.flatnonzero(model.law_index == j)) for j, law in enumerate(model.laws)]
         for lo in range(0, count, LAW_ROWS):
             m = min(LAW_ROWS, count - lo)
             cols = np.empty((n, m), dtype=np.float32)

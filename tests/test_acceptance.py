@@ -23,7 +23,6 @@ from projclt.directions import (
 from projclt.empirics import (
     RESAMPLING,
     TRANSPOSITION,
-    VerificationTask,
     linearity_residual,
     stein_lambda,
     verify_bound,
@@ -227,15 +226,8 @@ def test_criterion_06_end_to_end_soundness():
             ds = hypercube_directions(n, k)
         else:
             ds = random_orthonormal(n, k, seed=17 * k + n)
-        task = VerificationTask(
-            ds=ds,
-            model=model_maker(),
-            g=unit_cosine(k),
-            theorem="T2",
-            samples=samples,
-            seed=900_000 + cell,
-        )
-        rep = verify_bound(task)
+        rep = verify_bound("T2", ds, model_maker(), unit_cosine(k), samples=samples,
+                           seed=900_000 + cell)
         if not rep.passed:
             failures.append(
                 f"{model_maker.__name__}/{dir_kind} k={k} n={n}: "
@@ -310,16 +302,8 @@ def test_criterion_09_exchangeable_scaling():
     for n in (16, 64, 256):
         ds = hypercube_directions(n, 2, centered=True)
         model = ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
-        task = VerificationTask(
-            ds=ds,
-            model=model,
-            g=unit_cosine(2),
-            theorem="T4",
-            samples=samples,
-            seed=3000 + n,
-            constants=UNIT_CONSTANTS,
-        )
-        rep = verify_bound(task)
+        rep = verify_bound("T4", ds, model, unit_cosine(2), samples=samples, seed=3000 + n,
+                           constants=UNIT_CONSTANTS)
         rows.append(rep)
     for prev, cur in zip(rows, rows[1:]):
         assert cur.bound_report.term_mixed < prev.bound_report.term_mixed

@@ -133,8 +133,7 @@ class TestLinIndBound:
         rep2 = bound("T2", k, ns, m, g)
         rep3 = bound("T3", k, ns, m, g, gram(ds))
         rep3_ceiling = bound("T3", k, ns, m, ceiling, gram(ds))
-        assert "hess_fallback" not in rep3.inputs_echo
-        assert rep3.inputs_echo["hess_op_sup"] == g.hess_op_sup
+        assert rep2.lam is None and rep3.lam == gram(ds).lambda_max
         assert rep3.term_third / rep2.term_third == pytest.approx(g.hess_op_sup / g.g2, rel=1e-12)
         assert rep3_ceiling.term_third / rep2.term_third == pytest.approx(k, rel=1e-12)
         assert rep2.term_third <= rep3.term_third <= rep3_ceiling.term_third

@@ -12,6 +12,7 @@ import pytest
 from projclt import empirics, sources
 from projclt.bounds import THEOREMS
 from projclt.cli import ExperimentConfig, main
+from projclt.directions import DirectionSet, hypercube_directions
 from projclt.errors import ConfigError
 
 
@@ -66,6 +67,40 @@ class TestConfigValidation:
         path.write_text(json.dumps({"model": {}, "directions": {}, "test_function": {}, "bogus": 1}))
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(str(path))
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"model": {"kind": "rademacher", "p": 0.3}}, "model.p"),
+        ({"model": {"kind": "independent", "pattern": [{"kind": "uniform", "p": 0.3}]}},
+         "model.pattern.p"),
+        ({"model": {"kind": "independent", "pattern": [{"kind": "uniform"}], "p": 0.3}},
+         "model.p"),
+        ({"theorem": "T4", "model": {"kind": "exchangeable", "family": "ramp", "p": 0.3},
+          "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True}}, "model.p"),
+        ({"directions": {"kind": "hypercube", "n": 16, "k": 2, "seed": 5}}, "directions.seed"),
+        ({"test_function": {"kind": "bump", "phase": 1.0}}, "test_function.phase"),
+        ({"test_function": {"kind": "bump", "raduis": 0.5}}, "test_function.raduis"),
+        ({"test_function": {"kind": "cosine", "radius": 2.0}}, "test_function.radius"),
+        ({"constants": {"A": 3}}, "constants.A"),
+        ({"directions": {"kind": "file", "path": "missing.txt", "centered": True}},
+         "directions.centered"),
+    ])
+    def test_a_key_its_kind_does_not_read_is_two(self, tmp_path, capsys, overrides, key):
+        # keys are checked before any file is opened
+        assert main(["bound", str(write_config(tmp_path, overrides))]) == 2
+        assert f"unknown configuration key {key} " in capsys.readouterr().err
+
+    def test_every_key_a_kind_reads_loads(self, tmp_path):
+        (tmp_path / "dirs.txt").write_text("# n=2 k=2 kind=orthonormal\n1.0,0.0\n0.0,1.0\n")
+        for overrides in [
+            {"directions": {"kind": "random", "n": 16, "k": 2, "centered": True, "seed": 5},
+             "model": {"kind": "independent",
+                       "pattern": [{"kind": "two_point", "p": 0.3}, {"kind": "uniform"}]},
+             "test_function": {"kind": "cosine", "a": [0.6, 0.8], "phase": 0.5},
+             "constants": {"a": 1.0, "b": 2.0, "c": 3.0}},
+            {"directions": {"kind": "file", "path": str(tmp_path / "dirs.txt")},
+             "test_function": {"kind": "bump", "radius": 2.0}},
+        ]:
+            assert main(["bound", str(write_config(tmp_path, overrides))]) == 0
 
     def test_exchangeable_theorem_cross_checks(self, tmp_path):
         path = write_config(tmp_path, {"theorem": "T4"})
@@ -455,6 +490,26 @@ class TestBoundCommand:
         assert float(row["term_fourth"]) == 0.0
         # 4/3 * 1 * 1 * 1 * (1/16)
         assert float(row["total"]) == pytest.approx(4.0 / 48.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rows,kind,law,theorems", [
+        # |row| = 1 - 2e-11: outside the old norm-sum sandwich's 1e-12 slack
+        (hypercube_directions(16, 2).vectors * (1 - 2e-11), "orthonormal", "uniform",
+         ["T1", "T2", "T3"]),
+        # |row|^2 = 1 - 1.6e-10: outside the old 1e-10 Gram-diagonal check
+        (np.array([[0.5, 0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
+                   [0.5, 0.0, -0.5, 0.0, 0.5, 0.0, -0.5, 0.0]]) * (1 - 0.8e-10),
+         "linearly-independent", "exponential", ["T3"]),
+    ])
+    def test_rows_the_direction_set_accepts_run(self, tmp_path, rows, kind, law, theorems):
+        k, n = rows.shape
+        dirs = tmp_path / "dirs.txt"
+        dirs.write_text(DirectionSet(rows, kind=kind).to_csv())
+        out = tmp_path / "bound.csv"
+        path = write_config(tmp_path, {
+            "model": {"kind": law}, "theorem": theorems, "output": str(out),
+            "directions": {"kind": "file", "path": str(dirs)}})
+        assert main(["bound", str(path)]) == 0
+        assert [row["n"] for row in read_rows(out)] == [str(n)] * len(theorems)
 
     def test_multiple_theorems(self, tmp_path):
         out = tmp_path / "bound.csv"

@@ -15,7 +15,6 @@ from projclt.directions import (
 from projclt.empirics import (
     RESAMPLING,
     TRANSPOSITION,
-    VerificationTask,
     _mean_abs3_diff,
     _Moments,
     compute_bound,
@@ -32,7 +31,10 @@ from projclt.sources import (
     ExchangeableModel,
     IndependentModel,
     centered_exponential,
+    diff_abs3,
+    fourth_moment,
     iid_moments,
+    moment_summary,
     rademacher,
     sample_block,
     standardize_population,
@@ -447,7 +449,7 @@ class TestPairStatistics:
         with pytest.raises(MissingMomentsError):
             compute_bound("T2", hypercube_directions(16, 1), law, unit_cosine(1))
         report = compute_bound("abstract", hypercube_directions(16, 1), law, unit_cosine(1))
-        assert report.total > 0 and report.inputs_echo["pair"] == RESAMPLING
+        assert report.total > 0 and (report.n, report.k, report.lam) == (16, 1, 1 / 16)
 
     def test_abstract_fourth_term_is_the_min_of_the_exact_envelopes(self):
         ds = random_orthonormal(64, 2, seed=12)
@@ -513,6 +515,13 @@ class TestEijSecondMoments:
         exact = eij_second_moments(ds, model)
         assert np.all(np.abs(sq.mean(axis=0) - exact) <= 4 * se)
 
+    def test_resampling_reads_the_declared_fourth_moment(self):
+        law = two_point(0.3)
+        ds = random_orthonormal(16, 2, seed=8)
+        t2 = ds.vectors**2
+        expected = t2 * (iid_moments(law).fourth - 1.0) @ t2.T / 16**2
+        np.testing.assert_array_equal(eij_second_moments(ds, law), expected)
+
     def test_declared_fourth_moment_below_one_is_rejected(self):
         law = user_model("custom", uniform().sampler, fourth=0.5)
         with pytest.raises(InvalidMomentsError, match="EX\\^4"):
@@ -526,6 +535,48 @@ class TestEijSecondMoments:
     def test_uncentered_rows_are_rejected_for_transposition(self):
         with pytest.raises(InvalidInputError, match="centered"):
             eij_second_moments(hypercube_directions(8, 2), ramp_model(8))
+
+
+class TestRepeatedLawObjects:
+    """An independent model resolves its distinct law objects once; every
+    consumer agrees with a coordinate-by-coordinate reference."""
+
+    def model(self):
+        shared, other = two_point(0.3), centered_exponential()
+        # the same object at many coordinates, and an equal law as a second object
+        return IndependentModel(coords=(shared, uniform(), shared, other, two_point(0.3),
+                                        shared, other, rademacher()) * 4)
+
+    def test_laws_are_distinct_objects_in_order_of_first_appearance(self):
+        model = self.model()
+        assert len(model.laws) == 5
+        assert all(model.laws[j] is c for j, c in zip(model.law_index, model.coords))
+        assert [c.name for c in model.laws] == [
+            "two_point(0.3)", "uniform", "exponential", "two_point(0.3)", "rademacher"]
+
+    def test_consumers_match_a_per_coordinate_reference(self):
+        model = self.model()
+        coords = model.coords
+        ds = random_orthonormal(model.n, 3, seed=9)
+        per = [iid_moments(c) for c in coords]
+        m = moment_summary(model)
+        assert (m.abs3, m.fourth) == (per[0].abs3, per[0].fourth)
+        assert m.abs3_max == max(x.abs3 for x in per)
+        assert m.fourth_max == max(x.fourth for x in per)
+
+        weights = np.sum(np.abs(ds.vectors) ** 3, axis=0)
+        third = float(weights @ np.array([diff_abs3(c) for c in coords])) / model.n
+        assert third_moment_sum(ds, model) == third
+
+        t2 = ds.vectors**2
+        fourth = np.array([fourth_moment(c) for c in coords])
+        np.testing.assert_array_equal(eij_second_moments(ds, model),
+                                      (t2 * (fourth - 1.0)) @ t2.T / model.n**2)
+
+        means = np.array([float(c.support[0] @ c.support[1]) if c.support is not None else 0.0
+                          for c in coords])
+        assert linearity_residual(ds, model) == stein_lambda(model, model.n) * float(
+            np.max(np.abs(ds.vectors @ means)))
 
 
 def abs3_kernel_cases():
@@ -674,83 +725,38 @@ class TestEstimateDiscrepancy:
 
 class TestVerifyBound:
     def test_desk_scale_pass(self):
-        task = VerificationTask(
-            ds=hypercube_directions(256, 2),
-            model=uniform(),
-            g=unit_cosine(2),
-            theorem="T2",
-            samples=50_000,
-            seed=21,
-        )
-        rep = verify_bound(task)
+        rep = verify_bound("T2", hypercube_directions(256, 2), uniform(), unit_cosine(2),
+                           samples=50_000, seed=21)
         assert rep.passed
         assert rep.bound_total > 0
         assert rep.metadata["gaussian_method"] == "closed-form"
 
     def test_metadata_explains_the_sampling(self):
-        task = VerificationTask(
-            ds=hypercube_directions(64, 2),
-            model=rademacher(),
-            g=unit_cosine(2),
-            theorem="T1",
-            samples=20_000,
-            seed=2,
-            workers=2,
-        )
-        meta = verify_bound(task).metadata
+        meta = verify_bound("T1", hypercube_directions(64, 2), rademacher(), unit_cosine(2),
+                            samples=20_000, seed=2, workers=2).metadata
         assert (meta["workers"], meta["blocks"], meta["tile_rows"]) == (2, 3, TILE_ROWS)
         assert set(meta["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
         assert meta["samples_per_s"] == pytest.approx(
             20_000 / meta["stage_seconds"]["discrepancy"])
 
     def test_negative_control(self):
-        task = VerificationTask(
-            ds=hypercube_directions(16, 2),
-            model=rademacher(),
-            g=unit_cosine(2),
-            theorem="T2",
-            samples=400_000,
-            seed=11,
-            bound_scale=1e-6,
-        )
-        rep = verify_bound(task)
+        rep = verify_bound("T2", hypercube_directions(16, 2), rademacher(), unit_cosine(2),
+                           samples=400_000, seed=11, bound_scale=1e-6)
         assert not rep.passed
 
     def test_exchangeable_pass(self):
         n = 64
-        task = VerificationTask(
-            ds=hypercube_directions(n, 2, centered=True),
-            model=ramp_model(n),
-            g=unit_cosine(2),
-            theorem="T4",
-            samples=20_000,
-            seed=5,
-            constants=UNIT_CONSTANTS,
-        )
-        rep = verify_bound(task)
+        rep = verify_bound("T4", hypercube_directions(n, 2, centered=True), ramp_model(n),
+                           unit_cosine(2), samples=20_000, seed=5, constants=UNIT_CONSTANTS)
         assert rep.passed
 
     def test_abstract_theorem_pass(self):
-        task = VerificationTask(
-            ds=hypercube_directions(128, 2),
-            model=uniform(),
-            g=unit_cosine(2),
-            theorem="abstract",
-            samples=20_000,
-            seed=6,
-        )
-        rep = verify_bound(task)
+        rep = verify_bound("abstract", hypercube_directions(128, 2), uniform(), unit_cosine(2),
+                           samples=20_000, seed=6)
         assert rep.passed
         assert rep.bound_report.min_branch in ("sum-abs", "sqrt-sum-sq")
 
     def test_stage_failure_is_named(self):
-        task = VerificationTask(
-            ds=hypercube_directions(16, 2),  # not centered
-            model=ramp_model(16),
-            g=unit_cosine(2),
-            theorem="T4",
-            samples=2_000,
-            seed=0,
-        )
         with pytest.raises(InvalidInputError, match="stage 'bound'"):
-            verify_bound(task)
+            verify_bound("T4", hypercube_directions(16, 2), ramp_model(16),  # rows not centered
+                         unit_cosine(2), samples=2_000, seed=0)

@@ -17,6 +17,7 @@ from projclt.sources import (
     centered_exponential,
     diff_abs3,
     exchangeable_moments,
+    fourth_moment,
     iid_moments,
     independent_moments,
     load_population,
@@ -365,6 +366,23 @@ class TestMomentSummaryInvariants:
             iid_moments(model)
         with pytest.raises(MissingMomentsError):
             diff_abs3(model)
+
+    @pytest.mark.parametrize("name,value", [("abs3", 1.5), ("fourth", 2.0),
+                                            ("diff_abs3", 3.0), ("fourth", 1.0 + 1e-11)])
+    def test_a_declaration_its_support_contradicts_is_refused(self, name, value):
+        # Rademacher's support gives abs3 = fourth = 1 and diff_abs3 = 4
+        with pytest.raises(InvalidMomentsError, match=f"declares {name} = "):
+            user_model("signs", rademacher().sampler,
+                       **{"abs3": 1.0, "fourth": 1.0, name: value},
+                       support=rademacher().support)
+
+    def test_a_declaration_is_read_as_declared(self):
+        law = two_point(0.3)
+        vals, probs = law.support
+        assert law.fourth != float(probs @ vals**4)  # they differ in the last bit
+        assert fourth_moment(law) == law.fourth == iid_moments(law).fourth
+        assert diff_abs3(law) == float(probs @ np.abs(vals[:, None] - vals) ** 3 @ probs)
+        assert diff_abs3(uniform()) == uniform().diff_abs3
 
     def test_independent_moments_take_worst_coordinate(self):
         model = IndependentModel(coords=(rademacher(), uniform()))
