@@ -7,7 +7,6 @@ from .bounds import (
     BoundReport,
     EijStats,
     ExchangeableConstants,
-    bound,
     bound_abstract,
 )
 from .directions import (

@@ -5,10 +5,18 @@ exchangeable coordinates; the i.i.d. bound is the independent one with
 identical laws, and linearly independent (rather than orthonormal) unit
 directions add the largest Gram eigenvalue lam, with the Gram matrix as
 the comparison covariance.  :data:`THEOREMS` is the README's theorem
-table: per theorem, the model families it admits, whether it needs
-orthonormal or centered rows, and whether lam comes from the Gram matrix
-(otherwise lam = 1 and the comparison Gaussian is standard).
-:func:`bound` assembles T1-T5 from it.  Writing N4 = sum_i ||theta_i||_4^2,
+table: per theorem, the model families it admits, whether lam comes from
+the Gram matrix (otherwise lam = 1 and the comparison Gaussian is
+standard), and whether pair statistics feed it.  :func:`theorem_spec`
+checks two rules on the rows that follow from it:
+
+* without the Gram flag the rows must be orthonormal: lam = 1 with a
+  standard comparison Gaussian is right only when Cov S = Gram = I;
+* under an exchangeable model the rows must sum to zero: T4 and T5 state
+  it, and the transposition pair's E_ij closed form assumes it.
+
+:func:`projclt.empirics.compute_bound` checks a theorem so, then has
+:func:`bound` assemble T1-T5.  Writing N4 = sum_i ||theta_i||_4^2,
 N3 = sum_i ||theta_i||_3^3, L4 = (sum_i ||theta_i||_4)^2, and using the
 seminorms of :mod:`projclt.testfuncs`, with G1 = g1 and G2 = g2 when
 lam = 1, G1 = grad_sup and G2 = hess_op_sup when lam comes from the Gram
@@ -44,9 +52,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .directions import ORTHONORMAL_KINDS, GramData, NormSummary, gram_diagonal_tol
+from .directions import ORTHONORMAL_KINDS, DirectionSet, GramData, NormSummary
 from .errors import InvalidInputError, InvalidMomentsError
-from .sources import EXCHANGEABLE, IID, INDEPENDENT, MomentSummary
+from .sources import EXCHANGEABLE, IID, INDEPENDENT, Model, MomentSummary, family, model_dim
 from .testfuncs import TestFunction
 
 
@@ -54,18 +62,16 @@ class Theorem(NamedTuple):
     """What one theorem assumes of its inputs, and where its lam comes from."""
 
     families: tuple[str, ...]  # model families admitted (sources.IID, ...)
-    orthonormal: bool = False  # rows must be orthonormal
-    centered: bool = False  # rows must sum to zero
     gram: bool = False  # lam and the comparison covariance from the Gram matrix
     pair: bool = False  # fed by exchangeable-pair statistics, not by moments
 
 
 THEOREMS = {
-    "T1": Theorem((IID,), orthonormal=True),
-    "T2": Theorem((IID, INDEPENDENT), orthonormal=True),
+    "T1": Theorem((IID,)),
+    "T2": Theorem((IID, INDEPENDENT)),
     "T3": Theorem((IID, INDEPENDENT), gram=True),
-    "T4": Theorem((EXCHANGEABLE,), orthonormal=True, centered=True),
-    "T5": Theorem((EXCHANGEABLE,), centered=True, gram=True),
+    "T4": Theorem((EXCHANGEABLE,)),
+    "T5": Theorem((EXCHANGEABLE,), gram=True),
     "abstract": Theorem((IID, INDEPENDENT, EXCHANGEABLE), pair=True),
 }
 
@@ -124,55 +130,49 @@ class EijStats(NamedTuple):
     sqrt_sum_sq: float
 
 
-def theorem_spec(theorem: str, family: Optional[str] = None) -> Theorem:
-    """The table row of ``theorem``, checking that it admits a model of
-    ``family`` when one is given."""
+def theorem_spec(theorem: str, ds: DirectionSet, model: Model) -> Theorem:
+    """The row of ``theorem``, once the model's family and dimension and the
+    two rules on the rows (module docstring) are checked; O(k n) time."""
     row = THEOREMS.get(theorem) if isinstance(theorem, str) else None
     if row is None:
         raise InvalidInputError(f"unknown theorem {theorem!r}; choose from {list(THEOREMS)}")
-    if family is not None and family not in row.families:
+    fam = family(model)
+    if fam not in row.families:
         raise InvalidInputError(
-            f"{theorem} needs a model of family {' or '.join(row.families)}, got {family}"
+            f"{theorem} needs a model of family {' or '.join(row.families)}, got {fam}"
         )
+    if model_dim(model) not in (None, ds.n):
+        raise InvalidInputError("model dimension does not match the direction set")
+    if not row.gram and ds.kind not in ORTHONORMAL_KINDS:
+        raise InvalidInputError(f"{theorem} requires orthonormal directions, got {ds.kind!r}")
+    if fam == EXCHANGEABLE and not ds.is_centered():
+        raise InvalidInputError(f"{theorem} needs centered directions, rows that sum to zero, "
+                                "for an exchangeable model")
     return row
 
 
 def bound(
     theorem: str,
-    k: int,
     norms: NormSummary,
     m: MomentSummary,
     g: TestFunction,
     gramdata: Optional[GramData] = None,
     constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
 ) -> BoundReport:
-    """Assemble T1-T5 from the theorem's row of :data:`THEOREMS`.
+    """Assemble T1-T5 from the summaries of inputs :func:`theorem_spec` admitted.
 
     A row with the Gram flag takes lam = lambda_max of ``gramdata`` (which
     it requires), hess_op_sup for g2 and, in the exchangeable family,
     grad_sup for g1; a row without it takes lam = 1, g1 and g2.  The
     independent family reads the worst-coordinate moments.
     """
-    row = theorem_spec(theorem)
-    if row.pair:
-        raise InvalidInputError(f"{theorem} is fed by pair statistics; use bound_abstract")
-    if k < 1 or k != norms.k:
-        raise InvalidInputError(f"need k >= 1 matching the norm summary (k={norms.k}), got k={k}")
-    if row.orthonormal and norms.kind not in ORTHONORMAL_KINDS:
-        raise InvalidInputError(f"{theorem} requires orthonormal directions, got {norms.kind!r}")
-    if row.centered and not norms.centered:
-        raise InvalidInputError(f"{theorem} requires directions whose rows sum to zero")
+    row = THEOREMS[theorem]
+    k = norms.k
     lam, grad, hess = 1.0, g.g1, g.g2
     if row.gram:
-        if gramdata is None or gramdata.C.shape != (k, k):
-            raise InvalidInputError("Gram matrix does not match k")
-        if max(abs(gramdata.C[i, i] - 1.0) for i in range(k)) > gram_diagonal_tol(norms.n):
-            raise InvalidInputError("directions must have unit norm (Gram diagonal != 1)")
         lam = gramdata.lambda_max
         grad, hess = g.grad_sup, g.hess_op_sup
     if EXCHANGEABLE not in row.families:
-        if m.fourth_max < 1.0 - 1e-12:
-            raise InvalidMomentsError(f"EX^4 = {m.fourth_max} < 1 contradicts EX^2 = 1")
         term_fourth = (
             0.5 * math.sqrt(lam * k) * g.grad_sup
             * math.sqrt(max(m.fourth_max - 1.0, 0.0)) * norms.sum_l4_sq

@@ -195,10 +195,7 @@ class ExperimentConfig:
                               f"{family}, got {raw['pair']!r}")
         for name in names:
             with _config_errors():
-                row = bounds_mod.theorem_spec(name, family)
-            if row.centered and not ds.is_centered():
-                raise ConfigError(f"{name} needs centered directions, rows that sum to zero "
-                                  "(directions.centered=true)")
+                bounds_mod.theorem_spec(name, ds, model)
         g = build_test_function(raw["test_function"], ds.k)
         digest = hashlib.sha256(
             json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
@@ -367,8 +364,9 @@ def _bound_row(report: bounds_mod.BoundReport) -> list:
 
 
 def _verify_row(rep: empirics.VerificationReport) -> list:
+    br = rep.bound_report
     return [
-        rep.digest, rep.theorem, rep.n, rep.k, rep.samples,
+        rep.digest, br.theorem, br.n, br.k, rep.samples,
         rep.discrepancy_estimate, rep.ci_halfwidth, rep.bound_total, rep.passed,
     ]
 
@@ -384,7 +382,8 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
 
 
 def _trace(rep: empirics.VerificationReport) -> None:
-    record = {"theorem": rep.theorem, "n": rep.n, "k": rep.k, "passed": rep.passed,
+    br = rep.bound_report
+    record = {"theorem": br.theorem, "n": br.n, "k": br.k, "passed": rep.passed,
               **rep.metadata}
     print(json.dumps(record), file=sys.stderr)
 

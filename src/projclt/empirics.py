@@ -6,8 +6,8 @@ The model's family fixes the pair, one per theorem of the paper:
   replace one uniformly chosen coordinate by an independent copy; the
   conditional-mean shrinkage constant is 1/n;
 * exchangeable coordinates take the transposition -- swap two uniformly
-  chosen coordinates; the shrinkage constant is 2/(n-1), and the
-  linearity identity needs every direction row to sum to zero.
+  chosen coordinates; the shrinkage constant is 2/(n-1), and the closed
+  form of its errors E_ij needs every direction row to sum to zero.
 
 For both, the conditional mean E[S' - S | x] and the conditional
 second-moment errors E_ij have closed forms in the current state x.  The
@@ -42,7 +42,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import sources
 from .bounds import DEFAULT_EXCHANGEABLE_CONSTANTS, ExchangeableConstants
-from .directions import ORTHONORMAL_KINDS, DirectionSet, gram, norm_summary
+from .directions import DirectionSet, gram, norm_summary
 from .errors import InvalidInputError, InvalidMomentsError, ProjcltError
 from .sources import ExchangeableModel, IndependentModel, Model, sample_tiles
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
@@ -264,7 +264,8 @@ def _transposition_second_moments(theta: np.ndarray, pop: np.ndarray) -> np.ndar
 def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
     """The exact (k, k) matrix E E_ij^2 over the state of the pair's
     conditional second-moment error E_ij = E[dS^i dS^j | x] - 2 lambda
-    delta_ij, for orthonormal rows.
+    delta_ij, for rows and a model that ``abstract`` admits
+    (:func:`projclt.bounds.theorem_spec`).
 
     Resampling, independent coordinates: E_ij = (1/n) sum_r theta_i^r
     theta_j^r (x_r^2 - 1), so E E_ij^2 = (1/n^2) sum_r (theta_i^r
@@ -278,15 +279,10 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
     sqrt(sum_ij E E_ij^2) >= E sqrt(sum_ij E_ij^2): the two statistics of
     the abstract bound, bounded without sampling a state.
     """
-    if ds.kind not in ORTHONORMAL_KINDS:
-        raise InvalidInputError("the E E_ij^2 closed form assumes orthonormal rows")
-    if sources.model_dim(model) not in (None, ds.n):
-        raise InvalidInputError("model dimension does not match the direction set")
+    bounds_mod.theorem_spec("abstract", ds, model)
     theta = ds.vectors
     n = ds.n
     if isinstance(model, ExchangeableModel):
-        if not ds.is_centered():
-            raise InvalidInputError("the transposition closed form assumes centered rows")
         return _transposition_second_moments(theta, model.population)
     if isinstance(model, IndependentModel):
         fourth = model.per_coordinate(sources.fourth_moment)
@@ -409,11 +405,8 @@ def estimate_discrepancy(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification run."""
+    """Outcome of one verification run; ``bound_report`` names its theorem, n and k."""
 
-    theorem: str
-    n: int
-    k: int
     samples: int
     discrepancy_estimate: float
     ci_halfwidth: float
@@ -447,15 +440,17 @@ def compute_bound(
     g: TestFunction,
     constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
 ) -> bounds_mod.BoundReport:
-    """Evaluate the selected bound for a resolved (directions, model, g)
-    triple.  The abstract bound takes its error statistics from the pair
-    matching the model: the Jensen envelopes of the exact E E_ij^2
+    """The one way to a bound: check the theorem with :func:`projclt.bounds.theorem_spec`
+    and evaluate it.  The abstract bound takes its error statistics from the
+    pair matching the model: the Jensen envelopes of the exact E E_ij^2
     (:func:`eij_second_moments`) and the exact third-moment sum."""
-    row = bounds_mod.theorem_spec(theorem, sources.family(model))
+    row = bounds_mod.theorem_spec(theorem, ds, model)
+    if g.dimension != ds.k:
+        raise InvalidInputError(f"test function dimension {g.dimension} != k = {ds.k}")
     if not row.pair:
         gramdata = gram(ds) if row.gram else None
         return bounds_mod.bound(
-            theorem, ds.k, norm_summary(ds), sources.moment_summary(model), g, gramdata, constants
+            theorem, norm_summary(ds), sources.moment_summary(model), g, gramdata, constants
         )
     second = eij_second_moments(ds, model)
     eij = bounds_mod.EijStats(
@@ -470,7 +465,7 @@ def compute_bound(
 def gaussian_spec_for(theorem: str, ds: DirectionSet) -> GaussianSpec:
     """The Gram matrix as covariance for the theorems that take lam from
     it, the identity otherwise."""
-    if bounds_mod.theorem_spec(theorem).gram:
+    if bounds_mod.THEOREMS[theorem].gram:
         return GaussianSpec.from_gram(gram(ds))
     return GaussianSpec.identity(ds.k)
 
@@ -518,9 +513,6 @@ def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, 
         "dominant_term": max(terms, key=terms.get),
     }
     return VerificationReport(
-        theorem=theorem,
-        n=ds.n,
-        k=ds.k,
         samples=samples,
         discrepancy_estimate=disc.discrepancy,
         ci_halfwidth=disc.ci_halfwidth,

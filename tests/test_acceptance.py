@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from projclt.bounds import EijStats, ExchangeableConstants, bound, bound_abstract
+from projclt.bounds import EijStats, ExchangeableConstants, bound_abstract
 from projclt.cli import main
 from projclt.directions import (
     hypercube_directions,
@@ -23,6 +23,7 @@ from projclt.directions import (
 from projclt.empirics import (
     RESAMPLING,
     TRANSPOSITION,
+    compute_bound,
     linearity_residual,
     stein_lambda,
     verify_bound,
@@ -200,14 +201,15 @@ def test_criterion_05_assembly_identity():
         k = int(rng.integers(1, 5))
         ds = random_orthonormal(n, k, seed=1000 + trial)
         ns = norm_summary(ds)
-        m = iid_moments(factories[trial % 3]())
+        law = factories[trial % 3]()
+        m = iid_moments(law)
         a = rng.uniform(0.1, 1.0, size=k) / k
         g = cosine_testfn(a, phase=float(rng.uniform(-1, 1)))
         lam = 1.0 / n
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
         via_abstract = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
-        direct = bound("T2", k, ns, m, g)
+        direct = compute_bound("T2", ds, law, g)
         assert abs(via_abstract.term_fourth - direct.term_fourth) <= 1e-12
         assert abs(via_abstract.term_third - direct.term_third) <= 1e-12
         assert abs(via_abstract.total - direct.total) <= 1e-12

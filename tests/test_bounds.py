@@ -8,30 +8,34 @@ from hypothesis import strategies as st
 
 from projclt.bounds import (
     DEFAULT_EXCHANGEABLE_CONSTANTS,
+    THEOREMS,
     EijStats,
     ExchangeableConstants,
     bound,
     bound_abstract,
 )
 from projclt.directions import (
-    CENTERED_ORTHONORMAL,
     LINEARLY_INDEPENDENT,
+    ORTHONORMAL,
     DirectionSet,
-    NormSummary,
     gram,
     hypercube_directions,
     norm_summary,
     random_orthonormal,
 )
+from projclt.empirics import compute_bound, eij_second_moments
 from projclt.errors import InvalidInputError, InvalidMomentsError
 from projclt.sources import (
+    EXCHANGEABLE,
     ExchangeableModel,
+    IndependentModel,
     MomentSummary,
     exchangeable_moments,
     iid_moments,
     rademacher,
     standardize_population,
     uniform,
+    user_model,
 )
 from projclt.testfuncs import cosine_testfn
 
@@ -52,71 +56,82 @@ def equicorrelated_set(k, n, beta, centered=False, seed=0):
     return DirectionSet(b @ base.vectors, kind=LINEARLY_INDEPENDENT)
 
 
+def ramp_model(n):
+    return ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
+
+
+# Two centered unit rows in R^8 with inner product 1/2.
+LININD_ROWS = np.array([[0.5, 0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
+                        [0.5, 0.0, -0.5, 0.0, 0.5, 0.0, -0.5, 0.0]])
+
+
 class TestIIDBound:
     def test_rademacher_kills_fourth_term(self):
         ds = hypercube_directions(64, 2)
-        rep = bound("T1", 2, norm_summary(ds), iid_moments(rademacher()), unit_cosine(2))
+        rep = compute_bound("T1", ds, rademacher(), unit_cosine(2))
         assert rep.term_fourth == 0.0
         assert rep.total == rep.term_third
 
     def test_hand_assembled_value(self):
         # k=1, all-coordinates direction at n=100, unit seminorms:
         # third term = 4/3 * 1 * 1 * 1 * (1/10)
-        rows = np.full((1, 100), 0.1)
-        ds = DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
-        ns = norm_summary(ds)
-        ns = replace(ns, kind="orthonormal")
-        g = cosine_testfn([1.0])
-        rep = bound("T1", 1, ns, iid_moments(rademacher()), g)
+        ds = DirectionSet(np.full((1, 100), 0.1), kind=ORTHONORMAL)
+        rep = compute_bound("T1", ds, rademacher(), cosine_testfn([1.0]))
         assert rep.total == pytest.approx(4.0 / 30.0, abs=1e-15)
 
     def test_doubling_n_scales_by_inverse_sqrt_two(self):
         g = unit_cosine(2)
-        m = iid_moments(uniform())
-        rep1 = bound("T1", 2, norm_summary(hypercube_directions(256, 2)), m, g)
-        rep2 = bound("T1", 2, norm_summary(hypercube_directions(512, 2)), m, g)
+        rep1 = compute_bound("T1", hypercube_directions(256, 2), uniform(), g)
+        rep2 = compute_bound("T1", hypercube_directions(512, 2), uniform(), g)
         assert rep2.term_fourth / rep1.term_fourth == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert rep2.term_third / rep1.term_third == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_total_is_exact_sum_of_terms(self):
         ds = hypercube_directions(64, 3)
-        rep = bound("T1", 3, norm_summary(ds), iid_moments(uniform()), unit_cosine(3))
+        rep = compute_bound("T1", ds, uniform(), unit_cosine(3))
         assert rep.total == rep.term_fourth + rep.term_third + rep.term_mixed
 
     def test_requires_orthonormal_kind(self):
         ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
-        with pytest.raises(InvalidInputError):
-            bound("T1", 2, norm_summary(ds), iid_moments(uniform()), unit_cosine(2))
+        with pytest.raises(InvalidInputError, match="T1 requires orthonormal directions"):
+            compute_bound("T1", ds, uniform(), unit_cosine(2))
 
 
 class TestIndependentBound:
     def test_identical_laws_reduce_to_iid(self):
         ds = hypercube_directions(128, 3)
-        ns = norm_summary(ds)
         g = unit_cosine(3)
-        m = iid_moments(uniform())
-        assert bound("T2", 3, ns, m, g).total == bound("T1", 3, ns, m, g).total
+        same = IndependentModel(coords=(uniform(),) * 128)
+        assert compute_bound("T2", ds, same, g).total == compute_bound("T1", ds, uniform(), g).total
 
     def test_mixed_laws_use_worst_coordinate(self):
+        # the first coordinate is Rademacher, the worst one uniform
         ds = hypercube_directions(64, 2)
         ns = norm_summary(ds)
         g = unit_cosine(2)
-        m = MomentSummary(abs3=1.0, fourth=1.0, abs3_max=3 * SQRT3 / 4, fourth_max=9 / 5)
-        rep = bound("T2", 2, ns, m, g)
+        rep = compute_bound("T2", ds, IndependentModel(coords=(rademacher(), uniform()) * 32), g)
         expected_fourth = 0.5 * math.sqrt(2) * g.grad_sup * math.sqrt(9 / 5 - 1) * ns.sum_l4_sq
         expected_third = (4 / 3) * 4 * g.g2 * (3 * SQRT3 / 4) * ns.sum_l3_cubed
         assert rep.term_fourth == pytest.approx(expected_fourth, rel=1e-14)
         assert rep.term_third == pytest.approx(expected_third, rel=1e-14)
 
-    def test_zero_directions_rejected(self):
-        ds = hypercube_directions(16, 1)
-        with pytest.raises(InvalidInputError):
-            bound("T2", 0, norm_summary(ds), iid_moments(uniform()), cosine_testfn([1.0]))
+    @pytest.mark.parametrize("theorem,dimension", [("T2", 3), ("T2", 1), ("abstract", 5)])
+    def test_test_function_of_another_dimension_rejected(self, theorem, dimension):
+        with pytest.raises(InvalidInputError, match=f"test function dimension {dimension} != k = 2"):
+            compute_bound(theorem, hypercube_directions(16, 2), uniform(), unit_cosine(dimension))
 
-    def test_k_mismatch_rejected(self):
+    @pytest.mark.parametrize("theorem", ["T2", "abstract"])
+    def test_fourth_moment_tolerance_is_one(self, theorem):
+        # EX^4 >= 1 is allowed to miss by 1e-9, and no more, on every path
         ds = hypercube_directions(16, 2)
-        with pytest.raises(InvalidInputError):
-            bound("T2", 3, norm_summary(ds), iid_moments(uniform()), unit_cosine(3))
+
+        def law(fourth):
+            return user_model("near", rademacher().sampler, abs3=1.0, fourth=fourth,
+                              diff_abs3=4.0)
+
+        assert compute_bound(theorem, ds, law(1.0 - 1e-10), unit_cosine(2)).total > 0
+        with pytest.raises(InvalidMomentsError):
+            compute_bound(theorem, ds, law(1.0 - 1e-8), unit_cosine(2))
 
 
 class TestLinIndBound:
@@ -125,14 +140,12 @@ class TestLinIndBound:
         # with lambda = 1 only G2 = hess_op_sup separates T3 from T2, and
         # g2 <= hess_op_sup <= k g2 places T3's third term between T2's and k times it
         ds = hypercube_directions(64, k)
-        ns = norm_summary(ds)
-        m = iid_moments(uniform())
         a = np.arange(1.0, k + 1.0)
         g = cosine_testfn(a / np.linalg.norm(a))  # hess_op_sup = 1 < k g2 once k > 1
         ceiling = replace(g, hess_op_sup=k * g.g2)
-        rep2 = bound("T2", k, ns, m, g)
-        rep3 = bound("T3", k, ns, m, g, gram(ds))
-        rep3_ceiling = bound("T3", k, ns, m, ceiling, gram(ds))
+        rep2 = compute_bound("T2", ds, uniform(), g)
+        rep3 = compute_bound("T3", ds, uniform(), g)
+        rep3_ceiling = compute_bound("T3", ds, uniform(), ceiling)
         assert rep2.lam is None and rep3.lam == gram(ds).lambda_max
         assert rep3.term_third / rep2.term_third == pytest.approx(g.hess_op_sup / g.g2, rel=1e-12)
         assert rep3_ceiling.term_third / rep2.term_third == pytest.approx(k, rel=1e-12)
@@ -144,7 +157,7 @@ class TestLinIndBound:
         ns = norm_summary(ds)
         m = iid_moments(uniform())
         g = unit_cosine(2)
-        rep = bound("T3", 2, ns, m, g, gram(ds))
+        rep = compute_bound("T3", ds, uniform(), g)
         lam = gram(ds).lambda_max
         expect_fourth = 0.5 * math.sqrt(lam * 2) * g.grad_sup * math.sqrt(0.8) * ns.sum_l4_sq
         expect_third = (4 / 3) * lam * 4 * g.hess_op_sup * m.abs3_max * ns.sum_l3_cubed
@@ -154,14 +167,13 @@ class TestLinIndBound:
     def test_lambda_scaling(self):
         # lambda_max 1.05 -> 4.2: fourth term doubles, third quadruples
         k, n = 5, 32
-        m = iid_moments(uniform())
         g = unit_cosine(k)
         lo = equicorrelated_set(k, n, beta=0.0125, seed=3)
         hi = equicorrelated_set(k, n, beta=0.8, seed=3)
         gd_lo, gd_hi = gram(lo), gram(hi)
         assert gd_hi.lambda_max / gd_lo.lambda_max == pytest.approx(4.0, rel=1e-9)
-        rep_lo = bound("T3", k, norm_summary(lo), m, g, gd_lo)
-        rep_hi = bound("T3", k, norm_summary(hi), m, g, gd_hi)
+        rep_lo = compute_bound("T3", lo, uniform(), g)
+        rep_hi = compute_bound("T3", hi, uniform(), g)
         ratio_fourth = (rep_hi.term_fourth / rep_lo.term_fourth)
         ratio_third = (rep_hi.term_third / rep_lo.term_third)
         norm_ratio_4 = norm_summary(hi).sum_l4_sq / norm_summary(lo).sum_l4_sq
@@ -174,46 +186,43 @@ class TestExchangeableBound:
     @staticmethod
     def setup_inputs(n=16, k=2):
         ds = hypercube_directions(n, k, centered=True)
-        pop = standardize_population(np.arange(1.0, n + 1.0))
-        m = exchangeable_moments(ExchangeableModel(pop))
-        return ds, norm_summary(ds), m, unit_cosine(k)
+        return ds, ramp_model(n), unit_cosine(k)
 
     def test_sign_population_kills_mixed_var_contribution(self):
         ds = hypercube_directions(8, 2, centered=True)
-        pop = np.tile([-1.0, 1.0], 4)
-        m = exchangeable_moments(ExchangeableModel(pop))
+        model = ExchangeableModel(np.tile([-1.0, 1.0], 4))
+        m = exchangeable_moments(model)
         assert m.mixed_var == 0.0
-        rep = bound("T4", 2, norm_summary(ds), m, unit_cosine(2), constants=UNIT_CONSTANTS)
+        rep = compute_bound("T4", ds, model, unit_cosine(2), constants=UNIT_CONSTANTS)
         expect_mixed = 2 * unit_cosine(2).g1 * math.sqrt(abs(m.mixed_4))
         assert rep.term_mixed == pytest.approx(expect_mixed, rel=1e-14)
 
     def test_vanishing_mixed_moments_leave_b_and_c_terms(self):
-        ds, ns, m, g = self.setup_inputs()
+        ds, model, g = self.setup_inputs()
+        m = exchangeable_moments(model)
         m0 = MomentSummary(
             abs3=m.abs3, fourth=m.fourth, abs3_max=m.abs3_max, fourth_max=m.fourth_max,
             mixed_4=0.0, mixed_var=0.0,
         )
-        rep = bound("T4", 2, ns, m0, g, constants=UNIT_CONSTANTS)
+        rep = bound("T4", norm_summary(ds), m0, g, constants=UNIT_CONSTANTS)
         assert rep.term_mixed == 0.0
         assert rep.term_fourth > 0.0 and rep.term_third > 0.0
 
     def test_doubling_constants_doubles_total(self):
-        ds, ns, m, g = self.setup_inputs()
-        rep1 = bound("T4", 2, ns, m, g, constants=ExchangeableConstants(1.0, 1.0, 1.0))
-        rep2 = bound("T4", 2, ns, m, g, constants=ExchangeableConstants(2.0, 2.0, 2.0))
+        ds, model, g = self.setup_inputs()
+        rep1 = compute_bound("T4", ds, model, g, constants=ExchangeableConstants(1.0, 1.0, 1.0))
+        rep2 = compute_bound("T4", ds, model, g, constants=ExchangeableConstants(2.0, 2.0, 2.0))
         assert rep2.total == pytest.approx(2.0 * rep1.total, rel=1e-14)
 
     def test_non_centered_rejected(self):
         ds = hypercube_directions(16, 2)  # includes the constant row
-        pop = standardize_population(np.arange(1.0, 17.0))
-        m = exchangeable_moments(ExchangeableModel(pop))
-        with pytest.raises(InvalidInputError):
-            bound("T4", 2, norm_summary(ds), m, unit_cosine(2))
+        with pytest.raises(InvalidInputError, match="T4 needs centered directions"):
+            compute_bound("T4", ds, ramp_model(16), unit_cosine(2))
 
     def test_missing_mixed_moments_rejected(self):
-        ds, ns, _, g = self.setup_inputs()
+        ds, _, g = self.setup_inputs()
         with pytest.raises(InvalidMomentsError):
-            bound("T4", 2, ns, iid_moments(uniform()), g)
+            bound("T4", norm_summary(ds), iid_moments(uniform()), g)
 
     def test_default_constants_documented_values(self):
         c = DEFAULT_EXCHANGEABLE_CONSTANTS
@@ -225,10 +234,10 @@ class TestExchangeableLinIndBound:
         n, k = 16, 2
         ds = hypercube_directions(n, k, centered=True)
         ns = norm_summary(ds)
-        pop = standardize_population(np.arange(1.0, n + 1.0))
-        m = exchangeable_moments(ExchangeableModel(pop))
+        model = ramp_model(n)
+        m = exchangeable_moments(model)
         g = unit_cosine(k)
-        rep5 = bound("T5", k, ns, m, g, gram(ds), UNIT_CONSTANTS)
+        rep5 = compute_bound("T5", ds, model, g, UNIT_CONSTANTS)
         # same assembly with g1 -> grad_sup and g2 -> hess_op_sup at lam = 1
         expect_mixed = k * g.grad_sup * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
         expect_fourth = g.grad_sup * math.sqrt(m.fourth) * ns.sum_l4_all_sq
@@ -247,11 +256,11 @@ class TestExchangeableLinIndBound:
         gd = gram(ds)
         assert gd.lambda_max == pytest.approx(1.5, abs=1e-12)
         ns = norm_summary(ds)
-        assert ns.centered
-        pop = standardize_population(np.arange(1.0, n + 1.0))
-        m = exchangeable_moments(ExchangeableModel(pop))
+        assert ds.is_centered()
+        model = ramp_model(n)
+        m = exchangeable_moments(model)
         g = unit_cosine(k)
-        rep = bound("T5", k, ns, m, g, gd, UNIT_CONSTANTS)
+        rep = compute_bound("T5", ds, model, g, UNIT_CONSTANTS)
         lam = gd.lambda_max
         expect_mixed = (
             k * math.sqrt(lam) * g.grad_sup
@@ -263,12 +272,37 @@ class TestExchangeableLinIndBound:
 
 
 class TestTheoremTable:
-    @pytest.mark.parametrize("theorem", ["abstract", "T3", "T7"])
-    def test_rows_bound_cannot_assemble_are_rejected(self, theorem):
-        # abstract needs pair statistics, T3 without a Gram matrix has no lambda
-        ds = hypercube_directions(16, 2)
-        with pytest.raises(InvalidInputError):
-            bound(theorem, 2, norm_summary(ds), iid_moments(uniform()), unit_cosine(2))
+    @pytest.mark.parametrize("theorem", ["T7", 2, None])
+    def test_unknown_theorem_rejected(self, theorem):
+        with pytest.raises(InvalidInputError, match="unknown theorem"):
+            compute_bound(theorem, hypercube_directions(16, 2), uniform(), unit_cosine(2))
+
+    def test_model_of_another_dimension_rejected(self):
+        with pytest.raises(InvalidInputError, match="model dimension"):
+            compute_bound("T2", hypercube_directions(16, 2),
+                          IndependentModel(coords=(uniform(),) * 8), unit_cosine(2))
+
+    @pytest.mark.parametrize("theorem", [t for t, row in THEOREMS.items()
+                                         if EXCHANGEABLE in row.families])
+    def test_exchangeable_model_needs_centered_rows_under_every_theorem(self, theorem):
+        ds = random_orthonormal(8, 2, seed=4)
+        with pytest.raises(InvalidInputError, match=f"{theorem} needs centered directions"):
+            compute_bound(theorem, ds, ramp_model(8), unit_cosine(2))
+
+    @pytest.mark.parametrize("theorem,rows,model,message", [
+        ("T1", LININD_ROWS, rademacher(), "orthonormal"),
+        ("T2", LININD_ROWS, rademacher(), "orthonormal"),
+        ("T4", LININD_ROWS, ramp_model(8), "orthonormal"),
+        ("abstract", LININD_ROWS, uniform(), "orthonormal"),
+        ("abstract", hypercube_directions(8, 2).vectors, ramp_model(8), "centered"),
+    ], ids=["T1-linind", "T2-linind", "T4-linind", "abstract-linind", "abstract-uncentered"])
+    def test_refused_inputs_are_refused_by_every_consumer(self, theorem, rows, model, message):
+        kind = LINEARLY_INDEPENDENT if rows is LININD_ROWS else ORTHONORMAL
+        ds = DirectionSet(rows, kind=kind)
+        with pytest.raises(InvalidInputError, match=message):
+            compute_bound(theorem, ds, model, unit_cosine(2))
+        with pytest.raises(InvalidInputError, match=message):
+            eij_second_moments(ds, model)
 
 
 class TestAbstractBound:
@@ -287,7 +321,7 @@ class TestAbstractBound:
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
         rep_abs = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
-        rep_ind = bound("T2", k, ns, m, g)
+        rep_ind = compute_bound("T2", ds, uniform(), g)
         assert rep_abs.min_branch == "sqrt-sum-sq"
         assert rep_abs.term_fourth == pytest.approx(rep_ind.term_fourth, abs=1e-12)
         assert rep_abs.term_third == pytest.approx(rep_ind.term_third, abs=1e-12)
@@ -342,7 +376,7 @@ class TestMonotonicity:
             abs3=abs3 + bump_a, fourth=fourth + bump_f,
             abs3_max=abs3 + bump_a, fourth_max=fourth + bump_f,
         )
-        assert bound("T2", 2, ns, m_hi, g).total >= bound("T2", 2, ns, m_lo, g).total - 1e-15
+        assert bound("T2", ns, m_hi, g).total >= bound("T2", ns, m_lo, g).total - 1e-15
 
     @given(st.integers(4, 9), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -353,20 +387,18 @@ class TestMonotonicity:
         ds_big = hypercube_directions(n, k, centered=True)
         pop = standardize_population(np.random.default_rng(seed).standard_normal(16))
         m = exchangeable_moments(ExchangeableModel(pop))
-        m_small = replace(norm_summary(ds_big), n=16)
-        m_large = replace(norm_summary(ds_small), n=16)
+        ns_big = replace(norm_summary(ds_big), n=16)
+        ns_small = replace(norm_summary(ds_small), n=16)
         g = unit_cosine(k)
         # larger n gives smaller norm sums, hence a smaller bound
-        big = bound("T4", k, replace(m_small, centered=True), m, g, constants=UNIT_CONSTANTS)
-        small = bound("T4", k, replace(m_large, centered=True), m, g, constants=UNIT_CONSTANTS)
+        big = bound("T4", ns_big, m, g, constants=UNIT_CONSTANTS)
+        small = bound("T4", ns_small, m, g, constants=UNIT_CONSTANTS)
         assert big.total >= small.total - 1e-15
 
     def test_bit_for_bit_reproducibility(self):
         ds = hypercube_directions(64, 2)
-        ns = norm_summary(ds)
-        m = iid_moments(uniform())
         g = unit_cosine(2)
-        a = bound("T2", 2, ns, m, g)
-        b = bound("T2", 2, ns, m, g)
+        a = compute_bound("T2", ds, uniform(), g)
+        b = compute_bound("T2", ds, uniform(), g)
         assert a.total == b.total
         assert a.term_fourth == b.term_fourth

@@ -348,6 +348,37 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # Two centered unit rows in R^8 with inner product 1/2.
+    LININD = DirectionSet(np.array([[0.5, 0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
+                                    [0.5, 0.0, -0.5, 0.0, 0.5, 0.0, -0.5, 0.0]]),
+                          kind="linearly-independent")
+
+    @pytest.mark.parametrize("theorem,directions,model,message", [
+        ("T1", LININD, "rademacher", "T1 requires orthonormal directions"),
+        ("T2", LININD, "rademacher", "T2 requires orthonormal directions"),
+        ("T4", LININD, "ramp", "T4 requires orthonormal directions"),
+        ("abstract", LININD, "uniform", "abstract requires orthonormal directions"),
+        ("abstract", hypercube_directions(8, 2), "ramp", "abstract needs centered directions"),
+    ], ids=["T1-linind", "T2-linind", "T4-linind", "abstract-linind", "abstract-uncentered"])
+    def test_rows_a_theorem_refuses_are_two_from_every_command(
+        self, tmp_path, capsys, theorem, directions, model, message
+    ):
+        (tmp_path / "dirs.txt").write_text(directions.to_csv())
+        path = write_config(tmp_path, {
+            "theorem": theorem,
+            "model": ({"kind": "exchangeable", "family": "ramp"} if model == "ramp"
+                      else {"kind": model}),
+            "directions": {"kind": "file", "path": str(tmp_path / "dirs.txt")},
+            "output": str(tmp_path / "out.csv"),
+        })
+        errors = set()
+        for command in ("bound", "verify", "check", "moments"):
+            assert main([command, str(path)]) == 2
+            errors.add(capsys.readouterr().err)
+        (err,) = errors
+        assert message in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("command", [["verify"], ["scan", "--axis", "n", "--values", "16"]])
     @pytest.mark.parametrize("theorem", [["T2", "T1"], ["T2"]])
     def test_theorem_list_is_two_for_a_verification(self, tmp_path, capsys, command, theorem):
@@ -654,18 +685,17 @@ class TestCheckCommand:
         assert main(["check", str(write_config(tmp_path))]) == 1
         assert "check linearity: FAIL" in capsys.readouterr().out
 
-    def skewed_config(self, tmp_path, centered):
-        """The standardized population [0, ..., 0, 1, 5] with random rows."""
+    def skewed_config(self, tmp_path):
+        """The standardized population [0, ..., 0, 1, 5] with centered random rows."""
         return write_config(tmp_path, {
             "theorem": "abstract",
             "model": {"kind": "exchangeable", "population": [0] * 14 + [1, 5]},
-            "directions": {"kind": "random", "n": 16, "k": 3, "centered": centered},
+            "directions": {"kind": "random", "n": 16, "k": 3, "centered": True},
         })
 
-    @pytest.mark.parametrize("centered", [True, False])
-    def test_skewed_population_passes_with_any_rows(self, tmp_path, capsys, centered):
+    def test_skewed_population_passes(self, tmp_path, capsys):
         # its float32 sum is not 0; the closed-form residual sums it in float64
-        assert main(["check", str(self.skewed_config(tmp_path, centered))]) == 0
+        assert main(["check", str(self.skewed_config(tmp_path))]) == 0
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("check linearity: ok (max residual ")
         assert line.endswith(", pair=transposition)")
@@ -678,7 +708,7 @@ class TestCheckCommand:
         for module, name in [(empirics, "sample_tiles"), (empirics, "sample_block"),
                              (sources, "sample_tiles"), (sources, "sample_block")]:
             monkeypatch.setattr(module, name, refuse, raising=False)
-        assert main(["check", str(self.skewed_config(tmp_path, False))]) == 0
+        assert main(["check", str(self.skewed_config(tmp_path))]) == 0
 
 
 class TestMomentsCommand:

@@ -234,12 +234,12 @@ class TestConditionalLinearity:
     @pytest.mark.parametrize("centered", [True, False])
     @pytest.mark.parametrize("values", [
         np.arange(1.0, 34.0), np.arange(33) % 2, np.random.default_rng(9).lognormal(size=33),
-        np.r_[np.zeros(31), [1.0, 5.0]],
-    ], ids=["ramp", "alternating", "lognormal", "skewed"])
+        np.r_[np.zeros(31), [1.0, 5.0]], np.r_[np.zeros(14), [1.0, 5.0]],
+    ], ids=["ramp", "alternating", "lognormal", "skewed", "skewed16"])
     def test_transposition_residual_is_rounding_for_every_population(self, values, centered):
         # W = sum_r x_r is the population sum at every state, so rows that do
         # not sum to zero leave the identity exact too
-        ds = random_orthonormal(33, 3, seed=6, centered=centered)
+        ds = random_orthonormal(values.size, 3, seed=6, centered=centered)
         model = ExchangeableModel(standardize_population(values))
         assert linearity_residual(ds, model) <= 1e-15
 
