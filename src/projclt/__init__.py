@@ -10,13 +10,8 @@ from .bounds import (
     bound_abstract,
 )
 from .directions import (
-    CENTERED_ORTHONORMAL,
-    LINEARLY_INDEPENDENT,
-    ORTHONORMAL,
     DirectionSet,
-    GramData,
     NormSummary,
-    gram,
     hypercube_directions,
     norm_summary,
     random_orthonormal,

@@ -52,8 +52,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .directions import ORTHONORMAL_KINDS, DirectionSet, GramData, NormSummary
-from .errors import InvalidInputError, InvalidMomentsError
+import numpy as np
+
+from .directions import DirectionSet, NormSummary
+from .errors import InvalidInputError
 from .sources import EXCHANGEABLE, IID, INDEPENDENT, Model, MomentSummary, family, model_dim
 from .testfuncs import TestFunction
 
@@ -143,9 +145,11 @@ def theorem_spec(theorem: str, ds: DirectionSet, model: Model) -> Theorem:
         )
     if model_dim(model) not in (None, ds.n):
         raise InvalidInputError("model dimension does not match the direction set")
-    if not row.gram and ds.kind not in ORTHONORMAL_KINDS:
-        raise InvalidInputError(f"{theorem} requires orthonormal directions, got {ds.kind!r}")
-    if fam == EXCHANGEABLE and not ds.is_centered():
+    if not row.gram and not ds.orthonormal:
+        worst = np.max(np.abs(ds.gram - np.eye(ds.k)))
+        raise InvalidInputError(f"{theorem} requires orthonormal directions; these rows' Gram "
+                                f"matrix is off the identity by {worst:.3e}")
+    if fam == EXCHANGEABLE and not ds.centered:
         raise InvalidInputError(f"{theorem} needs centered directions, rows that sum to zero, "
                                 "for an exchangeable model")
     return row
@@ -156,22 +160,19 @@ def bound(
     norms: NormSummary,
     m: MomentSummary,
     g: TestFunction,
-    gramdata: Optional[GramData] = None,
+    lam: float = 1.0,
     constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
 ) -> BoundReport:
     """Assemble T1-T5 from the summaries of inputs :func:`theorem_spec` admitted.
 
-    A row with the Gram flag takes lam = lambda_max of ``gramdata`` (which
-    it requires), hess_op_sup for g2 and, in the exchangeable family,
-    grad_sup for g1; a row without it takes lam = 1, g1 and g2.  The
-    independent family reads the worst-coordinate moments.
+    A row with the Gram flag takes ``lam``, the largest Gram eigenvalue,
+    hess_op_sup for g2 and, in the exchangeable family, grad_sup for g1; a
+    row without it is passed lam = 1 and takes g1 and g2.  The independent
+    family reads the worst-coordinate moments.
     """
     row = THEOREMS[theorem]
     k = norms.k
-    lam, grad, hess = 1.0, g.g1, g.g2
-    if row.gram:
-        lam = gramdata.lambda_max
-        grad, hess = g.grad_sup, g.hess_op_sup
+    grad, hess = (g.grad_sup, g.hess_op_sup) if row.gram else (g.g1, g.g2)
     if EXCHANGEABLE not in row.families:
         term_fourth = (
             0.5 * math.sqrt(lam * k) * g.grad_sup
@@ -180,10 +181,6 @@ def bound(
         term_third = (4.0 / 3.0) * lam * k * k * hess * m.abs3_max * norms.sum_l3_cubed
         term_mixed = 0.0
     else:
-        if m.mixed_4 is None or m.mixed_var is None:
-            raise InvalidMomentsError(
-                "exchangeable bounds need the mixed moments E X1X2X3X4 and E (X1^2-1)(X2^2-1)"
-            )
         sqrt_lam = math.sqrt(lam)
         term_mixed = (
             constants.a * k * sqrt_lam * grad

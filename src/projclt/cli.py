@@ -366,8 +366,8 @@ def _bound_row(report: bounds_mod.BoundReport) -> list:
 def _verify_row(rep: empirics.VerificationReport) -> list:
     br = rep.bound_report
     return [
-        rep.digest, br.theorem, br.n, br.k, rep.samples,
-        rep.discrepancy_estimate, rep.ci_halfwidth, rep.bound_total, rep.passed,
+        rep.digest, br.theorem, br.n, br.k, rep.estimate.samples,
+        rep.estimate.discrepancy, rep.estimate.ci_halfwidth, rep.bound_total, rep.passed,
     ]
 
 

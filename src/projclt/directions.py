@@ -1,13 +1,11 @@
-"""Projection-direction sets and their norm and Gram summaries.
+"""Projection-direction sets and their norm summaries.
 
 A direction set holds k unit vectors in R^n onto which an n-dimensional
-random vector is projected.  Everything downstream (error bounds,
-simulated pairs, discrepancy estimates) consumes either the raw rows or
-one of two derived summaries:
-
-* ``NormSummary`` -- the l4/l3 norm sums that drive the bound magnitudes,
-* ``GramData``    -- pairwise inner products and the largest eigenvalue,
-  which inflates the bounds for non-orthonormal sets.
+random vector is projected.  It measures its own structure once, from
+the Gram product: whether the rows are orthonormal, whether each sums to
+zero, and the Gram matrix with its largest eigenvalue, which inflates the
+bounds for non-orthonormal sets.  ``NormSummary`` holds the l4/l3 norm
+sums that drive the bound magnitudes.
 
 Constructors cover the two families used throughout: sign-vector rows of
 a Sylvester-type orthogonal design (all entries +-n^{-1/2}) and uniformly
@@ -17,9 +15,10 @@ hyperplane so that every row sums to zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,27 +27,24 @@ from .errors import InvalidInputError, LinearDependenceError, UnsupportedDimensi
 # Row-level validation (norms, orthogonality, centering).
 VALIDATION_TOL = 1e-10
 
-ORTHONORMAL = "orthonormal"
-LINEARLY_INDEPENDENT = "linearly-independent"
-CENTERED_ORTHONORMAL = "centered-orthonormal"
-KINDS = (ORTHONORMAL, LINEARLY_INDEPENDENT, CENTERED_ORTHONORMAL)
-
-# Kinds whose rows form an orthonormal family.
-ORTHONORMAL_KINDS = (ORTHONORMAL, CENTERED_ORTHONORMAL)
-
 
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
-    """k unit rows theta_1..theta_k in R^n, validated on construction.
+    """k linearly independent unit rows theta_1..theta_k in R^n, validated
+    and measured on construction.
 
-    ``kind`` declares the structure the rows are guaranteed to have:
-    ``orthonormal`` (pairwise inner products vanish),
-    ``centered-orthonormal`` (additionally each row sums to zero), or
-    ``linearly-independent`` (unit rows with a nonsingular Gram matrix).
+    ``gram`` is the symmetrised Gram matrix, c_ij = <theta_i, theta_j>.
+    Within :data:`VALIDATION_TOL`, ``orthonormal`` says every entry of
+    ``gram`` is that of the identity and ``centered`` that every row sums
+    to zero.  The Gram eigenvalues are computed on first use, and at
+    construction only for rows that are not orthonormal, whose smallest
+    eigenvalue must be positive.
     """
 
     vectors: np.ndarray
-    kind: str
+    gram: np.ndarray = field(init=False, repr=False)
+    orthonormal: bool = field(init=False)
+    centered: bool = field(init=False)
 
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=np.float64)
@@ -57,36 +53,34 @@ class DirectionSet:
         k, n = vecs.shape
         if k > n:
             raise InvalidInputError(f"need k <= n, got k={k}, n={n}")
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown direction kind {self.kind!r}")
         vecs = np.ascontiguousarray(vecs)
         vecs.flags.writeable = False
         object.__setattr__(self, "vectors", vecs)
 
-        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
-        if np.max(np.abs(norms - 1.0)) > VALIDATION_TOL:
-            raise InvalidInputError(
-                f"rows must be unit vectors (worst deviation {np.max(np.abs(norms - 1.0)):.3e})"
-            )
         g = vecs @ vecs.T
-        if self.kind in ORTHONORMAL_KINDS:
-            off = g - np.eye(k)
-            if np.max(np.abs(off)) > VALIDATION_TOL:
-                raise InvalidInputError(
-                    f"rows are not orthonormal (worst inner product {np.max(np.abs(off)):.3e})"
-                )
-        else:
-            eigs = np.linalg.eigvalsh((g + g.T) / 2.0)
-            if eigs[0] <= VALIDATION_TOL:
-                raise LinearDependenceError(
-                    f"rows are numerically dependent (smallest Gram eigenvalue {eigs[0]:.3e})"
-                )
-        if self.kind == CENTERED_ORTHONORMAL:
-            sums = vecs.sum(axis=1)
-            if np.max(np.abs(sums)) > VALIDATION_TOL:
-                raise InvalidInputError(
-                    f"rows must sum to zero (worst row sum {np.max(np.abs(sums)):.3e})"
-                )
+        norm_dev = np.max(np.abs(np.sqrt(np.diagonal(g)) - 1.0))
+        if not norm_dev <= VALIDATION_TOL:  # NaN entries fail too
+            raise InvalidInputError(f"rows must be unit vectors (worst deviation {norm_dev:.3e})")
+        g = (g + g.T) / 2.0
+        g.flags.writeable = False
+        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "orthonormal",
+                           bool(np.max(np.abs(g - np.eye(k))) <= VALIDATION_TOL))
+        object.__setattr__(self, "centered",
+                           bool(np.max(np.abs(vecs.sum(axis=1))) <= VALIDATION_TOL))
+        if not self.orthonormal and self._gram_eigenvalues[0] <= VALIDATION_TOL:
+            raise LinearDependenceError("rows are numerically dependent (smallest Gram "
+                                        f"eigenvalue {self._gram_eigenvalues[0]:.3e})")
+
+    @functools.cached_property
+    def _gram_eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.gram)
+
+    @property
+    def lambda_max(self) -> float:
+        """Largest eigenvalue of ``gram``: 1 up to rounding for orthonormal
+        rows, and in [1, k] for any unit rows."""
+        return float(self._gram_eigenvalues[-1])
 
     @property
     def n(self) -> int:
@@ -96,30 +90,23 @@ class DirectionSet:
     def k(self) -> int:
         return self.vectors.shape[0]
 
-    def max_row_sum(self) -> float:
-        """Largest |sum_r theta_i^r| over rows; 0 means exactly centered."""
-        return float(np.max(np.abs(self.vectors.sum(axis=1))))
-
-    def is_centered(self, tol: float = VALIDATION_TOL) -> bool:
-        return self.max_row_sum() <= tol
-
     def to_csv(self) -> str:
-        lines = [f"# n={self.n} k={self.k} kind={self.kind}"]
-        for row in self.vectors:
-            lines.append(",".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
+        rows = (",".join(repr(float(x)) for x in row) for row in self.vectors)
+        return "\n".join([f"# n={self.n} k={self.k}", *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, source: str = "direction text") -> "DirectionSet":
-        """Parse the ``to_csv`` format; errors name ``source`` and the line."""
+        """Parse the ``to_csv`` format; errors name ``source`` and the line.
+        The header may end in a ``kind=<word>``, which older files carry and
+        which is not read: the rows are measured instead."""
         lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         header = lines[0][1] if lines else ""
         if not header.startswith("#"):
-            raise InvalidInputError(f"{source} must start with a '# n=.. k=.. kind=..' header")
-        m = re.match(r"#\s*n=(\d+)\s+k=(\d+)\s+kind=(\S+)", header)
+            raise InvalidInputError(f"{source} must start with a '# n=.. k=..' header")
+        m = re.fullmatch(r"#\s*n=(\d+)\s+k=(\d+)(?:\s+kind=\S+)?", header)
         if m is None:
             raise InvalidInputError(f"{source}: malformed direction header: {header!r}")
-        n, k, kind = int(m.group(1)), int(m.group(2)), m.group(3)
+        n, k = int(m.group(1)), int(m.group(2))
         rows = []
         for lineno, line in lines[1:]:
             try:
@@ -135,7 +122,7 @@ class DirectionSet:
             rows.append(row)
         if len(rows) != k:
             raise InvalidInputError(f"{source}: {len(rows)} direction rows, the header says k={k}")
-        return cls(vectors=np.array(rows, dtype=np.float64), kind=kind)
+        return cls(np.array(rows, dtype=np.float64))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -179,27 +166,6 @@ def norm_summary(ds: DirectionSet) -> NormSummary:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GramData:
-    """Gram matrix C with c_ij = <theta_i, theta_j> and its largest eigenvalue."""
-
-    C: np.ndarray
-    lambda_max: float
-
-
-def gram(ds: DirectionSet) -> GramData:
-    """Gram matrix and largest eigenvalue of a direction set, whose rows
-    :class:`DirectionSet` checked to be linearly independent."""
-    v = ds.vectors
-    c = v @ v.T
-    c = (c + c.T) / 2.0
-    lam = float(np.linalg.eigvalsh(c)[-1])
-    if not (1.0 - 1e-8 <= lam <= ds.k + 1e-8):
-        raise InvalidInputError(f"largest Gram eigenvalue {lam} outside [1, k]")
-    c.flags.writeable = False
-    return GramData(C=c, lambda_max=lam)
-
-
 def hypercube_directions(n: int, k: int, centered: bool = False) -> DirectionSet:
     """k orthonormal rows with every entry +-n^(-1/2), via Sylvester doubling.
 
@@ -221,8 +187,7 @@ def hypercube_directions(n: int, k: int, centered: bool = False) -> DirectionSet
     for i in range(k):
         parity = (np.bitwise_count(cols & np.uint64(start + i)) & 1).astype(np.int64)
         rows[i] = scale * (1.0 - 2.0 * parity)
-    kind = CENTERED_ORTHONORMAL if centered else ORTHONORMAL
-    return DirectionSet(vectors=rows, kind=kind)
+    return DirectionSet(rows)
 
 
 def _haar_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
@@ -263,5 +228,5 @@ def random_orthonormal(n: int, k: int, seed: int, centered: bool = False) -> Dir
     rng = np.random.default_rng(seed)
     if centered:
         rows = _embed_zero_sum(_haar_rows(rng, k, n - 1))
-        return DirectionSet(vectors=rows, kind=CENTERED_ORTHONORMAL)
-    return DirectionSet(vectors=_haar_rows(rng, k, n), kind=ORTHONORMAL)
+        return DirectionSet(rows)
+    return DirectionSet(_haar_rows(rng, k, n))

@@ -42,7 +42,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import sources
 from .bounds import DEFAULT_EXCHANGEABLE_CONSTANTS, ExchangeableConstants
-from .directions import DirectionSet, gram, norm_summary
+from .directions import DirectionSet, norm_summary
 from .errors import InvalidInputError, InvalidMomentsError, ProjcltError
 from .sources import ExchangeableModel, IndependentModel, Model, sample_tiles
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
@@ -405,20 +405,24 @@ def estimate_discrepancy(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification run; ``bound_report`` names its theorem, n and k."""
+    """Outcome of one verification run; ``bound_report`` names its theorem, n and k,
+    and ``estimate`` its sample count, discrepancy and margin."""
 
-    samples: int
-    discrepancy_estimate: float
-    ci_halfwidth: float
-    bound_total: float
+    estimate: DiscrepancyEstimate
     bound_report: bounds_mod.BoundReport
+    bound_scale: float = 1.0
     digest: str = ""
     metadata: dict = field(default_factory=dict)
 
     @property
+    def bound_total(self) -> float:
+        """The bound, times ``bound_scale``."""
+        return self.bound_report.total * self.bound_scale
+
+    @property
     def passed(self) -> bool:
         """The measured discrepancy is at most the bound plus the margin."""
-        return self.discrepancy_estimate <= self.bound_total + self.ci_halfwidth
+        return self.estimate.discrepancy <= self.bound_total + self.estimate.ci_halfwidth
 
 
 def _stage(name: str, fn, seconds: dict):
@@ -448,10 +452,8 @@ def compute_bound(
     if g.dimension != ds.k:
         raise InvalidInputError(f"test function dimension {g.dimension} != k = {ds.k}")
     if not row.pair:
-        gramdata = gram(ds) if row.gram else None
-        return bounds_mod.bound(
-            theorem, norm_summary(ds), sources.moment_summary(model), g, gramdata, constants
-        )
+        return bounds_mod.bound(theorem, norm_summary(ds), sources.moment_summary(model), g,
+                                ds.lambda_max if row.gram else 1.0, constants)
     second = eij_second_moments(ds, model)
     eij = bounds_mod.EijStats(
         sum_abs=float(np.sqrt(second).sum()), sqrt_sum_sq=math.sqrt(float(second.sum()))
@@ -466,7 +468,7 @@ def gaussian_spec_for(theorem: str, ds: DirectionSet) -> GaussianSpec:
     """The Gram matrix as covariance for the theorems that take lam from
     it, the identity otherwise."""
     if bounds_mod.THEOREMS[theorem].gram:
-        return GaussianSpec.from_gram(gram(ds))
+        return GaussianSpec(ds.gram)
     return GaussianSpec.identity(ds.k)
 
 
@@ -512,12 +514,5 @@ def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, 
         "samples_per_s": samples / seconds["discrepancy"],
         "dominant_term": max(terms, key=terms.get),
     }
-    return VerificationReport(
-        samples=samples,
-        discrepancy_estimate=disc.discrepancy,
-        ci_halfwidth=disc.ci_halfwidth,
-        bound_total=report.total * bound_scale,
-        bound_report=report,
-        digest=digest,
-        metadata=metadata,
-    )
+    return VerificationReport(estimate=disc, bound_report=report, bound_scale=bound_scale,
+                              digest=digest, metadata=metadata)

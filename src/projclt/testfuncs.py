@@ -180,10 +180,6 @@ class GaussianSpec:
     def identity(cls, k: int) -> "GaussianSpec":
         return cls(covariance=np.eye(k))
 
-    @classmethod
-    def from_gram(cls, gramdata) -> "GaussianSpec":
-        return cls(covariance=np.array(gramdata.C))
-
 
 class Expectation(NamedTuple):
     """A Gaussian expectation with a proved absolute error bound."""

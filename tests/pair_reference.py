@@ -13,12 +13,23 @@ from typing import NamedTuple
 import numpy as np
 
 from projclt import sources
-from projclt.directions import ORTHONORMAL_KINDS, DirectionSet
+from projclt.directions import VALIDATION_TOL, DirectionSet
 from projclt.empirics import RESAMPLING, TRANSPOSITION
 from projclt.errors import InvalidInputError
 from projclt.sources import ExchangeableModel, IIDModel, IndependentModel, Model
 
 PAIR_KINDS = (RESAMPLING, TRANSPOSITION)
+
+
+def orthonormal_rows(ds: DirectionSet) -> bool:
+    """Every entry of the rows' Gram matrix within VALIDATION_TOL of the identity's."""
+    theta = ds.vectors
+    return bool(np.max(np.abs(theta @ theta.T - np.eye(ds.k))) <= VALIDATION_TOL)
+
+
+def centered_rows(ds: DirectionSet) -> bool:
+    """Every row sums to zero within VALIDATION_TOL."""
+    return bool(np.max(np.abs(ds.vectors.sum(axis=1))) <= VALIDATION_TOL)
 
 
 def require_family(model: Model, pair_kind: str) -> None:
@@ -75,7 +86,7 @@ def resample_pair(x, ds: DirectionSet, model: Model, seed: int) -> ResamplePairD
 def transpose_pair(x, ds: DirectionSet, model: Model, seed: int) -> TransposePairDraw:
     """One draw of the transposition pair from state x."""
     require_family(model, TRANSPOSITION)
-    if not ds.is_centered():
+    if not centered_rows(ds):
         raise InvalidInputError(
             "the transposition pair needs centered directions (rows summing to zero); "
             "its shrinkage identity fails otherwise"
@@ -136,7 +147,7 @@ def eij_closed_form(x, ds: DirectionSet, pair_kind: str) -> np.ndarray:
         raise InvalidInputError(f"states have shape {x.shape}, directions need (..., {ds.n})")
     if pair_kind not in PAIR_KINDS:
         raise InvalidInputError(f"unknown pair kind {pair_kind!r}")
-    if ds.kind not in ORTHONORMAL_KINDS:
+    if not orthonormal_rows(ds):
         raise InvalidInputError(f"the {pair_kind} closed form assumes orthonormal rows")
     theta = ds.vectors
     n = ds.n
@@ -144,7 +155,7 @@ def eij_closed_form(x, ds: DirectionSet, pair_kind: str) -> np.ndarray:
     x2 = x * x
     if pair_kind == RESAMPLING:
         return np.einsum("...r,ijr->...ij", x2 - 1.0, outer) / n
-    if not ds.is_centered():
+    if not centered_rows(ds):
         raise InvalidInputError("the transposition closed form assumes centered rows")
     s = x @ theta.T
     v = np.einsum("...r,ijr->...ij", x2, outer)

@@ -233,8 +233,8 @@ def test_criterion_06_end_to_end_soundness():
         if not rep.passed:
             failures.append(
                 f"{model_maker.__name__}/{dir_kind} k={k} n={n}: "
-                f"disc={rep.discrepancy_estimate:.3e} bound={rep.bound_total:.3e} "
-                f"ci={rep.ci_halfwidth:.3e}"
+                f"disc={rep.estimate.discrepancy:.3e} bound={rep.bound_total:.3e} "
+                f"ci={rep.estimate.ci_halfwidth:.3e}"
             )
     assert not failures, "violations:\n" + "\n".join(failures)
 
@@ -312,7 +312,7 @@ def test_criterion_09_exchangeable_scaling():
         assert cur.bound_report.term_fourth < prev.bound_report.term_fourth
         assert cur.bound_report.term_third < prev.bound_report.term_third
     for rep in rows:
-        assert rep.discrepancy_estimate <= 10.0 * rep.bound_total
+        assert rep.estimate.discrepancy <= 10.0 * rep.bound_total
 
 
 @announce(10, "Gaussian expectation oracle")

@@ -15,10 +15,7 @@ from projclt.bounds import (
     bound_abstract,
 )
 from projclt.directions import (
-    LINEARLY_INDEPENDENT,
-    ORTHONORMAL,
     DirectionSet,
-    gram,
     hypercube_directions,
     norm_summary,
     random_orthonormal,
@@ -53,7 +50,7 @@ def equicorrelated_set(k, n, beta, centered=False, seed=0):
     c = (1.0 - beta) * np.eye(k) + beta * np.ones((k, k))
     b = np.linalg.cholesky(c)
     base = random_orthonormal(n, k, seed=seed, centered=centered)
-    return DirectionSet(b @ base.vectors, kind=LINEARLY_INDEPENDENT)
+    return DirectionSet(b @ base.vectors)
 
 
 def ramp_model(n):
@@ -75,7 +72,7 @@ class TestIIDBound:
     def test_hand_assembled_value(self):
         # k=1, all-coordinates direction at n=100, unit seminorms:
         # third term = 4/3 * 1 * 1 * 1 * (1/10)
-        ds = DirectionSet(np.full((1, 100), 0.1), kind=ORTHONORMAL)
+        ds = DirectionSet(np.full((1, 100), 0.1))
         rep = compute_bound("T1", ds, rademacher(), cosine_testfn([1.0]))
         assert rep.total == pytest.approx(4.0 / 30.0, abs=1e-15)
 
@@ -91,10 +88,17 @@ class TestIIDBound:
         rep = compute_bound("T1", ds, uniform(), unit_cosine(3))
         assert rep.total == rep.term_fourth + rep.term_third + rep.term_mixed
 
-    def test_requires_orthonormal_kind(self):
-        ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
-        with pytest.raises(InvalidInputError, match="T1 requires orthonormal directions"):
+    def test_requires_orthonormal_rows(self):
+        ds = DirectionSet(LININD_ROWS)
+        with pytest.raises(InvalidInputError, match="T1 requires orthonormal directions; "
+                           "these rows' Gram matrix is off the identity by 5.000e-01"):
             compute_bound("T1", ds, uniform(), unit_cosine(2))
+
+    def test_orthonormal_rows_are_measured_not_declared(self):
+        # off-diagonal 2.7e-17: orthonormal within the row tolerance
+        ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]))
+        assert ds.orthonormal
+        assert compute_bound("T1", ds, uniform(), unit_cosine(2)).total > 0
 
 
 class TestIndependentBound:
@@ -146,7 +150,7 @@ class TestLinIndBound:
         rep2 = compute_bound("T2", ds, uniform(), g)
         rep3 = compute_bound("T3", ds, uniform(), g)
         rep3_ceiling = compute_bound("T3", ds, uniform(), ceiling)
-        assert rep2.lam is None and rep3.lam == gram(ds).lambda_max
+        assert rep2.lam is None and rep3.lam == ds.lambda_max
         assert rep3.term_third / rep2.term_third == pytest.approx(g.hess_op_sup / g.g2, rel=1e-12)
         assert rep3_ceiling.term_third / rep2.term_third == pytest.approx(k, rel=1e-12)
         assert rep2.term_third <= rep3.term_third <= rep3_ceiling.term_third
@@ -158,7 +162,7 @@ class TestLinIndBound:
         m = iid_moments(uniform())
         g = unit_cosine(2)
         rep = compute_bound("T3", ds, uniform(), g)
-        lam = gram(ds).lambda_max
+        lam = ds.lambda_max
         expect_fourth = 0.5 * math.sqrt(lam * 2) * g.grad_sup * math.sqrt(0.8) * ns.sum_l4_sq
         expect_third = (4 / 3) * lam * 4 * g.hess_op_sup * m.abs3_max * ns.sum_l3_cubed
         assert rep.term_fourth == pytest.approx(expect_fourth, rel=1e-12)
@@ -170,8 +174,7 @@ class TestLinIndBound:
         g = unit_cosine(k)
         lo = equicorrelated_set(k, n, beta=0.0125, seed=3)
         hi = equicorrelated_set(k, n, beta=0.8, seed=3)
-        gd_lo, gd_hi = gram(lo), gram(hi)
-        assert gd_hi.lambda_max / gd_lo.lambda_max == pytest.approx(4.0, rel=1e-9)
+        assert hi.lambda_max / lo.lambda_max == pytest.approx(4.0, rel=1e-9)
         rep_lo = compute_bound("T3", lo, uniform(), g)
         rep_hi = compute_bound("T3", hi, uniform(), g)
         ratio_fourth = (rep_hi.term_fourth / rep_lo.term_fourth)
@@ -219,11 +222,6 @@ class TestExchangeableBound:
         with pytest.raises(InvalidInputError, match="T4 needs centered directions"):
             compute_bound("T4", ds, ramp_model(16), unit_cosine(2))
 
-    def test_missing_mixed_moments_rejected(self):
-        ds, _, g = self.setup_inputs()
-        with pytest.raises(InvalidMomentsError):
-            bound("T4", norm_summary(ds), iid_moments(uniform()), g)
-
     def test_default_constants_documented_values(self):
         c = DEFAULT_EXCHANGEABLE_CONSTANTS
         assert (c.a, c.b, c.c) == (1.0, 12.0, 16.0 / 3.0)
@@ -252,16 +250,15 @@ class TestExchangeableLinIndBound:
         base = random_orthonormal(n, k, seed=5, centered=True)
         e1, e2 = base.vectors
         rows = np.array([e1, 0.5 * e1 + (math.sqrt(3) / 2) * e2])
-        ds = DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
-        gd = gram(ds)
-        assert gd.lambda_max == pytest.approx(1.5, abs=1e-12)
+        ds = DirectionSet(rows)
+        assert ds.lambda_max == pytest.approx(1.5, abs=1e-12)
         ns = norm_summary(ds)
-        assert ds.is_centered()
+        assert ds.centered
         model = ramp_model(n)
         m = exchangeable_moments(model)
         g = unit_cosine(k)
         rep = compute_bound("T5", ds, model, g, UNIT_CONSTANTS)
-        lam = gd.lambda_max
+        lam = ds.lambda_max
         expect_mixed = (
             k * math.sqrt(lam) * g.grad_sup
             * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
@@ -297,8 +294,7 @@ class TestTheoremTable:
         ("abstract", hypercube_directions(8, 2).vectors, ramp_model(8), "centered"),
     ], ids=["T1-linind", "T2-linind", "T4-linind", "abstract-linind", "abstract-uncentered"])
     def test_refused_inputs_are_refused_by_every_consumer(self, theorem, rows, model, message):
-        kind = LINEARLY_INDEPENDENT if rows is LININD_ROWS else ORTHONORMAL
-        ds = DirectionSet(rows, kind=kind)
+        ds = DirectionSet(rows)
         with pytest.raises(InvalidInputError, match=message):
             compute_bound(theorem, ds, model, unit_cosine(2))
         with pytest.raises(InvalidInputError, match=message):

@@ -350,8 +350,7 @@ class TestExitCodes:
 
     # Two centered unit rows in R^8 with inner product 1/2.
     LININD = DirectionSet(np.array([[0.5, 0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
-                                    [0.5, 0.0, -0.5, 0.0, 0.5, 0.0, -0.5, 0.0]]),
-                          kind="linearly-independent")
+                                    [0.5, 0.0, -0.5, 0.0, 0.5, 0.0, -0.5, 0.0]]))
 
     @pytest.mark.parametrize("theorem,directions,model,message", [
         ("T1", LININD, "rademacher", "T1 requires orthonormal directions"),
@@ -522,25 +521,41 @@ class TestBoundCommand:
         # 4/3 * 1 * 1 * 1 * (1/16)
         assert float(row["total"]) == pytest.approx(4.0 / 48.0, abs=1e-15)
 
-    @pytest.mark.parametrize("rows,kind,law,theorems", [
+    @pytest.mark.parametrize("rows,law,theorems", [
         # |row| = 1 - 2e-11: outside the old norm-sum sandwich's 1e-12 slack
-        (hypercube_directions(16, 2).vectors * (1 - 2e-11), "orthonormal", "uniform",
-         ["T1", "T2", "T3"]),
+        (hypercube_directions(16, 2).vectors * (1 - 2e-11), "uniform", ["T1", "T2", "T3"]),
         # |row|^2 = 1 - 1.6e-10: outside the old 1e-10 Gram-diagonal check
         (np.array([[0.5, 0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
                    [0.5, 0.0, -0.5, 0.0, 0.5, 0.0, -0.5, 0.0]]) * (1 - 0.8e-10),
-         "linearly-independent", "exponential", ["T3"]),
-    ])
-    def test_rows_the_direction_set_accepts_run(self, tmp_path, rows, kind, law, theorems):
+         "exponential", ["T3"]),
+    ], ids=["sign-rows", "linind-rows"])
+    def test_rows_the_direction_set_accepts_run(self, tmp_path, rows, law, theorems):
         k, n = rows.shape
         dirs = tmp_path / "dirs.txt"
-        dirs.write_text(DirectionSet(rows, kind=kind).to_csv())
+        dirs.write_text(DirectionSet(rows).to_csv())
         out = tmp_path / "bound.csv"
         path = write_config(tmp_path, {
             "model": {"kind": law}, "theorem": theorems, "output": str(out),
             "directions": {"kind": "file", "path": str(dirs)}})
         assert main(["bound", str(path)]) == 0
         assert [row["n"] for row in read_rows(out)] == [str(n)] * len(theorems)
+
+    def test_orthonormal_rows_under_an_old_header_run_t1(self, tmp_path):
+        # The header's kind is not read: the sign-design rows are orthonormal
+        # whatever an older file declares, so T1 gives the hypercube config's CSV.
+        rows = hypercube_directions(8, 2).vectors
+        dirs = tmp_path / "dirs.txt"
+        dirs.write_text("# n=8 k=2 kind=linearly-independent\n"
+                        + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        outputs = []
+        for name, directions in [("file", {"kind": "file", "path": str(dirs)}),
+                                 ("hypercube", {"kind": "hypercube", "n": 8, "k": 2})]:
+            out = tmp_path / f"{name}.csv"
+            path = write_config(tmp_path, {"model": {"kind": "uniform"}, "theorem": "T1",
+                                           "directions": directions, "output": str(out)})
+            assert main(["bound", str(path)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_multiple_theorems(self, tmp_path):
         out = tmp_path / "bound.csv"

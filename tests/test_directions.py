@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projclt.directions import (
-    CENTERED_ORTHONORMAL,
-    LINEARLY_INDEPENDENT,
-    ORTHONORMAL,
+    VALIDATION_TOL,
     DirectionSet,
-    gram,
     hypercube_directions,
     norm_summary,
     random_orthonormal,
@@ -90,26 +87,32 @@ class TestLpNorm:
 
 class TestDirectionSetValidation:
     def test_non_unit_row_rejected(self):
-        with pytest.raises(InvalidInputError):
-            DirectionSet(np.array([[1.0, 1.0]]), kind=ORTHONORMAL)
+        with pytest.raises(InvalidInputError, match="rows must be unit vectors"):
+            DirectionSet(np.array([[1.0, 1.0]]))
 
-    def test_non_orthogonal_rows_rejected(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="rows must be unit vectors"):
+            DirectionSet(np.array([[bad, 1.0]]))
+
+    def test_non_orthogonal_rows_are_measured(self):
         rows = np.array([[1.0, 0.0], [1 / math.sqrt(2), 1 / math.sqrt(2)]])
-        with pytest.raises(InvalidInputError):
-            DirectionSet(rows, kind=ORTHONORMAL)
+        ds = DirectionSet(rows)
+        assert not ds.orthonormal
+        assert ds.lambda_max == pytest.approx(1.0 + 1 / math.sqrt(2), abs=1e-12)
 
     def test_linearly_dependent_rows_rejected(self):
         rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(LinearDependenceError):
-            DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
+            DirectionSet(rows)
 
-    def test_centered_kind_requires_zero_row_sums(self):
-        with pytest.raises(InvalidInputError):
-            DirectionSet(np.array([[1.0, 0.0]]), kind=CENTERED_ORTHONORMAL)
+    def test_row_sums_are_measured(self):
+        assert not DirectionSet(np.array([[1.0, 0.0]])).centered
+        assert DirectionSet(np.array([[math.sqrt(0.5), -math.sqrt(0.5)]])).centered
 
     def test_k_exceeding_n_rejected(self):
-        with pytest.raises(InvalidInputError):
-            DirectionSet(np.eye(3, 2), kind=ORTHONORMAL)
+        with pytest.raises(InvalidInputError, match="need k <= n"):
+            DirectionSet(np.eye(3, 2))
 
     def test_vectors_are_immutable(self):
         ds = hypercube_directions(4, 2)
@@ -125,14 +128,14 @@ class TestNormSummary:
         assert ns.sum_l3_cubed == pytest.approx(k / math.sqrt(n), abs=1e-12)
 
     def test_basis_vector_sums_are_one(self):
-        ds = DirectionSet(np.eye(1, 8), kind=ORTHONORMAL)
+        ds = DirectionSet(np.eye(1, 8))
         ns = norm_summary(ds)
         assert ns.sum_l4_sq == pytest.approx(1.0, abs=1e-14)
         assert ns.sum_l3_cubed == pytest.approx(1.0, abs=1e-14)
         assert ns.sum_l4_all_sq == pytest.approx(1.0, abs=1e-14)
 
     def test_two_coordinate_example(self):
-        ds = DirectionSet(np.array([[0.6, 0.8]]), kind=LINEARLY_INDEPENDENT)
+        ds = DirectionSet(np.array([[0.6, 0.8]]))
         assert norm_summary(ds).sum_l3_cubed == pytest.approx(0.728, abs=1e-15)
 
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
@@ -141,7 +144,7 @@ class TestNormSummary:
         # Hoelder forces n^(-1/2) <= ||theta||_4^2, ||theta||_3^3 <= 1 per row.
         v = np.random.default_rng(seed).standard_normal(n)
         v /= np.linalg.norm(v)
-        ds = DirectionSet(v[None, :], kind=LINEARLY_INDEPENDENT)
+        ds = DirectionSet(v[None, :])
         ns = norm_summary(ds)
         lo = 1.0 / math.sqrt(n) - 1e-12
         assert lo <= ns.sum_l4_sq <= 1.0 + 1e-12
@@ -151,37 +154,89 @@ class TestNormSummary:
 
 class TestGram:
     def test_orthonormal_set_gives_identity(self):
-        gd = gram(hypercube_directions(16, 4))
-        np.testing.assert_allclose(gd.C, np.eye(4), atol=1e-12)
-        assert gd.lambda_max == pytest.approx(1.0, abs=1e-10)
+        ds = hypercube_directions(16, 4)
+        np.testing.assert_allclose(ds.gram, np.eye(4), atol=1e-12)
+        assert ds.lambda_max == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.2, 0.7])
     def test_two_by_two_analytic_eigenvalue(self, rho):
         rows = np.array([[1.0, 0.0], [rho, math.sqrt(1 - rho * rho)]])
-        gd = gram(DirectionSet(rows, kind=LINEARLY_INDEPENDENT))
-        assert gd.C[0, 1] == pytest.approx(rho, abs=1e-14)
-        assert gd.lambda_max == pytest.approx(1.0 + abs(rho), abs=1e-12)
+        ds = DirectionSet(rows)
+        assert ds.gram[0, 1] == pytest.approx(rho, abs=1e-14)
+        assert ds.lambda_max == pytest.approx(1.0 + abs(rho), abs=1e-12)
 
     def test_hand_example(self):
         rows = np.array([[1.0, 0.0, 0.0], [1 / math.sqrt(2), 1 / math.sqrt(2), 0.0]])
-        gd = gram(DirectionSet(rows, kind=LINEARLY_INDEPENDENT))
-        assert gd.C[0, 1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert gd.lambda_max == pytest.approx(1.0 + 1 / math.sqrt(2), abs=1e-12)
+        ds = DirectionSet(rows)
+        assert ds.gram[0, 1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert ds.lambda_max == pytest.approx(1.0 + 1 / math.sqrt(2), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lambda_max_matches_power_iteration(self, seed):
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((4, 12))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        gd = gram(DirectionSet(rows, kind=LINEARLY_INDEPENDENT))
-        assert gd.lambda_max == pytest.approx(lambda_max_oracle(gd.C), abs=1e-8)
+        ds = DirectionSet(rows)
+        assert ds.lambda_max == pytest.approx(lambda_max_oracle(ds.gram), abs=1e-8)
 
     def test_lambda_max_bounds(self):
         rng = np.random.default_rng(99)
         rows = rng.standard_normal((5, 20))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        gd = gram(DirectionSet(rows, kind=LINEARLY_INDEPENDENT))
-        assert 1.0 - 1e-10 <= gd.lambda_max <= 5.0 + 1e-10
+        assert 1.0 - 1e-10 <= DirectionSet(rows).lambda_max <= 5.0 + 1e-10
+
+    def test_gram_is_read_only(self):
+        ds = hypercube_directions(8, 2)
+        with pytest.raises(ValueError):
+            ds.gram[0, 1] = 0.5
+
+
+def _frame(n, k, seed, centered):
+    return random_orthonormal(n, k, seed=seed, centered=centered).vectors.copy()
+
+
+@st.composite
+def row_sets(draw):
+    """Unit rows of four shapes: orthonormal frames, centred frames,
+    equicorrelated rows, and frames tilted by an angle near the row
+    tolerance, either towards another row or out of the zero-sum plane."""
+    n = draw(st.integers(3, 24))
+    k = draw(st.integers(1, min(n - 1, 5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = draw(st.sampled_from(["frame", "centered", "equicorrelated", "tilt-row", "tilt-sum"]))
+    if shape in ("frame", "centered"):
+        return _frame(n, k, seed, shape == "centered")
+    if shape == "equicorrelated":
+        # Gram (1-beta) I + beta J is positive definite for -1/(k-1) < beta < 1
+        lo = -0.9 / (k - 1) if k > 1 else -0.9
+        beta = draw(st.floats(lo, 0.95))
+        c = (1.0 - beta) * np.eye(k) + beta * np.ones((k, k))
+        return np.linalg.cholesky(c) @ _frame(n, k, seed, draw(st.booleans()))
+    t = draw(st.floats(0.0, 3 * VALIDATION_TOL))
+    rows = _frame(n, k, seed, True)
+    if shape == "tilt-row" and k > 1:
+        rows[1] = math.cos(t) * rows[1] + math.sin(t) * rows[0]
+    else:
+        # the unit all-ones vector is orthogonal to every centred row
+        rows[0] = math.cos(t) * rows[0] + math.sin(t) / math.sqrt(n)
+    return rows
+
+
+class TestMeasuredStructure:
+    @given(row_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_flags_and_lambda_match_their_definitions(self, rows):
+        g = rows @ rows.T
+        off_identity = float(np.max(np.abs(g - np.eye(len(rows)))))
+        row_sum = float(np.max(np.abs(rows.sum(axis=1))))
+        # a flag exactly at the tolerance would depend on the last bit of g
+        assume(abs(off_identity - VALIDATION_TOL) > 1e-15)
+        assume(abs(row_sum - VALIDATION_TOL) > 1e-15)
+        ds = DirectionSet(rows)
+        assert ds.orthonormal == (off_identity <= VALIDATION_TOL)
+        assert ds.centered == (row_sum <= VALIDATION_TOL)
+        assert ds.lambda_max == pytest.approx(float(np.linalg.eigvalsh(g)[-1]), abs=1e-12)
+        assert 1.0 - 1e-12 <= ds.lambda_max <= ds.k + 1e-12
 
 
 class TestGramSchmidt:
@@ -193,7 +248,7 @@ class TestGramSchmidt:
 
     def test_hand_example(self):
         rows = np.array([[1.0, 0.0, 0.0], [1 / math.sqrt(2), 1 / math.sqrt(2), 0.0]])
-        ds = DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
+        ds = DirectionSet(rows)
         res = gram_schmidt(ds)
         np.testing.assert_allclose(res.eta, np.eye(2, 3), atol=1e-12)
         expected_b = np.array([[1.0, 0.0], [1 / math.sqrt(2), 1 / math.sqrt(2)]])
@@ -209,9 +264,9 @@ class TestGramSchmidt:
         k = min(int(k), n)
         rows = rng.standard_normal((k, n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        ds = DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
+        ds = DirectionSet(rows)
         res = gram_schmidt(ds)
-        c = gram(ds).C
+        c = ds.gram
         assert np.max(np.abs(res.B @ res.B.T - c)) <= 1e-8
         assert np.max(np.abs(res.B @ res.eta - ds.vectors)) <= 1e-8
         np.testing.assert_allclose(res.eta @ res.eta.T, np.eye(k), atol=1e-8)
@@ -234,7 +289,7 @@ class TestHypercubeDirections:
 
     def test_centered_rows_sum_to_zero(self):
         ds = hypercube_directions(4, 3, centered=True)
-        assert ds.kind == CENTERED_ORTHONORMAL
+        assert ds.orthonormal and ds.centered
         np.testing.assert_allclose(ds.vectors.sum(axis=1), 0.0, atol=1e-15)
 
     def test_norm_summary_paper_value(self):
@@ -255,13 +310,13 @@ class TestRandomOrthonormal:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_construction_invariants(self, seed):
         ds = random_orthonormal(20, 4, seed=seed)
-        assert ds.kind == ORTHONORMAL  # validation ran in the constructor
+        assert ds.orthonormal
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_centered_construction(self, seed):
         ds = random_orthonormal(17, 3, seed=seed, centered=True)
-        assert ds.kind == CENTERED_ORTHONORMAL
-        assert ds.max_row_sum() <= 1e-12
+        assert ds.orthonormal and ds.centered
+        assert np.max(np.abs(ds.vectors.sum(axis=1))) <= 1e-12
 
     def test_deterministic_given_seed(self):
         a = random_orthonormal(30, 3, seed=42)
@@ -310,12 +365,26 @@ class TestSerialization:
         ds = random_orthonormal(12, 3, seed=9, centered=True)
         text = ds.to_csv()
         back = DirectionSet.from_csv(text)
-        assert back.kind == ds.kind
+        assert back.orthonormal and back.centered
         np.testing.assert_array_equal(back.vectors, ds.vectors)
 
     def test_header_first_line(self):
         ds = hypercube_directions(8, 2)
-        assert ds.to_csv().splitlines()[0] == "# n=8 k=2 kind=orthonormal"
+        assert ds.to_csv().splitlines()[0] == "# n=8 k=2"
+
+    @pytest.mark.parametrize("kind", ["orthonormal", "linearly-independent",
+                                      "centered-orthonormal"])
+    def test_old_header_kind_is_not_read(self, kind):
+        # rows that are independent but not orthonormal load whatever the kind says
+        rows = DirectionSet(np.array([[1.0, 0.0], [0.6, 0.8]])).to_csv().splitlines()[1:]
+        ds = DirectionSet.from_csv("\n".join([f"# n=2 k=2 kind={kind}", *rows]))
+        assert not ds.orthonormal and ds.lambda_max == pytest.approx(1.6, abs=1e-12)
+
+    @pytest.mark.parametrize("header", ["# n=2 k=2 extra", "# n=2 k=2 kind=orthonormal x",
+                                        "# n=2 k=2 kind=", "# n=2 k=2k", "# n=2"])
+    def test_trailing_header_text_rejected(self, header):
+        with pytest.raises(InvalidInputError, match="malformed direction header"):
+            DirectionSet.from_csv(f"{header}\n1.0,0.0\n0.0,1.0\n")
 
     def test_save_load(self, tmp_path):
         ds = hypercube_directions(16, 4)

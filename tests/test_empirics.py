@@ -7,7 +7,6 @@ import pytest
 from projclt.bounds import ExchangeableConstants
 from projclt.directions import (
     DirectionSet,
-    LINEARLY_INDEPENDENT,
     hypercube_directions,
     norm_summary,
     random_orthonormal,
@@ -63,6 +62,8 @@ from pair_reference import (
 
 # a = b = c = 1: T4/T5 with unit constants, for tests that compare terms.
 UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
+# Two unit rows in R^2 with inner product 1/2: linearly independent, not orthonormal.
+OVERLAPPING_ROWS = np.array([[1.0, 0.0], [0.5, math.sqrt(0.75)]])
 
 
 def unit_cosine(k):
@@ -246,8 +247,7 @@ class TestConditionalLinearity:
     def test_non_centered_counterexample(self):
         # at a generic (non-zero-sum) state, a non-centered direction breaks
         # the shrinkage identity by 2 (sum_r theta^r) (sum_r x_r) / (n(n-1))
-        rows = np.array([[1.0, 0.0, 0.0]])
-        ds = DirectionSet(rows, kind=LINEARLY_INDEPENDENT)
+        ds = DirectionSet(np.array([[1.0, 0.0, 0.0]]))
         x = np.array([1.0, 2.0, 3.0])
         cond = conditional_mean_enumerated(x, ds, None, TRANSPOSITION)
         resid = float(np.max(np.abs(cond + 2.0 / (3 - 1) * project(x, ds))))
@@ -346,7 +346,7 @@ class TestEijClosedForm:
             assert np.max(np.abs(e - eij_enumerated(x, ds, model, pair_kind))) <= 1e-12
 
     def test_requires_orthonormal_rows(self):
-        ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
+        ds = DirectionSet(OVERLAPPING_ROWS)
         with pytest.raises(InvalidInputError):
             eij_closed_form(np.zeros(2), ds, RESAMPLING)
 
@@ -361,7 +361,7 @@ class TestPairStatistics:
         # the exact statistics stay below the analytic envelopes
         n = 128
         rows = np.full((1, n), 1.0 / math.sqrt(n))
-        ds = DirectionSet(rows, kind="orthonormal")
+        ds = DirectionSet(rows)
         model = uniform()
         m = iid_moments(model)
         ns = norm_summary(ds)
@@ -528,7 +528,7 @@ class TestEijSecondMoments:
             eij_second_moments(hypercube_directions(8, 2), law)
 
     def test_linearly_independent_rows_are_rejected(self):
-        ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]), kind=LINEARLY_INDEPENDENT)
+        ds = DirectionSet(OVERLAPPING_ROWS)
         with pytest.raises(InvalidInputError, match="orthonormal"):
             eij_second_moments(ds, uniform())
 
@@ -743,6 +743,14 @@ class TestVerifyBound:
         rep = verify_bound("T2", hypercube_directions(16, 2), rademacher(), unit_cosine(2),
                            samples=400_000, seed=11, bound_scale=1e-6)
         assert not rep.passed
+
+    def test_report_reads_its_estimate_and_scaled_bound(self):
+        rep = verify_bound("T1", hypercube_directions(64, 2), rademacher(), unit_cosine(2),
+                           samples=20_000, seed=2, bound_scale=0.5)
+        assert rep.bound_total == rep.bound_report.total * 0.5
+        assert rep.estimate.samples == rep.metadata["samples"] == 20_000
+        assert rep.passed == (rep.estimate.discrepancy
+                              <= rep.bound_total + rep.estimate.ci_halfwidth)
 
     def test_exchangeable_pass(self):
         n = 64

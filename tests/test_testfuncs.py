@@ -13,7 +13,7 @@ from gaussian_reference import (
     polar_bump_reference,
     spherical_bump_reference,
 )
-from projclt.directions import DirectionSet, LINEARLY_INDEPENDENT, gram
+from projclt.directions import DirectionSet
 from projclt.errors import InvalidInputError, UnsupportedMethodError
 from projclt.testfuncs import (
     GaussianSpec,
@@ -225,10 +225,9 @@ class TestGaussianSpec:
         spec = GaussianSpec.identity(3)
         np.testing.assert_array_equal(spec.covariance, np.eye(3))
 
-    def test_from_gram_has_unit_diagonal(self):
+    def test_gram_covariance_has_unit_diagonal(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
-        gd = gram(DirectionSet(rows, kind=LINEARLY_INDEPENDENT))
-        spec = GaussianSpec.from_gram(gd)
+        spec = GaussianSpec(DirectionSet(rows).gram)
         np.testing.assert_allclose(np.diagonal(spec.covariance), 1.0, atol=1e-10)
 
     def test_asymmetric_rejected(self):
