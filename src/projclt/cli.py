@@ -20,9 +20,10 @@ configurations.  ``bound`` takes a list of theorems, ``verify`` and
 ``scan`` one.
 ``verify`` and ``scan`` take ``--workers N`` (N >= 1; wall time only) and
 ``--trace``, which writes one JSON object per run or scan cell to stderr:
-theorem, n, k, pass/fail and the report metadata (stage seconds,
-samples/s, workers, blocks, tile rows, the stream generator,
-Gaussian-side method and error, and the dominant bound term).
+theorem, n, k, pass/fail, the estimate and the report metadata (stage
+seconds, samples/s, workers, blocks, tile rows, the stream generator,
+Gaussian-side method and error, the dominant bound term, and whether
+coordinates or class sums were drawn, with the number of classes).
 All CSV output starts with a ``# schema=1`` line and renders floats at 17
 significant digits, so identical configurations reproduce byte-identical
 files.  Exit codes: 0 success/pass, 1 bound or invariant violation, 2
@@ -133,7 +134,9 @@ class ExperimentConfig:
     """One experiment, built and checked in a single pass.
 
     ``raw`` is the effective JSON object: the file's, with any override
-    but ``output`` merged in, and ``digest`` fingerprints it.  ``ds``,
+    but ``output`` merged in, and ``digest`` fingerprints it, with the
+    sha256 of a direction or population file's bytes in place of its
+    path (:func:`_fingerprint`).  ``ds``,
     ``model``, ``g`` and ``constants`` are built from it once; ``theorem``
     is a name, or a list of names for ``bound``.
     """
@@ -198,7 +201,7 @@ class ExperimentConfig:
                 bounds_mod.theorem_spec(name, ds, model)
         g = build_test_function(raw["test_function"], ds.k)
         digest = hashlib.sha256(
-            json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+            json.dumps(_fingerprint(raw), sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()[:12]
         return cls(raw=raw, ds=ds, model=model, g=g, theorem=theorem, samples=samples,
                    seed=seed, constants=constants, output=output, digest=digest)
@@ -211,6 +214,21 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
         return cls.from_dict(raw, **overrides)
+
+
+def _fingerprint(raw: dict) -> dict:
+    """``raw`` with the path of a direction file (``directions.path``) or
+    population file (``model.population_file``) replaced by the sha256 of
+    the file's bytes, so that the digest follows the rows, not where they
+    are kept.  A configuration without files is returned as it is."""
+    out = dict(raw)
+    for part, key, what in (("directions", "path", "direction file"),
+                            ("model", "population_file", "population file")):
+        spec = raw[part]
+        if key in spec:
+            data = _open_path(lambda p: Path(p).read_bytes(), spec[key], f"{part}.{key}", what)
+            out[part] = {**spec, key: "sha256:" + hashlib.sha256(data).hexdigest()}
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -382,9 +400,14 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
 
 
 def _trace(rep: empirics.VerificationReport) -> None:
-    br = rep.bound_report
+    br, est = rep.bound_report, rep.estimate
+    meta = dict(rep.metadata)
     record = {"theorem": br.theorem, "n": br.n, "k": br.k, "passed": rep.passed,
-              **rep.metadata}
+              "seed": meta.pop("seed"), "samples": est.samples, "mean_g": est.mean_g,
+              "se": est.se, "gaussian_value": est.gaussian.value,
+              "gaussian_error": est.gaussian.error, "gaussian_method": est.gaussian.method,
+              "bound_scale": rep.bound_scale, "digest": rep.digest, "workers": est.workers,
+              "blocks": est.blocks, **meta, "sampler": est.sampler, "groups": est.groups}
     print(json.dumps(record), file=sys.stderr)
 
 

@@ -44,7 +44,7 @@ from . import sources
 from .bounds import DEFAULT_EXCHANGEABLE_CONSTANTS, ExchangeableConstants
 from .directions import DirectionSet, norm_summary
 from .errors import InvalidInputError, InvalidMomentsError, ProjcltError
-from .sources import ExchangeableModel, IndependentModel, Model, sample_tiles
+from .sources import ExchangeableModel, IndependentModel, Model, sample_class_sums, sample_tiles
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
 
 RESAMPLING = "resampling"
@@ -52,6 +52,24 @@ TRANSPOSITION = "transposition"
 
 # Fixed Monte Carlo block size; part of the determinism contract.
 _BLOCK = 8192
+# How a block's projections are drawn: coordinates projected tile by tile,
+# or one sum per class of coordinates that share a direction column and a
+# law (:func:`estimate_discrepancy`).
+COORDINATES, CLASS_SUMS = "coordinates", "class-sums"
+# Class sums replace coordinates when the classes hold this many coordinates
+# on average: G <= n / _CLASS_SIZE for G classes.  Timed with
+# estimate_discrepancy on one worker, 32768 samples of a cosine on sign rows
+# (2-core x86), classes of m = 64 coordinates take 0.68x the time of the
+# coordinates under two_point(0.2) and 0.17x under the exponential, but 1.43x
+# under Rademacher and 1.48x under two_point(0.45), whose coordinates cost
+# only 1.2-1.8 ns each (about 5 ms more per 32768 samples at n = 256).  At
+# m = 128 every catalog law is faster (0.1-0.9x), and at m = 2048 (n = 4096,
+# k = 2) 0.01-0.07x.  So the break-even is near m = 100 for Rademacher and
+# two-point laws near p = 1/2, whose binomial sums cost 50-110 ns by BTPE
+# (m min(p, 1-p) > 30) and about 10 ns per unit of m p by inversion below,
+# under 64 for two_point(0.2), and near 8 for the exponential, whose gamma
+# sums cost about 21 ns.
+_CLASS_SIZE = 64
 
 
 def pair_for(family: str) -> str:
@@ -300,7 +318,9 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
 @dataclass(frozen=True)
 class DiscrepancyEstimate:
     """|mean g(S) - E g(Z~)| with a three-standard-error confidence margin,
-    and the number of sample blocks and of workers that drew them."""
+    the number of sample blocks and of workers that drew them, and how:
+    ``sampler`` is COORDINATES or CLASS_SUMS, and ``groups`` the number of
+    class sums per sample (None for coordinates)."""
 
     discrepancy: float
     ci_halfwidth: float
@@ -310,6 +330,8 @@ class DiscrepancyEstimate:
     samples: int
     blocks: int
     workers: int
+    sampler: str
+    groups: Optional[int]
 
 
 class _Moments(NamedTuple):
@@ -328,6 +350,53 @@ class _Moments(NamedTuple):
             mean=self.mean + delta * other.count / count,
             m2=self.m2 + other.m2 + delta * delta * self.count * other.count / count,
         )
+
+
+class _Classes(NamedTuple):
+    """Classes of coordinates that share a direction column and a law: per
+    class its law and size, and the (G, k) float64 distinct columns."""
+
+    laws: tuple
+    sizes: tuple
+    columns: np.ndarray
+
+
+def _classes(ds: DirectionSet, model: Model) -> Optional[_Classes]:
+    """The classes of (direction column, law) of an i.i.d. or independent
+    model whose laws all declare a ``sum_sampler``, when there are at most
+    n / _CLASS_SIZE of them; else None.  Columns are compared bit for bit.
+
+    Rows are first checked one by one for having few distinct entries, so
+    random rows are turned away after one sort of their first row (0.035
+    ms at n = 4096, where numpy's ``unique`` of the 64-bit words hashes
+    them and takes 0.6 ms).  Classes are ordered by law, then by the bit
+    patterns (as unsigned integers) of their entries in the first row, the
+    second, and so on.
+    """
+    if isinstance(model, ExchangeableModel):
+        return None
+    laws = model.laws if isinstance(model, IndependentModel) else (model,)
+    if any(law.sum_sampler is None for law in laws):
+        return None
+    limit = ds.n // _CLASS_SIZE
+    bits = ds.vectors.view(np.uint64)
+    for row in bits:
+        ordered = np.sort(row)
+        if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > limit:
+            return None
+    law_index = (model.law_index if isinstance(model, IndependentModel)
+                 else np.zeros(ds.n, dtype=np.intp))
+    code = law_index
+    for row in bits:
+        values, inverse = np.unique(row, return_inverse=True)
+        # Renumbering the classes after each row keeps the codes below n^2.
+        _, first, code, sizes = np.unique(code * values.size + inverse, return_index=True,
+                                          return_inverse=True, return_counts=True)
+        if first.size > limit:
+            return None
+    return _Classes(laws=tuple(laws[law_index[r]] for r in first),
+                    sizes=tuple(int(m) for m in sizes),
+                    columns=np.ascontiguousarray(ds.vectors[:, first].T))
 
 
 def estimate_discrepancy(
@@ -352,6 +421,14 @@ def estimate_discrepancy(
     or two BLAS threads.  Each block reduces to (count, mean, M2) of g in
     double precision, and the blocks are merged in block order, so the
     result does not depend on worker count or scheduling.
+
+    S depends on the coordinates only through the sums of the classes of
+    coordinates that share a direction column and a law.  When there are
+    few classes (:func:`_classes`: sign-design rows under the catalog laws
+    but the uniform), each block draws its class sums instead
+    (:func:`projclt.sources.sample_class_sums`, from the block's own
+    stream) and S is the float64 product of the (count, G) sums with the
+    G distinct columns.
     """
     if samples < 1000:
         raise InvalidInputError(f"discrepancy estimation needs >= 1000 samples, got {samples}")
@@ -360,14 +437,19 @@ def estimate_discrepancy(
     n = ds.n
     if sources.model_dim(model) not in (None, n):
         raise InvalidInputError("model dimension does not match the direction set")
+    classes = _classes(ds, model)
     theta = np.ascontiguousarray(ds.vectors.T, dtype=np.float32)
     starts = list(range(0, samples, _BLOCK))
 
     def run_block(start: int) -> _Moments:
         count = min(_BLOCK, samples - start)
-        tiles = sample_tiles(model, seed, start, count, n=n)
-        s = np.concatenate([x @ theta for x in tiles])
-        vals = g.evaluate(s.astype(np.float64))
+        if classes is None:
+            tiles = sample_tiles(model, seed, start, count, n=n)
+            s = np.concatenate([x @ theta for x in tiles]).astype(np.float64)
+        else:
+            s = sample_class_sums(classes.laws, classes.sizes, seed, start,
+                                  count) @ classes.columns
+        vals = g.evaluate(s)
         mean = float(vals.mean())
         dev = vals - mean
         return _Moments(count=count, mean=mean, m2=float(np.dot(dev, dev)))
@@ -397,6 +479,8 @@ def estimate_discrepancy(
         samples=samples,
         blocks=len(starts),
         workers=workers,
+        sampler=COORDINATES if classes is None else CLASS_SUMS,
+        groups=None if classes is None else len(classes.laws),
     )
 
 
@@ -480,10 +564,11 @@ def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, 
     """Estimate the discrepancy, evaluate the selected bound, and compare.
 
     The run passes when the measured discrepancy does not exceed the bound,
-    times ``bound_scale``, plus the confidence margin.  The metadata
-    records how the discrepancy was sampled, how long each stage took, and
-    the largest of the bound's three terms.  The Gaussian stage builds the
-    covariance and computes E g(Z~); the discrepancy stage only samples.
+    times ``bound_scale``, plus the confidence margin.  The estimate says
+    how the discrepancy was sampled; the metadata adds the seed, the tile
+    height and stream, how long each stage took, and the largest of the
+    bound's three terms.  The Gaussian stage builds the covariance and
+    computes E g(Z~); the discrepancy stage only samples.
     """
     seconds: dict = {}
     report = _stage("bound", lambda: compute_bound(theorem, ds, model, g, constants=constants),
@@ -498,16 +583,6 @@ def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, 
     terms = {name: getattr(report, name) for name in ("term_fourth", "term_third", "term_mixed")}
     metadata = {
         "seed": seed,
-        "samples": samples,
-        "mean_g": disc.mean_g,
-        "se": disc.se,
-        "gaussian_value": disc.gaussian.value,
-        "gaussian_error": disc.gaussian.error,
-        "gaussian_method": disc.gaussian.method,
-        "bound_scale": bound_scale,
-        "digest": digest,
-        "workers": disc.workers,
-        "blocks": disc.blocks,
         "tile_rows": sources.TILE_ROWS,
         "stream": sources.STREAM,
         "stage_seconds": seconds,

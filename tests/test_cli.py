@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -61,6 +62,37 @@ class TestConfigValidation:
         a = ExperimentConfig.from_file(str(write_config(tmp_path, name="a.json")))
         b = ExperimentConfig.from_file(str(write_config(tmp_path, name="b.json")))
         assert a.digest == b.digest
+        # a configuration without files keeps the digest of its JSON object
+        assert a.digest == "8a838e2e7d48"
+
+    @pytest.mark.parametrize("part", ["directions", "population"])
+    def test_digest_follows_the_file_bytes_not_the_path(self, tmp_path, part):
+        text = (hypercube_directions(8, 2, centered=True).to_csv() if part == "directions"
+                else "1\n-1\n" * 4)
+        name = "dirs.txt" if part == "directions" else "pop.txt"
+
+        def digest(folder):
+            if part == "directions":
+                spec = {"directions": {"kind": "file", "path": str(folder / name)}}
+            else:
+                spec = {"model": {"kind": "exchangeable", "population_file": str(folder / name)},
+                        "directions": {"kind": "hypercube", "n": 8, "k": 2, "centered": True},
+                        "theorem": "T4"}
+            return ExperimentConfig.from_dict(json.loads(write_config(tmp_path, spec)
+                                                         .read_text())).digest
+
+        one, two = tmp_path / "one", tmp_path / "two"
+        for folder in (one, two):
+            folder.mkdir()
+            (folder / name).write_text(text)
+        assert digest(one) == digest(two)
+        before = digest(one)
+        edited = "-1\n1\n" * 4 if part == "population" else text.replace(
+            "0.35355339059327373", "0.3535533905932737")  # one ulp: still unit rows
+        assert edited != text
+        (one / name).write_text(edited)
+        assert digest(one) != before
+        assert digest(two) == before
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -792,13 +824,50 @@ class TestOverrides:
         assert row["model"] == "uniform"
 
 
+COSINE_PHASE = {"kind": "cosine", "a": "ones-normalized", "phase": 0.3}
+# verify --workers 2 CSVs of configs that draw coordinates, each the same
+# bytes as before class sums came in (20,000 samples, seed 11).
+COORDINATE_CSVS = {
+    "random-rows": ({"model": {"kind": "rademacher"},
+                     "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5},
+                     "test_function": COSINE_PHASE, "theorem": "T2"},
+                    "2a01509d473449a8b11ea4a6d626af0cc958ccef0d8bdf2f0bbe46c8ed9d9390"),
+    "uniform": ({"model": {"kind": "uniform"},
+                 "directions": {"kind": "hypercube", "n": 1024, "k": 2},
+                 "test_function": COSINE_PHASE, "theorem": "T2"},
+                "3a78fd9355719d19419f8cf3e9bb028b8cdf9f6e39e90d30777ffba89f96cf28"),
+    "exchangeable": ({"model": {"kind": "exchangeable", "family": "ramp"},
+                      "directions": {"kind": "hypercube", "n": 1024, "k": 3, "centered": True},
+                      "test_function": {"kind": "bump", "radius": 2.0}, "theorem": "T4"},
+                     "0c2179eee66c4bf501a7260d7771dc8e7b57b90b9c73f14712b24202fa227eef"),
+    "sign-rows-small-n": ({"model": {"kind": "rademacher"},
+                           "directions": {"kind": "hypercube", "n": 64, "k": 2},
+                           "test_function": COSINE_PHASE, "theorem": "T1"},
+                          "291cc8171d23f634e019efd02772d452bdd17f82b03789af317e75da63cee0aa"),
+}
+CLASS_SUM_CONFIG = {"model": {"kind": "exponential"},
+                    "directions": {"kind": "hypercube", "n": 4096, "k": 3},
+                    "test_function": COSINE_PHASE, "theorem": "T2"}
+
+
 class TestReproducibility:
-    def test_byte_identical_output_across_runs_and_workers(self, tmp_path):
+    @pytest.mark.parametrize("config", [None, CLASS_SUM_CONFIG], ids=["coordinates", "class-sums"])
+    def test_byte_identical_output_across_runs_and_workers(self, tmp_path, config):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, config)
         assert main(["verify", str(path), "--output", str(out1), "--workers", "1"]) == 0
         assert main(["verify", str(path), "--output", str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(COORDINATE_CSVS))
+    def test_coordinate_draws_keep_their_bytes(self, tmp_path, capsys, name):
+        config, digest = COORDINATE_CSVS[name]
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, config)
+        assert main(["verify", str(path), "--output", str(out), "--workers", "2", "--trace"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        record = json.loads(capsys.readouterr().err)
+        assert (record["sampler"], record["groups"]) == ("coordinates", None)
 
     def test_seed_override_changes_digest_not_determinism(self, tmp_path):
         base, out1, out2 = tmp_path / "base.csv", tmp_path / "a.csv", tmp_path / "b.csv"
@@ -869,6 +938,21 @@ class TestReproducibility:
         assert set(record["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
         assert record["samples_per_s"] > 0
         assert record["gaussian_method"] == "closed-form" and record["gaussian_error"] == 0.0
+        assert list(record) == [
+            "theorem", "n", "k", "passed", "seed", "samples", "mean_g", "se", "gaussian_value",
+            "gaussian_error", "gaussian_method", "bound_scale", "digest", "workers", "blocks",
+            "tile_rows", "stream", "stage_seconds", "samples_per_s", "dominant_term",
+            "sampler", "groups"]
+        (row,) = read_rows(out2)
+        assert (record["seed"], record["samples"], record["bound_scale"], record["digest"]) == (
+            11, 20_000, 1.0, row["digest"])
+        assert (record["sampler"], record["groups"]) == ("coordinates", None)
+
+    def test_trace_names_the_class_sums(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**CLASS_SUM_CONFIG, "samples": 5_000})
+        assert main(["verify", str(path), "--output", str(tmp_path / "a.csv"), "--trace"]) == 0
+        record = json.loads(capsys.readouterr().err)
+        assert (record["sampler"], record["groups"]) == ("class-sums", 4)
 
     def test_trace_names_the_dominant_bound_term(self, tmp_path, capsys):
         bound_out, out1, out2 = tmp_path / "bound.csv", tmp_path / "a.csv", tmp_path / "b.csv"

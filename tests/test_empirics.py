@@ -12,8 +12,11 @@ from projclt.directions import (
     random_orthonormal,
 )
 from projclt.empirics import (
+    CLASS_SUMS,
+    COORDINATES,
     RESAMPLING,
     TRANSPOSITION,
+    _classes,
     _mean_abs3_diff,
     _Moments,
     compute_bound,
@@ -36,6 +39,7 @@ from projclt.sources import (
     moment_summary,
     rademacher,
     sample_block,
+    sample_class_sums,
     standardize_population,
     two_point,
     uniform,
@@ -723,18 +727,161 @@ class TestEstimateDiscrepancy:
             )
 
 
+def exact_cosine_mean(ds, log_cf, g_a, phase):
+    """E cos(<a, S> + phase) = Re[e^{i phase} prod_r phi_r(<a, theta^r>)], the
+    product summed as complex logs; ``log_cf(w)`` gives log phi_r(w_r) per
+    coordinate."""
+    return float(np.real(np.exp(1j * phase + np.sum(log_cf(np.asarray(g_a) @ ds.vectors)))))
+
+
+def _log_two_point(p):
+    q = 1.0 - p
+    hi, lo = math.sqrt(q / p), -math.sqrt(p / q)
+    return lambda w: np.log(p * np.exp(1j * hi * w) + q * np.exp(1j * lo * w))
+
+
+LOG_CF = {
+    "rademacher": lambda w: np.log(np.cos(w).astype(complex)),
+    "two_point": _log_two_point(0.2),
+    "exponential": lambda w: -1j * w - np.log(1.0 - 1j * w),
+}
+LOG_CF["pattern"] = lambda w: np.where(np.arange(w.size) % 2 == 0, LOG_CF["rademacher"](w),
+                                       LOG_CF["exponential"](w))
+
+
+def class_law(name, n):
+    if name == "pattern":
+        laws = (rademacher(), centered_exponential())
+        return IndependentModel(coords=tuple(laws[r % 2] for r in range(n)))
+    return {"rademacher": rademacher, "two_point": lambda: two_point(0.2),
+            "exponential": centered_exponential}[name]()
+
+
+class TestClassSums:
+    @pytest.mark.parametrize("centered,groups", [(False, [1, 2, 4, 4]), (True, [2, 4, 4, 8])])
+    def test_sign_rows_have_few_classes(self, centered, groups):
+        found = [len(_classes(hypercube_directions(4096, k, centered=centered), rademacher()).laws)
+                 for k in (1, 2, 3, 4)]
+        assert found == groups
+
+    def test_classes_split_by_column_and_law(self):
+        n = 384
+        signs = rademacher()
+        laws = (signs, centered_exponential(), signs)
+        model = IndependentModel(coords=tuple(laws[r % 3] for r in range(n)))
+        rows = np.tile(np.repeat([1.0, -1.0], 2), n // 4) / math.sqrt(n)  # + + - - + + ...
+        classes = _classes(DirectionSet(rows[None, :]), model)
+        theta = rows[None, :]
+        assert classes.sizes == (128, 128, 64, 64)  # by law, then by sign: + before -
+        assert classes.laws == (signs, signs, laws[1], laws[1])
+        for law, size, column in zip(classes.laws, classes.sizes, classes.columns):
+            members = [r for r in range(n) if model.coords[r] is law and theta[0, r] == column[0]]
+            assert len(members) == size
+
+    @pytest.mark.parametrize("case", ["random-rows", "uniform", "user-law", "exchangeable",
+                                      "mixed-pattern", "too-many-classes"])
+    def test_other_cells_take_the_coordinate_path(self, case):
+        n = 256
+        ds = hypercube_directions(n, 2, centered=case == "exchangeable")
+        model = rademacher()
+        if case == "random-rows":
+            ds = random_orthonormal(n, 2, seed=1)
+        elif case == "uniform":
+            model = uniform()
+        elif case == "user-law":
+            model = user_model("signs", rademacher().sampler, abs3=1.0, fourth=1.0)
+        elif case == "exchangeable":
+            model = ramp_model(n)
+        elif case == "mixed-pattern":
+            model = IndependentModel(coords=tuple((rademacher(), uniform())[r % 2]
+                                                  for r in range(n)))
+        else:
+            ds = hypercube_directions(n, 5)  # 8 classes > 256 / 64
+        assert _classes(ds, model) is None
+        g = unit_cosine(ds.k)
+        est = estimate_discrepancy(ds, model, g,
+                                   gaussian_expectation(g, GaussianSpec.identity(ds.k)), 2000,
+                                   seed=1)
+        assert (est.sampler, est.groups) == (COORDINATES, None)
+
+    def test_random_rows_are_turned_away_after_their_first_row(self, monkeypatch):
+        calls = []
+        real_sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(a) or
+                            real_sort(a, *args, **kw))
+        assert _classes(random_orthonormal(4096, 3, seed=2), rademacher()) is None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("law", ["rademacher", "two_point", "exponential", "pattern"])
+    def test_projection_is_the_class_sums_times_the_distinct_columns(self, law):
+        n, k = 1024, 3
+        ds = hypercube_directions(n, k)
+        model = class_law(law, n)
+        classes = _classes(ds, model)
+        g = cosine_testfn([0.9, -0.4, 0.7], phase=0.3)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(k))
+        est = estimate_discrepancy(ds, model, g, gauss, 8192 + 1000, seed=12)
+        assert (est.sampler, est.groups) == (CLASS_SUMS, len(classes.laws))
+        blocks = [sample_class_sums(classes.laws, classes.sizes, 12, start, count)
+                  for start, count in ((0, 8192), (8192, 1000))]
+        vals = [g.evaluate(sums @ classes.columns) for sums in blocks]
+        want = (vals[0].mean() * 8192 + vals[1].mean() * 1000) / 9192
+        assert est.mean_g == pytest.approx(want, rel=1e-14, abs=1e-15)
+        # the classes stand for the coordinates: column c of a class is theta^r of its members
+        for column in classes.columns:
+            assert np.any(np.all(ds.vectors.T == column, axis=1))
+
+    @pytest.mark.parametrize("law", ["rademacher", "exponential", "pattern"])
+    def test_class_path_is_bitwise_equal_across_worker_counts(self, law):
+        ds = hypercube_directions(512, 3, centered=True)
+        model = class_law(law, 512)
+        g = unit_cosine(3)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(3))
+        runs = [estimate_discrepancy(ds, model, g, gauss, 2 * 8192 + 100, seed=9, workers=w)
+                for w in (1, 2, 3)]
+        assert {run.sampler for run in runs} == {CLASS_SUMS}
+        assert len({(run.mean_g.hex(), run.se.hex()) for run in runs}) == 1
+
+    @pytest.mark.parametrize("law", ["rademacher", "two_point", "exponential", "pattern"])
+    def test_class_path_calibrates_against_the_exact_mean(self, law):
+        # z = (mean g - E g(S)) / se over 20 seeds in each of 6 cells, with the
+        # exact E g(S) from the laws' characteristic functions
+        pooled = []
+        for n, k in itertools.product((256, 4096), (1, 2, 3)):
+            ds = hypercube_directions(n, k)
+            model = class_law(law, n)
+            # |a| = 1.3, near the worst frequency, and no column orthogonal to a
+            a = np.array([1.0, 0.6, -0.8][:k])
+            a *= 1.3 / np.linalg.norm(a)
+            g = cosine_testfn(a, phase=0.4)
+            exact = exact_cosine_mean(ds, LOG_CF[law], a, 0.4)
+            gauss = gaussian_expectation(g, GaussianSpec.identity(k))
+            z = []
+            for seed in range(20):
+                est = estimate_discrepancy(ds, model, g, gauss, 2 * 8192,
+                                           seed=100_000 * n + 1000 * k + seed)
+                assert est.sampler == CLASS_SUMS
+                z.append((est.mean_g - exact) / est.se)
+            assert abs(np.mean(z)) <= 4.5 / math.sqrt(len(z)), (n, k)
+            pooled.extend(z)
+        assert abs(np.mean(pooled)) <= 4.0 / math.sqrt(len(pooled))
+        assert 0.6 <= np.var(pooled, ddof=1) <= 1.5
+
+
 class TestVerifyBound:
     def test_desk_scale_pass(self):
         rep = verify_bound("T2", hypercube_directions(256, 2), uniform(), unit_cosine(2),
                            samples=50_000, seed=21)
         assert rep.passed
         assert rep.bound_total > 0
-        assert rep.metadata["gaussian_method"] == "closed-form"
+        assert rep.estimate.gaussian.method == "closed-form"
 
-    def test_metadata_explains_the_sampling(self):
-        meta = verify_bound("T1", hypercube_directions(64, 2), rademacher(), unit_cosine(2),
-                            samples=20_000, seed=2, workers=2).metadata
-        assert (meta["workers"], meta["blocks"], meta["tile_rows"]) == (2, 3, TILE_ROWS)
+    def test_report_explains_the_sampling(self):
+        rep = verify_bound("T1", hypercube_directions(64, 2), rademacher(), unit_cosine(2),
+                           samples=20_000, seed=2, workers=2)
+        meta, est = rep.metadata, rep.estimate
+        assert (est.workers, est.blocks, meta["tile_rows"]) == (2, 3, TILE_ROWS)
+        assert (est.sampler, est.groups) == (COORDINATES, None)
         assert set(meta["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
         assert meta["samples_per_s"] == pytest.approx(
             20_000 / meta["stage_seconds"]["discrepancy"])
@@ -748,7 +895,7 @@ class TestVerifyBound:
         rep = verify_bound("T1", hypercube_directions(64, 2), rademacher(), unit_cosine(2),
                            samples=20_000, seed=2, bound_scale=0.5)
         assert rep.bound_total == rep.bound_report.total * 0.5
-        assert rep.estimate.samples == rep.metadata["samples"] == 20_000
+        assert rep.estimate.samples == 20_000
         assert rep.passed == (rep.estimate.discrepancy
                               <= rep.bound_total + rep.estimate.ci_halfwidth)
 

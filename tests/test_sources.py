@@ -26,6 +26,7 @@ from projclt.sources import (
     TILE_ROWS,
     rademacher,
     sample_block,
+    sample_class_sums,
     sample_tiles,
     standardize_population,
     stream,
@@ -351,6 +352,46 @@ class TestFloat32Draws:
             assert np.all(np.isfinite(x)) and x.min() >= -1.0
 
 
+# E X^3 of each law with a sum sampler: the third central moment of a sum
+# of m copies is m E X^3.
+SUM_LAWS = [(rademacher(), 0.0), (two_point(0.2), (0.8 - 0.2) / math.sqrt(0.2 * 0.8)),
+            (centered_exponential(), 2.0)]
+
+
+class TestSumSamplers:
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 2048])
+    @pytest.mark.parametrize("law,third", SUM_LAWS, ids=lambda v: getattr(v, "name", ""))
+    def test_sums_have_mean_zero_variance_m_and_third_moment_m_ex3(self, law, third, m):
+        x = law.sum_sampler(stream(m, 5), m, 200_000)
+        assert x.dtype == np.float64 and x.shape == (200_000,)
+        for vals, want in [(x, 0.0), (x * x, float(m)), (x**3, m * third)]:
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - want) <= 5 * se
+
+    @pytest.mark.parametrize("law", [law for law, _ in SUM_LAWS], ids=lambda law: law.name)
+    def test_one_copy_lies_in_the_support(self, law):
+        x = law.sum_sampler(stream(1, 6), 1, 100_000)
+        if law.support is not None:
+            assert set(np.unique(x)) == set(law.support[0])
+        else:
+            assert x.min() > -1.0
+
+    @pytest.mark.parametrize("law", [uniform(), user_model("u", uniform().sampler, 1.3, 1.8)],
+                             ids=["uniform", "user"])
+    def test_other_laws_declare_none(self, law):
+        assert law.sum_sampler is None
+
+    def test_class_sums_read_the_block_stream_group_after_group(self):
+        laws = (rademacher(), centered_exponential(), two_point(0.2))
+        sums = sample_class_sums(laws, (5, 3, 9), 4, 8192, 100)
+        rng = stream(4, 8192)
+        want = np.column_stack([law.sum_sampler(rng, m, 100) for law, m in zip(laws, (5, 3, 9))])
+        assert sums.shape == (100, 3) and sums.dtype == np.float64
+        np.testing.assert_array_equal(sums, want)
+        np.testing.assert_array_equal(sample_class_sums(laws, (5, 3, 9), 4, 8192, 100), sums)
+        assert not np.array_equal(sample_class_sums(laws, (5, 3, 9), 4, 0, 100), sums)
+
+
 class TestMomentSummaryInvariants:
     def test_fourth_below_one_rejected(self):
         with pytest.raises(InvalidMomentsError):
@@ -668,6 +709,28 @@ class TestPermutationSampler:
         assert script.draws == []
         kept = np.vstack([first[0], second[0], first[2], third[0]])
         np.testing.assert_array_equal(tile, pop.astype(np.float32)[sort_key_permutations(kept)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 1500), rows=st.integers(1, 70), seed=st.integers(0, 2**32),
+           ties=st.integers(0, 4), near=st.integers(0, 4),
+           gap_keys=st.sampled_from([1, 7, 1000, sources._GAP_KEYS]))
+    def test_tied_rows_are_the_rows_with_equal_neighbouring_high_halves(self, n, rows, seed,
+                                                                       ties, near, gap_keys):
+        rng = np.random.default_rng(seed)
+        pop = np.arange(n, dtype=np.float32)
+        keys = sources._sorted_keys(stream(seed), pop, rows)
+        high = keys.view(np.uint32)[:, sources._HIGH_HALF::2]
+        for _ in range(ties):  # equal high halves
+            r, j = rng.integers(rows), rng.integers(n - 1)
+            high[r, j + 1] = high[r, j]
+        for _ in range(near):  # high halves one apart: a gap below 2^32, no tie
+            r, j = rng.integers(rows), rng.integers(n - 1)
+            high[r, j + 1] = high[r, j] + np.uint32(1)
+        keys.sort(axis=1)
+        every_pair = np.flatnonzero((high[:, 1:] == high[:, :-1]).any(axis=1))
+        with pytest.MonkeyPatch.context() as patch:  # the gaps in pieces of gap_keys keys
+            patch.setattr(sources, "_GAP_KEYS", gap_keys)
+            np.testing.assert_array_equal(sources._tied_rows(keys), every_pair)
 
     def test_populations_above_the_limit_are_refused_before_drawing(self, monkeypatch):
         limit = sources.MAX_PERMUTATION_N
