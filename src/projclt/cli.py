@@ -302,10 +302,15 @@ def build_model(spec: dict, n: int) -> sources.Model:
             pattern = spec.get("pattern")
             if not isinstance(pattern, list) or not pattern:
                 raise ConfigError("independent model needs a non-empty 'pattern' list")
-            coords = [_catalog_law(entry, "model.pattern") for entry in pattern]
-            if None in coords:
-                raise ConfigError("independent pattern entries must be catalog law objects, "
-                                  f"got {pattern[coords.index(None)]!r}")
+            # One law object per distinct entry (as canonical JSON): the
+            # sampler and the class sums group coordinates by law object.
+            laws, coords = {}, []
+            for entry in pattern:
+                law = _catalog_law(entry, "model.pattern")
+                if law is None:
+                    raise ConfigError("independent pattern entries must be catalog law "
+                                      f"objects, got {entry!r}")
+                coords.append(laws.setdefault(json.dumps(entry, sort_keys=True), law))
             tiled = [coords[i % len(coords)] for i in range(n)]
             return sources.IndependentModel(coords=tuple(tiled))
         if kind == sources.EXCHANGEABLE:

@@ -24,8 +24,10 @@ high, a height that is part of this contract.
 
 Every coordinate draw is float32.  Catalog samplers take ``(rng, size)``
 and read the stream's 64-bit words directly, low 32-bit half first:
-uniform and two-point draws are bit-identical to numpy's float32 fill, and the
-centered exponential is the inverse CDF of one 32-bit word.  Rademacher
+two-point draws are bit-identical to numpy's float32 fill; a uniform draw
+is the top 23 bits of a 32-bit half-word made into a float32 in [1, 2)
+and mapped affinely onto [-sqrt(3), sqrt(3)), in the words' own buffer;
+the centered exponential is the inverse CDF of one 32-bit word.  Rademacher
 draws take one bit each from the stream's words, least significant bit
 first, eight at a time through a byte lookup table.  An independent
 model draws law by law, LAW_ROWS rows per sampler call.  An exchangeable
@@ -347,19 +349,27 @@ def rademacher() -> IIDModel:
 
 
 _SQRT3 = math.sqrt(3.0)
-# k * (2 sqrt(3) 2^-24) rounds exactly as (k 2^-24) * 2 sqrt(3) does.
-_UNIFORM_SCALE32 = np.float32(2.0 * _SQRT3) * np.float32(2.0**-24)
+_UNIFORM_WIDTH32 = np.float32(2.0 * _SQRT3)
 
 
 def _sample_uniform(rng, size):
-    out = np.multiply(_top24(rng, size), _UNIFORM_SCALE32, dtype=np.float32).reshape(size)
-    out -= _SQRT3
-    return out
+    # The top 23 bits of a half-word as the mantissa of a float32 1 + j 2^-23
+    # in [1, 2).  Subtracting 1.5 is exact, and the product rounds once, so a
+    # draw is float32((j - 2^22) 2^-23 float32(2 sqrt(3))): a lattice of 2^23
+    # points on [-float32(sqrt(3)), float32(sqrt(3))), inside [-sqrt(3), sqrt(3)).
+    words = _words32(rng, size)
+    words >>= 9
+    words |= 0x3F800000
+    out = words.view(np.float32)
+    out -= np.float32(1.5)
+    out *= _UNIFORM_WIDTH32
+    return out.reshape(size)
 
 
 def uniform() -> IIDModel:
     """Uniform on [-sqrt(3), sqrt(3)]: E|X|^3 = 3 sqrt(3)/4, EX^4 = 9/5, and
-    E|X - X'|^3 = (2 sqrt(3))^3/10, since X - X' is triangular."""
+    E|X - X'|^3 = (2 sqrt(3))^3/10, since X - X' is triangular.  The draws
+    take 2^23 values, equally spaced up to float32 rounding."""
     return IIDModel("uniform", _sample_uniform, abs3=3.0 * _SQRT3 / 4.0, fourth=9.0 / 5.0,
                     diff_abs3=12.0 * _SQRT3 / 5.0)
 

@@ -94,6 +94,15 @@ class TestConfigValidation:
         assert digest(one) != before
         assert digest(two) == before
 
+    def test_equal_pattern_entries_share_one_law_object(self, tmp_path):
+        pattern = [{"kind": "two_point", "p": 0.2}, {"kind": "uniform"},
+                   {"p": 0.2, "kind": "two_point"}, {"kind": "two_point", "p": 0.3}]
+        cfg = ExperimentConfig.from_file(str(write_config(
+            tmp_path, {"model": {"kind": "independent", "pattern": pattern}})))
+        assert [law.name for law in cfg.model.laws] == ["two_point(0.2)", "uniform",
+                                                       "two_point(0.3)"]
+        assert cfg.model.coords[0] is cfg.model.coords[2] is cfg.model.coords[4]
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {}, "directions": {}, "test_function": {}, "bogus": 1}))
@@ -826,7 +835,9 @@ class TestOverrides:
 
 COSINE_PHASE = {"kind": "cosine", "a": "ones-normalized", "phase": 0.3}
 # verify --workers 2 CSVs of configs that draw coordinates, each the same
-# bytes as before class sums came in (20,000 samples, seed 11).
+# bytes as before class sums came in (20,000 samples, seed 11).  The uniform
+# CSV moved once since, when uniform draws became a lattice of 2^23 points
+# built in the stream words' buffer.
 COORDINATE_CSVS = {
     "random-rows": ({"model": {"kind": "rademacher"},
                      "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5},
@@ -835,7 +846,7 @@ COORDINATE_CSVS = {
     "uniform": ({"model": {"kind": "uniform"},
                  "directions": {"kind": "hypercube", "n": 1024, "k": 2},
                  "test_function": COSINE_PHASE, "theorem": "T2"},
-                "3a78fd9355719d19419f8cf3e9bb028b8cdf9f6e39e90d30777ffba89f96cf28"),
+                "3330c4b623229327c2ec55fc7b76926a429fc9422513788753ca8e3719db6be3"),
     "exchangeable": ({"model": {"kind": "exchangeable", "family": "ramp"},
                       "directions": {"kind": "hypercube", "n": 1024, "k": 3, "centered": True},
                       "test_function": {"kind": "bump", "radius": 2.0}, "theorem": "T4"},
@@ -953,6 +964,17 @@ class TestReproducibility:
         assert main(["verify", str(path), "--output", str(tmp_path / "a.csv"), "--trace"]) == 0
         record = json.loads(capsys.readouterr().err)
         assert (record["sampler"], record["groups"]) == ("class-sums", 4)
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "rademacher"},
+        {"kind": "independent", "pattern": [{"kind": "rademacher"}, {"kind": "rademacher"}]},
+    ], ids=["iid", "repeated-pattern-law"])
+    def test_a_repeated_pattern_law_keeps_its_class_whole(self, tmp_path, capsys, model):
+        path = write_config(tmp_path, {"model": model, "samples": 5_000,
+                                       "directions": {"kind": "hypercube", "n": 64, "k": 1}})
+        assert main(["verify", str(path), "--output", str(tmp_path / "a.csv"), "--trace"]) == 0
+        record = json.loads(capsys.readouterr().err)
+        assert (record["sampler"], record["groups"]) == ("class-sums", 1)
 
     def test_trace_names_the_dominant_bound_term(self, tmp_path, capsys):
         bound_out, out1, out2 = tmp_path / "bound.csv", tmp_path / "a.csv", tmp_path / "b.csv"

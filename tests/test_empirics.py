@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -661,6 +663,46 @@ class TestEstimateDiscrepancy:
         # float64 in row chunks, to keep a float64 copy of the block out of memory
         s = np.concatenate([x.astype(np.float64) @ ds.vectors.T for x in np.split(block, 8)])
         assert abs(est.mean_g - g.evaluate(s).mean()) <= 1e-6
+
+    def test_repeated_calls_reuse_one_pool(self):
+        ds = random_orthonormal(64, 2, seed=8)
+        g = unit_cosine(2)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(2))
+        counts, estimates = [], []
+        for _ in range(5):
+            estimates.append(estimate_discrepancy(ds, uniform(), g, gauss, 4 * 8192, seed=7,
+                                                  workers=2))
+            counts.append(threading.active_count())
+        assert counts == [counts[0]] * 5
+        assert len({est.mean_g.hex() for est in estimates}) == 1
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_makes_its_own_pool(self):
+        ds = random_orthonormal(64, 2, seed=8)
+        g = unit_cosine(2)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(2))
+
+        def estimate():
+            return estimate_discrepancy(ds, uniform(), g, gauss, 4 * 8192, seed=7,
+                                        workers=2).mean_g
+
+        parent = estimate()  # the parent's pool now holds two threads
+
+        def child(conn):
+            conn.send(estimate())
+            conn.close()
+
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=child, args=(send,))
+        proc.start()
+        try:
+            # a child that reused the parent's pool would wait forever
+            assert receive.poll(60), "the forked child's estimate did not finish"
+            assert receive.recv() == parent
+        finally:
+            proc.kill()
+            proc.join()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_are_rejected(self, workers):

@@ -248,10 +248,15 @@ def rademacher_reference(rng, size):
 
 
 def uniform_reference(rng, size):
-    out = rng.random(size, dtype=np.float32)
-    out *= 2.0 * SQRT3
-    out -= SQRT3
-    return out
+    """Split each 64-bit word into 32-bit halves, low half first, keep the
+    top 23 bits j of each, and round (j - 2^22) 2^-23 float32(2 sqrt(3)),
+    exact in float64, once to float32."""
+    total = int(np.prod(size))
+    words = rng.bit_generator.random_raw((total + 1) // 2)
+    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=1)
+    j = (halves.reshape(-1)[:total] >> np.uint64(9)).astype(np.float64)
+    return ((j - 2.0**22) * 2.0**-23 * float(np.float32(2.0 * SQRT3))).astype(
+        np.float32).reshape(size)
 
 
 def two_point_reference(p):
@@ -283,6 +288,17 @@ class TestSamplerFormulas:
         want = reference(stream(9, 3), size)
         assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+    def test_uniform_draws_lie_on_the_lattice(self):
+        # 2^23 points float32(i 2^-23 float32(2 sqrt(3))), -2^22 <= i < 2^22
+        x = uniform().sampler(stream(5, 1), 1_000_000).astype(np.float64)
+        step = 2.0**-23 * float(np.float32(2.0 * SQRT3))
+        i = np.rint(x / step)
+        assert np.all((-2.0**22 <= i) & (i < 2.0**22))
+        np.testing.assert_array_equal((i * step).astype(np.float32), x.astype(np.float32))
+        assert np.all((-SQRT3 <= x) & (x < SQRT3))
+        assert uniform().sampler(_FixedWords(0), 2)[0] == -np.float32(SQRT3)
+        assert uniform().sampler(_FixedWords(2**64 - 1), 2)[0] == np.float32((2**22 - 1) * step)
 
     def test_float32_exponential_moments(self):
         model = centered_exponential()
