@@ -837,7 +837,9 @@ COSINE_PHASE = {"kind": "cosine", "a": "ones-normalized", "phase": 0.3}
 # verify --workers 2 CSVs of configs that draw coordinates, each the same
 # bytes as before class sums came in (20,000 samples, seed 11).  The uniform
 # CSV moved once since, when uniform draws became a lattice of 2^23 points
-# built in the stream words' buffer.
+# built in the stream words' buffer.  The exchangeable cell's rows and
+# population have 1024 groups each, so it keeps the sorted-key permutation;
+# its digest was taken before rank bins came in.
 COORDINATE_CSVS = {
     "random-rows": ({"model": {"kind": "rademacher"},
                      "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5},
@@ -848,9 +850,10 @@ COORDINATE_CSVS = {
                  "test_function": COSINE_PHASE, "theorem": "T2"},
                 "3330c4b623229327c2ec55fc7b76926a429fc9422513788753ca8e3719db6be3"),
     "exchangeable": ({"model": {"kind": "exchangeable", "family": "ramp"},
-                      "directions": {"kind": "hypercube", "n": 1024, "k": 3, "centered": True},
+                      "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True,
+                                     "seed": 5},
                       "test_function": {"kind": "bump", "radius": 2.0}, "theorem": "T4"},
-                     "0c2179eee66c4bf501a7260d7771dc8e7b57b90b9c73f14712b24202fa227eef"),
+                     "1c6acb3e9a2f97262d338d37eb3873af8b603dface501e5982e0ba1a2e8fa645"),
     "sign-rows-small-n": ({"model": {"kind": "rademacher"},
                            "directions": {"kind": "hypercube", "n": 64, "k": 2},
                            "test_function": COSINE_PHASE, "theorem": "T1"},
@@ -859,10 +862,27 @@ COORDINATE_CSVS = {
 CLASS_SUM_CONFIG = {"model": {"kind": "exponential"},
                     "directions": {"kind": "hypercube", "n": 4096, "k": 3},
                     "test_function": COSINE_PHASE, "theorem": "T2"}
+# verify --workers 2 CSVs of exchangeable configs that draw rank bins, and
+# the trace's sampler and groups: the ramp's 1024 values over the 4 column
+# classes of centred sign rows, and the coordinates of random centred rows
+# over the 2 values of the alternating population.
+RANK_BIN_CSVS = {
+    "column-bins": ({"model": {"kind": "exchangeable", "family": "ramp"},
+                     "directions": {"kind": "hypercube", "n": 1024, "k": 3, "centered": True},
+                     "test_function": {"kind": "bump", "radius": 2.0}, "theorem": "T4"},
+                    "b2ce64a94804d7f7f4ba30230d98abc6fa747b483226e5b5c9fa4386392fe980", 4),
+    "value-bins": ({"model": {"kind": "exchangeable", "family": "alternating"},
+                    "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True,
+                                   "seed": 5},
+                    "test_function": COSINE_PHASE, "theorem": "T5"},
+                   "9ce2068bbf28eb56daca7a4daa3791643649735a0ea900bb269bce324aff49c1", 2),
+}
 
 
 class TestReproducibility:
-    @pytest.mark.parametrize("config", [None, CLASS_SUM_CONFIG], ids=["coordinates", "class-sums"])
+    @pytest.mark.parametrize("config", [None, CLASS_SUM_CONFIG, *(
+        config for config, _, _ in RANK_BIN_CSVS.values())],
+        ids=["coordinates", "class-sums", *RANK_BIN_CSVS])
     def test_byte_identical_output_across_runs_and_workers(self, tmp_path, config):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         path = write_config(tmp_path, config)
@@ -879,6 +899,16 @@ class TestReproducibility:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         record = json.loads(capsys.readouterr().err)
         assert (record["sampler"], record["groups"]) == ("coordinates", None)
+
+    @pytest.mark.parametrize("name", sorted(RANK_BIN_CSVS))
+    def test_rank_bin_draws_keep_their_bytes(self, tmp_path, capsys, name):
+        config, digest, groups = RANK_BIN_CSVS[name]
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, config)
+        assert main(["verify", str(path), "--output", str(out), "--workers", "2", "--trace"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        record = json.loads(capsys.readouterr().err)
+        assert (record["sampler"], record["groups"]) == (name, groups)
 
     def test_seed_override_changes_digest_not_determinism(self, tmp_path):
         base, out1, out2 = tmp_path / "base.csv", tmp_path / "a.csv", tmp_path / "b.csv"

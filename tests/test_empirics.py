@@ -15,12 +15,15 @@ from projclt.directions import (
 )
 from projclt.empirics import (
     CLASS_SUMS,
+    COLUMN_BINS,
     COORDINATES,
+    VALUE_BINS,
     RESAMPLING,
     TRANSPOSITION,
     _classes,
     _mean_abs3_diff,
     _Moments,
+    _rank_bins,
     compute_bound,
     eij_second_moments,
     estimate_discrepancy,
@@ -42,6 +45,7 @@ from projclt.sources import (
     rademacher,
     sample_block,
     sample_class_sums,
+    sample_rank_bins,
     standardize_population,
     two_point,
     uniform,
@@ -821,10 +825,11 @@ class TestClassSums:
             assert len(members) == size
 
     @pytest.mark.parametrize("case", ["random-rows", "uniform", "user-law", "exchangeable",
-                                      "mixed-pattern", "too-many-classes"])
+                                      "exchangeable-small-bins", "mixed-pattern",
+                                      "too-many-classes"])
     def test_other_cells_take_the_coordinate_path(self, case):
         n = 256
-        ds = hypercube_directions(n, 2, centered=case == "exchangeable")
+        ds = hypercube_directions(n, 2, centered=case.startswith("exchangeable"))
         model = rademacher()
         if case == "random-rows":
             ds = random_orthonormal(n, 2, seed=1)
@@ -832,14 +837,17 @@ class TestClassSums:
             model = uniform()
         elif case == "user-law":
             model = user_model("signs", rademacher().sampler, abs3=1.0, fourth=1.0)
-        elif case == "exchangeable":
+        elif case == "exchangeable":  # 1024 distinct values on 1024 distinct columns
+            ds = random_orthonormal(1024, 2, seed=1, centered=True)
+            model = ramp_model(1024)
+        elif case == "exchangeable-small-bins":  # 4 column classes of 64 < _BIN_SIZE
             model = ramp_model(n)
         elif case == "mixed-pattern":
             model = IndependentModel(coords=tuple((rademacher(), uniform())[r % 2]
                                                   for r in range(n)))
         else:
             ds = hypercube_directions(n, 5)  # 8 classes > 256 / 64
-        assert _classes(ds, model) is None
+        assert _classes(ds, model) is None and _rank_bins(ds, model) is None
         g = unit_cosine(ds.k)
         est = estimate_discrepancy(ds, model, g,
                                    gaussian_expectation(g, GaussianSpec.identity(ds.k)), 2000,
@@ -908,6 +916,127 @@ class TestClassSums:
             pooled.extend(z)
         assert abs(np.mean(pooled)) <= 4.0 / math.sqrt(len(pooled))
         assert 0.6 <= np.var(pooled, ddof=1) <= 1.5
+
+    @pytest.mark.parametrize("side", ["columns", "values"])
+    def test_rank_bins_calibrate_against_the_exact_mean(self, side):
+        # z = (mean g - E g(S)) / se over 20 seeds, with the exact E g(S) of
+        # a two-group partition (exact_two_group_cosine).  Columns: ramp on
+        # centred sign rows, k = 1, n = 256 (at n = 64 the two classes of 32
+        # are below _BIN_SIZE); the items are the population values, and
+        # those on the upper column form a uniform subset.  Values:
+        # alternating on random centred rows, n = 1024, k = 2; the items are
+        # the coordinates, and those that take the upper value form one.
+        if side == "columns":
+            n, k = 256, 1
+            ds, model = hypercube_directions(n, k, centered=True), ramp_model(n)
+        else:
+            n, k = 1024, 2
+            ds, model = random_orthonormal(n, k, seed=8, centered=True), alternating_model(n)
+        a = np.array([1.0, 0.6][:k])
+        a *= 1.3 / np.linalg.norm(a)
+        g = cosine_testfn(a, phase=0.4)
+        if side == "columns":
+            lo, hi = ds.vectors[0].min() * a[0], ds.vectors[0].max() * a[0]
+            w, m = model.population, int(np.count_nonzero(ds.vectors[0] * a[0] == hi))
+        else:
+            lo, hi = -1.0, 1.0
+            w, m = a @ ds.vectors, n // 2
+        exact = exact_two_group_cosine(w, lo, hi, m, 0.4)
+        gauss = gaussian_expectation(g, GaussianSpec(ds.gram))
+        z = []
+        for seed in range(20):
+            est = estimate_discrepancy(ds, model, g, gauss, 2 * 8192, seed=7000 + seed)
+            assert est.sampler == (COLUMN_BINS if side == "columns" else VALUE_BINS)
+            z.append((est.mean_g - exact) / est.se)
+        assert abs(np.mean(z)) <= 4.5 / math.sqrt(len(z))
+        assert 0.6 <= np.var(z, ddof=1) <= 1.5
+
+
+def exact_two_group_cosine(w, lo, hi, m, phase):
+    """E cos(sum_j w_j x_j + phase) when x_j = hi on a uniform m-subset of
+    the items and lo on the rest: Re[e^(i phase) e^(i lo sum w) [z^m]
+    prod_j (1 + z e^(i (hi - lo) w_j)) / C(n, m)].  The coefficient comes
+    from a dynamic programme over the items, every subset sum weighed by
+    its phase, with the coefficients halved at each step to keep them
+    bounded, so they carry the factor 2^-n."""
+    n = w.size
+    coef = np.zeros(m + 1, dtype=complex)
+    coef[0] = 1.0
+    for u in np.exp(1j * (hi - lo) * w):
+        coef[1:] = 0.5 * (coef[1:] + u * coef[:-1])
+        coef[0] *= 0.5
+    log_scale = n * math.log(2.0) - math.lgamma(n + 1) + math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    return float(np.real(np.exp(1j * (phase + lo * w.sum()) + log_scale) * coef[m]))
+
+
+def alternating_model(n):
+    return ExchangeableModel(np.tile([-1.0, 1.0], n // 2))
+
+
+class TestRankBinPath:
+    @pytest.mark.parametrize("case", [
+        # (n, k, rows, population, the side and the number of bins or None)
+        (1024, 3, "sign", "ramp", (COLUMN_BINS, 4)),
+        (256, 1, "sign", "ramp", (COLUMN_BINS, 2)),
+        (1024, 2, "random", "alternating", (VALUE_BINS, 2)),
+        (1024, 3, "sign", "alternating", (VALUE_BINS, 2)),  # 2 values < 4 classes
+        (1024, 2, "sign", "four-values", (COLUMN_BINS, 4)),  # 4 and 4: columns
+        (1024, 2, "random", "four-values", (VALUE_BINS, 4)),
+        (1024, 2, "random", "five-values", None),
+        (256, 2, "sign", "alternating", (VALUE_BINS, 2)),
+        (256, 2, "random", "four-values", None),  # bins of 64 < _BIN_SIZE
+        (128, 1, "sign", "alternating", None),
+    ], ids=lambda case: "-".join(map(str, case[:4])))
+    def test_the_rows_and_the_population_select_the_side(self, case):
+        n, k, rows, population, want = case
+        ds = (hypercube_directions(n, k, centered=True) if rows == "sign"
+              else random_orthonormal(n, k, seed=3, centered=True))
+        values = {"ramp": np.arange(n), "alternating": np.arange(n) % 2,
+                  "four-values": np.arange(n) % 4, "five-values": np.arange(n) % 5}
+        model = ExchangeableModel(standardize_population(values[population] ** 2))
+        bins = _rank_bins(ds, model)
+        assert (None if bins is None else (bins.sampler, len(bins.sizes))) == want
+        g = unit_cosine(ds.k)
+        est = estimate_discrepancy(ds, model, g,
+                                   gaussian_expectation(g, GaussianSpec.identity(ds.k)), 1000,
+                                   seed=1)
+        assert (est.sampler, est.groups) == (want or (COORDINATES, None))
+
+    @pytest.mark.parametrize("side", ["columns", "values"])
+    def test_projection_is_the_bin_sums_times_their_factors(self, side):
+        n, k = 1024, 3
+        if side == "columns":
+            ds, model = hypercube_directions(n, k, centered=True), ramp_model(n)
+        else:
+            ds, model = random_orthonormal(n, k, seed=4, centered=True), alternating_model(n)
+        bins = _rank_bins(ds, model)
+        g = cosine_testfn([0.9, -0.4, 0.7], phase=0.3)
+        est = estimate_discrepancy(ds, model, g, gaussian_expectation(g, GaussianSpec(ds.gram)),
+                                   8192 + 1000, seed=12)
+        vals = []
+        for start, count in ((0, 8192), (8192, 1000)):
+            sums = sample_rank_bins(bins.weights, bins.sizes, 12, start, count)
+            if side == "columns":  # the population values that land on each column
+                s = sums[:, :, 0] @ bins.factors
+                for column, size in zip(bins.factors, bins.sizes):
+                    assert np.count_nonzero(np.all(ds.vectors.T == column, axis=1)) == size
+            else:  # the columns of the coordinates that take each value
+                s = np.einsum("d,bdk->bk", np.unique(model.population), sums)
+            vals.append(g.evaluate(s))
+        want = (vals[0].mean() * 8192 + vals[1].mean() * 1000) / 9192
+        assert est.mean_g == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("side", ["columns", "values"])
+    def test_bin_path_is_bitwise_equal_across_worker_counts(self, side):
+        n = 512
+        ds = hypercube_directions(n, 3, centered=True)
+        model = ramp_model(n) if side == "columns" else alternating_model(n)
+        g = unit_cosine(3)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(3))
+        runs = [estimate_discrepancy(ds, model, g, gauss, 2 * 8192 + 100, seed=9, workers=w)
+                for w in (1, 2, 3)]
+        assert {run.sampler for run in runs} == {COLUMN_BINS if side == "columns" else VALUE_BINS}
+        assert len({(run.mean_g.hex(), run.se.hex()) for run in runs}) == 1
 
 
 class TestVerifyBound:

@@ -27,6 +27,7 @@ from projclt.sources import (
     rademacher,
     sample_block,
     sample_class_sums,
+    sample_rank_bins,
     sample_tiles,
     standardize_population,
     stream,
@@ -760,6 +761,128 @@ class TestPermutationSampler:
             sample_block(model, 0, 0, 1)
         with pytest.raises(InvalidInputError, match="at most 65536"):
             next(sample_tiles(model, 0, 0, TILE_ROWS))
+
+
+def rank_bin_reference(halves, weights, sizes):
+    """Per-bin weight sums of tie-free rows of keys: each row orders its
+    items by key, and bin c takes the items of rank sizes[0] + ... +
+    sizes[c-1] up to the next cut."""
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    order = np.argsort(halves, axis=1, kind="stable")
+    return np.stack([np.stack([weights[row[lo:hi]].astype(np.float64).sum(axis=0)
+                               for lo, hi in zip(edges[:-1], edges[1:])])
+                     for row in order])
+
+
+def force_tie(row, low_rank, high_rank):
+    """Set the key of rank ``high_rank`` in a row to the key of rank
+    ``low_rank``."""
+    order = np.argsort(row, kind="stable")
+    row[order[high_rank]] = row[order[low_rank]]
+
+
+class TestRankBins:
+    # 2^j: every set of items has its own weight sum, the sum of its bits
+    BITS = (2.0 ** np.arange(6)).astype(np.float32)[:, None]
+
+    @pytest.mark.parametrize("n", [7, 24, 33])
+    @pytest.mark.parametrize("sizes", [(3, None), (1, 2, None)], ids=["two-bins", "three-bins"])
+    def test_bins_are_the_ranks_of_the_permutation_rows_half_words(self, n, sizes):
+        # the same stream words as a permutation block, one half-word per item
+        sizes = (*sizes[:-1], n - sum(sizes[:-1]))
+        weights = np.random.default_rng(n).standard_normal((n, 2)).astype(np.float32)
+        count = 2 * TILE_ROWS + 22
+        words = stream(13, 8192).bit_generator.random_raw((count, (n + 1) // 2))
+        want = rank_bin_reference(half_words(words, n), weights, sizes)
+        got = sample_rank_bins(weights, sizes, 13, 8192, count)
+        assert got.shape == (count, len(sizes), 2) and got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    def test_every_ordered_partition_of_six_values_is_equally_likely(self):
+        # subset sums of 1, 2, 4, ..., 32 are distinct, so each bin's sum of
+        # standardized values gives back its set of values
+        values = 2.0 ** np.arange(6)
+        pop = standardize_population(values)
+        count = 90 * 200
+        sums = sample_rank_bins(pop.astype(np.float32)[:, None], (2, 2, 2), 41, 0, count)[:, :, 0]
+        members = sums * values.std() + 2 * values.mean()  # each bin's sum of 2^j
+        codes = np.rint(members).astype(np.int64)
+        assert np.max(np.abs(members - codes)) < 1e-4
+        assert np.all(codes.sum(axis=1) == 63)
+        assert all(bin(code).count("1") == 2 for code in codes.ravel())
+        _, counts = np.unique(codes[:, 0] * 64 + codes[:, 1], return_counts=True)
+        assert counts.size == 90 and counts.sum() == count
+        expected = count / 90
+        assert float(np.sum((counts - expected) ** 2) / expected) <= 136.0  # chi^2_89, 0.1 %
+
+    def test_every_three_subset_of_six_positions_is_equally_likely(self):
+        # the positions that take the upper of two values, weighted by 2^j
+        count = 20 * 200
+        sums = sample_rank_bins(self.BITS, (3, 3), 42, 0, count)[:, :, 0]
+        codes = np.rint(sums).astype(np.int64)
+        np.testing.assert_array_equal(sums, codes)
+        assert np.all(codes.sum(axis=1) == 63)
+        _, counts = np.unique(codes[:, 1], return_counts=True)
+        assert counts.size == 20 and counts.sum() == count
+        expected = count / 20
+        assert float(np.sum((counts - expected) ** 2) / expected) <= 43.8  # chi^2_19, 0.1 %
+
+    @pytest.mark.parametrize("sizes", [(300, 724), (128, 384, 256, 256)])
+    def test_bin_sums_have_the_exact_moments(self, sizes):
+        # Y_c, the sum of a standardized population over bin c: E Y_c = 0,
+        # Var Y_c = m_c (n - m_c) / (n - 1), Cov(Y_c, Y_d) = -m_c m_d / (n - 1)
+        n, blocks = 1024, 25
+        pop = standardize_population(np.arange(1.0, n + 1.0) ** 2)
+        weights = pop.astype(np.float32)[:, None]
+        y = np.concatenate([sample_rank_bins(weights, sizes, 3, 8192 * b, 8192)[:, :, 0]
+                            for b in range(blocks)])
+        m = np.array(sizes, dtype=float)
+        cov = -np.outer(m, m) / (n - 1) + np.diag(m) * n / (n - 1)
+        np.testing.assert_allclose(cov.sum(axis=1), 0.0, atol=1e-9)
+        root = math.sqrt(y.shape[0])
+        assert np.all(np.abs(y.mean(axis=0)) <= 5 * y.std(axis=0) / root)
+        products = y[:, :, None] * y[:, None, :]
+        se = products.std(axis=0) / root
+        assert np.all(np.abs(products.mean(axis=0) - cov) <= 5 * se)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 300), rows=st.integers(1, 70), seed=st.integers(0, 2**32),
+           spread=st.sampled_from([3, 50, 2**32]), bins=st.integers(2, 6), data=st.data())
+    def test_boundary_ties_are_the_rows_with_equal_keys_across_a_cut(self, n, rows, seed,
+                                                                   spread, bins, data):
+        # keys from a narrow range tie often, inside bins and across cuts
+        keys = np.random.default_rng(seed).integers(0, spread, (rows, n), dtype=np.uint64)
+        keys = keys.astype(np.uint32)
+        cuts = np.array(sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1,
+                                                 max_size=min(bins - 1, n - 1)))))
+        high, tied = sources._rank_thresholds(keys, cuts)
+        ordered = np.sort(keys, axis=1)
+        np.testing.assert_array_equal(high, ordered[:, cuts])
+        np.testing.assert_array_equal(tied, (ordered[:, cuts - 1] == ordered[:, cuts]).any(axis=1))
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3)])
+    def test_rows_tied_across_a_cut_are_redrawn_from_the_next_words(self, monkeypatch, sizes):
+        n = 6  # three stream words per row
+        cut, last = sizes[0], n - sizes[-1]
+        first = half_words(stream(3).bit_generator.random_raw((4, 3)), n)
+        force_tie(first[1], cut - 1, cut)  # across the first cut
+        force_tie(first[2], 0, 1)  # inside the first bin: kept
+        force_tie(first[3], last - 1, last)  # across the last cut
+        second = half_words(stream(4).bit_generator.random_raw((2, 3)), n)  # rows 1 and 3
+        force_tie(second[1], cut - 1, cut)  # row 3 ties again
+        third = half_words(stream(5).bit_generator.random_raw((1, 3)), n)
+        script = _ScriptedWords(*map(stream_words, (first, second, third)))
+        monkeypatch.setattr(sources, "stream", lambda seed, index: script)
+        sums = sample_rank_bins(self.BITS, sizes, 0, 0, 4)
+        assert script.draws == []
+        kept = np.vstack([first[0], second[0], first[2], third[0]])
+        np.testing.assert_array_equal(sums, rank_bin_reference(kept, self.BITS, sizes))
+
+    def test_populations_above_the_limit_are_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(sources, "stream", lambda seed, index: _ScriptedWords())
+        weights = np.ones((sources.MAX_PERMUTATION_N + 1, 1), dtype=np.float32)
+        with pytest.raises(InvalidInputError, match="at most 65536 values, got 65537"):
+            sample_rank_bins(weights, (1, sources.MAX_PERMUTATION_N), 0, 0, 1)
 
 
 class TestPopulations:
