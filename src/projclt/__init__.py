@@ -51,7 +51,6 @@ from .sources import (
     load_population,
     moment_summary,
     rademacher,
-    sample_block,
     sample_tiles,
     standardize_population,
     two_point,

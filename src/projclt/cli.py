@@ -22,8 +22,9 @@ configurations.  ``bound`` takes a list of theorems, ``verify`` and
 ``--trace``, which writes one JSON object per run or scan cell to stderr:
 theorem, n, k, pass/fail, the estimate and the report metadata (stage
 seconds, samples/s, workers, blocks, tile rows, the stream generator,
-Gaussian-side method and error, the dominant bound term, and whether
-coordinates or class sums were drawn, with the number of classes).
+Gaussian-side method and error, the dominant bound term, and the sampler
+that drew the projections -- coordinates, class sums, column bins or value
+bins -- with the number of class sums or bins per sample).
 All CSV output starts with a ``# schema=1`` line and renders floats at 17
 significant digits, so identical configurations reproduce byte-identical
 files.  Exit codes: 0 success/pass, 1 bound or invariant violation, 2
@@ -494,9 +495,7 @@ def cmd_check(cfg: ExperimentConfig) -> int:
         laws = model.laws if isinstance(model, sources.IndependentModel) else (model,)
         for law in {law.name: law for law in laws}.values():
             m = sources.iid_moments(law)
-            # 200,000 draws as 3,125 rows of 64: the stream words of 200,000 rows of
-            # one, in the same order, in 64 times fewer tiles.
-            draws = sources.sample_block(law, cfg.seed, 0, 3125, n=64).ravel().astype(np.float64)
+            draws = law.sampler(sources.stream(cfg.seed, 0), 200_000).astype(np.float64)
             est3 = float(np.mean(np.abs(draws) ** 3))
             se3 = float(np.std(np.abs(draws) ** 3, ddof=1) / math.sqrt(draws.size))
             est4 = float(np.mean(draws**4))

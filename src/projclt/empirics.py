@@ -44,14 +44,7 @@ from . import sources
 from .bounds import DEFAULT_EXCHANGEABLE_CONSTANTS, ExchangeableConstants
 from .directions import DirectionSet, norm_summary
 from .errors import InvalidInputError, InvalidMomentsError, ProjcltError
-from .sources import (
-    ExchangeableModel,
-    IndependentModel,
-    Model,
-    sample_class_sums,
-    sample_rank_bins,
-    sample_tiles,
-)
+from .sources import ExchangeableModel, IndependentModel, Model
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
 
 RESAMPLING = "resampling"
@@ -59,40 +52,6 @@ TRANSPOSITION = "transposition"
 
 # Fixed Monte Carlo block size; part of the determinism contract.
 _BLOCK = 8192
-# How a block's projections are drawn: coordinates projected tile by tile,
-# one sum per class of coordinates that share a direction column and a
-# law, or, for an exchangeable model, per-bin sums of a uniform partition
-# of the population values into the column classes or of the coordinates
-# into the distinct values (:func:`estimate_discrepancy`).
-COORDINATES, CLASS_SUMS = "coordinates", "class-sums"
-COLUMN_BINS, VALUE_BINS = "column-bins", "value-bins"
-# Class sums replace coordinates when the classes hold this many coordinates
-# on average: G <= n / _CLASS_SIZE for G classes.  Timed with
-# estimate_discrepancy on one worker, 32768 samples of a cosine on sign rows
-# (2-core x86), classes of m = 64 coordinates take 0.68x the time of the
-# coordinates under two_point(0.2) and 0.17x under the exponential, but 1.43x
-# under Rademacher and 1.48x under two_point(0.45), whose coordinates cost
-# only 1.2-1.8 ns each (about 5 ms more per 32768 samples at n = 256).  At
-# m = 128 every catalog law is faster (0.1-0.9x), and at m = 2048 (n = 4096,
-# k = 2) 0.01-0.07x.  So the break-even is near m = 100 for Rademacher and
-# two-point laws near p = 1/2, whose binomial sums cost 50-110 ns by BTPE
-# (m min(p, 1-p) > 30) and about 10 ns per unit of m p by inversion below,
-# under 64 for two_point(0.2), and near 8 for the exponential, whose gamma
-# sums cost about 21 ns.
-_CLASS_SIZE = 64
-# Rank bins replace the sorted-key permutation of an exchangeable model when
-# one side has G <= min(_MAX_BINS, n / _BIN_SIZE) groups.  Timed with
-# estimate_discrepancy on one worker, per 8192-row block of a cosine on
-# centred rows (2-core x86), against the permutation and its projection:
-# at n = 1024 and k = 3, 37 ms with 2 bins, 64 ms with 4, 98 ms with 8 and
-# 169 ms with 16, against 74 ms; at n = 4096, 133, 299 and 394 ms with 2, 4
-# and 8 bins against 352 ms.  Per bin, a cut costs a 32-bit compare, a cast
-# and a BLAS product over the tile, which small bins do not repay: at
-# n = 512 four bins took 25-35 ms against 36-39 ms, at n = 256 16-23 ms
-# against 14-18 ms, while two bins took 7-11 ms against 8-14 ms at n = 128
-# and 256.
-_MAX_BINS = 4
-_BIN_SIZE = 128
 
 
 @functools.cache
@@ -355,18 +314,8 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
 class DiscrepancyEstimate:
     """|mean g(S) - E g(Z~)| with a three-standard-error confidence margin,
     the number of sample blocks and of workers that drew them, and how:
-    ``sampler`` is COORDINATES, CLASS_SUMS, COLUMN_BINS or VALUE_BINS, and
-    ``groups`` the number of class sums or bins per sample (None for
-    coordinates).
-
-    An exchangeable model draws rank bins, not a permutation, when its
-    rows have at most min(_MAX_BINS, n / _BIN_SIZE) column classes
-    (COLUMN_BINS) or its population at most that many distinct values
-    (VALUE_BINS), whichever is fewer.  The partition is exactly uniform,
-    but its draws differ from the permutation's, so such cells moved their
-    estimate and margin once (:func:`projclt.sources.sample_rank_bins`);
-    permutation draws, i.i.d. and independent draws and every bound kept
-    their bytes."""
+    ``sampler`` and ``groups`` are those of the
+    :class:`projclt.sources.ProjectionPlan` that drew the samples."""
 
     discrepancy: float
     ci_halfwidth: float
@@ -398,110 +347,6 @@ class _Moments(NamedTuple):
         )
 
 
-class _Classes(NamedTuple):
-    """Classes of coordinates that share a direction column and a law: per
-    class its law and size, and the (G, k) float64 distinct columns."""
-
-    laws: tuple
-    sizes: tuple
-    columns: np.ndarray
-
-
-def _column_classes(ds: DirectionSet, code: np.ndarray,
-                    limit: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The classes of coordinates r that share ``code[r]`` and their
-    direction column, compared bit for bit, when there are at most
-    ``limit`` of them: the first member of each and the class sizes as
-    arrays; else None.
-
-    Rows are first checked one by one for having few distinct entries, so
-    random rows are turned away after one sort of their first row (0.035
-    ms at n = 4096, where numpy's ``unique`` of the 64-bit words hashes
-    them and takes 0.6 ms).  Classes are ordered by code, then by the bit
-    patterns (as unsigned integers) of their entries in the first row, the
-    second, and so on.
-    """
-    bits = ds.vectors.view(np.uint64)
-    for row in bits:
-        ordered = np.sort(row)
-        if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > limit:
-            return None
-    for row in bits:
-        values, inverse = np.unique(row, return_inverse=True)
-        # Renumbering the classes after each row keeps the codes below n^2.
-        _, first, code, sizes = np.unique(code * values.size + inverse, return_index=True,
-                                          return_inverse=True, return_counts=True)
-        if first.size > limit:
-            return None
-    return first, sizes
-
-
-def _classes(ds: DirectionSet, model: Model) -> Optional[_Classes]:
-    """The classes of (direction column, law) of an i.i.d. or independent
-    model whose laws all declare a ``sum_sampler``, when there are at most
-    n / _CLASS_SIZE of them (:func:`_column_classes`, laws in order of
-    first appearance); else None."""
-    if isinstance(model, ExchangeableModel):
-        return None
-    laws = model.laws if isinstance(model, IndependentModel) else (model,)
-    if any(law.sum_sampler is None for law in laws):
-        return None
-    law_index = (model.law_index if isinstance(model, IndependentModel)
-                 else np.zeros(ds.n, dtype=np.intp))
-    found = _column_classes(ds, law_index, ds.n // _CLASS_SIZE)
-    if found is None:
-        return None
-    first, sizes = found
-    return _Classes(laws=tuple(laws[law_index[r]] for r in first),
-                    sizes=tuple(int(m) for m in sizes),
-                    columns=np.ascontiguousarray(ds.vectors[:, first].T))
-
-
-class _Bins(NamedTuple):
-    """An exchangeable draw as a uniform partition of n items into G bins
-    (:func:`projclt.sources.sample_rank_bins`): which side is binned
-    (COLUMN_BINS or VALUE_BINS), the (n, w) float32 item weights, the bin
-    sizes, and the factors that take the (count, G, w) bin sums to S, as
-    S = sum over bins c of sums[:, c] * factors[c]: the (G, k) distinct
-    columns, or the (G, 1) distinct population values."""
-
-    sampler: str
-    weights: np.ndarray
-    sizes: tuple
-    factors: np.ndarray
-
-
-def _rank_bins(ds: DirectionSet, model: Model) -> Optional[_Bins]:
-    """How an exchangeable model's draws reduce to a partition, when the
-    rows' column classes or the population's distinct values number at
-    most min(_MAX_BINS, n / _BIN_SIZE); else None.  The side with fewer
-    groups is binned, the columns on a tie.
-
-    Columns: with X_r the population value at coordinate r, S = sum over
-    classes c of col_c sum_(r in c) X_r, and the values that land in the
-    classes are a uniform partition of the population into bins of the
-    class sizes; the items are the population values, each weighing its
-    value.  Values: S = sum over distinct values v_d of v_d sum_(r: X_r =
-    v_d) theta^r, and the coordinates that take each value are a uniform
-    partition of the n coordinates; the items are the coordinates, each
-    weighing its column theta^r.  Distinct values are compared as float64,
-    in increasing order.
-    """
-    if not isinstance(model, ExchangeableModel):
-        return None
-    limit = min(_MAX_BINS, ds.n // _BIN_SIZE)
-    values, counts = np.unique(model.population, return_counts=True)
-    found = _column_classes(ds, np.zeros(ds.n, dtype=np.intp), min(limit, values.size))
-    if found is not None:
-        first, sizes = found
-        return _Bins(COLUMN_BINS, model.population.astype(np.float32)[:, None],
-                     tuple(int(m) for m in sizes), np.ascontiguousarray(ds.vectors[:, first].T))
-    if values.size <= limit:
-        return _Bins(VALUE_BINS, np.ascontiguousarray(ds.vectors.T, dtype=np.float32),
-                     tuple(int(m) for m in counts), values[:, None])
-    return None
-
-
 def estimate_discrepancy(
     ds: DirectionSet,
     model: Model,
@@ -516,59 +361,26 @@ def estimate_discrepancy(
     ``gaussian`` is the Gaussian side, E g(Z~) as computed by
     :func:`gaussian_expectation`.
 
-    Draws are generated in fixed-size blocks (single precision; the
-    statistical error at any usable sample count dominates the rounding
-    by several orders of magnitude).  Each block is drawn, projected and
-    dropped in cache-sized tiles, each tile by one float32 BLAS product,
-    2-4x faster than an einsum (2-core x86) and byte-identical under one
-    or two BLAS threads.  Each block reduces to (count, mean, M2) of g in
-    double precision, and the blocks are merged in block order, so the
-    result does not depend on worker count or scheduling.  More than one
-    worker runs the blocks on the process's pool of that many threads,
-    kept from call to call; one worker runs them inline.
-
-    S depends on the coordinates only through the sums of the classes of
-    coordinates that share a direction column and a law.  When there are
-    few classes (:func:`_classes`: sign-design rows under the catalog laws
-    but the uniform), each block draws its class sums instead
-    (:func:`projclt.sources.sample_class_sums`, from the block's own
-    stream) and S is the float64 product of the (count, G) sums with the
-    G distinct columns.  An exchangeable draw needs only a uniform
-    partition when the columns or the population values fall into few
-    groups (:func:`_rank_bins`); each block then draws per-bin sums
-    (:func:`projclt.sources.sample_rank_bins`, from the block's own
-    stream), and S is their float64 combination.
+    Draws are generated in fixed-size blocks, each drawn from its own
+    (seed, start) stream by the plan of :func:`projclt.sources.projections`.
+    Each block reduces to (count, mean, M2) of g in double precision, and
+    the blocks are merged in block order, so the result does not depend on
+    worker count or scheduling.  More than one worker runs the blocks on
+    the process's pool of that many threads, kept from call to call; one
+    worker runs them inline.
     """
     if samples < 1000:
         raise InvalidInputError(f"discrepancy estimation needs >= 1000 samples, got {samples}")
     if g.dimension != ds.k:
         raise InvalidInputError(f"test function dimension {g.dimension} != k = {ds.k}")
-    n = ds.n
-    if sources.model_dim(model) not in (None, n):
+    if sources.model_dim(model) not in (None, ds.n):
         raise InvalidInputError("model dimension does not match the direction set")
-    classes = _classes(ds, model)
-    bins = _rank_bins(ds, model)
-    if classes is not None:
-        sampler, groups = CLASS_SUMS, len(classes.laws)
-    elif bins is not None:
-        sampler, groups = bins.sampler, len(bins.sizes)
-    else:
-        sampler, groups = COORDINATES, None
-    theta = np.ascontiguousarray(ds.vectors.T, dtype=np.float32)
+    draws = sources.projections(ds.vectors, model)
     starts = list(range(0, samples, _BLOCK))
 
     def run_block(start: int) -> _Moments:
         count = min(_BLOCK, samples - start)
-        if classes is not None:
-            s = sample_class_sums(classes.laws, classes.sizes, seed, start,
-                                  count) @ classes.columns
-        elif bins is not None:
-            sums = sample_rank_bins(bins.weights, bins.sizes, seed, start, count)
-            s = (sums * bins.factors).sum(axis=1)
-        else:
-            tiles = sample_tiles(model, seed, start, count, n=n)
-            s = np.concatenate([x @ theta for x in tiles]).astype(np.float64)
-        vals = g.evaluate(s)
+        vals = g.evaluate(draws.draw(seed, start, count))
         mean = float(vals.mean())
         dev = vals - mean
         return _Moments(count=count, mean=mean, m2=float(np.dot(dev, dev)))
@@ -597,8 +409,8 @@ def estimate_discrepancy(
         samples=samples,
         blocks=len(starts),
         workers=workers,
-        sampler=sampler,
-        groups=groups,
+        sampler=draws.sampler,
+        groups=draws.groups,
     )
 
 

@@ -1,4 +1,5 @@
-"""Random-vector models and the moment constants that enter the bounds.
+"""Random-vector models, the moment constants that enter the bounds, and
+the sampling of their projections.
 
 Three model families are supported, all standardized to mean 0 and
 variance 1 per coordinate:
@@ -13,14 +14,18 @@ Catalog laws ship closed-form third/fourth moments; Monte Carlo is used
 only as a cross-check, never to feed a bound.  User-supplied laws must
 declare their moments explicitly.
 
-Seeding is splittable: every state vector is drawn by :func:`sample_tiles`
-(whole blocks are its tiles concatenated, by :func:`sample_block`), and a
-block starting at sample index i consumes the stream of the pair
-(seed, i): an SFC64 generator whose state is set directly from the pair
-(:func:`stream`, which proves that the stretches of stream two distinct
-blocks read share no state).  Results therefore do not depend on how
-fixed-size blocks are distributed across workers.  Tiles are TILE_ROWS
-high, a height that is part of this contract.
+:func:`projections` is the one way to draw the projections S = theta X
+of a block of samples: it chooses, from the direction rows and the model,
+whether a block draws coordinates (:func:`sample_tiles`), sums of classes
+of coordinates (:func:`sample_class_sums`) or per-bin sums of a uniform
+partition (:func:`sample_rank_bins`), and returns the plan that draws it.
+Seeding is splittable: a block starting at sample index i consumes the
+stream of the pair (seed, i), whichever it draws: an SFC64 generator whose
+state is set directly from the pair (:func:`stream`, which proves that
+the stretches of stream two distinct blocks read share no state).
+Results therefore do not depend on how fixed-size blocks are distributed
+across workers.  Tiles are TILE_ROWS high, a height that is part of this
+contract.
 
 Every coordinate draw is float32.  Catalog samplers take ``(rng, size)``
 and read the stream's 64-bit words directly, low 32-bit half first:
@@ -38,30 +43,21 @@ row of draws.  With 32 random bits per coordinate a row ties with
 probability about 1 - exp(-n(n-1)/2^33), so sampling refuses populations
 larger than MAX_PERMUTATION_N.
 
-Where only a uniform partition of n items into bins of given sizes is
-needed (``empirics`` asks for one when the direction rows have few
-column classes or the population few distinct values),
-:func:`sample_rank_bins` selects it by rank from the same half-words, a
-permutation row's words per row of items, TILE_ROWS rows per tile, and
-returns per-bin sums of item weights.  A row whose keys tie across a bin
-boundary is redrawn whole from the next words, in row order, before the
-next tile starts, so the partition is exactly uniform; a boundary ties
-with probability about n / 2^32.
-
-Catalog laws other than the uniform also declare an exact sampler of the
-sum of m i.i.d. copies, ``sum_sampler(rng, m, size)``, in float64: a
-binomial draw for the two-valued laws, a gamma draw for the exponential.
-:func:`sample_class_sums` draws such sums for a block, group after group,
-from the same (seed, start) stream a block of coordinates would read.
+A uniform partition is selected by rank from the same half-words
+(:func:`sample_rank_bins`).  Catalog laws other than the uniform also
+declare an exact sampler of the sum of m i.i.d. copies,
+``sum_sampler(rng, m, size)``, in float64: a binomial draw for the
+two-valued laws, a gamma draw for the exponential.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -785,24 +781,161 @@ def sample_class_sums(
     return sums
 
 
-def sample_block(
-    model: Model,
-    seed: int,
-    start: int,
-    count: int,
-    n: Optional[int] = None,
-) -> np.ndarray:
-    """(count, n) float32 matrix of draws for sample indices
-    start..start+count-1: the tiles of :func:`sample_tiles`, concatenated.
+# --------------------------------------------------------------------------
+# Projections
 
-    Every family draws through the tiles.  An i.i.d. tile ends on a whole
-    stream word, so an i.i.d. block holds the draws of one sampler call on
-    the same stream, in row order: a (count, 1) block and a
-    (count / 64, 64) block hold the same draws, the second in 64 times
-    fewer tiles.
+# How a block's projections are drawn (:func:`projections`).
+COORDINATES, CLASS_SUMS = "coordinates", "class-sums"
+COLUMN_BINS, VALUE_BINS = "column-bins", "value-bins"
+# Class sums replace coordinates when the classes hold this many coordinates
+# on average: G <= n / _CLASS_SIZE for G classes.  Timed with
+# estimate_discrepancy on one worker, 32768 samples of a cosine on sign rows
+# (2-core x86), classes of m = 64 coordinates take 0.68x the time of the
+# coordinates under two_point(0.2) and 0.17x under the exponential, but 1.43x
+# under Rademacher and 1.48x under two_point(0.45), whose coordinates cost
+# only 1.2-1.8 ns each (about 5 ms more per 32768 samples at n = 256).  At
+# m = 128 every catalog law is faster (0.1-0.9x), and at m = 2048 (n = 4096,
+# k = 2) 0.01-0.07x.  So the break-even is near m = 100 for Rademacher and
+# two-point laws near p = 1/2, whose binomial sums cost 50-110 ns by BTPE
+# (m min(p, 1-p) > 30) and about 10 ns per unit of m p by inversion below,
+# under 64 for two_point(0.2), and near 8 for the exponential, whose gamma
+# sums cost about 21 ns.
+_CLASS_SIZE = 64
+# Rank bins replace the sorted-key permutation of an exchangeable model when
+# one side has G <= min(_MAX_BINS, n / _BIN_SIZE) groups.  Timed with
+# estimate_discrepancy on one worker, per 8192-row block of a cosine on
+# centred rows (2-core x86), against the permutation and its projection:
+# at n = 1024 and k = 3, 37 ms with 2 bins, 64 ms with 4, 98 ms with 8 and
+# 169 ms with 16, against 74 ms; at n = 4096, 133, 299 and 394 ms with 2, 4
+# and 8 bins against 352 ms.  Per bin, a cut costs a 32-bit compare, a cast
+# and a BLAS product over the tile, which small bins do not repay: at
+# n = 512 four bins took 25-35 ms against 36-39 ms, at n = 256 16-23 ms
+# against 14-18 ms, while two bins took 7-11 ms against 8-14 ms at n = 128
+# and 256.
+_MAX_BINS = 4
+_BIN_SIZE = 128
+
+
+class ProjectionPlan(NamedTuple):
+    """How a block's projections are drawn: the sampler (COORDINATES,
+    CLASS_SUMS, COLUMN_BINS or VALUE_BINS), the number of class sums or
+    bins per sample (None for coordinates), and ``draw(seed, start,
+    count)``, the (count, k) float64 projections for sample indices
+    start..start+count-1, drawn from the stream keyed by (seed, start)."""
+
+    sampler: str
+    groups: Optional[int]
+    draw: Callable[[int, int, int], np.ndarray]
+
+
+def _column_classes(vectors: np.ndarray, code: np.ndarray,
+                    limit: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The classes of coordinates r that share ``code[r]`` and their
+    column of the (k, n) ``vectors``, compared bit for bit, when there are
+    at most ``limit`` of them: the first member of each and the class sizes
+    as arrays; else None.
+
+    Rows are first checked one by one for having few distinct entries, so
+    random rows are turned away after one sort of their first row (0.035
+    ms at n = 4096, where numpy's ``unique`` of the 64-bit words hashes
+    them and takes 0.6 ms).  Classes are ordered by code, then by the bit
+    patterns (as unsigned integers) of their entries in the first row, the
+    second, and so on.
     """
-    tiles = list(sample_tiles(model, seed, start, count, n=n))
-    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
+    bits = vectors.view(np.uint64)
+    for row in bits:
+        ordered = np.sort(row)
+        if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > limit:
+            return None
+    for row in bits:
+        values, inverse = np.unique(row, return_inverse=True)
+        # Renumbering the classes after each row keeps the codes below n^2.
+        _, first, code, sizes = np.unique(code * values.size + inverse, return_index=True,
+                                          return_inverse=True, return_counts=True)
+        if first.size > limit:
+            return None
+    return first, sizes
+
+
+def _tile_projections(model, theta, seed, start, count):
+    tiles = sample_tiles(model, seed, start, count, n=theta.shape[0])
+    return np.concatenate([x @ theta for x in tiles]).astype(np.float64)
+
+
+def _class_sum_projections(laws, sizes, columns, seed, start, count):
+    return sample_class_sums(laws, sizes, seed, start, count) @ columns
+
+
+def _bin_projections(weights, sizes, factors, seed, start, count):
+    return (sample_rank_bins(weights, sizes, seed, start, count) * factors).sum(axis=1)
+
+
+def _grouped(sampler, project, items, sizes, factors) -> ProjectionPlan:
+    """The plan that draws ``project(items, sizes, factors, seed, start,
+    count)`` over G groups of the given sizes."""
+    sizes = tuple(int(m) for m in sizes)
+    draw = functools.partial(project, items, sizes, np.ascontiguousarray(factors))
+    return ProjectionPlan(sampler, len(sizes), draw)
+
+
+def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
+    """The plan that draws the projections S = theta X of a block, theta
+    the (k, n) float64 ``vectors`` and X a state of ``model`` (of dimension
+    n, as the caller has checked).  ``draw`` is a :func:`functools.partial`
+    whose ``args`` hold what it projects with.
+
+    S depends on X only through the sums of the classes of coordinates
+    that share a direction column and a law (:func:`_column_classes`).  An
+    i.i.d. or independent model whose laws all declare a ``sum_sampler``
+    draws those sums when there are at most n / _CLASS_SIZE classes
+    (CLASS_SUMS: sign-design rows under the catalog laws but the uniform),
+    laws in order of first appearance, and S is the float64 product of the
+    (count, G) sums with the (G, k) distinct columns.
+
+    An exchangeable draw needs only a uniform partition when the rows'
+    column classes or the population's distinct values number at most
+    min(_MAX_BINS, n / _BIN_SIZE), and then draws the side with fewer
+    groups, the columns on a tie, as per-bin sums; S = sum over bins c of
+    sums[:, c] * factors[c].  Columns (COLUMN_BINS): with X_r the
+    population value at coordinate r, S = sum over classes c of col_c
+    sum_(r in c) X_r, so the items are the population values, each
+    weighing its value, binned into the class sizes, and the factors are
+    the (G, k) distinct columns.  Values (VALUE_BINS): S = sum over
+    distinct values v_d of v_d sum_(r: X_r = v_d) theta^r, so the items
+    are the coordinates, each weighing its column theta^r, and the factors
+    are the (G, 1) distinct values, compared as float64, in increasing
+    order.
+
+    Every other cell draws coordinates in single precision (COORDINATES):
+    the statistical error at any usable sample count dominates the
+    rounding by several orders of magnitude.  Each tile is projected and
+    dropped before the next is drawn, by one float32 BLAS product with the
+    (n, k) float32 theta, 2-4x faster than an einsum (2-core x86) and
+    byte-identical under one or two BLAS threads.
+    """
+    n = vectors.shape[1]
+    theta = np.ascontiguousarray(vectors.T, dtype=np.float32)
+    if isinstance(model, ExchangeableModel):
+        limit = min(_MAX_BINS, n // _BIN_SIZE)
+        values, counts = np.unique(model.population, return_counts=True)
+        found = _column_classes(vectors, np.zeros(n, dtype=np.intp), min(limit, values.size))
+        if found is not None:
+            first, sizes = found
+            items = model.population.astype(np.float32)[:, None]
+            return _grouped(COLUMN_BINS, _bin_projections, items, sizes, vectors[:, first].T)
+        if values.size <= limit:
+            return _grouped(VALUE_BINS, _bin_projections, theta, counts, values[:, None])
+    else:
+        laws = model.laws if isinstance(model, IndependentModel) else (model,)
+        law_index = (model.law_index if isinstance(model, IndependentModel)
+                     else np.zeros(n, dtype=np.intp))
+        found = (None if any(law.sum_sampler is None for law in laws)
+                 else _column_classes(vectors, law_index, n // _CLASS_SIZE))
+        if found is not None:
+            first, sizes = found
+            return _grouped(CLASS_SUMS, _class_sum_projections,
+                            tuple(laws[law_index[r]] for r in first), sizes, vectors[:, first].T)
+    return ProjectionPlan(COORDINATES, None, functools.partial(_tile_projections, model, theta))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import sys
 
+import numpy as np
+
+from projclt import sources
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Render one line per acceptance criterion after the run."""
@@ -10,3 +14,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, name, status, seconds in sorted(results):
         terminalreporter.write_line(f"criterion {num:2d} ({name}): {status} [{seconds:.1f}s]")
+
+
+def sample_block(model, seed, start, count, n=None):
+    """(count, n) float32 draws for sample indices start..start+count-1: the
+    tiles of :func:`projclt.sources.sample_tiles`, concatenated."""
+    return np.concatenate(list(sources.sample_tiles(model, seed, start, count, n=n)))

@@ -34,13 +34,13 @@ from projclt.sources import (
     exchangeable_moments,
     iid_moments,
     rademacher,
-    sample_block,
     standardize_population,
     two_point,
     uniform,
 )
 from projclt.testfuncs import GaussianSpec, cosine_testfn, gaussian_expectation
 
+from conftest import sample_block
 from direction_reference import lp_norm, sphere_mean_l3_cubed, sphere_mean_l4_sq_bound
 from gaussian_reference import gauss_hermite_expectation
 from pair_reference import conditional_mean_enumerated, eij_closed_form

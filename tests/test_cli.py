@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projclt import empirics, sources
+from projclt import sources
 from projclt.bounds import THEOREMS
 from projclt.cli import ExperimentConfig, main
 from projclt.directions import DirectionSet, hypercube_directions
@@ -726,6 +726,18 @@ class TestCheckCommand:
         assert "check moments exponential: ok" in out
         assert check_names(out) == ["linearity", "moments rademacher", "moments exponential"]
 
+    def test_four_law_pattern_keeps_its_text(self, tmp_path, capsys):
+        pattern = [{"kind": "rademacher"}, {"kind": "uniform"}, {"kind": "two_point", "p": 0.2},
+                   {"kind": "exponential"}]
+        path = write_config(tmp_path, {"model": {"kind": "independent", "pattern": pattern}})
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "check linearity: ok (max residual 0.000e+00, pair=resampling)\n"
+            "check moments rademacher: ok (abs3 1.00000 vs 1.00000, fourth 1.00000 vs 1.00000)\n"
+            "check moments uniform: ok (abs3 1.30219 vs 1.29904, fourth 1.80438 vs 1.80000)\n"
+            "check moments two_point(0.2): ok (abs3 1.68598 vs 1.70000, fourth 3.22163 vs 3.25000)\n"
+            "check moments exponential: ok (abs3 2.44194 vs 2.41455, fourth 9.30219 vs 9.00000)\n")
+
     def test_wrong_moment_on_the_second_law_fails(self, tmp_path, monkeypatch, capsys):
         wrong = dataclasses.replace(sources.centered_exponential(), abs3=3.0)  # 12/e - 2 ~ 2.41
         monkeypatch.setitem(sources.CATALOG, "exponential", lambda: wrong)
@@ -761,9 +773,9 @@ class TestCheckCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a state was drawn")
 
-        for module, name in [(empirics, "sample_tiles"), (empirics, "sample_block"),
-                             (sources, "sample_tiles"), (sources, "sample_block")]:
-            monkeypatch.setattr(module, name, refuse, raising=False)
+        for name in ["sample_tiles", "sample_class_sums", "sample_rank_bins", "projections",
+                     "stream"]:
+            monkeypatch.setattr(sources, name, refuse)
         assert main(["check", str(self.skewed_config(tmp_path))]) == 0
 
 
@@ -839,7 +851,9 @@ COSINE_PHASE = {"kind": "cosine", "a": "ones-normalized", "phase": 0.3}
 # CSV moved once since, when uniform draws became a lattice of 2^23 points
 # built in the stream words' buffer.  The exchangeable cell's rows and
 # population have 1024 groups each, so it keeps the sorted-key permutation;
-# its digest was taken before rank bins came in.
+# its digest was taken before rank bins came in.  The independent pattern's
+# uniform law declares no sum sampler, so it draws coordinates too; its
+# digest was taken before the choice of sampler moved into sources.
 COORDINATE_CSVS = {
     "random-rows": ({"model": {"kind": "rademacher"},
                      "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5},
@@ -858,10 +872,19 @@ COORDINATE_CSVS = {
                            "directions": {"kind": "hypercube", "n": 64, "k": 2},
                            "test_function": COSINE_PHASE, "theorem": "T1"},
                           "291cc8171d23f634e019efd02772d452bdd17f82b03789af317e75da63cee0aa"),
+    "independent-pattern": ({"model": {"kind": "independent", "pattern": [
+                                 {"kind": "rademacher"}, {"kind": "uniform"},
+                                 {"kind": "exponential"}]},
+                             "directions": {"kind": "random", "n": 1024, "k": 3, "seed": 5},
+                             "test_function": COSINE_PHASE, "theorem": "T2"},
+                            "983f5e298de790318278af6182c94c2f1526a9ac3870399c11954462809938ab"),
 }
 CLASS_SUM_CONFIG = {"model": {"kind": "exponential"},
                     "directions": {"kind": "hypercube", "n": 4096, "k": 3},
                     "test_function": COSINE_PHASE, "theorem": "T2"}
+# verify --workers 2 CSV of CLASS_SUM_CONFIG, taken before the choice of
+# sampler moved into sources.
+CLASS_SUM_CSV = "e08e223d1b5d67b776bf56e2f6b009b66407c5fdc9a43bf7f5a3db161c954453"
 # verify --workers 2 CSVs of exchangeable configs that draw rank bins, and
 # the trace's sampler and groups: the ramp's 1024 values over the 4 column
 # classes of centred sign rows, and the coordinates of random centred rows
@@ -899,6 +922,14 @@ class TestReproducibility:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         record = json.loads(capsys.readouterr().err)
         assert (record["sampler"], record["groups"]) == ("coordinates", None)
+
+    def test_class_sum_draws_keep_their_bytes(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, CLASS_SUM_CONFIG)
+        assert main(["verify", str(path), "--output", str(out), "--workers", "2", "--trace"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASS_SUM_CSV
+        record = json.loads(capsys.readouterr().err)
+        assert (record["sampler"], record["groups"]) == ("class-sums", 4)
 
     @pytest.mark.parametrize("name", sorted(RANK_BIN_CSVS))
     def test_rank_bin_draws_keep_their_bytes(self, tmp_path, capsys, name):

@@ -14,16 +14,10 @@ from projclt.directions import (
     random_orthonormal,
 )
 from projclt.empirics import (
-    CLASS_SUMS,
-    COLUMN_BINS,
-    COORDINATES,
-    VALUE_BINS,
     RESAMPLING,
     TRANSPOSITION,
-    _classes,
     _mean_abs3_diff,
     _Moments,
-    _rank_bins,
     compute_bound,
     eij_second_moments,
     estimate_discrepancy,
@@ -34,7 +28,11 @@ from projclt.empirics import (
 )
 from projclt.errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 from projclt.sources import (
+    CLASS_SUMS,
+    COLUMN_BINS,
+    COORDINATES,
     TILE_ROWS,
+    VALUE_BINS,
     ExchangeableModel,
     IndependentModel,
     centered_exponential,
@@ -42,8 +40,8 @@ from projclt.sources import (
     fourth_moment,
     iid_moments,
     moment_summary,
+    projections,
     rademacher,
-    sample_block,
     sample_class_sums,
     sample_rank_bins,
     standardize_population,
@@ -60,6 +58,7 @@ from projclt.testfuncs import (
     gaussian_expectation,
 )
 
+from conftest import sample_block
 from pair_reference import (
     conditional_mean_enumerated,
     eij_closed_form,
@@ -806,9 +805,9 @@ def class_law(name, n):
 class TestClassSums:
     @pytest.mark.parametrize("centered,groups", [(False, [1, 2, 4, 4]), (True, [2, 4, 4, 8])])
     def test_sign_rows_have_few_classes(self, centered, groups):
-        found = [len(_classes(hypercube_directions(4096, k, centered=centered), rademacher()).laws)
+        plans = [projections(hypercube_directions(4096, k, centered=centered).vectors, rademacher())
                  for k in (1, 2, 3, 4)]
-        assert found == groups
+        assert [plan.groups for plan in plans] == groups
 
     def test_classes_split_by_column_and_law(self):
         n = 384
@@ -816,11 +815,12 @@ class TestClassSums:
         laws = (signs, centered_exponential(), signs)
         model = IndependentModel(coords=tuple(laws[r % 3] for r in range(n)))
         rows = np.tile(np.repeat([1.0, -1.0], 2), n // 4) / math.sqrt(n)  # + + - - + + ...
-        classes = _classes(DirectionSet(rows[None, :]), model)
+        class_laws, sizes, columns = projections(DirectionSet(rows[None, :]).vectors,
+                                                 model).draw.args
         theta = rows[None, :]
-        assert classes.sizes == (128, 128, 64, 64)  # by law, then by sign: + before -
-        assert classes.laws == (signs, signs, laws[1], laws[1])
-        for law, size, column in zip(classes.laws, classes.sizes, classes.columns):
+        assert sizes == (128, 128, 64, 64)  # by law, then by sign: + before -
+        assert class_laws == (signs, signs, laws[1], laws[1])
+        for law, size, column in zip(class_laws, sizes, columns):
             members = [r for r in range(n) if model.coords[r] is law and theta[0, r] == column[0]]
             assert len(members) == size
 
@@ -847,7 +847,7 @@ class TestClassSums:
                                                   for r in range(n)))
         else:
             ds = hypercube_directions(n, 5)  # 8 classes > 256 / 64
-        assert _classes(ds, model) is None and _rank_bins(ds, model) is None
+        assert projections(ds.vectors, model)[:2] == (COORDINATES, None)
         g = unit_cosine(ds.k)
         est = estimate_discrepancy(ds, model, g,
                                    gaussian_expectation(g, GaussianSpec.identity(ds.k)), 2000,
@@ -859,7 +859,8 @@ class TestClassSums:
         real_sort = np.sort
         monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(a) or
                             real_sort(a, *args, **kw))
-        assert _classes(random_orthonormal(4096, 3, seed=2), rademacher()) is None
+        assert projections(random_orthonormal(4096, 3, seed=2).vectors,
+                           rademacher()).sampler == COORDINATES
         assert len(calls) == 1
 
     @pytest.mark.parametrize("law", ["rademacher", "two_point", "exponential", "pattern"])
@@ -867,18 +868,18 @@ class TestClassSums:
         n, k = 1024, 3
         ds = hypercube_directions(n, k)
         model = class_law(law, n)
-        classes = _classes(ds, model)
+        laws, sizes, columns = projections(ds.vectors, model).draw.args
         g = cosine_testfn([0.9, -0.4, 0.7], phase=0.3)
         gauss = gaussian_expectation(g, GaussianSpec.identity(k))
         est = estimate_discrepancy(ds, model, g, gauss, 8192 + 1000, seed=12)
-        assert (est.sampler, est.groups) == (CLASS_SUMS, len(classes.laws))
-        blocks = [sample_class_sums(classes.laws, classes.sizes, 12, start, count)
+        assert (est.sampler, est.groups) == (CLASS_SUMS, len(laws))
+        blocks = [sample_class_sums(laws, sizes, 12, start, count)
                   for start, count in ((0, 8192), (8192, 1000))]
-        vals = [g.evaluate(sums @ classes.columns) for sums in blocks]
+        vals = [g.evaluate(sums @ columns) for sums in blocks]
         want = (vals[0].mean() * 8192 + vals[1].mean() * 1000) / 9192
         assert est.mean_g == pytest.approx(want, rel=1e-14, abs=1e-15)
         # the classes stand for the coordinates: column c of a class is theta^r of its members
-        for column in classes.columns:
+        for column in columns:
             assert np.any(np.all(ds.vectors.T == column, axis=1))
 
     @pytest.mark.parametrize("law", ["rademacher", "exponential", "pattern"])
@@ -994,8 +995,7 @@ class TestRankBinPath:
         values = {"ramp": np.arange(n), "alternating": np.arange(n) % 2,
                   "four-values": np.arange(n) % 4, "five-values": np.arange(n) % 5}
         model = ExchangeableModel(standardize_population(values[population] ** 2))
-        bins = _rank_bins(ds, model)
-        assert (None if bins is None else (bins.sampler, len(bins.sizes))) == want
+        assert projections(ds.vectors, model)[:2] == (want or (COORDINATES, None))
         g = unit_cosine(ds.k)
         est = estimate_discrepancy(ds, model, g,
                                    gaussian_expectation(g, GaussianSpec.identity(ds.k)), 1000,
@@ -1009,16 +1009,16 @@ class TestRankBinPath:
             ds, model = hypercube_directions(n, k, centered=True), ramp_model(n)
         else:
             ds, model = random_orthonormal(n, k, seed=4, centered=True), alternating_model(n)
-        bins = _rank_bins(ds, model)
+        weights, sizes, factors = projections(ds.vectors, model).draw.args
         g = cosine_testfn([0.9, -0.4, 0.7], phase=0.3)
         est = estimate_discrepancy(ds, model, g, gaussian_expectation(g, GaussianSpec(ds.gram)),
                                    8192 + 1000, seed=12)
         vals = []
         for start, count in ((0, 8192), (8192, 1000)):
-            sums = sample_rank_bins(bins.weights, bins.sizes, 12, start, count)
+            sums = sample_rank_bins(weights, sizes, 12, start, count)
             if side == "columns":  # the population values that land on each column
-                s = sums[:, :, 0] @ bins.factors
-                for column, size in zip(bins.factors, bins.sizes):
+                s = sums[:, :, 0] @ factors
+                for column, size in zip(factors, sizes):
                     assert np.count_nonzero(np.all(ds.vectors.T == column, axis=1)) == size
             else:  # the columns of the coordinates that take each value
                 s = np.einsum("d,bdk->bk", np.unique(model.population), sums)

@@ -25,7 +25,6 @@ from projclt.sources import (
     LAW_ROWS,
     TILE_ROWS,
     rademacher,
-    sample_block,
     sample_class_sums,
     sample_rank_bins,
     sample_tiles,
@@ -35,6 +34,8 @@ from projclt.sources import (
     uniform,
     user_model,
 )
+
+from conftest import sample_block
 
 SQRT3 = math.sqrt(3.0)
 
@@ -644,7 +645,6 @@ class TestTiles:
         assert all(t.dtype == np.float32 and t.shape[1] == n for t in tiles)
         assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
         np.testing.assert_array_equal(np.concatenate(tiles), ref)
-        np.testing.assert_array_equal(sample_block(model, 13, 8192, count, n=n), ref)
 
     def test_independent_laws_are_drawn_in_fixed_row_pieces(self):
         # 47 rademacher, 47 two_point(0.3) and 45 exponential coordinates;
@@ -656,7 +656,6 @@ class TestTiles:
         model = IndependentModel(coords=tuple(coords))
         count = LAW_ROWS + 44
         ref = whole_block_reference(model, 21, 0, count, 140)
-        np.testing.assert_array_equal(sample_block(model, 21, 0, count), ref)
         tiles = list(sample_tiles(model, 21, 0, count))
         full = LAW_ROWS // TILE_ROWS
         assert [t.shape for t in tiles] == [(TILE_ROWS, 140)] * full + [(44, 140)]
