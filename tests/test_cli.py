@@ -900,6 +900,29 @@ RANK_BIN_CSVS = {
                     "test_function": COSINE_PHASE, "theorem": "T5"},
                    "9ce2068bbf28eb56daca7a4daa3791643649735a0ea900bb269bce324aff49c1", 2),
 }
+# bound --theorem abstract CSVs: i.i.d. uniform on random rows, i.i.d.
+# Rademacher on sign rows, a three-law pattern on random rows and the ramp.
+ABSTRACT_CSVS = {
+    "iid-uniform": ({"model": {"kind": "uniform"},
+                     "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5}},
+                    "41a98fad0d997d63aaff6cf45ec7698a7c703eaf7140c3d226bfb28edb091d8b"),
+    "iid-rademacher": ({"model": {"kind": "rademacher"},
+                        "directions": {"kind": "hypercube", "n": 1024, "k": 2}},
+                       "8bf6d669a42dfa739a892f484d3523580fb7222bd7fe56a817e99fa0d046ce1a"),
+    "pattern": ({"model": {"kind": "independent", "pattern": [
+                     {"kind": "rademacher"}, {"kind": "uniform"}, {"kind": "exponential"}]},
+                 "directions": {"kind": "random", "n": 1024, "k": 3, "seed": 5}},
+                "0d2dbed6f8bcb1366cfbe5f0e3adfdb55f556f1c7d56ffc730a4b94a86d4b7eb"),
+    "ramp": ({"model": {"kind": "exchangeable", "family": "ramp"},
+              "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True, "seed": 5}},
+             "692d58870897eb477955f368092e7ff0ce9462170c74f4793cc32f7e91bf8e20"),
+}
+# The moments CSV and the check text of one i.i.d. law.
+IID_LAW_CONFIG = {"model": {"kind": "two_point", "p": 0.2}}
+IID_MOMENTS_CSV = "d6751ad348cca1bc3cb9b5f1033d20f7e614f1db2fc78ed955acbf7800d211dd"
+IID_CHECK_TEXT = (
+    "check linearity: ok (max residual 0.000e+00, pair=resampling)\n"
+    "check moments two_point(0.2): ok (abs3 1.68598 vs 1.70000, fourth 3.22163 vs 3.25000)\n")
 
 
 class TestReproducibility:
@@ -940,6 +963,23 @@ class TestReproducibility:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         record = json.loads(capsys.readouterr().err)
         assert (record["sampler"], record["groups"]) == (name, groups)
+
+    @pytest.mark.parametrize("name", sorted(ABSTRACT_CSVS))
+    def test_abstract_bound_keeps_its_bytes(self, tmp_path, name):
+        config, digest = ABSTRACT_CSVS[name]
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path, {**config, "test_function": COSINE_PHASE,
+                                       "theorem": "abstract"})
+        assert main(["bound", str(path), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_iid_moments_and_check_keep_their_bytes(self, tmp_path):
+        out, text = tmp_path / "m.csv", tmp_path / "check.txt"
+        path = write_config(tmp_path, IID_LAW_CONFIG)
+        assert main(["moments", str(path), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == IID_MOMENTS_CSV
+        assert main(["check", str(path), "--output", str(text)]) == 0
+        assert text.read_text() == IID_CHECK_TEXT
 
     def test_seed_override_changes_digest_not_determinism(self, tmp_path):
         base, out1, out2 = tmp_path / "base.csv", tmp_path / "a.csv", tmp_path / "b.csv"
