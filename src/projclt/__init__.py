@@ -46,6 +46,7 @@ from .sources import (
     MomentSummary,
     centered_exponential,
     exchangeable_moments,
+    iid,
     iid_moments,
     independent_moments,
     load_population,

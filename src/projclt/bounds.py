@@ -56,7 +56,7 @@ import numpy as np
 
 from .directions import DirectionSet, NormSummary
 from .errors import InvalidInputError
-from .sources import EXCHANGEABLE, IID, INDEPENDENT, Model, MomentSummary, family, model_dim
+from .sources import EXCHANGEABLE, IID, INDEPENDENT, Model, MomentSummary, family
 from .testfuncs import TestFunction
 
 
@@ -143,7 +143,7 @@ def theorem_spec(theorem: str, ds: DirectionSet, model: Model) -> Theorem:
         raise InvalidInputError(
             f"{theorem} needs a model of family {' or '.join(row.families)}, got {fam}"
         )
-    if model_dim(model) not in (None, ds.n):
+    if model.n != ds.n:
         raise InvalidInputError("model dimension does not match the direction set")
     if not row.gram and not ds.orthonormal:
         worst = np.max(np.abs(ds.gram - np.eye(ds.k)))

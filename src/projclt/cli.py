@@ -297,23 +297,25 @@ def build_model(spec: dict, n: int) -> sources.Model:
     with _config_errors("model: "):
         law = _catalog_law(spec, "model")
         if law is not None:
-            return law
+            return sources.iid(law, n)
         if kind == sources.INDEPENDENT:
             _check_keys(spec, ("kind", "pattern"), "model")
             pattern = spec.get("pattern")
             if not isinstance(pattern, list) or not pattern:
                 raise ConfigError("independent model needs a non-empty 'pattern' list")
-            # One law object per distinct entry (as canonical JSON): the
-            # sampler and the class sums group coordinates by law object.
-            laws, coords = {}, []
+            laws, keys = {}, []
             for entry in pattern:
                 law = _catalog_law(entry, "model.pattern")
                 if law is None:
                     raise ConfigError("independent pattern entries must be catalog law "
                                       f"objects, got {entry!r}")
-                coords.append(laws.setdefault(json.dumps(entry, sort_keys=True), law))
-            tiled = [coords[i % len(coords)] for i in range(n)]
-            return sources.IndependentModel(coords=tuple(tiled))
+                keys.append(json.dumps(entry, sort_keys=True))
+                laws.setdefault(keys[-1], law)
+            # One law per distinct entry (as canonical JSON) among the first n, in
+            # order of first appearance: the sampler and class sums group by law.
+            used = list(dict.fromkeys(keys[:n]))
+            index = np.resize([used.index(key) for key in keys[:n]], n)
+            return sources.IndependentModel(tuple(laws[key] for key in used), index)
         if kind == sources.EXCHANGEABLE:
             return sources.ExchangeableModel(population=_population(spec, n))
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -491,9 +493,8 @@ def cmd_check(cfg: ExperimentConfig) -> int:
            f"max residual {resid:.3e}, pair={empirics.pair_for(sources.family(model))}")
 
     if not isinstance(model, sources.ExchangeableModel):
-        # Every law of an independent pattern, one per name, in order of first appearance.
-        laws = model.laws if isinstance(model, sources.IndependentModel) else (model,)
-        for law in {law.name: law for law in laws}.values():
+        # Every law of the model, one per name, in order.
+        for law in {law.name: law for law in model.laws}.values():
             m = sources.iid_moments(law)
             draws = law.sampler(sources.stream(cfg.seed, 0), 200_000).astype(np.float64)
             est3 = float(np.mean(np.abs(draws) ** 3))

@@ -44,7 +44,7 @@ from . import sources
 from .bounds import DEFAULT_EXCHANGEABLE_CONSTANTS, ExchangeableConstants
 from .directions import DirectionSet, norm_summary
 from .errors import InvalidInputError, InvalidMomentsError, ProjcltError
-from .sources import ExchangeableModel, IndependentModel, Model
+from .sources import ExchangeableModel, Model
 from .testfuncs import Expectation, GaussianSpec, TestFunction, gaussian_expectation
 
 RESAMPLING = "resampling"
@@ -74,13 +74,11 @@ def pair_for(family: str) -> str:
     return TRANSPOSITION if family == sources.EXCHANGEABLE else RESAMPLING
 
 
-def stein_lambda(model: Model, n: int) -> float:
+def stein_lambda(model: Model) -> float:
     """Shrinkage constant of the conditional-mean identity for the model's pair."""
-    if not isinstance(model, ExchangeableModel):
-        return 1.0 / n
-    if n < 2:
-        raise InvalidInputError("transposition needs n >= 2")
-    return 2.0 / (n - 1)
+    if sources.family(model) == sources.EXCHANGEABLE:
+        return 2.0 / (model.n - 1)
+    return 1.0 / model.n
 
 
 # --------------------------------------------------------------------------
@@ -105,16 +103,13 @@ def linearity_residual(ds: DirectionSet, model: Model) -> float:
     sum to, so what is left is the rounding of the declared means.
     """
     theta = ds.vectors
-    n = ds.n
-    if sources.model_dim(model) not in (None, n):
+    lam = stein_lambda(model)
+    if model.n != ds.n:
         raise InvalidInputError("model dimension does not match the direction set")
-    lam = stein_lambda(model, n)
     if isinstance(model, ExchangeableModel):
-        mean_s = math.fsum(model.population) / n * theta.sum(axis=1)
-    elif isinstance(model, IndependentModel):
-        mean_s = theta @ model.per_coordinate(_law_mean)
+        mean_s = math.fsum(model.population) / ds.n * theta.sum(axis=1)
     else:
-        mean_s = theta @ np.full(n, _law_mean(model))
+        mean_s = theta @ model.per_coordinate(_law_mean)
     return lam * float(np.max(np.abs(mean_s)))
 
 
@@ -159,7 +154,7 @@ def third_moment_sum(ds: DirectionSet, model: Model) -> float:
     """Exact sum_i E|S'^i - S^i|^3 over the state and the pair randomization.
 
     Resampling: (1/n) sum_r (sum_i |theta_i^r|^3) E|X*_r - X_r|^3, with the
-    last factor from :func:`projclt.sources.diff_abs3`.
+    last factor from :func:`projclt.sources.diff_abs3`, once per law's weight sum.
     Transposition: D3 sum_i sum_{r != s} |theta_i^r - theta_i^s|^3 / (n(n-1)),
     D3 the mean of |a - b|^3 over ordered distinct population pairs.  Each
     pair mean comes from sorted prefix sums (:func:`_mean_abs3_diff`), so
@@ -167,12 +162,11 @@ def third_moment_sum(ds: DirectionSet, model: Model) -> float:
     relative error of O(n eps).
     """
     theta = ds.vectors
-    if isinstance(model, ExchangeableModel):
+    if sources.family(model) == sources.EXCHANGEABLE:
         return _mean_abs3_diff(model.population) * sum(_mean_abs3_diff(row) for row in theta)
     weights = np.sum(np.abs(theta) ** 3, axis=0)
-    if isinstance(model, IndependentModel):
-        return float(weights @ model.per_coordinate(sources.diff_abs3)) / ds.n
-    return float(weights.sum()) * sources.diff_abs3(model) / ds.n
+    return sum(float(weights[model.law_index == j].sum()) * sources.diff_abs3(law)
+               for j, law in enumerate(model.laws)) / ds.n
 
 
 @functools.cache
@@ -294,17 +288,13 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
     """
     bounds_mod.theorem_spec("abstract", ds, model)
     theta = ds.vectors
-    n = ds.n
     if isinstance(model, ExchangeableModel):
         return _transposition_second_moments(theta, model.population)
-    if isinstance(model, IndependentModel):
-        fourth = model.per_coordinate(sources.fourth_moment)
-    else:
-        fourth = sources.fourth_moment(model)
+    fourth = model.per_coordinate(sources.fourth_moment)
     if np.min(fourth) < 1.0 - 1e-9:
         raise InvalidMomentsError(f"EX^4 = {np.min(fourth)} < 1 contradicts EX^2 = 1")
     t2 = theta * theta
-    return (t2 * np.maximum(fourth - 1.0, 0.0)) @ t2.T / (n * n)
+    return (t2 * np.maximum(fourth - 1.0, 0.0)) @ t2.T / (ds.n * ds.n)
 
 
 # --------------------------------------------------------------------------
@@ -373,8 +363,6 @@ def estimate_discrepancy(
         raise InvalidInputError(f"discrepancy estimation needs >= 1000 samples, got {samples}")
     if g.dimension != ds.k:
         raise InvalidInputError(f"test function dimension {g.dimension} != k = {ds.k}")
-    if sources.model_dim(model) not in (None, ds.n):
-        raise InvalidInputError("model dimension does not match the direction set")
     draws = sources.projections(ds.vectors, model)
     starts = list(range(0, samples, _BLOCK))
 
@@ -473,7 +461,7 @@ def compute_bound(
         sum_abs=float(np.sqrt(second).sum()), sqrt_sum_sq=math.sqrt(float(second.sum()))
     )
     report = bounds_mod.bound_abstract(
-        stein_lambda(model, ds.n), eij, third_moment_sum(ds, model), g, ds.k
+        stein_lambda(model), eij, third_moment_sum(ds, model), g, ds.k
     )
     return replace(report, n=ds.n)
 

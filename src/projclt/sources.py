@@ -1,11 +1,11 @@
 """Random-vector models, the moment constants that enter the bounds, and
 the sampling of their projections.
 
-Three model families are supported, all standardized to mean 0 and
-variance 1 per coordinate:
+A model of n coordinates, each standardized to mean 0 and variance 1, is
+one of two types, and :func:`family` measures whether it is i.i.d.:
 
-* ``IIDModel``          -- one scalar law used for every coordinate,
-* ``IndependentModel``  -- a per-coordinate list of scalar laws,
+* ``IndependentModel``  -- independent coordinates, each drawn from one of
+  its distinct scalar laws (``IIDModel``), i.i.d. when it has one (:func:`iid`),
 * ``ExchangeableModel`` -- a uniformly random permutation of a fixed
   standardized population, which makes every mixed moment of the
   dependence terms exactly computable.
@@ -34,8 +34,8 @@ is the top 23 bits of a 32-bit half-word made into a float32 in [1, 2)
 and mapped affinely onto [-sqrt(3), sqrt(3)), in the words' own buffer;
 the centered exponential is the inverse CDF of one 32-bit word.  Rademacher
 draws take one bit each from the stream's words, least significant bit
-first, eight at a time through a byte lookup table.  An independent
-model draws law by law, LAW_ROWS rows per sampler call.  An exchangeable
+first, eight at a time through a byte lookup table.  A model of several
+laws draws law by law, LAW_ROWS rows per sampler call.  An exchangeable
 model sorts 64-bit keys: a 32-bit stream half-word high, the float32 bits
 of a population value low.  A row in which two half-words tie is redrawn,
 so every permutation is exactly uniform and the sorted low halves are the
@@ -56,7 +56,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -225,32 +225,45 @@ _ENUMERATED = {
 
 @dataclass(frozen=True, eq=False)
 class IndependentModel:
-    """Independent coordinates, one scalar law each.  ``laws`` holds the
-    distinct law objects (by identity, in order of first appearance) and
-    ``law_index`` the position in ``laws`` of each coordinate's law."""
+    """Independent coordinates, one scalar law each: ``laws`` holds the
+    distinct law objects and ``law_index`` the position in ``laws`` of each
+    coordinate's law, every position at least once."""
 
-    coords: tuple[IIDModel, ...]
-    laws: tuple[IIDModel, ...] = field(init=False)
-    law_index: np.ndarray = field(init=False)
+    laws: tuple[IIDModel, ...]
+    law_index: np.ndarray
 
     def __post_init__(self):
-        if len(self.coords) < 1:
-            raise InvalidInputError("independent model needs at least one coordinate")
+        index = np.asarray(self.law_index)
+        if index.ndim != 1 or index.size == 0 or index.dtype.kind not in "iu":
+            raise InvalidInputError("law_index must be a non-empty 1-D array of integers")
+        laws = tuple(self.laws)
         # IIDModel compares and hashes by identity (eq=False).
-        laws = tuple(dict.fromkeys(self.coords))
-        position = {law: j for j, law in enumerate(laws)}
-        index = np.fromiter(map(position.__getitem__, self.coords), dtype=np.intp)
+        if len(set(laws)) != len(laws):
+            raise InvalidInputError("an independent model's laws must be distinct law objects")
+        # Each position in 0..len(laws)-1 counted at least once, and no other;
+        # bincount refuses negative values, so they are tested first.
+        if index.min() < 0 or not np.array_equal(np.bincount(index) > 0, [True] * len(laws)):
+            raise InvalidInputError(f"law_index must hold every position in 0..{len(laws) - 1} "
+                                    "of laws, and no other value")
+        index = index.astype(np.intp)
         index.flags.writeable = False
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "law_index", index)
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return self.law_index.size
 
     def per_coordinate(self, constant: Callable[[IIDModel], float]) -> np.ndarray:
         """``constant(law)`` for each coordinate, evaluated once per law."""
         return np.array([constant(law) for law in self.laws])[self.law_index]
+
+
+def iid(law: IIDModel, n: int) -> IndependentModel:
+    """The i.i.d. model of n coordinates drawn from ``law``."""
+    if n < 1:
+        raise InvalidInputError(f"an i.i.d. model needs n >= 1 coordinates, got {n}")
+    return IndependentModel((law,), np.zeros(n, dtype=np.intp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,19 +294,20 @@ class ExchangeableModel:
         return self.population.size
 
 
-Model = Union[IIDModel, IndependentModel, ExchangeableModel]
+Model = Union[IndependentModel, ExchangeableModel]
 
 # Model families, the unit in which a theorem states which models it admits.
 IID, INDEPENDENT, EXCHANGEABLE = "iid", "independent", "exchangeable"
 
 
 def family(model: Model) -> str:
-    """The family of a model, one of IID, INDEPENDENT, EXCHANGEABLE."""
-    if isinstance(model, IndependentModel):
-        return INDEPENDENT
+    """EXCHANGEABLE, IID for an independent model of one law, or INDEPENDENT."""
     if isinstance(model, ExchangeableModel):
         return EXCHANGEABLE
-    return IID
+    if isinstance(model, IndependentModel):
+        return IID if len(model.laws) == 1 else INDEPENDENT
+    raise InvalidInputError(f"a model is an IndependentModel or an ExchangeableModel, got "
+                            f"{type(model).__name__}; the i.i.d. model of a law is iid(law, n)")
 
 
 # --------------------------------------------------------------------------
@@ -490,10 +504,11 @@ def _constant(model: IIDModel, name: str, formula: str) -> float:
 
 
 def independent_moments(model: IndependentModel) -> MomentSummary:
-    per = [iid_moments(law) for law in model.laws]  # the first is the first coordinate's
+    per = [iid_moments(law) for law in model.laws]
+    first = per[model.law_index[0]]
     return MomentSummary(
-        abs3=per[0].abs3,
-        fourth=per[0].fourth,
+        abs3=first.abs3,
+        fourth=first.fourth,
         abs3_max=max(m.abs3 for m in per),
         fourth_max=max(m.fourth for m in per),
     )
@@ -533,35 +548,13 @@ def exchangeable_moments(model: ExchangeableModel) -> MomentSummary:
 
 
 def moment_summary(model: Model) -> MomentSummary:
-    if isinstance(model, IIDModel):
-        return iid_moments(model)
-    if isinstance(model, IndependentModel):
-        return independent_moments(model)
-    if isinstance(model, ExchangeableModel):
+    if family(model) == EXCHANGEABLE:
         return exchangeable_moments(model)
-    raise InvalidInputError(f"unknown model type {type(model).__name__}")
+    return independent_moments(model)
 
 
 # --------------------------------------------------------------------------
 # Sampling
-
-def model_dim(model: Model) -> Optional[int]:
-    """Intrinsic vector length, or None for a scalar i.i.d. law."""
-    return None if family(model) == IID else model.n
-
-
-def _resolve_n(model: Model, n: Optional[int]) -> int:
-    intrinsic = model_dim(model)
-    if intrinsic is not None:
-        if n is not None and n != intrinsic:
-            raise InvalidInputError(f"model has n={intrinsic}, got n={n}")
-        return intrinsic
-    if n is None:
-        raise InvalidInputError("an i.i.d. scalar law needs an explicit vector length n")
-    if n < 1:
-        raise InvalidInputError(f"vector length must be positive, got {n}")
-    return n
-
 
 def _check_population_size(n: int) -> None:
     if n > MAX_PERMUTATION_N:
@@ -711,13 +704,7 @@ def sample_rank_bins(
     return sums
 
 
-def sample_tiles(
-    model: Model,
-    seed: int,
-    start: int,
-    count: int,
-    n: Optional[int] = None,
-) -> Iterator[np.ndarray]:
+def sample_tiles(model: Model, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
     """The float32 rows of the block for sample indices start..start+count-1,
     in order, as (TILE_ROWS, n) tiles, the last one possibly shorter.
 
@@ -725,33 +712,33 @@ def sample_tiles(
     tile after tile.  The tile height is part of the determinism contract:
     an exchangeable tile redraws its tied rows before the next tile starts.
     Callers that fix their block boundaries therefore get identical totals
-    no matter how blocks are distributed across workers.  An independent
-    model groups its coordinates by law object (laws in order of first
-    appearance, coordinates in index order), draws each group LAW_ROWS
-    rows per sampler call into an (n, LAW_ROWS) column buffer, and hands
-    the buffer out as tiles.
+    no matter how blocks are distributed across workers.  A model of one
+    law draws each tile as one row-major (rows, n) sampler call.  A model
+    of several laws groups its coordinates by law (laws in order, coordinates
+    in index order), draws each group LAW_ROWS rows per sampler call into an
+    (n, LAW_ROWS) column buffer, and hands the buffer out as tiles.
     """
-    n = _resolve_n(model, n)
     if count < 1:
         raise InvalidInputError("block count must be positive")
-    if family(model) == EXCHANGEABLE:
-        _check_population_size(n)
+    kind = family(model)
+    if kind == EXCHANGEABLE:
+        _check_population_size(model.n)
     rng = stream(seed, start)
-    if isinstance(model, IndependentModel):
+    if kind == INDEPENDENT:
         groups = [(law, np.flatnonzero(model.law_index == j)) for j, law in enumerate(model.laws)]
         for lo in range(0, count, LAW_ROWS):
             m = min(LAW_ROWS, count - lo)
-            cols = np.empty((n, m), dtype=np.float32)
+            cols = np.empty((model.n, m), dtype=np.float32)
             for law, index in groups:
                 cols[index] = law.sampler(rng, (index.size, m))
             for t in range(0, m, TILE_ROWS):
                 yield cols[:, t:t + TILE_ROWS].T
         return
-    pop = model.population.astype(np.float32) if isinstance(model, ExchangeableModel) else None
+    pop = model.population.astype(np.float32) if kind == EXCHANGEABLE else None
     for lo in range(0, count, TILE_ROWS):
         m = min(TILE_ROWS, count - lo)
         if pop is None:
-            yield model.sampler(rng, (m, n))
+            yield model.laws[0].sampler(rng, (m, model.n))
         else:
             yield _permuted_rows(rng, pop, m)
 
@@ -858,7 +845,7 @@ def _column_classes(vectors: np.ndarray, code: np.ndarray,
 
 
 def _tile_projections(model, theta, seed, start, count):
-    tiles = sample_tiles(model, seed, start, count, n=theta.shape[0])
+    tiles = sample_tiles(model, seed, start, count)
     return np.concatenate([x @ theta for x in tiles]).astype(np.float64)
 
 
@@ -880,13 +867,13 @@ def _grouped(sampler, project, items, sizes, factors) -> ProjectionPlan:
 
 def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     """The plan that draws the projections S = theta X of a block, theta
-    the (k, n) float64 ``vectors`` and X a state of ``model`` (of dimension
-    n, as the caller has checked).  ``draw`` is a :func:`functools.partial`
-    whose ``args`` hold what it projects with.
+    the (k, n) float64 ``vectors`` and X a state of ``model``, which must
+    have dimension n.  ``draw`` is a :func:`functools.partial` whose
+    ``args`` hold what it projects with.
 
     S depends on X only through the sums of the classes of coordinates
     that share a direction column and a law (:func:`_column_classes`).  An
-    i.i.d. or independent model whose laws all declare a ``sum_sampler``
+    independent model whose laws all declare a ``sum_sampler``
     draws those sums when there are at most n / _CLASS_SIZE classes
     (CLASS_SUMS: sign-design rows under the catalog laws but the uniform),
     laws in order of first appearance, and S is the float64 product of the
@@ -914,8 +901,11 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     byte-identical under one or two BLAS threads.
     """
     n = vectors.shape[1]
+    exchangeable = family(model) == EXCHANGEABLE
+    if model.n != n:
+        raise InvalidInputError("model dimension does not match the direction set")
     theta = np.ascontiguousarray(vectors.T, dtype=np.float32)
-    if isinstance(model, ExchangeableModel):
+    if exchangeable:
         limit = min(_MAX_BINS, n // _BIN_SIZE)
         values, counts = np.unique(model.population, return_counts=True)
         found = _column_classes(vectors, np.zeros(n, dtype=np.intp), min(limit, values.size))
@@ -926,9 +916,7 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
         if values.size <= limit:
             return _grouped(VALUE_BINS, _bin_projections, theta, counts, values[:, None])
     else:
-        laws = model.laws if isinstance(model, IndependentModel) else (model,)
-        law_index = (model.law_index if isinstance(model, IndependentModel)
-                     else np.zeros(n, dtype=np.intp))
+        laws, law_index = model.laws, model.law_index
         found = (None if any(law.sum_sampler is None for law in laws)
                  else _column_classes(vectors, law_index, n // _CLASS_SIZE))
         if found is not None:

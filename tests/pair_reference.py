@@ -39,9 +39,9 @@ def require_family(model: Model, pair_kind: str) -> None:
         raise InvalidInputError(f"the {pair_kind} pair does not apply to this model")
 
 
-def coord_law(model: Model, index: int) -> IIDModel:
-    """The scalar law of coordinate ``index`` of an i.i.d. or independent model."""
-    return model.coords[index] if isinstance(model, IndependentModel) else model
+def coord_law(model: IndependentModel, index: int) -> IIDModel:
+    """The scalar law of coordinate ``index`` of an independent model."""
+    return model.laws[model.law_index[index]]
 
 
 def pair_lambda(pair_kind: str, n: int) -> float:

@@ -32,6 +32,7 @@ from projclt.sources import (
     ExchangeableModel,
     centered_exponential,
     exchangeable_moments,
+    iid,
     iid_moments,
     rademacher,
     standardize_population,
@@ -105,8 +106,8 @@ def test_criterion_02_sphere_moments():
 def test_criterion_03_pair_linearity():
     trials = 1000
     cases = [
-        (RESAMPLING, hypercube_directions(4, 2), rademacher()),
-        (RESAMPLING, random_orthonormal(100, 3, seed=1), uniform()),
+        (RESAMPLING, hypercube_directions(4, 2), iid(rademacher(), 4)),
+        (RESAMPLING, random_orthonormal(100, 3, seed=1), iid(uniform(), 100)),
         (
             TRANSPOSITION,
             random_orthonormal(5, 2, seed=2, centered=True),
@@ -119,12 +120,12 @@ def test_criterion_03_pair_linearity():
         ),
     ]
     for pair_kind, ds, model in cases:
-        lam = stein_lambda(model, ds.n)
+        lam = stein_lambda(model)
         assert lam == (1.0 / ds.n if pair_kind == RESAMPLING else 2.0 / (ds.n - 1))
         resid = linearity_residual(ds, model)
         assert resid <= 1e-15, f"{pair_kind} at n={ds.n}: residual {resid:.3e}"
         # The identity at sampled states, from the pair enumerated at each.
-        states = sample_block(model, 7, 0, trials, n=ds.n).astype(np.float64)
+        states = sample_block(model, 7, 0, trials).astype(np.float64)
         for x in states:
             cond = conditional_mean_enumerated(x, ds, model, pair_kind)
             sampled = float(np.max(np.abs(cond + lam * (ds.vectors @ x))))
@@ -172,12 +173,12 @@ def brute_eij_transposition(x, theta):
 @announce(4, "conditional second-moment oracle")
 def test_criterion_04_eij_oracle():
     states = 200
-    model = two_point(0.2)
+    law = two_point(0.2)
     ds_r = random_orthonormal(8, 3, seed=4)
     worst_r = 0.0
-    xs = sample_block(model, seed=11, start=0, count=states, n=8)
+    xs = sample_block(iid(law, 8), seed=11, start=0, count=states)
     for x, closed in zip(xs, eij_closed_form(xs, ds_r, RESAMPLING)):
-        brute = brute_eij_resampling(x, ds_r.vectors, model.support)
+        brute = brute_eij_resampling(x, ds_r.vectors, law.support)
         worst_r = max(worst_r, float(np.max(np.abs(closed - brute))))
     assert worst_r <= 1e-12, f"resampling gap {worst_r:.3e}"
 
@@ -209,7 +210,7 @@ def test_criterion_05_assembly_identity():
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
         via_abstract = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
-        direct = compute_bound("T2", ds, law, g)
+        direct = compute_bound("T2", ds, iid(law, n), g)
         assert abs(via_abstract.term_fourth - direct.term_fourth) <= 1e-12
         assert abs(via_abstract.term_third - direct.term_third) <= 1e-12
         assert abs(via_abstract.total - direct.total) <= 1e-12
@@ -228,7 +229,7 @@ def test_criterion_06_end_to_end_soundness():
             ds = hypercube_directions(n, k)
         else:
             ds = random_orthonormal(n, k, seed=17 * k + n)
-        rep = verify_bound("T2", ds, model_maker(), unit_cosine(k), samples=samples,
+        rep = verify_bound("T2", ds, iid(model_maker(), n), unit_cosine(k), samples=samples,
                            seed=900_000 + cell)
         if not rep.passed:
             failures.append(

@@ -28,6 +28,7 @@ from projclt.sources import (
     IndependentModel,
     MomentSummary,
     exchangeable_moments,
+    iid,
     iid_moments,
     rademacher,
     standardize_population,
@@ -65,7 +66,7 @@ LININD_ROWS = np.array([[0.5, 0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
 class TestIIDBound:
     def test_rademacher_kills_fourth_term(self):
         ds = hypercube_directions(64, 2)
-        rep = compute_bound("T1", ds, rademacher(), unit_cosine(2))
+        rep = compute_bound("T1", ds, iid(rademacher(), 64), unit_cosine(2))
         assert rep.term_fourth == 0.0
         assert rep.total == rep.term_third
 
@@ -73,47 +74,50 @@ class TestIIDBound:
         # k=1, all-coordinates direction at n=100, unit seminorms:
         # third term = 4/3 * 1 * 1 * 1 * (1/10)
         ds = DirectionSet(np.full((1, 100), 0.1))
-        rep = compute_bound("T1", ds, rademacher(), cosine_testfn([1.0]))
+        rep = compute_bound("T1", ds, iid(rademacher(), 100), cosine_testfn([1.0]))
         assert rep.total == pytest.approx(4.0 / 30.0, abs=1e-15)
 
     def test_doubling_n_scales_by_inverse_sqrt_two(self):
         g = unit_cosine(2)
-        rep1 = compute_bound("T1", hypercube_directions(256, 2), uniform(), g)
-        rep2 = compute_bound("T1", hypercube_directions(512, 2), uniform(), g)
+        rep1 = compute_bound("T1", hypercube_directions(256, 2), iid(uniform(), 256), g)
+        rep2 = compute_bound("T1", hypercube_directions(512, 2), iid(uniform(), 512), g)
         assert rep2.term_fourth / rep1.term_fourth == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert rep2.term_third / rep1.term_third == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_total_is_exact_sum_of_terms(self):
         ds = hypercube_directions(64, 3)
-        rep = compute_bound("T1", ds, uniform(), unit_cosine(3))
+        rep = compute_bound("T1", ds, iid(uniform(), 64), unit_cosine(3))
         assert rep.total == rep.term_fourth + rep.term_third + rep.term_mixed
 
     def test_requires_orthonormal_rows(self):
         ds = DirectionSet(LININD_ROWS)
         with pytest.raises(InvalidInputError, match="T1 requires orthonormal directions; "
                            "these rows' Gram matrix is off the identity by 5.000e-01"):
-            compute_bound("T1", ds, uniform(), unit_cosine(2))
+            compute_bound("T1", ds, iid(uniform(), 8), unit_cosine(2))
 
     def test_orthonormal_rows_are_measured_not_declared(self):
         # off-diagonal 2.7e-17: orthonormal within the row tolerance
         ds = DirectionSet(np.array([[0.6, 0.8], [0.8, -0.6]]))
         assert ds.orthonormal
-        assert compute_bound("T1", ds, uniform(), unit_cosine(2)).total > 0
+        assert compute_bound("T1", ds, iid(uniform(), 2), unit_cosine(2)).total > 0
 
 
 class TestIndependentBound:
     def test_identical_laws_reduce_to_iid(self):
         ds = hypercube_directions(128, 3)
         g = unit_cosine(3)
-        same = IndependentModel(coords=(uniform(),) * 128)
-        assert compute_bound("T2", ds, same, g).total == compute_bound("T1", ds, uniform(), g).total
+        # two uniform law objects: an independent model whose laws are identical
+        same = IndependentModel((uniform(), uniform()), np.arange(128) % 2)
+        total = compute_bound("T1", ds, iid(uniform(), 128), g).total
+        assert compute_bound("T2", ds, same, g).total == total
 
     def test_mixed_laws_use_worst_coordinate(self):
         # the first coordinate is Rademacher, the worst one uniform
         ds = hypercube_directions(64, 2)
         ns = norm_summary(ds)
         g = unit_cosine(2)
-        rep = compute_bound("T2", ds, IndependentModel(coords=(rademacher(), uniform()) * 32), g)
+        model = IndependentModel((rademacher(), uniform()), np.arange(64) % 2)
+        rep = compute_bound("T2", ds, model, g)
         expected_fourth = 0.5 * math.sqrt(2) * g.grad_sup * math.sqrt(9 / 5 - 1) * ns.sum_l4_sq
         expected_third = (4 / 3) * 4 * g.g2 * (3 * SQRT3 / 4) * ns.sum_l3_cubed
         assert rep.term_fourth == pytest.approx(expected_fourth, rel=1e-14)
@@ -122,7 +126,8 @@ class TestIndependentBound:
     @pytest.mark.parametrize("theorem,dimension", [("T2", 3), ("T2", 1), ("abstract", 5)])
     def test_test_function_of_another_dimension_rejected(self, theorem, dimension):
         with pytest.raises(InvalidInputError, match=f"test function dimension {dimension} != k = 2"):
-            compute_bound(theorem, hypercube_directions(16, 2), uniform(), unit_cosine(dimension))
+            compute_bound(theorem, hypercube_directions(16, 2), iid(uniform(), 16),
+                          unit_cosine(dimension))
 
     @pytest.mark.parametrize("theorem", ["T2", "abstract"])
     def test_fourth_moment_tolerance_is_one(self, theorem):
@@ -130,8 +135,8 @@ class TestIndependentBound:
         ds = hypercube_directions(16, 2)
 
         def law(fourth):
-            return user_model("near", rademacher().sampler, abs3=1.0, fourth=fourth,
-                              diff_abs3=4.0)
+            return iid(user_model("near", rademacher().sampler, abs3=1.0, fourth=fourth,
+                                  diff_abs3=4.0), 16)
 
         assert compute_bound(theorem, ds, law(1.0 - 1e-10), unit_cosine(2)).total > 0
         with pytest.raises(InvalidMomentsError):
@@ -147,9 +152,10 @@ class TestLinIndBound:
         a = np.arange(1.0, k + 1.0)
         g = cosine_testfn(a / np.linalg.norm(a))  # hess_op_sup = 1 < k g2 once k > 1
         ceiling = replace(g, hess_op_sup=k * g.g2)
-        rep2 = compute_bound("T2", ds, uniform(), g)
-        rep3 = compute_bound("T3", ds, uniform(), g)
-        rep3_ceiling = compute_bound("T3", ds, uniform(), ceiling)
+        model = iid(uniform(), 64)
+        rep2 = compute_bound("T2", ds, model, g)
+        rep3 = compute_bound("T3", ds, model, g)
+        rep3_ceiling = compute_bound("T3", ds, model, ceiling)
         assert rep2.lam is None and rep3.lam == ds.lambda_max
         assert rep3.term_third / rep2.term_third == pytest.approx(g.hess_op_sup / g.g2, rel=1e-12)
         assert rep3_ceiling.term_third / rep2.term_third == pytest.approx(k, rel=1e-12)
@@ -161,7 +167,7 @@ class TestLinIndBound:
         ns = norm_summary(ds)
         m = iid_moments(uniform())
         g = unit_cosine(2)
-        rep = compute_bound("T3", ds, uniform(), g)
+        rep = compute_bound("T3", ds, iid(uniform(), 64), g)
         lam = ds.lambda_max
         expect_fourth = 0.5 * math.sqrt(lam * 2) * g.grad_sup * math.sqrt(0.8) * ns.sum_l4_sq
         expect_third = (4 / 3) * lam * 4 * g.hess_op_sup * m.abs3_max * ns.sum_l3_cubed
@@ -175,8 +181,8 @@ class TestLinIndBound:
         lo = equicorrelated_set(k, n, beta=0.0125, seed=3)
         hi = equicorrelated_set(k, n, beta=0.8, seed=3)
         assert hi.lambda_max / lo.lambda_max == pytest.approx(4.0, rel=1e-9)
-        rep_lo = compute_bound("T3", lo, uniform(), g)
-        rep_hi = compute_bound("T3", hi, uniform(), g)
+        rep_lo = compute_bound("T3", lo, iid(uniform(), n), g)
+        rep_hi = compute_bound("T3", hi, iid(uniform(), n), g)
         ratio_fourth = (rep_hi.term_fourth / rep_lo.term_fourth)
         ratio_third = (rep_hi.term_third / rep_lo.term_third)
         norm_ratio_4 = norm_summary(hi).sum_l4_sq / norm_summary(lo).sum_l4_sq
@@ -272,12 +278,12 @@ class TestTheoremTable:
     @pytest.mark.parametrize("theorem", ["T7", 2, None])
     def test_unknown_theorem_rejected(self, theorem):
         with pytest.raises(InvalidInputError, match="unknown theorem"):
-            compute_bound(theorem, hypercube_directions(16, 2), uniform(), unit_cosine(2))
+            compute_bound(theorem, hypercube_directions(16, 2), iid(uniform(), 16), unit_cosine(2))
 
     def test_model_of_another_dimension_rejected(self):
         with pytest.raises(InvalidInputError, match="model dimension"):
             compute_bound("T2", hypercube_directions(16, 2),
-                          IndependentModel(coords=(uniform(),) * 8), unit_cosine(2))
+                          iid(uniform(), 8), unit_cosine(2))
 
     @pytest.mark.parametrize("theorem", [t for t, row in THEOREMS.items()
                                          if EXCHANGEABLE in row.families])
@@ -287,10 +293,10 @@ class TestTheoremTable:
             compute_bound(theorem, ds, ramp_model(8), unit_cosine(2))
 
     @pytest.mark.parametrize("theorem,rows,model,message", [
-        ("T1", LININD_ROWS, rademacher(), "orthonormal"),
-        ("T2", LININD_ROWS, rademacher(), "orthonormal"),
+        ("T1", LININD_ROWS, iid(rademacher(), 8), "orthonormal"),
+        ("T2", LININD_ROWS, iid(rademacher(), 8), "orthonormal"),
         ("T4", LININD_ROWS, ramp_model(8), "orthonormal"),
-        ("abstract", LININD_ROWS, uniform(), "orthonormal"),
+        ("abstract", LININD_ROWS, iid(uniform(), 8), "orthonormal"),
         ("abstract", hypercube_directions(8, 2).vectors, ramp_model(8), "centered"),
     ], ids=["T1-linind", "T2-linind", "T4-linind", "abstract-linind", "abstract-uncentered"])
     def test_refused_inputs_are_refused_by_every_consumer(self, theorem, rows, model, message):
@@ -317,7 +323,7 @@ class TestAbstractBound:
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
         env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
         rep_abs = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
-        rep_ind = compute_bound("T2", ds, uniform(), g)
+        rep_ind = compute_bound("T2", ds, iid(uniform(), n), g)
         assert rep_abs.min_branch == "sqrt-sum-sq"
         assert rep_abs.term_fourth == pytest.approx(rep_ind.term_fourth, abs=1e-12)
         assert rep_abs.term_third == pytest.approx(rep_ind.term_third, abs=1e-12)
@@ -394,7 +400,7 @@ class TestMonotonicity:
     def test_bit_for_bit_reproducibility(self):
         ds = hypercube_directions(64, 2)
         g = unit_cosine(2)
-        a = compute_bound("T2", ds, uniform(), g)
-        b = compute_bound("T2", ds, uniform(), g)
+        a = compute_bound("T2", ds, iid(uniform(), 64), g)
+        b = compute_bound("T2", ds, iid(uniform(), 64), g)
         assert a.total == b.total
         assert a.term_fourth == b.term_fourth

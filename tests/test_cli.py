@@ -101,7 +101,8 @@ class TestConfigValidation:
             tmp_path, {"model": {"kind": "independent", "pattern": pattern}})))
         assert [law.name for law in cfg.model.laws] == ["two_point(0.2)", "uniform",
                                                        "two_point(0.3)"]
-        assert cfg.model.coords[0] is cfg.model.coords[2] is cfg.model.coords[4]
+        laws, index = cfg.model.laws, cfg.model.law_index
+        assert laws[index[0]] is laws[index[2]] is laws[index[4]]
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -289,7 +290,8 @@ class TestExitCodes:
     ):
         model = {
             sources.IID: {"kind": "uniform"},
-            sources.INDEPENDENT: {"kind": "independent", "pattern": [{"kind": "uniform"}]},
+            sources.INDEPENDENT: {"kind": "independent",
+                                  "pattern": [{"kind": "uniform"}, {"kind": "exponential"}]},
             sources.EXCHANGEABLE: {"kind": "exchangeable", "family": "ramp"},
         }[family]
         path = write_config(tmp_path, {
@@ -902,6 +904,8 @@ RANK_BIN_CSVS = {
 }
 # bound --theorem abstract CSVs: i.i.d. uniform on random rows, i.i.d.
 # Rademacher on sign rows, a three-law pattern on random rows and the ramp.
+# They and the two below were taken while a bare law was still a model;
+# the pattern's third-moment sum, now taken law by law, kept its bytes.
 ABSTRACT_CSVS = {
     "iid-uniform": ({"model": {"kind": "uniform"},
                      "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5}},
@@ -980,6 +984,39 @@ class TestReproducibility:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == IID_MOMENTS_CSV
         assert main(["check", str(path), "--output", str(text)]) == 0
         assert text.read_text() == IID_CHECK_TEXT
+
+    @pytest.mark.parametrize("pattern, law", [
+        ([{"kind": "uniform"}], {"kind": "uniform"}),
+        ([{"kind": "rademacher"}, {"kind": "rademacher"}], {"kind": "rademacher"}),
+    ], ids=["uniform", "rademacher-twice"])
+    @pytest.mark.parametrize("directions", [
+        {"kind": "random", "n": 256, "k": 2, "seed": 5}, {"kind": "hypercube", "n": 256, "k": 2},
+    ], ids=["random-rows", "sign-rows"])
+    def test_a_pattern_of_one_law_is_the_iid_model(self, tmp_path, capsys, pattern, law,
+                                                   directions):
+        # the family is measured: T1 admits the pattern, which draws as the law does
+        outputs = []
+        for name, model in (("pattern", {"kind": "independent", "pattern": pattern}),
+                            ("law", law)):
+            path = write_config(tmp_path, {
+                "model": model, "directions": directions,
+                "theorem": ["T1", "T2", "T3", "abstract"]}, name=f"{name}.json")
+            assert sources.family(ExperimentConfig.from_file(str(path)).model) == sources.IID
+            csv = {command: tmp_path / f"{name}-{command}.csv"
+                   for command in ("bound", "verify", "moments")}
+            assert main(["bound", str(path), "--output", str(csv["bound"])]) == 0
+            assert main(["verify", str(path), "--theorem", "T1", "--trace",
+                         "--output", str(csv["verify"])]) == 0
+            assert main(["moments", str(path), "--output", str(csv["moments"])]) == 0
+            record = json.loads(capsys.readouterr().err)
+            (verify,), (moments,) = read_rows(csv["verify"]), read_rows(csv["moments"])
+            del verify["digest"], moments["model"]  # these name the configuration
+            outputs.append((csv["bound"].read_bytes(), verify, moments,
+                            record["sampler"], record["groups"]))
+        assert outputs[0] == outputs[1]
+        # the uniform law has no sum sampler; sign rows under Rademacher take class sums
+        class_sums = (law["kind"], directions["kind"]) == ("rademacher", "hypercube")
+        assert outputs[0][3] == ("class-sums" if class_sums else "coordinates")
 
     def test_seed_override_changes_digest_not_determinism(self, tmp_path):
         base, out1, out2 = tmp_path / "base.csv", tmp_path / "a.csv", tmp_path / "b.csv"

@@ -18,6 +18,7 @@ from projclt.sources import (
     diff_abs3,
     exchangeable_moments,
     fourth_moment,
+    iid,
     iid_moments,
     independent_moments,
     load_population,
@@ -444,11 +445,13 @@ class TestMomentSummaryInvariants:
         assert diff_abs3(uniform()) == uniform().diff_abs3
 
     def test_independent_moments_take_worst_coordinate(self):
-        model = IndependentModel(coords=(rademacher(), uniform()))
+        model = IndependentModel((rademacher(), uniform()), np.array([0, 1]))
         m = independent_moments(model)
         assert m.fourth_max == pytest.approx(9.0 / 5.0)
         assert m.abs3_max == pytest.approx(3.0 * SQRT3 / 4.0)
         assert m.fourth == 1.0  # first coordinate
+        # the first coordinate's law need not be the first law
+        assert independent_moments(IndependentModel((rademacher(), uniform()), [1, 0])).fourth == 1.8
 
 
 class TestExchangeableMoments:
@@ -512,7 +515,7 @@ class TestExchangeableMoments:
 
 class TestSampling:
     def test_rademacher_support(self):
-        x = sample_block(rademacher(), seed=3, start=0, count=1, n=64)
+        x = sample_block(iid(rademacher(), 64), seed=3, start=0, count=1)
         assert set(np.unique(x)) <= {-1.0, 1.0}
 
     def test_exchangeable_samples_are_permutations(self):
@@ -523,22 +526,24 @@ class TestSampling:
             assert sorted(x) == sorted(pop)
 
     def test_fixed_seed_reproduces(self):
-        model = uniform()
+        model = iid(uniform(), 32)
         np.testing.assert_array_equal(
-            sample_block(model, seed=5, start=0, count=1, n=32),
-            sample_block(model, seed=5, start=0, count=1, n=32),
+            sample_block(model, seed=5, start=0, count=1),
+            sample_block(model, seed=5, start=0, count=1),
         )
 
     def test_iid_needs_length(self):
-        with pytest.raises(InvalidInputError):
+        # a bare law has no n: iid(law, n) is its model of n coordinates
+        with pytest.raises(InvalidInputError, match=r"iid\(law, n\)"):
             sample_block(rademacher(), seed=0, start=0, count=1)
 
-    @pytest.mark.parametrize("model", [uniform(), ExchangeableModel(np.tile([-1.0, 1.0], 4))],
+    @pytest.mark.parametrize("model", [iid(uniform(), 8),
+                                       ExchangeableModel(np.tile([-1.0, 1.0], 4))],
                              ids=["uniform", "exchangeable"])
     def test_streams_keyed_by_seed_and_index_do_not_collide(self, model):
         # seed XOR index keys made these two blocks identical
-        a = sample_block(model, seed=0, start=8192, count=4, n=8)
-        b = sample_block(model, seed=8192, start=0, count=4, n=8)
+        a = sample_block(model, seed=0, start=8192, count=4)
+        b = sample_block(model, seed=8192, start=0, count=4)
         assert not np.array_equal(a, b)
 
     def test_stream_rejects_seeds_outside_the_key_range(self):
@@ -547,14 +552,14 @@ class TestSampling:
                 stream(seed, index)
 
     def test_block_shape_and_determinism(self):
-        model = uniform()
-        a = sample_block(model, seed=7, start=4096, count=100, n=16)
-        b = sample_block(model, seed=7, start=4096, count=100, n=16)
+        model = iid(uniform(), 16)
+        a = sample_block(model, seed=7, start=4096, count=100)
+        b = sample_block(model, seed=7, start=4096, count=100)
         assert a.shape == (100, 16)
         np.testing.assert_array_equal(a, b)
 
     def test_block_dtype(self):
-        x = sample_block(rademacher(), seed=1, start=0, count=8, n=24)
+        x = sample_block(iid(rademacher(), 24), seed=1, start=0, count=8)
         assert x.dtype == np.float32
         assert set(np.unique(x)) <= {np.float32(-1.0), np.float32(1.0)}
 
@@ -565,15 +570,15 @@ class TestSampling:
             np.testing.assert_allclose(np.sort(row), np.sort(pop), atol=0)
 
     def test_independent_block_columns_follow_their_law(self):
-        model = IndependentModel(coords=(rademacher(), uniform(), rademacher()))
+        model = IndependentModel((rademacher(), uniform()), np.array([0, 1, 0]))
         block = sample_block(model, seed=11, start=0, count=200)
         assert set(np.unique(block[:, 0])) <= {-1.0, 1.0}
         assert np.all(np.abs(block[:, 1]) <= SQRT3)
 
     def test_model_dimension_mismatch_rejected(self):
         pop = standardize_population(np.arange(1.0, 7.0))
-        with pytest.raises(InvalidInputError):
-            sample_block(ExchangeableModel(pop), seed=0, start=0, count=1, n=5)
+        with pytest.raises(InvalidInputError, match="model dimension does not match"):
+            sources.projections(np.eye(5)[:2], ExchangeableModel(pop))
 
 
 def half_words(words, n):
@@ -601,36 +606,35 @@ def sort_key_permutations(halves):
 def whole_block_reference(model, seed, start, count, n):
     """The block drawn into one (count, n) array.  Exchangeable rows take
     ceil(n/2) stream words, one 32-bit half per coordinate, and sort by
-    those halves.  Independent
-    models go LAW_ROWS rows at a time and, within those rows, law object by
-    law object in order of first appearance, one sampler call per law for
+    those halves.  A model of one law is one row-major sampler call.
+    Models of several laws go LAW_ROWS rows at a time and, within those
+    rows, law by law in the order of ``laws``, one sampler call per law for
     all of its coordinates in index order."""
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
         words = rng.bit_generator.random_raw((count, (n + 1) // 2))
         return model.population.astype(np.float32)[sort_key_permutations(half_words(words, n))]
-    if isinstance(model, IndependentModel):
-        out = np.empty((count, n), dtype=np.float32)
-        laws = list({id(c): c for c in model.coords}.values())
-        for lo in range(0, count, LAW_ROWS):
-            rows = slice(lo, min(lo + LAW_ROWS, count))
-            for law in laws:
-                index = [j for j, c in enumerate(model.coords) if c is law]
-                out[rows, index] = law.sampler(rng, (len(index), rows.stop - lo)).T
-        return out
-    return model.sampler(rng, (count, n))
+    if len(model.laws) == 1:
+        return model.laws[0].sampler(rng, (count, n))
+    out = np.empty((count, n), dtype=np.float32)
+    for lo in range(0, count, LAW_ROWS):
+        rows = slice(lo, min(lo + LAW_ROWS, count))
+        for j, law in enumerate(model.laws):
+            index = [r for r in range(n) if model.law_index[r] == j]
+            out[rows, index] = law.sampler(rng, (len(index), rows.stop - lo)).T
+    return out
 
 
 def tile_test_model(kind, n):
     if kind == "independent":
         laws = (rademacher(), uniform(), two_point(0.3), centered_exponential())
-        return IndependentModel(coords=tuple(laws[j % len(laws)] for j in range(n)))
+        return IndependentModel(laws, np.arange(n) % len(laws))
     if kind == "exchangeable":
         return ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
     if kind == "exchangeable-repeated":
         return ExchangeableModel(standardize_population(np.arange(n) % 3))
-    return {"rademacher": rademacher, "uniform": uniform, "two_point": two_point,
-            "exponential": centered_exponential}[kind]()
+    return iid({"rademacher": rademacher, "uniform": uniform, "two_point": two_point,
+                "exponential": centered_exponential}[kind](), n)
 
 
 class TestTiles:
@@ -641,7 +645,7 @@ class TestTiles:
         model = tile_test_model(kind, n)
         count = 2 * TILE_ROWS + 22
         ref = whole_block_reference(model, 13, 8192, count, n)
-        tiles = list(sample_tiles(model, 13, 8192, count, n=n))
+        tiles = list(sample_tiles(model, 13, 8192, count))
         assert all(t.dtype == np.float32 and t.shape[1] == n for t in tiles)
         assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
         np.testing.assert_array_equal(np.concatenate(tiles), ref)
@@ -650,10 +654,10 @@ class TestTiles:
         # 47 rademacher, 47 two_point(0.3) and 45 exponential coordinates;
         # coordinate 5 holds a second two_point(0.3) object, which is a law
         # of its own; 300 rows take a full LAW_ROWS piece and a short one
-        laws = (rademacher(), two_point(0.3), centered_exponential())
-        coords = [laws[j % 3] for j in range(140)]
-        coords[5] = two_point(0.3)
-        model = IndependentModel(coords=tuple(coords))
+        laws = (rademacher(), two_point(0.3), centered_exponential(), two_point(0.3))
+        index = np.arange(140) % 3
+        index[5] = 3
+        model = IndependentModel(laws, index)
         count = LAW_ROWS + 44
         ref = whole_block_reference(model, 21, 0, count, 140)
         tiles = list(sample_tiles(model, 21, 0, count))
@@ -661,13 +665,16 @@ class TestTiles:
         assert [t.shape for t in tiles] == [(TILE_ROWS, 140)] * full + [(44, 140)]
         np.testing.assert_array_equal(np.concatenate(tiles), ref)
 
-    def test_one_law_piece_is_one_sampler_call(self):
-        model = IndependentModel(coords=(uniform(),) * 16)
+    def test_one_law_model_is_one_row_major_sampler_call(self):
+        # the draw order of the i.i.d. model, not the LAW_ROWS column pieces
+        # of a model of several laws
+        model = IndependentModel((uniform(),), np.zeros(16, dtype=np.intp))
         block = sample_block(model, 4, 64, LAW_ROWS + 100)
+        np.testing.assert_array_equal(block, uniform().sampler(stream(4, 64), (LAW_ROWS + 100, 16)))
         rng = stream(4, 64)
         first = uniform().sampler(rng, (16, LAW_ROWS))
         rest = uniform().sampler(rng, (16, 100))
-        np.testing.assert_array_equal(block, np.concatenate([first.T, rest.T]))
+        assert not np.array_equal(block, np.concatenate([first.T, rest.T]))
 
 
 class _ScriptedWords:
@@ -961,10 +968,60 @@ class TestPopulations:
             load_population(path)
 
 
+class TestIndependentModel:
+    def test_laws_and_law_index_are_kept(self):
+        laws = (rademacher(), uniform())
+        model = IndependentModel(laws, [1, 0, 1])
+        assert model.laws == laws and model.n == 3
+        assert model.law_index.dtype == np.intp and model.law_index.tolist() == [1, 0, 1]
+        with pytest.raises(ValueError):
+            model.law_index[0] = 0
+
+    def test_the_caller_keeps_a_writable_index(self):
+        index = np.zeros(4, dtype=np.intp)
+        IndependentModel((uniform(),), index)
+        index[0] = 0
+
+    @pytest.mark.parametrize("laws, index, message", [
+        ((rademacher(),) * 2, [0, 1], "distinct law objects"),
+        ((rademacher(), uniform()), [0, 0], "every position in 0..1"),
+        ((rademacher(),), [0, 1], "every position in 0..0"),
+        ((rademacher(),), [0, -1], "every position in 0..0"),
+        ((rademacher(),), [], "non-empty 1-D array of integers"),
+        ((rademacher(),), [[0, 0], [0, 0]], "non-empty 1-D array of integers"),
+        ((rademacher(),), [0.0, 0.0], "non-empty 1-D array of integers"),
+    ], ids=["repeated-law", "unused-law", "index-past-the-end", "negative-index",
+            "empty-index", "2-d-index", "float-index"])
+    def test_malformed_model_is_refused(self, laws, index, message):
+        with pytest.raises(InvalidInputError, match=message):
+            IndependentModel(laws, np.array(index))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_iid_needs_a_coordinate(self, n):
+        with pytest.raises(InvalidInputError, match="n >= 1"):
+            iid(uniform(), n)
+
+    def test_family_is_measured(self):
+        law = uniform()
+        assert sources.family(iid(law, 5)) == sources.IID
+        assert sources.family(IndependentModel((law,), np.zeros(3, dtype=int))) == sources.IID
+        assert sources.family(IndependentModel((law, uniform()), [0, 1])) == sources.INDEPENDENT
+        assert sources.family(ExchangeableModel(np.array([-1.0, 1.0]))) == sources.EXCHANGEABLE
+
+    @pytest.mark.parametrize("call", [
+        lambda law: sources.family(law),
+        lambda law: moment_summary(law),
+        lambda law: sources.projections(np.eye(4)[:2], law),
+    ], ids=["family", "moment_summary", "projections"])
+    def test_a_bare_law_is_not_a_model(self, call):
+        with pytest.raises(InvalidInputError, match=r"iid\(law, n\)"):
+            call(rademacher())
+
+
 class TestDispatch:
     def test_moment_summary_dispatch(self):
-        assert moment_summary(rademacher()).fourth == 1.0
-        assert moment_summary(IndependentModel(coords=(rademacher(),))).fourth == 1.0
+        assert moment_summary(iid(rademacher(), 4)).fourth == 1.0
+        assert moment_summary(IndependentModel((rademacher(),), np.array([0]))).fourth == 1.0
         pop = standardize_population(np.arange(1.0, 7.0))
         assert moment_summary(ExchangeableModel(pop)).mixed_4 is not None
 
