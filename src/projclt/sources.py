@@ -876,7 +876,7 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     independent model whose laws all declare a ``sum_sampler``
     draws those sums when there are at most n / _CLASS_SIZE classes
     (CLASS_SUMS: sign-design rows under the catalog laws but the uniform),
-    laws in order of first appearance, and S is the float64 product of the
+    laws in the order of ``laws``, and S is the float64 product of the
     (count, G) sums with the (G, k) distinct columns.
 
     An exchangeable draw needs only a uniform partition when the rows'
