@@ -47,7 +47,6 @@ from .sources import (
     centered_exponential,
     exchangeable_moments,
     iid,
-    iid_moments,
     independent_moments,
     load_population,
     moment_summary,
@@ -56,7 +55,6 @@ from .sources import (
     standardize_population,
     two_point,
     uniform,
-    user_model,
 )
 from .testfuncs import (
     Expectation,

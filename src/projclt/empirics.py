@@ -154,7 +154,8 @@ def third_moment_sum(ds: DirectionSet, model: Model) -> float:
     """Exact sum_i E|S'^i - S^i|^3 over the state and the pair randomization.
 
     Resampling: (1/n) sum_r (sum_i |theta_i^r|^3) E|X*_r - X_r|^3, with the
-    last factor from :func:`projclt.sources.diff_abs3`, once per law's weight sum.
+    last factor from :meth:`projclt.sources.IIDModel.constant`, once per law's
+    weight sum.
     Transposition: D3 sum_i sum_{r != s} |theta_i^r - theta_i^s|^3 / (n(n-1)),
     D3 the mean of |a - b|^3 over ordered distinct population pairs.  Each
     pair mean comes from sorted prefix sums (:func:`_mean_abs3_diff`), so
@@ -162,10 +163,13 @@ def third_moment_sum(ds: DirectionSet, model: Model) -> float:
     relative error of O(n eps).
     """
     theta = ds.vectors
-    if sources.family(model) == sources.EXCHANGEABLE:
+    exchangeable = sources.family(model) == sources.EXCHANGEABLE
+    if model.n != ds.n:
+        raise InvalidInputError("model dimension does not match the direction set")
+    if exchangeable:
         return _mean_abs3_diff(model.population) * sum(_mean_abs3_diff(row) for row in theta)
     weights = np.sum(np.abs(theta) ** 3, axis=0)
-    return sum(float(weights[model.law_index == j].sum()) * sources.diff_abs3(law)
+    return sum(float(weights[model.law_index == j].sum()) * law.constant("diff_abs3")
                for j, law in enumerate(model.laws)) / ds.n
 
 
@@ -278,7 +282,7 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
     theta_j^r (x_r^2 - 1), so E E_ij^2 = (1/n^2) sum_r (theta_i^r
     theta_j^r)^2 (EX_r^4 - 1), with each law's fourth moment declared where
     given, else enumerated over a finite support
-    (:func:`projclt.sources.fourth_moment`); it is exactly 0 for
+    (:meth:`projclt.sources.IIDModel.constant`); it is exactly 0 for
     Rademacher coordinates.  Transposition: see
     :func:`_transposition_second_moments`, O(k^2 n) time.
 
@@ -290,7 +294,7 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
     theta = ds.vectors
     if isinstance(model, ExchangeableModel):
         return _transposition_second_moments(theta, model.population)
-    fourth = model.per_coordinate(sources.fourth_moment)
+    fourth = model.per_coordinate(lambda law: law.constant("fourth"))
     if np.min(fourth) < 1.0 - 1e-9:
         raise InvalidMomentsError(f"EX^4 = {np.min(fourth)} < 1 contradicts EX^2 = 1")
     t2 = theta * theta

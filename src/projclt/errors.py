@@ -22,7 +22,7 @@ class InvalidMomentsError(InvalidInputError):
 
 
 class MissingMomentsError(InvalidInputError):
-    """A model does not declare the moment constants a bound needs."""
+    """A law neither declares nor can enumerate a moment constant a bound needs."""
 
 
 class UnsupportedMethodError(InvalidInputError):

@@ -12,7 +12,7 @@ one of two types, and :func:`family` measures whether it is i.i.d.:
 
 Catalog laws ship closed-form third/fourth moments; Monte Carlo is used
 only as a cross-check, never to feed a bound.  User-supplied laws must
-declare their moments explicitly.
+declare them or give a finite support (:meth:`IIDModel.constant`).
 
 :func:`projections` is the one way to draw the projections S = theta X
 of a block of samples: it chooses, from the direction rows and the model,
@@ -185,22 +185,24 @@ SumSampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class IIDModel:
-    """A standardized scalar law: sampler plus declared moment constants.
+    """A standardized scalar law: sampler plus moment constants.
 
-    ``support`` carries (values, probabilities) for finitely supported
-    laws; exact conditional expectations enumerate it directly.
-    ``diff_abs3`` is E|X - X'|^3 for an independent copy X'; finitely
-    supported laws need not declare it.  A constant is read as declared
-    where given, else enumerated over the support, so a declaration that
-    the support contradicts by more than 1e-12 relative is refused.
+    ``sampler(rng, size)`` draws ``size`` (an int or a shape tuple) values
+    from the generator ``rng`` and returns them as float32.  ``support``
+    carries (values, probabilities) for finitely supported laws; exact
+    conditional expectations enumerate it directly.  ``abs3``, ``fourth``
+    and ``diff_abs3`` are E|X|^3, EX^4 and E|X - X'|^3 for an independent
+    copy X', read by :meth:`constant` as declared where given, else
+    enumerated over the support, so a declaration that the support
+    contradicts by more than 1e-12 relative is refused.
     ``sum_sampler(rng, m, size)``, where given, draws ``size`` float64
     values of the sum of m independent copies of the law, exactly.
     """
 
     name: str
     sampler: Sampler
-    abs3: Optional[float]
-    fourth: Optional[float]
+    abs3: Optional[float] = None
+    fourth: Optional[float] = None
     support: Optional[tuple[np.ndarray, np.ndarray]] = None
     diff_abs3: Optional[float] = None
     sum_sampler: Optional[SumSampler] = None
@@ -214,8 +216,24 @@ class IIDModel:
                     raise InvalidMomentsError(f"model {self.name!r} declares {name} = "
                                               f"{declared!r}, but its support gives {value!r}")
 
+    def constant(self, name: str) -> float:
+        """The constant ``name`` (a key of _ENUMERATED) of the law: declared
+        where given, else enumerated over the support.  Bounds refuse to
+        estimate constants that enter a proved inequality, so a law with
+        neither is refused."""
+        if name not in _ENUMERATED:
+            raise InvalidInputError(f"a law's constants are {', '.join(_ENUMERATED)}, "
+                                    f"got {name!r}")
+        declared = getattr(self, name)
+        if declared is not None:
+            return declared
+        if self.support is None:
+            raise MissingMomentsError(f"model {self.name!r} declares no {name} and has no "
+                                      "finite support to enumerate it over")
+        return _ENUMERATED[name](*self.support)
 
-# The declarable constants of a scalar law, summed over a finite support.
+
+# The constants of a scalar law, summed over a finite support.
 _ENUMERATED = {
     "abs3": lambda vals, probs: float(probs @ np.abs(vals) ** 3),
     "fourth": lambda vals, probs: float(probs @ vals**4),
@@ -460,58 +478,15 @@ CATALOG: dict[str, Callable[[], IIDModel]] = {
 }
 
 
-def user_model(name, sampler, abs3=None, fourth=None, support=None, diff_abs3=None) -> IIDModel:
-    """Wrap a user-supplied standardized sampler; moments must be declared
-    before the model can feed a bound.
-
-    ``sampler(rng, size)`` draws ``size`` (an int or a shape tuple) values
-    from the generator ``rng`` and returns them as float32."""
-    return IIDModel(name, sampler, abs3=abs3, fourth=fourth, support=support, diff_abs3=diff_abs3)
-
-
 # --------------------------------------------------------------------------
 # Moment constants
 
-def iid_moments(model: IIDModel) -> MomentSummary:
-    """Declared E|X|^3 and EX^4 of a scalar law."""
-    if model.abs3 is None or model.fourth is None:
-        raise MissingMomentsError(
-            f"model {model.name!r} does not declare abs3/fourth; bounds refuse to "
-            "estimate constants that enter a proved inequality"
-        )
-    return MomentSummary(
-        abs3=model.abs3, fourth=model.fourth, abs3_max=model.abs3, fourth_max=model.fourth
-    )
-
-
-def diff_abs3(model: IIDModel) -> float:
-    """E|X - X'|^3 for independent copies X, X' of a scalar law: declared
-    where given, else enumerated over a finite support."""
-    return _constant(model, "diff_abs3", "E|X - X'|^3")
-
-
-def fourth_moment(model: IIDModel) -> float:
-    """EX^4 of a scalar law: declared where given, else enumerated over a
-    finite support."""
-    return _constant(model, "fourth", "EX^4")
-
-
-def _constant(model: IIDModel, name: str, formula: str) -> float:
-    declared = getattr(model, name)
-    if declared is None and model.support is None:
-        raise MissingMomentsError(f"model {model.name!r} does not declare {name} = {formula}")
-    return declared if declared is not None else _ENUMERATED[name](*model.support)
-
-
 def independent_moments(model: IndependentModel) -> MomentSummary:
-    per = [iid_moments(law) for law in model.laws]
-    first = per[model.law_index[0]]
-    return MomentSummary(
-        abs3=first.abs3,
-        fourth=first.fourth,
-        abs3_max=max(m.abs3 for m in per),
-        fourth_max=max(m.fourth for m in per),
-    )
+    abs3 = [law.constant("abs3") for law in model.laws]
+    fourth = [law.constant("fourth") for law in model.laws]
+    first = model.law_index[0]
+    return MomentSummary(abs3=abs3[first], fourth=fourth[first], abs3_max=max(abs3),
+                         fourth_max=max(fourth))
 
 
 def exchangeable_moments(model: ExchangeableModel) -> MomentSummary:

@@ -33,7 +33,7 @@ from projclt.sources import (
     centered_exponential,
     exchangeable_moments,
     iid,
-    iid_moments,
+    moment_summary,
     rademacher,
     standardize_population,
     two_point,
@@ -203,7 +203,7 @@ def test_criterion_05_assembly_identity():
         ds = random_orthonormal(n, k, seed=1000 + trial)
         ns = norm_summary(ds)
         law = factories[trial % 3]()
-        m = iid_moments(law)
+        m = moment_summary(iid(law, 1))
         a = rng.uniform(0.1, 1.0, size=k) / k
         g = cosine_testfn(a, phase=float(rng.uniform(-1, 1)))
         lam = 1.0 / n

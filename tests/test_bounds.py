@@ -25,15 +25,15 @@ from projclt.errors import InvalidInputError, InvalidMomentsError
 from projclt.sources import (
     EXCHANGEABLE,
     ExchangeableModel,
+    IIDModel,
     IndependentModel,
     MomentSummary,
     exchangeable_moments,
     iid,
-    iid_moments,
+    moment_summary,
     rademacher,
     standardize_population,
     uniform,
-    user_model,
 )
 from projclt.testfuncs import cosine_testfn
 
@@ -135,8 +135,8 @@ class TestIndependentBound:
         ds = hypercube_directions(16, 2)
 
         def law(fourth):
-            return iid(user_model("near", rademacher().sampler, abs3=1.0, fourth=fourth,
-                                  diff_abs3=4.0), 16)
+            return iid(IIDModel("near", rademacher().sampler, abs3=1.0, fourth=fourth,
+                                diff_abs3=4.0), 16)
 
         assert compute_bound(theorem, ds, law(1.0 - 1e-10), unit_cosine(2)).total > 0
         with pytest.raises(InvalidMomentsError):
@@ -165,7 +165,7 @@ class TestLinIndBound:
     def test_lambda_one_matches_hand_assembly(self):
         ds = hypercube_directions(64, 2)
         ns = norm_summary(ds)
-        m = iid_moments(uniform())
+        m = moment_summary(iid(uniform(), 1))
         g = unit_cosine(2)
         rep = compute_bound("T3", ds, iid(uniform(), 64), g)
         lam = ds.lambda_max
@@ -317,7 +317,7 @@ class TestAbstractBound:
         n, k = 256, 3
         ds = hypercube_directions(n, k)
         ns = norm_summary(ds)
-        m = iid_moments(uniform())
+        m = moment_summary(iid(uniform(), 1))
         g = unit_cosine(k)
         lam = 1.0 / n
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)

@@ -34,12 +34,10 @@ from projclt.sources import (
     TILE_ROWS,
     VALUE_BINS,
     ExchangeableModel,
+    IIDModel,
     IndependentModel,
     centered_exponential,
-    diff_abs3,
-    fourth_moment,
     iid,
-    iid_moments,
     moment_summary,
     projections,
     rademacher,
@@ -48,7 +46,6 @@ from projclt.sources import (
     standardize_population,
     two_point,
     uniform,
-    user_model,
 )
 from projclt.testfuncs import (
     Expectation,
@@ -219,8 +216,8 @@ def skewed_model(n):
 
 def shifted_law():
     """A two-point law of mean 1/2: it breaks the shrinkage identity."""
-    return user_model("shifted", rademacher().sampler, abs3=0.5, fourth=0.5,
-                      support=(np.array([0.0, 1.0]), np.array([0.5, 0.5])))
+    return IIDModel("shifted", rademacher().sampler, abs3=0.5, fourth=0.5,
+                    support=(np.array([0.0, 1.0]), np.array([0.5, 0.5])))
 
 
 EVERY_LAW = [
@@ -373,7 +370,7 @@ class TestPairStatistics:
         ds = DirectionSet(rows)
         law = uniform()
         model = iid(law, n)
-        m = iid_moments(law)
+        m = moment_summary(iid(law, 1))
         ns = norm_summary(ds)
         env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
         assert math.sqrt(eij_second_moments(ds, model).sum()) <= env_sq * (1 + 1e-12)
@@ -438,20 +435,20 @@ class TestPairStatistics:
         assert exact == pytest.approx(d3 * dtheta3 / (n * (n - 1)), rel=1e-12)
 
     def test_continuous_law_without_diff_abs3_is_rejected(self):
-        law = user_model("custom", uniform().sampler, abs3=1.3, fourth=1.8)
+        law = IIDModel("custom", uniform().sampler, abs3=1.3, fourth=1.8)
         with pytest.raises(MissingMomentsError, match="diff_abs3"):
             compute_bound("abstract", hypercube_directions(8, 1), iid(law, 8), unit_cosine(1))
 
     def test_continuous_law_without_fourth_is_rejected(self):
-        law = user_model("custom", uniform().sampler, abs3=1.3,
-                         diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
+        law = IIDModel("custom", uniform().sampler, abs3=1.3,
+                       diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
         with pytest.raises(MissingMomentsError, match="fourth"):
             eij_second_moments(hypercube_directions(8, 1), iid(law, 8))
 
     def test_abstract_bound_needs_no_moments_it_does_not_use(self):
         # abs3 feeds T1-T5 only; the abstract route needs diff_abs3 and fourth
-        law = user_model("custom", uniform().sampler, fourth=9.0 / 5.0,
-                         diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
+        law = IIDModel("custom", uniform().sampler, fourth=9.0 / 5.0,
+                       diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
         with pytest.raises(MissingMomentsError):
             compute_bound("T2", hypercube_directions(16, 1), iid(law, 16), unit_cosine(1))
         report = compute_bound("abstract", hypercube_directions(16, 1), iid(law, 16),
@@ -526,11 +523,11 @@ class TestEijSecondMoments:
         law = two_point(0.3)
         ds = random_orthonormal(16, 2, seed=8)
         t2 = ds.vectors**2
-        expected = t2 * (iid_moments(law).fourth - 1.0) @ t2.T / 16**2
+        expected = t2 * (moment_summary(iid(law, 1)).fourth - 1.0) @ t2.T / 16**2
         np.testing.assert_array_equal(eij_second_moments(ds, iid(law, 16)), expected)
 
     def test_declared_fourth_moment_below_one_is_rejected(self):
-        law = user_model("custom", uniform().sampler, fourth=0.5)
+        law = IIDModel("custom", uniform().sampler, fourth=0.5)
         with pytest.raises(InvalidMomentsError, match="EX\\^4"):
             eij_second_moments(hypercube_directions(8, 2), iid(law, 8))
 
@@ -571,19 +568,19 @@ class TestRepeatedLawObjects:
         coords = self.coords()
         model = self.model(coords)
         ds = random_orthonormal(model.n, 3, seed=9)
-        per = [iid_moments(c) for c in coords]
+        per = [moment_summary(iid(c, 1)) for c in coords]
         m = moment_summary(model)
         assert (m.abs3, m.fourth) == (per[0].abs3, per[0].fourth)
         assert m.abs3_max == max(x.abs3 for x in per)
         assert m.fourth_max == max(x.fourth for x in per)
 
         weights = np.sum(np.abs(ds.vectors) ** 3, axis=0)
-        third = float(weights @ np.array([diff_abs3(c) for c in coords])) / model.n
+        third = float(weights @ np.array([c.constant("diff_abs3") for c in coords])) / model.n
         # the library sums the weights law by law, so the two differ in rounding
         assert third_moment_sum(ds, model) == pytest.approx(third, rel=1e-15, abs=0)
 
         t2 = ds.vectors**2
-        fourth = np.array([fourth_moment(c) for c in coords])
+        fourth = np.array([c.constant("fourth") for c in coords])
         np.testing.assert_array_equal(eij_second_moments(ds, model),
                                       (t2 * (fourth - 1.0)) @ t2.T / model.n**2)
 
@@ -845,7 +842,7 @@ class TestClassSums:
         elif case == "uniform":
             model = iid(uniform(), n)
         elif case == "user-law":
-            model = iid(user_model("signs", rademacher().sampler, abs3=1.0, fourth=1.0), n)
+            model = iid(IIDModel("signs", rademacher().sampler, abs3=1.0, fourth=1.0), n)
         elif case == "exchangeable":  # 1024 distinct values on 1024 distinct columns
             ds = random_orthonormal(1024, 2, seed=1, centered=True)
             model = ramp_model(1024)
@@ -1062,6 +1059,45 @@ def test_a_bare_law_is_refused_with_the_iid_model(call):
     # a scalar law has no n: the i.i.d. model of n of its coordinates is iid(law, n)
     with pytest.raises(InvalidInputError, match=r"iid\(law, n\)"):
         call(hypercube_directions(16, 2), uniform(), unit_cosine(2))
+
+
+@pytest.mark.parametrize("model", [iid(uniform(), 8), ramp_model(8)], ids=["iid", "exchangeable"])
+def test_third_moment_sum_checks_the_dimension(model):
+    with pytest.raises(InvalidInputError, match="model dimension does not match"):
+        third_moment_sum(hypercube_directions(16, 2, centered=True), model)
+
+
+def support_only(law):
+    """A copy of a finitely supported law that declares no constant."""
+    return IIDModel(law.name, law.sampler, support=law.support)
+
+
+class TestLawConstants:
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "abstract"])
+    def test_a_support_only_law_gets_every_bound(self, theorem):
+        ds = random_orthonormal(64, 2, seed=3)
+        reports = [compute_bound(theorem, ds, iid(law, 64), unit_cosine(2))
+                   for law in (rademacher(), support_only(rademacher()))]
+        assert repr(reports[0]) == repr(reports[1])
+
+    def test_a_support_only_law_has_the_declared_moments(self):
+        declared, enumerated = (moment_summary(iid(law, 8))
+                                for law in (rademacher(), support_only(rademacher())))
+        assert enumerated == declared
+        assert all(type(value) is float for value in vars(enumerated).values()
+                   if value is not None)
+
+    @pytest.mark.parametrize("theorem, constant", [("T1", "abs3"), ("abstract", "fourth")])
+    def test_a_law_with_neither_declarations_nor_support_is_refused(self, theorem, constant):
+        law = IIDModel("bare", uniform().sampler)
+        with pytest.raises(MissingMomentsError, match=f"declares no {constant} "):
+            compute_bound(theorem, hypercube_directions(16, 2), iid(law, 16), unit_cosine(2))
+
+    def test_an_unknown_constant_is_refused(self):
+        with pytest.raises(InvalidInputError, match="'third'"):
+            rademacher().constant("third")
+        with pytest.raises(InvalidInputError, match="'sum_sampler'"):
+            rademacher().constant("sum_sampler")
 
 
 class TestVerifyBound:

@@ -15,11 +15,8 @@ from projclt.sources import (
     IndependentModel,
     MomentSummary,
     centered_exponential,
-    diff_abs3,
     exchangeable_moments,
-    fourth_moment,
     iid,
-    iid_moments,
     independent_moments,
     load_population,
     moment_summary,
@@ -33,7 +30,6 @@ from projclt.sources import (
     stream,
     two_point,
     uniform,
-    user_model,
 )
 
 from conftest import sample_block
@@ -62,15 +58,16 @@ def enumerated_mixed_var(pop):
 
 class TestCatalogMoments:
     def test_rademacher(self):
-        m = iid_moments(rademacher())
+        m = moment_summary(iid(rademacher(), 1))
         assert m.abs3 == 1.0 and m.fourth == 1.0
-        assert diff_abs3(rademacher()) == 4.0
+        assert rademacher().constant("diff_abs3") == 4.0
 
     def test_uniform_closed_forms(self):
-        m = iid_moments(uniform())
+        m = moment_summary(iid(uniform(), 1))
         assert m.fourth == pytest.approx(9.0 / 5.0, abs=1e-15)
         assert m.abs3 == pytest.approx(3.0 * SQRT3 / 4.0, abs=1e-15)
-        assert diff_abs3(uniform()) == pytest.approx((2.0 * SQRT3) ** 3 / 10.0, abs=1e-14)
+        assert uniform().constant("diff_abs3") == pytest.approx((2.0 * SQRT3) ** 3 / 10.0,
+                                                                abs=1e-14)
 
     def test_uniform_against_quadrature_oracle(self):
         # direct numeric integration of |x|^3 and x^4 over [-sqrt(3), sqrt(3)]
@@ -78,13 +75,13 @@ class TestCatalogMoments:
         density = 1.0 / (2.0 * SQRT3)
         abs3 = np.trapezoid(np.abs(xs) ** 3 * density, xs)
         fourth = np.trapezoid(xs**4 * density, xs)
-        m = iid_moments(uniform())
+        m = moment_summary(iid(uniform(), 1))
         assert m.abs3 == pytest.approx(abs3, abs=1e-9)
         assert m.fourth == pytest.approx(fourth, abs=1e-9)
         # X - X' has the triangular density (2 sqrt(3) - |d|) / 12 on [-2 sqrt(3), 2 sqrt(3)]
         ds = np.linspace(-2.0 * SQRT3, 2.0 * SQRT3, 2_000_001)
         diff3 = np.trapezoid(np.abs(ds) ** 3 * (2.0 * SQRT3 - np.abs(ds)) / 12.0, ds)
-        assert diff_abs3(uniform()) == pytest.approx(diff3, abs=1e-9)
+        assert uniform().constant("diff_abs3") == pytest.approx(diff3, abs=1e-9)
 
     def test_two_point_values(self):
         model = two_point(0.2)
@@ -92,29 +89,29 @@ class TestCatalogMoments:
         np.testing.assert_allclose(sorted(vals), [-0.5, 2.0], atol=1e-15)
         assert float(vals @ probs) == pytest.approx(0.0, abs=1e-15)
         assert float(vals**2 @ probs) == pytest.approx(1.0, abs=1e-15)
-        assert diff_abs3(model) == pytest.approx(2 * 0.2 * 0.8 * 2.5**3, rel=1e-14)
+        assert model.constant("diff_abs3") == pytest.approx(2 * 0.2 * 0.8 * 2.5**3, rel=1e-14)
 
     def test_two_point_against_monte_carlo_oracle(self):
         model = two_point(0.2)
         draws = model.sampler(stream(1234), 10_000_000)
-        m = iid_moments(model)
+        m = moment_summary(iid(model, 1))
         pairs = np.abs(draws[::2] - draws[1::2]) ** 3
         for vals, declared in [(np.abs(draws) ** 3, m.abs3), (draws**4, m.fourth),
-                               (pairs, diff_abs3(model))]:
+                               (pairs, model.constant("diff_abs3"))]:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - declared) <= 4 * se
 
     def test_exponential_closed_forms(self):
-        m = iid_moments(centered_exponential())
+        m = moment_summary(iid(centered_exponential(), 1))
         assert m.fourth == pytest.approx(9.0, abs=1e-12)
         assert m.abs3 == pytest.approx(12.0 / math.e - 2.0, abs=1e-12)
 
     def test_exponential_against_monte_carlo_oracle(self):
         model = centered_exponential()
         draws = model.sampler(stream(77), 2_000_000)
-        m = iid_moments(model)
+        m = moment_summary(iid(model, 1))
         pairs = np.abs(draws[::2] - draws[1::2]) ** 3
-        for vals, declared in [(np.abs(draws) ** 3, m.abs3), (pairs, diff_abs3(model))]:
+        for vals, declared in [(np.abs(draws) ** 3, m.abs3), (pairs, model.constant("diff_abs3"))]:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - declared) <= 4 * se
 
@@ -306,7 +303,7 @@ class TestSamplerFormulas:
     def test_float32_exponential_moments(self):
         model = centered_exponential()
         x = model.sampler(stream(2024), 1_000_000).astype(np.float64)
-        m = iid_moments(model)
+        m = moment_summary(iid(model, 1))
         for vals, declared in [(x, 0.0), (x * x, 1.0), (np.abs(x) ** 3, m.abs3), (x**4, m.fourth)]:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - declared) <= 4 * se
@@ -348,7 +345,7 @@ class TestFloat32Draws:
     @pytest.mark.parametrize("moment", ["mean", "second", "abs3", "fourth"])
     def test_draws_have_the_declared_moments(self, law, moment):
         x = catalog_draws(law.name)
-        m = iid_moments(law)
+        m = moment_summary(iid(law, 1))
         vals, declared = {
             "mean": (x, 0.0),
             "second": (x * x, 1.0),
@@ -395,7 +392,7 @@ class TestSumSamplers:
         else:
             assert x.min() > -1.0
 
-    @pytest.mark.parametrize("law", [uniform(), user_model("u", uniform().sampler, 1.3, 1.8)],
+    @pytest.mark.parametrize("law", [uniform(), IIDModel("u", uniform().sampler, 1.3, 1.8)],
                              ids=["uniform", "user"])
     def test_other_laws_declare_none(self, law):
         assert law.sum_sampler is None
@@ -421,28 +418,29 @@ class TestMomentSummaryInvariants:
             MomentSummary(abs3=1.0, fourth=1.0, abs3_max=1.0, fourth_max=1.0, mixed_4=0.1)
 
     def test_user_model_without_moments_is_rejected(self):
-        model = user_model("custom", lambda rng, size: rng.standard_normal(size, dtype=np.float32))
-        with pytest.raises(MissingMomentsError):
-            iid_moments(model)
-        with pytest.raises(MissingMomentsError):
-            diff_abs3(model)
+        model = IIDModel("custom", lambda rng, size: rng.standard_normal(size, dtype=np.float32))
+        with pytest.raises(MissingMomentsError, match="declares no abs3 "):
+            moment_summary(iid(model, 1))
+        with pytest.raises(MissingMomentsError, match="declares no diff_abs3 "):
+            model.constant("diff_abs3")
 
     @pytest.mark.parametrize("name,value", [("abs3", 1.5), ("fourth", 2.0),
                                             ("diff_abs3", 3.0), ("fourth", 1.0 + 1e-11)])
     def test_a_declaration_its_support_contradicts_is_refused(self, name, value):
         # Rademacher's support gives abs3 = fourth = 1 and diff_abs3 = 4
         with pytest.raises(InvalidMomentsError, match=f"declares {name} = "):
-            user_model("signs", rademacher().sampler,
-                       **{"abs3": 1.0, "fourth": 1.0, name: value},
-                       support=rademacher().support)
+            IIDModel("signs", rademacher().sampler,
+                     **{"abs3": 1.0, "fourth": 1.0, name: value},
+                     support=rademacher().support)
 
     def test_a_declaration_is_read_as_declared(self):
         law = two_point(0.3)
         vals, probs = law.support
         assert law.fourth != float(probs @ vals**4)  # they differ in the last bit
-        assert fourth_moment(law) == law.fourth == iid_moments(law).fourth
-        assert diff_abs3(law) == float(probs @ np.abs(vals[:, None] - vals) ** 3 @ probs)
-        assert diff_abs3(uniform()) == uniform().diff_abs3
+        assert law.constant("fourth") == law.fourth == moment_summary(iid(law, 1)).fourth
+        diff3 = float(probs @ np.abs(vals[:, None] - vals) ** 3 @ probs)
+        assert law.constant("diff_abs3") == diff3
+        assert uniform().constant("diff_abs3") == uniform().diff_abs3
 
     def test_independent_moments_take_worst_coordinate(self):
         model = IndependentModel((rademacher(), uniform()), np.array([0, 1]))
