@@ -4,29 +4,27 @@ against simulated data."""
 
 from .bounds import (
     DEFAULT_EXCHANGEABLE_CONSTANTS,
+    RESAMPLING,
+    TRANSPOSITION,
     BoundReport,
     EijStats,
     ExchangeableConstants,
     bound_abstract,
-)
-from .directions import (
-    DirectionSet,
-    NormSummary,
-    hypercube_directions,
-    norm_summary,
-    random_orthonormal,
-)
-from .empirics import (
-    RESAMPLING,
-    TRANSPOSITION,
-    DiscrepancyEstimate,
-    VerificationReport,
     compute_bound,
     eij_second_moments,
-    estimate_discrepancy,
     linearity_residual,
     pair_for,
     stein_lambda,
+)
+from .directions import (
+    DirectionSet,
+    hypercube_directions,
+    random_orthonormal,
+)
+from .empirics import (
+    DiscrepancyEstimate,
+    VerificationReport,
+    estimate_discrepancy,
     verify_bound,
 )
 from .errors import (
@@ -47,7 +45,6 @@ from .sources import (
     centered_exponential,
     exchangeable_moments,
     iid,
-    independent_moments,
     load_population,
     moment_summary,
     rademacher,

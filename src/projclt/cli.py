@@ -9,7 +9,8 @@ scan     sweep n or k, emitting one verification row (with the bound
 check    run the invariant diagnostics of the configured directions and model:
          the pair's linearity residual in closed form, and for i.i.d. and
          independent models the moments of each law's draws
-moments  print the moment constants of the configured model
+moments  print the moment constants the bounds read: the worst coordinate's
+         E|X|^3 and EX^4, and an exchangeable model's mixed moments
 
 The experiment configuration is a single JSON file; a command takes only
 the overrides it reads: ``--output`` (all), ``--theorem`` (bound, verify,
@@ -57,7 +58,7 @@ SCHEMA_LINE = "# schema=1"
 BOUND_COLUMNS = "theorem,n,k,lambda,term_fourth,term_third,term_mixed,total,min_branch"
 VERIFY_COLUMNS = "digest,theorem,n,k,samples,estimate,ci,bound,pass"
 SCAN_COLUMNS = VERIFY_COLUMNS + ",lambda,term_fourth,term_third,term_mixed,min_branch"
-MOMENTS_COLUMNS = "model,abs3,fourth,abs3_max,fourth_max,mixed_4,mixed_var"
+MOMENTS_COLUMNS = "model,abs3,fourth,mixed_4,mixed_var"
 
 
 def _fmt(value) -> str:
@@ -193,7 +194,7 @@ class ExperimentConfig:
         ds = build_directions(raw["directions"])
         model = build_model(raw["model"], ds.n)
         family = sources.family(model)
-        pair = empirics.pair_for(family)
+        pair = bounds_mod.pair_for(family)
         if raw.get("pair") not in (None, pair):
             raise ConfigError(f"pair must be {pair!r}, the pair of a model of family "
                               f"{family}, got {raw['pair']!r}")
@@ -400,8 +401,8 @@ def _verify_row(rep: empirics.VerificationReport) -> list:
 def cmd_bound(cfg: ExperimentConfig) -> int:
     rows = []
     for theorem in cfg.theorem if isinstance(cfg.theorem, list) else [cfg.theorem]:
-        report = empirics.compute_bound(theorem, cfg.ds, cfg.model, cfg.g,
-                                        constants=cfg.constants)
+        report = bounds_mod.compute_bound(theorem, cfg.ds, cfg.model, cfg.g,
+                                          constants=cfg.constants)
         rows.append(_bound_row(report))
     _emit(_csv(BOUND_COLUMNS, rows), cfg.output)
     return 0
@@ -472,8 +473,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
     spec = cfg.raw["model"]
     if sources.family(cfg.model) == sources.IID:
         spec = spec.get("pattern", [spec])[0]
-    row = [spec["kind"], m.abs3, m.fourth, m.abs3_max, m.fourth_max, m.mixed_4,
-           m.mixed_var]
+    row = [spec["kind"], m.abs3, m.fourth, m.mixed_4, m.mixed_var]
     _emit(_csv(MOMENTS_COLUMNS, [row]), cfg.output)
     return 0
 
@@ -492,9 +492,9 @@ def cmd_check(cfg: ExperimentConfig) -> int:
         lines.append(f"check {name}: {'ok' if ok else 'FAIL'} ({detail})")
 
     model = cfg.model
-    resid = empirics.linearity_residual(cfg.ds, model)
+    resid = bounds_mod.linearity_residual(cfg.ds, model)
     record("linearity", resid <= 1e-10,
-           f"max residual {resid:.3e}, pair={empirics.pair_for(sources.family(model))}")
+           f"max residual {resid:.3e}, pair={bounds_mod.pair_for(sources.family(model))}")
 
     if not isinstance(model, sources.ExchangeableModel):
         # Every law of the model, one per name, in order.

@@ -1,11 +1,11 @@
-"""Projection-direction sets and their norm summaries.
+"""Projection-direction sets and their norm sums.
 
 A direction set holds k unit vectors in R^n onto which an n-dimensional
 random vector is projected.  It measures its own structure once, from
 the Gram product: whether the rows are orthonormal, whether each sums to
 zero, and the Gram matrix with its largest eigenvalue, which inflates the
-bounds for non-orthonormal sets.  ``NormSummary`` holds the l4/l3 norm
-sums that drive the bound magnitudes.
+bounds for non-orthonormal sets.  Its l4/l3 norm sums, which drive the
+bound magnitudes, are properties computed on use.
 
 Constructors cover the two families used throughout: sign-vector rows of
 a Sylvester-type orthogonal design (all entries +-n^{-1/2}) and uniformly
@@ -38,7 +38,11 @@ class DirectionSet:
     ``gram`` is that of the identity and ``centered`` that every row sums
     to zero.  The Gram eigenvalues are computed on first use, and at
     construction only for rows that are not orthonormal, whose smallest
-    eigenvalue must be positive.
+    eigenvalue must be positive.  The three norm sums of the bounds are
+
+    ``sum_l4_sq``     = sum_i ||theta_i||_4^2
+    ``sum_l3_cubed``  = sum_i ||theta_i||_3^3
+    ``sum_l4_all_sq`` = (sum_i ||theta_i||_4)^2
     """
 
     vectors: np.ndarray
@@ -81,6 +85,25 @@ class DirectionSet:
         """Largest eigenvalue of ``gram``: 1 up to rounding for orthonormal
         rows, and in [1, k] for any unit rows."""
         return float(self._gram_eigenvalues[-1])
+
+    @functools.cached_property
+    def _row_l4_sq(self) -> np.ndarray:
+        """||theta_i||_4^2 of each row."""
+        v2 = self.vectors * self.vectors
+        return np.sqrt(np.einsum("ij,ij->i", v2, v2))
+
+    @property
+    def sum_l4_sq(self) -> float:
+        return float(self._row_l4_sq.sum())
+
+    @property
+    def sum_l3_cubed(self) -> float:
+        v = self.vectors
+        return float(np.einsum("ij,ij->i", np.abs(v), v * v).sum())
+
+    @property
+    def sum_l4_all_sq(self) -> float:
+        return float(np.sqrt(self._row_l4_sq).sum() ** 2)
 
     @property
     def n(self) -> int:
@@ -132,38 +155,6 @@ class DirectionSet:
     def load(cls, path) -> "DirectionSet":
         with open(path) as fh:
             return cls.from_csv(fh.read(), source=f"direction file {path!r}")
-
-
-@dataclass(frozen=True)
-class NormSummary:
-    """Norm sums of a direction set.
-
-    ``sum_l4_sq``     = sum_i ||theta_i||_4^2
-    ``sum_l3_cubed``  = sum_i ||theta_i||_3^3
-    ``sum_l4_all_sq`` = (sum_i ||theta_i||_4)^2
-    """
-
-    n: int
-    k: int
-    sum_l4_sq: float
-    sum_l3_cubed: float
-    sum_l4_all_sq: float
-
-
-def norm_summary(ds: DirectionSet) -> NormSummary:
-    """Compute the three norm sums entering the error bounds.  The rows are
-    unit vectors, as :class:`DirectionSet` checked."""
-    v = ds.vectors
-    v2 = v * v
-    row_l4_sq = np.sqrt(np.einsum("ij,ij->i", v2, v2))
-    row_l3_3 = np.einsum("ij,ij->i", np.abs(v), v2)
-    return NormSummary(
-        n=ds.n,
-        k=ds.k,
-        sum_l4_sq=float(row_l4_sq.sum()),
-        sum_l3_cubed=float(row_l3_3.sum()),
-        sum_l4_all_sq=float(np.sqrt(row_l4_sq).sum() ** 2),
-    )
 
 
 def hypercube_directions(n: int, k: int, centered: bool = False) -> DirectionSet:

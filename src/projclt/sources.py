@@ -12,7 +12,8 @@ one of two types, and :func:`family` measures whether it is i.i.d.:
 
 Catalog laws ship closed-form third/fourth moments; Monte Carlo is used
 only as a cross-check, never to feed a bound.  User-supplied laws must
-declare them or give a finite support (:meth:`IIDModel.constant`).
+declare them or give a finite support (:meth:`IIDModel.constant`), which
+must be standardized.
 
 :func:`projections` is the one way to draw the projections S = theta X
 of a block of samples: it chooses, from the direction rows and the model,
@@ -153,31 +154,21 @@ def derived_seed(seed: int, tag: int) -> int:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Distributional constants consumed by the error bounds.
-
-    ``abs3``/``fourth`` refer to the first coordinate; the ``_max``
-    fields take the worst coordinate (they coincide for i.i.d. models).
-    The mixed moments E X1 X2 X3 X4 and E (X1^2-1)(X2^2-1) are present
-    exactly when the model is exchangeable.
-    """
+    """Distributional constants consumed by the error bounds: the worst
+    coordinate's E|X|^3 and EX^4 (of every coordinate, for an exchangeable
+    model) and, exactly when the model is exchangeable, the mixed moments
+    E X1 X2 X3 X4 and E (X1^2-1)(X2^2-1)."""
 
     abs3: float
     fourth: float
-    abs3_max: float
-    fourth_max: float
     mixed_4: Optional[float] = None
     mixed_var: Optional[float] = None
 
-    def __post_init__(self):
-        for name in ("abs3", "fourth", "abs3_max", "fourth_max"):
-            val = getattr(self, name)
-            if val < 1.0 - 1e-9:
-                raise InvalidMomentsError(
-                    f"{name}={val} < 1 is impossible for a variable with EX^2 = 1"
-                )
-        if (self.mixed_4 is None) != (self.mixed_var is None):
-            raise InvalidMomentsError("mixed_4 and mixed_var must be supplied together")
 
+# Rounding allowed in a support's standardization, and in a declared E|X|^3
+# or EX^4 below 1.
+SUPPORT_TOL = 1e-12
+MOMENT_TOL = 1e-9
 
 Sampler = Callable[[np.random.Generator, object], np.ndarray]
 SumSampler = Callable[[np.random.Generator, int, int], np.ndarray]
@@ -194,7 +185,11 @@ class IIDModel:
     and ``diff_abs3`` are E|X|^3, EX^4 and E|X - X'|^3 for an independent
     copy X', read by :meth:`constant` as declared where given, else
     enumerated over the support, so a declaration that the support
-    contradicts by more than 1e-12 relative is refused.
+    contradicts by more than 1e-12 relative is refused.  A support must be
+    standardized: positive probabilities summing to 1, sum p v = 0 and
+    sum p v^2 = 1, each within :data:`SUPPORT_TOL`.  A declared ``abs3`` or
+    ``fourth`` may fall below 1, which EX^2 = 1 rules out, by at most
+    :data:`MOMENT_TOL`.
     ``sum_sampler(rng, m, size)``, where given, draws ``size`` float64
     values of the sum of m independent copies of the law, exactly.
     """
@@ -208,6 +203,21 @@ class IIDModel:
     sum_sampler: Optional[SumSampler] = None
 
     def __post_init__(self):
+        if self.support is not None:
+            vals, probs = self.support
+            total, mean, second = float(np.sum(probs)), float(probs @ vals), float(probs @ vals**2)
+            if not (np.all(probs > 0) and abs(total - 1.0) <= SUPPORT_TOL
+                    and abs(mean) <= SUPPORT_TOL and abs(second - 1.0) <= SUPPORT_TOL):
+                raise InvalidMomentsError(
+                    f"model {self.name!r} needs a standardized support: positive probabilities "
+                    f"summing to 1, mean 0 and second moment 1 (within {SUPPORT_TOL:g}); got "
+                    f"least probability {float(np.min(probs))!r}, sum {total!r}, mean {mean!r}, "
+                    f"second moment {second!r}")
+        for name in ("abs3", "fourth"):
+            declared = getattr(self, name)
+            if declared is not None and not declared >= 1.0 - MOMENT_TOL:
+                raise InvalidMomentsError(f"model {self.name!r} declares {name} = {declared!r}; "
+                                          "below 1, it contradicts EX^2 = 1")
         for name, enumerate_ in _ENUMERATED.items():
             declared = getattr(self, name)
             if self.support is not None and declared is not None:
@@ -481,14 +491,6 @@ CATALOG: dict[str, Callable[[], IIDModel]] = {
 # --------------------------------------------------------------------------
 # Moment constants
 
-def independent_moments(model: IndependentModel) -> MomentSummary:
-    abs3 = [law.constant("abs3") for law in model.laws]
-    fourth = [law.constant("fourth") for law in model.laws]
-    first = model.law_index[0]
-    return MomentSummary(abs3=abs3[first], fourth=fourth[first], abs3_max=max(abs3),
-                         fourth_max=max(fourth))
-
-
 def exchangeable_moments(model: ExchangeableModel) -> MomentSummary:
     """Exact mixed moments of a random permutation of the population.
 
@@ -515,17 +517,19 @@ def exchangeable_moments(model: ExchangeableModel) -> MomentSummary:
     return MomentSummary(
         abs3=float(np.mean(np.abs(a) ** 3)),
         fourth=p4 / n,
-        abs3_max=float(np.mean(np.abs(a) ** 3)),
-        fourth_max=p4 / n,
         mixed_4=mixed_4,
         mixed_var=mixed_var,
     )
 
 
 def moment_summary(model: Model) -> MomentSummary:
+    """The constants of a model: for independent coordinates the largest
+    E|X|^3 and EX^4 over its laws (:meth:`IIDModel.constant`), for an
+    exchangeable model :func:`exchangeable_moments`."""
     if family(model) == EXCHANGEABLE:
         return exchangeable_moments(model)
-    return independent_moments(model)
+    return MomentSummary(abs3=max(law.constant("abs3") for law in model.laws),
+                         fourth=max(law.constant("fourth") for law in model.laws))
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Single pair draws, the conditional mean E[S' - S | x] and error matrix
 E_ij(x) enumerated over the pair randomization, the closed form of E_ij
 per state, and the pairwise third-moment mean check the library's exact
-statistics in :mod:`projclt.empirics`; the library itself never draws
+statistics in :mod:`projclt.bounds`; the library itself never draws
 single pairs and never evaluates E_ij at a state.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from projclt import sources
 from projclt.directions import VALIDATION_TOL, DirectionSet
-from projclt.empirics import RESAMPLING, TRANSPOSITION
+from projclt.bounds import RESAMPLING, TRANSPOSITION
 from projclt.errors import InvalidInputError
 from projclt.sources import ExchangeableModel, IIDModel, IndependentModel, Model
 

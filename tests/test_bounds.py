@@ -11,23 +11,21 @@ from projclt.bounds import (
     THEOREMS,
     EijStats,
     ExchangeableConstants,
-    bound,
     bound_abstract,
+    compute_bound,
+    eij_second_moments,
 )
 from projclt.directions import (
     DirectionSet,
     hypercube_directions,
-    norm_summary,
     random_orthonormal,
 )
-from projclt.empirics import compute_bound, eij_second_moments
 from projclt.errors import InvalidInputError, InvalidMomentsError
 from projclt.sources import (
     EXCHANGEABLE,
     ExchangeableModel,
     IIDModel,
     IndependentModel,
-    MomentSummary,
     exchangeable_moments,
     iid,
     moment_summary,
@@ -114,12 +112,11 @@ class TestIndependentBound:
     def test_mixed_laws_use_worst_coordinate(self):
         # the first coordinate is Rademacher, the worst one uniform
         ds = hypercube_directions(64, 2)
-        ns = norm_summary(ds)
         g = unit_cosine(2)
         model = IndependentModel((rademacher(), uniform()), np.arange(64) % 2)
         rep = compute_bound("T2", ds, model, g)
-        expected_fourth = 0.5 * math.sqrt(2) * g.grad_sup * math.sqrt(9 / 5 - 1) * ns.sum_l4_sq
-        expected_third = (4 / 3) * 4 * g.g2 * (3 * SQRT3 / 4) * ns.sum_l3_cubed
+        expected_fourth = 0.5 * math.sqrt(2) * g.grad_sup * math.sqrt(9 / 5 - 1) * ds.sum_l4_sq
+        expected_third = (4 / 3) * 4 * g.g2 * (3 * SQRT3 / 4) * ds.sum_l3_cubed
         assert rep.term_fourth == pytest.approx(expected_fourth, rel=1e-14)
         assert rep.term_third == pytest.approx(expected_third, rel=1e-14)
 
@@ -131,7 +128,7 @@ class TestIndependentBound:
 
     @pytest.mark.parametrize("theorem", ["T2", "abstract"])
     def test_fourth_moment_tolerance_is_one(self, theorem):
-        # EX^4 >= 1 is allowed to miss by 1e-9, and no more, on every path
+        # EX^4 >= 1 is allowed to miss by 1e-9, and no more: the law refuses it
         ds = hypercube_directions(16, 2)
 
         def law(fourth):
@@ -140,7 +137,7 @@ class TestIndependentBound:
 
         assert compute_bound(theorem, ds, law(1.0 - 1e-10), unit_cosine(2)).total > 0
         with pytest.raises(InvalidMomentsError):
-            compute_bound(theorem, ds, law(1.0 - 1e-8), unit_cosine(2))
+            law(1.0 - 1e-8)
 
 
 class TestLinIndBound:
@@ -164,13 +161,12 @@ class TestLinIndBound:
 
     def test_lambda_one_matches_hand_assembly(self):
         ds = hypercube_directions(64, 2)
-        ns = norm_summary(ds)
         m = moment_summary(iid(uniform(), 1))
         g = unit_cosine(2)
         rep = compute_bound("T3", ds, iid(uniform(), 64), g)
         lam = ds.lambda_max
-        expect_fourth = 0.5 * math.sqrt(lam * 2) * g.grad_sup * math.sqrt(0.8) * ns.sum_l4_sq
-        expect_third = (4 / 3) * lam * 4 * g.hess_op_sup * m.abs3_max * ns.sum_l3_cubed
+        expect_fourth = 0.5 * math.sqrt(lam * 2) * g.grad_sup * math.sqrt(0.8) * ds.sum_l4_sq
+        expect_third = (4 / 3) * lam * 4 * g.hess_op_sup * m.abs3 * ds.sum_l3_cubed
         assert rep.term_fourth == pytest.approx(expect_fourth, rel=1e-12)
         assert rep.term_third == pytest.approx(expect_third, rel=1e-12)
 
@@ -185,8 +181,8 @@ class TestLinIndBound:
         rep_hi = compute_bound("T3", hi, iid(uniform(), n), g)
         ratio_fourth = (rep_hi.term_fourth / rep_lo.term_fourth)
         ratio_third = (rep_hi.term_third / rep_lo.term_third)
-        norm_ratio_4 = norm_summary(hi).sum_l4_sq / norm_summary(lo).sum_l4_sq
-        norm_ratio_3 = norm_summary(hi).sum_l3_cubed / norm_summary(lo).sum_l3_cubed
+        norm_ratio_4 = hi.sum_l4_sq / lo.sum_l4_sq
+        norm_ratio_3 = hi.sum_l3_cubed / lo.sum_l3_cubed
         assert ratio_fourth / norm_ratio_4 == pytest.approx(2.0, rel=1e-9)
         assert ratio_third / norm_ratio_3 == pytest.approx(4.0, rel=1e-9)
 
@@ -207,14 +203,16 @@ class TestExchangeableBound:
         assert rep.term_mixed == pytest.approx(expect_mixed, rel=1e-14)
 
     def test_vanishing_mixed_moments_leave_b_and_c_terms(self):
+        # a standardized population cannot zero both mixed moments, so scale
+        # the a term instead: the mixed moments enter it alone
         ds, model, g = self.setup_inputs()
         m = exchangeable_moments(model)
-        m0 = MomentSummary(
-            abs3=m.abs3, fourth=m.fourth, abs3_max=m.abs3_max, fourth_max=m.fourth_max,
-            mixed_4=0.0, mixed_var=0.0,
-        )
-        rep = bound("T4", norm_summary(ds), m0, g, constants=UNIT_CONSTANTS)
-        assert rep.term_mixed == 0.0
+        rep = compute_bound("T4", ds, model, g, constants=UNIT_CONSTANTS)
+        doubled = compute_bound("T4", ds, model, g, ExchangeableConstants(2.0, 1.0, 1.0))
+        mixed = math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var))
+        assert rep.term_mixed == 2 * g.g1 * mixed
+        assert doubled.term_mixed == 2.0 * rep.term_mixed
+        assert (doubled.term_fourth, doubled.term_third) == (rep.term_fourth, rep.term_third)
         assert rep.term_fourth > 0.0 and rep.term_third > 0.0
 
     def test_doubling_constants_doubles_total(self):
@@ -237,15 +235,14 @@ class TestExchangeableLinIndBound:
     def test_lambda_one_reduces_to_exchangeable_shape(self):
         n, k = 16, 2
         ds = hypercube_directions(n, k, centered=True)
-        ns = norm_summary(ds)
         model = ramp_model(n)
         m = exchangeable_moments(model)
         g = unit_cosine(k)
         rep5 = compute_bound("T5", ds, model, g, UNIT_CONSTANTS)
         # same assembly with g1 -> grad_sup and g2 -> hess_op_sup at lam = 1
         expect_mixed = k * g.grad_sup * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
-        expect_fourth = g.grad_sup * math.sqrt(m.fourth) * ns.sum_l4_all_sq
-        expect_third = k * k * g.hess_op_sup * m.abs3 * ns.sum_l3_cubed
+        expect_fourth = g.grad_sup * math.sqrt(m.fourth) * ds.sum_l4_all_sq
+        expect_third = k * k * g.hess_op_sup * m.abs3 * ds.sum_l3_cubed
         assert rep5.term_mixed == pytest.approx(expect_mixed, rel=1e-10)
         assert rep5.term_fourth == pytest.approx(expect_fourth, rel=1e-10)
         assert rep5.term_third == pytest.approx(expect_third, rel=1e-10)
@@ -258,7 +255,6 @@ class TestExchangeableLinIndBound:
         rows = np.array([e1, 0.5 * e1 + (math.sqrt(3) / 2) * e2])
         ds = DirectionSet(rows)
         assert ds.lambda_max == pytest.approx(1.5, abs=1e-12)
-        ns = norm_summary(ds)
         assert ds.centered
         model = ramp_model(n)
         m = exchangeable_moments(model)
@@ -269,7 +265,7 @@ class TestExchangeableLinIndBound:
             k * math.sqrt(lam) * g.grad_sup
             * (math.sqrt(abs(m.mixed_4)) + math.sqrt(abs(m.mixed_var)))
         )
-        expect_third = k * k * lam * g.hess_op_sup * m.abs3 * ns.sum_l3_cubed
+        expect_third = k * k * lam * g.hess_op_sup * m.abs3 * ds.sum_l3_cubed
         assert rep.term_mixed == pytest.approx(expect_mixed, rel=1e-12)
         assert rep.term_third == pytest.approx(expect_third, rel=1e-12)
 
@@ -316,12 +312,11 @@ class TestAbstractBound:
         # feeding the analytic envelopes reproduces the independent-case bound
         n, k = 256, 3
         ds = hypercube_directions(n, k)
-        ns = norm_summary(ds)
         m = moment_summary(iid(uniform(), 1))
         g = unit_cosine(k)
         lam = 1.0 / n
-        env_sq = (1.0 / n) * ns.sum_l4_sq * math.sqrt(m.fourth_max - 1.0)
-        env_third = (8.0 / n) * m.abs3_max * ns.sum_l3_cubed
+        env_sq = (1.0 / n) * ds.sum_l4_sq * math.sqrt(m.fourth - 1.0)
+        env_third = (8.0 / n) * m.abs3 * ds.sum_l3_cubed
         rep_abs = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
         rep_ind = compute_bound("T2", ds, iid(uniform(), n), g)
         assert rep_abs.min_branch == "sqrt-sum-sq"
@@ -371,31 +366,37 @@ class TestMonotonicity:
     @settings(max_examples=40, deadline=None)
     def test_indep_bound_nondecreasing_in_moments(self, fourth, abs3, bump_f, bump_a):
         ds = hypercube_directions(64, 2)
-        ns = norm_summary(ds)
         g = unit_cosine(2)
-        m_lo = MomentSummary(abs3=abs3, fourth=fourth, abs3_max=abs3, fourth_max=fourth)
-        m_hi = MomentSummary(
-            abs3=abs3 + bump_a, fourth=fourth + bump_f,
-            abs3_max=abs3 + bump_a, fourth_max=fourth + bump_f,
-        )
-        assert bound("T2", ns, m_hi, g).total >= bound("T2", ns, m_lo, g).total - 1e-15
+
+        def model(abs3, fourth):
+            return iid(IIDModel("declared", uniform().sampler, abs3=abs3, fourth=fourth), 64)
+
+        lo = compute_bound("T2", ds, model(abs3, fourth), g)
+        hi = compute_bound("T2", ds, model(abs3 + bump_a, fourth + bump_f), g)
+        assert hi.total >= lo.total - 1e-15
 
     @given(st.integers(4, 9), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_exch_bound_nondecreasing_in_norm_sums(self, exp, seed):
+        # rows at n and 2n under a 16-value population tiled to each length:
+        # E|X|^3 and EX^4 agree to rounding, while the mixed moments, which
+        # read no norm sum, move with n, so the terms that read N3 and L4
+        # are compared
         n = 2**exp
         k = 2
         ds_small = hypercube_directions(2 * n, k, centered=True)
         ds_big = hypercube_directions(n, k, centered=True)
-        pop = standardize_population(np.random.default_rng(seed).standard_normal(16))
-        m = exchangeable_moments(ExchangeableModel(pop))
-        ns_big = replace(norm_summary(ds_big), n=16)
-        ns_small = replace(norm_summary(ds_small), n=16)
+        base = np.random.default_rng(seed).standard_normal(16)
         g = unit_cosine(k)
-        # larger n gives smaller norm sums, hence a smaller bound
-        big = bound("T4", ns_big, m, g, constants=UNIT_CONSTANTS)
-        small = bound("T4", ns_small, m, g, constants=UNIT_CONSTANTS)
-        assert big.total >= small.total - 1e-15
+
+        def report(ds):
+            pop = standardize_population(np.tile(base, ds.n // 16))
+            return compute_bound("T4", ds, ExchangeableModel(pop), g, constants=UNIT_CONSTANTS)
+
+        # larger n gives smaller norm sums, hence smaller fourth and third terms
+        big, small = report(ds_big), report(ds_small)
+        assert big.term_fourth >= small.term_fourth * (1 - 1e-12)
+        assert big.term_third >= small.term_third * (1 - 1e-12)
 
     def test_bit_for_bit_reproducibility(self):
         ds = hypercube_directions(64, 2)

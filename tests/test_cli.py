@@ -748,12 +748,13 @@ class TestCheckCommand:
         assert "check moments rademacher: ok" in out
         assert "check moments exponential: FAIL" in out
 
-    def test_law_with_a_nonzero_mean_fails_linearity(self, tmp_path, monkeypatch, capsys):
-        shifted = dataclasses.replace(
-            sources.rademacher(), support=(np.array([-1.0, 1.0]), np.array([0.25, 0.75])))
-        monkeypatch.setitem(sources.CATALOG, "rademacher", lambda: shifted)
-        assert main(["check", str(write_config(tmp_path))]) == 1
-        assert "check linearity: FAIL" in capsys.readouterr().out
+    def test_law_with_a_nonzero_mean_is_refused_at_load(self, tmp_path, monkeypatch, capsys):
+        # a support of mean 1/2 is refused when the law is built, so the
+        # configuration exits 2 before any check runs
+        monkeypatch.setitem(sources.CATALOG, "rademacher", lambda: dataclasses.replace(
+            sources.rademacher(), support=(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))))
+        assert main(["check", str(write_config(tmp_path))]) == 2
+        assert "needs a standardized support" in capsys.readouterr().err
 
     def skewed_config(self, tmp_path):
         """The standardized population [0, ..., 0, 1, 5] with centered random rows."""
@@ -790,6 +791,18 @@ class TestMomentsCommand:
         assert float(row["fourth"]) == pytest.approx(1.8, abs=1e-15)
         assert float(row["abs3"]) == pytest.approx(3 * math.sqrt(3) / 4, abs=1e-15)
         assert row["mixed_4"] == ""
+
+    def test_pattern_row_reports_the_worst_coordinate(self, tmp_path):
+        # coordinate 0 is Rademacher; the uniform law has the larger constants
+        out = tmp_path / "m.csv"
+        path = write_config(tmp_path, {"model": {"kind": "independent", "pattern": [
+            {"kind": "rademacher"}, {"kind": "uniform"}]}, "output": str(out)})
+        assert main(["moments", str(path)]) == 0
+        (row,) = read_rows(out)
+        assert float(row["abs3"]) == 3 * math.sqrt(3) / 4
+        assert float(row["fourth"]) == 1.8
+        assert row["model"] == "independent"
+        assert list(row) == ["model", "abs3", "fourth", "mixed_4", "mixed_var"]
 
     def test_exchangeable_row_has_mixed_moments(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -921,9 +934,11 @@ ABSTRACT_CSVS = {
               "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True, "seed": 5}},
              "692d58870897eb477955f368092e7ff0ce9462170c74f4793cc32f7e91bf8e20"),
 }
-# The moments CSV and the check text of one i.i.d. law.
+# The moments CSV and the check text of one i.i.d. law.  The CSV moved once,
+# from d6751ad3..., when its first-coordinate abs3 and fourth columns went
+# and abs3_max and fourth_max took their names.
 IID_LAW_CONFIG = {"model": {"kind": "two_point", "p": 0.2}}
-IID_MOMENTS_CSV = "d6751ad348cca1bc3cb9b5f1033d20f7e614f1db2fc78ed955acbf7800d211dd"
+IID_MOMENTS_CSV = "28614a0d781916394e92da5eae0eed91f46781953fec60b6a68f66991c048bfc"
 IID_CHECK_TEXT = (
     "check linearity: ok (max residual 0.000e+00, pair=resampling)\n"
     "check moments two_point(0.2): ok (abs3 1.68598 vs 1.70000, fourth 3.22163 vs 3.25000)\n")

@@ -9,7 +9,6 @@ from projclt.directions import (
     VALIDATION_TOL,
     DirectionSet,
     hypercube_directions,
-    norm_summary,
     random_orthonormal,
 )
 from projclt.errors import (
@@ -123,20 +122,19 @@ class TestDirectionSetValidation:
 class TestNormSummary:
     @pytest.mark.parametrize("n,k", [(16, 3), (16, 5), (64, 4), (256, 8)])
     def test_hypercube_norm_sums(self, n, k):
-        ns = norm_summary(hypercube_directions(n, k))
-        assert ns.sum_l4_sq == pytest.approx(k / math.sqrt(n), abs=1e-12)
-        assert ns.sum_l3_cubed == pytest.approx(k / math.sqrt(n), abs=1e-12)
+        ds = hypercube_directions(n, k)
+        assert ds.sum_l4_sq == pytest.approx(k / math.sqrt(n), abs=1e-12)
+        assert ds.sum_l3_cubed == pytest.approx(k / math.sqrt(n), abs=1e-12)
 
     def test_basis_vector_sums_are_one(self):
         ds = DirectionSet(np.eye(1, 8))
-        ns = norm_summary(ds)
-        assert ns.sum_l4_sq == pytest.approx(1.0, abs=1e-14)
-        assert ns.sum_l3_cubed == pytest.approx(1.0, abs=1e-14)
-        assert ns.sum_l4_all_sq == pytest.approx(1.0, abs=1e-14)
+        assert ds.sum_l4_sq == pytest.approx(1.0, abs=1e-14)
+        assert ds.sum_l3_cubed == pytest.approx(1.0, abs=1e-14)
+        assert ds.sum_l4_all_sq == pytest.approx(1.0, abs=1e-14)
 
     def test_two_coordinate_example(self):
         ds = DirectionSet(np.array([[0.6, 0.8]]))
-        assert norm_summary(ds).sum_l3_cubed == pytest.approx(0.728, abs=1e-15)
+        assert ds.sum_l3_cubed == pytest.approx(0.728, abs=1e-15)
 
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -145,11 +143,10 @@ class TestNormSummary:
         v = np.random.default_rng(seed).standard_normal(n)
         v /= np.linalg.norm(v)
         ds = DirectionSet(v[None, :])
-        ns = norm_summary(ds)
         lo = 1.0 / math.sqrt(n) - 1e-12
-        assert lo <= ns.sum_l4_sq <= 1.0 + 1e-12
-        assert lo <= ns.sum_l3_cubed <= 1.0 + 1e-12
-        assert ns.sum_l4_all_sq <= 1.0 + 1e-12
+        assert lo <= ds.sum_l4_sq <= 1.0 + 1e-12
+        assert lo <= ds.sum_l3_cubed <= 1.0 + 1e-12
+        assert ds.sum_l4_all_sq <= 1.0 + 1e-12
 
 
 class TestGram:
@@ -293,8 +290,8 @@ class TestHypercubeDirections:
         np.testing.assert_allclose(ds.vectors.sum(axis=1), 0.0, atol=1e-15)
 
     def test_norm_summary_paper_value(self):
-        ns = norm_summary(hypercube_directions(16, 5))
-        assert ns.sum_l4_sq == pytest.approx(5.0 / 4.0, abs=1e-14)
+        ds = hypercube_directions(16, 5)
+        assert ds.sum_l4_sq == pytest.approx(5.0 / 4.0, abs=1e-14)
 
     @pytest.mark.parametrize("bad_n", [0, 3, 12, 100])
     def test_non_power_of_two_rejected(self, bad_n):

@@ -13,11 +13,9 @@ from projclt.sources import (
     ExchangeableModel,
     IIDModel,
     IndependentModel,
-    MomentSummary,
     centered_exponential,
     exchangeable_moments,
     iid,
-    independent_moments,
     load_population,
     moment_summary,
     LAW_ROWS,
@@ -32,7 +30,7 @@ from projclt.sources import (
     uniform,
 )
 
-from conftest import sample_block
+from conftest import pattern, sample_block
 
 SQRT3 = math.sqrt(3.0)
 
@@ -410,12 +408,17 @@ class TestSumSamplers:
 
 class TestMomentSummaryInvariants:
     def test_fourth_below_one_rejected(self):
-        with pytest.raises(InvalidMomentsError):
-            MomentSummary(abs3=1.0, fourth=0.5, abs3_max=1.0, fourth_max=0.5)
+        # the law refuses it, so no summary can carry it
+        with pytest.raises(InvalidMomentsError, match="declares fourth = 0.5; below 1"):
+            IIDModel("low", uniform().sampler, abs3=1.0, fourth=0.5)
 
-    def test_mixed_fields_come_together(self):
-        with pytest.raises(InvalidMomentsError):
-            MomentSummary(abs3=1.0, fourth=1.0, abs3_max=1.0, fourth_max=1.0, mixed_4=0.1)
+    @pytest.mark.parametrize("model,mixed", [
+        (iid(uniform(), 8), False), (pattern((rademacher(), uniform()), 8), False),
+        (ExchangeableModel(standardize_population(np.arange(1.0, 9.0))), True),
+    ], ids=["iid", "independent", "exchangeable"])
+    def test_mixed_fields_come_together(self, model, mixed):
+        m = moment_summary(model)
+        assert (m.mixed_4 is not None, m.mixed_var is not None) == (mixed, mixed)
 
     def test_user_model_without_moments_is_rejected(self):
         model = IIDModel("custom", lambda rng, size: rng.standard_normal(size, dtype=np.float32))
@@ -443,13 +446,47 @@ class TestMomentSummaryInvariants:
         assert uniform().constant("diff_abs3") == uniform().diff_abs3
 
     def test_independent_moments_take_worst_coordinate(self):
-        model = IndependentModel((rademacher(), uniform()), np.array([0, 1]))
-        m = independent_moments(model)
-        assert m.fourth_max == pytest.approx(9.0 / 5.0)
-        assert m.abs3_max == pytest.approx(3.0 * SQRT3 / 4.0)
-        assert m.fourth == 1.0  # first coordinate
-        # the first coordinate's law need not be the first law
-        assert independent_moments(IndependentModel((rademacher(), uniform()), [1, 0])).fourth == 1.8
+        # whichever law the first coordinate draws from
+        for index in ([0, 1], [1, 0]):
+            m = moment_summary(IndependentModel((rademacher(), uniform()), np.array(index)))
+            assert m.fourth == pytest.approx(9.0 / 5.0)
+            assert m.abs3 == pytest.approx(3.0 * SQRT3 / 4.0)
+
+
+class TestStandardizedLaws:
+    @pytest.mark.parametrize("values,probs", [
+        ([-2.0, 2.0], [0.5, 0.5]),  # second moment 4
+        ([-1.0, 1.0], [0.25, 0.75]),  # mean 1/2
+        ([-1.0, 1.0], [0.5, 0.6]),  # probabilities sum to 1.1
+        ([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5]),  # a zero probability
+        ([-1.0, 0.0, 1.0], [0.6, -0.2, 0.6]),  # a negative probability
+        ([-1.0, 1.0 + 1e-11], [0.5, 0.5]),  # mean and second moment off by 5e-12, 1e-11
+    ], ids=["wide", "shifted", "overweight", "zero-probability", "negative-probability",
+            "beyond-rounding"])
+    def test_a_support_that_is_not_standardized_is_refused(self, values, probs):
+        with pytest.raises(InvalidMomentsError, match="needs a standardized support"):
+            IIDModel("law", rademacher().sampler, support=(np.array(values), np.array(probs)))
+
+    @pytest.mark.parametrize("name", ["abs3", "fourth"])
+    def test_a_declared_constant_below_one_is_refused(self, name):
+        with pytest.raises(InvalidMomentsError, match=f"declares {name} = 0.99; below 1"):
+            IIDModel("law", uniform().sampler, **{name: 0.99})
+        # EX^4 >= 1 and E|X|^3 >= 1 may miss by rounding, 1e-9
+        assert getattr(IIDModel("law", uniform().sampler, **{name: 1.0 - 1e-10}), name) < 1.0
+
+    @pytest.mark.parametrize("p", [1e-9, 1e-3, 0.2, 0.3, 0.5, 0.77, 1.0 - 1e-9])
+    def test_catalog_supports_are_standardized(self, p):
+        for law in (rademacher(), two_point(p)):
+            vals, probs = law.support
+            assert abs(float(probs @ vals)) <= sources.SUPPORT_TOL
+            assert abs(float(probs @ vals**2) - 1.0) <= sources.SUPPORT_TOL
+
+    def test_a_standardized_support_within_rounding_is_accepted(self):
+        third = 1.0 / 3.0
+        law = IIDModel("three", rademacher().sampler,
+                       support=(np.array([-math.sqrt(1.5), 0.0, math.sqrt(1.5)]),
+                                np.array([third, third, third])))
+        assert law.constant("fourth") == pytest.approx(1.5, rel=1e-15)
 
 
 class TestExchangeableMoments:
