@@ -7,12 +7,10 @@ from .bounds import (
     RESAMPLING,
     TRANSPOSITION,
     BoundReport,
-    EijStats,
     ExchangeableConstants,
     bound_abstract,
     compute_bound,
     eij_second_moments,
-    linearity_residual,
     pair_for,
     stein_lambda,
 )

@@ -52,14 +52,13 @@ the paper:
   chosen coordinates; the shrinkage constant is 2/(n-1), and the closed
   form of its errors E_ij needs every direction row to sum to zero.
 
-For both, the conditional mean E[S' - S | x] and the conditional
-second-moment errors E_ij have closed forms in the current state x.  The
-linearity residual E[S' - S | x] + lambda S turns out not to depend on x,
-so it is checked in closed form too.  On the closed forms rest the error
-statistics feeding the abstract bound, all exact: the second moments
-E E_ij^2 over the state, whose Jensen envelopes bound sum_ij E|E_ij| and
-E sqrt(sum_ij E_ij^2), and the third-moment sum.  So the abstract bound
-is a proved inequality and draws no state.
+For both, the linearity E[S' - S | x] = -lambda S holds, because every
+model is checked standardized when it is built, and the conditional
+second-moment errors E_ij have closed forms in the current state x.  On
+them rest the error statistics feeding the abstract bound, all exact: the
+second moments E E_ij^2 over the state, whose Jensen envelopes bound
+sum_ij E|E_ij| and E sqrt(sum_ij E_ij^2), and the third-moment sum.  So
+the abstract bound is a proved inequality and draws no state.
 
 Every report decomposes its total into a fourth-moment term, a
 third-moment term, and a mixed-moment term (zero outside T4/T5), with
@@ -143,20 +142,6 @@ class ExchangeableConstants:
 DEFAULT_EXCHANGEABLE_CONSTANTS = ExchangeableConstants()
 
 
-class EijStats(NamedTuple):
-    """Conditional-second-moment error statistics feeding the abstract bound.
-
-    ``sum_abs`` is an upper bound on sum_ij E|E_ij|; ``sqrt_sum_sq`` is an
-    upper bound on E (sum_ij E_ij^2)^(1/2).  :func:`compute_bound` passes
-    the Jensen envelopes sum_ij sqrt(E E_ij^2) and sqrt(sum_ij E E_ij^2) of
-    the exact second moments.  Either may be ``inf`` when unknown, which
-    simply removes that branch of the min.
-    """
-
-    sum_abs: float
-    sqrt_sum_sq: float
-
-
 def theorem_spec(theorem: str, ds: DirectionSet, model: Model) -> Theorem:
     """The row of ``theorem``, once the model's family and dimension and the
     two rules on the rows (module docstring) are checked; O(k n) time."""
@@ -204,10 +189,9 @@ def compute_bound(
         raise InvalidInputError(f"test function dimension {g.dimension} != k = {k}")
     if row.pair:
         second = eij_second_moments(ds, model)
-        eij = EijStats(
-            sum_abs=float(np.sqrt(second).sum()), sqrt_sum_sq=math.sqrt(float(second.sum()))
-        )
-        report = bound_abstract(stein_lambda(model), eij, third_moment_sum(ds, model), g, k)
+        report = bound_abstract(stein_lambda(model), float(np.sqrt(second).sum()),
+                                math.sqrt(float(second.sum())), third_moment_sum(ds, model),
+                                g, k)
         return replace(report, n=ds.n)
     m = moment_summary(model)
     lam = ds.lambda_max if row.gram else 1.0
@@ -233,7 +217,8 @@ def compute_bound(
 
 def bound_abstract(
     lambda_stein: float,
-    eij_stats: EijStats,
+    sum_abs: float,
+    sqrt_sum_sq: float,
     third_stats: float,
     g: TestFunction,
     k: int,
@@ -241,19 +226,23 @@ def bound_abstract(
     """Abstract exchangeable-pair bound from upper bounds on its error
     statistics.
 
-    ``third_stats`` is sum_i E|X'_i - X_i|^3.  With exact or enveloped
-    inputs the result is a proved inequality.  The report records which
-    branch of the min was taken.
+    ``sum_abs`` bounds sum_ij E|E_ij| and ``sqrt_sum_sq`` bounds
+    E (sum_ij E_ij^2)^(1/2); :func:`compute_bound` passes the Jensen
+    envelopes of the exact second moments (:func:`eij_second_moments`).
+    Either may be ``inf`` when unknown, which removes that branch of the
+    min.  ``third_stats`` is sum_i E|X'_i - X_i|^3.  With exact or
+    enveloped inputs the result is a proved inequality.  The report records
+    which branch of the min was taken.
     """
     # Written so that NaN fails each comparison.
     if not lambda_stein > 0:
         raise InvalidInputError(f"the linearity constant must be positive, got {lambda_stein}")
     if k < 1:
         raise InvalidInputError(f"need k >= 1, got {k}")
-    if not all(v >= 0 for v in (eij_stats.sum_abs, eij_stats.sqrt_sum_sq, third_stats)):
+    if not all(v >= 0 for v in (sum_abs, sqrt_sum_sq, third_stats)):
         raise InvalidInputError("error statistics must be non-negative (inf allowed, not NaN)")
-    branch_abs = g.g1 / (2.0 * lambda_stein) * eij_stats.sum_abs
-    branch_sq = math.sqrt(k) * g.grad_sup / (2.0 * lambda_stein) * eij_stats.sqrt_sum_sq
+    branch_abs = g.g1 / (2.0 * lambda_stein) * sum_abs
+    branch_sq = math.sqrt(k) * g.grad_sup / (2.0 * lambda_stein) * sqrt_sum_sq
     if branch_abs <= branch_sq:
         term_fourth, min_branch = branch_abs, MIN_BRANCH_ABS
     else:
@@ -278,38 +267,6 @@ def stein_lambda(model: Model) -> float:
     if family(model) == EXCHANGEABLE:
         return 2.0 / (model.n - 1)
     return 1.0 / model.n
-
-
-# --------------------------------------------------------------------------
-# Exact conditional expectations
-
-def _law_mean(law) -> float:
-    """E X of a scalar law: enumerated over a finite support, declared 0
-    otherwise (every model is standardized)."""
-    return float(law.support[0] @ law.support[1]) if law.support is not None else 0.0
-
-
-def linearity_residual(ds: DirectionSet, model: Model) -> float:
-    """max_i |E[S'^i - S^i | x] + lambda S^i| for the model's pair.  It is
-    the same at every state x, so no state is drawn.
-
-    Resampling: E[S' - S | x] = theta (mu - x) / n with mu_r = E X*_r and
-    lambda = 1/n, so the sum is theta mu / n.  Transposition, with
-    W = sum_r x_r: E[S' - S | x] = 2 (W theta 1 - n S) / (n (n-1)) and
-    lambda = 2/(n-1), so the sum is 2 W theta 1 / (n (n-1)), where W is the
-    population sum for every permutation x.  Either way the sum is
-    lambda E[S], which is 0 for every standardized model whatever the rows
-    sum to, so what is left is the rounding of the declared means.
-    """
-    theta = ds.vectors
-    lam = stein_lambda(model)
-    if model.n != ds.n:
-        raise InvalidInputError("model dimension does not match the direction set")
-    if isinstance(model, ExchangeableModel):
-        mean_s = math.fsum(model.population) / ds.n * theta.sum(axis=1)
-    else:
-        mean_s = theta @ model.per_coordinate(_law_mean)
-    return lam * float(np.max(np.abs(mean_s)))
 
 
 # --------------------------------------------------------------------------
@@ -493,6 +450,6 @@ def eij_second_moments(ds: DirectionSet, model: Model) -> np.ndarray:
     theta = ds.vectors
     if isinstance(model, ExchangeableModel):
         return _transposition_second_moments(theta, model.population)
-    fourth = model.per_coordinate(lambda law: law.constant("fourth"))
+    fourth = np.array([law.constant("fourth") for law in model.laws])[model.law_index]
     t2 = theta * theta
     return (t2 * np.maximum(fourth - 1.0, 0.0)) @ t2.T / (ds.n * ds.n)

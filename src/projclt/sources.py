@@ -282,10 +282,6 @@ class IndependentModel:
     def n(self) -> int:
         return self.law_index.size
 
-    def per_coordinate(self, constant: Callable[[IIDModel], float]) -> np.ndarray:
-        """``constant(law)`` for each coordinate, evaluated once per law."""
-        return np.array([constant(law) for law in self.laws])[self.law_index]
-
 
 def iid(law: IIDModel, n: int) -> IndependentModel:
     """The i.i.d. model of n coordinates drawn from ``law``."""

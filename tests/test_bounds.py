@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from projclt.bounds import (
     DEFAULT_EXCHANGEABLE_CONSTANTS,
     THEOREMS,
-    EijStats,
     ExchangeableConstants,
     bound_abstract,
     compute_bound,
@@ -305,7 +304,7 @@ class TestTheoremTable:
 
 class TestAbstractBound:
     def test_degenerate_identity_pair(self):
-        rep = bound_abstract(0.5, EijStats(0.0, 0.0), 0.0, unit_cosine(2), 2)
+        rep = bound_abstract(0.5, 0.0, 0.0, 0.0, unit_cosine(2), 2)
         assert rep.total == 0.0
 
     def test_assembly_identity_with_proof_envelopes(self):
@@ -317,7 +316,7 @@ class TestAbstractBound:
         lam = 1.0 / n
         env_sq = (1.0 / n) * ds.sum_l4_sq * math.sqrt(m.fourth - 1.0)
         env_third = (8.0 / n) * m.abs3 * ds.sum_l3_cubed
-        rep_abs = bound_abstract(lam, EijStats(math.inf, env_sq), env_third, g, k)
+        rep_abs = bound_abstract(lam, math.inf, env_sq, env_third, g, k)
         rep_ind = compute_bound("T2", ds, iid(uniform(), n), g)
         assert rep_abs.min_branch == "sqrt-sum-sq"
         assert rep_abs.term_fourth == pytest.approx(rep_ind.term_fourth, abs=1e-12)
@@ -326,35 +325,39 @@ class TestAbstractBound:
 
     def test_min_branch_reporting(self):
         g = unit_cosine(2)
-        rep = bound_abstract(0.1, EijStats(0.001, math.inf), 0.0, g, 2)
+        rep = bound_abstract(0.1, 0.001, math.inf, 0.0, g, 2)
         assert rep.min_branch == "sum-abs"
-        rep2 = bound_abstract(0.1, EijStats(math.inf, 0.001), 0.0, g, 2)
+        rep2 = bound_abstract(0.1, math.inf, 0.001, 0.0, g, 2)
         assert rep2.min_branch == "sqrt-sum-sq"
 
     def test_inflating_one_branch_never_decreases_total(self):
         g = unit_cosine(2)
-        base = bound_abstract(0.1, EijStats(0.5, 0.3), 0.2, g, 2)
-        inflated = bound_abstract(0.1, EijStats(50.0, 0.3), 0.2, g, 2)
+        base = bound_abstract(0.1, 0.5, 0.3, 0.2, g, 2)
+        inflated = bound_abstract(0.1, 50.0, 0.3, 0.2, g, 2)
         assert inflated.total >= base.total
-        capped = bound_abstract(0.1, EijStats(math.inf, 0.3), 0.2, g, 2)
+        capped = bound_abstract(0.1, math.inf, 0.3, 0.2, g, 2)
         assert inflated.total <= capped.total + 1e-15
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
     def test_nonpositive_or_nan_lambda_rejected(self, lam):
         with pytest.raises(InvalidInputError, match="linearity constant"):
-            bound_abstract(lam, EijStats(1.0, 1.0), 1.0, unit_cosine(2), 2)
+            bound_abstract(lam, 1.0, 1.0, 1.0, unit_cosine(2), 2)
 
-    @pytest.mark.parametrize("eij,third", [
-        (EijStats(math.nan, math.nan), 1.0), (EijStats(math.nan, 1.0), 1.0),
-        (EijStats(1.0, math.nan), 1.0), (EijStats(1.0, 1.0), math.nan),
-        (EijStats(-1.0, 1.0), 1.0), (EijStats(1.0, 1.0), -1e-300),
+    @pytest.mark.parametrize("stats", [
+        (math.nan, math.nan, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+        (1.0, 1.0, math.nan), (-1.0, 1.0, 1.0), (1.0, 1.0, -1e-300),
     ])
-    def test_nan_or_negative_statistic_rejected(self, eij, third):
+    def test_nan_or_negative_statistic_rejected(self, stats):
         with pytest.raises(InvalidInputError, match="non-negative"):
-            bound_abstract(0.5, eij, third, unit_cosine(2), 2)
+            bound_abstract(0.5, *stats, unit_cosine(2), 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(InvalidInputError, match="need k >= 1"):
+            bound_abstract(0.5, 1.0, 1.0, 1.0, unit_cosine(2), k)
 
     def test_infinite_statistics_are_allowed(self):
-        rep = bound_abstract(0.5, EijStats(math.inf, math.inf), math.inf, unit_cosine(2), 2)
+        rep = bound_abstract(0.5, math.inf, math.inf, math.inf, unit_cosine(2), 2)
         assert rep.total == math.inf
 
 

@@ -109,6 +109,11 @@ class TestDirectionSetValidation:
         assert not DirectionSet(np.array([[1.0, 0.0]])).centered
         assert DirectionSet(np.array([[math.sqrt(0.5), -math.sqrt(0.5)]])).centered
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0), (0,)])
+    def test_empty_array_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            DirectionSet(np.empty(shape))
+
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(InvalidInputError, match="need k <= n"):
             DirectionSet(np.eye(3, 2))
@@ -382,6 +387,10 @@ class TestSerialization:
     def test_trailing_header_text_rejected(self, header):
         with pytest.raises(InvalidInputError, match="malformed direction header"):
             DirectionSet.from_csv(f"{header}\n1.0,0.0\n0.0,1.0\n")
+
+    def test_fewer_rows_than_the_header_k_rejected(self):
+        with pytest.raises(InvalidInputError, match="1 direction rows, the header says k=2"):
+            DirectionSet.from_csv("# n=2 k=2\n1.0,0.0\n")
 
     def test_save_load(self, tmp_path):
         ds = hypercube_directions(16, 4)

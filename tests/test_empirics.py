@@ -13,7 +13,6 @@ from projclt.bounds import (
     _mean_abs3_diff,
     compute_bound,
     eij_second_moments,
-    linearity_residual,
     stein_lambda,
     third_moment_sum,
 )
@@ -215,35 +214,7 @@ def skewed_model(n):
     return ExchangeableModel(standardize_population(np.r_[np.zeros(n - 2), [1.0, 5.0]]))
 
 
-EVERY_LAW = [
-    *(iid(law, 33) for law in (rademacher(), uniform(), two_point(0.3), centered_exponential())),
-    pattern((rademacher(), uniform(), two_point(0.2), centered_exponential()), 33),
-]
-LAW_IDS = ["rademacher", "uniform", "two_point", "exponential", "independent"]
-
-
 class TestConditionalLinearity:
-    def test_resampling_small_sign_model_is_exact(self):
-        assert linearity_residual(hypercube_directions(4, 2), iid(rademacher(), 4)) == 0.0
-
-    @pytest.mark.parametrize("centered", [True, False])
-    @pytest.mark.parametrize("model", EVERY_LAW, ids=LAW_IDS)
-    def test_resampling_residual_is_rounding_for_every_law(self, model, centered):
-        ds = random_orthonormal(33, 3, seed=5, centered=centered)
-        assert linearity_residual(ds, model) <= 1e-15
-
-    @pytest.mark.parametrize("centered", [True, False])
-    @pytest.mark.parametrize("values", [
-        np.arange(1.0, 34.0), np.arange(33) % 2, np.random.default_rng(9).lognormal(size=33),
-        np.r_[np.zeros(31), [1.0, 5.0]], np.r_[np.zeros(14), [1.0, 5.0]],
-    ], ids=["ramp", "alternating", "lognormal", "skewed", "skewed16"])
-    def test_transposition_residual_is_rounding_for_every_population(self, values, centered):
-        # W = sum_r x_r is the population sum at every state, so rows that do
-        # not sum to zero leave the identity exact too
-        ds = random_orthonormal(values.size, 3, seed=6, centered=centered)
-        model = ExchangeableModel(standardize_population(values))
-        assert linearity_residual(ds, model) <= 1e-15
-
     def test_non_centered_counterexample(self):
         # at a generic (non-zero-sum) state, a non-centered direction breaks
         # the shrinkage identity by 2 (sum_r theta^r) (sum_r x_r) / (n(n-1))
@@ -267,9 +238,10 @@ class TestConditionalLinearity:
              "transposition-non-centered", "transposition-skewed"],
     )
     def test_closed_form_matches_enumeration(self, model, ds):
-        # Random float64 states: permutations of the population under the
-        # transposition, generic vectors under resampling (whose residual
-        # does not depend on x either).
+        # The enumerated residual E[S' - S | x] + lambda S is rounding at
+        # random float64 states: permutations of the population under the
+        # transposition, generic vectors under resampling (whose residual,
+        # theta E[X] / n, does not depend on x).  No row need sum to zero.
         rng = np.random.default_rng(17)
         if isinstance(model, ExchangeableModel):
             pair, states = TRANSPOSITION, rng.permuted(np.tile(model.population, (40, 1)), axis=1)
@@ -279,7 +251,7 @@ class TestConditionalLinearity:
         for x in states:
             cond = conditional_mean_enumerated(x, ds, model, pair)
             resid = float(np.max(np.abs(cond + lam * project(x, ds))))
-            assert abs(linearity_residual(ds, model) - resid) <= 1e-12
+            assert resid <= 1e-12
 
     def test_lambda_values(self):
         assert stein_lambda(iid(uniform(), 100)) == 0.01
@@ -574,11 +546,6 @@ class TestRepeatedLawObjects:
         np.testing.assert_array_equal(eij_second_moments(ds, model),
                                       (t2 * (fourth - 1.0)) @ t2.T / model.n**2)
 
-        means = np.array([float(c.support[0] @ c.support[1]) if c.support is not None else 0.0
-                          for c in coords])
-        assert linearity_residual(ds, model) == stein_lambda(model) * float(
-            np.max(np.abs(ds.vectors @ means)))
-
 
 def abs3_kernel_cases():
     rng = np.random.default_rng(31)
@@ -699,6 +666,12 @@ class TestEstimateDiscrepancy:
         finally:
             proc.kill()
             proc.join()
+
+    def test_test_function_of_another_dimension_is_rejected(self):
+        g = unit_cosine(3)
+        with pytest.raises(InvalidInputError, match="test function dimension 3 != k = 2"):
+            estimate_discrepancy(hypercube_directions(16, 2), iid(rademacher(), 16), g,
+                                 gaussian_expectation(g, GaussianSpec.identity(3)), 2000, seed=0)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_are_rejected(self, workers):
@@ -1039,12 +1012,11 @@ class TestRankBinPath:
     lambda ds, law, g: verify_bound("T2", ds, law, g, samples=2000, seed=0),
     lambda ds, law, g: estimate_discrepancy(ds, law, g, Expectation(0.0, 0.0, "closed-form"),
                                             2000, seed=0),
-    lambda ds, law, g: linearity_residual(ds, law),
     lambda ds, law, g: third_moment_sum(ds, law),
     lambda ds, law, g: eij_second_moments(ds, law),
     lambda ds, law, g: stein_lambda(law),
-], ids=["compute_bound", "verify_bound", "estimate_discrepancy", "linearity_residual",
-        "third_moment_sum", "eij_second_moments", "stein_lambda"])
+], ids=["compute_bound", "verify_bound", "estimate_discrepancy", "third_moment_sum",
+        "eij_second_moments", "stein_lambda"])
 def test_a_bare_law_is_refused_with_the_iid_model(call):
     # a scalar law has no n: the i.i.d. model of n of its coordinates is iid(law, n)
     with pytest.raises(InvalidInputError, match=r"iid\(law, n\)"):

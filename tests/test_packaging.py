@@ -1,6 +1,7 @@
 """The library's runtime needs: numpy and the standard library, and
-pyproject.toml declares exactly that."""
+pyproject.toml declares exactly that; and the names the package exports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -35,3 +36,27 @@ def test_numpy_is_the_one_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=2.0"]
+
+
+# The public names ``projclt/__init__.py`` imports, sorted: a change to the
+# package's API shows here as a diff.
+PUBLIC_NAMES = [
+    "BoundReport", "ConfigError", "DEFAULT_EXCHANGEABLE_CONSTANTS", "DirectionSet",
+    "DiscrepancyEstimate", "ExchangeableConstants", "ExchangeableModel", "Expectation",
+    "GaussianSpec", "IIDModel", "IndependentModel", "InvalidInputError", "InvalidMomentsError",
+    "LinearDependenceError", "MissingMomentsError", "MomentSummary", "ProjcltError",
+    "RESAMPLING", "TRANSPOSITION", "TestFunction", "UnsupportedDimensionError",
+    "UnsupportedMethodError", "VerificationReport", "bound_abstract", "bump_testfn",
+    "centered_exponential", "compute_bound", "cosine_testfn", "eij_second_moments",
+    "estimate_discrepancy", "exchangeable_moments", "gaussian_expectation",
+    "hypercube_directions", "iid", "load_population", "moment_summary", "pair_for",
+    "rademacher", "random_orthonormal", "sample_tiles", "standardize_population",
+    "stein_lambda", "two_point", "uniform", "verify_bound",
+]
+
+
+def test_the_package_exports_the_pinned_names():
+    tree = ast.parse((ROOT / "src" / "projclt" / "__init__.py").read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert sorted(name for name in names if not name.startswith("_")) == PUBLIC_NAMES

@@ -89,6 +89,11 @@ class TestCatalogMoments:
         assert float(vals**2 @ probs) == pytest.approx(1.0, abs=1e-15)
         assert model.constant("diff_abs3") == pytest.approx(2 * 0.2 * 0.8 * 2.5**3, rel=1e-14)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_two_point_outside_the_open_unit_interval_is_refused(self, p):
+        with pytest.raises(InvalidInputError, match="two_point needs 0 < p < 1"):
+            two_point(p)
+
     def test_two_point_against_monte_carlo_oracle(self):
         model = two_point(0.2)
         draws = model.sampler(stream(1234), 10_000_000)
@@ -549,6 +554,16 @@ class TestExchangeableMoments:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("draw", [
+        lambda count: next(sample_tiles(iid(rademacher(), 8), 1, 0, count)),
+        lambda count: sample_class_sums((rademacher(),), (8,), 1, 0, count),
+        lambda count: sample_rank_bins(np.ones((8, 1), dtype=np.float32), (4, 4), 1, 0, count),
+    ], ids=["tiles", "class-sums", "rank-bins"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_refused(self, draw, count):
+        with pytest.raises(InvalidInputError, match="block count must be positive"):
+            draw(count)
+
     def test_rademacher_support(self):
         x = sample_block(iid(rademacher(), 64), seed=3, start=0, count=1)
         assert set(np.unique(x)) <= {-1.0, 1.0}

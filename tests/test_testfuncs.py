@@ -118,6 +118,10 @@ class TestSeminormCheck:
         return TestFunction(kind="x", dimension=k, evaluate=None, g1=g1, g2=g2,
                             grad_sup=grad_sup, hess_op_sup=hess_op_sup)
 
+    def test_dimension_zero_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="dimension must be >= 1"):
+            self.make(1.0, 1.0, 1.0, 1.0, k=0)
+
     @pytest.mark.parametrize("seminorms", [
         (5e-10, 1e-10, 0.0, 0.0),  # a chain broken below any absolute tolerance
         (1e-300, 1e-300, 0.99e-300, 1e-300),
@@ -164,6 +168,10 @@ class TestSeminormCheck:
 
 
 class TestBump:
+    def test_dimension_zero_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="bump dimension must be >= 1"):
+            bump_testfn(1.0, 0)
+
     def test_values_at_center_and_outside(self):
         g = bump_testfn(radius=1.5, k=2)
         pts = np.array([[0.0, 0.0], [1.5, 0.0], [2.0, 1.0]])
@@ -229,6 +237,11 @@ class TestGaussianSpec:
         rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
         spec = GaussianSpec(DirectionSet(rows).gram)
         np.testing.assert_allclose(np.diagonal(spec.covariance), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="square matrix"):
+            GaussianSpec(np.ones(shape))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
