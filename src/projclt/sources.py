@@ -17,7 +17,7 @@ must be standardized.
 
 :func:`projections` is the one way to draw the projections S = theta X
 of a block of samples: it chooses, from the direction rows and the model,
-whether a block draws coordinates (:func:`sample_tiles`), sums of classes
+whether a block draws coordinates (:func:`_law_draws`), sums of classes
 of coordinates (:func:`sample_class_sums`) or per-bin sums of a uniform
 partition (:func:`sample_rank_bins`), and returns the plan that draws it.
 Seeding is splittable: a block starting at sample index i consumes the
@@ -28,15 +28,21 @@ Results therefore do not depend on how fixed-size blocks are distributed
 across workers.  Tiles are TILE_ROWS high, a height that is part of this
 contract.
 
-Every coordinate draw is float32.  Catalog samplers take ``(rng, size)``
-and read the stream's 64-bit words directly, low 32-bit half first:
-two-point draws are bit-identical to numpy's float32 fill; a uniform draw
-is the top 23 bits of a 32-bit half-word made into a float32 in [1, 2)
-and mapped affinely onto [-sqrt(3), sqrt(3)), in the words' own buffer;
-the centered exponential is the inverse CDF of one 32-bit word.  Rademacher
-draws take one bit each from the stream's words, least significant bit
-first, eight at a time through a byte lookup table.  A model of several
-laws draws law by law, LAW_ROWS rows per sampler call.  An exchangeable
+Every coordinate draw is float32, and reads only the stream bits its law
+needs.  Catalog samplers take ``(rng, size)`` and read the stream's 64-bit
+words directly, least significant bits first.  A Rademacher draw takes one
+bit, eight at a time through a byte lookup table.  A two-point draw takes
+one byte, and a 16-bit quarter-word more in the 1 case of 256 where the
+byte ties with its threshold's top byte (:func:`_indicators`).  A uniform
+draw is the top 23 bits of a 32-bit half-word made into a float32 in
+[1, 2) and mapped affinely onto [-sqrt(3), sqrt(3)), in the words' own
+buffer; the centered exponential is the inverse CDF of one 32-bit
+half-word.  Each of the last three declares that variate Y, the float32
+in [1, 2), the 0/1 indicator of the upper value or log u, with X = a + b Y
+(:class:`Variate`): the coordinate path projects Y and applies a and b
+once per projected row, and the sampler finishes the same draws into X.
+A model of several laws draws law by law, LAW_ROWS rows per sampler call,
+and projects each law's block with its own rows.  An exchangeable
 model sorts 64-bit keys: a 32-bit stream half-word high, the float32 bits
 of a population value low.  A row in which two half-words tie is redrawn,
 so every permutation is exactly uniform and the sorted low halves are the
@@ -67,15 +73,17 @@ from .errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 SEED_LIMIT = 1 << 64
 # Rows per sampling tile: 1 MB of float32 at n = 4096, so a tile stays in L2
 # while it is projected.  Part of the determinism contract (exchangeable
-# tiles redraw tied rows tile by tile), and a multiple of 64, so that every
+# tiles redraw tied rows tile by tile, and a two-point tile reads its tied
+# bytes' extra bits after its own bytes), and a multiple of 64, so that every
 # tile ends on a whole stream word (a Rademacher draw reads one bit).
 TILE_ROWS = 64
-# Rows per sampler call for independent models, which draw law by law and
-# hand the rows out as TILE_ROWS tiles.  One call per law and 64-row tile
-# made a two-worker verify of a three-law pattern at n = 1024 about 40 %
-# slower than one draw of the whole block; 256-row calls are not slower,
-# and their (n, LAW_ROWS) float32 buffer is 4 MB at n = 4096.  Part of the
-# determinism contract.
+# Rows per sampler call for independent models, which draw law by law.
+# One call per law and 64-row tile made a two-worker verify of a three-law
+# pattern at n = 1024 about 40 % slower than one draw of the whole block;
+# 256-row calls are not slower.  The projection path projects each law's
+# (n_j, LAW_ROWS) block by one BLAS product with that law's rows, and only
+# sample_tiles gathers the blocks into rows.  Part of the determinism
+# contract.
 LAW_ROWS = 4 * TILE_ROWS
 # Keys per difference array of the tie check: 256 KB of uint64, so that the
 # check adds at most that much (or one row) to a tile's keys.
@@ -174,12 +182,26 @@ Sampler = Callable[[np.random.Generator, object], np.ndarray]
 SumSampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 
+class Variate(NamedTuple):
+    """A float32 variate Y of a law, with X = a + b Y: ``draw(rng, size)``
+    reads the stream words that the law's sampler reads for the same size,
+    and the sampler finishes those draws into X."""
+
+    draw: Sampler
+    a: float
+    b: float
+
+
 @dataclass(frozen=True, eq=False)
 class IIDModel:
     """A standardized scalar law: sampler plus moment constants.
 
     ``sampler(rng, size)`` draws ``size`` (an int or a shape tuple) values
-    from the generator ``rng`` and returns them as float32.  ``support``
+    from the generator ``rng`` and returns them as float32.  ``variate``,
+    where given, is the cheapest float32 variate Y the sampler finishes
+    into X = a + b Y (:class:`Variate`); the coordinate path projects Y
+    and applies a and b once per projected row.  A law without one is its
+    own variate, with (a, b) = (0, 1).  ``support``
     carries (values, probabilities) for finitely supported laws; exact
     conditional expectations enumerate it directly.  ``abs3``, ``fourth``
     and ``diff_abs3`` are E|X|^3, EX^4 and E|X - X'|^3 for an independent
@@ -201,6 +223,7 @@ class IIDModel:
     support: Optional[tuple[np.ndarray, np.ndarray]] = None
     diff_abs3: Optional[float] = None
     sum_sampler: Optional[SumSampler] = None
+    variate: Optional[Variate] = None
 
     def __post_init__(self):
         if self.support is not None:
@@ -351,14 +374,6 @@ def _words32(rng, size) -> np.ndarray:
     return rng.bit_generator.random_raw((count + 1) // 2).view(np.uint32)[:count]
 
 
-def _top24(rng, size) -> np.ndarray:
-    """The 24-bit integers k with ``rng.random(size, dtype=np.float32)`` =
-    k * 2^-24, as int32."""
-    words = _words32(rng, size)
-    words >>= 8
-    return words.view(np.int32)
-
-
 # Byte -> its 8 bits as -1.0/+1.0, least significant first, so that a run of
 # little-endian stream words gives draw j from bit j mod 64 of word j // 64.
 _BYTE_SIGNS = (2.0 * np.unpackbits(
@@ -396,50 +411,78 @@ _SQRT3 = math.sqrt(3.0)
 _UNIFORM_WIDTH32 = np.float32(2.0 * _SQRT3)
 
 
-def _sample_uniform(rng, size):
-    # The top 23 bits of a half-word as the mantissa of a float32 1 + j 2^-23
-    # in [1, 2).  Subtracting 1.5 is exact, and the product rounds once, so a
-    # draw is float32((j - 2^22) 2^-23 float32(2 sqrt(3))): a lattice of 2^23
-    # points on [-float32(sqrt(3)), float32(sqrt(3))), inside [-sqrt(3), sqrt(3)).
+def _uniform_variate(rng, size):
+    # The top 23 bits j of a half-word as the mantissa of the float32
+    # 1 + j 2^-23 in [1, 2).
     words = _words32(rng, size)
     words >>= 9
     words |= 0x3F800000
-    out = words.view(np.float32)
+    return words.view(np.float32).reshape(size)
+
+
+def _sample_uniform(rng, size):
+    # Subtracting 1.5 is exact, and the product rounds once, so a draw is
+    # float32((j - 2^22) 2^-23 float32(2 sqrt(3))): a lattice of 2^23 points
+    # on [-float32(sqrt(3)), float32(sqrt(3))), inside [-sqrt(3), sqrt(3)).
+    out = _uniform_variate(rng, size)
     out -= np.float32(1.5)
     out *= _UNIFORM_WIDTH32
-    return out.reshape(size)
+    return out
 
 
 def uniform() -> IIDModel:
     """Uniform on [-sqrt(3), sqrt(3)]: E|X|^3 = 3 sqrt(3)/4, EX^4 = 9/5, and
     E|X - X'|^3 = (2 sqrt(3))^3/10, since X - X' is triangular.  The draws
-    take 2^23 values, equally spaced up to float32 rounding."""
+    take 2^23 values, equally spaced up to float32 rounding; the variate is
+    the float32 in [1, 2) that a draw shifts by 1.5 and scales by
+    float32(2 sqrt(3))."""
+    width = float(_UNIFORM_WIDTH32)
     return IIDModel("uniform", _sample_uniform, abs3=3.0 * _SQRT3 / 4.0, fourth=9.0 / 5.0,
-                    diff_abs3=12.0 * _SQRT3 / 5.0)
+                    diff_abs3=12.0 * _SQRT3 / 5.0,
+                    variate=Variate(_uniform_variate, -1.5 * width, width))
+
+
+def _indicators(rng, size, high: int, low: int) -> np.ndarray:
+    """float32 indicators of k < high 2^16 + low for uniform 24-bit integers
+    k, read most significant bits first (Knuth & Yao 1976).  Each draw reads
+    one stream byte, the top 8 bits of its k, and compares it with ``high``
+    (at most 256).  Only a byte equal to ``high`` reads more: the next 16
+    bits of k, a 16-bit quarter-word taken in draw order, low quarter of
+    each word first, from the words after the call's bytes.  So a call of
+    c draws reads ceil(c/8) words, then ceil(ties/4)."""
+    count = _size(size)
+    words = rng.bit_generator.random_raw((count + 7) // 8)
+    top = words.astype("<u8", copy=False).view(np.uint8)[:count]
+    out = np.less(top, high).astype(np.float32)
+    tied = np.flatnonzero(top == high)
+    if tied.size:
+        words = rng.bit_generator.random_raw((tied.size + 3) // 4)
+        out[tied] = words.astype("<u8", copy=False).view("<u2")[:tied.size] < low
+    return out.reshape(size)
 
 
 def two_point(p: float = 0.2) -> IIDModel:
     """Two-point law with P(X = sqrt(q/p)) = p, P(X = -sqrt(p/q)) = q = 1-p.
-    A sum of m copies is m lo + (hi - lo) Binomial(m, p), with the declared p."""
+    A sum of m copies is m lo + (hi - lo) Binomial(m, p), with the declared p.
+
+    A coordinate draw is hi with probability t 2^-24 exactly, t =
+    ceil(float32(p) 2^24), the probability that a float32 uniform on the
+    2^24-point grid falls below float32(p).  Its variate is the 0/1
+    indicator of hi (:func:`_indicators`), and the draw is float32(lo) or
+    float32(hi)."""
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"two_point needs 0 < p < 1, got {p}")
     q = 1.0 - p
     hi = math.sqrt(q / p)
     lo = -math.sqrt(p / q)
-    # u = k 2^-24 < float32(p) exactly when the integer k < ceil(float32(p) 2^24).
-    threshold = math.ceil(float(np.float32(p)) * 2.0**24)
-    lo_bits = int(np.float32(lo).view(np.int32))
-    flip_bits = lo_bits ^ int(np.float32(hi).view(np.int32))
+    high, low = divmod(math.ceil(float(np.float32(p)) * 2.0**24), 1 << 16)
+    values = np.array([lo, hi], dtype=np.float32)
+
+    def variate(rng, size):
+        return _indicators(rng, size, high, low)
 
     def sample(rng, size):
-        # Exact bitwise select: k - threshold < 0 becomes an all-ones mask
-        # that turns the bits of lo into those of hi.
-        bits = _top24(rng, size)
-        bits -= threshold
-        bits >>= 31
-        bits &= flip_bits
-        bits ^= lo_bits
-        return bits.view(np.float32).reshape(size)
+        return values[variate(rng, size).astype(np.intp)]
 
     support = (np.array([lo, hi]), np.array([q, p]))
     return IIDModel(
@@ -449,16 +492,23 @@ def two_point(p: float = 0.2) -> IIDModel:
         fourth=p * hi**4 + q * lo**4,
         support=support,
         sum_sampler=_two_valued_sums(lo, hi, p),
+        variate=Variate(variate, lo, hi - lo),
     )
 
 
-def _sample_exponential(rng, size):
-    # Inverse CDF at (w + 1/2) 2^-32: the largest draw is 33 ln 2 - 1 ~ 21.9.
+def _exponential_variate(rng, size):
+    # log u at u = (w + 1/2) 2^-32.
     u = np.multiply(_words32(rng, size), np.float32(2.0**-32), dtype=np.float32)
     u += np.float32(2.0**-33)
     np.log(u, out=u)
-    np.subtract(-1.0, u, out=u)
     return u.reshape(size)
+
+
+def _sample_exponential(rng, size):
+    # The inverse CDF -log u - 1: the largest draw is 33 ln 2 - 1 ~ 21.9.
+    out = _exponential_variate(rng, size)
+    np.subtract(-1.0, out, out=out)
+    return out
 
 
 def _sum_exponential(rng, m, size):
@@ -469,10 +519,10 @@ def _sum_exponential(rng, m, size):
 def centered_exponential() -> IIDModel:
     """Exp(1) minus its mean: E|X|^3 = 12/e - 2, EX^4 = 9, and
     E|X - X'|^3 = 3! = 6, since X - X' is standard Laplace.  A sum of m
-    copies is Gamma(m) - m."""
+    copies is Gamma(m) - m.  The variate is log u, and X = -1 - log u."""
     return IIDModel(
         "exponential", _sample_exponential, abs3=12.0 / math.e - 2.0, fourth=9.0, diff_abs3=6.0,
-        sum_sampler=_sum_exponential,
+        sum_sampler=_sum_exponential, variate=Variate(_exponential_variate, -1.0, -1.0),
     )
 
 
@@ -679,43 +729,72 @@ def sample_rank_bins(
     return sums
 
 
-def sample_tiles(model: Model, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
-    """The float32 rows of the block for sample indices start..start+count-1,
-    in order, as (TILE_ROWS, n) tiles, the last one possibly shorter.
+def _variate(law: IIDModel) -> Variate:
+    """The variate ``law`` declares, else the law itself: (sampler, 0, 1)."""
+    return law.variate or Variate(law.sampler, 0.0, 1.0)
 
-    The block consumes the stream keyed by (seed, start) strictly in order,
-    tile after tile.  The tile height is part of the determinism contract:
-    an exchangeable tile redraws its tied rows before the next tile starts.
-    Callers that fix their block boundaries therefore get identical totals
-    no matter how blocks are distributed across workers.  A model of one
-    law draws each tile as one row-major (rows, n) sampler call.  A model
-    of several laws groups its coordinates by law (laws in order, coordinates
-    in index order), draws each group LAW_ROWS rows per sampler call into an
-    (n, LAW_ROWS) column buffer, and hands the buffer out as tiles.
+
+def _law_draws(model: Model, seed: int, start: int, count: int,
+               variates: bool) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The coordinate draws of the block for sample indices
+    start..start+count-1, in stream order, as (lo, j, draws): float32
+    (m, n_j) draws of rows lo..lo+m-1 of the n_j coordinates of law j, in
+    index order (every coordinate, j = 0, for a model of one law and for
+    an exchangeable model).  With ``variates`` a law draws its variate
+    (:func:`_variate`) in place of X; the stream words read are the same.
+
+    The block consumes the stream keyed by (seed, start) strictly in order.
+    A model of one law draws TILE_ROWS rows per row-major (m, n) sampler
+    call, and an exchangeable model TILE_ROWS permuted rows, redrawing
+    its tied rows before the next tile starts.  A model of several laws
+    draws LAW_ROWS rows at a time, law by law in the order of ``laws``,
+    one (n_j, m) sampler call per law, handed out transposed.
     """
     if count < 1:
         raise InvalidInputError("block count must be positive")
     kind = family(model)
     if kind == EXCHANGEABLE:
         _check_population_size(model.n)
+        pop = model.population.astype(np.float32)
+        samplers = [lambda rng, size: _permuted_rows(rng, pop, size[0])]
+    else:
+        samplers = [_variate(law).draw if variates else law.sampler for law in model.laws]
     rng = stream(seed, start)
     if kind == INDEPENDENT:
-        groups = [(law, np.flatnonzero(model.law_index == j)) for j, law in enumerate(model.laws)]
+        sizes = np.bincount(model.law_index)
         for lo in range(0, count, LAW_ROWS):
             m = min(LAW_ROWS, count - lo)
-            cols = np.empty((model.n, m), dtype=np.float32)
-            for law, index in groups:
-                cols[index] = law.sampler(rng, (index.size, m))
-            for t in range(0, m, TILE_ROWS):
-                yield cols[:, t:t + TILE_ROWS].T
+            for j, sample in enumerate(samplers):
+                yield lo, j, sample(rng, (sizes[j], m)).T
         return
-    pop = model.population.astype(np.float32) if kind == EXCHANGEABLE else None
     for lo in range(0, count, TILE_ROWS):
         m = min(TILE_ROWS, count - lo)
-        if pop is None:
-            yield model.laws[0].sampler(rng, (m, model.n))
-        else:
-            yield _permuted_rows(rng, pop, m)
+        yield lo, 0, samplers[0](rng, (m, model.n))
+
+
+def sample_tiles(model: Model, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    """The float32 rows of the block for sample indices start..start+count-1,
+    in order, as (TILE_ROWS, n) tiles, the last one possibly shorter.
+
+    The tiles hold the draws of :func:`_law_draws`, in its stream order.
+    The tile height is part of the determinism contract: a tile of a model
+    of one law is one sampler call, and an exchangeable tile redraws its
+    tied rows before the next tile starts.  Callers that fix their block
+    boundaries therefore get identical totals no matter how blocks are
+    distributed across workers.  A model of several laws gathers each
+    LAW_ROWS rows of its laws' draws into rows, handed out as tiles.
+    """
+    draws = _law_draws(model, seed, start, count, variates=False)
+    if family(model) != INDEPENDENT:
+        yield from (tile for _, _, tile in draws)
+        return
+    groups = [np.flatnonzero(model.law_index == j) for j in range(len(model.laws))]
+    for _, j, x in draws:
+        if j == 0:
+            rows = np.empty((x.shape[0], model.n), dtype=np.float32)
+        rows[:, groups[j]] = x
+        if j == len(groups) - 1:
+            yield from (rows[t:t + TILE_ROWS] for t in range(0, rows.shape[0], TILE_ROWS))
 
 
 def sample_class_sums(
@@ -819,9 +898,12 @@ def _column_classes(vectors: np.ndarray, code: np.ndarray,
     return first, sizes
 
 
-def _tile_projections(model, theta, seed, start, count):
-    tiles = sample_tiles(model, seed, start, count)
-    return np.concatenate([x @ theta for x in tiles]).astype(np.float64)
+def _coordinate_projections(model, rows, scales, offset, seed, start, count):
+    s = np.empty((count, offset.size))
+    s[:] = offset
+    for lo, j, y in _law_draws(model, seed, start, count, variates=True):
+        s[lo:lo + y.shape[0]] += (y @ rows[j]) * scales[j]
+    return s
 
 
 def _class_sum_projections(laws, sizes, columns, seed, start, count):
@@ -870,10 +952,14 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
 
     Every other cell draws coordinates in single precision (COORDINATES):
     the statistical error at any usable sample count dominates the
-    rounding by several orders of magnitude.  Each tile is projected and
-    dropped before the next is drawn, by one float32 BLAS product with the
-    (n, k) float32 theta, 2-4x faster than an einsum (2-core x86) and
-    byte-identical under one or two BLAS threads.
+    rounding by several orders of magnitude.  It projects each law's
+    variates Y (:class:`Variate`; an exchangeable row is its own), as
+    :func:`_law_draws` hands them out, and drops them before the next are
+    drawn: S = sum over laws j of b_j (Y_j theta_j) + sum_j a_j sum_(r in j)
+    theta^r, with theta_j the (n_j, k) float32 rows of theta of law j's
+    coordinates.  Each product is one float32 BLAS product, 2-4x faster
+    than an einsum (2-core x86) and byte-identical under one or two BLAS
+    threads, and a and b cost O(k) per projected row, not O(n).
     """
     n = vectors.shape[1]
     exchangeable = family(model) == EXCHANGEABLE
@@ -898,7 +984,15 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
             first, sizes = found
             return _grouped(CLASS_SUMS, _class_sum_projections,
                             tuple(laws[law_index[r]] for r in first), sizes, vectors[:, first].T)
-    return ProjectionPlan(COORDINATES, None, functools.partial(_tile_projections, model, theta))
+    if exchangeable:
+        law_index, affine = np.zeros(n, dtype=np.intp), [(0.0, 1.0)]
+    else:
+        affine = [(v.a, v.b) for v in map(_variate, laws)]
+    rows = tuple(np.ascontiguousarray(theta[law_index == j]) for j in range(len(affine)))
+    scales = tuple(np.float64(b) for _, b in affine)
+    offset = sum(a * r.sum(axis=0, dtype=np.float64) for (a, _), r in zip(affine, rows))
+    draw = functools.partial(_coordinate_projections, model, rows, scales, offset)
+    return ProjectionPlan(COORDINATES, None, draw)
 
 
 # --------------------------------------------------------------------------

@@ -786,11 +786,13 @@ class TestCheckCommand:
                    {"kind": "exponential"}]
         path = write_config(tmp_path, {"model": {"kind": "independent", "pattern": pattern}})
         assert main(["check", str(path)]) == 0
-        # moved once, when its first line, the pair's linearity residual, went
+        # moved once, when its first line, the pair's linearity residual, went;
+        # the two-point line moved once more, when two-point draws began to
+        # read one stream byte each (from abs3 1.68598, fourth 3.22163)
         assert capsys.readouterr().out == (
             "check moments rademacher: ok (abs3 1.00000 vs 1.00000, fourth 1.00000 vs 1.00000)\n"
             "check moments uniform: ok (abs3 1.30219 vs 1.29904, fourth 1.80438 vs 1.80000)\n"
-            "check moments two_point(0.2): ok (abs3 1.68598 vs 1.70000, fourth 3.22163 vs 3.25000)\n"
+            "check moments two_point(0.2): ok (abs3 1.69027 vs 1.70000, fourth 3.23032 vs 3.25000)\n"
             "check moments exponential: ok (abs3 2.44194 vs 2.41455, fourth 9.30219 vs 9.00000)\n")
 
     def test_wrong_moment_on_the_second_law_fails(self, tmp_path, monkeypatch, capsys):
@@ -920,7 +922,11 @@ COSINE_PHASE = {"kind": "cosine", "a": "ones-normalized", "phase": 0.3}
 # population have 1024 groups each, so it keeps the sorted-key permutation;
 # its digest was taken before rank bins came in.  The independent pattern's
 # uniform law declares no sum sampler, so it draws coordinates too; its
-# digest was taken before the choice of sampler moved into sources.
+# digest was taken before the choice of sampler moved into sources.  The
+# uniform and independent-pattern CSVs moved once more, in the last digits
+# of estimate and ci, when each law's variate was projected and its affine
+# map applied per projected row (uniform from 3330c4b6..., pattern from
+# 983f5e29..., whose laws' blocks are now projected one by one).
 COORDINATE_CSVS = {
     "random-rows": ({"model": {"kind": "rademacher"},
                      "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5},
@@ -929,7 +935,7 @@ COORDINATE_CSVS = {
     "uniform": ({"model": {"kind": "uniform"},
                  "directions": {"kind": "hypercube", "n": 1024, "k": 2},
                  "test_function": COSINE_PHASE, "theorem": "T2"},
-                "3330c4b623229327c2ec55fc7b76926a429fc9422513788753ca8e3719db6be3"),
+                "cc9fc6ff59cd58005872f6e429698343816cae138f6edd3c161413661b994d97"),
     "exchangeable": ({"model": {"kind": "exchangeable", "family": "ramp"},
                       "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True,
                                      "seed": 5},
@@ -944,7 +950,7 @@ COORDINATE_CSVS = {
                                  {"kind": "exponential"}]},
                              "directions": {"kind": "random", "n": 1024, "k": 3, "seed": 5},
                              "test_function": COSINE_PHASE, "theorem": "T2"},
-                            "983f5e298de790318278af6182c94c2f1526a9ac3870399c11954462809938ab"),
+                            "e999a330893d863ebbc1b05d6d16024aee7a684f61dc18984461140fb356093e"),
 }
 CLASS_SUM_CONFIG = {"model": {"kind": "exponential"},
                     "directions": {"kind": "hypercube", "n": 4096, "k": 3},
@@ -989,11 +995,13 @@ ABSTRACT_CSVS = {
 # The moments CSV and the check text of one i.i.d. law.  The CSV moved once,
 # from d6751ad3..., when its first-coordinate abs3 and fourth columns went
 # and abs3_max and fourth_max took their names.  The check text moved once,
-# when its first line, the pair's linearity residual, went.
+# when its first line, the pair's linearity residual, went, and once more
+# when two-point draws began to read one stream byte each (from abs3
+# 1.68598, fourth 3.22163).
 IID_LAW_CONFIG = {"model": {"kind": "two_point", "p": 0.2}}
 IID_MOMENTS_CSV = "28614a0d781916394e92da5eae0eed91f46781953fec60b6a68f66991c048bfc"
 IID_CHECK_TEXT = (
-    "check moments two_point(0.2): ok (abs3 1.68598 vs 1.70000, fourth 3.22163 vs 3.25000)\n")
+    "check moments two_point(0.2): ok (abs3 1.69027 vs 1.70000, fourth 3.23032 vs 3.25000)\n")
 
 
 class TestReproducibility:

@@ -81,6 +81,25 @@ def ramp_model(n):
     return ExchangeableModel(standardize_population(np.arange(1.0, n + 1.0)))
 
 
+# Models whose blocks draw coordinates on random rows, by the number of
+# coordinates n.
+COORDINATE_MODELS = {
+    "iid": lambda n: iid(uniform(), n),
+    "independent": lambda n: pattern((uniform(), centered_exponential()), n),
+    "exchangeable": ramp_model,
+    "two_point": lambda n: iid(two_point(0.2), n),
+    "exponential": lambda n: iid(centered_exponential(), n),
+    "three-law": lambda n: pattern((two_point(0.2), uniform(), centered_exponential()), n),
+}
+
+
+def float64_projection(ds, model, seed, count):
+    """The float64 product of the block's float32 draws with the rows, in
+    row chunks, to keep a float64 copy of the block out of memory."""
+    block = sample_block(model, seed, 0, count)
+    return np.concatenate([x.astype(np.float64) @ ds.vectors.T for x in np.split(block, 8)])
+
+
 def one_state(model, seed):
     """One state: the first row of a one-state block."""
     return sample_block(model, seed, 0, 1)[0]
@@ -594,17 +613,14 @@ class TestEstimateDiscrepancy:
             two.mean_g, two.se, two.discrepancy, two.ci_halfwidth)
         assert (one.blocks, one.workers, two.blocks, two.workers) == (2, 1, 2, 2)
 
-    @pytest.mark.parametrize("family", ["iid", "independent", "exchangeable"])
+    @pytest.mark.parametrize("family", list(COORDINATE_MODELS))
     @pytest.mark.parametrize("k", [1, 2, 3, 5])  # k = 1 may take BLAS's gemv path
     def test_projection_is_bitwise_equal_across_worker_counts(self, family, k):
         # two full blocks and a 100-row block, whose last tile is short; the
-        # independent pattern's tiles are transposed views of its law buffer
+        # independent patterns' law blocks are transposed views, projected
+        # one by one
         n = 257
-        model = {
-            "iid": iid(uniform(), n),
-            "independent": pattern((uniform(), centered_exponential()), n),
-            "exchangeable": ramp_model(n),
-        }[family]
+        model = COORDINATE_MODELS[family](n)
         ds = random_orthonormal(n, k, seed=k)
         g = unit_cosine(k)
         gauss = gaussian_expectation(g, GaussianSpec.identity(k))
@@ -615,17 +631,33 @@ class TestEstimateDiscrepancy:
 
     @pytest.mark.parametrize("n", [1024, 4096])
     @pytest.mark.parametrize("kind", ["cosine", "bump"])
-    @pytest.mark.parametrize("family", ["iid", "exchangeable"])
+    @pytest.mark.parametrize("family", list(COORDINATE_MODELS))
     def test_projection_matches_a_float64_projection(self, family, kind, n):
+        # the projected variates, mapped affinely per row, against X itself
         ds = random_orthonormal(n, 3, seed=2)
-        model = iid(uniform(), n) if family == "iid" else ramp_model(n)
+        model = COORDINATE_MODELS[family](n)
         g = unit_cosine(3) if kind == "cosine" else bump_testfn(2.0, 3)
         est = estimate_discrepancy(ds, model, g, gaussian_expectation(g, GaussianSpec.identity(3)),
                                    8192, seed=5)
-        block = sample_block(model, 5, 0, 8192)
-        # float64 in row chunks, to keep a float64 copy of the block out of memory
-        s = np.concatenate([x.astype(np.float64) @ ds.vectors.T for x in np.split(block, 8)])
+        assert est.sampler == COORDINATES
+        s = float64_projection(ds, model, 5, 8192)
         assert abs(est.mean_g - g.evaluate(s).mean()) <= 1e-6
+
+    def test_uniform_fold_on_uncentred_sign_rows_matches_a_float64_projection(self):
+        # The fold's worst case: uniform variates in [1, 2) on a row of equal
+        # signs, sum theta = sqrt(n), so that the offset -1.5 W sqrt(n) and
+        # W (Y theta) nearly cancel.
+        n = 4096
+        ds = hypercube_directions(n, 2)
+        assert ds.vectors[0].sum() == pytest.approx(math.sqrt(n))
+        model = iid(uniform(), n)
+        plan = projections(ds.vectors, model)
+        assert plan.sampler == COORDINATES
+        s, s64 = plan.draw(5, 0, 8192), float64_projection(ds, model, 5, 8192)
+        assert np.all(np.abs((s - s64).mean(axis=0)) <= 1e-6)
+        assert np.sqrt(np.mean((s - s64) ** 2)) <= 1e-4
+        g = unit_cosine(2)
+        assert abs(g.evaluate(s).mean() - g.evaluate(s64).mean()) <= 1e-6
 
     def test_repeated_calls_reuse_one_pool(self):
         ds = random_orthonormal(64, 2, seed=8)
@@ -919,6 +951,58 @@ class TestClassSums:
             z.append((est.mean_g - exact) / est.se)
         assert abs(np.mean(z)) <= 4.5 / math.sqrt(len(z))
         assert 0.6 <= np.var(z, ddof=1) <= 1.5
+
+
+def _log_uniform_lattice(w):
+    """log E exp(i w X) of the uniform draws: X = (Y - 1.5) W on the 2^23
+    lattice points Y of [1, 2), W = float32(2 sqrt(3)), h = W 2^-23, a
+    geometric sum e^(-i w h/2) sin(w W/2) / (2^23 sin(w h/2))."""
+    width = float(np.float32(2.0 * math.sqrt(3.0)))
+    h = width * 2.0**-23
+    return -0.5j * w * h + np.log((np.sin(w * width / 2.0) / (2.0**23 * np.sin(w * h / 2.0)))
+                                  .astype(complex))
+
+
+def _log_two_point_draws(p):
+    """log E exp(i w X) of two_point(p)'s draws, P(hi) = t 2^-24 with
+    t = ceil(float32(p) 2^24)."""
+    hi, lo = two_point(p).support[0][::-1]
+    drawn = math.ceil(float(np.float32(p)) * 2**24) / 2**24
+    return lambda w: np.log(drawn * np.exp(1j * hi * w) + (1.0 - drawn) * np.exp(1j * lo * w))
+
+
+# The draws' own laws on the coordinate path, keyed as COORDINATE_MODELS.
+COORDINATE_LOG_CF = {
+    "iid": _log_uniform_lattice,
+    "two_point": _log_two_point_draws(0.2),
+    "exponential": LOG_CF["exponential"],
+}
+COORDINATE_LOG_CF["three-law"] = lambda w: np.choose(
+    np.arange(w.size) % 3, [COORDINATE_LOG_CF[name](w) for name in ("two_point", "iid",
+                                                                    "exponential")])
+
+
+class TestCoordinateCalibration:
+    @pytest.mark.parametrize("family", ["iid", "two_point", "exponential", "three-law"])
+    def test_coordinate_path_calibrates_against_the_exact_mean(self, family):
+        # z = (mean g - E g(S)) / se over 64 seeds on random rows, n = 256,
+        # with the exact E g(S) of the draws' own laws: the uniform lattice,
+        # the two-point law's P(hi) = t 2^-24, the exponential
+        n = 256
+        ds = random_orthonormal(n, 2, seed=21)
+        model = COORDINATE_MODELS[family](n)
+        a = np.array([1.0, 0.6])
+        a *= 1.3 / np.linalg.norm(a)
+        g = cosine_testfn(a, phase=0.4)
+        exact = exact_cosine_mean(ds, COORDINATE_LOG_CF[family], a, 0.4)
+        gauss = gaussian_expectation(g, GaussianSpec.identity(2))
+        z = []
+        for seed in range(64):
+            est = estimate_discrepancy(ds, model, g, gauss, 2048, seed=300 + seed, workers=1)
+            assert est.sampler == COORDINATES
+            z.append((est.mean_g - exact) / est.se)
+        assert abs(np.mean(z)) <= 0.5
+        assert 0.5 <= np.var(z, ddof=1) <= 1.7
 
 
 def exact_two_group_cosine(w, lo, hi, m, phase):

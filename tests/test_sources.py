@@ -263,9 +263,25 @@ def uniform_reference(rng, size):
 
 
 def two_point_reference(p):
+    """Draw c is hi when the 24-bit k < t = ceil(float32(p) 2^24).  The top
+    8 bits of k are byte c of the call's 64-bit words, least significant
+    byte first; a byte equal to t's top byte takes k's low 16 bits from the
+    next 16-bit quarter, least significant first, of the words after the
+    call's bytes, and any other byte decides alone."""
     hi, lo = math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p))
-    return lambda rng, size: np.where(rng.random(size, dtype=np.float32) < p,
-                                      np.float32(hi), np.float32(lo))
+    t = math.ceil(float(np.float32(p)) * 2**24)
+
+    def draw(rng, size):
+        total = int(np.prod(size))
+        words = rng.bit_generator.random_raw((total + 7) // 8).tolist()
+        top = [(w >> (8 * i)) & 0xFF for w in words for i in range(8)][:total]
+        ties = top.count(t >> 16)
+        rest = rng.bit_generator.random_raw((ties + 3) // 4).tolist() if ties else []
+        low = iter([(w >> (16 * i)) & 0xFFFF for w in rest for i in range(4)])
+        k = [b << 16 | (next(low) if b == t >> 16 else 0) for b in top]
+        return np.array([hi if v < t else lo for v in k], dtype=np.float32).reshape(size)
+
+    return draw
 
 
 class _FixedWords:
@@ -291,6 +307,36 @@ class TestSamplerFormulas:
         want = reference(stream(9, 3), size)
         assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.01, 1.0 / 3.0, 0.7, 0.9999, 1e-6, 1.0 - 2.0**-30])
+    def test_two_point_law_is_the_threshold_by_enumeration(self, p):
+        # Every top byte once (65536 values of k each) and, where t's top
+        # byte is a byte, that byte 65536 times with every low quarter-word
+        # (one value of k each): P(hi) = t 2^-24 exactly.  At p = 1e-6 the
+        # top byte is 0; at p = 1 - 2^-30, float32(p) = 1, t = 2^24, and no
+        # byte ties.
+        t = math.ceil(float(np.float32(p)) * 2**24)
+        high, low = divmod(t, 1 << 16)
+        if p == 1e-6:
+            assert (high, low) == (0, 17)
+        if p == 1.0 - 2.0**-30:
+            assert (high, low) == (256, 0)
+        top = [b for b in range(256) if b != high] + [high] * (1 << 16 if high < 256 else 0)
+        count = len(top)
+        padded = np.array(top + [0] * (-count % 8), dtype=np.uint8)
+        script = [np.frombuffer(padded.tobytes(), dtype="<u8").astype(np.uint64)]
+        if high < 256:
+            quarters = np.arange(1 << 16, dtype="<u2")
+            script.append(np.frombuffer(quarters.tobytes(), dtype="<u8").astype(np.uint64))
+        law = two_point(p)
+        rng = _ScriptedWords(*script)
+        x = law.sampler(rng, count)
+        assert rng.draws == []  # ceil(count/8) words, then ceil(ties/4)
+        lo_value, hi_value = np.float32(law.support[0][0]), np.float32(law.support[0][1])
+        assert x.dtype == np.float32 and set(np.unique(x)) <= {lo_value, hi_value}
+        first = 255 if high < 256 else 256
+        assert 65536 * np.count_nonzero(x[:first] == hi_value) + np.count_nonzero(
+            x[first:] == hi_value) == t
 
     def test_uniform_draws_lie_on_the_lattice(self):
         # 2^23 points float32(i 2^-23 float32(2 sqrt(3))), -2^22 <= i < 2^22
@@ -656,16 +702,18 @@ def sort_key_permutations(halves):
 def whole_block_reference(model, seed, start, count, n):
     """The block drawn into one (count, n) array.  Exchangeable rows take
     ceil(n/2) stream words, one 32-bit half per coordinate, and sort by
-    those halves.  A model of one law is one row-major sampler call.
-    Models of several laws go LAW_ROWS rows at a time and, within those
-    rows, law by law in the order of ``laws``, one sampler call per law for
-    all of its coordinates in index order."""
+    those halves.  A model of one law is one row-major sampler call per
+    TILE_ROWS rows, as the reads of a two-point law's tied bytes follow
+    each call's bytes.  Models of several laws go LAW_ROWS rows at a time
+    and, within those rows, law by law in the order of ``laws``, one
+    sampler call per law for all of its coordinates in index order."""
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
         words = rng.bit_generator.random_raw((count, (n + 1) // 2))
         return model.population.astype(np.float32)[sort_key_permutations(half_words(words, n))]
     if len(model.laws) == 1:
-        return model.laws[0].sampler(rng, (count, n))
+        return np.concatenate([model.laws[0].sampler(rng, (min(TILE_ROWS, count - lo), n))
+                               for lo in range(0, count, TILE_ROWS)])
     out = np.empty((count, n), dtype=np.float32)
     for lo in range(0, count, LAW_ROWS):
         rows = slice(lo, min(lo + LAW_ROWS, count))
@@ -727,6 +775,51 @@ class TestTiles:
         assert not np.array_equal(block, np.concatenate([first.T, rest.T]))
 
 
+class _CountingWords:
+    """Stands in for a generator: reads a real stream, recording the number
+    of words each random_raw call takes."""
+
+    def __init__(self, rng):
+        self.bit_generator = self
+        self.rng = rng
+        self.reads = []
+
+    def random_raw(self, size):
+        words = self.rng.bit_generator.random_raw(size)
+        self.reads.append(words.size)
+        return words
+
+
+class TestStreamBudget:
+    @pytest.mark.parametrize("law", [rademacher(), two_point(0.2), uniform(),
+                                     centered_exponential()], ids=lambda law: law.name)
+    @pytest.mark.parametrize("path", ["projections", "tiles"])
+    def test_a_tile_reads_only_the_words_its_law_needs(self, monkeypatch, law, path):
+        # A 64-row tile of n coordinates reads n words under Rademacher, 8n
+        # and then ceil(ties/4) under a two-point law, 32n under the uniform
+        # and the exponential.
+        n, streams = 1000, []
+
+        def counting(seed, index):
+            streams.append(_CountingWords(stream(seed, index)))
+            return streams[-1]
+
+        monkeypatch.setattr(sources, "stream", counting)
+        model = iid(law, n)
+        if path == "projections":
+            rows = np.random.default_rng(1).standard_normal((2, n))
+            sources.projections(rows, model).draw(4, 0, TILE_ROWS)
+        else:
+            next(sample_tiles(model, 4, 0, TILE_ROWS))
+        want = [{"rademacher": n, "uniform": 32 * n, "exponential": 32 * n}.get(law.name, 8 * n)]
+        if law.name == "two_point(0.2)":
+            top = stream(4, 0).bit_generator.random_raw(8 * n).astype("<u8").view(np.uint8)
+            ties = np.count_nonzero(top == math.ceil(float(np.float32(0.2)) * 2**24) >> 16)
+            assert ties > 0
+            want.append((ties + 3) // 4)
+        assert [rng.reads for rng in streams] == [want]
+
+
 class _ScriptedWords:
     """Stands in for a generator: random_raw hands out the given word arrays
     in order, checking that each request has the shape of the next one."""
@@ -737,7 +830,7 @@ class _ScriptedWords:
 
     def random_raw(self, size):
         words = self.draws.pop(0)
-        assert words.shape == size
+        assert words.shape == (size if isinstance(size, tuple) else (size,))
         return words.copy()
 
 
