@@ -50,9 +50,12 @@ row of draws.  With 32 random bits per coordinate a row ties with
 probability about 1 - exp(-n(n-1)/2^33), so sampling refuses populations
 larger than MAX_PERMUTATION_N.
 
-A uniform partition is selected by rank from the same half-words
-(:func:`sample_rank_bins`).  Catalog laws other than the uniform also
-declare an exact sampler of the sum of m i.i.d. copies,
+A uniform partition of n items into G bins is selected by the ranks of
+keys read from the stream words, least significant first
+(:func:`sample_rank_bins`): 16-bit quarter-words, ceil(n/4) words per
+row, while (G - 1) n <= 2^15, and above that the permutation's 32-bit
+half-words, ceil(n/2) words per row.  Catalog laws other than the
+uniform also declare an exact sampler of the sum of m i.i.d. copies,
 ``sum_sampler(rng, m, size)``, in float64: a binomial draw for the
 two-valued laws, a gamma draw for the exponential.
 """
@@ -88,6 +91,16 @@ LAW_ROWS = 4 * TILE_ROWS
 # Keys per difference array of the tie check: 256 KB of uint64, so that the
 # check adds at most that much (or one row) to a tile's keys.
 _GAP_KEYS = 1 << 15
+# Largest (G - 1) n at which rank bins of n items in G bins draw 16-bit keys
+# (sample_rank_bins).  A row of b-bit keys ties across one of its G - 1 cuts
+# with probability about 1 - exp(-(G - 1) n / 2^(b+1)), so up to 22 % here,
+# and a tied row is drawn again.  The time of sample_rank_bins with 16-bit
+# keys over that with 32-bit ones, on one thread (2-core x86): 0.67-0.76x at
+# n = 1024 and 4096 with 2 and 4 bins, 0.75-0.93x up to the limit (4 bins of
+# 8192 and 10923 items, 3 of 16384, 2 of 32768), and 0.99x and 1.09x above
+# it (4 bins of 16384, 3 of 32768), where 31-39 % of the rows are redrawn.
+# Two bins, one np.partition per row, still took 0.85x at n = 65536.
+_KEY16_CUTS = 1 << 15
 # Largest population an exchangeable model samples: at n = 2^16 a row of
 # 32-bit keys ties with probability 0.39, and with 0.86 at 2^17.
 MAX_PERMUTATION_N = 1 << 16
@@ -589,19 +602,22 @@ def _check_population_size(n: int) -> None:
         )
 
 
-def _half_words(rng, rows: int, n: int) -> np.ndarray:
-    """(rows, n) uint32: the j-th 32-bit stream half-word of each row (low
-    half of each word first), a row reading ceil(n/2) words."""
-    return rng.bit_generator.random_raw((rows, (n + 1) // 2)).view(np.uint32)[:, :n]
+def _stream_keys(rng, rows: int, n: int, key=np.uint32) -> np.ndarray:
+    """(rows, n) keys of the unsigned ``key`` type: the j-th 32-bit
+    half-word (uint32) or 16-bit quarter-word (uint16) of each row's
+    stream words, least significant first, a row reading ceil(n/2) or
+    ceil(n/4) words."""
+    per_word = 8 // np.dtype(key).itemsize
+    return rng.bit_generator.random_raw((rows, -(-n // per_word))).view(key)[:, :n]
 
 
 def _sorted_keys(rng, pop: np.ndarray, rows: int) -> np.ndarray:
     """(rows, n) uint64 sort keys, each row sorted.  Before the sort, key j
-    of a row holds the row's j-th half-word (:func:`_half_words`) in its
+    of a row holds the row's j-th half-word (:func:`_stream_keys`) in its
     high half and the bits of the float32 value pop[j] in its low half."""
     keys = np.empty((rows, pop.size), dtype=np.uint64)
     halves = keys.view(np.uint32)
-    halves[:, _HIGH_HALF::2] = _half_words(rng, rows, pop.size)
+    halves[:, _HIGH_HALF::2] = _stream_keys(rng, rows, pop.size)
     halves[:, 1 - _HIGH_HALF::2] = pop.view(np.uint32)
     keys.sort(axis=1)
     return keys
@@ -686,46 +702,51 @@ def sample_rank_bins(
     sizes[0], ..., sizes[G-1] items.
 
     Selection on i.i.d. keys (Knuth, TAOCP vol. 2, 3.4.2): every item takes
-    a 32-bit key, the half-words a permutation row of :func:`sample_tiles`
-    reads from the same (seed, start) stream, TILE_ROWS rows per tile.
-    Bin c holds the items whose keys rank from sizes[0] + ... + sizes[c-1]
-    up to the next cut.  A row whose keys tie across a cut is redrawn
-    whole from the next words of the stream, tied rows in row order, before
-    the next tile starts.  The keys' law does not change when the items
-    are permuted, and neither does the event of a tie, so every partition
-    is then exactly uniform; a tie within a bin changes nothing and is
-    kept.  A cut ties with probability about n / 2^32.  Per cut c the items
-    at or above its threshold key make one float32 mask, built in a buffer
-    the tiles reuse, and one BLAS product gives their weight sums U_c; bin
-    c is U_c - U_(c+1), with U_0 the float64 sum of all weights.
+    a key from the (seed, start) stream (:func:`_stream_keys`), TILE_ROWS
+    rows per tile.  While (G - 1) n <= _KEY16_CUTS = 2^15 a key is a 16-bit
+    quarter-word, and a row reads ceil(n/4) words; above it a key is a
+    32-bit half-word, as in a permutation row of :func:`sample_tiles`, and
+    a row reads ceil(n/2) words.  Bin c holds the items whose keys rank
+    from sizes[0] + ... + sizes[c-1] up to the next cut.  A row whose keys
+    tie across a cut is redrawn whole from the next words of the stream,
+    one row of words per tied row, tied rows in row order, before the next
+    tile starts.  The keys' law does not change when the items are
+    permuted, and neither does the event of a tie, so every partition is
+    then exactly uniform; a tie within a bin changes nothing and is kept.
+    The tile height orders the block's rows but does not choose them: the
+    block holds the first ``count`` rows of the stream that do not tie
+    across a cut.  A cut ties with probability about n / 2^(b+1) for b-bit
+    keys: per row, 0.75 % with 2 bins and 2.3 % with 4 at n = 1024 with
+    16-bit keys, and about 1 - exp(-1/4) = 22 % at the width limit.  Per
+    cut c the items at or above its threshold key make one float32 mask,
+    compared into a buffer the tiles reuse, and one BLAS product gives
+    their weight sums U_c; bin c is U_c - U_(c+1), with U_0 the float64 sum
+    of all weights.
     """
     if count < 1:
         raise InvalidInputError("block count must be positive")
     n, width = weights.shape
     _check_population_size(n)
     cuts = np.cumsum(sizes)[:-1]
-    total = weights.sum(axis=0, dtype=np.float64)
+    key = np.uint16 if cuts.size * n <= _KEY16_CUTS else np.uint32
     rng = stream(seed, start)
     sums = np.empty((count, len(sizes), width))
+    sums[:, 0] = weights.sum(axis=0, dtype=np.float64)
     mask = np.empty((TILE_ROWS, n), dtype=np.float32)
-    above = np.empty((TILE_ROWS, n), dtype=bool)
     for lo in range(0, count, TILE_ROWS):
         m = min(TILE_ROWS, count - lo)
-        keys = _half_words(rng, m, n)
+        keys = _stream_keys(rng, m, n, key)
         high, tied = _rank_thresholds(keys, cuts)
         tied = np.flatnonzero(tied)
         while tied.size:
-            redrawn = _half_words(rng, tied.size, n)
+            redrawn = _stream_keys(rng, tied.size, n, key)
             keys[tied] = redrawn
             high[tied], again = _rank_thresholds(redrawn, cuts)
             tied = tied[again]
-        upper = sums[lo:lo + m]
-        upper[:, 0] = total
         for c in range(cuts.size):
-            np.greater_equal(keys, high[:, c:c + 1], out=above[:m])
-            mask[:m] = above[:m]
-            upper[:, c + 1] = mask[:m] @ weights
-        upper[:, :-1] -= upper[:, 1:]
+            np.greater_equal(keys, high[:, c:c + 1], out=mask[:m])
+            sums[lo:lo + m, c + 1] = mask[:m] @ weights
+    sums[:, :-1] -= sums[:, 1:]
     return sums
 
 
@@ -843,18 +864,27 @@ COLUMN_BINS, VALUE_BINS = "column-bins", "value-bins"
 # sums cost about 21 ns.
 _CLASS_SIZE = 64
 # Rank bins replace the sorted-key permutation of an exchangeable model when
-# one side has G <= min(_MAX_BINS, n / _BIN_SIZE) groups.  Timed with
-# estimate_discrepancy on one worker, per 8192-row block of a cosine on
-# centred rows (2-core x86), against the permutation and its projection:
-# at n = 1024 and k = 3, 37 ms with 2 bins, 64 ms with 4, 98 ms with 8 and
-# 169 ms with 16, against 74 ms; at n = 4096, 133, 299 and 394 ms with 2, 4
-# and 8 bins against 352 ms.  Per bin, a cut costs a 32-bit compare, a cast
-# and a BLAS product over the tile, which small bins do not repay: at
-# n = 512 four bins took 25-35 ms against 36-39 ms, at n = 256 16-23 ms
-# against 14-18 ms, while two bins took 7-11 ms against 8-14 ms at n = 128
-# and 256.
-_MAX_BINS = 4
-_BIN_SIZE = 128
+# one side has G <= min(_MAX_BINS, n / _BIN_SIZE) groups.  Timed as the
+# plan's draw of an 8192-row block, k = 3, on one thread (2-core x86): the
+# time of column bins and of value bins over that of the permutation and its
+# projection, each the median over 21 blocks drawn in turn with it.  Per
+# bin, a cut costs a compare and a BLAS product over the tile, which bins of
+# fewer than 64 items or more than 8 bins do not repay.
+#
+#        n    2 bins      4 bins      8 bins      16 bins
+#      128   0.70-0.74   1.03-1.12   1.44-1.64
+#      256   0.51-0.53   0.68-0.74   1.10-1.24
+#      512   0.34-0.36   0.47-0.51   0.73-0.83
+#     1024   0.28-0.29   0.52-0.57   0.76-0.86   1.11-1.28
+#     2048   0.23-0.24   0.50-0.51   0.66-0.73   1.04-1.24
+#     4096   0.21        0.53        0.70-0.80   1.42-1.60
+#     8192               0.53-0.60   0.78-1.00
+#
+# With 32-bit keys the limits were 4 bins of at least 128 items: per block,
+# 4 bins at n = 256 took 16-23 ms against 14-18 ms for the permutation, and
+# 8 bins at n = 1024 98 ms against 74 ms.
+_MAX_BINS = 8
+_BIN_SIZE = 64
 
 
 class ProjectionPlan(NamedTuple):
@@ -911,7 +941,13 @@ def _class_sum_projections(laws, sizes, columns, seed, start, count):
 
 
 def _bin_projections(weights, sizes, factors, seed, start, count):
-    return (sample_rank_bins(weights, sizes, seed, start, count) * factors).sum(axis=1)
+    # Bin by bin, so that no (count, G, k) float64 product is held: 0.8 MB
+    # per worker for 4 bins at k = 3, and about 1 MB of verify-exch's peak RSS.
+    sums = sample_rank_bins(weights, sizes, seed, start, count)
+    s = sums[:, 0] * factors[0]
+    for c in range(1, len(sizes)):
+        s += sums[:, c] * factors[c]
+    return s
 
 
 def _grouped(sampler, project, items, sizes, factors) -> ProjectionPlan:

@@ -841,7 +841,8 @@ class TestClassSums:
         elif case == "exchangeable":  # 1024 distinct values on 1024 distinct columns
             ds = random_orthonormal(1024, 2, seed=1, centered=True)
             model = ramp_model(1024)
-        elif case == "exchangeable-small-bins":  # 4 column classes of 64 < _BIN_SIZE
+        elif case == "exchangeable-small-bins":  # 8 column classes of 32 < _BIN_SIZE
+            ds = hypercube_directions(n, 4, centered=True)
             model = ramp_model(n)
         elif case == "mixed-pattern":
             model = pattern((rademacher(), uniform()), n)
@@ -920,7 +921,7 @@ class TestClassSums:
 
     @pytest.mark.parametrize("side", ["columns", "values"])
     def test_rank_bins_calibrate_against_the_exact_mean(self, side):
-        # z = (mean g - E g(S)) / se over 20 seeds, with the exact E g(S) of
+        # z = (mean g - E g(S)) / se over 120 seeds, with the exact E g(S) of
         # a two-group partition (exact_two_group_cosine).  Columns: ramp on
         # centred sign rows, k = 1, n = 256 (at n = 64 the two classes of 32
         # are below _BIN_SIZE); the items are the population values, and
@@ -945,11 +946,13 @@ class TestClassSums:
         exact = exact_two_group_cosine(w, lo, hi, m, 0.4)
         gauss = gaussian_expectation(g, GaussianSpec(ds.gram))
         z = []
-        for seed in range(20):
+        for seed in range(120):
             est = estimate_discrepancy(ds, model, g, gauss, 2 * 8192, seed=7000 + seed)
             assert est.sampler == (COLUMN_BINS if side == "columns" else VALUE_BINS)
             z.append((est.mean_g - exact) / est.se)
         assert abs(np.mean(z)) <= 4.5 / math.sqrt(len(z))
+        # An exact sampler's sample variance is chi^2_119 / 119, outside the
+        # band with probability 0.05 % (16 % with 20 seeds, chi^2_19 / 19).
         assert 0.6 <= np.var(z, ddof=1) <= 1.5
 
 
@@ -1035,17 +1038,22 @@ class TestRankBinPath:
         (1024, 3, "sign", "alternating", (VALUE_BINS, 2)),  # 2 values < 4 classes
         (1024, 2, "sign", "four-values", (COLUMN_BINS, 4)),  # 4 and 4: columns
         (1024, 2, "random", "four-values", (VALUE_BINS, 4)),
-        (1024, 2, "random", "five-values", None),
+        (1024, 2, "random", "five-values", (VALUE_BINS, 5)),
+        (1024, 2, "random", "eight-values", (VALUE_BINS, 8)),
+        (1024, 2, "random", "nine-values", None),  # 9 bins > _MAX_BINS
         (256, 2, "sign", "alternating", (VALUE_BINS, 2)),
-        (256, 2, "random", "four-values", None),  # bins of 64 < _BIN_SIZE
-        (128, 1, "sign", "alternating", None),
+        (256, 2, "random", "four-values", (VALUE_BINS, 4)),
+        (128, 2, "random", "four-values", None),  # bins of 32 < _BIN_SIZE
+        (128, 1, "sign", "alternating", (COLUMN_BINS, 2)),  # 2 and 2: columns
+        (64, 1, "sign", "alternating", None),  # bins of 32 < _BIN_SIZE
     ], ids=lambda case: "-".join(map(str, case[:4])))
     def test_the_rows_and_the_population_select_the_side(self, case):
         n, k, rows, population, want = case
         ds = (hypercube_directions(n, k, centered=True) if rows == "sign"
               else random_orthonormal(n, k, seed=3, centered=True))
         values = {"ramp": np.arange(n), "alternating": np.arange(n) % 2,
-                  "four-values": np.arange(n) % 4, "five-values": np.arange(n) % 5}
+                  "four-values": np.arange(n) % 4, "five-values": np.arange(n) % 5,
+                  "eight-values": np.arange(n) % 8, "nine-values": np.arange(n) % 9}
         model = ExchangeableModel(standardize_population(values[population] ** 2))
         assert projections(ds.vectors, model)[:2] == (want or (COORDINATES, None))
         g = unit_cosine(ds.k)

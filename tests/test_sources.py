@@ -677,19 +677,22 @@ class TestSampling:
             sources.projections(np.eye(5)[:2], ExchangeableModel(pop))
 
 
-def half_words(words, n):
-    """The first n 32-bit halves of each row of 64-bit stream words, low
-    half of each word first."""
-    low = (words & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    high = (words >> np.uint64(32)).astype(np.uint32)
-    return np.stack([low, high], axis=2).reshape(words.shape[0], -1)[:, :n]
+def stream_keys(words, n, key=np.uint32):
+    """The first n keys of the unsigned ``key`` type in each row of 64-bit
+    stream words: 32-bit halves or 16-bit quarters, least significant
+    first (all of them for n = None)."""
+    bits = 8 * np.dtype(key).itemsize
+    parts = (words[:, :, None] >> np.arange(0, 64, bits, dtype=np.uint64)) & np.uint64(
+        (1 << bits) - 1)
+    return parts.astype(key).reshape(words.shape[0], -1)[:, :n]
 
 
-def stream_words(halves):
-    """Rows of 32-bit halves packed back into 64-bit words, low half first;
-    the inverse of half_words for even row lengths."""
-    pairs = halves.astype(np.uint64).reshape(halves.shape[0], -1, 2)
-    return pairs[:, :, 0] | (pairs[:, :, 1] << np.uint64(32))
+def stream_words(keys):
+    """Rows of 32- or 16-bit keys packed back into 64-bit words, least
+    significant first; the inverse of stream_keys for whole words."""
+    bits = 8 * keys.dtype.itemsize
+    parts = keys.astype(np.uint64).reshape(keys.shape[0], -1, 64 // bits)
+    return np.bitwise_or.reduce(parts << np.arange(0, 64, bits, dtype=np.uint64), axis=2)
 
 
 def sort_key_permutations(halves):
@@ -710,7 +713,7 @@ def whole_block_reference(model, seed, start, count, n):
     rng = stream(seed, start)
     if isinstance(model, ExchangeableModel):
         words = rng.bit_generator.random_raw((count, (n + 1) // 2))
-        return model.population.astype(np.float32)[sort_key_permutations(half_words(words, n))]
+        return model.population.astype(np.float32)[sort_key_permutations(stream_keys(words, n))]
     if len(model.laws) == 1:
         return np.concatenate([model.laws[0].sampler(rng, (min(TILE_ROWS, count - lo), n))
                                for lo in range(0, count, TILE_ROWS)])
@@ -819,6 +822,28 @@ class TestStreamBudget:
             want.append((ties + 3) // 4)
         assert [rng.reads for rng in streams] == [want]
 
+    @pytest.mark.parametrize("n, sizes, redrawn", [(1000, (500, 500), False),
+                                                   (8192, (2048,) * 4, True),
+                                                   (16385, (5000, 5000, 6385), False)],
+                             ids=["16-bit", "16-bit-redrawn", "32-bit"])
+    def test_a_rank_bin_tile_reads_one_row_of_words_per_row_drawn(self, monkeypatch, n, sizes,
+                                                                   redrawn):
+        # A 64-row tile of n items in G bins reads 64 ceil(n/4) words while
+        # (G - 1) n <= 2^15 (16-bit keys) and 64 ceil(n/2) above (32-bit),
+        # then one row's words per redrawn row
+        per_row = -(-n // 4) if (len(sizes) - 1) * n <= 2**15 else -(-n // 2)
+        streams = []
+
+        def counting(seed, index):
+            streams.append(_CountingWords(stream(seed, index)))
+            return streams[-1]
+
+        monkeypatch.setattr(sources, "stream", counting)
+        sample_rank_bins(np.ones((n, 1), dtype=np.float32), sizes, 4, 0, TILE_ROWS)
+        _, rows = rank_bin_draws(stream(4, 0), n, sizes, TILE_ROWS)
+        assert rows[0] == TILE_ROWS and (len(rows) > 1) == redrawn
+        assert [rng.reads for rng in streams] == [[per_row * m for m in rows]]
+
 
 class _ScriptedWords:
     """Stands in for a generator: random_raw hands out the given word arrays
@@ -862,13 +887,13 @@ class TestPermutationSampler:
     def test_tied_rows_are_redrawn_from_the_next_words(self, monkeypatch):
         n = 6  # three stream words per row
         pop = standardize_population(np.arange(1.0, n + 1.0))
-        first = half_words(stream(3).bit_generator.random_raw((4, 3)), n)
+        first = stream_keys(stream(3).bit_generator.random_raw((4, 3)), n)
         first[1, 5] = first[1, 2]  # indices 2 and 5 tie
         first[3] = first[3, 0]  # one half-word throughout: ties everywhere
         first[2, 5] = first[2, 1] ^ np.uint32(1)  # differs in the lowest bit only
-        second = half_words(stream(4).bit_generator.random_raw((2, 3)), n)  # rows 1 and 3
+        second = stream_keys(stream(4).bit_generator.random_raw((2, 3)), n)  # rows 1 and 3
         second[1, 0] = second[1, 3]  # row 3 ties again
-        third = half_words(stream(5).bit_generator.random_raw((1, 3)), n)
+        third = stream_keys(stream(5).bit_generator.random_raw((1, 3)), n)
         script = _ScriptedWords(*map(stream_words, (first, second, third)))
         monkeypatch.setattr(sources, "stream", lambda seed, index: script)
         (tile,) = sample_tiles(ExchangeableModel(pop), 0, 0, 4)
@@ -923,6 +948,41 @@ def rank_bin_reference(halves, weights, sizes):
                      for row in order])
 
 
+def rank_key(n, sizes):
+    """The key type of rank bins of n items in G = len(sizes) bins: 16-bit
+    while (G - 1) n <= 2^15, where a row ties across a cut with probability
+    at most about 1 - exp(-1/4), else 32-bit."""
+    return np.uint16 if (len(sizes) - 1) * n <= 2**15 else np.uint32
+
+
+def rank_bin_draws(rng, n, sizes, count):
+    """The tie-free key rows of a rank-bin block, drawn TILE_ROWS rows at a
+    time: a row reads ceil(n/4) stream words for 16-bit keys and ceil(n/2)
+    for 32-bit ones, and the rows of a tile whose sorted keys tie across a
+    cut are redrawn, in row order, until none does.  Also the number of
+    rows each read of the stream drew."""
+    key = rank_key(n, sizes)
+    per_row = -(-n // (8 // np.dtype(key).itemsize))
+    cuts = np.cumsum(sizes)[:-1]
+    rows, reads = [], []
+    for lo in range(0, count, TILE_ROWS):
+        tile = [None] * min(TILE_ROWS, count - lo)
+        pending = list(range(len(tile)))
+        while pending:
+            reads.append(len(pending))
+            keys = stream_keys(rng.bit_generator.random_raw((len(pending), per_row)), n, key)
+            tied = []
+            for r, row in zip(pending, keys):
+                ordered = np.sort(row)
+                if np.any(ordered[cuts - 1] == ordered[cuts]):
+                    tied.append(r)
+                else:
+                    tile[r] = row
+            pending = tied
+        rows.extend(tile)
+    return np.array(rows), reads
+
+
 def force_tie(row, low_rank, high_rank):
     """Set the key of rank ``high_rank`` in a row to the key of rank
     ``low_rank``."""
@@ -934,18 +994,20 @@ class TestRankBins:
     # 2^j: every set of items has its own weight sum, the sum of its bits
     BITS = (2.0 ** np.arange(6)).astype(np.float32)[:, None]
 
-    @pytest.mark.parametrize("n", [7, 24, 33])
+    @pytest.mark.parametrize("n", [7, 24, 33, 16384, 16385])
     @pytest.mark.parametrize("sizes", [(3, None), (1, 2, None)], ids=["two-bins", "three-bins"])
-    def test_bins_are_the_ranks_of_the_permutation_rows_half_words(self, n, sizes):
-        # the same stream words as a permutation block, one half-word per item
+    def test_bins_are_the_ranks_of_the_stream_keys(self, n, sizes):
+        # 16-bit keys up to (G - 1) n = 2^15, three bins of 16384 items at
+        # the limit, where about a fifth of the rows are redrawn; 32-bit
+        # keys for three bins of 16385 items
         sizes = (*sizes[:-1], n - sum(sizes[:-1]))
         weights = np.random.default_rng(n).standard_normal((n, 2)).astype(np.float32)
         count = 2 * TILE_ROWS + 22
-        words = stream(13, 8192).bit_generator.random_raw((count, (n + 1) // 2))
-        want = rank_bin_reference(half_words(words, n), weights, sizes)
+        keys, _ = rank_bin_draws(stream(13, 8192), n, sizes, count)
+        want = rank_bin_reference(keys, weights, sizes)
         got = sample_rank_bins(weights, sizes, 13, 8192, count)
         assert got.shape == (count, len(sizes), 2) and got.dtype == np.float64
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * math.sqrt(n))
 
     def test_every_ordered_partition_of_six_values_is_equally_likely(self):
         # subset sums of 1, 2, 4, ..., 32 are distinct, so each bin's sum of
@@ -996,36 +1058,43 @@ class TestRankBins:
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 300), rows=st.integers(1, 70), seed=st.integers(0, 2**32),
-           spread=st.sampled_from([3, 50, 2**32]), bins=st.integers(2, 6), data=st.data())
+           spread=st.sampled_from([3, 50, 2**32]), bins=st.integers(2, 6),
+           key=st.sampled_from([np.uint16, np.uint32]), data=st.data())
     def test_boundary_ties_are_the_rows_with_equal_keys_across_a_cut(self, n, rows, seed,
-                                                                   spread, bins, data):
+                                                                   spread, bins, key, data):
         # keys from a narrow range tie often, inside bins and across cuts
+        spread = min(spread, np.iinfo(key).max + 1)
         keys = np.random.default_rng(seed).integers(0, spread, (rows, n), dtype=np.uint64)
-        keys = keys.astype(np.uint32)
+        keys = keys.astype(key)
         cuts = np.array(sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1,
                                                  max_size=min(bins - 1, n - 1)))))
         high, tied = sources._rank_thresholds(keys, cuts)
         ordered = np.sort(keys, axis=1)
+        assert high.dtype == key
         np.testing.assert_array_equal(high, ordered[:, cuts])
         np.testing.assert_array_equal(tied, (ordered[:, cuts - 1] == ordered[:, cuts]).any(axis=1))
 
-    @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3)])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3), (3, 16379, 3)],
+                             ids=["16-bit-three-bins", "16-bit-two-bins", "32-bit"])
     def test_rows_tied_across_a_cut_are_redrawn_from_the_next_words(self, monkeypatch, sizes):
-        n = 6  # three stream words per row
+        n, key = sum(sizes), rank_key(sum(sizes), sizes)
+        per_row = -(-n // (8 // np.dtype(key).itemsize))  # 2 words for n = 6
         cut, last = sizes[0], n - sizes[-1]
-        first = half_words(stream(3).bit_generator.random_raw((4, 3)), n)
-        force_tie(first[1], cut - 1, cut)  # across the first cut
-        force_tie(first[2], 0, 1)  # inside the first bin: kept
-        force_tie(first[3], last - 1, last)  # across the last cut
-        second = half_words(stream(4).bit_generator.random_raw((2, 3)), n)  # rows 1 and 3
-        force_tie(second[1], cut - 1, cut)  # row 3 ties again
-        third = half_words(stream(5).bit_generator.random_raw((1, 3)), n)
+        first = stream_keys(stream(3).bit_generator.random_raw((4, per_row)), None, key)
+        force_tie(first[1, :n], cut - 1, cut)  # across the first cut
+        force_tie(first[2, :n], 0, 1)  # inside the first bin: kept
+        force_tie(first[3, :n], last - 1, last)  # across the last cut
+        second = stream_keys(stream(4).bit_generator.random_raw((2, per_row)), None, key)
+        force_tie(second[1, :n], cut - 1, cut)  # row 3 ties again
+        third = stream_keys(stream(5).bit_generator.random_raw((1, per_row)), None, key)
         script = _ScriptedWords(*map(stream_words, (first, second, third)))
         monkeypatch.setattr(sources, "stream", lambda seed, index: script)
-        sums = sample_rank_bins(self.BITS, sizes, 0, 0, 4)
+        weights = np.random.default_rng(n).standard_normal((n, 1)).astype(np.float32)
+        sums = sample_rank_bins(weights, sizes, 0, 0, 4)
         assert script.draws == []
-        kept = np.vstack([first[0], second[0], first[2], third[0]])
-        np.testing.assert_array_equal(sums, rank_bin_reference(kept, self.BITS, sizes))
+        kept = np.vstack([first[0], second[0], first[2], third[0]])[:, :n]
+        np.testing.assert_allclose(sums, rank_bin_reference(kept, weights, sizes),
+                                   rtol=0, atol=1e-5 * math.sqrt(n))
 
     def test_populations_above_the_limit_are_refused_before_drawing(self, monkeypatch):
         monkeypatch.setattr(sources, "stream", lambda seed, index: _ScriptedWords())
