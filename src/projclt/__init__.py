@@ -46,7 +46,6 @@ from .sources import (
     load_population,
     moment_summary,
     rademacher,
-    sample_tiles,
     standardize_population,
     two_point,
     uniform,

@@ -6,15 +6,12 @@ bound    evaluate the selected bound(s), one CSV row per theorem
 verify   Monte Carlo discrepancy vs. bound; exit 0 on pass, 1 on violation
 scan     sweep n or k, emitting one verification row (with the bound
          decomposition) per value
-check    compare the third and fourth moments of each law's draws with the
-         law's constants, one line per law of an i.i.d. or independent
-         model; an exchangeable model has no law and gets no line
 moments  print the moment constants the bounds read: the worst coordinate's
          E|X|^3 and EX^4, and an exchangeable model's mixed moments
 
 The experiment configuration is a single JSON file; a command takes only
 the overrides it reads: ``--output`` (all), ``--theorem`` (bound, verify,
-scan), ``--seed`` (verify, scan, check) and ``--samples`` (verify, scan).
+scan), ``--seed`` (verify, scan) and ``--samples`` (verify, scan).
 :meth:`ExperimentConfig.from_file` merges them in, then builds and checks
 the whole experiment in one pass, so every command refuses the same
 configurations.  ``bound`` takes a list of theorems, ``verify`` and
@@ -22,14 +19,14 @@ configurations.  ``bound`` takes a list of theorems, ``verify`` and
 ``verify`` and ``scan`` take ``--workers N`` (N >= 1; wall time only) and
 ``--trace``, which writes one JSON object per run or scan cell to stderr:
 theorem, n, k, pass/fail, the estimate and the report metadata (stage
-seconds, samples/s, workers, blocks, tile rows, the stream generator,
-Gaussian-side method and error, the dominant bound term, and the sampler
-that drew the projections -- coordinates, class sums, column bins or value
-bins -- with the number of class sums or bins per sample).
+seconds, samples/s, workers, blocks, the stream generator, Gaussian-side
+method and error, the dominant bound term, and the sampler that drew the
+projections -- coordinates, class sums, column bins or value bins -- with
+the number of class sums or bins per sample).
 All CSV output starts with a ``# schema=1`` line and renders floats at 17
 significant digits, so identical configurations reproduce byte-identical
-files.  Exit codes: 0 success/pass, 1 bound or invariant violation, 2
-configuration error.
+files.  Exit codes: 0 success/pass, 1 bound violation, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -478,30 +475,6 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_check(cfg: ExperimentConfig) -> int:
-    """The third and fourth moments of each law's draws against its
-    constants (:meth:`projclt.sources.IIDModel.constant`), one line per
-    law of an i.i.d. or independent model; nothing for an exchangeable
-    model."""
-    lines = []
-    failed = False
-    # Every law of the model, one per name, in order.
-    laws = [] if isinstance(cfg.model, sources.ExchangeableModel) else cfg.model.laws
-    for law in {law.name: law for law in laws}.values():
-        abs3, fourth = law.constant("abs3"), law.constant("fourth")
-        draws = law.sampler(sources.stream(cfg.seed, 0), 200_000).astype(np.float64)
-        est3 = float(np.mean(np.abs(draws) ** 3))
-        se3 = float(np.std(np.abs(draws) ** 3, ddof=1) / math.sqrt(draws.size))
-        est4 = float(np.mean(draws**4))
-        se4 = float(np.std(draws**4, ddof=1) / math.sqrt(draws.size))
-        ok = abs(est3 - abs3) <= 5 * se3 + 1e-9 and abs(est4 - fourth) <= 5 * se4 + 1e-9
-        failed |= not ok
-        lines.append(f"check moments {law.name}: {'ok' if ok else 'FAIL'} "
-                     f"(abs3 {est3:.5f} vs {abs3:.5f}, fourth {est4:.5f} vs {fourth:.5f})\n")
-    _emit("".join(lines), cfg.output)
-    return 1 if failed else 0
-
-
 # --------------------------------------------------------------------------
 # Entry point
 
@@ -520,7 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("bound", ("theorem",), "evaluate the configured bound(s)"),
         ("verify", sampled, "compare the Monte Carlo discrepancy against the bound"),
         ("scan", sampled, "sweep n or k and verify each cell"),
-        ("check", ("seed",), "run invariant diagnostics"),
         ("moments", (), "print the moment constants of the configured model"),
     ]:
         p = sub.add_parser(name, help=help_text)
@@ -566,7 +538,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"scan values must be integers: {args.values!r}") from exc
             return cmd_scan(cfg, args.axis, values, workers=workers, trace=args.trace)
-        return {"bound": cmd_bound, "check": cmd_check, "moments": cmd_moments}[args.command](cfg)
+        return {"bound": cmd_bound, "moments": cmd_moments}[args.command](cfg)
     except ProjcltError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

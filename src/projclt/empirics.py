@@ -210,9 +210,9 @@ def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, 
 
     The run passes when the measured discrepancy does not exceed the bound,
     times ``bound_scale``, plus the confidence margin.  The estimate says
-    how the discrepancy was sampled; the metadata adds the seed, the tile
-    height and stream, how long each stage took, and the largest of the
-    bound's three terms.  The Gaussian stage builds the covariance and
+    how the discrepancy was sampled; the metadata adds the seed, the
+    stream, how long each stage took, and the largest of the bound's three
+    terms.  The Gaussian stage builds the covariance and
     computes E g(Z~); the discrepancy stage only samples.
     """
     seconds: dict = {}
@@ -228,7 +228,6 @@ def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, 
     terms = {name: getattr(report, name) for name in ("term_fourth", "term_third", "term_mixed")}
     metadata = {
         "seed": seed,
-        "tile_rows": sources.TILE_ROWS,
         "stream": sources.STREAM,
         "stage_seconds": seconds,
         "samples_per_s": samples / seconds["discrepancy"],

@@ -10,10 +10,10 @@ one of two types, and :func:`family` measures whether it is i.i.d.:
   standardized population, which makes every mixed moment of the
   dependence terms exactly computable.
 
-Catalog laws ship closed-form third/fourth moments; Monte Carlo is used
-only as a cross-check, never to feed a bound.  User-supplied laws must
-declare them or give a finite support (:meth:`IIDModel.constant`), which
-must be standardized.
+Catalog laws ship closed-form third/fourth moments, and no bound reads a
+moment of drawn values (the tests compare the draws with the constants).
+User-supplied laws must declare them or give a finite support
+(:meth:`IIDModel.constant`), which must be standardized.
 
 :func:`projections` is the one way to draw the projections S = theta X
 of a block of samples: it chooses, from the direction rows and the model,
@@ -28,21 +28,20 @@ Results therefore do not depend on how fixed-size blocks are distributed
 across workers.  Tiles are TILE_ROWS high, a height that is part of this
 contract.
 
-Every coordinate draw is float32, and reads only the stream bits its law
-needs.  Catalog samplers take ``(rng, size)`` and read the stream's 64-bit
-words directly, least significant bits first.  A Rademacher draw takes one
-bit, eight at a time through a byte lookup table.  A two-point draw takes
-one byte, and a 16-bit quarter-word more in the 1 case of 256 where the
-byte ties with its threshold's top byte (:func:`_indicators`).  A uniform
-draw is the top 23 bits of a 32-bit half-word made into a float32 in
-[1, 2) and mapped affinely onto [-sqrt(3), sqrt(3)), in the words' own
-buffer; the centered exponential is the inverse CDF of one 32-bit
-half-word.  Each of the last three declares that variate Y, the float32
-in [1, 2), the 0/1 indicator of the upper value or log u, with X = a + b Y
-(:class:`Variate`): the coordinate path projects Y and applies a and b
-once per projected row, and the sampler finishes the same draws into X.
-A model of several laws draws law by law, LAW_ROWS rows per sampler call,
-and projects each law's block with its own rows.  An exchangeable
+Every coordinate draw is one float32 variate Y of its law, with
+X = a + b Y (:class:`IIDModel`), and reads only the stream bits its law
+needs.  The coordinate path projects Y and applies a and b once per
+projected row.  Catalog samplers take ``(rng, size)`` and read the
+stream's 64-bit words directly, least significant bits first.  A
+Rademacher draw is X itself and takes one bit, eight at a time through a
+byte lookup table.  A two-point draw is the 0/1 indicator of the upper
+value; it takes one byte, and a 16-bit quarter-word more in the 1 case of
+256 where the byte ties with its threshold's top byte
+(:func:`_indicators`).  A uniform draw is the top 23 bits of a 32-bit
+half-word made into a float32 in [1, 2), in the words' own buffer; the
+centered exponential's is log u for one 32-bit half-word.  A model of
+several laws draws law by law, LAW_ROWS rows per sampler call, and
+projects each law's block with its own rows.  An exchangeable
 model sorts 64-bit keys: a 32-bit stream half-word high, the float32 bits
 of a population value low.  A row in which two half-words tie is redrawn,
 so every permutation is exactly uniform and the sorted low halves are the
@@ -84,9 +83,8 @@ TILE_ROWS = 64
 # One call per law and 64-row tile made a two-worker verify of a three-law
 # pattern at n = 1024 about 40 % slower than one draw of the whole block;
 # 256-row calls are not slower.  The projection path projects each law's
-# (n_j, LAW_ROWS) block by one BLAS product with that law's rows, and only
-# sample_tiles gathers the blocks into rows.  Part of the determinism
-# contract.
+# (n_j, LAW_ROWS) block by one BLAS product with that law's rows.  Part of
+# the determinism contract.
 LAW_ROWS = 4 * TILE_ROWS
 # Keys per difference array of the tie check: 256 KB of uint64, so that the
 # check adds at most that much (or one row) to a tile's keys.
@@ -195,26 +193,15 @@ Sampler = Callable[[np.random.Generator, object], np.ndarray]
 SumSampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 
-class Variate(NamedTuple):
-    """A float32 variate Y of a law, with X = a + b Y: ``draw(rng, size)``
-    reads the stream words that the law's sampler reads for the same size,
-    and the sampler finishes those draws into X."""
-
-    draw: Sampler
-    a: float
-    b: float
-
-
 @dataclass(frozen=True, eq=False)
 class IIDModel:
     """A standardized scalar law: sampler plus moment constants.
 
-    ``sampler(rng, size)`` draws ``size`` (an int or a shape tuple) values
-    from the generator ``rng`` and returns them as float32.  ``variate``,
-    where given, is the cheapest float32 variate Y the sampler finishes
-    into X = a + b Y (:class:`Variate`); the coordinate path projects Y
-    and applies a and b once per projected row.  A law without one is its
-    own variate, with (a, b) = (0, 1).  ``support``
+    ``sampler(rng, size)`` draws ``size`` (an int or a shape tuple) float32
+    values of the law's variate Y from the generator ``rng``, and a law's
+    value is X = a + b Y.  The coordinate path projects Y and applies a and
+    b once per projected row.  With the default (a, b) = (0, 1), as for
+    Rademacher and user laws, the sampler draws X itself.  ``support``
     carries (values, probabilities) for finitely supported laws; exact
     conditional expectations enumerate it directly.  ``abs3``, ``fourth``
     and ``diff_abs3`` are E|X|^3, EX^4 and E|X - X'|^3 for an independent
@@ -236,7 +223,8 @@ class IIDModel:
     support: Optional[tuple[np.ndarray, np.ndarray]] = None
     diff_abs3: Optional[float] = None
     sum_sampler: Optional[SumSampler] = None
-    variate: Optional[Variate] = None
+    a: float = 0.0
+    b: float = 1.0
 
     def __post_init__(self):
         if self.support is not None:
@@ -421,7 +409,6 @@ def rademacher() -> IIDModel:
 
 
 _SQRT3 = math.sqrt(3.0)
-_UNIFORM_WIDTH32 = np.float32(2.0 * _SQRT3)
 
 
 def _uniform_variate(rng, size):
@@ -433,26 +420,15 @@ def _uniform_variate(rng, size):
     return words.view(np.float32).reshape(size)
 
 
-def _sample_uniform(rng, size):
-    # Subtracting 1.5 is exact, and the product rounds once, so a draw is
-    # float32((j - 2^22) 2^-23 float32(2 sqrt(3))): a lattice of 2^23 points
-    # on [-float32(sqrt(3)), float32(sqrt(3))), inside [-sqrt(3), sqrt(3)).
-    out = _uniform_variate(rng, size)
-    out -= np.float32(1.5)
-    out *= _UNIFORM_WIDTH32
-    return out
-
-
 def uniform() -> IIDModel:
     """Uniform on [-sqrt(3), sqrt(3)]: E|X|^3 = 3 sqrt(3)/4, EX^4 = 9/5, and
-    E|X - X'|^3 = (2 sqrt(3))^3/10, since X - X' is triangular.  The draws
-    take 2^23 values, equally spaced up to float32 rounding; the variate is
-    the float32 in [1, 2) that a draw shifts by 1.5 and scales by
-    float32(2 sqrt(3))."""
-    width = float(_UNIFORM_WIDTH32)
-    return IIDModel("uniform", _sample_uniform, abs3=3.0 * _SQRT3 / 4.0, fourth=9.0 / 5.0,
-                    diff_abs3=12.0 * _SQRT3 / 5.0,
-                    variate=Variate(_uniform_variate, -1.5 * width, width))
+    E|X - X'|^3 = (2 sqrt(3))^3/10, since X - X' is triangular.  The
+    variate is a float32 1 + j 2^-23 in [1, 2), and X = (Y - 1.5) w with
+    w = float32(2 sqrt(3)): (j - 2^22) 2^-23 w, a lattice of 2^23 points on
+    [-w/2, w/2), inside [-sqrt(3), sqrt(3))."""
+    width = float(np.float32(2.0 * _SQRT3))
+    return IIDModel("uniform", _uniform_variate, abs3=3.0 * _SQRT3 / 4.0, fourth=9.0 / 5.0,
+                    diff_abs3=12.0 * _SQRT3 / 5.0, a=-1.5 * width, b=width)
 
 
 def _indicators(rng, size, high: int, low: int) -> np.ndarray:
@@ -481,47 +457,33 @@ def two_point(p: float = 0.2) -> IIDModel:
     A coordinate draw is hi with probability t 2^-24 exactly, t =
     ceil(float32(p) 2^24), the probability that a float32 uniform on the
     2^24-point grid falls below float32(p).  Its variate is the 0/1
-    indicator of hi (:func:`_indicators`), and the draw is float32(lo) or
-    float32(hi)."""
+    indicator of hi (:func:`_indicators`), with (a, b) = (lo, hi - lo)."""
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"two_point needs 0 < p < 1, got {p}")
     q = 1.0 - p
     hi = math.sqrt(q / p)
     lo = -math.sqrt(p / q)
     high, low = divmod(math.ceil(float(np.float32(p)) * 2.0**24), 1 << 16)
-    values = np.array([lo, hi], dtype=np.float32)
-
-    def variate(rng, size):
-        return _indicators(rng, size, high, low)
-
-    def sample(rng, size):
-        return values[variate(rng, size).astype(np.intp)]
-
     support = (np.array([lo, hi]), np.array([q, p]))
     return IIDModel(
         f"two_point({p!r})",
-        sample,
+        functools.partial(_indicators, high=high, low=low),
         abs3=p * hi**3 + q * (-lo) ** 3,
         fourth=p * hi**4 + q * lo**4,
         support=support,
         sum_sampler=_two_valued_sums(lo, hi, p),
-        variate=Variate(variate, lo, hi - lo),
+        a=lo,
+        b=hi - lo,
     )
 
 
 def _exponential_variate(rng, size):
-    # log u at u = (w + 1/2) 2^-32.
+    # log u at u = (w + 1/2) 2^-32, and X = -1 - log u, the inverse CDF: the
+    # largest X is 33 ln 2 - 1 ~ 21.9.
     u = np.multiply(_words32(rng, size), np.float32(2.0**-32), dtype=np.float32)
     u += np.float32(2.0**-33)
     np.log(u, out=u)
     return u.reshape(size)
-
-
-def _sample_exponential(rng, size):
-    # The inverse CDF -log u - 1: the largest draw is 33 ln 2 - 1 ~ 21.9.
-    out = _exponential_variate(rng, size)
-    np.subtract(-1.0, out, out=out)
-    return out
 
 
 def _sum_exponential(rng, m, size):
@@ -534,8 +496,8 @@ def centered_exponential() -> IIDModel:
     E|X - X'|^3 = 3! = 6, since X - X' is standard Laplace.  A sum of m
     copies is Gamma(m) - m.  The variate is log u, and X = -1 - log u."""
     return IIDModel(
-        "exponential", _sample_exponential, abs3=12.0 / math.e - 2.0, fourth=9.0, diff_abs3=6.0,
-        sum_sampler=_sum_exponential, variate=Variate(_exponential_variate, -1.0, -1.0),
+        "exponential", _exponential_variate, abs3=12.0 / math.e - 2.0, fourth=9.0, diff_abs3=6.0,
+        sum_sampler=_sum_exponential, a=-1.0, b=-1.0,
     )
 
 
@@ -705,7 +667,7 @@ def sample_rank_bins(
     a key from the (seed, start) stream (:func:`_stream_keys`), TILE_ROWS
     rows per tile.  While (G - 1) n <= _KEY16_CUTS = 2^15 a key is a 16-bit
     quarter-word, and a row reads ceil(n/4) words; above it a key is a
-    32-bit half-word, as in a permutation row of :func:`sample_tiles`, and
+    32-bit half-word, as in a permutation row of :func:`_permuted_rows`, and
     a row reads ceil(n/2) words.  Bin c holds the items whose keys rank
     from sizes[0] + ... + sizes[c-1] up to the next cut.  A row whose keys
     tie across a cut is redrawn whole from the next words of the stream,
@@ -750,19 +712,13 @@ def sample_rank_bins(
     return sums
 
 
-def _variate(law: IIDModel) -> Variate:
-    """The variate ``law`` declares, else the law itself: (sampler, 0, 1)."""
-    return law.variate or Variate(law.sampler, 0.0, 1.0)
-
-
-def _law_draws(model: Model, seed: int, start: int, count: int,
-               variates: bool) -> Iterator[tuple[int, int, np.ndarray]]:
+def _law_draws(model: Model, seed: int, start: int,
+               count: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """The coordinate draws of the block for sample indices
     start..start+count-1, in stream order, as (lo, j, draws): float32
-    (m, n_j) draws of rows lo..lo+m-1 of the n_j coordinates of law j, in
-    index order (every coordinate, j = 0, for a model of one law and for
-    an exchangeable model).  With ``variates`` a law draws its variate
-    (:func:`_variate`) in place of X; the stream words read are the same.
+    (m, n_j) variates Y of rows lo..lo+m-1 of the n_j coordinates of law j,
+    in index order (every coordinate, j = 0, for a model of one law and for
+    an exchangeable model, whose rows are their own values).
 
     The block consumes the stream keyed by (seed, start) strictly in order.
     A model of one law draws TILE_ROWS rows per row-major (m, n) sampler
@@ -779,7 +735,7 @@ def _law_draws(model: Model, seed: int, start: int, count: int,
         pop = model.population.astype(np.float32)
         samplers = [lambda rng, size: _permuted_rows(rng, pop, size[0])]
     else:
-        samplers = [_variate(law).draw if variates else law.sampler for law in model.laws]
+        samplers = [law.sampler for law in model.laws]
     rng = stream(seed, start)
     if kind == INDEPENDENT:
         sizes = np.bincount(model.law_index)
@@ -791,31 +747,6 @@ def _law_draws(model: Model, seed: int, start: int, count: int,
     for lo in range(0, count, TILE_ROWS):
         m = min(TILE_ROWS, count - lo)
         yield lo, 0, samplers[0](rng, (m, model.n))
-
-
-def sample_tiles(model: Model, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
-    """The float32 rows of the block for sample indices start..start+count-1,
-    in order, as (TILE_ROWS, n) tiles, the last one possibly shorter.
-
-    The tiles hold the draws of :func:`_law_draws`, in its stream order.
-    The tile height is part of the determinism contract: a tile of a model
-    of one law is one sampler call, and an exchangeable tile redraws its
-    tied rows before the next tile starts.  Callers that fix their block
-    boundaries therefore get identical totals no matter how blocks are
-    distributed across workers.  A model of several laws gathers each
-    LAW_ROWS rows of its laws' draws into rows, handed out as tiles.
-    """
-    draws = _law_draws(model, seed, start, count, variates=False)
-    if family(model) != INDEPENDENT:
-        yield from (tile for _, _, tile in draws)
-        return
-    groups = [np.flatnonzero(model.law_index == j) for j in range(len(model.laws))]
-    for _, j, x in draws:
-        if j == 0:
-            rows = np.empty((x.shape[0], model.n), dtype=np.float32)
-        rows[:, groups[j]] = x
-        if j == len(groups) - 1:
-            yield from (rows[t:t + TILE_ROWS] for t in range(0, rows.shape[0], TILE_ROWS))
 
 
 def sample_class_sums(
@@ -831,7 +762,7 @@ def sample_class_sums(
 
     The block consumes the stream keyed by (seed, start) group after
     group, in the order given, count sums per group, so that, as for
-    :func:`sample_tiles`, fixed block boundaries give identical draws no
+    :func:`_law_draws`, fixed block boundaries give identical draws no
     matter how blocks are distributed across workers.
     """
     if count < 1:
@@ -931,7 +862,7 @@ def _column_classes(vectors: np.ndarray, code: np.ndarray,
 def _coordinate_projections(model, rows, scales, offset, seed, start, count):
     s = np.empty((count, offset.size))
     s[:] = offset
-    for lo, j, y in _law_draws(model, seed, start, count, variates=True):
+    for lo, j, y in _law_draws(model, seed, start, count):
         s[lo:lo + y.shape[0]] += (y @ rows[j]) * scales[j]
     return s
 
@@ -989,7 +920,7 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     Every other cell draws coordinates in single precision (COORDINATES):
     the statistical error at any usable sample count dominates the
     rounding by several orders of magnitude.  It projects each law's
-    variates Y (:class:`Variate`; an exchangeable row is its own), as
+    variates Y (:class:`IIDModel`; an exchangeable row is its own), as
     :func:`_law_draws` hands them out, and drops them before the next are
     drawn: S = sum over laws j of b_j (Y_j theta_j) + sum_j a_j sum_(r in j)
     theta^r, with theta_j the (n_j, k) float32 rows of theta of law j's
@@ -1023,7 +954,7 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     if exchangeable:
         law_index, affine = np.zeros(n, dtype=np.intp), [(0.0, 1.0)]
     else:
-        affine = [(v.a, v.b) for v in map(_variate, laws)]
+        affine = [(law.a, law.b) for law in laws]
     rows = tuple(np.ascontiguousarray(theta[law_index == j]) for j in range(len(affine)))
     scales = tuple(np.float64(b) for _, b in affine)
     offset = sum(a * r.sum(axis=0, dtype=np.float64) for (a, _), r in zip(affine, rows))

@@ -18,6 +18,8 @@ from projclt.bounds import RESAMPLING, TRANSPOSITION
 from projclt.errors import InvalidInputError
 from projclt.sources import ExchangeableModel, IIDModel, IndependentModel, Model
 
+from conftest import law_values
+
 PAIR_KINDS = (RESAMPLING, TRANSPOSITION)
 
 
@@ -78,7 +80,7 @@ def resample_pair(x, ds: DirectionSet, model: Model, seed: int) -> ResamplePairD
     s = project(x, ds)
     rng = sources.stream(seed)
     index = int(rng.integers(ds.n))
-    replacement = float(coord_law(model, index).sampler(rng, 1)[0])
+    replacement = float(law_values(coord_law(model, index), rng, 1)[0])
     s_prime = s + ds.vectors[:, index] * (replacement - x[index])
     return ResamplePairDraw(s=s, s_prime=s_prime, index=index, replacement=replacement)
 

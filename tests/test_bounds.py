@@ -34,6 +34,8 @@ from projclt.sources import (
 )
 from projclt.testfuncs import cosine_testfn
 
+from conftest import uniform_law
+
 SQRT3 = math.sqrt(3.0)
 # a = b = c = 1: T4/T5 with unit constants, for tests that compare terms.
 UNIT_CONSTANTS = ExchangeableConstants(a=1.0, b=1.0, c=1.0)
@@ -372,7 +374,7 @@ class TestMonotonicity:
         g = unit_cosine(2)
 
         def model(abs3, fourth):
-            return iid(IIDModel("declared", uniform().sampler, abs3=abs3, fourth=fourth), 64)
+            return iid(uniform_law("declared", abs3=abs3, fourth=fourth), 64)
 
         lo = compute_bound("T2", ds, model(abs3, fourth), g)
         hi = compute_bound("T2", ds, model(abs3 + bump_a, fourth + bump_f), g)

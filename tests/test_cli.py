@@ -258,7 +258,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("bound", "--seed"), ("bound", "--samples"),
-        ("check", "--samples"), ("check", "--theorem"),
         ("moments", "--seed"), ("moments", "--samples"), ("moments", "--theorem"),
     ])
     def test_override_the_command_does_not_read_is_two(self, tmp_path, capsys, command, flag):
@@ -267,6 +266,12 @@ class TestExitCodes:
             main([command, str(write_config(tmp_path)), flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_check_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(write_config(tmp_path))])
+        assert exc.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
 
     def test_non_integer_pair_samples_is_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {"theorem": "abstract", "pair_samples": "abc"})
@@ -423,7 +428,7 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["check", "moments", "bound", "verify"])
+    @pytest.mark.parametrize("command", ["moments", "bound", "verify"])
     @pytest.mark.parametrize("overrides,message", [
         ({"test_function": {"kind": "bump", "radius": 0}}, "bump radius must be positive"),
         ({"test_function": {"kind": "sine"}}, "test_function.kind must be cosine|bump"),
@@ -467,7 +472,7 @@ class TestExitCodes:
             "output": str(tmp_path / "out.csv"),
         })
         errors = set()
-        for command in ("bound", "verify", "check", "moments"):
+        for command in ("bound", "verify", "moments"):
             assert main([command, str(path)]) == 2
             errors.add(capsys.readouterr().err)
         (err,) = errors
@@ -736,106 +741,6 @@ class TestScanCommand:
         assert main(["scan", str(path), "--axis", "k", "--values", "1,2"]) == 2
 
 
-def check_names(out):
-    """The check names of ``check`` output lines 'check NAME: ok (...)'."""
-    return [line[len("check "):line.index(": ")] for line in out.splitlines()]
-
-
-class TestCheckCommand:
-    def test_default_config_passes(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        assert main(["check", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.count(": ok") == 1
-        assert check_names(out) == ["moments rademacher"]
-
-    def test_exchangeable_config_passes(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            {
-                "theorem": "T4",
-                "model": {"kind": "exchangeable", "family": "ramp"},
-                "directions": {"kind": "hypercube", "n": 16, "k": 2, "centered": True},
-            },
-        )
-        assert main(["check", str(path)]) == 0
-        assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("kind, name", [
-        ("rademacher", "rademacher"), ("uniform", "uniform"),
-        ("two_point", "two_point(0.2)"), ("exponential", "exponential"),
-    ])
-    def test_iid_config_checks_its_own_law(self, tmp_path, capsys, kind, name):
-        path = write_config(tmp_path, {"model": {"kind": kind}})
-        assert main(["check", str(path)]) == 0
-        assert check_names(capsys.readouterr().out) == [f"moments {name}"]
-
-    def independent_config(self, tmp_path):
-        pattern = [{"kind": "rademacher"}, {"kind": "exponential"}]
-        return write_config(tmp_path, {"model": {"kind": "independent", "pattern": pattern}})
-
-    def test_independent_pattern_checks_every_law(self, tmp_path, capsys):
-        assert main(["check", str(self.independent_config(tmp_path))]) == 0
-        out = capsys.readouterr().out
-        assert "check moments rademacher: ok" in out
-        assert "check moments exponential: ok" in out
-        assert check_names(out) == ["moments rademacher", "moments exponential"]
-
-    def test_four_law_pattern_keeps_its_text(self, tmp_path, capsys):
-        pattern = [{"kind": "rademacher"}, {"kind": "uniform"}, {"kind": "two_point", "p": 0.2},
-                   {"kind": "exponential"}]
-        path = write_config(tmp_path, {"model": {"kind": "independent", "pattern": pattern}})
-        assert main(["check", str(path)]) == 0
-        # moved once, when its first line, the pair's linearity residual, went;
-        # the two-point line moved once more, when two-point draws began to
-        # read one stream byte each (from abs3 1.68598, fourth 3.22163)
-        assert capsys.readouterr().out == (
-            "check moments rademacher: ok (abs3 1.00000 vs 1.00000, fourth 1.00000 vs 1.00000)\n"
-            "check moments uniform: ok (abs3 1.30219 vs 1.29904, fourth 1.80438 vs 1.80000)\n"
-            "check moments two_point(0.2): ok (abs3 1.69027 vs 1.70000, fourth 3.23032 vs 3.25000)\n"
-            "check moments exponential: ok (abs3 2.44194 vs 2.41455, fourth 9.30219 vs 9.00000)\n")
-
-    def test_wrong_moment_on_the_second_law_fails(self, tmp_path, monkeypatch, capsys):
-        wrong = dataclasses.replace(sources.centered_exponential(), abs3=3.0)  # 12/e - 2 ~ 2.41
-        monkeypatch.setitem(sources.CATALOG, "exponential", lambda: wrong)
-        assert main(["check", str(self.independent_config(tmp_path))]) == 1
-        out = capsys.readouterr().out
-        assert "check moments rademacher: ok" in out
-        assert "check moments exponential: FAIL" in out
-
-    def test_law_with_a_nonzero_mean_is_refused_at_load(self, tmp_path, monkeypatch, capsys):
-        # a support of mean 1/2 is refused when the law is built, so the
-        # configuration exits 2 before any check runs
-        monkeypatch.setitem(sources.CATALOG, "rademacher", lambda: dataclasses.replace(
-            sources.rademacher(), support=(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))))
-        assert main(["check", str(write_config(tmp_path))]) == 2
-        assert "needs a standardized support" in capsys.readouterr().err
-
-    def skewed_config(self, tmp_path):
-        """The standardized population [0, ..., 0, 1, 5] with centered random rows."""
-        return write_config(tmp_path, {
-            "theorem": "abstract",
-            "model": {"kind": "exchangeable", "population": [0] * 14 + [1, 5]},
-            "directions": {"kind": "random", "n": 16, "k": 3, "centered": True},
-        })
-
-    def test_exchangeable_model_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        # an exchangeable model has no law to check, so no line and no draw
-        def refuse(*args, **kwargs):
-            raise AssertionError("a state was drawn")
-
-        for name in ["sample_tiles", "sample_class_sums", "sample_rank_bins", "projections",
-                     "stream"]:
-            monkeypatch.setattr(sources, name, refuse)
-        path = str(self.skewed_config(tmp_path))
-        assert main(["check", path]) == 0
-        assert capsys.readouterr().out == ""
-        out = tmp_path / "check.txt"
-        assert main(["check", path, "--output", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert out.read_bytes() == b""
-
-
 class TestMomentsCommand:
     def test_uniform_row(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -874,6 +779,14 @@ class TestMomentsCommand:
         assert float(row["mixed_4"]) == 1.0
         assert float(row["mixed_var"]) == 0.0
 
+    def test_law_with_a_nonzero_mean_is_refused_at_load(self, tmp_path, monkeypatch, capsys):
+        # a support of mean 1/2 is refused when the law is built, so the
+        # configuration exits 2 before any constant is read
+        monkeypatch.setitem(sources.CATALOG, "rademacher", lambda: dataclasses.replace(
+            sources.rademacher(), support=(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))))
+        assert main(["moments", str(write_config(tmp_path))]) == 2
+        assert "needs a standardized support" in capsys.readouterr().err
+
 
 class TestOverrides:
     def test_bound_theorem(self, tmp_path):
@@ -887,23 +800,6 @@ class TestOverrides:
         assert main(["bound", str(write_config(tmp_path)), "--output", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert [row["theorem"] for row in read_rows(out)] == ["T2"]
-
-    def test_check_seed(self, tmp_path, capsys):
-        # the uniform law's sampled moments move with the seed
-        uniform = {"model": {"kind": "uniform"}}
-        assert main(["check", str(write_config(tmp_path, uniform)), "--seed", "5"]) == 0
-        overridden = capsys.readouterr().out
-        path = write_config(tmp_path, {**uniform, "seed": 5}, name="s5.json")
-        assert main(["check", str(path)]) == 0
-        assert capsys.readouterr().out == overridden
-        assert main(["check", str(write_config(tmp_path, uniform))]) == 0
-        assert capsys.readouterr().out != overridden
-
-    def test_check_output(self, tmp_path, capsys):
-        out = tmp_path / "check.txt"
-        assert main(["check", str(write_config(tmp_path)), "--output", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert check_names(out.read_text()) == ["moments rademacher"]
 
     def test_moments_output(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -993,16 +889,11 @@ ABSTRACT_CSVS = {
               "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True, "seed": 5}},
              "692d58870897eb477955f368092e7ff0ce9462170c74f4793cc32f7e91bf8e20"),
 }
-# The moments CSV and the check text of one i.i.d. law.  The CSV moved once,
-# from d6751ad3..., when its first-coordinate abs3 and fourth columns went
-# and abs3_max and fourth_max took their names.  The check text moved once,
-# when its first line, the pair's linearity residual, went, and once more
-# when two-point draws began to read one stream byte each (from abs3
-# 1.68598, fourth 3.22163).
+# The moments CSV of one i.i.d. law.  It moved once, from d6751ad3..., when
+# its first-coordinate abs3 and fourth columns went and abs3_max and
+# fourth_max took their names.
 IID_LAW_CONFIG = {"model": {"kind": "two_point", "p": 0.2}}
 IID_MOMENTS_CSV = "28614a0d781916394e92da5eae0eed91f46781953fec60b6a68f66991c048bfc"
-IID_CHECK_TEXT = (
-    "check moments two_point(0.2): ok (abs3 1.69027 vs 1.70000, fourth 3.23032 vs 3.25000)\n")
 
 
 class TestReproducibility:
@@ -1055,13 +946,11 @@ class TestReproducibility:
         assert main(["bound", str(path), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_iid_moments_and_check_keep_their_bytes(self, tmp_path):
-        out, text = tmp_path / "m.csv", tmp_path / "check.txt"
+    def test_iid_moments_keep_their_bytes(self, tmp_path):
+        out = tmp_path / "m.csv"
         path = write_config(tmp_path, IID_LAW_CONFIG)
         assert main(["moments", str(path), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == IID_MOMENTS_CSV
-        assert main(["check", str(path), "--output", str(text)]) == 0
-        assert text.read_text() == IID_CHECK_TEXT
 
     @pytest.mark.parametrize("pattern, law", [
         ([{"kind": "uniform"}], {"kind": "uniform"}),
@@ -1161,14 +1050,14 @@ class TestReproducibility:
         (line,) = capsys.readouterr().err.splitlines()
         record = json.loads(line)
         assert (record["theorem"], record["n"], record["k"], record["passed"]) == ("T2", 64, 2, True)
-        assert (record["workers"], record["blocks"], record["tile_rows"]) == (2, 3, sources.TILE_ROWS)
+        assert (record["workers"], record["blocks"]) == (2, 3)
         assert set(record["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
         assert record["samples_per_s"] > 0
         assert record["gaussian_method"] == "closed-form" and record["gaussian_error"] == 0.0
         assert list(record) == [
             "theorem", "n", "k", "passed", "seed", "samples", "mean_g", "se", "gaussian_value",
             "gaussian_error", "gaussian_method", "bound_scale", "digest", "workers", "blocks",
-            "tile_rows", "stream", "stage_seconds", "samples_per_s", "dominant_term",
+            "stream", "stage_seconds", "samples_per_s", "dominant_term",
             "sampler", "groups"]
         (row,) = read_rows(out2)
         assert (record["seed"], record["samples"], record["bound_scale"], record["digest"]) == (

@@ -56,7 +56,7 @@ from projclt.testfuncs import (
     gaussian_expectation,
 )
 
-from conftest import pattern, sample_block
+from conftest import pattern, sample_block, uniform_law
 from pair_reference import (
     conditional_mean_enumerated,
     eij_closed_form,
@@ -417,20 +417,18 @@ class TestPairStatistics:
         assert exact == pytest.approx(d3 * dtheta3 / (n * (n - 1)), rel=1e-12)
 
     def test_continuous_law_without_diff_abs3_is_rejected(self):
-        law = IIDModel("custom", uniform().sampler, abs3=1.3, fourth=1.8)
+        law = uniform_law("custom", abs3=1.3, fourth=1.8)
         with pytest.raises(MissingMomentsError, match="diff_abs3"):
             compute_bound("abstract", hypercube_directions(8, 1), iid(law, 8), unit_cosine(1))
 
     def test_continuous_law_without_fourth_is_rejected(self):
-        law = IIDModel("custom", uniform().sampler, abs3=1.3,
-                       diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
+        law = uniform_law("custom", abs3=1.3, diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
         with pytest.raises(MissingMomentsError, match="fourth"):
             eij_second_moments(hypercube_directions(8, 1), iid(law, 8))
 
     def test_abstract_bound_needs_no_moments_it_does_not_use(self):
         # abs3 feeds T1-T5 only; the abstract route needs diff_abs3 and fourth
-        law = IIDModel("custom", uniform().sampler, fourth=9.0 / 5.0,
-                       diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
+        law = uniform_law("custom", fourth=9.0 / 5.0, diff_abs3=12.0 * math.sqrt(3.0) / 5.0)
         with pytest.raises(MissingMomentsError):
             compute_bound("T2", hypercube_directions(16, 1), iid(law, 16), unit_cosine(1))
         report = compute_bound("abstract", hypercube_directions(16, 1), iid(law, 16),
@@ -511,7 +509,7 @@ class TestEijSecondMoments:
     def test_declared_fourth_moment_below_one_is_rejected(self):
         # the law refuses it on construction, before any statistic reads it
         with pytest.raises(InvalidMomentsError, match="declares fourth = 0.5; below 1"):
-            IIDModel("custom", uniform().sampler, fourth=0.5)
+            uniform_law("custom", fourth=0.5)
 
     def test_linearly_independent_rows_are_rejected(self):
         ds = DirectionSet(OVERLAPPING_ROWS)
@@ -1123,7 +1121,7 @@ def test_third_moment_sum_checks_the_dimension(model):
 
 def support_only(law):
     """A copy of a finitely supported law that declares no constant."""
-    return IIDModel(law.name, law.sampler, support=law.support)
+    return IIDModel(law.name, law.sampler, support=law.support, a=law.a, b=law.b)
 
 
 class TestLawConstants:
@@ -1143,7 +1141,7 @@ class TestLawConstants:
 
     @pytest.mark.parametrize("theorem, constant", [("T1", "abs3"), ("abstract", "fourth")])
     def test_a_law_with_neither_declarations_nor_support_is_refused(self, theorem, constant):
-        law = IIDModel("bare", uniform().sampler)
+        law = uniform_law("bare")
         with pytest.raises(MissingMomentsError, match=f"declares no {constant} "):
             compute_bound(theorem, hypercube_directions(16, 2), iid(law, 16), unit_cosine(2))
 
@@ -1166,7 +1164,7 @@ class TestVerifyBound:
         rep = verify_bound("T1", hypercube_directions(64, 2), iid(rademacher(), 64), unit_cosine(2),
                            samples=20_000, seed=2, workers=2)
         meta, est = rep.metadata, rep.estimate
-        assert (est.workers, est.blocks, meta["tile_rows"]) == (2, 3, TILE_ROWS)
+        assert (est.workers, est.blocks) == (2, 3)
         assert (est.sampler, est.groups) == (COORDINATES, None)
         assert set(meta["stage_seconds"]) == {"bound", "gaussian", "discrepancy"}
         assert meta["samples_per_s"] == pytest.approx(

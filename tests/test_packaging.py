@@ -50,7 +50,7 @@ PUBLIC_NAMES = [
     "centered_exponential", "compute_bound", "cosine_testfn", "eij_second_moments",
     "estimate_discrepancy", "exchangeable_moments", "gaussian_expectation",
     "hypercube_directions", "iid", "load_population", "moment_summary", "pair_for",
-    "rademacher", "random_orthonormal", "sample_tiles", "standardize_population",
+    "rademacher", "random_orthonormal", "standardize_population",
     "stein_lambda", "two_point", "uniform", "verify_bound",
 ]
 

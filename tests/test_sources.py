@@ -23,14 +23,20 @@ from projclt.sources import (
     rademacher,
     sample_class_sums,
     sample_rank_bins,
-    sample_tiles,
     standardize_population,
     stream,
     two_point,
     uniform,
 )
 
-from conftest import pattern, sample_block
+from conftest import (
+    law_values,
+    pattern,
+    sample_block,
+    sort_key_permutations,
+    stream_keys,
+    uniform_law,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -96,7 +102,7 @@ class TestCatalogMoments:
 
     def test_two_point_against_monte_carlo_oracle(self):
         model = two_point(0.2)
-        draws = model.sampler(stream(1234), 10_000_000)
+        draws = law_values(model, stream(1234), 10_000_000)
         m = moment_summary(iid(model, 1))
         pairs = np.abs(draws[::2] - draws[1::2]) ** 3
         for vals, declared in [(np.abs(draws) ** 3, m.abs3), (draws**4, m.fourth),
@@ -111,7 +117,7 @@ class TestCatalogMoments:
 
     def test_exponential_against_monte_carlo_oracle(self):
         model = centered_exponential()
-        draws = model.sampler(stream(77), 2_000_000)
+        draws = law_values(model, stream(77), 2_000_000)
         m = moment_summary(iid(model, 1))
         pairs = np.abs(draws[::2] - draws[1::2]) ** 3
         for vals, declared in [(np.abs(draws) ** 3, m.abs3), (pairs, model.constant("diff_abs3"))]:
@@ -121,7 +127,7 @@ class TestCatalogMoments:
     @pytest.mark.parametrize("factory", [rademacher, uniform, two_point, centered_exponential])
     def test_standardization_at_one_million_samples(self, factory):
         model = factory()
-        draws = model.sampler(stream(5), 1_000_000)
+        draws = law_values(model, stream(5), 1_000_000)
         for stat, target in [(draws, 0.0), (draws**2, 1.0)]:
             se = stat.std(ddof=1) / math.sqrt(stat.size)
             assert abs(stat.mean() - target) <= 4 * se + 1e-12
@@ -303,9 +309,10 @@ class TestSamplerFormulas:
     ], ids=lambda v: getattr(v, "name", ""))
     @pytest.mark.parametrize("size", [1, 7, 1000, 1001, (3, 5), (64, 33)])
     def test_bit_identical_to_the_numpy_formulas(self, law, reference, size):
-        got = law.sampler(stream(9, 3), size)
+        assert law.sampler(stream(9, 3), size).dtype == np.float32
+        got = law_values(law, stream(9, 3), size)
         want = reference(stream(9, 3), size)
-        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.01, 1.0 / 3.0, 0.7, 0.9999, 1e-6, 1.0 - 2.0**-30])
@@ -330,7 +337,7 @@ class TestSamplerFormulas:
             script.append(np.frombuffer(quarters.tobytes(), dtype="<u8").astype(np.uint64))
         law = two_point(p)
         rng = _ScriptedWords(*script)
-        x = law.sampler(rng, count)
+        x = law_values(law, rng, count)
         assert rng.draws == []  # ceil(count/8) words, then ceil(ties/4)
         lo_value, hi_value = np.float32(law.support[0][0]), np.float32(law.support[0][1])
         assert x.dtype == np.float32 and set(np.unique(x)) <= {lo_value, hi_value}
@@ -338,27 +345,37 @@ class TestSamplerFormulas:
         assert 65536 * np.count_nonzero(x[:first] == hi_value) + np.count_nonzero(
             x[first:] == hi_value) == t
 
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.01, 1.0 / 3.0, 0.7, 0.9999, 1e-6, 1.0 - 2.0**-30])
+    def test_two_point_finish_rounds_to_the_support(self, p):
+        # X = a + b Y for the indicator Y is lo or lo + (hi - lo), which
+        # float64 may round away from hi; the float32 values must not move
+        law = two_point(p)
+        lo, hi = law.support[0]
+        assert np.float32(law.a) == np.float32(lo)
+        assert np.float32(law.a + law.b) == np.float32(hi)
+
     def test_uniform_draws_lie_on_the_lattice(self):
         # 2^23 points float32(i 2^-23 float32(2 sqrt(3))), -2^22 <= i < 2^22
-        x = uniform().sampler(stream(5, 1), 1_000_000).astype(np.float64)
+        x = law_values(uniform(), stream(5, 1), 1_000_000).astype(np.float64)
         step = 2.0**-23 * float(np.float32(2.0 * SQRT3))
         i = np.rint(x / step)
         assert np.all((-2.0**22 <= i) & (i < 2.0**22))
         np.testing.assert_array_equal((i * step).astype(np.float32), x.astype(np.float32))
         assert np.all((-SQRT3 <= x) & (x < SQRT3))
-        assert uniform().sampler(_FixedWords(0), 2)[0] == -np.float32(SQRT3)
-        assert uniform().sampler(_FixedWords(2**64 - 1), 2)[0] == np.float32((2**22 - 1) * step)
+        assert law_values(uniform(), _FixedWords(0), 2)[0] == -np.float32(SQRT3)
+        assert law_values(uniform(), _FixedWords(2**64 - 1), 2)[0] == np.float32(
+            (2**22 - 1) * step)
 
     def test_float32_exponential_moments(self):
         model = centered_exponential()
-        x = model.sampler(stream(2024), 1_000_000).astype(np.float64)
+        x = law_values(model, stream(2024), 1_000_000).astype(np.float64)
         m = moment_summary(iid(model, 1))
         for vals, declared in [(x, 0.0), (x * x, 1.0), (np.abs(x) ** 3, m.abs3), (x**4, m.fourth)]:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - declared) <= 4 * se
 
     def test_float32_exponential_follows_the_exp1_cdf(self):
-        x = np.sort(centered_exponential().sampler(stream(2025), 1_000_000))
+        x = np.sort(law_values(centered_exponential(), stream(2025), 1_000_000))
         cdf = -np.expm1(-(x.astype(np.float64) + 1.0))
         ranks = np.arange(1, x.size + 1) / x.size
         ks = max(float(np.max(ranks - cdf)), float(np.max(cdf - (ranks - 1.0 / x.size))))
@@ -366,7 +383,7 @@ class TestSamplerFormulas:
         assert x.max() <= 33.0 * math.log(2.0) - 1.0 + 1e-5
 
     def test_float32_exponential_extremes(self):
-        sample = centered_exponential().sampler
+        sample = functools.partial(law_values, centered_exponential())
         top = sample(_FixedWords(0), 4)
         np.testing.assert_allclose(top, 33.0 * math.log(2.0) - 1.0, rtol=1e-6)
         assert np.all(sample(_FixedWords(2**64 - 1), 4) == np.float32(-1.0))
@@ -381,9 +398,7 @@ CATALOG_LAWS = [rademacher(), uniform(),
 def catalog_draws(name):
     """1,000,000 float32 draws of the catalog law ``name``, as float64."""
     law = next(law for law in CATALOG_LAWS if law.name == name)
-    x = law.sampler(stream(77, 0), 1_000_000)
-    assert x.dtype == np.float32
-    return x.astype(np.float64)
+    return law_values(law, stream(77, 0), 1_000_000).astype(np.float64)
 
 
 class TestFloat32Draws:
@@ -403,6 +418,10 @@ class TestFloat32Draws:
         }[moment]
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - declared) <= 5 * se + 1e-9
+
+    @pytest.mark.parametrize("law", CATALOG_LAWS, ids=lambda law: law.name)
+    def test_variates_are_float32(self, law):
+        assert law.sampler(stream(77, 0), (3, 5)).dtype == np.float32
 
     @pytest.mark.parametrize("law", CATALOG_LAWS, ids=lambda law: law.name)
     def test_draws_lie_in_the_support(self, law):
@@ -441,7 +460,7 @@ class TestSumSamplers:
         else:
             assert x.min() > -1.0
 
-    @pytest.mark.parametrize("law", [uniform(), IIDModel("u", uniform().sampler, 1.3, 1.8)],
+    @pytest.mark.parametrize("law", [uniform(), uniform_law("u", abs3=1.3, fourth=1.8)],
                              ids=["uniform", "user"])
     def test_other_laws_declare_none(self, law):
         assert law.sum_sampler is None
@@ -461,7 +480,7 @@ class TestMomentSummaryInvariants:
     def test_fourth_below_one_rejected(self):
         # the law refuses it, so no summary can carry it
         with pytest.raises(InvalidMomentsError, match="declares fourth = 0.5; below 1"):
-            IIDModel("low", uniform().sampler, abs3=1.0, fourth=0.5)
+            uniform_law("low", abs3=1.0, fourth=0.5)
 
     @pytest.mark.parametrize("model,mixed", [
         (iid(uniform(), 8), False), (pattern((rademacher(), uniform()), 8), False),
@@ -521,9 +540,9 @@ class TestStandardizedLaws:
     @pytest.mark.parametrize("name", ["abs3", "fourth"])
     def test_a_declared_constant_below_one_is_refused(self, name):
         with pytest.raises(InvalidMomentsError, match=f"declares {name} = 0.99; below 1"):
-            IIDModel("law", uniform().sampler, **{name: 0.99})
+            uniform_law("law", **{name: 0.99})
         # EX^4 >= 1 and E|X|^3 >= 1 may miss by rounding, 1e-9
-        assert getattr(IIDModel("law", uniform().sampler, **{name: 1.0 - 1e-10}), name) < 1.0
+        assert getattr(uniform_law("law", **{name: 1.0 - 1e-10}), name) < 1.0
 
     @pytest.mark.parametrize("p", [1e-9, 1e-3, 0.2, 0.3, 0.5, 0.77, 1.0 - 1e-9])
     def test_catalog_supports_are_standardized(self, p):
@@ -599,47 +618,62 @@ class TestExchangeableMoments:
         assert abs(prod_var.mean() - m.mixed_var) <= 4 * se_var
 
 
+def unit_projections(model, seed, start, count):
+    """The library's (count, n) float32 values X of a block: its projections
+    on the n unit rows, which a float32 product computes exactly and a and b
+    finish in float64, as law_values does, rounded once."""
+    plan = sources.projections(np.eye(model.n), model)
+    assert plan.sampler == sources.COORDINATES
+    return plan.draw(seed, start, count).astype(np.float32)
+
+
+def permuted_rows(model, seed, start, count):
+    """The library's (count, n) float32 rows of an exchangeable block, as
+    its coordinate path draws them, whatever path its projections take."""
+    return np.concatenate([rows for _, _, rows in sources._law_draws(model, seed, start, count)])
+
+
 class TestSampling:
     @pytest.mark.parametrize("draw", [
-        lambda count: next(sample_tiles(iid(rademacher(), 8), 1, 0, count)),
+        lambda count: next(sources._law_draws(iid(rademacher(), 8), 1, 0, count)),
         lambda count: sample_class_sums((rademacher(),), (8,), 1, 0, count),
         lambda count: sample_rank_bins(np.ones((8, 1), dtype=np.float32), (4, 4), 1, 0, count),
-    ], ids=["tiles", "class-sums", "rank-bins"])
+    ], ids=["coordinates", "class-sums", "rank-bins"])
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_is_refused(self, draw, count):
         with pytest.raises(InvalidInputError, match="block count must be positive"):
             draw(count)
 
     def test_rademacher_support(self):
-        x = sample_block(iid(rademacher(), 64), seed=3, start=0, count=1)
+        x = unit_projections(iid(rademacher(), 64), seed=3, start=0, count=1)
         assert set(np.unique(x)) <= {-1.0, 1.0}
 
     def test_exchangeable_samples_are_permutations(self):
         pop = np.array([-1.0, -1.0, 1.0, 1.0])
         model = ExchangeableModel(pop)
         for start in range(10):
-            x = sample_block(model, seed=9, start=start, count=1)[0]
+            x = unit_projections(model, seed=9, start=start, count=1)[0]
             assert sorted(x) == sorted(pop)
 
     def test_fixed_seed_reproduces(self):
         model = iid(uniform(), 32)
         np.testing.assert_array_equal(
-            sample_block(model, seed=5, start=0, count=1),
-            sample_block(model, seed=5, start=0, count=1),
+            unit_projections(model, seed=5, start=0, count=1),
+            unit_projections(model, seed=5, start=0, count=1),
         )
 
     def test_iid_needs_length(self):
         # a bare law has no n: iid(law, n) is its model of n coordinates
         with pytest.raises(InvalidInputError, match=r"iid\(law, n\)"):
-            sample_block(rademacher(), seed=0, start=0, count=1)
+            sources.projections(np.eye(1), rademacher())
 
     @pytest.mark.parametrize("model", [iid(uniform(), 8),
                                        ExchangeableModel(np.tile([-1.0, 1.0], 4))],
                              ids=["uniform", "exchangeable"])
     def test_streams_keyed_by_seed_and_index_do_not_collide(self, model):
         # seed XOR index keys made these two blocks identical
-        a = sample_block(model, seed=0, start=8192, count=4)
-        b = sample_block(model, seed=8192, start=0, count=4)
+        a = unit_projections(model, seed=0, start=8192, count=4)
+        b = unit_projections(model, seed=8192, start=0, count=4)
         assert not np.array_equal(a, b)
 
     def test_stream_rejects_seeds_outside_the_key_range(self):
@@ -649,25 +683,25 @@ class TestSampling:
 
     def test_block_shape_and_determinism(self):
         model = iid(uniform(), 16)
-        a = sample_block(model, seed=7, start=4096, count=100)
-        b = sample_block(model, seed=7, start=4096, count=100)
+        a = unit_projections(model, seed=7, start=4096, count=100)
+        b = unit_projections(model, seed=7, start=4096, count=100)
         assert a.shape == (100, 16)
         np.testing.assert_array_equal(a, b)
 
     def test_block_dtype(self):
-        x = sample_block(iid(rademacher(), 24), seed=1, start=0, count=8)
+        ((_, _, x),) = sources._law_draws(iid(rademacher(), 24), 1, 0, 8)
         assert x.dtype == np.float32
         assert set(np.unique(x)) <= {np.float32(-1.0), np.float32(1.0)}
 
     def test_exchangeable_block_rows_are_permutations(self):
         pop = standardize_population(np.arange(1.0, 7.0))
-        block = sample_block(ExchangeableModel(pop), seed=2, start=0, count=50)
+        block = unit_projections(ExchangeableModel(pop), seed=2, start=0, count=50)
         for row in block:
             np.testing.assert_allclose(np.sort(row), np.sort(pop), atol=0)
 
     def test_independent_block_columns_follow_their_law(self):
         model = IndependentModel((rademacher(), uniform()), np.array([0, 1, 0]))
-        block = sample_block(model, seed=11, start=0, count=200)
+        block = unit_projections(model, seed=11, start=0, count=200)
         assert set(np.unique(block[:, 0])) <= {-1.0, 1.0}
         assert np.all(np.abs(block[:, 1]) <= SQRT3)
 
@@ -677,53 +711,12 @@ class TestSampling:
             sources.projections(np.eye(5)[:2], ExchangeableModel(pop))
 
 
-def stream_keys(words, n, key=np.uint32):
-    """The first n keys of the unsigned ``key`` type in each row of 64-bit
-    stream words: 32-bit halves or 16-bit quarters, least significant
-    first (all of them for n = None)."""
-    bits = 8 * np.dtype(key).itemsize
-    parts = (words[:, :, None] >> np.arange(0, 64, bits, dtype=np.uint64)) & np.uint64(
-        (1 << bits) - 1)
-    return parts.astype(key).reshape(words.shape[0], -1)[:, :n]
-
-
 def stream_words(keys):
     """Rows of 32- or 16-bit keys packed back into 64-bit words, least
     significant first; the inverse of stream_keys for whole words."""
     bits = 8 * keys.dtype.itemsize
     parts = keys.astype(np.uint64).reshape(keys.shape[0], -1, 64 // bits)
     return np.bitwise_or.reduce(parts << np.arange(0, 64, bits, dtype=np.uint64), axis=2)
-
-
-def sort_key_permutations(halves):
-    """The permutations that tie-free rows of 32-bit half-words stand for:
-    each row orders its coordinates by their half-words."""
-    assert np.all(np.diff(np.sort(halves, axis=1), axis=1) > 0), "a row ties"
-    return np.argsort(halves, axis=1)
-
-
-def whole_block_reference(model, seed, start, count, n):
-    """The block drawn into one (count, n) array.  Exchangeable rows take
-    ceil(n/2) stream words, one 32-bit half per coordinate, and sort by
-    those halves.  A model of one law is one row-major sampler call per
-    TILE_ROWS rows, as the reads of a two-point law's tied bytes follow
-    each call's bytes.  Models of several laws go LAW_ROWS rows at a time
-    and, within those rows, law by law in the order of ``laws``, one
-    sampler call per law for all of its coordinates in index order."""
-    rng = stream(seed, start)
-    if isinstance(model, ExchangeableModel):
-        words = rng.bit_generator.random_raw((count, (n + 1) // 2))
-        return model.population.astype(np.float32)[sort_key_permutations(stream_keys(words, n))]
-    if len(model.laws) == 1:
-        return np.concatenate([model.laws[0].sampler(rng, (min(TILE_ROWS, count - lo), n))
-                               for lo in range(0, count, TILE_ROWS)])
-    out = np.empty((count, n), dtype=np.float32)
-    for lo in range(0, count, LAW_ROWS):
-        rows = slice(lo, min(lo + LAW_ROWS, count))
-        for j, law in enumerate(model.laws):
-            index = [r for r in range(n) if model.law_index[r] == j]
-            out[rows, index] = law.sampler(rng, (len(index), rows.stop - lo)).T
-    return out
 
 
 def tile_test_model(kind, n):
@@ -738,18 +731,32 @@ def tile_test_model(kind, n):
                 "exponential": centered_exponential}[kind](), n)
 
 
+TILE_KINDS = ["rademacher", "uniform", "two_point", "exponential", "independent", "exchangeable",
+              "exchangeable-repeated"]
+
+
 class TestTiles:
-    @pytest.mark.parametrize("kind", ["rademacher", "uniform", "two_point", "exponential",
-                                      "independent", "exchangeable", "exchangeable-repeated"])
+    @pytest.mark.parametrize("kind", TILE_KINDS)
     @pytest.mark.parametrize("n", [7, 24, 33])
-    def test_tiles_concatenate_to_the_whole_block(self, kind, n):
+    def test_projections_on_unit_rows_are_the_reference_block(self, kind, n):
+        # A block of two whole tiles and a short one
         model = tile_test_model(kind, n)
         count = 2 * TILE_ROWS + 22
-        ref = whole_block_reference(model, 13, 8192, count, n)
-        tiles = list(sample_tiles(model, 13, 8192, count))
-        assert all(t.dtype == np.float32 and t.shape[1] == n for t in tiles)
-        assert [t.shape[0] for t in tiles] == [TILE_ROWS, TILE_ROWS, 22]
-        np.testing.assert_array_equal(np.concatenate(tiles), ref)
+        np.testing.assert_array_equal(unit_projections(model, 13, 8192, count),
+                                      sample_block(model, 13, 8192, count))
+
+    @pytest.mark.parametrize("kind", TILE_KINDS)
+    @pytest.mark.parametrize("n", [7, 24, 33])
+    def test_projections_are_the_reference_block_projected(self, kind, n):
+        # The float32 product of the variates and the rows, finished by a and
+        # b, against the float64 product of the values X and the rows
+        model = tile_test_model(kind, n)
+        count = 2 * TILE_ROWS + 22
+        rows = np.random.default_rng(n).standard_normal((3, n)) / math.sqrt(n)
+        plan = sources.projections(rows, model)
+        assert plan.sampler == sources.COORDINATES
+        want = sample_block(model, 13, 8192, count).astype(np.float64) @ rows.T
+        np.testing.assert_allclose(plan.draw(13, 8192, count), want, rtol=0, atol=1e-5)
 
     def test_independent_laws_are_drawn_in_fixed_row_pieces(self):
         # 47 rademacher, 47 two_point(0.3) and 45 exponential coordinates;
@@ -760,21 +767,19 @@ class TestTiles:
         index[5] = 3
         model = IndependentModel(laws, index)
         count = LAW_ROWS + 44
-        ref = whole_block_reference(model, 21, 0, count, 140)
-        tiles = list(sample_tiles(model, 21, 0, count))
-        full = LAW_ROWS // TILE_ROWS
-        assert [t.shape for t in tiles] == [(TILE_ROWS, 140)] * full + [(44, 140)]
-        np.testing.assert_array_equal(np.concatenate(tiles), ref)
+        np.testing.assert_array_equal(unit_projections(model, 21, 0, count),
+                                      sample_block(model, 21, 0, count))
 
     def test_one_law_model_is_one_row_major_sampler_call(self):
         # the draw order of the i.i.d. model, not the LAW_ROWS column pieces
         # of a model of several laws
         model = IndependentModel((uniform(),), np.zeros(16, dtype=np.intp))
-        block = sample_block(model, 4, 64, LAW_ROWS + 100)
-        np.testing.assert_array_equal(block, uniform().sampler(stream(4, 64), (LAW_ROWS + 100, 16)))
+        block = unit_projections(model, 4, 64, LAW_ROWS + 100)
+        np.testing.assert_array_equal(block,
+                                      law_values(uniform(), stream(4, 64), (LAW_ROWS + 100, 16)))
         rng = stream(4, 64)
-        first = uniform().sampler(rng, (16, LAW_ROWS))
-        rest = uniform().sampler(rng, (16, 100))
+        first = law_values(uniform(), rng, (16, LAW_ROWS))
+        rest = law_values(uniform(), rng, (16, 100))
         assert not np.array_equal(block, np.concatenate([first.T, rest.T]))
 
 
@@ -796,8 +801,7 @@ class _CountingWords:
 class TestStreamBudget:
     @pytest.mark.parametrize("law", [rademacher(), two_point(0.2), uniform(),
                                      centered_exponential()], ids=lambda law: law.name)
-    @pytest.mark.parametrize("path", ["projections", "tiles"])
-    def test_a_tile_reads_only_the_words_its_law_needs(self, monkeypatch, law, path):
+    def test_a_tile_reads_only_the_words_its_law_needs(self, monkeypatch, law):
         # A 64-row tile of n coordinates reads n words under Rademacher, 8n
         # and then ceil(ties/4) under a two-point law, 32n under the uniform
         # and the exponential.
@@ -808,12 +812,8 @@ class TestStreamBudget:
             return streams[-1]
 
         monkeypatch.setattr(sources, "stream", counting)
-        model = iid(law, n)
-        if path == "projections":
-            rows = np.random.default_rng(1).standard_normal((2, n))
-            sources.projections(rows, model).draw(4, 0, TILE_ROWS)
-        else:
-            next(sample_tiles(model, 4, 0, TILE_ROWS))
+        rows = np.random.default_rng(1).standard_normal((2, n))
+        sources.projections(rows, iid(law, n)).draw(4, 0, TILE_ROWS)
         want = [{"rademacher": n, "uniform": 32 * n, "exponential": 32 * n}.get(law.name, 8 * n)]
         if law.name == "two_point(0.2)":
             top = stream(4, 0).bit_generator.random_raw(8 * n).astype("<u8").view(np.uint8)
@@ -863,7 +863,7 @@ class TestPermutationSampler:
     def test_all_permutations_of_five_are_equally_likely(self):
         n, count = 5, 120 * 500
         pop = standardize_population(np.arange(1.0, n + 1.0))
-        block = sample_block(ExchangeableModel(pop), 41, 0, count)
+        block = permuted_rows(ExchangeableModel(pop), 41, 0, count)
         perms = np.searchsorted(pop.astype(np.float32), block)  # pop is increasing
         assert np.all(np.sort(perms, axis=1) == np.arange(n))
         codes = perms @ (n ** np.arange(n))
@@ -879,7 +879,7 @@ class TestPermutationSampler:
     def test_rows_are_permutations_of_the_float32_population(self, n, values):
         base = np.arange(1.0, n + 1.0) if values == "distinct" else np.arange(n) % 3
         pop = standardize_population(base)
-        block = sample_block(ExchangeableModel(pop), 6, 8192, 3 * TILE_ROWS + 5)
+        block = permuted_rows(ExchangeableModel(pop), 6, 8192, 3 * TILE_ROWS + 5)
         assert block.dtype == np.float32 and block.shape == (3 * TILE_ROWS + 5, n)
         want = np.sort(pop.astype(np.float32))
         np.testing.assert_array_equal(np.sort(block, axis=1), np.broadcast_to(want, block.shape))
@@ -894,12 +894,15 @@ class TestPermutationSampler:
         second = stream_keys(stream(4).bit_generator.random_raw((2, 3)), n)  # rows 1 and 3
         second[1, 0] = second[1, 3]  # row 3 ties again
         third = stream_keys(stream(5).bit_generator.random_raw((1, 3)), n)
-        script = _ScriptedWords(*map(stream_words, (first, second, third)))
-        monkeypatch.setattr(sources, "stream", lambda seed, index: script)
-        (tile,) = sample_tiles(ExchangeableModel(pop), 0, 0, 4)
-        assert script.draws == []
         kept = np.vstack([first[0], second[0], first[2], third[0]])
-        np.testing.assert_array_equal(tile, pop.astype(np.float32)[sort_key_permutations(kept)])
+        # the library, then the tests' reference block, on the same words
+        for draw in (permuted_rows, sample_block):
+            script = _ScriptedWords(*map(stream_words, (first, second, third)))
+            monkeypatch.setattr(sources, "stream", lambda seed, index: script)
+            tile = draw(ExchangeableModel(pop), 0, 0, 4)
+            assert script.draws == []
+            np.testing.assert_array_equal(tile,
+                                          pop.astype(np.float32)[sort_key_permutations(kept)])
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 1500), rows=st.integers(1, 70), seed=st.integers(0, 2**32),
@@ -927,14 +930,15 @@ class TestPermutationSampler:
         limit = sources.MAX_PERMUTATION_N
         assert limit == 65_536
         pop = standardize_population(np.arange(1.0, limit + 1.0))
-        (row,) = sample_block(ExchangeableModel(pop), 2, 0, 1)
+        (row,) = permuted_rows(ExchangeableModel(pop), 2, 0, 1)
         np.testing.assert_array_equal(np.sort(row), pop.astype(np.float32))
         model = ExchangeableModel(standardize_population(np.arange(1.0, limit + 2.0)))
         monkeypatch.setattr(sources, "stream", lambda seed, index: _ScriptedWords())
         with pytest.raises(InvalidInputError, match="at most 65536 values, got 65537"):
-            sample_block(model, 0, 0, 1)
+            permuted_rows(model, 0, 0, 1)
+        rows = np.random.default_rng(0).standard_normal((1, limit + 1))
         with pytest.raises(InvalidInputError, match="at most 65536"):
-            next(sample_tiles(model, 0, 0, TILE_ROWS))
+            sources.projections(rows, model).draw(0, 0, TILE_ROWS)
 
 
 def rank_bin_reference(halves, weights, sizes):
