@@ -387,10 +387,10 @@ def _bound_row(report: bounds_mod.BoundReport) -> list:
     ]
 
 
-def _verify_row(rep: empirics.VerificationReport) -> list:
+def _verify_row(rep: empirics.VerificationReport, digest: str) -> list:
     br = rep.bound_report
     return [
-        rep.digest, br.theorem, br.n, br.k, rep.estimate.samples,
+        digest, br.theorem, br.n, br.k, rep.estimate.samples,
         rep.estimate.discrepancy, rep.estimate.ci_halfwidth, rep.bound_total, rep.passed,
     ]
 
@@ -405,14 +405,14 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _trace(rep: empirics.VerificationReport) -> None:
+def _trace(rep: empirics.VerificationReport, digest: str) -> None:
     br, est = rep.bound_report, rep.estimate
     meta = dict(rep.metadata)
     record = {"theorem": br.theorem, "n": br.n, "k": br.k, "passed": rep.passed,
               "seed": meta.pop("seed"), "samples": est.samples, "mean_g": est.mean_g,
               "se": est.se, "gaussian_value": est.gaussian.value,
               "gaussian_error": est.gaussian.error, "gaussian_method": est.gaussian.method,
-              "bound_scale": rep.bound_scale, "digest": rep.digest, "workers": est.workers,
+              "bound_scale": rep.bound_scale, "digest": digest, "workers": est.workers,
               "blocks": est.blocks, **meta, "sampler": est.sampler, "groups": est.groups}
     print(json.dumps(record), file=sys.stderr)
 
@@ -423,15 +423,15 @@ def _verify(cfg: ExperimentConfig, workers: Optional[int],
         raise ConfigError(f"verify and scan take one theorem, got {cfg.theorem!r}")
     return empirics.verify_bound(
         cfg.theorem, cfg.ds, cfg.model, cfg.g, samples=cfg.samples, seed=cfg.seed,
-        constants=cfg.constants, bound_scale=bound_scale, digest=cfg.digest, workers=workers)
+        constants=cfg.constants, bound_scale=bound_scale, workers=workers)
 
 
 def cmd_verify(cfg: ExperimentConfig, bound_scale: float = 1.0,
                workers: Optional[int] = None, trace: bool = False) -> int:
     rep = _verify(cfg, workers, bound_scale)
     if trace:
-        _trace(rep)
-    _emit(_csv(VERIFY_COLUMNS, [_verify_row(rep)]), cfg.output)
+        _trace(rep, cfg.digest)
+    _emit(_csv(VERIFY_COLUMNS, [_verify_row(rep, cfg.digest)]), cfg.output)
     return 0 if rep.passed else 1
 
 
@@ -453,11 +453,11 @@ def cmd_scan(cfg: ExperimentConfig, axis: str, values: list[int],
             seed=sources.derived_seed(cfg.seed, value) & 0x7FFFFFFFFFFFFFFF)
         rep = _verify(cell, workers)
         if trace:
-            _trace(rep)
+            _trace(rep, cell.digest)
         all_pass &= rep.passed
         br = rep.bound_report
         rows.append(
-            _verify_row(rep)
+            _verify_row(rep, cell.digest)
             + [br.lam, br.term_fourth, br.term_third, br.term_mixed, br.min_branch or ""]
         )
     _emit(_csv(SCAN_COLUMNS, rows), cfg.output)

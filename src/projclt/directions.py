@@ -181,43 +181,23 @@ def hypercube_directions(n: int, k: int, centered: bool = False) -> DirectionSet
     return DirectionSet(rows)
 
 
-def _haar_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
-    """First k rows of a Haar-distributed n x n orthogonal matrix."""
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    return (q * signs).T
-
-
-def _embed_zero_sum(w: np.ndarray) -> np.ndarray:
-    """Map rows of R^(n-1) isometrically onto the zero-sum hyperplane of R^n.
-
-    Uses the Householder reflection exchanging e_1 with the normalized
-    all-ones vector; its columns 2..n are an orthonormal basis of
-    {x : sum x_r = 0}.
-    """
-    k, m = w.shape
-    n = m + 1
-    v = -np.full(n, 1.0 / math.sqrt(n))
-    v[0] += 1.0
-    vtv = float(v @ v)
-    x = np.concatenate([np.zeros((k, 1)), w], axis=1)
-    beta = 2.0 * (x @ v) / vtv
-    return x - np.outer(beta, v)
-
-
 def random_orthonormal(n: int, k: int, seed: int, centered: bool = False) -> DirectionSet:
     """Uniformly random orthonormal frame of k rows, deterministic given seed.
 
-    With ``centered`` the frame is drawn inside the zero-sum hyperplane by
-    rotating a fixed orthonormal basis of that hyperplane, so every row
-    sums to zero.
+    The rows are the columns of Q in the QR factorization of an n x k
+    standard Gaussian matrix G, each column's sign fixed so that R has a
+    positive diagonal; so Q is Haar distributed (Mezzadri 2007, Notices
+    AMS 54).  With ``centered`` each column of G is first centred, and
+    the same QR follows, so every row sums to zero.  The frame is then
+    Haar on the zero-sum hyperplane: centring commutes with every rotation
+    that fixes the all-ones vector, so the centred G is invariant under
+    the rotations of that hyperplane, and so is its sign-fixed Q.
     """
     limit = n - 1 if centered else n
     if not 1 <= k <= limit:
         raise InvalidInputError(f"need 1 <= k <= {limit} for n={n} (centered={centered})")
-    rng = np.random.default_rng(seed)
+    g = np.random.default_rng(seed).standard_normal((n, k))
     if centered:
-        rows = _embed_zero_sum(_haar_rows(rng, k, n - 1))
-        return DirectionSet(rows)
-    return DirectionSet(_haar_rows(rng, k, n))
+        g -= g.mean(axis=0)
+    q, r = np.linalg.qr(g)
+    return DirectionSet((q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)).T)

@@ -8,10 +8,10 @@ exact quantity -- the bounds and the pair statistics of the abstract
 bound -- lives in :mod:`projclt.bounds`.
 
 Monte Carlo loops follow the splittable seeding contract of
-:mod:`projclt.sources`: every state is drawn in fixed-size blocks (a
-block starting at index i uses the stream keyed by (seed, i)), per-block
-partial results are merged in block order, and results are therefore
-independent of how blocks are scheduled across workers.
+:meth:`projclt.sources.ProjectionPlan.draw`: every state is drawn in
+fixed-size blocks, per-block partial results are merged in block order,
+and results are therefore independent of how blocks are scheduled across
+workers.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def estimate_discrepancy(
     ``gaussian`` is the Gaussian side, E g(Z~) as computed by
     :func:`gaussian_expectation`.
 
-    Draws are generated in fixed-size blocks, each drawn from its own
-    (seed, start) stream by the plan of :func:`projclt.sources.projections`.
+    Draws are generated in fixed-size blocks, each drawn by the plan of
+    :func:`projclt.sources.projections` (:meth:`~projclt.sources.ProjectionPlan.draw`).
     Each block reduces to (count, mean, M2) of g in double precision, and
     the blocks are merged in block order, so the result does not depend on
     worker count or scheduling.  More than one worker runs the blocks on
@@ -167,7 +167,6 @@ class VerificationReport:
     estimate: DiscrepancyEstimate
     bound_report: BoundReport
     bound_scale: float = 1.0
-    digest: str = ""
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -204,8 +203,7 @@ def gaussian_spec_for(theorem: str, ds: DirectionSet) -> GaussianSpec:
 def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, *,
                  samples: int, seed: int,
                  constants: ExchangeableConstants = DEFAULT_EXCHANGEABLE_CONSTANTS,
-                 bound_scale: float = 1.0, digest: str = "",
-                 workers: Optional[int] = None) -> VerificationReport:
+                 bound_scale: float = 1.0, workers: Optional[int] = None) -> VerificationReport:
     """Estimate the discrepancy, evaluate the selected bound, and compare.
 
     The run passes when the measured discrepancy does not exceed the bound,
@@ -234,4 +232,4 @@ def verify_bound(theorem: str, ds: DirectionSet, model: Model, g: TestFunction, 
         "dominant_term": max(terms, key=terms.get),
     }
     return VerificationReport(estimate=disc, bound_report=report, bound_scale=bound_scale,
-                              digest=digest, metadata=metadata)
+                              metadata=metadata)

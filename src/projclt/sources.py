@@ -20,13 +20,10 @@ of a block of samples: it chooses, from the direction rows and the model,
 whether a block draws coordinates (:func:`_law_draws`), sums of classes
 of coordinates (:func:`sample_class_sums`) or per-bin sums of a uniform
 partition (:func:`sample_rank_bins`), and returns the plan that draws it.
-Seeding is splittable: a block starting at sample index i consumes the
-stream of the pair (seed, i), whichever it draws: an SFC64 generator whose
-state is set directly from the pair (:func:`stream`, which proves that
-the stretches of stream two distinct blocks read share no state).
-Results therefore do not depend on how fixed-size blocks are distributed
-across workers.  Tiles are TILE_ROWS high, a height that is part of this
-contract.
+Each sampler reads a generator it is handed; only the plan's
+:meth:`ProjectionPlan.draw` opens a block's stream, and it states the
+splittable seeding contract.  Tiles are TILE_ROWS high, a height that is
+part of this contract.
 
 Every coordinate draw is one float32 variate Y of its law, with
 X = a + b Y (:class:`IIDModel`), and reads only the stream bits its law
@@ -69,6 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 
@@ -106,14 +104,10 @@ MAX_PERMUTATION_N = 1 << 16
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-# The generator behind every sampling stream; the third word of every
-# stream's starting state (an odd constant), the counter every stream starts
-# from, and the number of outputs discarded after the state is set, as
-# numpy's own SFC64 seeding discards them.
+# The generator behind every sampling stream, and the third word of every
+# stream's seed (an odd constant).
 STREAM = "sfc64"
 _STREAM_WORD = _GOLDEN64
-_COUNTER_START = 1
-_STREAM_DISCARD = 12
 
 
 def _fmix64(k: int) -> int:
@@ -126,15 +120,28 @@ def _fmix64(k: int) -> int:
     return k ^ (k >> 33)
 
 
+class _StreamSeed(ISeedSequence):
+    """The three 64-bit words that numpy's SFC64 seeding reads, handed over
+    as they are."""
+
+    def __init__(self, words: tuple[int, int, int]):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 3 or np.dtype(dtype) != np.uint64:
+            raise InvalidInputError(f"a stream seed is 3 words of uint64, not {n_words} of "
+                                    f"{np.dtype(dtype)}")
+        return np.array(self.words, dtype=np.uint64)
+
+
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """The generator of one sampling stream: SFC64 (Doty-Humphrey's small
-    fast counting generator) started from a state set directly from
-    (seed, index).
+    fast counting generator) seeded by numpy with the three words
+    (fmix64(seed), fmix64(index), an odd constant).
 
-    The 256-bit state (s0, s1, s2, s3) starts at (fmix64(seed),
-    fmix64(index), an odd constant, 1), and the first 12 outputs are
-    discarded.  No two streams ever pass through a common state within
-    2^64 steps:
+    numpy's seeding starts the 256-bit state (s0, s1, s2, s3) at those
+    three words and s3 = 1, and discards the first 12 outputs.  No two
+    streams ever pass through a common state within 2^64 steps:
 
     * One SFC64 step outputs t = s0 + s1 + s3 and moves to
       (s1 ^ (s1 >> 11), 9 s2, rotl(s2, 24) + t, s3 + 1), all modulo 2^64.
@@ -154,16 +161,8 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """
     if not (0 <= seed < SEED_LIMIT and 0 <= index < SEED_LIMIT):
         raise InvalidInputError(f"stream seed and index must lie in [0, 2^64), got {seed}, {index}")
-    bits = np.random.SFC64(0)
-    bits.state = {
-        "bit_generator": "SFC64",
-        "state": {"state": np.array([_fmix64(seed), _fmix64(index), _STREAM_WORD, _COUNTER_START],
-                                    dtype=np.uint64)},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bits.random_raw(_STREAM_DISCARD)
-    return np.random.Generator(bits)
+    return np.random.Generator(np.random.SFC64(
+        _StreamSeed((_fmix64(seed), _fmix64(index), _STREAM_WORD))))
 
 
 def derived_seed(seed: int, tag: int) -> int:
@@ -556,14 +555,6 @@ def moment_summary(model: Model) -> MomentSummary:
 # --------------------------------------------------------------------------
 # Sampling
 
-def _check_population_size(n: int) -> None:
-    if n > MAX_PERMUTATION_N:
-        raise InvalidInputError(
-            f"exchangeable sampling supports populations of at most {MAX_PERMUTATION_N} "
-            f"values, got {n}"
-        )
-
-
 def _stream_keys(rng, rows: int, n: int, key=np.uint32) -> np.ndarray:
     """(rows, n) keys of the unsigned ``key`` type: the j-th 32-bit
     half-word (uint32) or 16-bit quarter-word (uint16) of each row's
@@ -651,24 +642,19 @@ def _rank_thresholds(keys: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np
     return high, (low == high).any(axis=1)
 
 
-def sample_rank_bins(
-    weights: np.ndarray,
-    sizes: tuple[int, ...],
-    seed: int,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """(count, G, w) float64 sums of item weights per bin for sample indices
-    start..start+count-1, each sample a uniformly random partition of the
-    n items, the rows of the (n, w) float32 ``weights``, into G bins of
+def sample_rank_bins(weights: np.ndarray, sizes: tuple[int, ...], rng: np.random.Generator,
+                     count: int) -> np.ndarray:
+    """(count, G, w) float64 sums of item weights per bin of ``count``
+    samples drawn from ``rng``, each sample a uniformly random partition of
+    the n items, the rows of the (n, w) float32 ``weights``, into G bins of
     sizes[0], ..., sizes[G-1] items.
 
     Selection on i.i.d. keys (Knuth, TAOCP vol. 2, 3.4.2): every item takes
-    a key from the (seed, start) stream (:func:`_stream_keys`), TILE_ROWS
-    rows per tile.  While (G - 1) n <= _KEY16_CUTS = 2^15 a key is a 16-bit
-    quarter-word, and a row reads ceil(n/4) words; above it a key is a
-    32-bit half-word, as in a permutation row of :func:`_permuted_rows`, and
-    a row reads ceil(n/2) words.  Bin c holds the items whose keys rank
+    a key from ``rng`` (:func:`_stream_keys`), TILE_ROWS rows per tile.
+    While (G - 1) n <= _KEY16_CUTS = 2^15 a key is a 16-bit quarter-word,
+    and a row reads ceil(n/4) words; above it a key is a 32-bit half-word,
+    as in a permutation row of :func:`_permuted_rows`, and a row reads
+    ceil(n/2) words.  Bin c holds the items whose keys rank
     from sizes[0] + ... + sizes[c-1] up to the next cut.  A row whose keys
     tie across a cut is redrawn whole from the next words of the stream,
     one row of words per tied row, tied rows in row order, before the next
@@ -685,13 +671,9 @@ def sample_rank_bins(
     their weight sums U_c; bin c is U_c - U_(c+1), with U_0 the float64 sum
     of all weights.
     """
-    if count < 1:
-        raise InvalidInputError("block count must be positive")
     n, width = weights.shape
-    _check_population_size(n)
     cuts = np.cumsum(sizes)[:-1]
     key = np.uint16 if cuts.size * n <= _KEY16_CUTS else np.uint32
-    rng = stream(seed, start)
     sums = np.empty((count, len(sizes), width))
     sums[:, 0] = weights.sum(axis=0, dtype=np.float64)
     mask = np.empty((TILE_ROWS, n), dtype=np.float32)
@@ -712,31 +694,26 @@ def sample_rank_bins(
     return sums
 
 
-def _law_draws(model: Model, seed: int, start: int,
+def _law_draws(model: Model, rng: np.random.Generator,
                count: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The coordinate draws of the block for sample indices
-    start..start+count-1, in stream order, as (lo, j, draws): float32
-    (m, n_j) variates Y of rows lo..lo+m-1 of the n_j coordinates of law j,
-    in index order (every coordinate, j = 0, for a model of one law and for
-    an exchangeable model, whose rows are their own values).
+    """The coordinate draws of ``count`` samples from ``rng``, in stream
+    order, as (lo, j, draws): float32 (m, n_j) variates Y of rows
+    lo..lo+m-1 of the n_j coordinates of law j, in index order (every
+    coordinate, j = 0, for a model of one law and for an exchangeable
+    model, whose rows are their own values).
 
-    The block consumes the stream keyed by (seed, start) strictly in order.
     A model of one law draws TILE_ROWS rows per row-major (m, n) sampler
     call, and an exchangeable model TILE_ROWS permuted rows, redrawing
     its tied rows before the next tile starts.  A model of several laws
     draws LAW_ROWS rows at a time, law by law in the order of ``laws``,
     one (n_j, m) sampler call per law, handed out transposed.
     """
-    if count < 1:
-        raise InvalidInputError("block count must be positive")
     kind = family(model)
     if kind == EXCHANGEABLE:
-        _check_population_size(model.n)
         pop = model.population.astype(np.float32)
         samplers = [lambda rng, size: _permuted_rows(rng, pop, size[0])]
     else:
         samplers = [law.sampler for law in model.laws]
-    rng = stream(seed, start)
     if kind == INDEPENDENT:
         sizes = np.bincount(model.law_index)
         for lo in range(0, count, LAW_ROWS):
@@ -749,25 +726,11 @@ def _law_draws(model: Model, seed: int, start: int,
         yield lo, 0, samplers[0](rng, (m, model.n))
 
 
-def sample_class_sums(
-    laws: tuple[IIDModel, ...],
-    sizes: tuple[int, ...],
-    seed: int,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """(count, G) float64 sums for sample indices start..start+count-1:
-    column j holds sums of sizes[j] copies of laws[j], drawn by its
-    ``sum_sampler``.
-
-    The block consumes the stream keyed by (seed, start) group after
-    group, in the order given, count sums per group, so that, as for
-    :func:`_law_draws`, fixed block boundaries give identical draws no
-    matter how blocks are distributed across workers.
-    """
-    if count < 1:
-        raise InvalidInputError("block count must be positive")
-    rng = stream(seed, start)
+def sample_class_sums(laws: tuple[IIDModel, ...], sizes: tuple[int, ...],
+                      rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, G) float64 sums of ``count`` samples from ``rng``: column j
+    holds sums of sizes[j] copies of laws[j], drawn by its ``sum_sampler``,
+    group after group in the order given, count sums per group."""
     sums = np.empty((count, len(laws)))
     for j, (law, m) in enumerate(zip(laws, sizes)):
         sums[:, j] = law.sum_sampler(rng, m, count)
@@ -821,13 +784,29 @@ _BIN_SIZE = 64
 class ProjectionPlan(NamedTuple):
     """How a block's projections are drawn: the sampler (COORDINATES,
     CLASS_SUMS, COLUMN_BINS or VALUE_BINS), the number of class sums or
-    bins per sample (None for coordinates), and ``draw(seed, start,
-    count)``, the (count, k) float64 projections for sample indices
-    start..start+count-1, drawn from the stream keyed by (seed, start)."""
+    bins per sample (None for coordinates), and ``project(rng, count)``,
+    the (count, k) float64 projections of ``count`` samples drawn from the
+    generator ``rng``, a :func:`functools.partial` whose ``args`` hold what
+    it projects with."""
 
     sampler: str
     groups: Optional[int]
-    draw: Callable[[int, int, int], np.ndarray]
+    project: Callable[[np.random.Generator, int], np.ndarray]
+
+    def draw(self, seed: int, start: int, count: int) -> np.ndarray:
+        """The (count, k) projections for sample indices start..start+count-1.
+
+        Seeding is splittable, and this is the one place where a block
+        meets its stream: the block of ``count`` >= 1 samples from index
+        ``start`` reads the stream keyed by (seed, start) (:func:`stream`)
+        from its first word, strictly in order, whichever sampler draws it.
+        Distinct blocks read stretches of stream that share no state, so a
+        result does not depend on how fixed-size blocks are distributed
+        across workers.
+        """
+        if count < 1:
+            raise InvalidInputError(f"block count must be positive, got {count}")
+        return self.project(stream(seed, start), count)
 
 
 def _column_classes(vectors: np.ndarray, code: np.ndarray,
@@ -859,22 +838,22 @@ def _column_classes(vectors: np.ndarray, code: np.ndarray,
     return first, sizes
 
 
-def _coordinate_projections(model, rows, scales, offset, seed, start, count):
+def _coordinate_projections(model, rows, scales, offset, rng, count):
     s = np.empty((count, offset.size))
     s[:] = offset
-    for lo, j, y in _law_draws(model, seed, start, count):
+    for lo, j, y in _law_draws(model, rng, count):
         s[lo:lo + y.shape[0]] += (y @ rows[j]) * scales[j]
     return s
 
 
-def _class_sum_projections(laws, sizes, columns, seed, start, count):
-    return sample_class_sums(laws, sizes, seed, start, count) @ columns
+def _class_sum_projections(laws, sizes, columns, rng, count):
+    return sample_class_sums(laws, sizes, rng, count) @ columns
 
 
-def _bin_projections(weights, sizes, factors, seed, start, count):
+def _bin_projections(weights, sizes, factors, rng, count):
     # Bin by bin, so that no (count, G, k) float64 product is held: 0.8 MB
     # per worker for 4 bins at k = 3, and about 1 MB of verify-exch's peak RSS.
-    sums = sample_rank_bins(weights, sizes, seed, start, count)
+    sums = sample_rank_bins(weights, sizes, rng, count)
     s = sums[:, 0] * factors[0]
     for c in range(1, len(sizes)):
         s += sums[:, c] * factors[c]
@@ -882,18 +861,18 @@ def _bin_projections(weights, sizes, factors, seed, start, count):
 
 
 def _grouped(sampler, project, items, sizes, factors) -> ProjectionPlan:
-    """The plan that draws ``project(items, sizes, factors, seed, start,
+    """The plan that projects by ``project(items, sizes, factors, rng,
     count)`` over G groups of the given sizes."""
     sizes = tuple(int(m) for m in sizes)
-    draw = functools.partial(project, items, sizes, np.ascontiguousarray(factors))
-    return ProjectionPlan(sampler, len(sizes), draw)
+    return ProjectionPlan(sampler, len(sizes), functools.partial(
+        project, items, sizes, np.ascontiguousarray(factors)))
 
 
 def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     """The plan that draws the projections S = theta X of a block, theta
     the (k, n) float64 ``vectors`` and X a state of ``model``, which must
-    have dimension n.  ``draw`` is a :func:`functools.partial` whose
-    ``args`` hold what it projects with.
+    have dimension n.  An exchangeable population larger than
+    MAX_PERMUTATION_N is refused here, before any block is drawn.
 
     S depends on X only through the sums of the classes of coordinates
     that share a direction column and a law (:func:`_column_classes`).  An
@@ -932,6 +911,9 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     exchangeable = family(model) == EXCHANGEABLE
     if model.n != n:
         raise InvalidInputError("model dimension does not match the direction set")
+    if exchangeable and n > MAX_PERMUTATION_N:
+        raise InvalidInputError(f"exchangeable sampling supports populations of at most "
+                                f"{MAX_PERMUTATION_N} values, got {n}")
     theta = np.ascontiguousarray(vectors.T, dtype=np.float32)
     if exchangeable:
         limit = min(_MAX_BINS, n // _BIN_SIZE)
@@ -958,8 +940,8 @@ def projections(vectors: np.ndarray, model: Model) -> ProjectionPlan:
     rows = tuple(np.ascontiguousarray(theta[law_index == j]) for j in range(len(affine)))
     scales = tuple(np.float64(b) for _, b in affine)
     offset = sum(a * r.sum(axis=0, dtype=np.float64) for (a, _), r in zip(affine, rows))
-    draw = functools.partial(_coordinate_projections, model, rows, scales, offset)
-    return ProjectionPlan(COORDINATES, None, draw)
+    return ProjectionPlan(COORDINATES, None, functools.partial(
+        _coordinate_projections, model, rows, scales, offset))
 
 
 # --------------------------------------------------------------------------

@@ -822,7 +822,10 @@ COSINE_PHASE = {"kind": "cosine", "a": "ones-normalized", "phase": 0.3}
 # uniform and independent-pattern CSVs moved once more, in the last digits
 # of estimate and ci, when each law's variate was projected and its affine
 # map applied per projected row (uniform from 3330c4b6..., pattern from
-# 983f5e29..., whose laws' blocks are now projected one by one).
+# 983f5e29..., whose laws' blocks are now projected one by one).  The
+# exchangeable CSV moved once, from 1c6acb3e..., when a centred random
+# frame became the sign-fixed QR of the column-centred Gaussian matrix:
+# the same law, other rows.
 COORDINATE_CSVS = {
     "random-rows": ({"model": {"kind": "rademacher"},
                      "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5},
@@ -836,7 +839,7 @@ COORDINATE_CSVS = {
                       "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True,
                                      "seed": 5},
                       "test_function": {"kind": "bump", "radius": 2.0}, "theorem": "T4"},
-                     "1c6acb3e9a2f97262d338d37eb3873af8b603dface501e5982e0ba1a2e8fa645"),
+                     "dbcf0377c051981acb4f95299832c5c0c32f0e8be7a61ba8b0c5d3398d5e69d4"),
     "sign-rows-small-n": ({"model": {"kind": "rademacher"},
                            "directions": {"kind": "hypercube", "n": 64, "k": 2},
                            "test_function": COSINE_PHASE, "theorem": "T1"},
@@ -859,6 +862,9 @@ CLASS_SUM_CSV = "e08e223d1b5d67b776bf56e2f6b009b66407c5fdc9a43bf7f5a3db161c95445
 # classes of centred sign rows, and the coordinates of random centred rows
 # over the 2 values of the alternating population.  Both moved once, when
 # rank bins of (G - 1) n <= 2^15 took 16-bit keys in place of 32-bit ones.
+# The value-bins CSV moved once more, from 3296314c..., when a centred
+# random frame became the sign-fixed QR of the column-centred Gaussian
+# matrix: the same law, other rows.
 RANK_BIN_CSVS = {
     "column-bins": ({"model": {"kind": "exchangeable", "family": "ramp"},
                      "directions": {"kind": "hypercube", "n": 1024, "k": 3, "centered": True},
@@ -868,12 +874,15 @@ RANK_BIN_CSVS = {
                     "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True,
                                    "seed": 5},
                     "test_function": COSINE_PHASE, "theorem": "T5"},
-                   "3296314c9e3bcc5955b3ea4652f688b8b87d0b907695f87f3b9df7a4b0c4459e", 2),
+                   "631bff5f66718b648783203acb7eab9869a125abb8455e0c8f5de4338e3dc1a4", 2),
 }
 # bound --theorem abstract CSVs: i.i.d. uniform on random rows, i.i.d.
 # Rademacher on sign rows, a three-law pattern on random rows and the ramp.
 # They and the two below were taken while a bare law was still a model;
 # the pattern's third-moment sum, now taken law by law, kept its bytes.
+# The ramp's CSV moved once, from 692d5887..., when a centred random frame
+# became the sign-fixed QR of the column-centred Gaussian matrix: the same
+# law, other rows.
 ABSTRACT_CSVS = {
     "iid-uniform": ({"model": {"kind": "uniform"},
                      "directions": {"kind": "random", "n": 1024, "k": 2, "seed": 5}},
@@ -887,7 +896,7 @@ ABSTRACT_CSVS = {
                 "0d2dbed6f8bcb1366cfbe5f0e3adfdb55f556f1c7d56ffc730a4b94a86d4b7eb"),
     "ramp": ({"model": {"kind": "exchangeable", "family": "ramp"},
               "directions": {"kind": "random", "n": 1024, "k": 2, "centered": True, "seed": 5}},
-             "692d58870897eb477955f368092e7ff0ce9462170c74f4793cc32f7e91bf8e20"),
+             "ffa2446ac4029a020c491310f21783ada07890adbbf3f01fc5b305b71479d299"),
 }
 # The moments CSV of one i.i.d. law.  It moved once, from d6751ad3..., when
 # its first-coordinate abs3 and fourth columns went and abs3_max and

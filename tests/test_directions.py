@@ -314,11 +314,35 @@ class TestRandomOrthonormal:
         ds = random_orthonormal(20, 4, seed=seed)
         assert ds.orthonormal
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_centered_construction(self, seed):
-        ds = random_orthonormal(17, 3, seed=seed, centered=True)
+    @pytest.mark.parametrize("n, k, seed", [(17, 3, 0), (17, 3, 5), (2**18, 8, 0)])
+    def test_centered_construction(self, n, k, seed):
+        ds = random_orthonormal(n, k, seed=seed, centered=True)
         assert ds.orthonormal and ds.centered
         assert np.max(np.abs(ds.vectors.sum(axis=1))) <= 1e-12
+
+    def test_centered_row_of_three_has_a_uniform_angle(self):
+        # The zero-sum plane of R^3 holds the unit circle cos(phi) u1 +
+        # sin(phi) u2, and a Haar row has a uniform phi
+        u1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        u2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+        seeds, bins = 12_000, 12
+        rows = np.array([random_orthonormal(3, 1, seed=s, centered=True).vectors[0]
+                         for s in range(seeds)])
+        phi = np.arctan2(rows @ u2, rows @ u1)
+        counts = np.bincount(((phi + math.pi) / (2 * math.pi) * bins).astype(int) % bins,
+                             minlength=bins)
+        expected = seeds / bins
+        assert float(np.sum((counts - expected) ** 2) / expected) < 31.26  # chi^2_11, 0.1 %
+
+    def test_centered_row_has_the_fourth_moments_of_a_haar_row(self):
+        # A uniform unit vector of the (n-1)-dimensional zero-sum hyperplane
+        # has E theta_r^4 = 3 |P e_r|^4 / ((n-1)(n+1)), |P e_r|^2 = 1 - 1/n
+        n, seeds = 8, 20_000
+        fourth = np.array([random_orthonormal(n, 1, seed=s, centered=True).vectors[0]
+                           for s in range(seeds)]) ** 4
+        want = 3.0 * (1.0 - 1.0 / n) ** 2 / ((n - 1) * (n + 1))
+        se = fourth.std(axis=0, ddof=1) / math.sqrt(seeds)
+        assert np.all(np.abs(fourth.mean(axis=0) - want) <= 4 * se)
 
     def test_deterministic_given_seed(self):
         a = random_orthonormal(30, 3, seed=42)

@@ -44,6 +44,7 @@ from projclt.sources import (
     sample_class_sums,
     sample_rank_bins,
     standardize_population,
+    stream,
     two_point,
     uniform,
 )
@@ -814,7 +815,7 @@ class TestClassSums:
         model = IndependentModel(laws[:2], np.array([0, 1, 0])[np.arange(n) % 3])
         rows = np.tile(np.repeat([1.0, -1.0], 2), n // 4) / math.sqrt(n)  # + + - - + + ...
         class_laws, sizes, columns = projections(DirectionSet(rows[None, :]).vectors,
-                                                 model).draw.args
+                                                 model).project.args
         theta = rows[None, :]
         assert sizes == (128, 128, 64, 64)  # by law, then by sign: + before -
         assert class_laws == (signs, signs, laws[1], laws[1])
@@ -867,12 +868,12 @@ class TestClassSums:
         n, k = 1024, 3
         ds = hypercube_directions(n, k)
         model = class_law(law, n)
-        laws, sizes, columns = projections(ds.vectors, model).draw.args
+        laws, sizes, columns = projections(ds.vectors, model).project.args
         g = cosine_testfn([0.9, -0.4, 0.7], phase=0.3)
         gauss = gaussian_expectation(g, GaussianSpec.identity(k))
         est = estimate_discrepancy(ds, model, g, gauss, 8192 + 1000, seed=12)
         assert (est.sampler, est.groups) == (CLASS_SUMS, len(laws))
-        blocks = [sample_class_sums(laws, sizes, 12, start, count)
+        blocks = [sample_class_sums(laws, sizes, stream(12, start), count)
                   for start, count in ((0, 8192), (8192, 1000))]
         vals = [g.evaluate(sums @ columns) for sums in blocks]
         want = (vals[0].mean() * 8192 + vals[1].mean() * 1000) / 9192
@@ -1067,13 +1068,13 @@ class TestRankBinPath:
             ds, model = hypercube_directions(n, k, centered=True), ramp_model(n)
         else:
             ds, model = random_orthonormal(n, k, seed=4, centered=True), alternating_model(n)
-        weights, sizes, factors = projections(ds.vectors, model).draw.args
+        weights, sizes, factors = projections(ds.vectors, model).project.args
         g = cosine_testfn([0.9, -0.4, 0.7], phase=0.3)
         est = estimate_discrepancy(ds, model, g, gaussian_expectation(g, GaussianSpec(ds.gram)),
                                    8192 + 1000, seed=12)
         vals = []
         for start, count in ((0, 8192), (8192, 1000)):
-            sums = sample_rank_bins(weights, sizes, 12, start, count)
+            sums = sample_rank_bins(weights, sizes, stream(12, start), count)
             if side == "columns":  # the population values that land on each column
                 s = sums[:, :, 0] @ factors
                 for column, size in zip(factors, sizes):

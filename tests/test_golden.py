@@ -8,7 +8,9 @@ They have moved once, on purpose: the bump's g1 = grad_sup became the
 closed form 96/(25 sqrt(5) r) in place of a grid maximum that sat 1-2 ulps
 above it.  That moved the two bump digests, in term_fourth, term_mixed and
 total only, by at most 4.2e-16 relative; term_third and lambda kept their
-bytes."""
+bytes.  The exchangeable-population-bump digest moved once more, from
+e6bfdbb0..., when a centred random frame became the sign-fixed QR of the
+column-centred Gaussian matrix: the same law, other rows."""
 
 import hashlib
 import json
@@ -67,7 +69,7 @@ GOLDEN = {
          "directions": {"kind": "random", "n": 8, "k": 2, "seed": 1, "centered": True},
          "test_function": {"kind": "bump", "radius": 3.0},
          "constants": {"a": 1.0, "b": 2.0, "c": 0.5}, "theorem": ["T4", "T5"]},
-        "e6bfdbb0b9cc9500e951929300a0311801171e65dcdf20d056f6100604e115be",
+        "dac36d4bebb18831930732b4210e598904c15c1afcd05085b80cf861d69fafc8",
     ),
     "exchangeable-linearly-independent-file": (
         {"model": RAMP,

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from projclt import sources
 from projclt.errors import InvalidInputError, InvalidMomentsError, MissingMomentsError
 from projclt.sources import (
+    CLASS_SUMS,
+    COLUMN_BINS,
+    COORDINATES,
+    VALUE_BINS,
     ExchangeableModel,
     IIDModel,
     IndependentModel,
@@ -467,13 +471,14 @@ class TestSumSamplers:
 
     def test_class_sums_read_the_block_stream_group_after_group(self):
         laws = (rademacher(), centered_exponential(), two_point(0.2))
-        sums = sample_class_sums(laws, (5, 3, 9), 4, 8192, 100)
+        sizes = (5, 3, 9)
+        sums = sample_class_sums(laws, sizes, stream(4, 8192), 100)
         rng = stream(4, 8192)
         want = np.column_stack([law.sum_sampler(rng, m, 100) for law, m in zip(laws, (5, 3, 9))])
         assert sums.shape == (100, 3) and sums.dtype == np.float64
         np.testing.assert_array_equal(sums, want)
-        np.testing.assert_array_equal(sample_class_sums(laws, (5, 3, 9), 4, 8192, 100), sums)
-        assert not np.array_equal(sample_class_sums(laws, (5, 3, 9), 4, 0, 100), sums)
+        np.testing.assert_array_equal(sample_class_sums(laws, sizes, stream(4, 8192), 100), sums)
+        assert not np.array_equal(sample_class_sums(laws, sizes, stream(4, 0), 100), sums)
 
 
 class TestMomentSummaryInvariants:
@@ -630,19 +635,28 @@ def unit_projections(model, seed, start, count):
 def permuted_rows(model, seed, start, count):
     """The library's (count, n) float32 rows of an exchangeable block, as
     its coordinate path draws them, whatever path its projections take."""
-    return np.concatenate([rows for _, _, rows in sources._law_draws(model, seed, start, count)])
+    rng = sources.stream(seed, start)
+    return np.concatenate([rows for _, _, rows in sources._law_draws(model, rng, count)])
+
+
+# One cell per sampler: (rows, model) of n = 128 coordinates.
+SAMPLER_CELLS = {
+    COORDINATES: lambda n: (np.eye(n)[:2], iid(uniform(), n)),
+    CLASS_SUMS: lambda n: (np.full((1, n), n**-0.5), iid(rademacher(), n)),
+    COLUMN_BINS: lambda n: (np.repeat([[1.0, -1.0]], n // 2, axis=1) * n**-0.5,
+                            ExchangeableModel(standardize_population(np.arange(n)))),
+    VALUE_BINS: lambda n: (np.eye(n)[:2], ExchangeableModel(np.tile([-1.0, 1.0], n // 2))),
+}
 
 
 class TestSampling:
-    @pytest.mark.parametrize("draw", [
-        lambda count: next(sources._law_draws(iid(rademacher(), 8), 1, 0, count)),
-        lambda count: sample_class_sums((rademacher(),), (8,), 1, 0, count),
-        lambda count: sample_rank_bins(np.ones((8, 1), dtype=np.float32), (4, 4), 1, 0, count),
-    ], ids=["coordinates", "class-sums", "rank-bins"])
+    @pytest.mark.parametrize("sampler", list(SAMPLER_CELLS))
     @pytest.mark.parametrize("count", [0, -1])
-    def test_count_below_one_is_refused(self, draw, count):
+    def test_count_below_one_is_refused(self, sampler, count):
+        plan = sources.projections(*SAMPLER_CELLS[sampler](128))
+        assert plan.sampler == sampler
         with pytest.raises(InvalidInputError, match="block count must be positive"):
-            draw(count)
+            plan.draw(1, 0, count)
 
     def test_rademacher_support(self):
         x = unit_projections(iid(rademacher(), 64), seed=3, start=0, count=1)
@@ -689,7 +703,7 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
     def test_block_dtype(self):
-        ((_, _, x),) = sources._law_draws(iid(rademacher(), 24), 1, 0, 8)
+        ((_, _, x),) = sources._law_draws(iid(rademacher(), 24), stream(1, 0), 8)
         assert x.dtype == np.float32
         assert set(np.unique(x)) <= {np.float32(-1.0), np.float32(1.0)}
 
@@ -839,7 +853,8 @@ class TestStreamBudget:
             return streams[-1]
 
         monkeypatch.setattr(sources, "stream", counting)
-        sample_rank_bins(np.ones((n, 1), dtype=np.float32), sizes, 4, 0, TILE_ROWS)
+        sample_rank_bins(np.ones((n, 1), dtype=np.float32), sizes, sources.stream(4, 0),
+                         TILE_ROWS)
         _, rows = rank_bin_draws(stream(4, 0), n, sizes, TILE_ROWS)
         assert rows[0] == TILE_ROWS and (len(rows) > 1) == redrawn
         assert [rng.reads for rng in streams] == [[per_row * m for m in rows]]
@@ -934,11 +949,9 @@ class TestPermutationSampler:
         np.testing.assert_array_equal(np.sort(row), pop.astype(np.float32))
         model = ExchangeableModel(standardize_population(np.arange(1.0, limit + 2.0)))
         monkeypatch.setattr(sources, "stream", lambda seed, index: _ScriptedWords())
-        with pytest.raises(InvalidInputError, match="at most 65536 values, got 65537"):
-            permuted_rows(model, 0, 0, 1)
         rows = np.random.default_rng(0).standard_normal((1, limit + 1))
-        with pytest.raises(InvalidInputError, match="at most 65536"):
-            sources.projections(rows, model).draw(0, 0, TILE_ROWS)
+        with pytest.raises(InvalidInputError, match="at most 65536 values, got 65537"):
+            sources.projections(rows, model)
 
 
 def rank_bin_reference(halves, weights, sizes):
@@ -1009,7 +1022,7 @@ class TestRankBins:
         count = 2 * TILE_ROWS + 22
         keys, _ = rank_bin_draws(stream(13, 8192), n, sizes, count)
         want = rank_bin_reference(keys, weights, sizes)
-        got = sample_rank_bins(weights, sizes, 13, 8192, count)
+        got = sample_rank_bins(weights, sizes, stream(13, 8192), count)
         assert got.shape == (count, len(sizes), 2) and got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * math.sqrt(n))
 
@@ -1019,7 +1032,8 @@ class TestRankBins:
         values = 2.0 ** np.arange(6)
         pop = standardize_population(values)
         count = 90 * 200
-        sums = sample_rank_bins(pop.astype(np.float32)[:, None], (2, 2, 2), 41, 0, count)[:, :, 0]
+        sums = sample_rank_bins(pop.astype(np.float32)[:, None], (2, 2, 2), stream(41, 0),
+                                count)[:, :, 0]
         members = sums * values.std() + 2 * values.mean()  # each bin's sum of 2^j
         codes = np.rint(members).astype(np.int64)
         assert np.max(np.abs(members - codes)) < 1e-4
@@ -1033,7 +1047,7 @@ class TestRankBins:
     def test_every_three_subset_of_six_positions_is_equally_likely(self):
         # the positions that take the upper of two values, weighted by 2^j
         count = 20 * 200
-        sums = sample_rank_bins(self.BITS, (3, 3), 42, 0, count)[:, :, 0]
+        sums = sample_rank_bins(self.BITS, (3, 3), stream(42, 0), count)[:, :, 0]
         codes = np.rint(sums).astype(np.int64)
         np.testing.assert_array_equal(sums, codes)
         assert np.all(codes.sum(axis=1) == 63)
@@ -1049,7 +1063,7 @@ class TestRankBins:
         n, blocks = 1024, 25
         pop = standardize_population(np.arange(1.0, n + 1.0) ** 2)
         weights = pop.astype(np.float32)[:, None]
-        y = np.concatenate([sample_rank_bins(weights, sizes, 3, 8192 * b, 8192)[:, :, 0]
+        y = np.concatenate([sample_rank_bins(weights, sizes, stream(3, 8192 * b), 8192)[:, :, 0]
                             for b in range(blocks)])
         m = np.array(sizes, dtype=float)
         cov = -np.outer(m, m) / (n - 1) + np.diag(m) * n / (n - 1)
@@ -1094,17 +1108,21 @@ class TestRankBins:
         script = _ScriptedWords(*map(stream_words, (first, second, third)))
         monkeypatch.setattr(sources, "stream", lambda seed, index: script)
         weights = np.random.default_rng(n).standard_normal((n, 1)).astype(np.float32)
-        sums = sample_rank_bins(weights, sizes, 0, 0, 4)
+        sums = sample_rank_bins(weights, sizes, sources.stream(0, 0), 4)
         assert script.draws == []
         kept = np.vstack([first[0], second[0], first[2], third[0]])[:, :n]
         np.testing.assert_allclose(sums, rank_bin_reference(kept, weights, sizes),
                                    rtol=0, atol=1e-5 * math.sqrt(n))
 
     def test_populations_above_the_limit_are_refused_before_drawing(self, monkeypatch):
+        def cell(n):  # two column classes: rank bins, within the limit
+            rows = np.where(np.arange(n) < n // 2, 1.0, -1.0)[None, :] * n**-0.5
+            return rows, ExchangeableModel(standardize_population(np.arange(n)))
+
+        assert sources.projections(*cell(sources.MAX_PERMUTATION_N)).sampler == COLUMN_BINS
         monkeypatch.setattr(sources, "stream", lambda seed, index: _ScriptedWords())
-        weights = np.ones((sources.MAX_PERMUTATION_N + 1, 1), dtype=np.float32)
         with pytest.raises(InvalidInputError, match="at most 65536 values, got 65537"):
-            sample_rank_bins(weights, (1, sources.MAX_PERMUTATION_N), 0, 0, 1)
+            sources.projections(*cell(sources.MAX_PERMUTATION_N + 1))
 
 
 class TestPopulations:
